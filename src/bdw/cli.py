@@ -150,7 +150,7 @@ def _cmd_fit_dw(args: argparse.Namespace) -> None:
 
 def _cmd_fit_ml(args: argparse.Namespace) -> None:
     data, source = _dataset(args)
-    fit = nested_em(data, tol=args.tol, max_outer=args.max_outer)
+    fit = nested_em(data)
     th = fit.params
     b = fit.bdw
     try:
@@ -175,13 +175,10 @@ def _cmd_fit_ml(args: argparse.Namespace) -> None:
         },
         "ci95_halfwidth": fit.ci95,
         "loglik": fit.loglik,
-        "iterations": fit.iterations,
-        "converged": fit.converged,
         "shape_one_test": shape_test,
         "gof": _chi_dict(chisq_bdw(data, b)),
     }
-    config = {"tol": args.tol, "max_outer": args.max_outer}
-    _emit(_report("fit-ml", source, config, results), args.output)
+    _emit(_report("fit-ml", source, {}, results), args.output)
 
 
 def _cmd_fit_bayes(args: argparse.Namespace) -> None:
@@ -353,8 +350,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fit-ml", help="maximum-likelihood joint fit")
     _add_input_options(p)
-    p.add_argument("--tol", type=float, default=1e-4)
-    p.add_argument("--max-outer", type=int, default=500)
     p.add_argument("--output")
     p.set_defaults(func=_cmd_fit_ml)
 

@@ -1,13 +1,16 @@
 """Maximum-likelihood fitting of the bivariate discrete Weibull model.
 
-The observed data are integer pairs; the estimation route goes through the
-continuous shared-shock representation.  Each outer round imputes the most
-likely latent lifetimes cell by cell, then an inner EM refits the shape and
-the three rates from the imputed sample by treating the latent failure
-causes as missing.  Imputation by maximization (rather than conditional
-expectation) means the observed-data log-likelihood need not climb at every
-round, so the best observed-likelihood point seen along the trajectory is
-polished by a direct local ascent before it is reported.
+The observed-data log-likelihood of the integer pairs is closed form, and
+so are its score and Hessian: every cell's log-mass is a sum of terms
+``-r*y**alpha`` and ``log(1 - exp(-u))``, with ``r`` a sum of the rates.
+:func:`nested_em` maximizes it with one trust-region Newton solve in
+log-parameters from the marginal starting point, reads the observed
+information off the same Hessian, and reports a shared-shock rate whose
+one-sided score at zero is not positive as exactly zero.
+
+The continuous shared-shock helpers — most likely latent lifetimes per
+cell and an inner EM over the latent failure causes — serve the Bayesian
+sampler and the distribution checks.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ __all__ = [
     "impute_dataset",
     "inner_em_mobw",
     "nested_em",
-    "numerical_hessian",
+    "bdw_loglik_derivatives",
     "observed_info_ci",
     "alpha_equals_one_test",
     "AlphaTestReport",
@@ -114,6 +117,13 @@ class BivariateDataset:
             rec[1] += 1
         return tuple((c, k, r) for c, k, r in sorted(seen.values(), key=lambda t: t[0]))
 
+    @cached_property
+    def cell_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """:attr:`cells` as read-only float arrays: first coordinate, second, count."""
+        cols = np.array([(c[0], c[1], k) for c, k, _ in self.cells], dtype=float)
+        cols.flags.writeable = False
+        return cols[:, 0], cols[:, 1], cols[:, 2]
+
     def column(self, which: str) -> np.ndarray:
         """One of the three univariate views: ``x1``, ``x2`` or ``min``."""
         arr = np.asarray(self.pairs, dtype=np.int64)
@@ -143,15 +153,12 @@ class AlphaTestReport:
 
 @dataclass(frozen=True)
 class MLFitReport:
-    """Outcome of the nested fitting run."""
+    """Outcome of the maximum-likelihood solve."""
 
     params: MOBWParams
     bdw: bivariate.BDWParams
     loglik: float
     ci95: dict | None
-    iterations: int
-    converged: bool
-    trajectory: tuple
 
 
 def bdw_loglik(theta: MOBWParams, data: BivariateDataset) -> float:
@@ -162,18 +169,103 @@ def bdw_loglik(theta: MOBWParams, data: BivariateDataset) -> float:
     since a silent ``-inf`` would poison every comparison built on top.
     """
     params = bivariate.from_mobw(theta)
-    cells = data.cells
-    x1 = np.array([c[0] for c, _, _ in cells], dtype=float)
-    x2 = np.array([c[1] for c, _, _ in cells], dtype=float)
-    w = np.array([k for _, k, _ in cells], dtype=float)
+    x1, x2, w = data.cell_arrays
     lp = bivariate._log_joint_pmf_arr(params, x1, x2)
     bad = ~np.isfinite(lp)
     if np.any(bad):
-        idx = int(np.argmax(bad))
-        raise ValueError(
-            f"data row {cells[idx][2]} (cell {cells[idx][0]}) has zero probability"
-        )
+        cell, _, row = data.cells[int(np.argmax(bad))]
+        raise ValueError(f"data row {row} (cell {cell}) has zero probability")
     return float(w @ lp)
+
+
+@dataclass(frozen=True)
+class _Jet:
+    """Per-cell values with gradients and Hessians in ``PARAM_NAMES`` order."""
+
+    v: np.ndarray
+    g: np.ndarray
+    h: np.ndarray
+
+    def __add__(self, other: "_Jet") -> "_Jet":
+        return _Jet(self.v + other.v, self.g + other.g, self.h + other.h)
+
+    def __sub__(self, other: "_Jet") -> "_Jet":
+        return _Jet(self.v - other.v, self.g - other.g, self.h - other.h)
+
+
+_SHAPE = np.array([1.0, 0.0, 0.0, 0.0])
+
+
+def _power_jet(y: np.ndarray, theta: np.ndarray, rates: tuple) -> _Jet:
+    """Jet of ``-r * y**alpha``, where ``r`` sums the rates flagged in ``rates``."""
+    m = np.array([0.0, *rates])
+    r = float(m @ theta)
+    ly = np.log(np.where(y > 0, y, 1.0))
+    t = y ** theta[0]
+    t_a = t * ly
+    t_aa = t_a * ly
+    cross = np.outer(_SHAPE, m) + np.outer(m, _SHAPE)
+    return _Jet(
+        -r * t,
+        -(r * t_a)[:, None] * _SHAPE - t[:, None] * m,
+        -(r * t_aa)[:, None, None] * np.outer(_SHAPE, _SHAPE) - t_a[:, None, None] * cross,
+    )
+
+
+def _log1mexp_jet(u: _Jet) -> _Jet:
+    """Jet of ``log(1 - exp(-u))``: its first derivative in ``u`` is
+    ``g1 = 1/expm1(u)`` and its second ``-(g1 + g1**2)``."""
+    g1 = 1.0 / np.expm1(u.v)
+    g2 = -(g1 + g1 * g1)
+    return _Jet(
+        np.log(-np.expm1(-u.v)),
+        g1[:, None] * u.g,
+        g2[:, None, None] * (u.g[:, :, None] * u.g[:, None, :]) + g1[:, None, None] * u.h,
+    )
+
+
+def _dw_jet(y: np.ndarray, theta: np.ndarray, rates: tuple) -> _Jet:
+    """Jet of the DW log-pmf at ``y`` with survival base ``exp(-r)``."""
+    here = _power_jet(y, theta, rates)
+    return here + _log1mexp_jet(here - _power_jet(y + 1.0, theta, rates))
+
+
+def _cell_jet(theta: np.ndarray, x1: np.ndarray, x2: np.ndarray) -> _Jet:
+    """Jet of the joint log-pmf at each cell, split as in ``bivariate._log_joint_pmf_arr``."""
+    r1, r2 = (0, 1, 0), (0, 0, 1)
+    r01, r02 = (1, 1, 0), (1, 0, 1)
+    n = x1.size
+    out = _Jet(np.empty(n), np.empty((n, 4)), np.empty((n, 4, 4)))
+    below, above = x1 < x2, x1 > x2
+    diag = ~(below | above)
+    x = x1[diag]
+    # the diagonal mass is exp(lead) - exp(trail), the shared shock's atom
+    lead = _power_jet(x, theta, r1) + _dw_jet(x, theta, r02)
+    trail = _power_jet(x + 1.0, theta, r01) + _dw_jet(x, theta, r2)
+    parts = (
+        (below, _dw_jet(x1[below], theta, r1) + _dw_jet(x2[below], theta, r02)),
+        (above, _dw_jet(x1[above], theta, r01) + _dw_jet(x2[above], theta, r2)),
+        (diag, lead + _log1mexp_jet(lead - trail)),
+    )
+    for mask, jet in parts:
+        out.v[mask], out.g[mask], out.h[mask] = jet.v, jet.g, jet.h
+    return out
+
+
+def bdw_loglik_derivatives(
+    theta: Sequence[float], data: BivariateDataset
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """Observed-data log-likelihood with its exact score and Hessian.
+
+    ``theta`` holds ``(alpha, lambda0, lambda1, lambda2)``; ``lambda0 = 0``
+    (independence) is allowed.  Derivatives are in these natural
+    parameters.  A cell of zero probability makes the value ``-inf`` and
+    the derivatives non-finite rather than raising.
+    """
+    x1, x2, w = data.cell_arrays
+    with np.errstate(all="ignore"):
+        jet = _cell_jet(np.asarray(theta, dtype=float), x1, x2)
+        return float(w @ jet.v), w @ jet.g, np.tensordot(w, jet.h, axes=1)
 
 
 def initial_params_from_marginals(
@@ -346,186 +438,91 @@ def inner_em_mobw(
     return theta
 
 
-def _ascend_observed(
-    theta: MOBWParams, data: BivariateDataset
-) -> tuple[MOBWParams, float]:
-    """Local observed-likelihood ascent from a trajectory point.
+def _neg_loglik_in_logs(z: np.ndarray, data: BivariateDataset):
+    """Negative log-likelihood, score and Hessian in log-parameters."""
+    theta = np.exp(z)
+    value, grad, hess = bdw_loglik_derivatives(theta, data)
+    if not (np.isfinite(value) and np.isfinite(grad).all() and np.isfinite(hess).all()):
+        # outside the numerically valid region: the trust region shrinks
+        return np.inf, np.zeros(4), np.zeros((4, 4))
+    grad_z = theta * grad
+    hess_z = np.outer(theta, theta) * hess + np.diag(grad_z)
+    return -value, -grad_z, -hess_z
 
-    Restarted Nelder-Mead on log-parameters followed by damped Newton
-    steps from numerical derivatives, so the reported optimum is located
-    to within gradient noise regardless of the simplex geometry; returns
-    the refined point and its log-likelihood.
+
+def nested_em(data: BivariateDataset, start: MOBWParams | None = None) -> MLFitReport:
+    """Maximum-likelihood fit of the discrete pairs.
+
+    The name is the paper's; the fit is one trust-region Newton solve
+    (``scipy.optimize.minimize(method="trust-exact")``) of the exact
+    observed-data log-likelihood in log-parameters, with the analytic
+    score and Hessian of :func:`bdw_loglik_derivatives`.  It starts from
+    :func:`init_estimates` (or ``start``), with ``lambda0`` floored at 1e-8
+    so its logarithm exists.
+
+    The shared-shock rate sits on its boundary when the one-sided score in
+    ``lambda0`` at zero, the other parameters held at the fit, is not
+    positive (Self & Liang 1987): ``lambda0`` is then reported as exactly
+    zero, with a warning and no confidence intervals.  Otherwise the
+    half-widths come from the observed information at the fit, when it is
+    positive definite.
     """
-
-    def neg(z: np.ndarray) -> float:
-        try:
-            return -bdw_loglik(MOBWParams(*np.exp(z)), data)
-        except (ValueError, OverflowError):
-            return np.inf
-
-    z = np.log(
-        [theta.alpha, max(theta.lambda0, 1e-8), theta.lambda1, theta.lambda2]
-    )
-    res = None
-    for _ in range(2):
-        res = minimize(
-            neg,
-            z,
-            method="Nelder-Mead",
-            options={"xatol": 1e-10, "fatol": 1e-12, "maxiter": 4000},
-        )
-        z = res.x
-    value = float(res.fun)
-    h = 1e-4
-    for _ in range(12):
-        grad = np.empty(z.size)
-        for i in range(z.size):
-            shifted = []
-            for m in (-2.0, -1.0, 1.0, 2.0):
-                zs = z.copy()
-                zs[i] += m * h
-                shifted.append(neg(zs))
-            # fourth-order stencil keeps roundoff below the Newton radius
-            grad[i] = (shifted[0] - 8.0 * shifted[1] + 8.0 * shifted[2] - shifted[3]) / (
-                12.0 * h
-            )
-        hess = numerical_hessian(neg, z, steps=np.full(z.size, 1e-4))
-        try:
-            step = np.linalg.solve(hess, grad)
-        except np.linalg.LinAlgError:
-            break
-        if not np.all(np.isfinite(step)):
-            break
-        # below float resolution of the objective a strict descent test
-        # would reject the final micro-steps, so allow last-bit wobble
-        slack = 64.0 * np.finfo(float).eps * max(1.0, abs(value))
-        scale = 1.0
-        for _ in range(10):
-            cand = z - scale * step
-            cand_value = neg(cand)
-            if cand_value <= value + slack:
-                z, value = cand, min(cand_value, value)
-                break
-            scale /= 2.0
-        else:
-            break
-        if np.max(np.abs(scale * step)) < 1e-11:
-            break
-    refined = MOBWParams(*(float(v) for v in np.exp(z)))
-    return refined, -float(value)
-
-
-def nested_em(
-    data: BivariateDataset,
-    start: MOBWParams | None = None,
-    tol: float = 1e-4,
-    max_outer: int = 500,
-) -> MLFitReport:
-    """Alternate cell-wise imputation with the inner EM until stable.
-
-    Convergence is declared when the attained imputed-sample log-likelihood
-    moves by less than ``tol`` between rounds.  Because the imputation step
-    maximizes rather than averages, the observed-data log-likelihood can
-    dip along the way; the best observed-likelihood point seen along the
-    trajectory is therefore refined by a direct local ascent of the
-    observed log-likelihood before reporting, so the returned parameters
-    attain (at least) the likelihood a direct numerical maximization from
-    the same start would reach.  Confidence half-widths come from the
-    numerical observed information at the reported point when it is
-    well-conditioned.
-    """
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
     theta = init_estimates(data) if start is None else start
-    best_theta = theta
-    best_ll = bdw_loglik(theta, data)
-    trajectory = []
-    prev_pl = None
-    converged = False
-    iterations = 0
-    for _ in range(max_outer):
-        iterations += 1
-        sample = impute_dataset(theta, data)
-        theta = inner_em_mobw(sample, theta)
-        pl = complete_loglik(theta, sample)
-        ll = bdw_loglik(theta, data)
-        trajectory.append((theta, ll))
-        if ll > best_ll:
-            best_ll, best_theta = ll, theta
-        if prev_pl is not None and abs(pl - prev_pl) < tol:
-            converged = True
-            break
-        prev_pl = pl
-    if not converged:
-        warnings.warn(f"no convergence within {max_outer} outer rounds")
-    refined, refined_ll = _ascend_observed(best_theta, data)
-    if refined_ll > best_ll - 1e-9:
-        best_theta, best_ll = refined, refined_ll
-    best_theta = MOBWParams(
-        float(best_theta.alpha),
-        float(best_theta.lambda0),
-        float(best_theta.lambda1),
-        float(best_theta.lambda2),
+    # names the row whose cell has zero probability at a bad start
+    bdw_loglik(theta, data)
+    z0 = np.log([theta.alpha, max(theta.lambda0, 1e-8), theta.lambda1, theta.lambda2])
+    memo: dict[bytes, tuple] = {}
+
+    def jet(z: np.ndarray) -> tuple:
+        key = z.tobytes()
+        if key not in memo:
+            memo[key] = _neg_loglik_in_logs(z, data)
+        return memo[key]
+
+    res = minimize(
+        lambda z: jet(z)[0],
+        z0,
+        jac=lambda z: jet(z)[1],
+        hess=lambda z: jet(z)[2],
+        method="trust-exact",
+        options={"gtol": 1e-9},
     )
-    best_ll = float(best_ll)
-    try:
-        intervals = observed_info_ci(best_theta, data)
-        ci95 = {
-            name: float((hi - lo) / 2.0) for name, (lo, hi) in intervals.items()
-        }
-    except ValueError as exc:
-        warnings.warn(f"confidence intervals unavailable: {exc}")
-        ci95 = None
+    # status 2: the model's predicted gain fell below the float resolution
+    # of the log-likelihood, so the solve converged as far as can be told
+    if res.status not in (0, 2):
+        warnings.warn(f"trust-region solve stopped early: {res.message}")
+    theta = np.exp(res.x)
+    at_zero = theta.copy()
+    at_zero[1] = 0.0
+    value0, score0, _ = bdw_loglik_derivatives(at_zero, data)
+    # the boundary must also be as likely as the solve's end point, so an
+    # interior maximum of a profile that first dips is never replaced
+    at_boundary = score0[1] <= 0.0 and value0 >= -res.fun - 1e-8
+    params = MOBWParams(*(float(v) for v in (at_zero if at_boundary else theta)))
+    ci95 = None
+    if at_boundary:
+        warnings.warn(
+            f"shared-shock rate lambda0 is at its boundary 0 (one-sided score "
+            f"{score0[1]:.3g}): reported as 0, without confidence intervals"
+        )
+    else:
+        try:
+            intervals = observed_info_ci(params, data)
+            ci95 = {name: float((hi - lo) / 2.0) for name, (lo, hi) in intervals.items()}
+        except ValueError as exc:
+            warnings.warn(f"confidence intervals unavailable: {exc}")
     return MLFitReport(
-        params=best_theta,
-        bdw=bivariate.from_mobw(best_theta),
-        loglik=best_ll,
+        params=params,
+        bdw=bivariate.from_mobw(params),
+        loglik=bdw_loglik(params, data),
         ci95=ci95,
-        iterations=iterations,
-        converged=converged,
-        trajectory=tuple(trajectory),
     )
-
-
-def numerical_hessian(f, x: np.ndarray, steps: np.ndarray | None = None) -> np.ndarray:
-    """Central-difference Hessian of a scalar function.
-
-    Steps default to ``1e-4 * max(|x_i|, 0.01)`` per coordinate, halved
-    where needed to keep evaluation points strictly positive for positive
-    arguments.
-    """
-    x = np.asarray(x, dtype=float)
-    k = x.size
-    if steps is None:
-        steps = 1e-4 * np.maximum(np.abs(x), 0.01)
-    h = np.asarray(steps, dtype=float).copy()
-    for i in range(k):
-        if x[i] > 0:
-            h[i] = min(h[i], x[i] / 2.0)
-    hess = np.empty((k, k))
-    f0 = f(x)
-
-    def at(shifts: dict[int, float]) -> float:
-        z = x.copy()
-        for i, m in shifts.items():
-            z[i] += m * h[i]
-        return f(z)
-
-    for i in range(k):
-        hess[i, i] = (at({i: 1}) - 2.0 * f0 + at({i: -1})) / h[i] ** 2
-    for i in range(k):
-        for j in range(i + 1, k):
-            v = (
-                at({i: 1, j: 1}) - at({i: 1, j: -1}) - at({i: -1, j: 1}) + at({i: -1, j: -1})
-            ) / (4.0 * h[i] * h[j])
-            hess[i, j] = hess[j, i] = v
-    return hess
 
 
 def observed_info_ci(
     theta: MOBWParams, data: BivariateDataset, level: float = 0.95
 ) -> dict[str, tuple[float, float]]:
-    """Wald intervals from the numerically inverted observed information.
+    """Wald intervals from the inverted analytic observed information.
 
     Raises when the negative Hessian is not positive definite — the
     quadratic approximation is then untrustworthy and profile likelihood
@@ -534,11 +531,7 @@ def observed_info_ci(
     if not 0 < level < 1:
         raise ValueError(f"level must lie in (0, 1), got {level}")
     x0 = np.array([theta.alpha, theta.lambda0, theta.lambda1, theta.lambda2])
-
-    def f(x):
-        return bdw_loglik(MOBWParams(*x), data)
-
-    hess = numerical_hessian(f, x0)
+    _, _, hess = bdw_loglik_derivatives(x0, data)
     info = -hess
     try:
         np.linalg.cholesky(info)

@@ -171,17 +171,15 @@ def chisq_bdw(
     for p in pairs:
         counts[p] = counts.get(p, 0) + 1
 
-    def cell_mass(i: int, j: int) -> float:
-        hi1 = i == top1
-        hi2 = j == top2
-        s = bivariate.joint_sf
-        if hi1 and hi2:
-            return s(params, i, j)
-        if hi1:
-            return s(params, i, j) - s(params, i, j + 1)
-        if hi2:
-            return s(params, i, j) - s(params, i + 1, j)
-        return bivariate.joint_pmf(params, i, j)
+    # interior cells take the pmf; the last row and column absorb the tail
+    # mass on their axis as differences of the joint survival
+    mass = bivariate.joint_pmf_grid(params, top1, top2)
+    s = bivariate.joint_sf
+    for j in range(top2):
+        mass[top1, j] = s(params, top1, j) - s(params, top1, j + 1)
+    for i in range(top1):
+        mass[i, top2] = s(params, i, top2) - s(params, i + 1, top2)
+    mass[top1, top2] = s(params, top1, top2)
 
     labels = []
     observed = []
@@ -192,5 +190,5 @@ def chisq_bdw(
             mark2 = f">={j}" if j == top2 and top2 > 0 else str(j)
             labels.append(f"({mark1},{mark2})")
             observed.append(counts.get((i, j), 0))
-            expected.append(n * cell_mass(i, j))
+            expected.append(n * float(mass[i, j]))
     return _report(labels, observed, expected, df_penalty)

@@ -5,6 +5,7 @@ import json
 import math
 
 import jsonschema
+import numpy as np
 import pytest
 
 from bdw import bivariate
@@ -110,9 +111,26 @@ class TestReportSchema:
         jsonschema.validate(rep, report_schema)
         est = rep["results"]["estimates"]
         assert est["alpha"] == pytest.approx(2.1527952957, abs=1e-6)
-        assert rep["results"]["converged"] is True
+        assert rep["config"] == {}
         assert rep["results"]["shape_one_test"]["reject"] is True
         assert rep["results"]["gof"]["p_value"] > 0.05
+
+    @pytest.mark.filterwarnings("ignore:inconsistent marginal fits")
+    def test_fit_ml_shared_rate_at_boundary(self, tmp_path, report_schema):
+        law = BDWParams(1.5, 1.0, 0.7, 0.75)
+        draws = bivariate.sample(law, np.random.default_rng(3), size=200)
+        path = tmp_path / "noties.csv"
+        path.write_text("".join(f"{a},{b}\n" for a, b in draws.tolist() if a != b))
+        with pytest.warns(UserWarning, match="at its boundary"):
+            rep = run_cli(tmp_path, ["fit-ml", "--input", str(path)])
+        jsonschema.validate(rep, report_schema)
+        assert rep["results"]["estimates"]["lambda0"] == 0.0
+        assert rep["results"]["estimates"]["p0"] == 1.0
+        assert rep["results"]["ci95_halfwidth"] is None
+        shape = rep["results"]["shape_one_test"]
+        assert "error" in shape or (
+            math.isfinite(shape["ci_low"]) and math.isfinite(shape["ci_high"])
+        )
 
     def test_fit_bayes(self, tmp_path, report_schema):
         rep = run_cli(

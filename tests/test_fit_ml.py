@@ -1,21 +1,22 @@
 import math
 import warnings
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.optimize import minimize
 
-from bdw import bivariate
+from bdw import bivariate, fit_ml
 from bdw.fit_ml import (
     BivariateDataset,
     alpha_equals_one_test,
     bdw_loglik,
+    bdw_loglik_derivatives,
     impute_dataset,
     init_estimates,
     initial_params_from_marginals,
     inner_em_mobw,
     nested_em,
-    numerical_hessian,
     observed_info_ci,
 )
 from bdw.mobw import MOBWParams, complete_loglik
@@ -73,6 +74,67 @@ class TestLoglik:
             bivariate.joint_logpmf(params, a, b) for a, b in football.pairs
         )
         assert bdw_loglik(theta, football) == pytest.approx(direct, rel=1e-12)
+
+
+def _oracle_logpmf(x1, x2):
+    """Cell log-mass as a rectangle difference of the joint survival, in mpmath."""
+
+    def logpmf(a, l0, l1, l2):
+        def sf(i, j):
+            return mp.exp(-l1 * mp.mpf(i) ** a - l2 * mp.mpf(j) ** a - l0 * mp.mpf(max(i, j)) ** a)
+
+        return mp.log(sf(x1, x2) - sf(x1 + 1, x2) - sf(x1, x2 + 1) + sf(x1 + 1, x2 + 1))
+
+    return logpmf
+
+
+# below, above and diagonal cells, with zero coordinates among them
+ORACLE_CELLS = [(1, 3), (4, 2), (2, 2), (0, 0), (0, 2), (3, 0), (5, 5)]
+ORACLE_THETAS = [
+    (0.5, 1e-6, 0.4, 0.7),
+    (3.0, 1e-6, 0.2, 0.15),
+    (0.5, 0.0, 0.4, 0.7),
+    (3.0, 0.0, 0.2, 0.15),
+    (1.7, 0.3, 0.5, 0.25),
+]
+
+
+class TestLoglikDerivatives:
+    @pytest.mark.parametrize("theta", ORACLE_THETAS)
+    def test_cell_derivatives_match_mpmath(self, theta):
+        # central differences at 50 digits; at lambda0 = 0 they step into
+        # the analytic continuation of the survival to negative rates
+        mp.mp.dps = 50
+        try:
+            for cell in ORACLE_CELLS:
+                value, grad, hess = bdw_loglik_derivatives(
+                    theta, BivariateDataset((cell,))
+                )
+                f = _oracle_logpmf(*cell)
+                at = [mp.mpf(v) for v in theta]
+                want_v = float(f(*at))
+                want_g = np.array(
+                    [float(mp.diff(f, at, tuple(int(k == i) for k in range(4)))) for i in range(4)]
+                )
+                want_h = np.array(
+                    [
+                        [
+                            float(mp.diff(f, at, tuple(int(k == i) + int(k == j) for k in range(4))))
+                            for j in range(4)
+                        ]
+                        for i in range(4)
+                    ]
+                )
+                assert value == pytest.approx(want_v, rel=1e-8)
+                np.testing.assert_allclose(grad, want_g, rtol=1e-8, atol=1e-12, err_msg=str(cell))
+                np.testing.assert_allclose(hess, want_h, rtol=1e-8, atol=1e-12, err_msg=str(cell))
+        finally:
+            mp.mp.dps = 15
+
+    def test_value_matches_loglik(self, football):
+        theta = MOBWParams(2.0, 0.05, 0.2, 0.1)
+        value, _, _ = bdw_loglik_derivatives((2.0, 0.05, 0.2, 0.1), football)
+        assert value == pytest.approx(bdw_loglik(theta, football), rel=1e-13)
 
 
 class TestInitialization:
@@ -168,38 +230,47 @@ class TestInnerEM:
             inner_em_mobw(sample, MOBWParams(1.5, 0.3, 0.5, 0.4))
 
 
-class TestNestedEM:
-    def test_football_fit(self, football):
-        fit = nested_em(football)
-        got = (
-            fit.params.alpha,
-            fit.params.lambda0,
-            fit.params.lambda1,
-            fit.params.lambda2,
-        )
-        assert got == pytest.approx(FOOTBALL_MLE, abs=1e-6)
-        assert fit.loglik == pytest.approx(FOOTBALL_LL, abs=1e-6)
-        assert fit.converged
-        assert fit.iterations >= 2
-        # reported point dominates the whole trajectory
-        assert fit.loglik >= max(ll for _, ll in fit.trajectory) - 1e-9
-        # reported log-likelihood belongs to the reported point
-        assert bdw_loglik(fit.params, football) == pytest.approx(
-            fit.loglik, abs=1e-9
-        )
-        # derived survival bases round-trip
-        assert fit.bdw.p0 == pytest.approx(math.exp(-fit.params.lambda0), rel=1e-12)
+def _count_evaluations(monkeypatch):
+    calls = []
+    inner = fit_ml.bdw_loglik_derivatives
 
-    def test_nasal_fit(self, nasal):
-        fit = nested_em(nasal)
-        got = (
-            fit.params.alpha,
-            fit.params.lambda0,
-            fit.params.lambda1,
-            fit.params.lambda2,
-        )
-        assert got == pytest.approx(NASAL_MLE, abs=1e-6)
-        assert fit.loglik == pytest.approx(NASAL_LL, abs=1e-6)
+    def counted(theta, data):
+        calls.append(1)
+        return inner(theta, data)
+
+    monkeypatch.setattr(fit_ml, "bdw_loglik_derivatives", counted)
+    return calls
+
+
+def _check_bundled_fit(data, mle, ll, monkeypatch):
+    calls = _count_evaluations(monkeypatch)
+    fit = nested_em(data)
+    got = (
+        fit.params.alpha,
+        fit.params.lambda0,
+        fit.params.lambda1,
+        fit.params.lambda2,
+    )
+    assert got == pytest.approx(mle, abs=1e-6)
+    assert fit.loglik == pytest.approx(ll, abs=1e-6)
+    # one Newton solve: the nested-EM route took ~1.3k evaluations
+    assert len(calls) <= 30
+    # the fit is a stationary point in the solver's log-parameters
+    theta = np.array(got)
+    _, grad, _ = bdw_loglik_derivatives(theta, data)
+    assert np.linalg.norm(theta * grad) <= 1e-6
+    # reported log-likelihood belongs to the reported point
+    assert bdw_loglik(fit.params, data) == pytest.approx(fit.loglik, abs=1e-9)
+    # derived survival bases round-trip
+    assert fit.bdw.p0 == pytest.approx(math.exp(-fit.params.lambda0), rel=1e-12)
+
+
+class TestNestedEM:
+    def test_football_fit(self, football, monkeypatch):
+        _check_bundled_fit(football, FOOTBALL_MLE, FOOTBALL_LL, monkeypatch)
+
+    def test_nasal_fit(self, nasal, monkeypatch):
+        _check_bundled_fit(nasal, NASAL_MLE, NASAL_LL, monkeypatch)
 
     def test_matches_direct_maximization(self, football):
         fit = nested_em(football)
@@ -239,20 +310,26 @@ class TestNestedEM:
         start = MOBWParams(2.0, 0.05, 0.2, 0.1)
         fit = nested_em(football, start=start)
         assert fit.loglik == pytest.approx(FOOTBALL_LL, abs=1e-4)
-        with pytest.raises(ValueError):
-            nested_em(football, tol=0.0)
+
+    @pytest.mark.filterwarnings("ignore:inconsistent marginal fits")
+    def test_shared_rate_at_boundary(self):
+        # no ties: the shared shock has nothing to explain, so the one-sided
+        # score at lambda0 = 0 is negative and the rate sits on its boundary
+        gen = bivariate.BDWParams(1.5, 1.0, 0.7, 0.75)
+        draws = bivariate.sample(gen, np.random.default_rng(3), size=200)
+        data = BivariateDataset(tuple((int(a), int(b)) for a, b in draws if a != b))
+        with pytest.warns(UserWarning, match="at its boundary"):
+            fit = nested_em(data)
+        assert fit.params.lambda0 == 0.0
+        assert fit.bdw.p0 == 1.0
+        assert fit.ci95 is None
+        theta = (fit.params.alpha, 0.0, fit.params.lambda1, fit.params.lambda2)
+        _, score, _ = bdw_loglik_derivatives(theta, data)
+        assert score[1] <= 0.0
+        assert fit.loglik == pytest.approx(bdw_loglik(fit.params, data), abs=1e-12)
 
 
 class TestInference:
-    def test_hessian_of_quadratic(self):
-        A = np.array([[3.0, 0.7, 0.1], [0.7, 2.0, 0.4], [0.1, 0.4, 1.5]])
-
-        def f(x):
-            return -0.5 * float(x @ A @ x)
-
-        H = numerical_hessian(f, np.array([0.3, -0.2, 0.5]))
-        np.testing.assert_allclose(H, -A, atol=1e-5)
-
     def test_confidence_intervals(self, football):
         fit = nested_em(football)
         ci = observed_info_ci(fit.params, football)

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from bdw.bivariate import BDWParams, sample
+from bdw.bivariate import BDWParams, joint_pmf, joint_sf, sample
 from bdw.fit_ml import BivariateDataset, nested_em
-from bdw.gof import POOL_THRESHOLD, chisq_bdw, chisq_dw, chisq_upper_tail
+from bdw.gof import POOL_THRESHOLD, _pool, chisq_bdw, chisq_dw, chisq_upper_tail
 from bdw.univariate import DWParams
 
 
@@ -138,6 +138,35 @@ class TestBivariate:
         data = BivariateDataset.from_pairs(draws.tolist())
         rep = chisq_bdw(data, gen)
         assert rep.p_value > 0.001
+
+    @pytest.mark.parametrize("wide", [False, True])
+    def test_expected_counts_match_scalar_cells(self, football, wide):
+        # reference: every cell from the scalar pmf, and the absorbing last
+        # row and column from survival differences
+        if wide:
+            params = BDWParams(1.2, 0.97, 0.95, 0.96)
+            draws = sample(params, np.random.default_rng(8), size=1000)
+            data = BivariateDataset.from_pairs(draws.tolist())
+        else:
+            data, params = football, nested_em(football).bdw
+        top1 = max(a for a, _ in data.pairs)
+        top2 = max(b for _, b in data.pairs)
+        expected = []
+        for i in range(top1 + 1):
+            for j in range(top2 + 1):
+                if i == top1 and j == top2:
+                    mass = joint_sf(params, i, j)
+                elif i == top1:
+                    mass = joint_sf(params, i, j) - joint_sf(params, i, j + 1)
+                elif j == top2:
+                    mass = joint_sf(params, i, j) - joint_sf(params, i + 1, j)
+                else:
+                    mass = joint_pmf(params, i, j)
+                expected.append(data.n * mass)
+        cells = (top1 + 1) * (top2 + 1)
+        _, _, want = _pool([str(k) for k in range(cells)], [0] * cells, expected)
+        got = [e for _, _, e in chisq_bdw(data, params).cells]
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
 
     def test_df_penalty_and_errors(self, football):
         fit = nested_em(football)
