@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .univariate import DWParams, dw_sample, dw_sf
+from .univariate import DWParams, _logpmf_arr, dw_pmf, dw_sample, dw_sf
 
 __all__ = [
     "BDWParams",
@@ -142,15 +142,6 @@ def joint_sf(params: BDWParams, x1: float, x2: float) -> float:
     )
 
 
-def _logdw(y: np.ndarray, alpha: float, lnq: float) -> np.ndarray:
-    # log pmf of DW(alpha, e**lnq) on integer-valued float arrays
-    t1 = np.where(y > 0, np.power(y, alpha), 0.0)
-    t2 = np.power(y + 1.0, alpha)
-    with np.errstate(invalid="ignore", over="ignore"):
-        out = t1 * lnq + np.log1p(-np.exp((t2 - t1) * lnq))
-    return np.where(np.isfinite(t1), out, -np.inf)
-
-
 def _log_joint_pmf_arr(params: BDWParams, x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
     """Log joint pmf on arrays of integer-valued floats (no validation)."""
     a = params.alpha
@@ -165,21 +156,21 @@ def _log_joint_pmf_arr(params: BDWParams, x1: np.ndarray, x2: np.ndarray) -> np.
     diag = ~(below | above)
 
     if np.any(below):
-        out[below] = _logdw(x1[below], a, lnp1) + _logdw(x2[below], a, lnp0 + lnp2)
+        out[below] = _logpmf_arr(x1[below], a, lnp1) + _logpmf_arr(x2[below], a, lnp0 + lnp2)
     if np.any(above):
-        out[above] = _logdw(x1[above], a, lnp0 + lnp1) + _logdw(x2[above], a, lnp2)
+        out[above] = _logpmf_arr(x1[above], a, lnp0 + lnp1) + _logpmf_arr(x2[above], a, lnp2)
     if np.any(diag):
         x = x1[diag]
         if params.p0 == 1.0:
             # independence: the diagonal has no shared-shock atom
-            out[diag] = _logdw(x, a, lnp1) + _logdw(x, a, lnp2)
+            out[diag] = _logpmf_arr(x, a, lnp1) + _logpmf_arr(x, a, lnp2)
         else:
             t1 = np.where(x > 0, np.power(x, a), 0.0)
             t2 = np.power(x + 1.0, a)
             # difference of two positive terms, kept in log space: the
             # leading term dominates for every valid parameter point
-            lead = t1 * lnp1 + _logdw(x, a, lnp0 + lnp2)
-            trail = t2 * (lnp0 + lnp1) + _logdw(x, a, lnp2)
+            lead = t1 * lnp1 + _logpmf_arr(x, a, lnp0 + lnp2)
+            trail = t2 * (lnp0 + lnp1) + _logpmf_arr(x, a, lnp2)
             with np.errstate(invalid="ignore"):
                 d = np.where(trail < lead, np.log1p(-np.exp(trail - lead)), -np.inf)
             out[diag] = np.where(np.isfinite(t1), lead + d, -np.inf)
@@ -262,7 +253,7 @@ def cond_pmf(params: BDWParams, x1: int, x2: int) -> float:
     """Conditional mass ``P(X1 = x1 | X2 = x2)``."""
     i, j = _check_cell(x1, x2)
     _, m2 = marginals(params)
-    denom = math.exp(_logdw(np.asarray([float(j)]), params.alpha, math.log(m2.p))[0])
+    denom = dw_pmf(m2, j)
     if denom == 0.0:
         raise ValueError(f"conditioning event X2 = {j} has zero probability numerically")
     return joint_pmf(params, i, j) / denom
@@ -292,9 +283,9 @@ def cond_sf_given_eq(params: BDWParams, x1: int, x2: int) -> float:
     _, m2 = marginals(params)
     num = math.exp(
         float(i) ** a * math.log(params.p0 * params.p1)
-        + _logdw(np.asarray([float(j)]), a, math.log(params.p2))[0]
+        + _logpmf_arr(np.asarray([float(j)]), a, math.log(params.p2))[0]
     )
-    denom = math.exp(_logdw(np.asarray([float(j)]), a, math.log(m2.p))[0])
+    denom = dw_pmf(m2, j)
     if denom == 0.0:
         raise ValueError(f"conditioning event X2 = {j} has zero probability numerically")
     return num / denom

@@ -3,23 +3,24 @@
 The rates carry a Dirichlet-Gamma prior: the total rate is gamma, the
 split between shared and individual shocks is Dirichlet.  The shape has
 an independent gamma prior.  Estimation augments the integer data to
-latent continuous lifetimes cell by cell (as in the ML route) and runs a
-Gibbs sweep over the latent failure causes, the three rates, and the
-shape; the outer loop re-imputes at the current draw averages and the
-final round's draws carry the reported summaries.
+latent continuous lifetimes cell by cell with the most likely latent pair
+of each cell, summarizes that sample once (:func:`bdw.mobw.summarize`), and
+runs Gibbs sweeps over the latent failure causes, the three rates, and the
+shape on the summary; the outer loop re-imputes at the current draw
+averages and the final round's draws carry the reported summaries.  The
+step functions accept a complete sample or its summary.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .fit_ml import PARAM_NAMES, BivariateDataset, impute_dataset, init_estimates
-from .mobw import CompleteObservation, MOBWParams
+from .mobw import CompleteObservation, MOBWParams, SampleSummary, summarize
 
 __all__ = [
     "DGPrior",
@@ -111,69 +112,19 @@ def dg_logpdf(
     return out
 
 
-@dataclass(frozen=True)
-class _SampleStats:
-    """Partition sizes and exposure-value tables of a complete sample."""
-
-    n_below: int
-    n_above: int
-    n_tie: int
-    vals1: np.ndarray
-    w1: np.ndarray
-    vals2: np.ndarray
-    w2: np.ndarray
-    vals0: np.ndarray
-    w0: np.ndarray
-    event_count: int
-    log_y_sum: float
-
-
-@lru_cache(maxsize=16)
-def _stats(sample: tuple[CompleteObservation, ...]) -> _SampleStats:
-    n_below = sum(1 for o in sample if o.kind == "below")
-    n_above = sum(1 for o in sample if o.kind == "above")
-    n_tie = len(sample) - n_below - n_above
-
-    def table(values: list[float]) -> tuple[np.ndarray, np.ndarray]:
-        pos = [v for v in values if v > 0]
-        vals, counts = np.unique(np.asarray(pos, dtype=float), return_counts=True)
-        return vals, counts.astype(float)
-
-    y1 = [o.y1 for o in sample]
-    y2 = [o.y2 for o in sample]
-    ym = [max(o.y1, o.y2) for o in sample]
-    event_count = 2 * (n_below + n_above) + n_tie
-    log_y = 0.0
-    for o in sample:
-        if o.kind == "tie":
-            log_y += math.log(o.y1)
-        else:
-            log_y += math.log(o.y1) + math.log(o.y2)
-    v1, w1 = table(y1)
-    v2, w2 = table(y2)
-    v0, w0 = table(ym)
-    return _SampleStats(
-        n_below, n_above, n_tie, v1, w1, v2, w2, v0, w0, event_count, log_y
-    )
-
-
 def exposures(
-    sample: Sequence[CompleteObservation], alpha: float
+    sample: Sequence[CompleteObservation] | SampleSummary, alpha: float
 ) -> tuple[float, float, float]:
     """Cause-specific exposure sums ``(T0, T1, T2)`` at a given shape.
 
     ``T1 = Σ y1^α``, ``T2 = Σ y2^α``, ``T0 = Σ max(y1, y2)^α`` over the
     whole sample; zero lifetimes contribute nothing.
     """
-    st = _stats(tuple(sample))
-    t1 = float(np.dot(st.w1, st.vals1**alpha))
-    t2 = float(np.dot(st.w2, st.vals2**alpha))
-    t0 = float(np.dot(st.w0, st.vals0**alpha))
-    return t0, t1, t2
+    return summarize(sample).exposures(alpha)
 
 
 def cause_counts(
-    sample: Sequence[CompleteObservation],
+    sample: Sequence[CompleteObservation] | SampleSummary,
     lambdas: tuple[float, float, float],
     rng: np.random.Generator | None = None,
 ) -> tuple[float, float, float]:
@@ -185,7 +136,7 @@ def cause_counts(
     (two binomials), otherwise their expectations are used.
     """
     l0, l1, l2 = lambdas
-    st = _stats(tuple(sample))
+    st = summarize(sample)
     share1 = l1 / (l0 + l1)
     share2 = l2 / (l0 + l2)
     if rng is None:
@@ -203,7 +154,7 @@ def cause_counts(
 def sample_lambdas_conditional(
     prior: DGPrior,
     alpha: float,
-    sample: Sequence[CompleteObservation],
+    sample: Sequence[CompleteObservation] | SampleSummary,
     lambdas: tuple[float, float, float],
     rng: np.random.Generator,
 ) -> tuple[float, float, float]:
@@ -215,6 +166,7 @@ def sample_lambdas_conditional(
     accept step corrects for the ``(bλ)^(a-a0-a1-a2)`` factor; the
     current rates are kept on rejection.
     """
+    sample = summarize(sample)
     n0, n1, n2 = cause_counts(sample, lambdas, rng)
     t0, t1, t2 = exposures(sample, alpha)
     shapes = (prior.a0 + n0, prior.a1 + n1, prior.a2 + n2)
@@ -235,7 +187,7 @@ def sample_lambdas_conditional(
 def _alpha_logtarget(
     alpha_prior: AlphaPrior,
     lambdas: tuple[float, float, float],
-    st: _SampleStats,
+    st: SampleSummary,
 ) -> Callable[[float], float]:
     l0, l1, l2 = lambdas
     # density events: two per off-diagonal pair, one per tie; every tie
@@ -252,9 +204,7 @@ def _alpha_logtarget(
         if not (0 < alpha < math.inf):
             return -math.inf
         try:
-            t1 = float(np.dot(st.w1, st.vals1**alpha))
-            t2 = float(np.dot(st.w2, st.vals2**alpha))
-            t0 = float(np.dot(st.w0, st.vals0**alpha))
+            t0, t1, t2 = st.exposures(alpha)
             out = (
                 (alpha_prior.c - 1.0) * math.log(alpha)
                 - alpha_prior.d * alpha
@@ -275,7 +225,7 @@ def _alpha_logtarget(
 def sample_alpha_conditional(
     alpha_prior: AlphaPrior,
     lambdas: tuple[float, float, float],
-    sample: Sequence[CompleteObservation],
+    sample: Sequence[CompleteObservation] | SampleSummary,
     alpha: float,
     rng: np.random.Generator,
 ) -> float:
@@ -284,7 +234,7 @@ def sample_alpha_conditional(
     Slice sampling with stepping-out and shrinkage; exact in stationarity
     for the conditional known up to its normalizing constant.
     """
-    g = _alpha_logtarget(alpha_prior, lambdas, _stats(tuple(sample)))
+    g = _alpha_logtarget(alpha_prior, lambdas, summarize(sample))
     x0 = min(max(alpha, SLICE_ALPHA_LO), SLICE_ALPHA_HI)
     gx0 = g(x0)
     if not math.isfinite(gx0):
@@ -371,7 +321,9 @@ def augmented_gibbs(
     ``M`` sweeps of (causes, rates, shape), and moves the point to the
     draw averages (first ``burn_in`` fraction discarded).  After ``N``
     rounds the last round's draws are returned; their means are the point
-    estimates.
+    estimates.  Each round's imputation is summarized once, before its
+    sweeps; an imputed zero lifetime, which the shape's full conditional
+    cannot accommodate, is reported with its data row.
     """
     if M < 100:
         raise ValueError("M must be at least 100")
@@ -386,7 +338,14 @@ def augmented_gibbs(
     drop = int(M * burn_in)
     draws = np.empty((M, 4))
     for _ in range(N):
-        sample = tuple(impute_dataset(theta, data))
+        sample = summarize(impute_dataset(theta, data))
+        if sample.first_zero is not None:
+            row = sample.first_zero
+            raise ValueError(
+                f"data row {row} (cell {data.pairs[row]}) imputes a zero "
+                f"lifetime at shape {theta.alpha:.6g}: the shape's full "
+                f"conditional is improper there"
+            )
         alpha = theta.alpha
         lams = (theta.lambda0, theta.lambda1, theta.lambda2)
         for i in range(M):

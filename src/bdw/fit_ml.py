@@ -26,7 +26,7 @@ from scipy.optimize import minimize, minimize_scalar
 from scipy.special import ndtri
 
 from . import bivariate
-from .mobw import MOBWParams, CompleteObservation, complete_loglik, ml_predict
+from .mobw import MOBWParams, CompleteObservation, complete_loglik, ml_predict, summarize
 from .univariate import ALPHA_HI, ALPHA_LO, DWParams, dw_fit_minchisq
 
 __all__ = [
@@ -49,13 +49,13 @@ PARAM_NAMES = ("alpha", "lambda0", "lambda1", "lambda2")
 
 @dataclass(frozen=True)
 class BivariateDataset:
-    """Immutable container of observed integer pairs with their partition.
+    """Immutable container of observed integer pairs.
 
-    The partition into below-diagonal, above-diagonal and tie rows drives
-    everything downstream, as does the compression to distinct cells: all
+    The compression to distinct cells drives everything downstream: all
     likelihood and imputation work is done once per distinct cell and
     weighted by its count, which also makes every estimate invariant to row
-    order.
+    order.  The below-diagonal, above-diagonal and tie row counts are read
+    off the cells.
     """
 
     pairs: tuple[tuple[int, int], ...]
@@ -81,36 +81,27 @@ class BivariateDataset:
     def n(self) -> int:
         return len(self.pairs)
 
-    @cached_property
-    def below(self) -> tuple[int, ...]:
-        """Indices of rows with x1 < x2."""
-        return tuple(i for i, (a, b) in enumerate(self.pairs) if a < b)
-
-    @cached_property
-    def above(self) -> tuple[int, ...]:
-        """Indices of rows with x1 > x2."""
-        return tuple(i for i, (a, b) in enumerate(self.pairs) if a > b)
-
-    @cached_property
-    def ties(self) -> tuple[int, ...]:
-        """Indices of rows with x1 = x2."""
-        return tuple(i for i, (a, b) in enumerate(self.pairs) if a == b)
-
     @property
     def n_below(self) -> int:
-        return len(self.below)
+        """Rows with x1 < x2."""
+        x1, x2, w = self.cell_arrays
+        return int(w[x1 < x2].sum())
 
     @property
     def n_above(self) -> int:
-        return len(self.above)
+        """Rows with x1 > x2."""
+        x1, x2, w = self.cell_arrays
+        return int(w[x1 > x2].sum())
 
     @property
     def n_ties(self) -> int:
-        return len(self.ties)
+        """Rows with x1 = x2."""
+        x1, x2, w = self.cell_arrays
+        return int(w[x1 == x2].sum())
 
     @cached_property
     def cells(self) -> tuple[tuple[tuple[int, int], int, int], ...]:
-        """Distinct cells as (cell, count, first row index), first-seen order."""
+        """Distinct cells as (cell, count, first row index), sorted by cell."""
         seen: dict[tuple[int, int], list] = {}
         for row, cell in enumerate(self.pairs):
             rec = seen.setdefault(cell, [cell, 0, row])
@@ -324,19 +315,6 @@ def impute_dataset(theta: MOBWParams, data: BivariateDataset) -> list[CompleteOb
     return [cache[cell] for cell in data.pairs]
 
 
-def _aggregate(sample: Sequence[CompleteObservation]):
-    # compress to distinct (y1, y2, kind) with weights
-    agg: dict[tuple[float, float, str], float] = {}
-    for obs in sample:
-        key = (obs.y1, obs.y2, obs.kind)
-        agg[key] = agg.get(key, 0.0) + 1.0
-    y1 = np.array([k[0] for k in agg])
-    y2 = np.array([k[1] for k in agg])
-    kind = np.array([k[2] for k in agg])
-    w = np.array(list(agg.values()))
-    return y1, y2, kind, w
-
-
 def inner_em_mobw(
     sample: Sequence[CompleteObservation],
     start: MOBWParams,
@@ -358,38 +336,17 @@ def inner_em_mobw(
     pinned there.  A sample that is all ties, or has an identically zero
     coordinate, does not identify the coordinate rates and is rejected.
     """
-    y1, y2, kind, w = _aggregate(sample)
-    below = kind == "below"
-    above = kind == "above"
-    tie = kind == "tie"
-    n_below = float(w[below].sum())
-    n_above = float(w[above].sum())
-    n_tie = float(w[tie].sum())
-    if n_below + n_above == 0.0:
+    st = summarize(sample)
+    n_below, n_above, n_tie = st.n_below, st.n_above, st.n_tie
+    if n_below + n_above == 0:
         raise ValueError(
             "sample is all ties: coordinate rates are not identifiable"
         )
-    for name, col in (("first", y1), ("second", y2)):
-        if not np.any(col > 0):
+    for name, vals in (("first", st.vals1), ("second", st.vals2)):
+        if vals.size == 0:
             raise ValueError(
                 f"{name} coordinate is identically zero: its rate is not identifiable"
             )
-
-    # event values: two per off-diagonal pair, one per tie
-    ev = np.concatenate([y1[~tie], y2[~tie], y1[tie]])
-    ev_w = np.concatenate([w[~tie], w[~tie], w[tie]])
-    n_events = float(ev_w.sum())
-    zero_events = bool(np.any((ev == 0.0) & (ev_w > 0)))
-    with np.errstate(divide="ignore"):
-        log_ev = np.where(ev > 0, np.log(ev), 0.0)
-    sum_log = float(ev_w @ log_ev) if not zero_events else -math.inf
-    mx = np.maximum(y1, y2)
-
-    def exposures(alpha: float):
-        p1 = np.where(y1 > 0, y1**alpha, 0.0)
-        p2 = np.where(y2 > 0, y2**alpha, 0.0)
-        pm = np.where(mx > 0, mx**alpha, 0.0)
-        return float(w @ p1), float(w @ p2), float(w @ pm)
 
     def m_step(counts):
         # maximize the attributed-cause objective over shape and rates;
@@ -398,14 +355,14 @@ def inner_em_mobw(
 
         def profiled(z: float) -> float:
             a = math.exp(z)
-            t1, t2, t0 = exposures(a)
-            val = n_events * z + (a - 1.0) * sum_log
+            t0, t1, t2 = st.exposures(a)
+            val = st.event_count * z + (a - 1.0) * st.log_y_sum
             for c, t in ((c1, t1), (c2, t2), (c0, t0)):
                 if c > 0.0:
                     val += c * (math.log(c) - math.log(t)) - c
             return val
 
-        if zero_events:
+        if st.first_zero is not None:
             a = 1.0
         else:
             res = minimize_scalar(
@@ -415,7 +372,7 @@ def inner_em_mobw(
                 options={"xatol": 1e-8},
             )
             a = math.exp(res.x)
-        t1, t2, t0 = exposures(a)
+        t0, t1, t2 = st.exposures(a)
         return MOBWParams(a, c0 / t0 if c0 > 0 else 0.0, c1 / t1, c2 / t2)
 
     theta = start
@@ -524,15 +481,18 @@ def observed_info_ci(
 ) -> dict[str, tuple[float, float]]:
     """Wald intervals from the inverted analytic observed information.
 
-    Raises when the negative Hessian is not positive definite — the
-    quadratic approximation is then untrustworthy and profile likelihood
-    is the honest fallback.
+    At ``lambda0 = 0`` the shared rate is held on its boundary: the
+    information is inverted over the other three parameters, and
+    ``lambda0`` gets no interval.  Raises when the negative Hessian is not
+    positive definite — the quadratic approximation is then untrustworthy
+    and profile likelihood is the honest fallback.
     """
     if not 0 < level < 1:
         raise ValueError(f"level must lie in (0, 1), got {level}")
     x0 = np.array([theta.alpha, theta.lambda0, theta.lambda1, theta.lambda2])
     _, _, hess = bdw_loglik_derivatives(x0, data)
-    info = -hess
+    free = [0, 2, 3] if theta.lambda0 == 0.0 else [0, 1, 2, 3]
+    info = -hess[np.ix_(free, free)]
     try:
         np.linalg.cholesky(info)
     except np.linalg.LinAlgError:
@@ -543,9 +503,9 @@ def observed_info_ci(
     cov = np.linalg.inv(info)
     z = float(ndtri(0.5 + level / 2.0))
     out = {}
-    for i, name in enumerate(PARAM_NAMES):
-        se = math.sqrt(cov[i, i])
-        out[name] = (float(x0[i] - z * se), float(x0[i] + z * se))
+    for k, i in enumerate(free):
+        se = math.sqrt(cov[k, k])
+        out[PARAM_NAMES[i]] = (float(x0[i] - z * se), float(x0[i] + z * se))
     return out
 
 
@@ -556,8 +516,9 @@ def alpha_equals_one_test(
 
     Rejects when 1 falls outside the two-sided confidence interval for the
     shape at the complementary confidence level.  The default 5% level
-    reads the interval off the fit report; other levels recompute it and
-    need the dataset.
+    reads the interval off the fit report; other levels, and a fit with
+    ``lambda0`` on its boundary (which reports no intervals), recompute it
+    and need the dataset.
     """
     if level == 0.05 and fit.ci95 is not None:
         hw = fit.ci95["alpha"]

@@ -161,15 +161,11 @@ def chisq_bdw(
     to ``n``.  Cells with small expected counts are pooled along the
     row-major scan (rightward within a row, then on to the next row).
     """
-    pairs = data.pairs
-    if not pairs:
-        raise ValueError("data must be non-empty")
-    top1 = max(p[0] for p in pairs)
-    top2 = max(p[1] for p in pairs)
-    n = len(pairs)
-    counts: dict[tuple[int, int], int] = {}
-    for p in pairs:
-        counts[p] = counts.get(p, 0) + 1
+    x1, x2, w = data.cell_arrays
+    top1, top2 = int(x1.max()), int(x2.max())
+    n = data.n
+    counts = np.zeros((top1 + 1, top2 + 1), dtype=np.int64)
+    counts[x1.astype(np.int64), x2.astype(np.int64)] = w
 
     # interior cells take the pmf; the last row and column absorb the tail
     # mass on their axis as differences of the joint survival
@@ -189,6 +185,6 @@ def chisq_bdw(
             mark1 = f">={i}" if i == top1 and top1 > 0 else str(i)
             mark2 = f">={j}" if j == top2 and top2 > 0 else str(j)
             labels.append(f"({mark1},{mark2})")
-            observed.append(counts.get((i, j), 0))
+            observed.append(int(counts[i, j]))
             expected.append(n * float(mass[i, j]))
     return _report(labels, observed, expected, df_penalty)

@@ -11,14 +11,15 @@ whose law splits into two absolutely continuous pieces off the diagonal and
 a singular piece on it.  Taking floors of ``(Y1, Y2)`` yields exactly the
 discrete pair, which is what makes this module the engine room for
 estimation: the fitting code imputes latent lifetimes cell by cell with
-:func:`ml_predict` and measures imputations with :func:`complete_loglik`.
+:func:`ml_predict`, reduces each imputed sample once with :func:`summarize`,
+and measures imputations with :func:`complete_loglik`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -30,6 +31,8 @@ __all__ = [
     "MobwDensity",
     "LatentPrediction",
     "CompleteObservation",
+    "SampleSummary",
+    "summarize",
     "mobw_sf",
     "mobw_pdf",
     "mobw_sample",
@@ -135,6 +138,80 @@ class CompleteObservation:
             raise ValueError(f"kind must be below, above or tie, got {self.kind!r}")
         if not ok:
             raise ValueError(f"pair ({self.y1}, {self.y2}) inconsistent with kind {self.kind!r}")
+
+
+@dataclass(frozen=True, eq=False)
+class SampleSummary:
+    """What the latent-sample updates read from a sequence of complete pairs.
+
+    Events are the recorded lifetimes: two per off-diagonal pair, one per
+    tie.  ``log_y_sum`` sums their logarithms and is ``-inf`` when one of
+    them is zero; ``first_zero`` is then the index of the first
+    observation holding a zero event.  ``vals1``, ``vals2`` and ``vals0``
+    are the distinct positive values of ``y1``, ``y2`` and ``max(y1, y2)``,
+    and ``w1``, ``w2``, ``w0`` their multiplicities, from which
+    :meth:`exposures` sums powers.
+    """
+
+    n_below: int
+    n_above: int
+    n_tie: int
+    vals1: np.ndarray
+    w1: np.ndarray
+    vals2: np.ndarray
+    w2: np.ndarray
+    vals0: np.ndarray
+    w0: np.ndarray
+    event_count: int
+    log_y_sum: float
+    first_zero: int | None
+
+    def exposures(self, alpha: float) -> tuple[float, float, float]:
+        """``(T0, T1, T2)``: sums of ``max(y1, y2)**alpha``, ``y1**alpha`` and
+        ``y2**alpha``; zero lifetimes contribute nothing."""
+        t1 = float(np.dot(self.w1, self.vals1**alpha))
+        t2 = float(np.dot(self.w2, self.vals2**alpha))
+        t0 = float(np.dot(self.w0, self.vals0**alpha))
+        return t0, t1, t2
+
+
+def _value_table(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    vals, counts = np.unique(values[values > 0], return_counts=True)
+    return vals, counts.astype(float)
+
+
+def summarize(
+    sample: Sequence[CompleteObservation] | SampleSummary,
+) -> SampleSummary:
+    """The :class:`SampleSummary` of a complete sample; a summary is
+    returned as it is, so callers may pass either."""
+    if isinstance(sample, SampleSummary):
+        return sample
+    counts = {"below": 0, "above": 0, "tie": 0}
+    rows = []
+    log_y = 0.0
+    first_zero = None
+    for idx, obs in enumerate(sample):
+        counts[obs.kind] += 1
+        rows.append((obs.y1, obs.y2))
+        events = (obs.y1,) if obs.kind == "tie" else (obs.y1, obs.y2)
+        if min(events) > 0.0:
+            log_y += sum(math.log(v) for v in events)
+        elif first_zero is None:
+            first_zero = idx
+    y = np.array(rows, dtype=float).reshape(-1, 2)
+    n_below, n_above, n_tie = counts["below"], counts["above"], counts["tie"]
+    return SampleSummary(
+        n_below,
+        n_above,
+        n_tie,
+        *_value_table(y[:, 0]),
+        *_value_table(y[:, 1]),
+        *_value_table(y.max(axis=1)),
+        event_count=2 * (n_below + n_above) + n_tie,
+        log_y_sum=log_y if first_zero is None else -math.inf,
+        first_zero=first_zero,
+    )
 
 
 def mobw_sf(params: MOBWParams, y1: float, y2: float) -> float:

@@ -127,10 +127,12 @@ class TestReportSchema:
         assert rep["results"]["estimates"]["lambda0"] == 0.0
         assert rep["results"]["estimates"]["p0"] == 1.0
         assert rep["results"]["ci95_halfwidth"] is None
+        # the shape interval holds lambda0 on its boundary
         shape = rep["results"]["shape_one_test"]
-        assert "error" in shape or (
-            math.isfinite(shape["ci_low"]) and math.isfinite(shape["ci_high"])
-        )
+        assert "error" not in shape
+        alpha = rep["results"]["estimates"]["alpha"]
+        assert math.isfinite(shape["ci_low"]) and math.isfinite(shape["ci_high"])
+        assert shape["ci_low"] < alpha < shape["ci_high"]
 
     def test_fit_bayes(self, tmp_path, report_schema):
         rep = run_cli(
@@ -403,6 +405,19 @@ class TestFailurePaths:
         )
         assert rc == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("ignore:inconsistent marginal fits")
+    def test_zero_imputed_lifetime_fails_cleanly(self, tmp_path, capsys):
+        law = BDWParams(0.8, 0.9, 0.7, 0.75)
+        draws = bivariate.sample(law, np.random.default_rng(0), size=40)
+        path = tmp_path / "heavy.csv"
+        path.write_text("".join(f"{a},{b}\n" for a, b in draws.tolist()))
+        rc = main(["fit-bayes", "--input", str(path), "-M", "100", "-N", "1"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "error: data row" in err
+        assert "full conditional is improper" in err
+        assert "math domain error" not in err
 
     def test_unknown_dataset_choice(self, capsys):
         with pytest.raises(SystemExit):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from bdw import bivariate, fit_bayes
 from bdw.fit_bayes import (
     AlphaPrior,
     DGPrior,
@@ -18,8 +19,15 @@ from bdw.fit_bayes import (
     sample_alpha_conditional,
     sample_lambdas_conditional,
 )
-from bdw.fit_ml import PARAM_NAMES
-from bdw.mobw import CompleteObservation, MOBWParams, complete_loglik, mobw_sample
+from bdw.fit_ml import PARAM_NAMES, BivariateDataset, impute_dataset, init_estimates
+from bdw.mobw import (
+    CompleteObservation,
+    MOBWParams,
+    SampleSummary,
+    complete_loglik,
+    mobw_sample,
+    summarize,
+)
 
 # handcrafted complete sample covering all three outcome kinds
 TIES = (
@@ -147,14 +155,98 @@ class TestCompleteDataReductions:
         assert np.all(np.abs(draws.mean(axis=0) - expect) < 4 * se)
 
 
+class TestSampleSummary:
+    SAMPLES = {"mixed": MIXED, "all_ties": ALL_TIES, "empty": ()}
+
+    @pytest.fixture(params=["mixed", "all_ties", "empty", "football"])
+    def sample(self, request):
+        if request.param == "football":
+            data = request.getfixturevalue("football")
+            return tuple(impute_dataset(init_estimates(data), data))
+        return self.SAMPLES[request.param]
+
+    def test_steps_agree_on_raw_and_summary(self, sample):
+        st = summarize(sample)
+        assert summarize(st) is st
+        lams = (0.4, 0.7, 0.9)
+        for alpha in (0.6, 1.0, 1.6):
+            assert exposures(sample, alpha) == exposures(st, alpha)
+        assert cause_counts(sample, lams) == cause_counts(st, lams)
+        for seed in range(3):
+            pair = []
+            for arg in (sample, st):
+                rng = np.random.default_rng(seed)
+                pair.append(
+                    (
+                        cause_counts(arg, lams, rng),
+                        sample_lambdas_conditional(PRIOR_EQ, 1.6, arg, lams, rng),
+                        sample_lambdas_conditional(PRIOR_NE, 1.6, arg, lams, rng),
+                        sample_alpha_conditional(
+                            AlphaPrior(c=2.0, d=1.0), lams, arg, 1.3, rng
+                        ),
+                    )
+                )
+            assert pair[0] == pair[1]
+
+    def test_matches_row_by_row_sums(self, sample):
+        st = summarize(sample)
+        kinds = [o.kind for o in sample]
+        assert (st.n_below, st.n_above, st.n_tie) == tuple(
+            kinds.count(k) for k in ("below", "above", "tie")
+        )
+        assert st.event_count == sum(1 if k == "tie" else 2 for k in kinds)
+        want_log = sum(
+            math.log(o.y1) if o.kind == "tie" else math.log(o.y1) + math.log(o.y2)
+            for o in sample
+        )
+        assert st.log_y_sum == pytest.approx(want_log, rel=1e-12, abs=1e-12)
+        assert st.first_zero is None
+        for alpha in (0.6, 1.6):
+            t0, t1, t2 = exposures(sample, alpha)
+            assert t1 == pytest.approx(sum(o.y1**alpha for o in sample), rel=1e-12)
+            assert t2 == pytest.approx(sum(o.y2**alpha for o in sample), rel=1e-12)
+            want0 = sum(max(o.y1, o.y2) ** alpha for o in sample)
+            assert t0 == pytest.approx(want0, rel=1e-12)
+        l0, l1, l2 = lams = (0.4, 0.7, 0.9)
+        # the later coordinate of an off-diagonal pair is the shared shock's
+        # with probability l0 over l0 plus its own rate
+        want = [0.0, 0.0, 0.0]
+        for k in kinds:
+            if k == "tie":
+                want[0] += 1.0
+            elif k == "below":
+                want[1] += 1.0
+                want[2] += l2 / (l0 + l2)
+                want[0] += l0 / (l0 + l2)
+            else:
+                want[2] += 1.0
+                want[1] += l1 / (l0 + l1)
+                want[0] += l0 / (l0 + l1)
+        assert cause_counts(sample, lams) == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+    def test_zero_event_lifetime(self):
+        sample = (
+            CompleteObservation(0.5, 1.2, "below"),
+            CompleteObservation(0.0, 1.5, "below"),
+            CompleteObservation(0.0, 0.0, "tie"),
+        )
+        st = summarize(sample)
+        assert st.log_y_sum == -math.inf
+        assert st.first_zero == 1
+        # zero lifetimes add nothing to the exposures
+        want = (1.2**2 + 1.5**2, 0.5**2, 1.2**2 + 1.5**2)
+        assert st.exposures(2.0) == pytest.approx(want, rel=1e-15)
+
+
 class TestLambdaConditional:
     def test_prior_recovery_without_data(self):
         # no data: the draw is a fresh pull from the prior itself
+        empty = summarize(())
         rng = np.random.default_rng(17)
         draws = np.array(
             [
                 sample_lambdas_conditional(
-                    PRIOR_EQ, 1.5, (), (0.5, 0.5, 0.5), rng
+                    PRIOR_EQ, 1.5, empty, (0.5, 0.5, 0.5), rng
                 )
                 for _ in range(10_000)
             ]
@@ -167,11 +259,12 @@ class TestLambdaConditional:
         # deterministic cause counts (4, 0, 0): exact gamma conditionals
         alpha = 1.6
         t0, t1, t2 = exposures(ALL_TIES, alpha)
+        ties = summarize(ALL_TIES)
         rng = np.random.default_rng(99)
         draws = np.array(
             [
                 sample_lambdas_conditional(
-                    PRIOR_EQ, alpha, ALL_TIES, (0.4, 0.7, 0.9), rng
+                    PRIOR_EQ, alpha, ties, (0.4, 0.7, 0.9), rng
                 )
                 for _ in range(20_000)
             ]
@@ -188,10 +281,11 @@ class TestLambdaConditional:
         lams = (0.4, 0.7, 0.9)
         t = np.array(exposures(MIXED, alpha))
         expect_n = np.array(cause_counts(MIXED, lams))
+        mixed = summarize(MIXED)
         rng = np.random.default_rng(314)
         draws = np.array(
             [
-                sample_lambdas_conditional(PRIOR_EQ, alpha, MIXED, lams, rng)
+                sample_lambdas_conditional(PRIOR_EQ, alpha, mixed, lams, rng)
                 for _ in range(20_000)
             ]
         )
@@ -207,14 +301,13 @@ class TestLambdaConditional:
         counts = np.array([4.0, 0.0, 0.0])
         excess = PRIOR_NE.a - SPLITS.sum()
 
+        ties = summarize(ALL_TIES)
         rng = np.random.default_rng(2718)
         cur = (0.4, 0.7, 0.9)
         chain = np.empty((32_000, 3))
         moves = 0
         for i in range(len(chain)):
-            new = sample_lambdas_conditional(
-                PRIOR_NE, alpha, ALL_TIES, cur, rng
-            )
+            new = sample_lambdas_conditional(PRIOR_NE, alpha, ties, cur, rng)
             moves += int(new != cur)
             cur = new
             chain[i] = cur
@@ -243,6 +336,7 @@ class TestLambdaConditional:
 
     def test_metropolis_chain_stable_across_seeds(self):
         alpha = 1.6
+        ties = summarize(ALL_TIES)
 
         def run(seed):
             rng = np.random.default_rng(seed)
@@ -250,7 +344,7 @@ class TestLambdaConditional:
             out = np.empty((22_000, 3))
             for i in range(len(out)):
                 cur = sample_lambdas_conditional(
-                    PRIOR_NE, alpha, ALL_TIES, cur, rng
+                    PRIOR_NE, alpha, ties, cur, rng
                 )
                 out[i] = cur
             out = out[2000:]
@@ -278,11 +372,12 @@ class TestAlphaConditional:
         mean_q = np.trapezoid(grid * w, grid) / z
         sd_q = math.sqrt(np.trapezoid((grid - mean_q) ** 2 * w, grid) / z)
 
+        mixed = summarize(MIXED)
         rng = np.random.default_rng(424242)
         a = 1.0
         draws = np.empty(20_000)
         for i in range(len(draws)):
-            a = sample_alpha_conditional(pri, lams, MIXED, a, rng)
+            a = sample_alpha_conditional(pri, lams, mixed, a, rng)
             draws[i] = a
         draws = draws[1000:]
         batches = draws.reshape(19, -1).mean(axis=1)
@@ -292,11 +387,12 @@ class TestAlphaConditional:
 
     def test_prior_recovery_without_data(self):
         pri = AlphaPrior(c=3.0, d=2.0)
+        empty = summarize(())
         rng = np.random.default_rng(8)
         a = 1.0
         draws = np.empty(8000)
         for i in range(len(draws)):
-            a = sample_alpha_conditional(pri, (0.5, 0.5, 0.5), (), a, rng)
+            a = sample_alpha_conditional(pri, (0.5, 0.5, 0.5), empty, a, rng)
             draws[i] = a
         batches = draws.reshape(40, -1).mean(axis=1)
         se = batches.std(ddof=1) / math.sqrt(40)
@@ -307,14 +403,16 @@ class TestAlphaConditional:
         truth = MOBWParams(1.8, 0.3, 0.5, 0.4)
         rng = np.random.default_rng(606)
         pairs = mobw_sample(truth, rng, 2000)
-        sample = [
-            CompleteObservation(
-                float(u),
-                float(v),
-                "tie" if u == v else ("below" if u < v else "above"),
-            )
-            for u, v in pairs
-        ]
+        sample = summarize(
+            [
+                CompleteObservation(
+                    float(u),
+                    float(v),
+                    "tie" if u == v else ("below" if u < v else "above"),
+                )
+                for u, v in pairs
+            ]
+        )
         rng = np.random.default_rng(607)
         a = 1.0
         draws = np.empty(4000)
@@ -449,6 +547,48 @@ class TestAugmentedGibbs:
             augmented_gibbs(football, M=100, N=1, burn_in=1.0, rng=rng)
         with pytest.raises(ValueError, match="burn_in"):
             augmented_gibbs(football, M=100, N=1, burn_in=-0.1, rng=rng)
+
+    def test_summarizes_once_per_round(self, football, monkeypatch):
+        builds = []
+        inner = fit_bayes.summarize
+
+        def counted(sample):
+            if not isinstance(sample, SampleSummary):
+                builds.append(1)
+            return inner(sample)
+
+        monkeypatch.setattr(fit_bayes, "summarize", counted)
+        augmented_gibbs(football, M=200, N=3, rng=np.random.default_rng(1))
+        assert len(builds) == 3
+
+    def test_pinned_means(self, football):
+        # recorded before the sweeps read a per-round summary; the draws
+        # must not move
+        res = augmented_gibbs(football, M=200, N=2, rng=np.random.default_rng(7))
+        want = {
+            "alpha": 3.3007470472206824,
+            "lambda0": 2.9636108443633135e-08,
+            "lambda1": 0.10680995122910958,
+            "lambda2": 0.09863305963001873,
+        }
+        for name, value in want.items():
+            assert res.means[name] == pytest.approx(value, rel=1e-12), name
+
+    @pytest.mark.filterwarnings("ignore:inconsistent marginal fits")
+    @pytest.mark.parametrize("seed", range(5))
+    def test_zero_imputed_lifetime_is_named(self, seed):
+        # a start shape below one imputes cell corners, so a zero count
+        # becomes a zero lifetime
+        law = bivariate.BDWParams(0.8, 0.9, 0.7, 0.75)
+        pairs = bivariate.sample(law, np.random.default_rng(seed), 40)
+        data = BivariateDataset.from_pairs(pairs)
+        with pytest.raises(ValueError, match="improper") as err:
+            augmented_gibbs(data, M=100, N=1, rng=np.random.default_rng(0))
+        msg = str(err.value)
+        row = int(msg.split()[2])
+        assert f"(cell {data.pairs[row]})" in msg
+        assert 0 in data.pairs[row]
+        assert float(msg.split("at shape ")[1].split(":")[0]) < 1.0
 
     @pytest.mark.xfail(
         strict=True,

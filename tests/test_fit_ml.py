@@ -342,6 +342,34 @@ class TestInference:
         assert fit.ci95 is not None
         assert fit.ci95["alpha"] == pytest.approx((hi - lo) / 2.0, rel=1e-6)
 
+    @pytest.mark.filterwarnings("ignore:inconsistent marginal fits")
+    def test_intervals_at_shared_rate_boundary(self):
+        # no ties: lambda0 sits at 0, where the full 4x4 information is
+        # indefinite; the intervals hold lambda0 there and invert the 3x3 rest
+        gen = bivariate.BDWParams(1.5, 1.0, 0.7, 0.75)
+        draws = bivariate.sample(gen, np.random.default_rng(3), size=157)
+        data = BivariateDataset(tuple((int(a), int(b)) for a, b in draws if a != b))
+        assert data.n == 112
+        with pytest.warns(UserWarning, match="at its boundary"):
+            fit = nested_em(data)
+        assert fit.params.lambda0 == 0.0 and fit.ci95 is None
+        theta = (fit.params.alpha, 0.0, fit.params.lambda1, fit.params.lambda2)
+        _, _, hess = bdw_loglik_derivatives(theta, data)
+        assert np.linalg.eigvalsh(-hess).min() < 0
+        free = [0, 2, 3]
+        info = -hess[np.ix_(free, free)]
+        assert np.linalg.eigvalsh(info).min() > 0
+        ci = observed_info_ci(fit.params, data)
+        assert list(ci) == ["alpha", "lambda1", "lambda2"]
+        se = np.sqrt(np.diag(np.linalg.inv(info)))
+        for (name, (lo, hi)), x, s in zip(ci.items(), np.take(theta, free), se):
+            assert lo < x < hi, name
+            assert (hi - lo) / 2.0 == pytest.approx(1.959963984540054 * s, rel=1e-12)
+        assert fit.params.alpha == pytest.approx(1.4987, abs=1e-3)
+        test = alpha_equals_one_test(fit, data)
+        assert (test.ci_low, test.ci_high) == ci["alpha"]
+        assert test.reject
+
     def test_geometric_null_rejected_on_both_datasets(self, football, nasal):
         for data in (football, nasal):
             fit = nested_em(data)
