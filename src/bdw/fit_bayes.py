@@ -323,7 +323,8 @@ def augmented_gibbs(
     rounds the last round's draws are returned; their means are the point
     estimates.  Each round's imputation is summarized once, before its
     sweeps; an imputed zero lifetime, which the shape's full conditional
-    cannot accommodate, is reported with its data row.
+    cannot accommodate, is reported with its data row.  An all-tie sample
+    is rejected.
     """
     if M < 100:
         raise ValueError("M must be at least 100")
@@ -334,6 +335,7 @@ def augmented_gibbs(
     prior = DGPrior() if prior is None else prior
     alpha_prior = AlphaPrior() if alpha_prior is None else alpha_prior
     rng = np.random.default_rng() if rng is None else rng
+    data.require_untied_rows()
     theta = init_estimates(data) if start is None else start
     drop = int(M * burn_in)
     draws = np.empty((M, 4))

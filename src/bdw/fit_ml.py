@@ -11,6 +11,8 @@ one-sided score at zero is not positive as exactly zero.
 The continuous shared-shock helpers — most likely latent lifetimes per
 cell and an inner EM over the latent failure causes — serve the Bayesian
 sampler and the distribution checks.
+
+scipy is imported inside the functions that use it, not at import time.
 """
 
 from __future__ import annotations
@@ -22,8 +24,6 @@ from functools import cached_property
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import minimize, minimize_scalar
-from scipy.special import ndtri
 
 from . import bivariate
 from .mobw import MOBWParams, CompleteObservation, complete_loglik, ml_predict, summarize
@@ -45,6 +45,7 @@ __all__ = [
 ]
 
 PARAM_NAMES = ("alpha", "lambda0", "lambda1", "lambda2")
+_ALL_TIES = "sample is all ties: coordinate rates are not identifiable"
 
 
 @dataclass(frozen=True)
@@ -125,6 +126,13 @@ class BivariateDataset:
         if which == "min":
             return arr.min(axis=1)
         raise ValueError(f"column must be x1, x2 or min, got {which!r}")
+
+    def require_untied_rows(self) -> None:
+        """Raise unless some row has ``x1 != x2``: on ties alone the shared
+        shock explains every row and the coordinate rates are not
+        identifiable."""
+        if self.n_ties == self.n:
+            raise ValueError(_ALL_TIES)
 
     def swapped(self) -> "BivariateDataset":
         """The same rows with the coordinates exchanged."""
@@ -336,12 +344,12 @@ def inner_em_mobw(
     pinned there.  A sample that is all ties, or has an identically zero
     coordinate, does not identify the coordinate rates and is rejected.
     """
+    from scipy.optimize import minimize_scalar
+
     st = summarize(sample)
     n_below, n_above, n_tie = st.n_below, st.n_above, st.n_tie
     if n_below + n_above == 0:
-        raise ValueError(
-            "sample is all ties: coordinate rates are not identifiable"
-        )
+        raise ValueError(_ALL_TIES)
     for name, vals in (("first", st.vals1), ("second", st.vals2)):
         if vals.size == 0:
             raise ValueError(
@@ -422,8 +430,11 @@ def nested_em(data: BivariateDataset, start: MOBWParams | None = None) -> MLFitR
     positive (Self & Liang 1987): ``lambda0`` is then reported as exactly
     zero, with a warning and no confidence intervals.  Otherwise the
     half-widths come from the observed information at the fit, when it is
-    positive definite.
+    positive definite.  An all-tie sample is rejected.
     """
+    from scipy.optimize import minimize
+
+    data.require_untied_rows()
     theta = init_estimates(data) if start is None else start
     # names the row whose cell has zero probability at a bad start
     bdw_loglik(theta, data)
@@ -487,6 +498,8 @@ def observed_info_ci(
     positive definite — the quadratic approximation is then untrustworthy
     and profile likelihood is the honest fallback.
     """
+    from scipy.special import ndtri
+
     if not 0 < level < 1:
         raise ValueError(f"level must lie in (0, 1), got {level}")
     x0 = np.array([theta.alpha, theta.lambda0, theta.lambda1, theta.lambda2])

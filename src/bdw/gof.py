@@ -5,6 +5,8 @@ absorbed into the last cell (optional, on by default); bivariate fits on
 the observed-support product grid with tail absorption on both axes.
 Adjacent cells with expected count below one are pooled so the usual
 chi-square approximation is not applied to near-empty cells.
+
+scipy is imported inside :func:`chisq_upper_tail`, not at import time.
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.special import gammaincc
 
 from . import bivariate
 from .bivariate import BDWParams
@@ -46,6 +47,8 @@ def chisq_upper_tail(x: float, df: int) -> float:
     float
         ``P(X > x)`` via the regularized upper incomplete gamma function.
     """
+    from scipy.special import gammaincc
+
     if df <= 0:
         raise ValueError("degrees of freedom must be positive")
     if x < 0:

@@ -7,6 +7,8 @@ which is the representation used throughout this package: survival beyond
 ``y`` is ``p**(y**alpha)`` with a weak inequality, i.e. ``P(Y >= y)``.
 With ``alpha = 1`` the law reduces to the geometric distribution with
 success probability ``1 - p``.
+
+scipy is imported inside the two fits that use it, not at import time.
 """
 
 from __future__ import annotations
@@ -16,8 +18,6 @@ from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
-from scipy.optimize import minimize, minimize_scalar
-from scipy.special import expit
 
 __all__ = [
     "SingularDensityError",
@@ -257,6 +257,9 @@ def dw_fit_ml(data: Sequence[int]) -> DWFit:
         On an empty sample, or when all observations are equal (the
         likelihood then degenerates towards a boundary point mass).
     """
+    from scipy.optimize import minimize_scalar
+    from scipy.special import expit
+
     xs = _dataset_1d(data)
     values, counts = np.unique(xs, return_counts=True)
     if values.size < 2:
@@ -314,6 +317,9 @@ def dw_fit_minchisq(data: Sequence[int]) -> DWChisqFit:
     DWChisqFit
         Fitted parameters and the attained (minimized) chi-square.
     """
+    from scipy.optimize import minimize
+    from scipy.special import expit
+
     xs = _dataset_1d(data)
     values, counts = np.unique(xs, return_counts=True)
     if values.size < 2:

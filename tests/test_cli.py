@@ -3,11 +3,16 @@
 import hashlib
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import jsonschema
 import numpy as np
 import pytest
 
+import bdw
 from bdw import bivariate
 from bdw.bivariate import BDWParams
 from bdw.cli import load_csv, main
@@ -419,6 +424,19 @@ class TestFailurePaths:
         assert "full conditional is improper" in err
         assert "math domain error" not in err
 
+    @pytest.mark.parametrize(
+        "command", [["fit-ml"], ["fit-bayes", "-M", "200", "-N", "2"]]
+    )
+    def test_all_tie_input_fails_cleanly(self, tmp_path, capsys, command):
+        path = tmp_path / "ties.csv"
+        path.write_text("x1,x2\n1,1\n2,2\n3,3\n0,0\n5,5\n2,2\n")
+        rc = main([*command, "--input", str(path)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err == (
+            "error: sample is all ties: coordinate rates are not identifiable\n"
+        )
+
     def test_unknown_dataset_choice(self, capsys):
         with pytest.raises(SystemExit):
             main(["fit-ml", "--dataset", "bogus"])
@@ -459,3 +477,46 @@ class TestFailurePaths:
         )
         assert rc == 1
         assert "error:" in capsys.readouterr().err
+
+
+# Run in a fresh interpreter, since this test module imports scipy itself:
+# runs each command through ``bdw.cli.main``, then prints the scipy modules
+# loaded by then.
+_STARTUP_PROBE = """
+import json, sys
+import bdw, bdw.cli
+out, commands = sys.argv[1], json.loads(sys.argv[2])
+for i, argv in enumerate(commands):
+    assert bdw.cli.main([*argv, "--output", f"{out}/{i}.out"]) == 0, argv
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+"""
+
+
+def _scipy_modules_after(tmp_path, commands):
+    src = str(pathlib.Path(bdw.__file__).resolve().parents[1])
+    path = [src, os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [src]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    proc = subprocess.run(
+        [sys.executable, "-c", _STARTUP_PROBE, str(tmp_path), json.dumps(commands)],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    for i in range(len(commands)):
+        assert (tmp_path / f"{i}.out").stat().st_size > 0
+    return set(json.loads(proc.stdout))
+
+
+class TestStartup:
+    def test_model_commands_do_not_load_scipy(self, tmp_path):
+        law = ["--alpha", "1.5", "--p0", "0.9", "--p1", "0.7", "--p2", "0.75"]
+        commands = [
+            ["simulate", *law, "--n", "20", "--seed", "1"],
+            ["pmf-table", *law],
+            ["moments", *law],
+        ]
+        assert _scipy_modules_after(tmp_path, commands) == set()
+
+    def test_fit_loads_scipy(self, tmp_path):
+        # the control: the probe does see scipy once a fit needs it
+        loaded = _scipy_modules_after(tmp_path, [["fit-ml", "--dataset", "football"]])
+        assert "scipy.optimize" in loaded

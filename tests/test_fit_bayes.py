@@ -548,6 +548,14 @@ class TestAugmentedGibbs:
         with pytest.raises(ValueError, match="burn_in"):
             augmented_gibbs(football, M=100, N=1, burn_in=-0.1, rng=rng)
 
+    @pytest.mark.parametrize("start", [None, MOBWParams(1.5, 0.3, 0.5, 0.4)])
+    def test_all_tie_sample_rejected(self, start):
+        # ties alone let both coordinate rates vanish, from the marginal
+        # start (p1 = p2 = 1) or from a given one
+        data = BivariateDataset(((1, 1), (2, 2), (3, 3), (0, 0), (5, 5), (2, 2)))
+        with pytest.raises(ValueError, match="^sample is all ties: coordinate rates"):
+            augmented_gibbs(data, M=200, N=2, start=start, rng=np.random.default_rng(0))
+
     def test_summarizes_once_per_round(self, football, monkeypatch):
         builds = []
         inner = fit_bayes.summarize

@@ -311,6 +311,16 @@ class TestNestedEM:
         fit = nested_em(football, start=start)
         assert fit.loglik == pytest.approx(FOOTBALL_LL, abs=1e-4)
 
+    @pytest.mark.parametrize("start", [None, MOBWParams(1.5, 0.3, 0.5, 0.4)])
+    def test_all_tie_sample_rejected(self, start):
+        # ties alone let both coordinate rates vanish: the fit must refuse
+        # before the marginal start clamps p1 and p2 (with warnings) to one
+        data = BivariateDataset(((1, 1), (2, 2), (3, 3), (0, 0), (5, 5), (2, 2)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^sample is all ties: coordinate rates"):
+                nested_em(data, start=start)
+
     @pytest.mark.filterwarnings("ignore:inconsistent marginal fits")
     def test_shared_rate_at_boundary(self):
         # no ties: the shared shock has nothing to explain, so the one-sided
