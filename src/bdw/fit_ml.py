@@ -3,7 +3,7 @@
 The observed-data log-likelihood of the integer pairs is closed form, and
 so are its score and Hessian: every cell's log-mass is a sum of terms
 ``-r*y**alpha`` and ``log(1 - exp(-u))``, with ``r`` a sum of the rates.
-:func:`nested_em` maximizes it with one trust-region Newton solve in
+:func:`nested_em` maximizes it with one damped Newton solve in
 log-parameters from the marginal starting point, reads the observed
 information off the same Hessian, and reports a shared-shock rate whose
 one-sided score at zero is not positive as exactly zero.
@@ -11,8 +11,6 @@ one-sided score at zero is not positive as exactly zero.
 The continuous shared-shock helpers — most likely latent lifetimes per
 cell and an inner EM over the latent failure causes — serve the Bayesian
 sampler and the distribution checks.
-
-scipy is imported inside the functions that use it, not at import time.
 """
 
 from __future__ import annotations
@@ -27,7 +25,18 @@ import numpy as np
 
 from . import bivariate
 from .mobw import MOBWParams, CompleteObservation, complete_loglik, ml_predict, summarize
-from .univariate import ALPHA_HI, ALPHA_LO, DWParams, dw_fit_minchisq
+from .univariate import (
+    ALPHA_HI,
+    ALPHA_LO,
+    DWParams,
+    _dw_jet,
+    _in_logs,
+    _Jet,
+    _log1mexp_jet,
+    _newton_min,
+    _power_jet,
+    dw_fit_minchisq,
+)
 
 __all__ = [
     "BivariateDataset",
@@ -177,58 +186,6 @@ def bdw_loglik(theta: MOBWParams, data: BivariateDataset) -> float:
     return float(w @ lp)
 
 
-@dataclass(frozen=True)
-class _Jet:
-    """Per-cell values with gradients and Hessians in ``PARAM_NAMES`` order."""
-
-    v: np.ndarray
-    g: np.ndarray
-    h: np.ndarray
-
-    def __add__(self, other: "_Jet") -> "_Jet":
-        return _Jet(self.v + other.v, self.g + other.g, self.h + other.h)
-
-    def __sub__(self, other: "_Jet") -> "_Jet":
-        return _Jet(self.v - other.v, self.g - other.g, self.h - other.h)
-
-
-_SHAPE = np.array([1.0, 0.0, 0.0, 0.0])
-
-
-def _power_jet(y: np.ndarray, theta: np.ndarray, rates: tuple) -> _Jet:
-    """Jet of ``-r * y**alpha``, where ``r`` sums the rates flagged in ``rates``."""
-    m = np.array([0.0, *rates])
-    r = float(m @ theta)
-    ly = np.log(np.where(y > 0, y, 1.0))
-    t = y ** theta[0]
-    t_a = t * ly
-    t_aa = t_a * ly
-    cross = np.outer(_SHAPE, m) + np.outer(m, _SHAPE)
-    return _Jet(
-        -r * t,
-        -(r * t_a)[:, None] * _SHAPE - t[:, None] * m,
-        -(r * t_aa)[:, None, None] * np.outer(_SHAPE, _SHAPE) - t_a[:, None, None] * cross,
-    )
-
-
-def _log1mexp_jet(u: _Jet) -> _Jet:
-    """Jet of ``log(1 - exp(-u))``: its first derivative in ``u`` is
-    ``g1 = 1/expm1(u)`` and its second ``-(g1 + g1**2)``."""
-    g1 = 1.0 / np.expm1(u.v)
-    g2 = -(g1 + g1 * g1)
-    return _Jet(
-        np.log(-np.expm1(-u.v)),
-        g1[:, None] * u.g,
-        g2[:, None, None] * (u.g[:, :, None] * u.g[:, None, :]) + g1[:, None, None] * u.h,
-    )
-
-
-def _dw_jet(y: np.ndarray, theta: np.ndarray, rates: tuple) -> _Jet:
-    """Jet of the DW log-pmf at ``y`` with survival base ``exp(-r)``."""
-    here = _power_jet(y, theta, rates)
-    return here + _log1mexp_jet(here - _power_jet(y + 1.0, theta, rates))
-
-
 def _cell_jet(theta: np.ndarray, x1: np.ndarray, x2: np.ndarray) -> _Jet:
     """Jet of the joint log-pmf at each cell, split as in ``bivariate._log_joint_pmf_arr``."""
     r1, r2 = (0, 1, 0), (0, 0, 1)
@@ -302,12 +259,21 @@ def init_estimates(data: BivariateDataset) -> MOBWParams:
     Each of the three univariate views is fitted by minimum chi-square on
     its observed support — the criterion whose per-column fits the full
     pipeline is benchmarked against — and the three fits are inverted
-    through :func:`initial_params_from_marginals`.
+    through :func:`initial_params_from_marginals`.  A constant column is
+    rejected by name.
     """
-    f1 = dw_fit_minchisq(data.column("x1")).params
-    f2 = dw_fit_minchisq(data.column("x2")).params
-    fm = dw_fit_minchisq(data.column("min")).params
-    return initial_params_from_marginals(f1, f2, fm)
+    fits = []
+    for name in ("x1", "x2", "min"):
+        col = data.column(name)
+        try:
+            fits.append(dw_fit_minchisq(col).params)
+        except ValueError as exc:
+            if col.min() < col.max():
+                raise
+            raise ValueError(
+                f"column {name} is constant (every value is {col[0]}): {exc}"
+            ) from None
+    return initial_params_from_marginals(*fits)
 
 
 def impute_dataset(theta: MOBWParams, data: BivariateDataset) -> list[CompleteObservation]:
@@ -335,17 +301,16 @@ def inner_em_mobw(
     The missing information is which component caused each recorded
     minimum.  The E-step attributes causes fractionally from the current
     rates; the M-step is closed-form in the rates given the shape and
-    reduces the shape update to one bracketed one-dimensional maximization
-    of the profiled objective.  The log-likelihood of the flagged pairs is
-    non-decreasing across iterations; pass ``trace`` to collect it.
+    reduces the shape update to a one-dimensional Newton solve of the
+    profiled objective in ``log(alpha)``, clamped to [0.01, 100].  The
+    log-likelihood of the flagged pairs is non-decreasing across
+    iterations; pass ``trace`` to collect it.
 
     A zero lifetime among the recorded events leaves the boundary value
     finite only at shape one, so such samples are fitted with the shape
     pinned there.  A sample that is all ties, or has an identically zero
     coordinate, does not identify the coordinate rates and is rejected.
     """
-    from scipy.optimize import minimize_scalar
-
     st = summarize(sample)
     n_below, n_above, n_tie = st.n_below, st.n_above, st.n_tie
     if n_below + n_above == 0:
@@ -356,30 +321,40 @@ def inner_em_mobw(
                 f"{name} coordinate is identically zero: its rate is not identifiable"
             )
 
-    def m_step(counts):
-        # maximize the attributed-cause objective over shape and rates;
-        # rates profile out exactly, leaving one bounded search
-        c1, c2, c0 = counts
+    # value tables with their logarithms, in the order of st.exposures
+    tables = [
+        (v, w, np.log(v)) for v, w in ((st.vals0, st.w0), (st.vals1, st.w1), (st.vals2, st.w2))
+    ]
 
-        def profiled(z: float) -> float:
-            a = math.exp(z)
-            t0, t1, t2 = st.exposures(a)
-            val = st.event_count * z + (a - 1.0) * st.log_y_sum
-            for c, t in ((c1, t1), (c2, t2), (c0, t0)):
+    def m_step(counts, alpha):
+        # maximize the attributed-cause objective over shape and rates;
+        # rates profile out exactly, leaving a concave problem in alpha
+        c0, c1, c2 = counts
+
+        def neg_profiled(z: np.ndarray):
+            a = math.exp(z[0])
+            val = st.event_count * z[0] + (a - 1.0) * st.log_y_sum
+            d1 = st.event_count + a * st.log_y_sum
+            d2 = a * st.log_y_sum
+            for c, (vals, w, logs) in zip(counts, tables):
                 if c > 0.0:
+                    with np.errstate(over="ignore", invalid="ignore"):
+                        wv = w * vals**a
+                        t, t_a, t_aa = wv.sum(), wv @ logs, wv @ (logs * logs)
+                    # first and second derivatives of log(t) in z = log(a)
+                    u1 = a * t_a / t
+                    u2 = a * (t_a + a * t_aa) / t - u1 * u1
                     val += c * (math.log(c) - math.log(t)) - c
-            return val
+                    d1 -= c * u1
+                    d2 -= c * u2
+            return -val, np.array([-d1]), np.array([[-d2]])
 
         if st.first_zero is not None:
             a = 1.0
         else:
-            res = minimize_scalar(
-                lambda z: -profiled(z),
-                bounds=(math.log(ALPHA_LO), math.log(ALPHA_HI)),
-                method="bounded",
-                options={"xatol": 1e-8},
-            )
-            a = math.exp(res.x)
+            z0 = np.log([min(max(alpha, ALPHA_LO), ALPHA_HI)])
+            z, _ = _newton_min(neg_profiled, z0)
+            a = min(max(math.exp(z[0]), ALPHA_LO), ALPHA_HI)
         t0, t1, t2 = st.exposures(a)
         return MOBWParams(a, c0 / t0 if c0 > 0 else 0.0, c1 / t1, c2 / t2)
 
@@ -393,7 +368,7 @@ def inner_em_mobw(
         c1 = n_below + n_above * (1.0 - share1)
         c2 = n_above + n_below * (1.0 - share2)
         c0 = n_tie + n_below * share2 + n_above * share1
-        theta = m_step((c1, c2, c0))
+        theta = m_step((c0, c1, c2), theta.alpha)
         cur = complete_loglik(theta, list(sample))
         if trace is not None:
             trace.append(cur)
@@ -407,21 +382,16 @@ def _neg_loglik_in_logs(z: np.ndarray, data: BivariateDataset):
     """Negative log-likelihood, score and Hessian in log-parameters."""
     theta = np.exp(z)
     value, grad, hess = bdw_loglik_derivatives(theta, data)
-    if not (np.isfinite(value) and np.isfinite(grad).all() and np.isfinite(hess).all()):
-        # outside the numerically valid region: the trust region shrinks
-        return np.inf, np.zeros(4), np.zeros((4, 4))
-    grad_z = theta * grad
-    hess_z = np.outer(theta, theta) * hess + np.diag(grad_z)
-    return -value, -grad_z, -hess_z
+    return _in_logs(theta, -value, -grad, -hess)
 
 
 def nested_em(data: BivariateDataset, start: MOBWParams | None = None) -> MLFitReport:
     """Maximum-likelihood fit of the discrete pairs.
 
-    The name is the paper's; the fit is one trust-region Newton solve
-    (``scipy.optimize.minimize(method="trust-exact")``) of the exact
-    observed-data log-likelihood in log-parameters, with the analytic
-    score and Hessian of :func:`bdw_loglik_derivatives`.  It starts from
+    The name is the paper's; the fit is one damped Newton solve
+    (:func:`bdw.univariate._newton_min`) of the exact observed-data
+    log-likelihood in log-parameters, with the analytic score and Hessian
+    of :func:`bdw_loglik_derivatives`.  It starts from
     :func:`init_estimates` (or ``start``), with ``lambda0`` floored at 1e-8
     so its logarithm exists.
 
@@ -430,42 +400,22 @@ def nested_em(data: BivariateDataset, start: MOBWParams | None = None) -> MLFitR
     positive (Self & Liang 1987): ``lambda0`` is then reported as exactly
     zero, with a warning and no confidence intervals.  Otherwise the
     half-widths come from the observed information at the fit, when it is
-    positive definite.  An all-tie sample is rejected.
+    positive definite.  An all-tie sample, and a constant column, are
+    rejected.
     """
-    from scipy.optimize import minimize
-
     data.require_untied_rows()
     theta = init_estimates(data) if start is None else start
     # names the row whose cell has zero probability at a bad start
     bdw_loglik(theta, data)
     z0 = np.log([theta.alpha, max(theta.lambda0, 1e-8), theta.lambda1, theta.lambda2])
-    memo: dict[bytes, tuple] = {}
-
-    def jet(z: np.ndarray) -> tuple:
-        key = z.tobytes()
-        if key not in memo:
-            memo[key] = _neg_loglik_in_logs(z, data)
-        return memo[key]
-
-    res = minimize(
-        lambda z: jet(z)[0],
-        z0,
-        jac=lambda z: jet(z)[1],
-        hess=lambda z: jet(z)[2],
-        method="trust-exact",
-        options={"gtol": 1e-9},
-    )
-    # status 2: the model's predicted gain fell below the float resolution
-    # of the log-likelihood, so the solve converged as far as can be told
-    if res.status not in (0, 2):
-        warnings.warn(f"trust-region solve stopped early: {res.message}")
-    theta = np.exp(res.x)
+    z, neg_loglik = _newton_min(lambda z: _neg_loglik_in_logs(z, data), z0)
+    theta = np.exp(z)
     at_zero = theta.copy()
     at_zero[1] = 0.0
     value0, score0, _ = bdw_loglik_derivatives(at_zero, data)
     # the boundary must also be as likely as the solve's end point, so an
     # interior maximum of a profile that first dips is never replaced
-    at_boundary = score0[1] <= 0.0 and value0 >= -res.fun - 1e-8
+    at_boundary = score0[1] <= 0.0 and value0 >= -neg_loglik - 1e-8
     params = MOBWParams(*(float(v) for v in (at_zero if at_boundary else theta)))
     ci95 = None
     if at_boundary:
@@ -498,7 +448,8 @@ def observed_info_ci(
     positive definite — the quadratic approximation is then untrustworthy
     and profile likelihood is the honest fallback.
     """
-    from scipy.special import ndtri
+    # imported here: statistics costs every command's start-up ~3 ms
+    from statistics import NormalDist
 
     if not 0 < level < 1:
         raise ValueError(f"level must lie in (0, 1), got {level}")
@@ -514,7 +465,7 @@ def observed_info_ci(
             "use profile likelihood for interval estimates"
         ) from None
     cov = np.linalg.inv(info)
-    z = float(ndtri(0.5 + level / 2.0))
+    z = NormalDist().inv_cdf(0.5 + level / 2.0)
     out = {}
     for k, i in enumerate(free):
         se = math.sqrt(cov[k, k])

@@ -5,12 +5,11 @@ absorbed into the last cell (optional, on by default); bivariate fits on
 the observed-support product grid with tail absorption on both axes.
 Adjacent cells with expected count below one are pooled so the usual
 chi-square approximation is not applied to near-empty cells.
-
-scipy is imported inside :func:`chisq_upper_tail`, not at import time.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -40,20 +39,35 @@ def chisq_upper_tail(x: float, df: int) -> float:
     x : float
         Non-negative test statistic.
     df : int
-        Positive degrees of freedom.
+        Positive integer degrees of freedom.
 
     Returns
     -------
     float
-        ``P(X > x)`` via the regularized upper incomplete gamma function.
+        ``P(X > x)`` in closed form.  With ``h = x/2`` and ``m = df // 2``
+        it is ``exp(-h) * sum(h**j / j!, j < m)`` for even ``df``, and
+        ``erfc(sqrt(h)) + exp(-h) * sum(h**(j + 1/2) / Gamma(j + 3/2), j < m)``
+        for odd ``df``.  The terms are summed in log space, so the result
+        keeps its relative accuracy far into the tail.
     """
-    from scipy.special import gammaincc
-
-    if df <= 0:
-        raise ValueError("degrees of freedom must be positive")
+    if df <= 0 or df != int(df):
+        raise ValueError("degrees of freedom must be a positive integer")
     if x < 0:
         raise ValueError("statistic must be non-negative")
-    return float(gammaincc(df / 2.0, x / 2.0))
+    if x == 0:
+        return 1.0
+    h = x / 2.0
+    m, odd = divmod(int(df), 2)
+    lead = math.erfc(math.sqrt(h)) if odd else 0.0
+    if m == 0:
+        return lead
+    logs = [
+        (j + 0.5 * odd) * math.log(h) - h - math.lgamma(j + 1.0 + 0.5 * odd)
+        for j in range(m)
+    ]
+    top = max(logs)
+    tail = math.exp(top) * math.fsum(math.exp(v - top) for v in logs)
+    return min(1.0, lead + tail)
 
 
 @dataclass(frozen=True)

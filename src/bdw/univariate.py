@@ -8,12 +8,15 @@ which is the representation used throughout this package: survival beyond
 With ``alpha = 1`` the law reduces to the geometric distribution with
 success probability ``1 - p``.
 
-scipy is imported inside the two fits that use it, not at import time.
+Both fits run the package's one optimizer, :func:`_newton_min`: damped
+Newton steps in log-parameters on exact derivatives, which the DW
+log-pmf's jet (:func:`_dw_jet`) supplies.
 """
 
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -216,9 +219,9 @@ def _logpmf_arr(y: np.ndarray, alpha: float, lnp: float) -> np.ndarray:
     survival terms nearly cancel (p close to 1).  Cells whose mass underflows
     to zero come back as -inf.
     """
-    t1 = np.where(y > 0, np.power(y, alpha), 0.0)
-    t2 = np.power(y + 1.0, alpha)
     with np.errstate(invalid="ignore", over="ignore"):
+        t1 = np.where(y > 0, np.power(y, alpha), 0.0)
+        t2 = np.power(y + 1.0, alpha)
         d = (t2 - t1) * lnp
         out = t1 * lnp + np.log1p(-np.exp(d))
     out = np.where(np.isfinite(t1), out, -np.inf)
@@ -236,15 +239,168 @@ def _dataset_1d(data) -> np.ndarray:
     return xs.astype(float)
 
 
+
+
+@dataclass(frozen=True)
+class _Jet:
+    """Per-cell values with gradients and Hessians in a parameter vector
+    ``theta = (alpha, rate, ...)``: the shape first, then any number of rates."""
+
+    v: np.ndarray
+    g: np.ndarray
+    h: np.ndarray
+
+    def __add__(self, other: "_Jet") -> "_Jet":
+        return _Jet(self.v + other.v, self.g + other.g, self.h + other.h)
+
+    def __sub__(self, other: "_Jet") -> "_Jet":
+        return _Jet(self.v - other.v, self.g - other.g, self.h - other.h)
+
+
+def _power_jet(y: np.ndarray, theta: np.ndarray, rates: tuple) -> _Jet:
+    """Jet of ``-r * y**alpha``, where ``r`` sums the rates flagged in ``rates``."""
+    m = np.array([0.0, *rates])
+    shape = np.zeros(m.size)
+    shape[0] = 1.0
+    r = float(m @ theta)
+    ly = np.log(np.where(y > 0, y, 1.0))
+    t = y ** theta[0]
+    t_a = t * ly
+    t_aa = t_a * ly
+    cross = np.outer(shape, m) + np.outer(m, shape)
+    return _Jet(
+        -r * t,
+        -(r * t_a)[:, None] * shape - t[:, None] * m,
+        -(r * t_aa)[:, None, None] * np.outer(shape, shape) - t_a[:, None, None] * cross,
+    )
+
+
+def _log1mexp_jet(u: _Jet) -> _Jet:
+    """Jet of ``log(1 - exp(-u))``: its first derivative in ``u`` is
+    ``g1 = 1/expm1(u)`` and its second ``-(g1 + g1**2)``."""
+    g1 = 1.0 / np.expm1(u.v)
+    g2 = -(g1 + g1 * g1)
+    return _Jet(
+        np.log(-np.expm1(-u.v)),
+        g1[:, None] * u.g,
+        g2[:, None, None] * (u.g[:, :, None] * u.g[:, None, :]) + g1[:, None, None] * u.h,
+    )
+
+
+def _dw_jet(y: np.ndarray, theta: np.ndarray, rates: tuple) -> _Jet:
+    """Jet of the DW log-pmf at ``y`` with survival base ``exp(-r)``."""
+    here = _power_jet(y, theta, rates)
+    return here + _log1mexp_jet(here - _power_jet(y + 1.0, theta, rates))
+
+
+def _in_logs(theta: np.ndarray, value: float, grad: np.ndarray, hess: np.ndarray):
+    """Value, gradient and Hessian carried from ``theta`` to ``z = log(theta)``;
+    non-finite entries pass through silently."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        grad_z = theta * grad
+        return value, grad_z, np.outer(theta, theta) * hess + np.diag(grad_z)
+
+
+# longest step of the Newton solver, in log-parameters: at most a factor
+# e**2 per parameter, so exp(z) cannot overflow between two evaluations
+_MAX_STEP = 2.0
+# well-posed fits take 3-20 steps; the cap ends a descent towards an
+# infimum at infinity, as on a sample that no DW law fits best
+_MAX_ITER = 200
+_EPS = np.finfo(float).eps
+
+
+def _newton_min(fun, z0: np.ndarray) -> tuple[np.ndarray, float]:
+    """Minimize ``fun`` from ``z0`` by damped Newton steps; return the point and value.
+
+    ``fun(z)`` returns the value, gradient and Hessian; a non-finite one
+    marks ``z`` as outside the domain.  Each step solves ``(H + mu*I) s =
+    -g`` on the eigen-decomposition of ``H``, with ``mu`` raised where
+    needed so the system is positive definite, and its length is capped at
+    ``_MAX_STEP``.  A step is taken only when the value falls, or, within
+    the float resolution of the value, when the gradient shrinks;
+    otherwise ``mu`` grows and the step shortens.  The solve ends after
+    the first step whose predicted or attained decrease is below that
+    resolution, such as a crawl towards a rate of zero.
+    """
+    def finite(*parts) -> bool:
+        return all(bool(np.isfinite(part).all()) for part in parts)
+
+    z = np.asarray(z0, dtype=float)
+    f, g, h = fun(z)
+    if not finite(f, g, h):
+        raise ValueError("the objective is not finite at the start point")
+    mu = 0.0
+    for _ in range(_MAX_ITER):
+        w, vecs = np.linalg.eigh(h)
+        scale = max(float(np.abs(w).max()), 1e-300)
+        lowest = float(w.min())
+        shift = mu if lowest > 0.0 else mu + 1e-10 * scale - lowest
+        gv = vecs.T @ g
+        sv = -gv / (w + shift)
+        length = float(np.linalg.norm(sv))
+        if length > _MAX_STEP:
+            sv *= _MAX_STEP / length
+        predicted = -float(gv @ sv + 0.5 * (w * sv) @ sv)
+        resolution = 4.0 * _EPS * max(abs(f), 1.0)
+        z_new = z + vecs @ sv
+        f_new, g_new, h_new = fun(z_new)
+        if finite(f_new, g_new, h_new) and (
+            f_new < f
+            or (f_new <= f + resolution and np.linalg.norm(g_new) < np.linalg.norm(g))
+        ):
+            gain = f - f_new
+            z, f, g, h = z_new, f_new, g_new, h_new
+            mu = mu / 4.0 if mu > 1e-12 * scale else 0.0
+        elif predicted > resolution:
+            mu = max(4.0 * shift, 1e-4 * scale)
+            continue
+        else:
+            gain = 0.0
+        if min(predicted, gain) <= resolution:
+            return z, float(f)
+    warnings.warn(f"Newton solve stopped after {_MAX_ITER} steps")
+    return z, float(f)
+
+
+def _pearson(counts: np.ndarray, expected: np.ndarray) -> np.ndarray:
+    """Pearson statistic over the last axis; ``inf`` where a cell expects nothing."""
+    stat = np.sum((counts - expected) ** 2 / expected, axis=-1)
+    return np.where(np.all(expected > 0, axis=-1), stat, np.inf)
+
+
+def _neg_loglik_jet(z: np.ndarray, values: np.ndarray, counts: np.ndarray):
+    """Negative DW log-likelihood of ``counts`` at ``values``, with its
+    gradient and Hessian, in ``z = (log alpha, log(-log p))``."""
+    theta = np.exp(z)
+    with np.errstate(all="ignore"):
+        jet = _dw_jet(values, theta, (1,))
+        hess = np.tensordot(counts, jet.h, axes=1)
+        return _in_logs(theta, -float(counts @ jet.v), -(counts @ jet.g), -hess)
+
+
+def _pearson_jet(z: np.ndarray, values: np.ndarray, counts: np.ndarray, n: int):
+    """Pearson statistic of ``counts`` against ``n`` times the DW pmf, with
+    its gradient ``sum((e - o**2/e) * dl)`` and Hessian, in the
+    coordinates of :func:`_neg_loglik_jet`; ``l`` is a cell's log-pmf."""
+    theta = np.exp(z)
+    with np.errstate(all="ignore"):
+        jet = _dw_jet(values, theta, (1,))
+        e = n * np.exp(jet.v)
+        q = counts * counts / e
+        grad = (e - q) @ jet.g
+        hess = np.einsum("k,ki,kj->ij", e + q, jet.g, jet.g)
+        hess += np.tensordot(e - q, jet.h, axes=1)
+        return _in_logs(theta, float(_pearson(counts, e)), grad, hess)
+
+
 def dw_fit_ml(data: Sequence[int]) -> DWFit:
     """Maximum-likelihood fit of a DW law to a sample of counts.
 
-    The shape is profiled: for each candidate ``alpha`` the likelihood is
-    maximised over ``p`` on the logit scale, and the profiled objective is
-    then maximised over ``log(alpha)`` on [log(0.01), log(100)].  Both
-    one-dimensional searches are derivative-free bracketing to 1e-8 in the
-    argument, with a coarse pre-scan so a secondary bump cannot capture the
-    refinement.
+    The likelihood is evaluated at once on a grid over shape in
+    [0.01, 100] and ``logit(p)`` in [-35, 35], and :func:`_newton_min`
+    refines the best grid point in ``(log alpha, log(-log p))`` with the
+    exact score and Hessian.
 
     Returns
     -------
@@ -257,40 +413,15 @@ def dw_fit_ml(data: Sequence[int]) -> DWFit:
         On an empty sample, or when all observations are equal (the
         likelihood then degenerates towards a boundary point mass).
     """
-    from scipy.optimize import minimize_scalar
-    from scipy.special import expit
-
-    xs = _dataset_1d(data)
-    values, counts = np.unique(xs, return_counts=True)
-    if values.size < 2:
-        raise ValueError(
-            "all observations are equal; the fit degenerates to a boundary point mass"
-        )
-    wts = counts.astype(float)
-
-    def profile(ln_alpha: float) -> tuple[float, float]:
-        alpha = math.exp(ln_alpha)
-
-        def negll(z: float) -> float:
-            lnp = -np.logaddexp(0.0, -z)  # log of the logistic function, exactly
-            return -float(wts @ _logpmf_arr(values, alpha, lnp))
-
-        res = minimize_scalar(
-            negll, bounds=(-35.0, 35.0), method="bounded", options={"xatol": 1e-8}
-        )
-        return -res.fun, float(expit(res.x))
-
-    grid = np.linspace(math.log(ALPHA_LO), math.log(ALPHA_HI), 61)
-    vals = [profile(g)[0] for g in grid]
-    i = int(np.argmax(vals))
-    lo = grid[max(i - 1, 0)]
-    hi = grid[min(i + 1, grid.size - 1)]
-    res = minimize_scalar(
-        lambda g: -profile(g)[0], bounds=(lo, hi), method="bounded", options={"xatol": 1e-8}
+    values, counts, _ = _distinct_values(data)
+    start = _grid_start(
+        lambda logpmf: -(logpmf @ counts),
+        values,
+        np.linspace(math.log(ALPHA_LO), math.log(ALPHA_HI), 61),
+        np.linspace(-35.0, 35.0, 71),
     )
-    ln_alpha = float(res.x)
-    loglik, p = profile(ln_alpha)
-    return DWFit(DWParams(math.exp(ln_alpha), p), loglik)
+    z, value = _newton_min(lambda z: _neg_loglik_jet(z, values, counts), start)
+    return DWFit(_dw_params(z), -value)
 
 
 class DWChisqFit(NamedTuple):
@@ -312,43 +443,49 @@ def dw_fit_minchisq(data: Sequence[int]) -> DWChisqFit:
     reproducible only under this criterion, while likelihood comparisons
     need :func:`dw_fit_ml`.
 
+    The statistic is evaluated at once on a 25 x 25 grid over shape in
+    [0.01, 100] and ``logit(p)`` in [-6, 6], and :func:`_newton_min`
+    refines the best grid point with its exact gradient and Hessian.
+
     Returns
     -------
     DWChisqFit
         Fitted parameters and the attained (minimized) chi-square.
     """
-    from scipy.optimize import minimize
-    from scipy.special import expit
+    values, counts, n = _distinct_values(data)
+    start = _grid_start(
+        lambda logpmf: _pearson(counts, n * np.exp(logpmf)),
+        values,
+        np.linspace(math.log(ALPHA_LO), math.log(ALPHA_HI), 25),
+        np.linspace(-6.0, 6.0, 25),
+    )
+    z, value = _newton_min(lambda z: _pearson_jet(z, values, counts, n), start)
+    return DWChisqFit(_dw_params(z), value)
 
+
+def _distinct_values(data) -> tuple[np.ndarray, np.ndarray, int]:
+    """Distinct values of a count sample, their multiplicities and the sample size."""
     xs = _dataset_1d(data)
     values, counts = np.unique(xs, return_counts=True)
     if values.size < 2:
         raise ValueError(
             "all observations are equal; the fit degenerates to a boundary point mass"
         )
-    n = xs.size
-    wts = counts.astype(float)
+    return values, counts.astype(float), xs.size
 
-    def pearson(z: np.ndarray) -> float:
-        alpha = math.exp(z[0])
-        lnp = -np.logaddexp(0.0, -z[1])
-        expected = n * np.exp(_logpmf_arr(values, alpha, lnp))
-        if not np.all(expected > 0):
-            return math.inf
-        with np.errstate(over="ignore"):
-            out = float(np.sum((wts - expected) ** 2 / expected))
-        return out
 
-    la = np.linspace(math.log(ALPHA_LO), math.log(ALPHA_HI), 25)
-    lp = np.linspace(-6.0, 6.0, 25)
-    grid = [(a, b) for a in la for b in lp]
-    z0 = min(grid, key=lambda z: pearson(np.asarray(z)))
-    res = minimize(
-        pearson,
-        np.asarray(z0),
-        method="Nelder-Mead",
-        options={"xatol": 1e-12, "fatol": 1e-14, "maxiter": 4000},
-    )
-    alpha = math.exp(res.x[0])
-    p = float(expit(res.x[1]))
-    return DWChisqFit(DWParams(alpha, p), float(res.fun))
+def _grid_start(objective, values: np.ndarray, log_alpha: np.ndarray, logit_p: np.ndarray) -> np.ndarray:
+    """``(log alpha, log(-log p))`` of the grid point where ``objective``, a
+    function of the log-pmf table over ``values``, is least (the first in
+    row-major order on ties)."""
+    lnp = -np.logaddexp(0.0, -logit_p)
+    with np.errstate(all="ignore"):
+        table = _logpmf_arr(values, np.exp(log_alpha)[:, None, None], lnp[None, :, None])
+        obj = objective(table)
+    i, j = np.unravel_index(int(np.argmin(obj)), obj.shape)
+    return np.array([log_alpha[i], math.log(-lnp[j])])
+
+
+def _dw_params(z: np.ndarray) -> DWParams:
+    """The DW law at ``z = (log alpha, log(-log p))``."""
+    return DWParams(math.exp(z[0]), math.exp(-math.exp(z[1])))

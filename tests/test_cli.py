@@ -480,24 +480,39 @@ class TestFailurePaths:
 
 
 # Run in a fresh interpreter, since this test module imports scipy itself:
-# runs each command through ``bdw.cli.main``, then prints the scipy modules
-# loaded by then.
+# runs each command through ``bdw.cli.main``, imports the given modules,
+# then prints the scipy modules loaded by then.
 _STARTUP_PROBE = """
-import json, sys
+import importlib, json, sys
 import bdw, bdw.cli
-out, commands = sys.argv[1], json.loads(sys.argv[2])
+out, commands, imports = sys.argv[1], json.loads(sys.argv[2]), json.loads(sys.argv[3])
 for i, argv in enumerate(commands):
     assert bdw.cli.main([*argv, "--output", f"{out}/{i}.out"]) == 0, argv
+for name in imports:
+    importlib.import_module(name)
 print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
 """
 
+# every command: none of them needs scipy
+ALL_COMMANDS = [
+    ["fit-ml", "--dataset", "football"],
+    ["gof", "--dataset", "football", "--column", "joint"],
+    ["fit-dw", "--dataset", "nasal", "--column", "min"],
+    ["fit-bayes", "--dataset", "football", "-M", "100", "-N", "1", "--seed", "1"],
+    ["simulate", "--alpha", "1.5", "--p0", "0.9", "--p1", "0.7", "--p2", "0.75",
+     "--n", "20", "--seed", "1"],
+    ["pmf-table", "--alpha", "1.5", "--p0", "0.9", "--p1", "0.7", "--p2", "0.75"],
+    ["moments", "--alpha", "1.5", "--p0", "0.9", "--p1", "0.7", "--p2", "0.75"],
+]
 
-def _scipy_modules_after(tmp_path, commands):
+
+def _scipy_modules_after(tmp_path, commands, imports=()):
     src = str(pathlib.Path(bdw.__file__).resolve().parents[1])
     path = [src, os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [src]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
     proc = subprocess.run(
-        [sys.executable, "-c", _STARTUP_PROBE, str(tmp_path), json.dumps(commands)],
+        [sys.executable, "-c", _STARTUP_PROBE, str(tmp_path), json.dumps(commands),
+         json.dumps(list(imports))],
         capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 0, proc.stderr
@@ -508,15 +523,9 @@ def _scipy_modules_after(tmp_path, commands):
 
 class TestStartup:
     def test_model_commands_do_not_load_scipy(self, tmp_path):
-        law = ["--alpha", "1.5", "--p0", "0.9", "--p1", "0.7", "--p2", "0.75"]
-        commands = [
-            ["simulate", *law, "--n", "20", "--seed", "1"],
-            ["pmf-table", *law],
-            ["moments", *law],
-        ]
-        assert _scipy_modules_after(tmp_path, commands) == set()
+        assert _scipy_modules_after(tmp_path, ALL_COMMANDS) == set()
 
-    def test_fit_loads_scipy(self, tmp_path):
-        # the control: the probe does see scipy once a fit needs it
-        loaded = _scipy_modules_after(tmp_path, [["fit-ml", "--dataset", "football"]])
-        assert "scipy.optimize" in loaded
+    def test_probe_sees_scipy(self, tmp_path):
+        # the control: the probe does see scipy once something imports it
+        loaded = _scipy_modules_after(tmp_path, ALL_COMMANDS[:1], ["scipy.special"])
+        assert "scipy.special" in loaded

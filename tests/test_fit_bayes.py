@@ -571,8 +571,14 @@ class TestAugmentedGibbs:
 
     def test_pinned_means(self, football):
         # recorded before the sweeps read a per-round summary; the draws
-        # must not move
-        res = augmented_gibbs(football, M=200, N=2, rng=np.random.default_rng(7))
+        # must not move.  The start is the marginal one those draws had,
+        # so the pin is on the sweeps, not on the start's optimizer
+        start = MOBWParams(
+            2.04903512410653, 0.039429474284680244, 0.23269437942340682, 0.11091248359997838
+        )
+        res = augmented_gibbs(
+            football, M=200, N=2, start=start, rng=np.random.default_rng(7)
+        )
         want = {
             "alpha": 3.3007470472206824,
             "lambda0": 2.9636108443633135e-08,
@@ -581,6 +587,28 @@ class TestAugmentedGibbs:
         }
         for name, value in want.items():
             assert res.means[name] == pytest.approx(value, rel=1e-12), name
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_wide_support_law(self, seed):
+        # the marginal start must carry the data's shape 1.2: a start at
+        # shape one imputes near-zero lifetimes, and the shape draws then
+        # collapse below one
+        law = bivariate.BDWParams(1.2, 0.97, 0.95, 0.96)
+        pairs = bivariate.sample(law, np.random.default_rng(seed), 1000)
+        res = augmented_gibbs(
+            BivariateDataset.from_pairs(pairs), M=200, N=2, rng=np.random.default_rng(0)
+        )
+        assert np.isfinite(res.draws).all()
+        assert res.means["alpha"] > 1.0
+        assert 0.015 < res.means["lambda0"] < 0.06
+
+    @pytest.mark.parametrize(
+        "pairs, value",
+        [(((0, 1), (0, 2), (0, 3), (0, 1), (0, 0)), 0), (((2, 1), (2, 3), (2, 2), (2, 5)), 2)],
+    )
+    def test_constant_column_is_named(self, pairs, value):
+        with pytest.raises(ValueError, match=rf"^column x1 is constant \(every value is {value}\)"):
+            augmented_gibbs(BivariateDataset(pairs), M=200, N=2, rng=np.random.default_rng(0))
 
     @pytest.mark.filterwarnings("ignore:inconsistent marginal fits")
     @pytest.mark.parametrize("seed", range(5))

@@ -1,3 +1,4 @@
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy import stats
@@ -21,6 +22,16 @@ class TestUpperTail:
                     stats.chi2.sf(x, df), abs=1e-8
                 )
 
+    @pytest.mark.parametrize("df", [1, 2, 3, 10, 101, 417, 999, 2000])
+    def test_matches_mpmath_far_into_tail(self, df):
+        # x >> df reaches tails of 1e-27 and below, where a series summed
+        # in linear space underflows to 0
+        xs = [1e-6, 0.5, 3.0, df / 2, df - 0.5, df, df + 1.0, 2.0 * df, 4.0 * df + 40.0, 1562.6]
+        with mp.workdps(40):
+            for x in xs:
+                want = mp.gammainc(mp.mpf(df) / 2, mp.mpf(x) / 2, mp.inf, regularized=True)
+                assert chisq_upper_tail(x, df) == pytest.approx(float(want), rel=1e-10), x
+
     def test_boundaries_and_monotonicity(self):
         assert chisq_upper_tail(0.0, 4) == 1.0
         xs = np.linspace(0, 30, 100)
@@ -32,6 +43,11 @@ class TestUpperTail:
             chisq_upper_tail(-0.1, 3)
         with pytest.raises(ValueError):
             chisq_upper_tail(1.0, 0)
+
+    def test_integer_degrees_only(self):
+        # the closed form holds for whole degrees of freedom alone
+        with pytest.raises(ValueError, match="positive integer"):
+            chisq_upper_tail(1.0, 2.5)
 
 
 class TestUnivariate:

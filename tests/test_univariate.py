@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import integrate, stats
 
+from bdw import bivariate, univariate
 from bdw.univariate import (
     ALPHA_HI,
     ALPHA_LO,
@@ -22,6 +23,17 @@ from bdw.univariate import (
     we_pdf,
     we_sample,
 )
+
+# a wide-support law with shape 1.2: its marginal fits must leave shape one
+WIDE = bivariate.BDWParams(1.2, 0.97, 0.95, 0.96)
+
+
+def _pearson_by_pmf(xs, z):
+    """Pearson statistic on the observed support at ``(log alpha, log(-log p))``."""
+    values, counts = np.unique(xs, return_counts=True)
+    params = DWParams(math.exp(z[0]), math.exp(-math.exp(z[1])))
+    expected = xs.size * np.array([dw_pmf(params, int(v)) for v in values])
+    return float(np.sum((counts - expected) ** 2 / expected))
 
 
 class TestContinuousWeibull:
@@ -224,3 +236,84 @@ class TestDWFitting:
 
     def test_search_box_spans_real_data(self):
         assert ALPHA_LO <= 0.1 and ALPHA_HI >= 10.0
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("column", ["x1", "min"])
+    def test_min_chisq_moves_the_shape(self, seed, column):
+        pairs = bivariate.sample(WIDE, np.random.default_rng(seed), 1000)
+        xs = pairs[:, 0] if column == "x1" else pairs.min(axis=1)
+        fit = dw_fit_minchisq(xs)
+        assert abs(fit.params.alpha - 1.0) > 0.05
+        z = np.array([math.log(fit.params.alpha), math.log(-math.log(fit.params.p))])
+        assert _pearson_by_pmf(xs, z) == pytest.approx(fit.chisq, rel=1e-12)
+        # a stationary point: central differences of the statistic vanish
+        h = 1e-5
+        grad = [
+            (_pearson_by_pmf(xs, z + h * e) - _pearson_by_pmf(xs, z - h * e)) / (2 * h)
+            for e in np.eye(2)
+        ]
+        assert np.linalg.norm(grad) <= 1e-6 * fit.chisq
+
+
+class TestFitObjectives:
+    # the objectives the DW fits hand to the Newton solver, in
+    # (log alpha, log(-log p)): values from the pmf, derivatives against
+    # central differences of the objective itself
+    VALUES = np.array([0.0, 1.0, 2.0, 4.0, 7.0])
+    COUNTS = np.array([5.0, 9.0, 6.0, 3.0, 1.0])
+
+    def objective(self, kind, z):
+        z = np.asarray(z, dtype=float)
+        if kind == "loglik":
+            return univariate._neg_loglik_jet(z, self.VALUES, self.COUNTS)
+        return univariate._pearson_jet(z, self.VALUES, self.COUNTS, int(self.COUNTS.sum()))
+
+    @pytest.mark.parametrize("z", [(0.3, -1.0), (-0.7, 0.5), (0.9, -2.0), (0.0, -0.3)])
+    @pytest.mark.parametrize("kind", ["loglik", "pearson"])
+    def test_derivatives_match_central_differences(self, kind, z):
+        value, grad, hess = self.objective(kind, z)
+        if kind == "loglik":
+            params = DWParams(math.exp(z[0]), math.exp(-math.exp(z[1])))
+            want = -sum(c * dw_logpmf(params, int(v)) for v, c in zip(self.VALUES, self.COUNTS))
+        else:
+            want = _pearson_by_pmf(np.repeat(self.VALUES, self.COUNTS.astype(int)), z)
+        assert value == pytest.approx(want, rel=1e-12)
+        h = 1e-5
+        steps = [h * e for e in np.eye(2)]
+        num_grad = [
+            (self.objective(kind, z + s)[0] - self.objective(kind, z - s)[0]) / (2 * h)
+            for s in steps
+        ]
+        num_hess = [
+            (self.objective(kind, z + s)[1] - self.objective(kind, z - s)[1]) / (2 * h)
+            for s in steps
+        ]
+        scale = np.abs(grad).max() + np.abs(hess).max()
+        np.testing.assert_allclose(grad, num_grad, rtol=1e-7, atol=1e-9 * scale)
+        np.testing.assert_allclose(hess, num_hess, rtol=1e-6, atol=1e-8 * scale)
+
+
+class TestNewtonSolver:
+    @staticmethod
+    def rosenbrock(z):
+        x, y = z
+        value = 100.0 * (y - x * x) ** 2 + (1.0 - x) ** 2
+        grad = np.array([-400.0 * x * (y - x * x) - 2.0 * (1.0 - x), 200.0 * (y - x * x)])
+        hess = np.array([[1200.0 * x * x - 400.0 * y + 2.0, -400.0 * x], [-400.0 * x, 200.0]])
+        return value, grad, hess
+
+    def test_descends_from_an_indefinite_start(self):
+        # the Hessian at the start has a negative eigenvalue: the shifted
+        # system must still give descent steps
+        start = np.array([0.0, 1.0])
+        assert np.linalg.eigvalsh(self.rosenbrock(start)[2]).min() < 0
+        z, value = univariate._newton_min(self.rosenbrock, start)
+        np.testing.assert_allclose(z, [1.0, 1.0], rtol=1e-9)
+        assert value <= 1e-20
+
+    def test_start_outside_the_domain_is_refused(self):
+        def fun(z):
+            return math.inf, np.zeros(1), np.zeros((1, 1))
+
+        with pytest.raises(ValueError, match="not finite at the start"):
+            univariate._newton_min(fun, np.zeros(1))
