@@ -142,45 +142,73 @@ def joint_sf(params: BDWParams, x1: float, x2: float) -> float:
     )
 
 
-def _log_joint_pmf_arr(params: BDWParams, x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
-    """Log joint pmf on arrays of integer-valued floats (no validation)."""
-    a = params.alpha
-    lnp0 = math.log(params.p0)
-    lnp1 = math.log(params.p1)
-    lnp2 = math.log(params.p2)
-    out = np.empty(np.broadcast(x1, x2).shape)
-    x1, x2 = np.broadcast_arrays(x1, x2)
-
+def _partition(x1: np.ndarray, x2: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Masks of the cells below (``x1 < x2``), above and on the diagonal."""
     below = x1 < x2
     above = x1 > x2
-    diag = ~(below | above)
+    return below, above, ~(below | above)
 
-    if np.any(below):
-        out[below] = _logpmf_arr(x1[below], a, lnp1) + _logpmf_arr(x2[below], a, lnp0 + lnp2)
-    if np.any(above):
-        out[above] = _logpmf_arr(x1[above], a, lnp0 + lnp1) + _logpmf_arr(x2[above], a, lnp2)
-    if np.any(diag):
-        x = x1[diag]
-        if params.p0 == 1.0:
-            # independence: the diagonal has no shared-shock atom
-            out[diag] = _logpmf_arr(x, a, lnp1) + _logpmf_arr(x, a, lnp2)
-        else:
-            t1 = np.where(x > 0, np.power(x, a), 0.0)
-            t2 = np.power(x + 1.0, a)
-            # difference of two positive terms, kept in log space: the
-            # leading term dominates for every valid parameter point
-            lead = t1 * lnp1 + _logpmf_arr(x, a, lnp0 + lnp2)
-            trail = t2 * (lnp0 + lnp1) + _logpmf_arr(x, a, lnp2)
-            with np.errstate(invalid="ignore"):
-                d = np.where(trail < lead, np.log1p(-np.exp(trail - lead)), -np.inf)
-            out[diag] = np.where(np.isfinite(t1), lead + d, -np.inf)
+
+def _fill_log_joint_pmf(out, x1, x2, parts, dw, power, log1mexp):
+    """Fill ``out`` with the joint log-pmf at the cells ``(x1, x2)``, part by part.
+
+    ``parts`` holds the masks of :func:`_partition`.  The three primitives
+    take a rate ``r`` as flags over ``(lambda0, lambda1, lambda2)``:
+    ``dw(y, rates)`` is the DW log-pmf at ``y`` with survival base
+    ``exp(-r)``, ``power(y, rates)`` is ``-r * y**alpha``, and
+    ``log1mexp(u)`` is ``log(1 - exp(-u))``.  Values and derivatives pass
+    their own primitives and share this split.
+    """
+    r1, r2 = (0, 1, 0), (0, 0, 1)
+    r01, r02 = (1, 1, 0), (1, 0, 1)
+    below, above, ties = parts
+    if below.any():
+        out[below] = dw(x1[below], r1) + dw(x2[below], r02)
+    if above.any():
+        out[above] = dw(x1[above], r01) + dw(x2[above], r2)
+    if ties.any():
+        x = x1[ties]
+        # the tie's mass is exp(lead) - exp(trail), the shared shock's atom,
+        # kept in log space: the leading term dominates at every valid point
+        lead = power(x, r1) + dw(x, r02)
+        trail = power(x + 1.0, r01) + dw(x, r2)
+        out[ties] = lead + log1mexp(lead - trail)
     return out
+
+
+def _log_joint_pmf_arr(params: BDWParams, x1: np.ndarray, x2: np.ndarray, parts) -> np.ndarray:
+    """Log joint pmf at the cells ``(x1, x2)``, arrays of one shape of
+    integer-valued floats split by ``parts`` (no validation)."""
+    a = params.alpha
+    lnp0, lnp1, lnp2 = math.log(params.p0), math.log(params.p1), math.log(params.p2)
+
+    def log_base(rates):
+        return lnp0 * rates[0] + lnp1 * rates[1] + lnp2 * rates[2]
+
+    def dw(y, rates):
+        return _logpmf_arr(y, a, log_base(rates))
+
+    def power(y, rates):
+        return np.where(y > 0, np.power(y, a), 0.0) * log_base(rates)
+
+    def log1mexp(u):
+        with np.errstate(invalid="ignore"):
+            return np.where(u > 0, np.log1p(-np.exp(-u)), -np.inf)
+
+    if params.p0 == 1.0:
+        # independence: a tie has no shared-shock atom, and the product the
+        # cells above take is then the product of the marginals; it avoids
+        # the atom's difference of two nearly equal terms
+        below, above, ties = parts
+        parts = (below, above | ties, np.zeros_like(ties))
+    return _fill_log_joint_pmf(np.empty(x1.shape), x1, x2, parts, dw, power, log1mexp)
 
 
 def joint_logpmf(params: BDWParams, x1: int, x2: int) -> float:
     """Natural log of the joint mass at an integer pair."""
     i, j = _check_cell(x1, x2)
-    return float(_log_joint_pmf_arr(params, np.asarray([float(i)]), np.asarray([float(j)]))[0])
+    g1, g2 = np.asarray([float(i)]), np.asarray([float(j)])
+    return float(_log_joint_pmf_arr(params, g1, g2, _partition(g1, g2))[0])
 
 
 def joint_pmf(params: BDWParams, x1: int, x2: int) -> float:
@@ -215,9 +243,10 @@ def joint_pmf_grid(params: BDWParams, k1: int, k2: int) -> np.ndarray:
     """
     if k1 < 0 or k2 < 0:
         raise ValueError("grid bounds must be non-negative")
-    g1 = np.arange(k1 + 1, dtype=float)[:, None]
-    g2 = np.arange(k2 + 1, dtype=float)[None, :]
-    return np.exp(_log_joint_pmf_arr(params, g1, g2))
+    g1, g2 = np.broadcast_arrays(
+        np.arange(k1 + 1, dtype=float)[:, None], np.arange(k2 + 1, dtype=float)[None, :]
+    )
+    return np.exp(_log_joint_pmf_arr(params, g1, g2, _partition(g1, g2)))
 
 
 def marginals(params: BDWParams) -> tuple[DWParams, DWParams]:

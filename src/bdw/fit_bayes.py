@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .fit_ml import PARAM_NAMES, BivariateDataset, impute_dataset, init_estimates
+from .fit_ml import PARAM_NAMES, BivariateDataset, _identified_start, impute_dataset
 from .mobw import CompleteObservation, MOBWParams, SampleSummary, summarize
 
 __all__ = [
@@ -323,8 +323,9 @@ def augmented_gibbs(
     rounds the last round's draws are returned; their means are the point
     estimates.  Each round's imputation is summarized once, before its
     sweeps; an imputed zero lifetime, which the shape's full conditional
-    cannot accommodate, is reported with its data row.  An all-tie sample
-    is rejected.
+    cannot accommodate, is reported with its data row.  A sample that does
+    not identify every rate is refused as :func:`bdw.fit_ml.nested_em`
+    refuses it.
     """
     if M < 100:
         raise ValueError("M must be at least 100")
@@ -335,8 +336,7 @@ def augmented_gibbs(
     prior = DGPrior() if prior is None else prior
     alpha_prior = AlphaPrior() if alpha_prior is None else alpha_prior
     rng = np.random.default_rng() if rng is None else rng
-    data.require_untied_rows()
-    theta = init_estimates(data) if start is None else start
+    theta = _identified_start(data, start)
     drop = int(M * burn_in)
     draws = np.empty((M, 4))
     for _ in range(N):

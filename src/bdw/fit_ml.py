@@ -35,6 +35,7 @@ from .univariate import (
     _log1mexp_jet,
     _newton_min,
     _power_jet,
+    _survival_base,
     dw_fit_minchisq,
 )
 
@@ -64,8 +65,9 @@ class BivariateDataset:
     The compression to distinct cells drives everything downstream: all
     likelihood and imputation work is done once per distinct cell and
     weighted by its count, which also makes every estimate invariant to row
-    order.  The below-diagonal, above-diagonal and tie row counts are read
-    off the cells.
+    order.  The cells are split once into the three parts of the joint
+    log-pmf (:attr:`partition`), and the below-diagonal, above-diagonal
+    and tie row counts are read off that split.
     """
 
     pairs: tuple[tuple[int, int], ...]
@@ -94,20 +96,17 @@ class BivariateDataset:
     @property
     def n_below(self) -> int:
         """Rows with x1 < x2."""
-        x1, x2, w = self.cell_arrays
-        return int(w[x1 < x2].sum())
+        return int(self.cell_arrays[2][self.partition[0]].sum())
 
     @property
     def n_above(self) -> int:
         """Rows with x1 > x2."""
-        x1, x2, w = self.cell_arrays
-        return int(w[x1 > x2].sum())
+        return int(self.cell_arrays[2][self.partition[1]].sum())
 
     @property
     def n_ties(self) -> int:
         """Rows with x1 = x2."""
-        x1, x2, w = self.cell_arrays
-        return int(w[x1 == x2].sum())
+        return int(self.cell_arrays[2][self.partition[2]].sum())
 
     @cached_property
     def cells(self) -> tuple[tuple[tuple[int, int], int, int], ...]:
@@ -124,6 +123,15 @@ class BivariateDataset:
         cols = np.array([(c[0], c[1], k) for c, k, _ in self.cells], dtype=float)
         cols.flags.writeable = False
         return cols[:, 0], cols[:, 1], cols[:, 2]
+
+    @cached_property
+    def partition(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Masks over :attr:`cells` of the cells below the diagonal, above it
+        and on it: the three parts of the joint log-pmf."""
+        masks = bivariate._partition(*self.cell_arrays[:2])
+        for mask in masks:
+            mask.flags.writeable = False
+        return masks
 
     def column(self, which: str) -> np.ndarray:
         """One of the three univariate views: ``x1``, ``x2`` or ``min``."""
@@ -142,6 +150,18 @@ class BivariateDataset:
         identifiable."""
         if self.n_ties == self.n:
             raise ValueError(_ALL_TIES)
+
+    def require_both_orders(self) -> None:
+        """Raise unless each coordinate is the strictly smaller one in some
+        row.  Only a row with ``x1 < x2`` shows the first coordinate's own
+        component failing first: without one, ``lambda1`` has no evidence
+        and the fit drives it to zero.  Likewise ``lambda2`` and ``x1 > x2``."""
+        below, above, _ = self.partition
+        for rate, order, mask in (("lambda1", "x1 < x2", below), ("lambda2", "x1 > x2", above)):
+            if not mask.any():
+                raise ValueError(
+                    f"no row has {order}: the coordinate rate {rate} is not identifiable"
+                )
 
     def swapped(self) -> "BivariateDataset":
         """The same rows with the coordinates exchanged."""
@@ -178,34 +198,12 @@ def bdw_loglik(theta: MOBWParams, data: BivariateDataset) -> float:
     """
     params = bivariate.from_mobw(theta)
     x1, x2, w = data.cell_arrays
-    lp = bivariate._log_joint_pmf_arr(params, x1, x2)
+    lp = bivariate._log_joint_pmf_arr(params, x1, x2, data.partition)
     bad = ~np.isfinite(lp)
     if np.any(bad):
         cell, _, row = data.cells[int(np.argmax(bad))]
         raise ValueError(f"data row {row} (cell {cell}) has zero probability")
     return float(w @ lp)
-
-
-def _cell_jet(theta: np.ndarray, x1: np.ndarray, x2: np.ndarray) -> _Jet:
-    """Jet of the joint log-pmf at each cell, split as in ``bivariate._log_joint_pmf_arr``."""
-    r1, r2 = (0, 1, 0), (0, 0, 1)
-    r01, r02 = (1, 1, 0), (1, 0, 1)
-    n = x1.size
-    out = _Jet(np.empty(n), np.empty((n, 4)), np.empty((n, 4, 4)))
-    below, above = x1 < x2, x1 > x2
-    diag = ~(below | above)
-    x = x1[diag]
-    # the diagonal mass is exp(lead) - exp(trail), the shared shock's atom
-    lead = _power_jet(x, theta, r1) + _dw_jet(x, theta, r02)
-    trail = _power_jet(x + 1.0, theta, r01) + _dw_jet(x, theta, r2)
-    parts = (
-        (below, _dw_jet(x1[below], theta, r1) + _dw_jet(x2[below], theta, r02)),
-        (above, _dw_jet(x1[above], theta, r01) + _dw_jet(x2[above], theta, r2)),
-        (diag, lead + _log1mexp_jet(lead - trail)),
-    )
-    for mask, jet in parts:
-        out.v[mask], out.g[mask], out.h[mask] = jet.v, jet.g, jet.h
-    return out
 
 
 def bdw_loglik_derivatives(
@@ -218,9 +216,17 @@ def bdw_loglik_derivatives(
     parameters.  A cell of zero probability makes the value ``-inf`` and
     the derivatives non-finite rather than raising.
     """
+    theta = np.asarray(theta, dtype=float)
     x1, x2, w = data.cell_arrays
+    n = w.size
+    out = _Jet(np.empty(n), np.empty((n, 4)), np.empty((n, 4, 4)))
     with np.errstate(all="ignore"):
-        jet = _cell_jet(np.asarray(theta, dtype=float), x1, x2)
+        jet = bivariate._fill_log_joint_pmf(
+            out, x1, x2, data.partition,
+            lambda y, rates: _dw_jet(y, theta, rates),
+            lambda y, rates: _power_jet(y, theta, rates),
+            _log1mexp_jet,
+        )
         return float(w @ jet.v), w @ jet.g, np.tensordot(w, jet.h, axes=1)
 
 
@@ -259,8 +265,8 @@ def init_estimates(data: BivariateDataset) -> MOBWParams:
     Each of the three univariate views is fitted by minimum chi-square on
     its observed support — the criterion whose per-column fits the full
     pipeline is benchmarked against — and the three fits are inverted
-    through :func:`initial_params_from_marginals`.  A constant column is
-    rejected by name.
+    through :func:`initial_params_from_marginals`.  A column that cannot
+    be fitted, such as a constant one, is named in the error.
     """
     fits = []
     for name in ("x1", "x2", "min"):
@@ -268,12 +274,22 @@ def init_estimates(data: BivariateDataset) -> MOBWParams:
         try:
             fits.append(dw_fit_minchisq(col).params)
         except ValueError as exc:
-            if col.min() < col.max():
-                raise
-            raise ValueError(
-                f"column {name} is constant (every value is {col[0]}): {exc}"
-            ) from None
+            what = f"column {name}"
+            if col.min() == col.max():
+                what += f" is constant (every value is {col[0]})"
+            raise ValueError(f"{what}: {exc}") from None
     return initial_params_from_marginals(*fits)
+
+
+def _identified_start(data: BivariateDataset, start: MOBWParams | None) -> MOBWParams:
+    """``start``, or :func:`init_estimates`, once ``data`` identifies every
+    rate.  Refused in this order: an all-tie sample, a column that cannot
+    be fitted (named by :func:`init_estimates`), and a coordinate rate with
+    no evidence."""
+    data.require_untied_rows()
+    theta = init_estimates(data) if start is None else start
+    data.require_both_orders()
+    return theta
 
 
 def impute_dataset(theta: MOBWParams, data: BivariateDataset) -> list[CompleteObservation]:
@@ -400,16 +416,19 @@ def nested_em(data: BivariateDataset, start: MOBWParams | None = None) -> MLFitR
     positive (Self & Liang 1987): ``lambda0`` is then reported as exactly
     zero, with a warning and no confidence intervals.  Otherwise the
     half-widths come from the observed information at the fit, when it is
-    positive definite.  An all-tie sample, and a constant column, are
-    rejected.
+    positive definite.  An all-tie sample, a constant column, a sample
+    with no row on one side of the diagonal, and a fitted coordinate rate
+    whose survival base rounds to one are refused by name.
     """
-    data.require_untied_rows()
-    theta = init_estimates(data) if start is None else start
+    theta = _identified_start(data, start)
     # names the row whose cell has zero probability at a bad start
     bdw_loglik(theta, data)
     z0 = np.log([theta.alpha, max(theta.lambda0, 1e-8), theta.lambda1, theta.lambda2])
     z, neg_loglik = _newton_min(lambda z: _neg_loglik_in_logs(z, data), z0)
     theta = np.exp(z)
+    top = np.max(data.cell_arrays[:2])
+    for i in (2, 3):
+        _survival_base(PARAM_NAMES[i], theta[i], top)
     at_zero = theta.copy()
     at_zero[1] = 0.0
     value0, score0, _ = bdw_loglik_derivatives(at_zero, data)

@@ -16,7 +16,6 @@ log-pmf's jet (:func:`_dw_jet`) supplies.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -256,6 +255,9 @@ class _Jet:
     def __sub__(self, other: "_Jet") -> "_Jet":
         return _Jet(self.v - other.v, self.g - other.g, self.h - other.h)
 
+    def __setitem__(self, mask: np.ndarray, other: "_Jet") -> None:
+        self.v[mask], self.g[mask], self.h[mask] = other.v, other.g, other.h
+
 
 def _power_jet(y: np.ndarray, theta: np.ndarray, rates: tuple) -> _Jet:
     """Jet of ``-r * y**alpha``, where ``r`` sums the rates flagged in ``rates``."""
@@ -310,6 +312,10 @@ _MAX_ITER = 200
 _EPS = np.finfo(float).eps
 
 
+class _StepCapError(ValueError):
+    """:func:`_newton_min` took ``_MAX_ITER`` steps without converging."""
+
+
 def _newton_min(fun, z0: np.ndarray) -> tuple[np.ndarray, float]:
     """Minimize ``fun`` from ``z0`` by damped Newton steps; return the point and value.
 
@@ -321,7 +327,8 @@ def _newton_min(fun, z0: np.ndarray) -> tuple[np.ndarray, float]:
     the float resolution of the value, when the gradient shrinks;
     otherwise ``mu`` grows and the step shortens.  The solve ends after
     the first step whose predicted or attained decrease is below that
-    resolution, such as a crawl towards a rate of zero.
+    resolution, such as a crawl towards a rate of zero.  A solve still
+    descending after ``_MAX_ITER`` steps raises :class:`_StepCapError`.
     """
     def finite(*parts) -> bool:
         return all(bool(np.isfinite(part).all()) for part in parts)
@@ -359,8 +366,10 @@ def _newton_min(fun, z0: np.ndarray) -> tuple[np.ndarray, float]:
             gain = 0.0
         if min(predicted, gain) <= resolution:
             return z, float(f)
-    warnings.warn(f"Newton solve stopped after {_MAX_ITER} steps")
-    return z, float(f)
+    raise _StepCapError(
+        f"the Newton solve was still descending after {_MAX_ITER} steps: "
+        f"the infimum is not attained"
+    )
 
 
 def _pearson(counts: np.ndarray, expected: np.ndarray) -> np.ndarray:
@@ -410,8 +419,10 @@ def dw_fit_ml(data: Sequence[int]) -> DWFit:
     Raises
     ------
     ValueError
-        On an empty sample, or when all observations are equal (the
-        likelihood then degenerates towards a boundary point mass).
+        On an empty sample, when all observations are equal (the
+        likelihood then degenerates towards a boundary point mass), when
+        no DW law attains the supremum, or when the counts are too large
+        for ``p`` to be told from one.
     """
     values, counts, _ = _distinct_values(data)
     start = _grid_start(
@@ -420,8 +431,8 @@ def dw_fit_ml(data: Sequence[int]) -> DWFit:
         np.linspace(math.log(ALPHA_LO), math.log(ALPHA_HI), 61),
         np.linspace(-35.0, 35.0, 71),
     )
-    z, value = _newton_min(lambda z: _neg_loglik_jet(z, values, counts), start)
-    return DWFit(_dw_params(z), -value)
+    params, value = _solve_fit(lambda z: _neg_loglik_jet(z, values, counts), start, values[-1])
+    return DWFit(params, -value)
 
 
 class DWChisqFit(NamedTuple):
@@ -451,6 +462,11 @@ def dw_fit_minchisq(data: Sequence[int]) -> DWChisqFit:
     -------
     DWChisqFit
         Fitted parameters and the attained (minimized) chi-square.
+
+    Raises
+    ------
+    ValueError
+        As :func:`dw_fit_ml` does.
     """
     values, counts, n = _distinct_values(data)
     start = _grid_start(
@@ -459,8 +475,8 @@ def dw_fit_minchisq(data: Sequence[int]) -> DWChisqFit:
         np.linspace(math.log(ALPHA_LO), math.log(ALPHA_HI), 25),
         np.linspace(-6.0, 6.0, 25),
     )
-    z, value = _newton_min(lambda z: _pearson_jet(z, values, counts, n), start)
-    return DWChisqFit(_dw_params(z), value)
+    params, value = _solve_fit(lambda z: _pearson_jet(z, values, counts, n), start, values[-1])
+    return DWChisqFit(params, value)
 
 
 def _distinct_values(data) -> tuple[np.ndarray, np.ndarray, int]:
@@ -486,6 +502,25 @@ def _grid_start(objective, values: np.ndarray, log_alpha: np.ndarray, logit_p: n
     return np.array([log_alpha[i], math.log(-lnp[j])])
 
 
-def _dw_params(z: np.ndarray) -> DWParams:
-    """The DW law at ``z = (log alpha, log(-log p))``."""
-    return DWParams(math.exp(z[0]), math.exp(-math.exp(z[1])))
+def _solve_fit(fun, start: np.ndarray, top: float) -> tuple[DWParams, float]:
+    """Minimize a DW fit's objective ``fun`` of ``z = (log alpha, log(-log p))``
+    from ``start``; return the law at the minimum and the minimum value.
+    ``top`` is the largest count of the sample."""
+    try:
+        z, value = _newton_min(fun, start)
+    except _StepCapError as exc:
+        raise ValueError(f"no DW law fits this sample best: {exc}") from None
+    return DWParams(math.exp(z[0]), _survival_base("lambda", math.exp(z[1]), top)), value
+
+
+def _survival_base(name: str, rate: float, top: float) -> float:
+    """``exp(-rate)``, refused by name when it rounds to one."""
+    p = math.exp(-rate)
+    if p == 1.0:
+        raise ValueError(
+            f"the fitted rate {name} = {rate:.3g} rounds its survival base "
+            f"exp(-{name}) to 1: counts up to {top:g} need a base closer to "
+            f"1 than a float resolves"
+        )
+    return p
+

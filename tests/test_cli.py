@@ -437,6 +437,53 @@ class TestFailurePaths:
             "error: sample is all ties: coordinate rates are not identifiable\n"
         )
 
+    @pytest.mark.filterwarnings("ignore:inconsistent marginal fits")
+    @pytest.mark.parametrize(
+        "rows, command, message",
+        [
+            pytest.param(rows, command, message, id=f"{name}-{command[0]}")
+            for name, rows, message, commands in [
+                (
+                    "one-sided",
+                    "1,1\n2,2\n3,3\n0,1\n",
+                    "no row has x1 > x2: the coordinate rate lambda2 is not identifiable",
+                    [["fit-ml"], ["gof", "--column", "joint"], ["fit-bayes", "-M", "200", "-N", "2"]],
+                ),
+                (
+                    "no-best-min-chisq",
+                    "1,0\n1,3\n2,1\n2,4\n2,2\n",
+                    "no DW law fits this sample best",
+                    [["fit-dw", "--column", "x1"]],
+                ),
+                (
+                    "no-best-ml",
+                    "3,0\n4,1\n4,2\n",
+                    "no DW law fits this sample best",
+                    [["fit-dw", "--column", "x1"]],
+                ),
+                (
+                    "large-counts",
+                    "100,120\n130,90\n110,110\n95,140\n120,100\n",
+                    "the fitted rate lambda = 1.",
+                    [
+                        ["fit-dw", "--column", "x1"],
+                        ["fit-ml"],
+                        ["gof", "--column", "joint"],
+                        ["fit-bayes", "-M", "200", "-N", "2"],
+                    ],
+                ),
+            ]
+            for command in commands
+        ],
+    )
+    def test_unfittable_input_fails_by_name(self, tmp_path, capsys, rows, command, message):
+        path = tmp_path / "rows.csv"
+        path.write_text(rows)
+        rc = main([*command, "--input", str(path)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err, err
+
     def test_unknown_dataset_choice(self, capsys):
         with pytest.raises(SystemExit):
             main(["fit-ml", "--dataset", "bogus"])

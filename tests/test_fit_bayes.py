@@ -611,6 +611,22 @@ class TestAugmentedGibbs:
             augmented_gibbs(BivariateDataset(pairs), M=200, N=2, rng=np.random.default_rng(0))
 
     @pytest.mark.filterwarnings("ignore:inconsistent marginal fits")
+    @pytest.mark.parametrize(
+        "pairs, message",
+        [
+            (((1, 1), (2, 2), (3, 3), (0, 1)), r"^no row has x1 > x2: the coordinate rate lambda2"),
+            (((1, 1), (2, 2), (3, 3), (1, 0)), r"^no row has x1 < x2: the coordinate rate lambda1"),
+            (
+                ((100, 120), (130, 90), (110, 110), (95, 140), (120, 100)),
+                r"^column x1: the fitted rate lambda = \S+ rounds .* counts up to 130 ",
+            ),
+        ],
+    )
+    def test_unidentified_sample_is_refused(self, pairs, message):
+        with pytest.raises(ValueError, match=message):
+            augmented_gibbs(BivariateDataset(pairs), M=200, N=2, rng=np.random.default_rng(0))
+
+    @pytest.mark.filterwarnings("ignore:inconsistent marginal fits")
     @pytest.mark.parametrize("seed", range(5))
     def test_zero_imputed_lifetime_is_named(self, seed):
         # a start shape below one imputes cell corners, so a zero count

@@ -30,6 +30,11 @@ FOOTBALL_LL = -65.2195869955
 NASAL_MLE = (2.5874322166, 0.0653245623, 0.0614183570, 0.0792398929)
 NASAL_LL = -70.3095359276
 
+# samples that no fit accepts: no row with x1 > x2 (lambda2 has no
+# evidence), and counts too large for the survival bases to be told from 1
+ONE_SIDED = ((1, 1), (2, 2), (3, 3), (0, 1))
+LARGE_COUNTS = ((100, 120), (130, 90), (110, 110), (95, 140), (120, 100))
+
 
 class TestDataset:
     def test_partition_counts(self, football, nasal):
@@ -40,6 +45,21 @@ class TestDataset:
             11,
         )
         assert (nasal.n, nasal.n_below, nasal.n_above, nasal.n_ties) == (30, 5, 8, 17)
+
+    @pytest.mark.parametrize(
+        "pairs",
+        ["football", "nasal", ONE_SIDED, LARGE_COUNTS, ((1, 1), (2, 2), (2, 2)),
+         ((0, 1), (0, 2), (0, 3), (0, 1), (0, 0))],
+    )
+    def test_partition_counts_match_rows(self, pairs, request):
+        data = request.getfixturevalue(pairs) if isinstance(pairs, str) else BivariateDataset(pairs)
+        rows = np.array(data.pairs)
+        assert (data.n_below, data.n_above, data.n_ties) == (
+            int(np.sum(rows[:, 0] < rows[:, 1])),
+            int(np.sum(rows[:, 0] > rows[:, 1])),
+            int(np.sum(rows[:, 0] == rows[:, 1])),
+        )
+        assert data.partition is data.partition
 
     def test_columns_and_cells(self, football):
         x1 = football.column("x1")
@@ -136,6 +156,14 @@ class TestLoglikDerivatives:
         theta = MOBWParams(2.0, 0.05, 0.2, 0.1)
         value, _, _ = bdw_loglik_derivatives((2.0, 0.05, 0.2, 0.1), football)
         assert value == pytest.approx(bdw_loglik(theta, football), rel=1e-13)
+        # the value path and the jet share one split; at lambda0 = 0 only
+        # the value path takes the independence product on the diagonal
+        for theta in ORACLE_THETAS:
+            for cell in ORACLE_CELLS:
+                data = BivariateDataset((cell,))
+                value, _, _ = bdw_loglik_derivatives(theta, data)
+                want = bdw_loglik(MOBWParams(*theta), data)
+                assert value == pytest.approx(want, rel=1e-13), (theta, cell)
 
 
 class TestInitialization:
@@ -332,6 +360,39 @@ class TestNestedEM:
             match=rf"^column x1 is constant \(every value is {value}\): all observations are equal",
         ):
             nested_em(BivariateDataset(pairs))
+
+    @pytest.mark.filterwarnings("ignore:inconsistent marginal fits")
+    @pytest.mark.parametrize("start", [None, MOBWParams(1.5, 0.3, 0.5, 0.4)])
+    @pytest.mark.parametrize("swap", [False, True])
+    def test_one_sided_sample_is_refused(self, start, swap):
+        data = BivariateDataset(ONE_SIDED)
+        rate, order = "lambda2", "x1 > x2"
+        if swap:
+            data, rate, order = data.swapped(), "lambda1", "x1 < x2"
+        with pytest.raises(
+            ValueError, match=rf"^no row has {order}: the coordinate rate {rate} is not identifiable"
+        ):
+            nested_em(data, start=start)
+
+    @pytest.mark.filterwarnings("ignore:inconsistent marginal fits")
+    def test_counts_beyond_resolution_are_named(self):
+        # the ML point has shape 7.75 and rates 2e-17 to 7e-17: the survival bases
+        # round to 1, so no start can help
+        data = BivariateDataset(LARGE_COUNTS)
+        with pytest.raises(
+            ValueError, match=r"^column x1: the fitted rate lambda = \S+ rounds .* counts up to 130 "
+        ):
+            nested_em(data)
+        with pytest.raises(
+            ValueError, match=r"^the fitted rate lambda2 = \S+ rounds its survival base .* counts up to 140 "
+        ):
+            nested_em(data, start=MOBWParams(7.0, 1e-15, 1e-15, 1e-15))
+
+    def test_unfittable_column_is_named(self):
+        # the x1 column is [1, 1, 2, 2, 2], which no DW law fits best
+        data = BivariateDataset(((1, 0), (1, 3), (2, 1), (2, 4), (2, 2)))
+        with pytest.raises(ValueError, match="^column x1: no DW law fits this sample best"):
+            nested_em(data)
 
     @pytest.mark.filterwarnings("ignore:inconsistent marginal fits")
     def test_shared_rate_at_boundary(self):

@@ -234,6 +234,22 @@ class TestDWFitting:
         with pytest.raises(ValueError):
             dw_fit_ml([1.5, 2.0])
 
+    @pytest.mark.parametrize(
+        "data, fits",
+        [([1, 1, 2, 2, 2], [dw_fit_minchisq]), ([3, 4, 4], [dw_fit_minchisq, dw_fit_ml])],
+    )
+    def test_no_best_law_is_refused(self, data, fits):
+        # the statistic falls on towards alpha -> inf, p -> 1 without a minimum
+        for fit in fits:
+            with pytest.raises(ValueError, match="^no DW law fits this sample best: "):
+                fit(data)
+
+    @pytest.mark.parametrize("fit", [dw_fit_minchisq, dw_fit_ml])
+    def test_counts_beyond_resolution_are_named(self, fit):
+        # the best law's p = exp(-lambda) rounds to 1 at these counts
+        with pytest.raises(ValueError, match=r"^the fitted rate lambda = \S+ rounds .* counts up to 130 "):
+            fit([100, 130, 110, 95, 120])
+
     def test_search_box_spans_real_data(self):
         assert ALPHA_LO <= 0.1 and ALPHA_HI >= 10.0
 
@@ -316,4 +332,13 @@ class TestNewtonSolver:
             return math.inf, np.zeros(1), np.zeros((1, 1))
 
         with pytest.raises(ValueError, match="not finite at the start"):
+            univariate._newton_min(fun, np.zeros(1))
+
+    def test_unbounded_descent_stops_at_the_step_cap(self):
+        # convex, with its infimum at infinity: every step is capped
+        def fun(z):
+            r = math.hypot(1.0, z[0])
+            return r - 2.0 * z[0], np.array([z[0] / r - 2.0]), np.array([[r**-3]])
+
+        with pytest.raises(univariate._StepCapError, match="still descending after 200 steps"):
             univariate._newton_min(fun, np.zeros(1))
