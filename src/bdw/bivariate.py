@@ -341,6 +341,31 @@ def sample(params: BDWParams, rng: np.random.Generator, size=None):
     return np.column_stack([x1, x2])
 
 
+# the largest bound K of a grid [0, K]^2 that is built: the (K + 1)^2 table
+# of a wider grid does not fit in memory
+_MAX_GRID_BOUND = 10_000
+
+
+def _intractable_grid(k: int | None, epsilon: float) -> ValueError:
+    # k is the bound needed, or None when it is only known to pass the cap
+    needs = f"K > {_MAX_GRID_BOUND}" if k is None else f"K = {k} > {_MAX_GRID_BOUND}"
+    return ValueError(
+        f"joint mass spreads beyond a tractable grid: all but epsilon = "
+        f"{epsilon:g} of it needs {needs}"
+    )
+
+
+def _table_bound(params: BDWParams, epsilon: float = 1e-6) -> int:
+    """Smallest K >= 1 whose grid [0, K]^2 holds all but ``epsilon`` of the
+    joint mass; refused past ``_MAX_GRID_BOUND``."""
+    k = 1
+    while 1.0 - joint_cdf(params, k, k) >= epsilon:
+        k += 1
+        if k > _MAX_GRID_BOUND:
+            raise _intractable_grid(None, epsilon)
+    return k
+
+
 def _truncation_bound(params: BDWParams, epsilon: float) -> int:
     # smallest K with the heavier marginal's survival below epsilon; the
     # heavier tail has the larger survival base, so it controls both
@@ -358,11 +383,14 @@ def moments(params: BDWParams, epsilon: float = 1e-10) -> BdwMoments:
 
     The double sum runs over [0, K]^2 where K is the smallest integer at
     which the heavier marginal's survival drops below ``epsilon``; K is
-    reported so callers can judge the truncation.
+    reported so callers can judge the truncation.  A K past
+    ``_MAX_GRID_BOUND`` is refused before the grid is built.
     """
     if not 0 < epsilon <= 1e-4:
         raise ValueError(f"epsilon must lie in (0, 1e-4], got {epsilon}")
     k = _truncation_bound(params, epsilon)
+    if k > _MAX_GRID_BOUND:
+        raise _intractable_grid(k, epsilon)
     grid = joint_pmf_grid(params, k, k)
     xs = np.arange(k + 1, dtype=float)
     p1m = grid.sum(axis=1)

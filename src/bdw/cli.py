@@ -265,18 +265,9 @@ def _cmd_simulate(args: argparse.Namespace) -> None:
     )
 
 
-def _grid_bound(params: BDWParams, epsilon: float = 1e-6) -> int:
-    k = 1
-    while 1.0 - bivariate.joint_cdf(params, k, k) >= epsilon:
-        k += 1
-        if k > 10_000:
-            raise ValueError("joint mass spreads beyond a tractable grid")
-    return k
-
-
 def _cmd_pmf_table(args: argparse.Namespace) -> None:
     params = _bdw_params(args)
-    k = args.k if args.k is not None else _grid_bound(params)
+    k = args.k if args.k is not None else bivariate._table_bound(params)
     grid = bivariate.joint_pmf_grid(params, k, k)
     lines = ["x1,x2,pmf"]
     for i in range(k + 1):

@@ -199,24 +199,31 @@ def _alpha_logtarget(
         rate_logs += st.n_above * (math.log(l0 + l1) + math.log(l2))
     if st.n_tie:
         rate_logs += st.n_tie * math.log(l0)
+    log_alpha_coef = alpha_prior.c - 1.0 + st.event_count
+    # l0*T0 + l1*T1 + l2*T2 is one power of the fused value table, at most
+    # the coefficients' total times the largest value's power
+    coef = np.asarray(lambdas) @ st.weights
+    total = float(coef.sum())
+    vals = st.vals
+    top = float(vals[-1]) if vals.size else 0.0
 
     def g(alpha: float) -> float:
         if not (0 < alpha < math.inf):
             return -math.inf
+        # where that bound overflows, so may the sum: refuse it before numpy
+        # warns (math.pow raises OverflowError past the float range)
         try:
-            t0, t1, t2 = st.exposures(alpha)
-            out = (
-                (alpha_prior.c - 1.0) * math.log(alpha)
-                - alpha_prior.d * alpha
-                + st.event_count * math.log(alpha)
-                + rate_logs
-                + (alpha - 1.0) * st.log_y_sum
-                - l1 * t1
-                - l2 * t2
-                - l0 * t0
-            )
-        except (OverflowError, ValueError):
+            if math.pow(top, alpha) * total == math.inf:
+                return -math.inf
+        except OverflowError:
             return -math.inf
+        out = (
+            log_alpha_coef * math.log(alpha)
+            - alpha_prior.d * alpha
+            + rate_logs
+            + (alpha - 1.0) * st.log_y_sum
+            - float(coef.dot(vals**alpha))
+        )
         return out if math.isfinite(out) else -math.inf
 
     return g
@@ -240,7 +247,9 @@ def sample_alpha_conditional(
     if not math.isfinite(gx0):
         raise ValueError("conditional density vanishes at the current shape")
     level = gx0 - rng.exponential()
-    left = x0 - rng.uniform(0.0, SLICE_WIDTH)
+    # lo + (hi - lo) * rng.random() is how numpy computes rng.uniform(lo,
+    # hi), so the draws are the same bits without uniform's call overhead
+    left = x0 - SLICE_WIDTH * rng.random()
     right = left + SLICE_WIDTH
     while left > SLICE_ALPHA_LO and g(left) > level:
         left -= SLICE_WIDTH
@@ -249,7 +258,7 @@ def sample_alpha_conditional(
     left = max(left, SLICE_ALPHA_LO)
     right = min(right, SLICE_ALPHA_HI)
     while True:
-        x1 = rng.uniform(left, right)
+        x1 = left + (right - left) * rng.random()
         if g(x1) > level:
             return x1
         if x1 < x0:

@@ -313,7 +313,8 @@ _EPS = np.finfo(float).eps
 
 
 class _StepCapError(ValueError):
-    """:func:`_newton_min` took ``_MAX_ITER`` steps without converging."""
+    """:func:`_newton_min` found no minimum: it took ``_MAX_ITER`` steps
+    without converging, or its Newton step was too long to represent."""
 
 
 def _newton_min(fun, z0: np.ndarray) -> tuple[np.ndarray, float]:
@@ -328,7 +329,8 @@ def _newton_min(fun, z0: np.ndarray) -> tuple[np.ndarray, float]:
     otherwise ``mu`` grows and the step shortens.  The solve ends after
     the first step whose predicted or attained decrease is below that
     resolution, such as a crawl towards a rate of zero.  A solve still
-    descending after ``_MAX_ITER`` steps raises :class:`_StepCapError`.
+    descending after ``_MAX_ITER`` steps, or whose Newton step overflows
+    (no curvature along a descent direction), raises :class:`_StepCapError`.
     """
     def finite(*parts) -> bool:
         return all(bool(np.isfinite(part).all()) for part in parts)
@@ -344,8 +346,18 @@ def _newton_min(fun, z0: np.ndarray) -> tuple[np.ndarray, float]:
         lowest = float(w.min())
         shift = mu if lowest > 0.0 else mu + 1e-10 * scale - lowest
         gv = vecs.T @ g
-        sv = -gv / (w + shift)
-        length = float(np.linalg.norm(sv))
+        with np.errstate(over="ignore"):
+            sv = -gv / (w + shift)
+            length = float(np.linalg.norm(sv))
+        if not finite(sv):
+            raise _StepCapError(
+                "the Newton step overflows: the objective has no curvature "
+                "along its descent, so the infimum is not attained"
+            )
+        if length == math.inf:
+            # the squares of sv overflow; those of sv / max|sv| cannot
+            big = float(np.abs(sv).max())
+            length = big * float(np.linalg.norm(sv / big))
         if length > _MAX_STEP:
             sv *= _MAX_STEP / length
         predicted = -float(gv @ sv + 0.5 * (w * sv) @ sv)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from bdw import bivariate
 from bdw.bivariate import (
     BDWParams,
     BivariateGeomParams,
@@ -205,6 +206,22 @@ class TestMomentsAndDependence:
             m.covariance / math.sqrt(m.var1 * m.var2), rel=1e-12
         )
         assert m.truncation_bound >= 1
+
+    def test_heavy_tail_is_refused_before_the_grid(self, monkeypatch):
+        # K = 62872299 would need a (K + 1)^2 grid of 28 PiB
+        def no_grid(*args):
+            raise AssertionError("the grid was built")
+
+        monkeypatch.setattr(bivariate, "joint_pmf_grid", no_grid)
+        params = BDWParams(0.3, 1.0, 0.6, 0.9)
+        with pytest.raises(
+            ValueError,
+            match=r"^joint mass spreads beyond a tractable grid: all but "
+            r"epsilon = 1e-10 of it needs K = 62872299 > 10000$",
+        ):
+            moments(params)
+        with pytest.raises(ValueError, match=r"epsilon = 1e-06 of it needs K > 10000$"):
+            bivariate._table_bound(params)
 
     def test_shared_shock_induces_positive_correlation(self):
         dependent = moments(BDWParams(1.5, 0.8, 0.9, 0.9))

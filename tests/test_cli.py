@@ -525,6 +525,17 @@ class TestFailurePaths:
         assert rc == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["moments", "pmf-table"])
+    def test_heavy_tail_is_refused_by_name(self, tmp_path, capsys, command):
+        # the mass of this law spreads over K = 62872299 at moments' epsilon
+        args = [command, "--alpha", "0.3", "--p0", "1.0", "--p1", "0.6", "--p2", "0.9"]
+        rc = main([*args, "--output", str(tmp_path / "out")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: joint mass spreads beyond a tractable grid")
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
 
 # Run in a fresh interpreter, since this test module imports scipy itself:
 # runs each command through ``bdw.cli.main``, imports the given modules,

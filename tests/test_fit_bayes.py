@@ -434,6 +434,95 @@ class TestAlphaConditional:
                 )
 
 
+def _wide_panel() -> BivariateDataset:
+    # the 1000-row draw from the wide-support law (alpha 1.2, p 0.97, 0.95,
+    # 0.96) that the cells-wide benchmark workload fits: ~390 cells
+    rng = np.random.default_rng([1804_11205, 0])
+    life = [rng.weibull(1.2, size=1000) * (-math.log(p)) ** (-1.0 / 1.2) for p in (0.97, 0.95, 0.96)]
+    x1 = np.floor(np.minimum(life[0], life[1]))
+    x2 = np.floor(np.minimum(life[0], life[2]))
+    return BivariateDataset.from_pairs(np.column_stack([x1, x2]).astype(np.int64))
+
+
+def _summed_logtarget(prior, lams, st, alpha):
+    # the shape's log full conditional from the three exposures, term by term
+    l0, l1, l2 = lams
+    t0, t1, t2 = st.exposures(alpha)
+    rate_logs = (
+        st.n_below * (math.log(l1) + math.log(l0 + l2))
+        + st.n_above * (math.log(l0 + l1) + math.log(l2))
+        + st.n_tie * math.log(l0)
+    )
+    return (
+        (prior.c - 1.0) * math.log(alpha)
+        - prior.d * alpha
+        + st.event_count * math.log(alpha)
+        + rate_logs
+        + (alpha - 1.0) * st.log_y_sum
+        - l1 * t1
+        - l2 * t2
+        - l0 * t0
+    )
+
+
+class TestShapeTarget:
+    # a value of 9 only in y2 and max(y1, y2): its power overflows at 330
+    # while y1's largest, 3**330, does not
+    OVERFLOW = (
+        CompleteObservation(1.5, 9.0, "below"),
+        CompleteObservation(2.0, 1.0, "above"),
+        CompleteObservation(3.0, 3.0, "tie"),
+    )
+
+    @pytest.fixture(scope="class")
+    def summaries(self, football, nasal):
+        return [
+            summarize(impute_dataset(init_estimates(data), data))
+            for data in (football, nasal, _wide_panel())
+        ]
+
+    def test_fused_table_holds_the_three_tables(self, summaries):
+        for st in summaries:
+            for row, (vals, w) in zip(
+                st.weights, ((st.vals0, st.w0), (st.vals1, st.w1), (st.vals2, st.w2))
+            ):
+                np.testing.assert_array_equal(st.vals[row > 0], vals)
+                np.testing.assert_array_equal(row[row > 0], w)
+            assert (st.weights.sum(axis=0) > 0).all()
+
+    def test_overflow_keeps_the_finite_exposure(self):
+        st = summarize(self.OVERFLOW)
+        with np.errstate(over="ignore", invalid="ignore"):
+            t0, t1, t2 = st.exposures(330.0)
+            # the fused table as a matrix product turns 0 * inf into nan
+            naive = st.weights @ st.vals**330.0
+        assert (t0, t2) == (math.inf, math.inf)
+        assert t1 == pytest.approx(3.0**330, rel=1e-15)
+        assert math.isnan(naive[1])
+        g = fit_bayes._alpha_logtarget(AlphaPrior(), (0.4, 0.7, 0.9), st)
+        assert g(330.0) == -math.inf
+        assert g(300.0) > -math.inf
+
+    def test_overflowed_power_gives_minus_inf(self, summaries):
+        for st in [summarize(self.OVERFLOW), *summaries]:
+            top = float(st.vals[-1])
+            edge = math.log(np.finfo(float).max) / math.log(top)
+            g = fit_bayes._alpha_logtarget(AlphaPrior(), (0.04, 0.2, 0.1), st)
+            for alpha in (edge * 1.0001, edge * 2.0, 999.0):
+                assert g(alpha) == -math.inf
+
+    @pytest.mark.parametrize(
+        "lams", [(0.04, 0.2, 0.1), (5e-324, 0.064, 0.045), (1e-8, 1.0, 3.0)]
+    )
+    @pytest.mark.parametrize("prior", [AlphaPrior(), AlphaPrior(c=2.0, d=1.0)])
+    def test_matches_the_summed_exposures(self, summaries, lams, prior):
+        for st in summaries:
+            g = fit_bayes._alpha_logtarget(prior, lams, st)
+            for alpha in np.geomspace(0.05, 50.0, 41):
+                want = _summed_logtarget(prior, lams, st, float(alpha))
+                assert g(float(alpha)) == pytest.approx(want, rel=1e-13)
+
+
 class TestIntervals:
     def test_credible_matches_quantiles(self):
         rng = np.random.default_rng(12)
@@ -587,6 +676,10 @@ class TestAugmentedGibbs:
         }
         for name, value in want.items():
             assert res.means[name] == pytest.approx(value, rel=1e-12), name
+        # and the last draw, bit for bit
+        assert res.draws[-1].tolist() == [
+            3.583635485243226, 5e-324, 0.06391116851556927, 0.04511657998167057
+        ]
 
     @pytest.mark.parametrize("seed", range(3))
     def test_wide_support_law(self, seed):

@@ -342,3 +342,22 @@ class TestNewtonSolver:
 
         with pytest.raises(univariate._StepCapError, match="still descending after 200 steps"):
             univariate._newton_min(fun, np.zeros(1))
+
+    def test_vanishing_curvature_reaches_the_step_cap(self):
+        # convex, with its infimum at infinity; past z = 354 the curvature
+        # exp(-z) is so small that the squares of the Newton step overflow,
+        # and the step must still be capped, not zeroed
+        def fun(z):
+            e = math.exp(-z[0])
+            return e - z[0], np.array([-e - 1.0]), np.array([[e]])
+
+        with pytest.raises(univariate._StepCapError, match="still descending after 200 steps"):
+            univariate._newton_min(fun, np.zeros(1))
+
+    def test_flat_descent_is_refused(self):
+        # a zero Hessian: the shifted Newton step overflows to inf
+        def fun(z):
+            return -z[0], np.array([-1.0]), np.zeros((1, 1))
+
+        with pytest.raises(univariate._StepCapError, match="step overflows: .* not attained"):
+            univariate._newton_min(fun, np.zeros(1))
