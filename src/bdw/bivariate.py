@@ -346,9 +346,12 @@ def sample(params: BDWParams, rng: np.random.Generator, size=None):
 _MAX_GRID_BOUND = 10_000
 
 
-def _intractable_grid(k: int | None, epsilon: float) -> ValueError:
-    # k is the bound needed, or None when it is only known to pass the cap
+def _intractable_grid(k: int | None, epsilon: float | None = None) -> ValueError:
+    # k is the bound needed, or None when it is only known to pass the cap;
+    # without epsilon, k was asked for rather than needed by the mass
     needs = f"K > {_MAX_GRID_BOUND}" if k is None else f"K = {k} > {_MAX_GRID_BOUND}"
+    if epsilon is None:
+        return ValueError(f"a grid [0, K]^2 with {needs} is not tractable")
     return ValueError(
         f"joint mass spreads beyond a tractable grid: all but epsilon = "
         f"{epsilon:g} of it needs {needs}"

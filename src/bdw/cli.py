@@ -267,6 +267,8 @@ def _cmd_simulate(args: argparse.Namespace) -> None:
 
 def _cmd_pmf_table(args: argparse.Namespace) -> None:
     params = _bdw_params(args)
+    if args.k is not None and args.k > bivariate._MAX_GRID_BOUND:
+        raise bivariate._intractable_grid(args.k)
     k = args.k if args.k is not None else bivariate._table_bound(params)
     grid = bivariate.joint_pmf_grid(params, k, k)
     lines = ["x1,x2,pmf"]
@@ -382,7 +384,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("pmf-table", help="joint PMF grid as CSV")
     _add_param_options(p)
     p.add_argument("--k", type=int, default=None,
-                   help="grid bound; default leaves < 1e-6 mass outside")
+                   help=f"grid bound, at most {bivariate._MAX_GRID_BOUND}; "
+                        "default leaves < 1e-6 mass outside")
     p.add_argument("--output")
     p.set_defaults(func=_cmd_pmf_table)
 

@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .fit_ml import PARAM_NAMES, BivariateDataset, _identified_start, impute_dataset
-from .mobw import CompleteObservation, MOBWParams, SampleSummary, summarize
+from .mobw import CompleteObservation, MOBWParams, SampleSummary, cause_counts, summarize
 
 __all__ = [
     "DGPrior",
@@ -121,34 +121,6 @@ def exposures(
     whole sample; zero lifetimes contribute nothing.
     """
     return summarize(sample).exposures(alpha)
-
-
-def cause_counts(
-    sample: Sequence[CompleteObservation] | SampleSummary,
-    lambdas: tuple[float, float, float],
-    rng: np.random.Generator | None = None,
-) -> tuple[float, float, float]:
-    """Failure counts ``(N0, N1, N2)`` attributed to each latent cause.
-
-    A coordinate that failed strictly first is its own cause; the later
-    coordinate of an off-diagonal pair is attributed to the shared or the
-    individual shock.  With ``rng`` the ambiguous attributions are drawn
-    (two binomials), otherwise their expectations are used.
-    """
-    l0, l1, l2 = lambdas
-    st = summarize(sample)
-    share1 = l1 / (l0 + l1)
-    share2 = l2 / (l0 + l2)
-    if rng is None:
-        k1 = st.n_above * share1
-        k2 = st.n_below * share2
-    else:
-        k1 = float(rng.binomial(st.n_above, share1))
-        k2 = float(rng.binomial(st.n_below, share2))
-    n1 = st.n_below + k1
-    n2 = st.n_above + k2
-    n0 = st.n_tie + (st.n_below - k2) + (st.n_above - k1)
-    return n0, n1, n2
 
 
 def sample_lambdas_conditional(
@@ -285,11 +257,21 @@ def credible_interval(
     """Equal-tailed credible interval covering mass ``1 - beta``."""
     if not 0 < beta < 1:
         raise ValueError("beta must lie in (0, 1)")
-    g = np.asarray(draws, dtype=float)
+    g = np.sort(np.asarray(draws, dtype=float))
     if g.size == 0:
         raise ValueError("draws must be non-empty")
-    lo, hi = np.quantile(g, [beta / 2.0, 1.0 - beta / 2.0])
-    return float(lo), float(hi)
+    return _linear_quantile(g, beta / 2.0), _linear_quantile(g, 1.0 - beta / 2.0)
+
+
+def _linear_quantile(g: np.ndarray, q: float) -> float:
+    # np.quantile's default ("linear") rule on sorted draws, with its
+    # arithmetic; np.quantile itself imports numpy.ma on first use
+    h = (g.size - 1) * q
+    k = math.floor(h)
+    t = h - k
+    a, b = float(g[k]), float(g[min(k + 1, g.size - 1)])
+    d = b - a
+    return a + d * t if t < 0.5 else b - d * (1.0 - t)
 
 
 def hpd_interval(

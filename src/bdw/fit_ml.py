@@ -24,7 +24,9 @@ from typing import Sequence
 import numpy as np
 
 from . import bivariate
-from .mobw import MOBWParams, CompleteObservation, complete_loglik, ml_predict, summarize
+from .mobw import (
+    MOBWParams, CompleteObservation, cause_counts, complete_loglik, ml_predict, summarize
+)
 from .univariate import (
     ALPHA_HI,
     ALPHA_LO,
@@ -56,6 +58,9 @@ __all__ = [
 
 PARAM_NAMES = ("alpha", "lambda0", "lambda1", "lambda2")
 _ALL_TIES = "sample is all ties: coordinate rates are not identifiable"
+# the inner EM stops once its log-likelihood moves less than this
+_INNER_EM_TOL = 1e-9
+_INNER_EM_MAX_ITER = 1000
 
 
 @dataclass(frozen=True)
@@ -87,7 +92,7 @@ class BivariateDataset:
 
     @classmethod
     def from_pairs(cls, pairs: Sequence[Sequence[int]]) -> "BivariateDataset":
-        return cls(tuple((int(a), int(b)) for a, b in pairs))
+        return cls(tuple(pairs))
 
     @property
     def n(self) -> int:
@@ -308,8 +313,6 @@ def impute_dataset(theta: MOBWParams, data: BivariateDataset) -> list[CompleteOb
 def inner_em_mobw(
     sample: Sequence[CompleteObservation],
     start: MOBWParams,
-    tol: float = 1e-9,
-    max_iter: int = 1000,
     trace: list | None = None,
 ) -> MOBWParams:
     """Fit the continuous shared-shock model to fully observed pairs.
@@ -328,8 +331,7 @@ def inner_em_mobw(
     coordinate, does not identify the coordinate rates and is rejected.
     """
     st = summarize(sample)
-    n_below, n_above, n_tie = st.n_below, st.n_above, st.n_tie
-    if n_below + n_above == 0:
+    if st.n_below + st.n_above == 0:
         raise ValueError(_ALL_TIES)
     for name, vals in (("first", st.vals1), ("second", st.vals2)):
         if vals.size == 0:
@@ -376,19 +378,14 @@ def inner_em_mobw(
 
     theta = start
     prev = None
-    for _ in range(max_iter):
-        l0, l1, l2 = theta.lambda0, theta.lambda1, theta.lambda2
-        # expected cause counts given the current rates
-        share2 = l0 / (l0 + l2)
-        share1 = l0 / (l0 + l1)
-        c1 = n_below + n_above * (1.0 - share1)
-        c2 = n_above + n_below * (1.0 - share2)
-        c0 = n_tie + n_below * share2 + n_above * share1
-        theta = m_step((c0, c1, c2), theta.alpha)
+    for _ in range(_INNER_EM_MAX_ITER):
+        # E-step: expected cause counts given the current rates
+        counts = cause_counts(st, (theta.lambda0, theta.lambda1, theta.lambda2))
+        theta = m_step(counts, theta.alpha)
         cur = complete_loglik(theta, list(sample))
         if trace is not None:
             trace.append(cur)
-        if prev is not None and abs(cur - prev) < tol:
+        if prev is not None and abs(cur - prev) < _INNER_EM_TOL:
             break
         prev = cur
     return theta

@@ -12,7 +12,9 @@ a singular piece on it.  Taking floors of ``(Y1, Y2)`` yields exactly the
 discrete pair, which is what makes this module the engine room for
 estimation: the fitting code imputes latent lifetimes cell by cell with
 :func:`ml_predict`, reduces each imputed sample once with :func:`summarize`,
-and measures imputations with :func:`complete_loglik`.
+attributes its failures to causes with :func:`cause_counts`, and measures
+imputations with :func:`complete_loglik`.  The density of each of the
+three branches is written once, in ``_branch_logpdf``.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ __all__ = [
     "CompleteObservation",
     "SampleSummary",
     "summarize",
+    "cause_counts",
     "mobw_sf",
     "mobw_pdf",
     "mobw_sample",
@@ -238,6 +241,34 @@ def summarize(
     )
 
 
+def cause_counts(
+    sample: Sequence[CompleteObservation] | SampleSummary,
+    lambdas: tuple[float, float, float],
+    rng: np.random.Generator | None = None,
+) -> tuple[float, float, float]:
+    """Failure counts ``(N0, N1, N2)`` attributed to each latent cause.
+
+    A coordinate that failed strictly first is its own cause; the later
+    coordinate of an off-diagonal pair is attributed to the shared or the
+    individual shock.  With ``rng`` the ambiguous attributions are drawn
+    (two binomials), otherwise their expectations are used.
+    """
+    l0, l1, l2 = lambdas
+    st = summarize(sample)
+    share1 = l1 / (l0 + l1)
+    share2 = l2 / (l0 + l2)
+    if rng is None:
+        k1 = st.n_above * share1
+        k2 = st.n_below * share2
+    else:
+        k1 = float(rng.binomial(st.n_above, share1))
+        k2 = float(rng.binomial(st.n_below, share2))
+    n1 = st.n_below + k1
+    n2 = st.n_above + k2
+    n0 = st.n_tie + (st.n_below - k2) + (st.n_above - k1)
+    return n0, n1, n2
+
+
 def mobw_sf(params: MOBWParams, y1: float, y2: float) -> float:
     """Joint survival ``P(Y1 > y1, Y2 > y2)``."""
     if y1 < 0 or y2 < 0:
@@ -264,6 +295,29 @@ def _log_we_pdf(y: float, alpha: float, lam: float) -> float:
     return math.log(alpha * lam) + (alpha - 1.0) * math.log(y) - lam * y**alpha
 
 
+def _branch_rates(params: MOBWParams, kind: str) -> tuple[float, float]:
+    # Weibull rates of (y1, y2) on an off-diagonal branch: the coordinate
+    # that fails later also fails when the shared shock fires
+    if kind == "below":
+        return params.lambda1, params.lambda0 + params.lambda2
+    return params.lambda0 + params.lambda1, params.lambda2
+
+
+def _branch_logpdf(params: MOBWParams, y1: float, y2: float, kind: str) -> float:
+    # log-density of a latent pair on one branch of the law: two Weibull
+    # factors off the diagonal, the singular factor on it; a tie is
+    # impossible (-inf) when the shared rate's share of the total is zero
+    a = params.alpha
+    if kind == "tie":
+        total = params.total
+        share = params.lambda0 / total
+        if share == 0.0:
+            return -math.inf
+        return math.log(share) + _log_we_pdf(y1, a, total)
+    r1, r2 = _branch_rates(params, kind)
+    return _log_we_pdf(y1, a, r1) + _log_we_pdf(y2, a, r2)
+
+
 def mobw_pdf(params: MOBWParams, y1: float, y2: float) -> MobwDensity:
     """Density at ``(y1, y2)``, flagged by component.
 
@@ -274,21 +328,9 @@ def mobw_pdf(params: MOBWParams, y1: float, y2: float) -> MobwDensity:
     """
     if y1 < 0 or y2 < 0:
         raise ValueError("arguments must be non-negative")
-    a = params.alpha
-    if y1 < y2:
-        lv = _log_we_pdf(y1, a, params.lambda1) + _log_we_pdf(
-            y2, a, params.lambda0 + params.lambda2
-        )
-        return MobwDensity(math.exp(lv) if lv != math.inf else math.inf, "below")
-    if y1 > y2:
-        lv = _log_we_pdf(y1, a, params.lambda0 + params.lambda1) + _log_we_pdf(
-            y2, a, params.lambda2
-        )
-        return MobwDensity(math.exp(lv) if lv != math.inf else math.inf, "above")
-    if params.lambda0 == 0.0:
-        return MobwDensity(0.0, "diagonal")
-    lv = math.log(params.lambda0 / params.total) + _log_we_pdf(y1, a, params.total)
-    return MobwDensity(math.exp(lv) if lv != math.inf else math.inf, "diagonal")
+    kind = "below" if y1 < y2 else "above" if y1 > y2 else "tie"
+    value = math.exp(_branch_logpdf(params, y1, y2, kind))
+    return MobwDensity(value, "diagonal" if kind == "tie" else kind)
 
 
 def mobw_sample(params: MOBWParams, rng: np.random.Generator, size=None):
@@ -336,11 +378,6 @@ def _clamped_mode(alpha: float, lam: float, i: int) -> float:
     return min(max(we_mode(alpha, lam), float(i)), float(i + 1))
 
 
-def _pair_density(y1: float, a: float, r1: float, y2: float, r2: float) -> float:
-    lv = _log_we_pdf(y1, a, r1) + _log_we_pdf(y2, a, r2)
-    return math.exp(lv) if lv != math.inf else math.inf
-
-
 def ml_predict(params: MOBWParams, i: int, j: int) -> LatentPrediction:
     """Maximum-likelihood prediction of the latent pair given its cell.
 
@@ -357,81 +394,48 @@ def ml_predict(params: MOBWParams, i: int, j: int) -> LatentPrediction:
     strictly-below / strictly-above points, weighted by their densities
     over the cell probability.  A below/above candidate exists only when
     the shape exceeds one and its two modes are ordered the right way
-    around; otherwise its weight is zero (for shapes at most one every
-    candidate collapses to the cell corner and the diagonal is reported).
-    Exact weight ties resolve in favour of the diagonal, then the below
-    candidate.  When the shared rate is zero the diagonal carries no mass
-    and its weight is zero outright.
+    around (for shapes at most one every candidate collapses to the cell
+    corner and the diagonal is reported).  Exact weight ties resolve in
+    favour of the diagonal, then the below candidate.  When the shared
+    rate is zero the diagonal carries no mass and its weight is zero
+    outright.  A cell whose probability underflows to zero is refused.
     """
     for v in (i, j):
         if v < 0 or v != int(v):
             raise ValueError(f"cell indices must be non-negative integers, got ({i}, {j})")
     i, j = int(i), int(j)
+    pcell = cell_probability(params, i, j)
+    if pcell <= 0.0:
+        raise ValueError(f"cell ({i}, {j}) has zero probability")
     a = params.alpha
-    l0, l1, l2 = params.lambda0, params.lambda1, params.lambda2
 
     if i != j:
-        if i < j:
-            r1, r2 = l1, l0 + l2
-            tag = "below-diagonal"
-        else:
-            r1, r2 = l0 + l1, l2
-            tag = "above-diagonal"
+        kind = "below" if i < j else "above"
+        r1, r2 = _branch_rates(params, kind)
         y1 = _clamped_mode(a, r1, i)
         y2 = _clamped_mode(a, r2, j)
-        pcell = cell_probability(params, i, j)
-        if pcell <= 0.0:
-            raise ValueError(f"cell ({i}, {j}) has zero probability")
-        return LatentPrediction(y1, y2, tag, _pair_density(y1, a, r1, y2, r2) / pcell)
+        dens = math.exp(_branch_logpdf(params, y1, y2, kind)) / pcell
+        return LatentPrediction(y1, y2, f"{kind}-diagonal", dens)
 
-    # Diagonal cell: the three-way contest.
-    if a <= 1:
-        w = float(i)
-        dens = math.inf
-        if params.total > 0 and not (a < 1 and i == 0):
-            if l0 > 0:
-                lv = math.log(l0 / params.total) + _log_we_pdf(w, a, params.total)
-                dens = math.exp(lv) / _min_interval_probability(params, i)
-            else:
-                dens = 0.0
-        return LatentPrediction(w, w, "tie-diagonal", dens)
-
+    # Diagonal cell: the three-way contest.  The diagonal's numerator is
+    # the singular component's density, shared-shock mass factor included
+    # — without it a vanishing shared rate could still win the contest for
+    # a component that carries no mass.
     w = _clamped_mode(a, params.total, i)
-    if l0 > 0:
-        # numerator is the singular component's density, shared-shock mass
-        # factor included — without it a vanishing shared rate could still
-        # win the contest for a component that carries no mass
-        weight_diag = math.exp(
-            math.log(l0 / params.total) + _log_we_pdf(w, a, params.total)
-        ) / _min_interval_probability(params, i)
-    else:
-        weight_diag = 0.0
-
-    pcell = cell_probability(params, i, i)
-    if pcell <= 0.0:
-        raise ValueError(f"cell ({i}, {i}) has zero probability")
-
-    if we_mode(a, l1) < we_mode(a, l0 + l2):
-        u1 = _clamped_mode(a, l1, i)
-        u2 = _clamped_mode(a, l0 + l2, i)
-        weight_below = _pair_density(u1, a, l1, u2, l0 + l2) / pcell
-    else:
-        u1 = u2 = float(i)
-        weight_below = 0.0
-
-    if we_mode(a, l2) < we_mode(a, l0 + l1):
-        v2 = _clamped_mode(a, l2, i)
-        v1 = _clamped_mode(a, l0 + l1, i)
-        weight_above = _pair_density(v1, a, l0 + l1, v2, l2) / pcell
-    else:
-        v1 = v2 = float(i)
-        weight_above = 0.0
-
-    if weight_diag >= weight_below and weight_diag >= weight_above:
-        return LatentPrediction(w, w, "tie-diagonal", weight_diag)
-    if weight_below >= weight_above:
-        return LatentPrediction(u1, u2, "tie-below", weight_below)
-    return LatentPrediction(v1, v2, "tie-above", weight_above)
+    dens = math.exp(_branch_logpdf(params, w, w, "tie")) / _min_interval_probability(params, i)
+    best = LatentPrediction(w, w, "tie-diagonal", dens)
+    if a <= 1:
+        return best
+    for kind in ("below", "above"):
+        r1, r2 = _branch_rates(params, kind)
+        m1, m2 = we_mode(a, r1), we_mode(a, r2)
+        if (m1 < m2) if kind == "below" else (m2 < m1):
+            u1 = _clamped_mode(a, r1, i)
+            u2 = _clamped_mode(a, r2, i)
+            weight = math.exp(_branch_logpdf(params, u1, u2, kind)) / pcell
+            if weight > best.density_value:
+                best = LatentPrediction(u1, u2, f"tie-{kind}", weight)
+    return best
 
 
 def complete_loglik(params: MOBWParams, sample: list[CompleteObservation]) -> float:
@@ -444,22 +448,12 @@ def complete_loglik(params: MOBWParams, sample: list[CompleteObservation]) -> fl
     index, because a silently infinite objective would derail any
     optimizer built on top.
     """
-    a = params.alpha
-    l0, l1, l2 = params.lambda0, params.lambda1, params.lambda2
-    total = params.total
     out = 0.0
     for idx, obs in enumerate(sample):
-        if obs.kind == "below":
-            term = _log_we_pdf(obs.y1, a, l1) + _log_we_pdf(obs.y2, a, l0 + l2)
-        elif obs.kind == "above":
-            term = _log_we_pdf(obs.y1, a, l0 + l1) + _log_we_pdf(obs.y2, a, l2)
-        else:
-            if l0 == 0.0:
-                raise ValueError(
-                    f"observation {idx} is a tie but the shared rate is zero"
-                )
-            term = math.log(l0 / total) + _log_we_pdf(obs.y1, a, total)
+        term = _branch_logpdf(params, obs.y1, obs.y2, obs.kind)
         if not math.isfinite(term):
+            if obs.kind == "tie" and params.lambda0 == 0.0:
+                raise ValueError(f"observation {idx} is a tie but the shared rate is zero")
             raise ValueError(
                 f"observation {idx} ({obs.y1}, {obs.y2}, {obs.kind}) has "
                 f"non-finite log-density {term}"

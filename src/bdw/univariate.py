@@ -434,9 +434,19 @@ def dw_fit_ml(data: Sequence[int]) -> DWFit:
         On an empty sample, when all observations are equal (the
         likelihood then degenerates towards a boundary point mass), when
         no DW law attains the supremum, or when the counts are too large
-        for ``p`` to be told from one.
+        for ``p`` to be told from one.  A sample on two adjacent values
+        ``{k, k+1}`` is one with no maximizer: as the shape grows with
+        ``lambda*(k+1)**alpha`` held, the DW law tends to any two-point
+        law on them, so the supremum is the sample's own frequencies.
     """
-    values, counts, _ = _distinct_values(data)
+    values, counts, n = _distinct_values(data)
+    if values.size == 2 and values[1] - values[0] == 1:
+        sup = float(counts @ np.log(counts / n))
+        raise ValueError(
+            f"no DW law fits this sample best: on the two adjacent values "
+            f"{values[0]:g} and {values[1]:g} the log-likelihood approaches "
+            f"its supremum {sup:.6g} only as the shape grows without bound"
+        )
     start = _grid_start(
         lambda logpmf: -(logpmf @ counts),
         values,

@@ -536,19 +536,49 @@ class TestFailurePaths:
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
+    def test_pmf_table_bound_is_capped_before_the_grid(self, tmp_path, capsys, monkeypatch):
+        # a (K + 1)^2 grid at K = 100000 would take 80 GB
+        def no_grid(*args):
+            raise AssertionError("the grid was built")
+
+        monkeypatch.setattr(bivariate, "joint_pmf_grid", no_grid)
+        args = ["pmf-table", "--alpha", "1.5", "--p0", "0.9", "--p1", "0.7", "--p2", "0.75"]
+        rc = main([*args, "--k", "100000", "--output", str(tmp_path / "out")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err == "error: a grid [0, K]^2 with K = 100000 > 10000 is not tractable\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "args", [["fit-dw", "--column", "x1"], ["gof", "--column", "x1", "--estimator", "ml"]]
+    )
+    def test_two_adjacent_values_are_refused_by_name(self, tmp_path, capsys, args):
+        # the x1 column is [0, 0, 1, 1, 1], which no DW law fits best
+        path = tmp_path / "d.csv"
+        path.write_text("0,2\n0,3\n1,0\n1,4\n1,2\n")
+        rc = main([*args, "--input", str(path), "--output", str(tmp_path / "out")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(
+            "error: no DW law fits this sample best: on the two adjacent values 0 and 1 "
+        )
+        assert not (tmp_path / "out").exists()
+
 
 # Run in a fresh interpreter, since this test module imports scipy itself:
 # runs each command through ``bdw.cli.main``, imports the given modules,
-# then prints the scipy modules loaded by then.
+# then prints the modules loaded by then that lie in the given package.
 _STARTUP_PROBE = """
 import importlib, json, sys
 import bdw, bdw.cli
-out, commands, imports = sys.argv[1], json.loads(sys.argv[2]), json.loads(sys.argv[3])
+out, commands, imports, package = (
+    sys.argv[1], json.loads(sys.argv[2]), json.loads(sys.argv[3]), sys.argv[4]
+)
 for i, argv in enumerate(commands):
     assert bdw.cli.main([*argv, "--output", f"{out}/{i}.out"]) == 0, argv
 for name in imports:
     importlib.import_module(name)
-print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+print(json.dumps(sorted(m for m in sys.modules if (m + ".").startswith(package + "."))))
 """
 
 # every command: none of them needs scipy
@@ -564,13 +594,13 @@ ALL_COMMANDS = [
 ]
 
 
-def _scipy_modules_after(tmp_path, commands, imports=()):
+def _modules_after(tmp_path, commands, imports=(), package="scipy"):
     src = str(pathlib.Path(bdw.__file__).resolve().parents[1])
     path = [src, os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [src]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
     proc = subprocess.run(
         [sys.executable, "-c", _STARTUP_PROBE, str(tmp_path), json.dumps(commands),
-         json.dumps(list(imports))],
+         json.dumps(list(imports)), package],
         capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 0, proc.stderr
@@ -581,9 +611,17 @@ def _scipy_modules_after(tmp_path, commands, imports=()):
 
 class TestStartup:
     def test_model_commands_do_not_load_scipy(self, tmp_path):
-        assert _scipy_modules_after(tmp_path, ALL_COMMANDS) == set()
+        assert _modules_after(tmp_path, ALL_COMMANDS) == set()
 
     def test_probe_sees_scipy(self, tmp_path):
         # the control: the probe does see scipy once something imports it
-        loaded = _scipy_modules_after(tmp_path, ALL_COMMANDS[:1], ["scipy.special"])
+        loaded = _modules_after(tmp_path, ALL_COMMANDS[:1], ["scipy.special"])
         assert "scipy.special" in loaded
+
+    def test_fit_bayes_does_not_load_numpy_ma(self, tmp_path):
+        # its intervals once took np.quantile, which imports numpy.ma
+        fit_bayes = [argv for argv in ALL_COMMANDS if argv[0] == "fit-bayes"]
+        assert _modules_after(tmp_path, fit_bayes, package="numpy.ma") == set()
+        # the control: the probe does see numpy.ma once something imports it
+        loaded = _modules_after(tmp_path, fit_bayes, ["numpy.ma"], package="numpy.ma")
+        assert "numpy.ma" in loaded

@@ -531,6 +531,15 @@ class TestIntervals:
         assert lo == pytest.approx(np.quantile(draws, 0.05), abs=1e-12)
         assert hi == pytest.approx(np.quantile(draws, 0.95), abs=1e-12)
 
+    def test_credible_is_np_quantile_bitwise(self):
+        # both ends come from the sorted draws by np.quantile's linear rule
+        rng = np.random.default_rng(8)
+        for n in [1, 2, 3, 7, 10, 101, 1000, 1001, 9999, 10_000]:
+            for draws in (rng.normal(size=n), rng.gamma(0.3, size=n) * 1e-6, rng.integers(0, 4, n)):
+                for beta in (0.05, 0.1, 0.5, 0.37, 1e-3):
+                    want = np.quantile(np.asarray(draws, float), [beta / 2, 1 - beta / 2])
+                    assert credible_interval(draws, beta) == tuple(float(v) for v in want)
+
     def test_credible_validation(self):
         with pytest.raises(ValueError, match="beta"):
             credible_interval([1.0, 2.0], beta=0.0)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize
 
-from bdw import bivariate, fit_ml
+from bdw import bivariate, fit_bayes, fit_ml, mobw
 from bdw.fit_bayes import augmented_gibbs
 from bdw.fit_ml import (
     BivariateDataset,
@@ -85,6 +85,14 @@ class TestDataset:
             BivariateDataset(())
         ds = BivariateDataset.from_pairs([[1, 2], [0, 0]])
         assert ds.n == 2
+
+    def test_from_pairs_validates_rows(self):
+        # rows reach the constructor's checks as given, not truncated
+        with pytest.raises(ValueError, match=r"^row 0: entries must be non-negative integers"):
+            BivariateDataset.from_pairs([(1.5, 2), (0, 1)])
+        ds = BivariateDataset.from_pairs(np.array([[1.0, 2.0], [0.0, 1.0]]))
+        assert ds.pairs == ((1, 2), (0, 1))
+        assert all(type(v) is int for row in ds.pairs for v in row)
 
 
 class TestLoglik:
@@ -250,6 +258,22 @@ class TestInnerEM:
         assert l1 == pytest.approx(c1 / t1, rel=1e-4, abs=1e-8)
         assert l2 == pytest.approx(c2 / t2, rel=1e-4, abs=1e-8)
         assert l0 == pytest.approx(c0 / t0, rel=1e-4, abs=1e-8)
+
+    def test_e_step_is_the_expected_cause_attribution(self, football, monkeypatch):
+        # one attribution serves the Gibbs rate step and the inner EM
+        calls = []
+
+        def counted(st, lambdas, rng=None):
+            calls.append(lambdas)
+            return mobw.cause_counts(st, lambdas, rng)
+
+        monkeypatch.setattr(fit_ml, "cause_counts", counted)
+        theta = init_estimates(football)
+        trace = []
+        inner_em_mobw(impute_dataset(theta, football), theta, trace=trace)
+        assert len(calls) == len(trace)
+        assert calls[0] == (theta.lambda0, theta.lambda1, theta.lambda2)
+        assert fit_bayes.cause_counts is mobw.cause_counts
 
     def test_all_tie_sample_rejected(self):
         from bdw.mobw import CompleteObservation

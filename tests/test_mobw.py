@@ -164,6 +164,26 @@ class TestPrediction:
             pred = ml_predict(params, i, i)
             assert pred.kind != "tie"
 
+    def test_zero_shared_rate_gives_the_corner_no_diagonal_weight(self):
+        # the singular density is infinite at the corner when alpha < 1,
+        # but with no shared rate the diagonal carries no mass at all
+        pred = ml_predict(MOBWParams(0.5, 0.0, 0.5, 0.4), 0, 0)
+        assert (pred.case_tag, pred.density_value) == ("tie-diagonal", 0.0)
+
+    def test_underflowing_diagonal_cell_is_named(self):
+        # the cell's mass and the minimum's interval mass both underflow
+        with pytest.raises(ValueError, match=r"^cell \(30, 30\) has zero probability$"):
+            ml_predict(MOBWParams(2.0, 1.0, 1.0, 1.0), 30, 30)
+
+    def test_vanishing_shared_share_is_no_domain_error(self):
+        # lambda0 / total underflows to zero: the diagonal then has no
+        # density, as at lambda0 = 0, and nothing takes log(0)
+        params = MOBWParams(1.0, 5e-324, 5.8, 0.02)
+        assert ml_predict(params, 6, 6).density_value == 0.0
+        assert mobw_pdf(params, 1.0, 1.0) == (0.0, "diagonal")
+        with pytest.raises(ValueError, match="non-finite log-density"):
+            complete_loglik(params, [CompleteObservation(1.0, 1.0, "tie")])
+
     def test_decreasing_density_shape_predicts_cell_corner(self):
         params = MOBWParams(0.9, 0.3, 0.5, 0.4)
         pred = ml_predict(params, 2, 4)

@@ -244,6 +244,17 @@ class TestDWFitting:
             with pytest.raises(ValueError, match="^no DW law fits this sample best: "):
                 fit(data)
 
+    @pytest.mark.parametrize("data", [[1, 1, 2, 2, 2], [0, 0, 1, 1, 1], [0, 1]])
+    def test_two_adjacent_values_are_refused(self, data):
+        # DW laws reach any two-point law on {k, k+1} only as alpha -> inf,
+        # so the likelihood's supremum is the sample's own frequencies
+        counts = np.unique(data, return_counts=True)[1]
+        sup = float(counts @ np.log(counts / len(data)))
+        with pytest.raises(
+            ValueError, match=rf"^no DW law fits this sample best: .* supremum {sup:.6g} "
+        ):
+            dw_fit_ml(data)
+
     @pytest.mark.parametrize("fit", [dw_fit_minchisq, dw_fit_ml])
     def test_counts_beyond_resolution_are_named(self, fit):
         # the best law's p = exp(-lambda) rounds to 1 at these counts
