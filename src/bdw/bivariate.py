@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .univariate import DWParams, _logpmf_arr, dw_pmf, dw_sample, dw_sf
+from .univariate import DWParams, _floor_counts, _logpmf_arr, dw_pmf, dw_sf
 
 __all__ = [
     "BDWParams",
@@ -321,24 +321,16 @@ def cond_sf_given_eq(params: BDWParams, x1: int, x2: int) -> float:
 
 
 def sample(params: BDWParams, rng: np.random.Generator, size=None):
-    """Draw pairs by the shock construction.
+    """Draw pairs by the shock construction: the floors of the latent pair
+    :func:`bdw.mobw.mobw_sample` draws at the rates :func:`to_mobw`.
 
-    Three independent DW draws are taken per pair (the shared one skipped
-    when ``p0 = 1``) and the coordinatewise minima returned.  With ``size``
-    given, returns an array of shape (size, 2); otherwise a single tuple.
+    With ``size`` given, returns an array of shape (size, 2); otherwise a
+    single tuple.  A lifetime past the int64 range is refused.
     """
-    n = 1 if size is None else int(size)
-    u1 = dw_sample(DWParams(params.alpha, params.p1), rng, size=n)
-    u2 = dw_sample(DWParams(params.alpha, params.p2), rng, size=n)
-    if params.p0 < 1.0:
-        u0 = dw_sample(DWParams(params.alpha, params.p0), rng, size=n)
-        x1 = np.minimum(u1, u0)
-        x2 = np.minimum(u2, u0)
-    else:
-        x1, x2 = u1, u2
-    if size is None:
-        return int(x1[0]), int(x2[0])
-    return np.column_stack([x1, x2])
+    from .mobw import mobw_sample
+
+    pairs = _floor_counts(mobw_sample(to_mobw(params), rng, size=1 if size is None else size))
+    return (int(pairs[0, 0]), int(pairs[0, 1])) if size is None else pairs
 
 
 # the largest bound K of a grid [0, K]^2 that is built: the (K + 1)^2 table
@@ -426,6 +418,30 @@ def from_mobw(params) -> BDWParams:
     )
 
 
+def _grid_report(logratio: np.ndarray, coords: tuple) -> GridCheckReport:
+    """Reduce a sweep's log-ratios, in sweep order, to its report.
+
+    ``coords`` holds one array per grid coordinate, broadcastable to
+    ``logratio``; the witness is the first point attaining a negative
+    worst.  A NaN log-ratio (the difference of two powers that overflowed
+    to inf) is skipped, as a comparison skips it.
+    """
+    worst = float(np.fmin.reduce(logratio, axis=None, initial=math.inf))
+    best = float(np.fmax.reduce(logratio, axis=None, initial=-math.inf))
+    witness = None
+    if worst < 0:
+        at = np.unravel_index(np.argmax(logratio == worst), logratio.shape)
+        witness = tuple(int(np.broadcast_to(c, logratio.shape)[at]) for c in coords)
+    return GridCheckReport(worst >= 0.0, math.exp(worst), math.exp(best), witness, logratio.size)
+
+
+def _grid_powers(params: BDWParams, k: int) -> np.ndarray:
+    # v**alpha for v in [0, k], the powers every survival ratio is made of
+    if k < 1:
+        raise ValueError("grid bound must be at least 1")
+    return np.array([float(v) ** params.alpha for v in range(k + 1)])
+
+
 def is_tp2_on_grid(params: BDWParams, k: int = 10) -> GridCheckReport:
     """Sweep the order-2 total-positivity inequality of the joint survival.
 
@@ -434,40 +450,20 @@ def is_tp2_on_grid(params: BDWParams, k: int = 10) -> GridCheckReport:
     coordinate-specific factors cancel exactly in the ratio, which therefore
     reduces to a power of ``p0``; evaluating that reduced form keeps the
     sweep immune to spurious last-ulp violations, and makes the ratio
-    identically one when ``p0 = 1``.
+    identically one when ``p0 = 1``.  The sweep runs over ``(x11, x12)``,
+    then ``(x21, x22)``, each in row-major order.
     """
-    if k < 1:
-        raise ValueError("grid bound must be at least 1")
-    a = params.alpha
-    lnp0 = math.log(params.p0)
-    pw = [float(v) ** a for v in range(k + 1)]
-    worst = math.inf
-    best = -math.inf
-    witness = None
-    checked = 0
-    for x11 in range(k + 1):
-        for x12 in range(x11, k + 1):
-            for x21 in range(k + 1):
-                for x22 in range(x21, k + 1):
-                    m1 = pw[max(x11, x21)]
-                    m3 = pw[max(x12, x21)]
-                    m4 = pw[max(x11, x22)]
-                    # the largest of the four maxima appears on both sides
-                    # and cancels exactly; only the smaller pair survives
-                    logratio = lnp0 * (m1 - min(m3, m4))
-                    checked += 1
-                    if logratio < worst:
-                        worst = logratio
-                        if logratio < 0:
-                            witness = (x11, x12, x21, x22)
-                    best = max(best, logratio)
-    return GridCheckReport(
-        passed=worst >= 0.0,
-        worst_ratio=math.exp(worst),
-        max_ratio=math.exp(best),
-        witness=witness,
-        checked=checked,
+    pw = _grid_powers(params, k)
+    lo, hi = np.triu_indices(k + 1)
+    x11, x12 = lo[:, None], hi[:, None]
+    x21, x22 = lo[None, :], hi[None, :]
+    # the largest of the four maxima appears on both sides and cancels
+    # exactly; only the smaller pair survives
+    logratio = math.log(params.p0) * (
+        pw[np.maximum(x11, x21)]
+        - np.minimum(pw[np.maximum(x12, x21)], pw[np.maximum(x11, x22)])
     )
+    return _grid_report(logratio, (x11, x12, x21, x22))
 
 
 def pqd_check_on_grid(params: BDWParams, k: int = 10) -> GridCheckReport:
@@ -478,27 +474,7 @@ def pqd_check_on_grid(params: BDWParams, k: int = 10) -> GridCheckReport:
     Equality holds everywhere iff ``p0 = 1``; otherwise the boundary rows
     ``min(x1, x2) = 0`` are the only equality cells.
     """
-    if k < 1:
-        raise ValueError("grid bound must be at least 1")
-    a = params.alpha
-    lnp0 = math.log(params.p0)
-    worst = math.inf
-    best = -math.inf
-    witness = None
-    checked = 0
-    for x1 in range(k + 1):
-        for x2 in range(k + 1):
-            logratio = -lnp0 * float(min(x1, x2)) ** a
-            checked += 1
-            if logratio < worst:
-                worst = logratio
-                if logratio < 0:
-                    witness = (x1, x2)
-            best = max(best, logratio)
-    return GridCheckReport(
-        passed=worst >= 0.0,
-        worst_ratio=math.exp(worst),
-        max_ratio=math.exp(best),
-        witness=witness,
-        checked=checked,
-    )
+    pw = _grid_powers(params, k)
+    x1, x2 = np.ogrid[: k + 1, : k + 1]
+    logratio = -math.log(params.p0) * pw[np.minimum(x1, x2)]
+    return _grid_report(logratio, (x1, x2))

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import bivariate
 from .mobw import (
-    MOBWParams, CompleteObservation, cause_counts, complete_loglik, ml_predict, summarize
+    MOBWParams, CompleteObservation, _predict_in_cell, cause_counts, complete_loglik, summarize
 )
 from .univariate import (
     ALPHA_HI,
@@ -194,21 +194,26 @@ class MLFitReport:
     ci95: dict | None
 
 
-def bdw_loglik(theta: MOBWParams, data: BivariateDataset) -> float:
-    """Observed-data log-likelihood of the discrete pairs under ``theta``.
+def _cell_log_masses(theta: MOBWParams, data: BivariateDataset) -> np.ndarray:
+    """Log joint mass of each of ``data``'s distinct cells under ``theta``.
 
-    Evaluated per distinct cell and weighted by multiplicity; a cell whose
-    probability underflows to zero aborts with that cell's first row index,
-    since a silent ``-inf`` would poison every comparison built on top.
+    A cell whose probability underflows to zero aborts with that cell's
+    first row index, since a silent ``-inf`` would poison every comparison
+    built on top.
     """
-    params = bivariate.from_mobw(theta)
-    x1, x2, w = data.cell_arrays
-    lp = bivariate._log_joint_pmf_arr(params, x1, x2, data.partition)
+    x1, x2, _ = data.cell_arrays
+    lp = bivariate._log_joint_pmf_arr(bivariate.from_mobw(theta), x1, x2, data.partition)
     bad = ~np.isfinite(lp)
     if np.any(bad):
         cell, _, row = data.cells[int(np.argmax(bad))]
         raise ValueError(f"data row {row} (cell {cell}) has zero probability")
-    return float(w @ lp)
+    return lp
+
+
+def bdw_loglik(theta: MOBWParams, data: BivariateDataset) -> float:
+    """Observed-data log-likelihood of the discrete pairs under ``theta``,
+    summed over the distinct cells by multiplicity."""
+    return float(data.cell_arrays[2] @ _cell_log_masses(theta, data))
 
 
 def bdw_loglik_derivatives(
@@ -300,12 +305,13 @@ def _identified_start(data: BivariateDataset, start: MOBWParams | None) -> MOBWP
 def impute_dataset(theta: MOBWParams, data: BivariateDataset) -> list[CompleteObservation]:
     """Most likely latent lifetimes for every row, aligned with row order.
 
-    The predictor runs once per distinct cell and the result is replicated,
-    so permuted datasets impute identical multisets.
+    The cells' masses are evaluated together, the predictor runs once per
+    distinct cell and the result is replicated, so permuted datasets impute
+    identical multisets.
     """
     cache: dict[tuple[int, int], CompleteObservation] = {}
-    for cell, _, _ in data.cells:
-        pred = ml_predict(theta, *cell)
+    for (cell, _, _), lp in zip(data.cells, _cell_log_masses(theta, data)):
+        pred = _predict_in_cell(theta, *cell, math.exp(lp))
         cache[cell] = CompleteObservation(pred.y1hat, pred.y2hat, pred.kind)
     return [cache[cell] for cell in data.pairs]
 

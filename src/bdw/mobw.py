@@ -26,7 +26,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from . import bivariate
-from .univariate import WeibullParams, we_mode, we_sample
+from .univariate import WeibullParams, _logpmf_arr, we_mode, we_sample
 
 __all__ = [
     "MOBWParams",
@@ -364,13 +364,6 @@ def cell_probability(params: MOBWParams, i: int, j: int) -> float:
     return bivariate.joint_pmf(bivariate.from_mobw(params), i, j)
 
 
-def _min_interval_probability(params: MOBWParams, i: int) -> float:
-    # P(i <= min(Y1, Y2) < i+1); the minimum is Weibull with the total rate
-    a, lam = params.alpha, params.total
-    t = -lam * float(i) ** a
-    return math.exp(t) * -math.expm1(-lam * (float(i + 1) ** a - float(i) ** a))
-
-
 def _clamped_mode(alpha: float, lam: float, i: int) -> float:
     # maximizer of the Weibull density over the closed cell [i, i+1]
     if alpha <= 1:
@@ -392,19 +385,22 @@ def ml_predict(params: MOBWParams, i: int, j: int) -> LatentPrediction:
     compete: the best diagonal point, weighted by the singular density over
     the probability that the minimum falls in the cell, and the best
     strictly-below / strictly-above points, weighted by their densities
-    over the cell probability.  A below/above candidate exists only when
-    the shape exceeds one and its two modes are ordered the right way
-    around (for shapes at most one every candidate collapses to the cell
-    corner and the diagonal is reported).  Exact weight ties resolve in
-    favour of the diagonal, then the below candidate.  When the shared
-    rate is zero the diagonal carries no mass and its weight is zero
-    outright.  A cell whose probability underflows to zero is refused.
+    over the cell probability.  A below/above candidate exists when the
+    shape exceeds one and its two modes are ordered the right way around.
+    When the diagonal's weight is zero — the shared rate is zero, or its
+    share of the total underflows — a branch without such a candidate
+    competes at its clamped point instead (the cell corner for shapes at
+    most one), provided that point lies on the branch, so a diagonal with
+    no mass never wins.  Exact weight ties resolve in favour of the
+    diagonal, then the below candidate.  A cell whose probability
+    underflows to zero is refused.
     """
-    for v in (i, j):
-        if v < 0 or v != int(v):
-            raise ValueError(f"cell indices must be non-negative integers, got ({i}, {j})")
-    i, j = int(i), int(j)
-    pcell = cell_probability(params, i, j)
+    i, j = bivariate._check_cell(i, j)
+    return _predict_in_cell(params, i, j, cell_probability(params, i, j))
+
+
+def _predict_in_cell(params: MOBWParams, i: int, j: int, pcell: float) -> LatentPrediction:
+    # ml_predict in the valid cell (i, j), whose probability is pcell
     if pcell <= 0.0:
         raise ValueError(f"cell ({i}, {j}) has zero probability")
     a = params.alpha
@@ -420,18 +416,20 @@ def ml_predict(params: MOBWParams, i: int, j: int) -> LatentPrediction:
     # Diagonal cell: the three-way contest.  The diagonal's numerator is
     # the singular component's density, shared-shock mass factor included
     # — without it a vanishing shared rate could still win the contest for
-    # a component that carries no mass.
+    # a component that carries no mass.  Its denominator is the mass of
+    # the minimum, a DW law with the total rate, at i.
     w = _clamped_mode(a, params.total, i)
-    dens = math.exp(_branch_logpdf(params, w, w, "tie")) / _min_interval_probability(params, i)
+    pmin = math.exp(_logpmf_arr(np.array([float(i)]), a, -params.total)[0])
+    dens = math.exp(_branch_logpdf(params, w, w, "tie")) / pmin
     best = LatentPrediction(w, w, "tie-diagonal", dens)
-    if a <= 1:
-        return best
     for kind in ("below", "above"):
         r1, r2 = _branch_rates(params, kind)
-        m1, m2 = we_mode(a, r1), we_mode(a, r2)
-        if (m1 < m2) if kind == "below" else (m2 < m1):
-            u1 = _clamped_mode(a, r1, i)
-            u2 = _clamped_mode(a, r2, i)
+        # the rate of the coordinate that fails first, then the other's
+        first, later = (r1, r2) if kind == "below" else (r2, r1)
+        u1, u2 = _clamped_mode(a, r1, i), _clamped_mode(a, r2, i)
+        ordered = a > 1 and we_mode(a, first) < we_mode(a, later)
+        on_branch = (u1 <= u2) if kind == "below" else (u1 >= u2)
+        if ordered or (dens == 0.0 and on_branch):
             weight = math.exp(_branch_logpdf(params, u1, u2, kind)) / pcell
             if weight > best.density_value:
                 best = LatentPrediction(u1, u2, f"tie-{kind}", weight)

@@ -152,14 +152,16 @@ def we_mode(alpha: float, lam: float) -> float:
 def we_sample(params: WeibullParams, rng: np.random.Generator, size=None):
     """Draw from the continuous Weibull law by inversion.
 
-    The uniform deviate is confined to the open unit interval by the
-    generator's 53-bit grid, so the transform never produces an infinite
-    lifetime; a deviate rounding to 0 maps to the value 0.
+    The uniform deviate lies in [0, 1) on the generator's 53-bit grid, so
+    the exponential deviate is finite and a deviate of 0 maps to the value
+    0; a very small shape can still power a lifetime past the float range,
+    to inf.
     """
     u = rng.random(size)
     # -log1p(-u) is an exact Exponential(1) inverse transform on [0, 1).
     e = -np.log1p(-u)
-    x = (e / params.lam) ** (1.0 / params.alpha)
+    with np.errstate(over="ignore"):
+        x = (e / params.lam) ** (1.0 / params.alpha)
     if size is None:
         return float(x)
     return x
@@ -193,14 +195,25 @@ def dw_sf(params: DWParams, y: float) -> float:
     return math.exp(float(k) ** params.alpha * math.log(params.p))
 
 
+def _floor_counts(lifetimes) -> np.ndarray:
+    """Floors of non-negative lifetimes as int64 counts; a lifetime at or
+    past 2**63, or infinite, is refused rather than wrapped to a negative."""
+    y = np.floor(lifetimes)
+    beyond = ~(y < 2.0**63)
+    if np.any(beyond):
+        raise ValueError(
+            f"a drawn lifetime of {y[beyond].flat[0]:.6g} exceeds the largest "
+            f"count 2**63 - 1: the law's tail is too heavy to sample"
+        )
+    return y.astype(np.int64)
+
+
 def dw_sample(params: DWParams, rng: np.random.Generator, size=None):
     """Draw from the DW law as the floor of a continuous Weibull lifetime."""
     _require_proper(params)
     lam = -math.log(params.p)
-    w = we_sample(WeibullParams(params.alpha, lam), rng, size=size)
-    if size is None:
-        return int(w)
-    return np.floor(w).astype(np.int64)
+    counts = _floor_counts(we_sample(WeibullParams(params.alpha, lam), rng, size=size))
+    return int(counts) if size is None else counts
 
 
 def dw_min_of_n(params: DWParams, n: int) -> DWParams:
@@ -218,7 +231,7 @@ def _logpmf_arr(y: np.ndarray, alpha: float, lnp: float) -> np.ndarray:
     survival terms nearly cancel (p close to 1).  Cells whose mass underflows
     to zero come back as -inf.
     """
-    with np.errstate(invalid="ignore", over="ignore"):
+    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
         t1 = np.where(y > 0, np.power(y, alpha), 0.0)
         t2 = np.power(y + 1.0, alpha)
         d = (t2 - t1) * lnp

@@ -26,7 +26,7 @@ from bdw.bivariate import (
     sample,
     to_mobw,
 )
-from bdw.univariate import dw_pmf, dw_sf
+from bdw.univariate import DWParams, dw_pmf, dw_sample, dw_sf
 
 CASES = [
     BDWParams(1.5, 0.9, 0.8, 0.7),
@@ -243,6 +243,20 @@ class TestMomentsAndDependence:
         assert rep.witness is None
         assert rep.worst_ratio >= 1.0
 
+    def test_grid_reduction_names_the_first_worst_point(self):
+        # two points share the worst log-ratio; a NaN is skipped
+        logratio = np.array([[0.5, -1.0], [np.nan, -1.0]])
+        rows, cols = np.ogrid[:2, :2]
+        rep = bivariate._grid_report(logratio, (rows, 10 + cols))
+        assert rep == bivariate.GridCheckReport(
+            False, math.exp(-1.0), math.exp(0.5), (0, 11), 4
+        )
+
+    def test_tp2_sweep_covers_ordered_pairs(self):
+        rep = is_tp2_on_grid(BDWParams(1.3, 0.8, 0.7, 0.6), k=3)
+        assert rep.checked == 10 * 10
+        assert rep.worst_ratio == 1.0 and rep.max_ratio > 1.0
+
     def test_pqd_is_exact_equality_under_independence(self):
         rep = pqd_check_on_grid(BDWParams(1.7, 1.0, 0.8, 0.7), k=8)
         assert rep.passed
@@ -309,3 +323,27 @@ class TestSampling:
     def test_scalar_draw(self, rng):
         pair = sample(BDWParams(1.5, 0.9, 0.8, 0.7), rng)
         assert isinstance(pair, tuple) and len(pair) == 2
+
+    @pytest.mark.parametrize(
+        "params", [BDWParams(1.5, 0.9, 0.8, 0.7), BDWParams(0.6, 1.0, 0.5, 0.95)]
+    )
+    def test_pairs_are_minima_of_three_dw_draws(self, params):
+        # the floored latent pair is the pair of minima of the three DW
+        # components, drawn from the same stream in the same order
+        rng = np.random.default_rng(11)
+        comps = [DWParams(params.alpha, p) for p in (params.p1, params.p2, params.p0) if p < 1]
+        u = [dw_sample(c, rng, size=300) for c in comps]
+        if len(u) == 3:
+            u = [np.minimum(u[0], u[2]), np.minimum(u[1], u[2])]
+        want = np.column_stack(u)
+        np.testing.assert_array_equal(sample(params, np.random.default_rng(11), size=300), want)
+
+    @pytest.mark.parametrize("alpha", [0.05, 0.001])
+    def test_lifetime_past_the_count_range_is_refused(self, alpha):
+        # a shape this small puts some minima beyond 2**63; at the smaller
+        # one the power overflows to inf, without a warning
+        law = BDWParams(alpha, 0.999, 0.99, 0.99)
+        with pytest.raises(ValueError, match=r"exceeds the largest count .* too heavy to sample$"):
+            sample(law, np.random.default_rng(0), size=8)
+        with pytest.raises(ValueError, match="too heavy to sample"):
+            dw_sample(DWParams(0.05, 0.99), np.random.default_rng(0), size=8)

@@ -396,6 +396,15 @@ class TestFailurePaths:
         assert rc == 1
         assert "at least 1" in capsys.readouterr().err
 
+    def test_heavy_tailed_simulation_is_refused(self, capsys):
+        argv = ["simulate", "--alpha", "0.05", "--p0", "0.999", "--p1", "0.99", "--p2", "0.99"]
+        rc = main([*argv, "--n", "8"])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: a drawn lifetime of ")
+        assert "too heavy to sample" in captured.err
+
     def test_bad_gibbs_size(self, capsys):
         rc = main(
             [

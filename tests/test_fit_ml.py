@@ -205,7 +205,77 @@ class TestInitialization:
         )
 
 
+# a wide-support law: a 1000-row draw has some 400 distinct cells
+WIDE = bivariate.BDWParams(1.2, 0.97, 0.95, 0.96)
+
+
+@pytest.fixture(scope="module")
+def wide_draw():
+    return BivariateDataset.from_pairs(bivariate.sample(WIDE, np.random.default_rng(0), 1000))
+
+
+def _imputed(theta, data):
+    return [(o.y1, o.y2, o.kind) for o in impute_dataset(theta, data)]
+
+
+def _cellwise(theta, data):
+    # the imputation one cell at a time, each mass from the scalar joint pmf
+    preds = {cell: mobw.ml_predict(theta, *cell) for cell, _, _ in data.cells}
+    return [(p.y1hat, p.y2hat, p.kind) for p in map(preds.get, data.pairs)]
+
+
 class TestImputation:
+    @pytest.mark.parametrize("name", ["football", "nasal", "wide_draw"])
+    def test_matches_cellwise_prediction_at_the_start(self, name, request):
+        data = request.getfixturevalue(name)
+        theta = init_estimates(data)
+        assert _imputed(theta, data) == _cellwise(theta, data)
+
+    def test_matches_cellwise_prediction_on_random_laws(self, football, nasal, wide_draw):
+        rng = np.random.default_rng(9)
+        for k in range(60):
+            alpha = math.exp(rng.uniform(math.log(0.3), math.log(4.0)))
+            l0 = 0.0 if k % 7 == 0 else math.exp(rng.uniform(math.log(1e-3), 0.0))
+            l1, l2 = np.exp(rng.uniform(math.log(1e-2), math.log(1.5), size=2))
+            theta = MOBWParams(alpha, l0, float(l1), float(l2))
+            for data in (football, nasal, wide_draw) if k % 3 == 0 else (football, nasal):
+                try:
+                    want = _cellwise(theta, data)
+                except ValueError:
+                    with pytest.raises(ValueError, match="has zero probability"):
+                        impute_dataset(theta, data)
+                else:
+                    assert _imputed(theta, data) == want
+
+    def test_evaluates_no_scalar_cell_mass(self, wide_draw, monkeypatch):
+        calls = []
+        scalar = bivariate.joint_logpmf
+        monkeypatch.setattr(
+            bivariate, "joint_logpmf", lambda *args: calls.append(args) or scalar(*args)
+        )
+        theta = init_estimates(wide_draw)
+        mobw.ml_predict(theta, 1, 1)
+        assert len(calls) == 1
+        impute_dataset(theta, wide_draw)
+        assert len(calls) == 1
+
+    def test_zero_probability_cell_is_named(self):
+        # the cell's log-mass is -inf: refused by its first row, as the
+        # likelihood refuses it
+        data = BivariateDataset(((0, 1), (1, 0), (1000, 2000), (1000, 2000)))
+        theta = MOBWParams(0.1, 1e-13, 1e-13, 1e-13)
+        msg = r"^data row 2 \(cell \(1000, 2000\)\) has zero probability$"
+        with pytest.raises(ValueError, match=msg):
+            bdw_loglik(theta, data)
+        with pytest.raises(ValueError, match=msg):
+            impute_dataset(theta, data)
+
+    def test_underflowing_cell_mass_is_named(self):
+        # the log-mass is finite but its exponential underflows to zero
+        data = BivariateDataset(((0, 1), (1, 0), (30, 30)))
+        with pytest.raises(ValueError, match=r"^cell \(30, 30\) has zero probability$"):
+            impute_dataset(MOBWParams(2.0, 1.0, 1.0, 1.0), data)
+
     def test_rows_respect_cells(self, football):
         theta = init_estimates(football)
         sample = impute_dataset(theta, football)

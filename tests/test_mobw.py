@@ -5,6 +5,7 @@ import pytest
 from scipy import integrate
 
 from bdw.bivariate import BDWParams, from_mobw, joint_pmf
+from bdw.fit_ml import BivariateDataset, impute_dataset
 from bdw.mobw import (
     CompleteObservation,
     LatentPrediction,
@@ -158,17 +159,33 @@ class TestPrediction:
         if pred.kind == "tie":
             assert pred.y1hat == pred.y2hat
 
-    def test_zero_shared_rate_never_predicts_tie(self):
-        params = MOBWParams(1.8, 0.0, 0.5, 0.4)
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.8])
+    @pytest.mark.parametrize(
+        "lambdas", [(0.5, 0.4), (0.5, 0.5), (0.4, 0.5)], ids=["l1-gt-l2", "l1-eq-l2", "l1-lt-l2"]
+    )
+    def test_zero_shared_rate_never_predicts_tie(self, alpha, lambdas):
+        # with no shared rate the diagonal carries no mass: every diagonal
+        # cell goes to an off-diagonal branch, at a point that lies on it
+        params = MOBWParams(alpha, 0.0, *lambdas)
         for i in range(3):
             pred = ml_predict(params, i, i)
             assert pred.kind != "tie"
+            assert pred.density_value > 0
+            CompleteObservation(pred.y1hat, pred.y2hat, pred.kind)
 
     def test_zero_shared_rate_gives_the_corner_no_diagonal_weight(self):
         # the singular density is infinite at the corner when alpha < 1,
-        # but with no shared rate the diagonal carries no mass at all
+        # but with no shared rate the diagonal carries no mass at all: the
+        # corner goes to the below branch, whose density is infinite there
         pred = ml_predict(MOBWParams(0.5, 0.0, 0.5, 0.4), 0, 0)
-        assert (pred.case_tag, pred.density_value) == ("tie-diagonal", 0.0)
+        assert pred == (0.0, 0.0, "tie-below", math.inf)
+
+    def test_massless_diagonal_cell_imputes_a_valid_sample(self):
+        params = MOBWParams(0.9, 0.0, 0.5, 0.4)
+        data = BivariateDataset(((1, 2), (2, 2), (3, 1)))
+        sample = impute_dataset(params, data)
+        assert [obs.kind for obs in sample] == ["below", "below", "above"]
+        assert math.isfinite(complete_loglik(params, sample))
 
     def test_underflowing_diagonal_cell_is_named(self):
         # the cell's mass and the minimum's interval mass both underflow
@@ -179,10 +196,18 @@ class TestPrediction:
         # lambda0 / total underflows to zero: the diagonal then has no
         # density, as at lambda0 = 0, and nothing takes log(0)
         params = MOBWParams(1.0, 5e-324, 5.8, 0.02)
-        assert ml_predict(params, 6, 6).density_value == 0.0
+        pred = ml_predict(params, 6, 6)
+        assert (pred.y1hat, pred.y2hat, pred.kind) == (6.0, 6.0, "below")
+        assert 0.0 < pred.density_value < math.inf
         assert mobw_pdf(params, 1.0, 1.0) == (0.0, "diagonal")
         with pytest.raises(ValueError, match="non-finite log-density"):
             complete_loglik(params, [CompleteObservation(1.0, 1.0, "tie")])
+
+    def test_minimum_mass_survives_an_underflowing_base_product(self):
+        # p0 * p1 * p2 underflows to zero, but the minimum's mass at 0 is 1
+        pred = ml_predict(MOBWParams(2.0, 300.0, 300.0, 300.0), 0, 0)
+        assert pred.case_tag == "tie-diagonal"
+        assert math.isfinite(pred.density_value)
 
     def test_decreasing_density_shape_predicts_cell_corner(self):
         params = MOBWParams(0.9, 0.3, 0.5, 0.4)
