@@ -424,15 +424,25 @@ def _grid_report(logratio: np.ndarray, coords: tuple) -> GridCheckReport:
     ``coords`` holds one array per grid coordinate, broadcastable to
     ``logratio``; the witness is the first point attaining a negative
     worst.  A NaN log-ratio (the difference of two powers that overflowed
-    to inf) is skipped, as a comparison skips it.
+    to inf) is skipped, as a comparison skips it.  A finite largest
+    log-ratio whose ratio overflows a float is refused, naming the grid
+    bound: the largest coordinate.
     """
     worst = float(np.fmin.reduce(logratio, axis=None, initial=math.inf))
     best = float(np.fmax.reduce(logratio, axis=None, initial=-math.inf))
+    try:
+        max_ratio = math.exp(best)
+    except OverflowError:
+        k = max(int(np.max(c)) for c in coords)
+        raise ValueError(
+            f"the largest survival ratio on the grid of bound k = {k} is "
+            f"exp({best!r}), past the float range: check a smaller k"
+        ) from None
     witness = None
     if worst < 0:
         at = np.unravel_index(np.argmax(logratio == worst), logratio.shape)
         witness = tuple(int(np.broadcast_to(c, logratio.shape)[at]) for c in coords)
-    return GridCheckReport(worst >= 0.0, math.exp(worst), math.exp(best), witness, logratio.size)
+    return GridCheckReport(worst >= 0.0, math.exp(worst), max_ratio, witness, logratio.size)
 
 
 def _grid_powers(params: BDWParams, k: int) -> np.ndarray:

@@ -4,27 +4,29 @@ Every command emits a JSON report with stable key order (``pmf-table``
 emits CSV); with the same inputs and seed the output is byte-identical,
 so reports can be diffed and checksummed.  Verbosity is controlled by the
 ``BDW_LOG`` environment variable (standard logging level names).
+
+Each command handler imports the layers it runs, so a process starts on
+only those: ``pmf-table`` never loads the fitting modules.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import logging
 import os
 import sys
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 from . import bivariate
 from .bivariate import BDWParams
 from .datasets import BUILTIN, builtin_dataset
-from .fit_bayes import AlphaPrior, DGPrior, augmented_gibbs
-from .fit_ml import BivariateDataset, alpha_equals_one_test, nested_em
-from .gof import ChiSquareReport, chisq_bdw, chisq_dw
-from .univariate import dw_fit_minchisq, dw_fit_ml
+
+if TYPE_CHECKING:
+    from .fit_ml import BivariateDataset
+    from .gof import ChiSquareReport
 
 __all__ = ["load_csv", "main"]
 
@@ -55,6 +57,10 @@ def _looks_like_header(row: list[str]) -> bool:
 
 def load_csv(path: str) -> BivariateDataset:
     """Read paired counts from a two-column CSV, optional single header."""
+    import csv
+
+    from .fit_ml import BivariateDataset
+
     pairs: list[tuple[int, int]] = []
     with open(path, newline="") as fh:
         for lineno, row in enumerate(csv.reader(fh), start=1):
@@ -126,6 +132,9 @@ def _emit(report: dict, output: str | None) -> None:
 
 
 def _cmd_fit_dw(args: argparse.Namespace) -> None:
+    from .gof import chisq_dw
+    from .univariate import dw_fit_minchisq, dw_fit_ml
+
     data, source = _dataset(args)
     column = data.column(args.column)
     ml = dw_fit_ml(column)
@@ -149,6 +158,9 @@ def _cmd_fit_dw(args: argparse.Namespace) -> None:
 
 
 def _cmd_fit_ml(args: argparse.Namespace) -> None:
+    from .fit_ml import alpha_equals_one_test, nested_em
+    from .gof import chisq_bdw
+
     data, source = _dataset(args)
     fit = nested_em(data)
     th = fit.params
@@ -182,6 +194,8 @@ def _cmd_fit_ml(args: argparse.Namespace) -> None:
 
 
 def _cmd_fit_bayes(args: argparse.Namespace) -> None:
+    from .fit_bayes import AlphaPrior, DGPrior, augmented_gibbs
+
     data, source = _dataset(args)
     prior = DGPrior(args.a, args.b, args.a0, args.a1, args.a2)
     alpha_prior = AlphaPrior(args.c, args.d)
@@ -218,6 +232,10 @@ def _cmd_fit_bayes(args: argparse.Namespace) -> None:
 
 
 def _cmd_gof(args: argparse.Namespace) -> None:
+    from .fit_ml import nested_em
+    from .gof import chisq_bdw, chisq_dw
+    from .univariate import dw_fit_minchisq, dw_fit_ml
+
     data, source = _dataset(args)
     if args.column == "joint":
         fit = nested_em(data)

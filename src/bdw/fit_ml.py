@@ -311,7 +311,7 @@ def impute_dataset(theta: MOBWParams, data: BivariateDataset) -> list[CompleteOb
     """
     cache: dict[tuple[int, int], CompleteObservation] = {}
     for (cell, _, _), lp in zip(data.cells, _cell_log_masses(theta, data)):
-        pred = _predict_in_cell(theta, *cell, math.exp(lp))
+        pred = _predict_in_cell(theta, *cell, lp)
         cache[cell] = CompleteObservation(pred.y1hat, pred.y2hat, pred.kind)
     return [cache[cell] for cell in data.pairs]
 

@@ -11,14 +11,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 from . import bivariate
 from .bivariate import BDWParams
-from .fit_ml import BivariateDataset
 from .univariate import DWParams, dw_pmf, dw_sf
+
+if TYPE_CHECKING:
+    from .fit_ml import BivariateDataset
 
 __all__ = [
     "ChiSquareReport",

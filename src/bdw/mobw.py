@@ -392,16 +392,30 @@ def ml_predict(params: MOBWParams, i: int, j: int) -> LatentPrediction:
     competes at its clamped point instead (the cell corner for shapes at
     most one), provided that point lies on the branch, so a diagonal with
     no mass never wins.  Exact weight ties resolve in favour of the
-    diagonal, then the below candidate.  A cell whose probability
-    underflows to zero is refused.
+    diagonal, then the below candidate.  Weights are compared as logs, so
+    a cell whose mass underflows but whose log-mass is finite is predicted;
+    only a cell of log-mass ``-inf`` is refused.
     """
     i, j = bivariate._check_cell(i, j)
-    return _predict_in_cell(params, i, j, cell_probability(params, i, j))
+    log_mass = bivariate.joint_logpmf(bivariate.from_mobw(params), i, j)
+    return _predict_in_cell(params, i, j, log_mass)
 
 
-def _predict_in_cell(params: MOBWParams, i: int, j: int, pcell: float) -> LatentPrediction:
-    # ml_predict in the valid cell (i, j), whose probability is pcell
-    if pcell <= 0.0:
+def _weight(log_w: float) -> float:
+    # a prediction's reported weight; one past the float range reads inf
+    try:
+        return math.exp(log_w)
+    except OverflowError:
+        return math.inf
+
+
+def _predict_in_cell(
+    params: MOBWParams, i: int, j: int, log_mass: float
+) -> LatentPrediction:
+    # ml_predict in the valid cell (i, j), whose log-mass is log_mass; the
+    # weights are compared as logs, so a cell whose mass underflows while
+    # its log-mass stays finite is still predicted
+    if log_mass == -math.inf:
         raise ValueError(f"cell ({i}, {j}) has zero probability")
     a = params.alpha
 
@@ -410,8 +424,8 @@ def _predict_in_cell(params: MOBWParams, i: int, j: int, pcell: float) -> Latent
         r1, r2 = _branch_rates(params, kind)
         y1 = _clamped_mode(a, r1, i)
         y2 = _clamped_mode(a, r2, j)
-        dens = math.exp(_branch_logpdf(params, y1, y2, kind)) / pcell
-        return LatentPrediction(y1, y2, f"{kind}-diagonal", dens)
+        log_w = _branch_logpdf(params, y1, y2, kind) - log_mass
+        return LatentPrediction(y1, y2, f"{kind}-diagonal", _weight(log_w))
 
     # Diagonal cell: the three-way contest.  The diagonal's numerator is
     # the singular component's density, shared-shock mass factor included
@@ -419,9 +433,10 @@ def _predict_in_cell(params: MOBWParams, i: int, j: int, pcell: float) -> Latent
     # a component that carries no mass.  Its denominator is the mass of
     # the minimum, a DW law with the total rate, at i.
     w = _clamped_mode(a, params.total, i)
-    pmin = math.exp(_logpmf_arr(np.array([float(i)]), a, -params.total)[0])
-    dens = math.exp(_branch_logpdf(params, w, w, "tie")) / pmin
-    best = LatentPrediction(w, w, "tie-diagonal", dens)
+    log_pmin = _logpmf_arr(np.array([float(i)]), a, -params.total)[0]
+    best_log_w = _branch_logpdf(params, w, w, "tie") - log_pmin
+    massless = best_log_w == -math.inf
+    best = LatentPrediction(w, w, "tie-diagonal", _weight(best_log_w))
     for kind in ("below", "above"):
         r1, r2 = _branch_rates(params, kind)
         # the rate of the coordinate that fails first, then the other's
@@ -429,10 +444,11 @@ def _predict_in_cell(params: MOBWParams, i: int, j: int, pcell: float) -> Latent
         u1, u2 = _clamped_mode(a, r1, i), _clamped_mode(a, r2, i)
         ordered = a > 1 and we_mode(a, first) < we_mode(a, later)
         on_branch = (u1 <= u2) if kind == "below" else (u1 >= u2)
-        if ordered or (dens == 0.0 and on_branch):
-            weight = math.exp(_branch_logpdf(params, u1, u2, kind)) / pcell
-            if weight > best.density_value:
-                best = LatentPrediction(u1, u2, f"tie-{kind}", weight)
+        if ordered or (massless and on_branch):
+            log_w = _branch_logpdf(params, u1, u2, kind) - log_mass
+            if log_w > best_log_w:
+                best_log_w = log_w
+                best = LatentPrediction(u1, u2, f"tie-{kind}", _weight(log_w))
     return best
 
 

@@ -252,6 +252,16 @@ class TestMomentsAndDependence:
             False, math.exp(-1.0), math.exp(0.5), (0, 11), 4
         )
 
+    @pytest.mark.parametrize("check", [is_tp2_on_grid, pqd_check_on_grid])
+    def test_overflowing_ratio_is_refused_by_name(self, check):
+        # the largest ratio is exp(4.3e11): past the float range at k = 12
+        with pytest.raises(ValueError, match=r"^the largest survival ratio on the grid "
+                           r"of bound k = 12 is exp\(427709999578\.99\d*\), past the "
+                           r"float range: check a smaller k$"):
+            check(BDWParams(10.0, 0.001, 0.5, 0.5), 12)
+        # a grid whose largest ratio fits still reports
+        assert check(BDWParams(10.0, 0.001, 0.5, 0.5), 1).max_ratio == pytest.approx(1000.0)
+
     def test_tp2_sweep_covers_ordered_pairs(self):
         rep = is_tp2_on_grid(BDWParams(1.3, 0.8, 0.7, 0.6), k=3)
         assert rep.checked == 10 * 10

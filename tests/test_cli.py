@@ -603,14 +603,18 @@ ALL_COMMANDS = [
 ]
 
 
-def _modules_after(tmp_path, commands, imports=(), package="scipy"):
+def _src_env():
+    # this tree's src first on the path of a child interpreter
     src = str(pathlib.Path(bdw.__file__).resolve().parents[1])
     path = [src, os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [src]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+
+
+def _modules_after(tmp_path, commands, imports=(), package="scipy"):
     proc = subprocess.run(
         [sys.executable, "-c", _STARTUP_PROBE, str(tmp_path), json.dumps(commands),
          json.dumps(list(imports)), package],
-        capture_output=True, text=True, env=env,
+        capture_output=True, text=True, env=_src_env(),
     )
     assert proc.returncode == 0, proc.stderr
     for i in range(len(commands)):
@@ -634,3 +638,42 @@ class TestStartup:
         # the control: the probe does see numpy.ma once something imports it
         loaded = _modules_after(tmp_path, fit_bayes, ["numpy.ma"], package="numpy.ma")
         assert "numpy.ma" in loaded
+
+    # the bdw modules each command loads: the layers it runs, and no other
+    _START = {"bdw", "bdw.cli", "bdw.bivariate", "bdw.univariate", "bdw.datasets"}
+    _FITS = _START | {"bdw.mobw", "bdw.fit_ml", "bdw.gof"}
+    _LOADED = {
+        "pmf-table": _START,
+        "moments": _START,
+        "simulate": _START | {"bdw.mobw"},
+        "fit-ml": _FITS,
+        "gof": _FITS,
+        "fit-dw": _FITS,
+        "fit-bayes": _FITS - {"bdw.gof"} | {"bdw.fit_bayes"},
+    }
+
+    @pytest.mark.parametrize("argv", ALL_COMMANDS, ids=lambda argv: argv[0])
+    def test_command_loads_only_its_layers(self, tmp_path, argv):
+        assert _modules_after(tmp_path, [argv], package="bdw") == self._LOADED[argv[0]]
+
+
+class TestTracedRun:
+    # perfbench/traced.py patches each layer's functions in its module
+    # after ``import bdw.cli``; the handlers' own imports must see them
+    @pytest.mark.parametrize("argv, span", [
+        (["fit-ml", "--dataset", "football"], "fit_ml.nested_em"),
+        (["fit-bayes", "--dataset", "football", "-M", "100", "-N", "1", "--seed", "1"],
+         "fit_bayes.augmented_gibbs"),
+    ], ids=["fit-ml", "fit-bayes"])
+    def test_tracer_sees_the_handlers_calls(self, tmp_path, argv, span):
+        traced = pathlib.Path(bdw.__file__).resolve().parents[2] / "perfbench" / "traced.py"
+        spans = tmp_path / "spans.json"
+        proc = subprocess.run(
+            [sys.executable, str(traced), str(spans), "op", "--",
+             *argv, "--output", str(tmp_path / "report.json")],
+            capture_output=True, text=True, env=_src_env(),
+        )
+        assert proc.returncode == 0, proc.stderr
+        doc = json.loads(spans.read_text())
+        assert doc["absent"] == []
+        assert [s[0] for s in doc["spans"]].count(span) == 1

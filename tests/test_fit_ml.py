@@ -20,7 +20,7 @@ from bdw.fit_ml import (
     nested_em,
     observed_info_ci,
 )
-from bdw.mobw import MOBWParams, complete_loglik
+from bdw.mobw import CompleteObservation, MOBWParams, complete_loglik
 from bdw.univariate import DWParams, dw_fit_minchisq, dw_fit_ml
 
 # fitted values pinned from the shipped datasets; regression guards for the
@@ -270,11 +270,15 @@ class TestImputation:
         with pytest.raises(ValueError, match=msg):
             impute_dataset(theta, data)
 
-    def test_underflowing_cell_mass_is_named(self):
-        # the log-mass is finite but its exponential underflows to zero
+    def test_underflowing_cell_mass_is_imputed(self):
+        # the log-mass is finite but its exponential underflows to zero:
+        # the likelihood accepts the cell, and so does the imputation
         data = BivariateDataset(((0, 1), (1, 0), (30, 30)))
-        with pytest.raises(ValueError, match=r"^cell \(30, 30\) has zero probability$"):
-            impute_dataset(MOBWParams(2.0, 1.0, 1.0, 1.0), data)
+        theta = MOBWParams(2.0, 1.0, 1.0, 1.0)
+        assert bdw_loglik(theta, data) == pytest.approx(-2704.922313949512, rel=1e-12)
+        sample = impute_dataset(theta, data)
+        assert sample[2] == CompleteObservation(30.0, 30.0, "tie")
+        assert math.isfinite(complete_loglik(theta, sample))
 
     def test_rows_respect_cells(self, football):
         theta = init_estimates(football)

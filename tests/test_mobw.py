@@ -187,10 +187,16 @@ class TestPrediction:
         assert [obs.kind for obs in sample] == ["below", "below", "above"]
         assert math.isfinite(complete_loglik(params, sample))
 
-    def test_underflowing_diagonal_cell_is_named(self):
-        # the cell's mass and the minimum's interval mass both underflow
-        with pytest.raises(ValueError, match=r"^cell \(30, 30\) has zero probability$"):
-            ml_predict(MOBWParams(2.0, 1.0, 1.0, 1.0), 30, 30)
+    def test_underflowing_diagonal_cell_is_predicted(self):
+        # the cell's mass and the minimum's interval mass both underflow,
+        # their logs do not: the diagonal's weight is the singular density
+        # 60 * exp(-2700) over the minimum's mass, ~exp(-2700)
+        pred = ml_predict(MOBWParams(2.0, 1.0, 1.0, 1.0), 30, 30)
+        assert pred[:3] == (30.0, 30.0, "tie-diagonal")
+        assert pred.density_value == pytest.approx(60.0, rel=1e-9)
+        # only a cell whose log-mass is -inf is refused
+        with pytest.raises(ValueError, match=r"^cell \(1000, 2000\) has zero probability$"):
+            ml_predict(MOBWParams(0.1, 1e-13, 1e-13, 1e-13), 1000, 2000)
 
     def test_vanishing_shared_share_is_no_domain_error(self):
         # lambda0 / total underflows to zero: the diagonal then has no
