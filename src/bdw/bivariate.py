@@ -365,7 +365,17 @@ def _truncation_bound(params: BDWParams, epsilon: float) -> int:
     # smallest K with the heavier marginal's survival below epsilon; the
     # heavier tail has the larger survival base, so it controls both
     qmax = params.p0 * max(params.p1, params.p2)
-    k = max(1, math.ceil((math.log(epsilon) / math.log(qmax)) ** (1.0 / params.alpha)))
+    # the start solves qmax**(k**alpha) = epsilon, so K lies within one of
+    # it; from 2**53 on a float no longer resolves one step of k and the
+    # search below would not end, so such a start, far past the grid cap,
+    # is refused without it
+    try:
+        start = (math.log(epsilon) / math.log(qmax)) ** (1.0 / params.alpha)
+    except OverflowError:
+        start = math.inf
+    if not start < 2.0**53:
+        raise _intractable_grid(None, epsilon)
+    k = max(1, math.ceil(start))
     while math.exp(float(k) ** params.alpha * math.log(qmax)) >= epsilon:
         k += 1
     while k > 1 and math.exp(float(k - 1) ** params.alpha * math.log(qmax)) < epsilon:

@@ -140,18 +140,21 @@ def sample_lambdas_conditional(
     """
     sample = summarize(sample)
     n0, n1, n2 = cause_counts(sample, lambdas, rng)
-    t0, t1, t2 = exposures(sample, alpha)
-    shapes = (prior.a0 + n0, prior.a1 + n1, prior.a2 + n2)
-    rates = (prior.b + t0, prior.b + t1, prior.b + t2)
+    t0, t1, t2 = sample.exposures(alpha)
+    a0, a1, a2, b = prior.a0, prior.a1, prior.a2, prior.b
+    gamma = rng.gamma
     # near-zero shapes make gamma draws underflow; keep them positive
-    prop = tuple(
-        max(rng.gamma(s, 1.0 / r), 5e-324) for s, r in zip(shapes, rates)
+    prop = (
+        max(gamma(a0 + n0, 1.0 / (b + t0)), 5e-324),
+        max(gamma(a1 + n1, 1.0 / (b + t1)), 5e-324),
+        max(gamma(a2 + n2, 1.0 / (b + t2)), 5e-324),
     )
-    excess = prior.a - (prior.a0 + prior.a1 + prior.a2)
+    excess = prior.a - (a0 + a1 + a2)
     if excess == 0.0:
         return prop
     ratio = excess * (math.log(sum(prop)) - math.log(sum(lambdas)))
-    if math.log(rng.uniform()) < ratio:
+    # rng.uniform() is 0 + 1 * rng.random(): the same bits, called faster
+    if math.log(rng.random()) < ratio:
         return prop
     return lambdas
 
@@ -172,31 +175,36 @@ def _alpha_logtarget(
     if st.n_tie:
         rate_logs += st.n_tie * math.log(l0)
     log_alpha_coef = alpha_prior.c - 1.0 + st.event_count
+    d = alpha_prior.d
+    log_y_sum = st.log_y_sum
     # l0*T0 + l1*T1 + l2*T2 is one power of the fused value table, at most
-    # the coefficients' total times the largest value's power
-    coef = np.asarray(lambdas) @ st.weights
-    total = float(coef.sum())
-    vals = st.vals
-    top = float(vals[-1]) if vals.size else 0.0
+    # the coefficients' total times the largest value's power; ndarray.dot
+    # gives the bits of a matmul here without the ufunc's overhead
+    coef = np.array(lambdas).dot(st.weights)
+    s0, s1, s2 = st.row_sums
+    total = l0 * s0 + l1 * s1 + l2 * s2
+    top = st.top
+    powers = st.powers
+    log, fpow, inf, isfinite = math.log, math.pow, math.inf, math.isfinite
 
     def g(alpha: float) -> float:
-        if not (0 < alpha < math.inf):
-            return -math.inf
+        if not (0 < alpha < inf):
+            return -inf
         # where that bound overflows, so may the sum: refuse it before numpy
         # warns (math.pow raises OverflowError past the float range)
         try:
-            if math.pow(top, alpha) * total == math.inf:
-                return -math.inf
+            if fpow(top, alpha) * total == inf:
+                return -inf
         except OverflowError:
-            return -math.inf
+            return -inf
         out = (
-            log_alpha_coef * math.log(alpha)
-            - alpha_prior.d * alpha
+            log_alpha_coef * log(alpha)
+            - d * alpha
             + rate_logs
-            + (alpha - 1.0) * st.log_y_sum
-            - float(coef.dot(vals**alpha))
+            + (alpha - 1.0) * log_y_sum
+            - float(coef.dot(powers(alpha)))
         )
-        return out if math.isfinite(out) else -math.inf
+        return out if isfinite(out) else -inf
 
     return g
 
@@ -214,23 +222,27 @@ def sample_alpha_conditional(
     for the conditional known up to its normalizing constant.
     """
     g = _alpha_logtarget(alpha_prior, lambdas, summarize(sample))
-    x0 = min(max(alpha, SLICE_ALPHA_LO), SLICE_ALPHA_HI)
+    lo, hi, width = SLICE_ALPHA_LO, SLICE_ALPHA_HI, SLICE_WIDTH
+    random = rng.random
+    x0 = min(max(alpha, lo), hi)
     gx0 = g(x0)
     if not math.isfinite(gx0):
         raise ValueError("conditional density vanishes at the current shape")
     level = gx0 - rng.exponential()
     # lo + (hi - lo) * rng.random() is how numpy computes rng.uniform(lo,
     # hi), so the draws are the same bits without uniform's call overhead
-    left = x0 - SLICE_WIDTH * rng.random()
-    right = left + SLICE_WIDTH
-    while left > SLICE_ALPHA_LO and g(left) > level:
-        left -= SLICE_WIDTH
-    while right < SLICE_ALPHA_HI and g(right) > level:
-        right += SLICE_WIDTH
-    left = max(left, SLICE_ALPHA_LO)
-    right = min(right, SLICE_ALPHA_HI)
+    left = x0 - width * random()
+    right = left + width
+    while left > lo and g(left) > level:
+        left -= width
+    while right < hi and g(right) > level:
+        right += width
+    left = max(left, lo)
+    right = min(right, hi)
+    # the accepted shape is the target's last point, so the summary keeps
+    # its power table for the next sweep's rate step and g(x0)
     while True:
-        x1 = left + (right - left) * rng.random()
+        x1 = left + (right - left) * random()
         if g(x1) > level:
             return x1
         if x1 < x0:

@@ -20,7 +20,7 @@ three branches is written once, in ``_branch_logpdf``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -152,11 +152,14 @@ class SampleSummary:
     them is zero; ``first_zero`` is then the index of the first
     observation holding a zero event.  ``vals1``, ``vals2`` and ``vals0``
     are the distinct positive values of ``y1``, ``y2`` and ``max(y1, y2)``,
-    and ``w1``, ``w2``, ``w0`` their multiplicities, from which
-    :meth:`exposures` sums powers.  ``vals`` is the union of the three
-    tables and ``weights`` its 3 x K multiplicities, rows in the order
-    ``(T0, T1, T2)``, so a rate-weighted sum of the three exposures takes
-    one power of ``vals``.
+    and ``w1``, ``w2``, ``w0`` their multiplicities.  ``vals`` is the union
+    of the three tables and ``weights`` its 3 x K multiplicities, rows in
+    the order ``(T0, T1, T2)``, so a rate-weighted sum of the three
+    exposures takes one power of ``vals``.  ``positions`` holds, in the
+    same order, where each table's values sit in ``vals``; ``row_sums``
+    holds the rows' totals and ``top`` the largest value (0 when there is
+    none).  The last power table of ``vals`` is kept (:meth:`powers`), so
+    the exposures and the shape's target at one shape share one power.
     """
 
     n_below: int
@@ -170,17 +173,34 @@ class SampleSummary:
     w0: np.ndarray
     vals: np.ndarray
     weights: np.ndarray
+    positions: tuple[np.ndarray, np.ndarray, np.ndarray]
+    row_sums: tuple[float, float, float]
+    top: float
     event_count: int
     log_y_sum: float
     first_zero: int | None
+    _power: tuple = field(default=(math.nan, None), init=False, repr=False)
+
+    def powers(self, alpha: float) -> np.ndarray:
+        """``vals**alpha``, computed only when ``alpha`` differs from the last
+        shape asked for; the table is shared, so it is not to be written."""
+        last, table = self._power
+        if alpha != last:
+            table = self.vals**alpha
+            object.__setattr__(self, "_power", (alpha, table))
+        return table
 
     def exposures(self, alpha: float) -> tuple[float, float, float]:
         """``(T0, T1, T2)``: sums of ``max(y1, y2)**alpha``, ``y1**alpha`` and
         ``y2**alpha``; zero lifetimes contribute nothing."""
-        t1 = float(np.dot(self.w1, self.vals1**alpha))
-        t2 = float(np.dot(self.w2, self.vals2**alpha))
-        t0 = float(np.dot(self.w0, self.vals0**alpha))
-        return t0, t1, t2
+        table = self.powers(alpha)
+        pos0, pos1, pos2 = self.positions
+        # ndarray.dot is np.dot, bit for bit, without the dispatch
+        return (
+            float(self.w0.dot(table[pos0])),
+            float(self.w1.dot(table[pos1])),
+            float(self.w2.dot(table[pos2])),
+        )
 
 
 def _value_table(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -190,17 +210,19 @@ def _value_table(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _fused_table(
     tables: Sequence[tuple[np.ndarray, np.ndarray]],
-) -> tuple[np.ndarray, np.ndarray]:
-    # the union of the tables' values, and one row of multiplicities per
-    # table; asked for the inverse, np.unique also skips its masked-array
-    # check, whose first call imports numpy.ma (~15 ms of start-up)
+) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, ...]]:
+    # the union of the tables' values, one row of multiplicities per table,
+    # and where each table's values sit in the union; asked for the
+    # inverse, np.unique also skips its masked-array check, whose first
+    # call imports numpy.ma (~15 ms of start-up)
+    sizes = [v.size for v, _ in tables]
     vals, where = np.unique(
         np.concatenate([v for v, _ in tables]), return_inverse=True
     )
     weights = np.zeros((len(tables), vals.size))
-    rows = np.repeat(np.arange(len(tables)), [v.size for v, _ in tables])
+    rows = np.repeat(np.arange(len(tables)), sizes)
     weights[rows, where] = np.concatenate([w for _, w in tables])
-    return vals, weights
+    return vals, weights, tuple(np.split(where, np.cumsum(sizes)[:-1]))
 
 
 def summarize(
@@ -227,6 +249,7 @@ def summarize(
     t1 = _value_table(y[:, 0])
     t2 = _value_table(y[:, 1])
     t0 = _value_table(y.max(axis=1))
+    vals, weights, positions = _fused_table((t0, t1, t2))
     return SampleSummary(
         n_below,
         n_above,
@@ -234,7 +257,11 @@ def summarize(
         *t1,
         *t2,
         *t0,
-        *_fused_table((t0, t1, t2)),
+        vals,
+        weights,
+        positions,
+        tuple(weights.sum(axis=1).tolist()),
+        float(vals[-1]) if vals.size else 0.0,
         event_count=2 * (n_below + n_above) + n_tie,
         log_y_sum=log_y if first_zero is None else -math.inf,
         first_zero=first_zero,

@@ -1,4 +1,5 @@
 import math
+import signal
 
 import numpy as np
 import pytest
@@ -222,6 +223,30 @@ class TestMomentsAndDependence:
             moments(params)
         with pytest.raises(ValueError, match=r"epsilon = 1e-06 of it needs K > 10000$"):
             bivariate._table_bound(params)
+
+    @pytest.mark.parametrize("alpha", [0.01, 0.001])
+    def test_bound_past_float_resolution_is_refused(self, monkeypatch, alpha):
+        # the bound's start is ~7e203 at shape 0.01 (and overflows at 0.001),
+        # where k - 1 rounds to k: a search from there never ends
+        def no_grid(*args):
+            raise AssertionError("the grid was built")
+
+        def expire(signum, frame):
+            raise TimeoutError("moments still running after 5 s")
+
+        monkeypatch.setattr(bivariate, "joint_pmf_grid", no_grid)
+        previous = signal.signal(signal.SIGALRM, expire)
+        signal.setitimer(signal.ITIMER_REAL, 5.0)
+        try:
+            with pytest.raises(
+                ValueError,
+                match=r"^joint mass spreads beyond a tractable grid: all but "
+                r"epsilon = 1e-10 of it needs K > 10000$",
+            ):
+                moments(BDWParams(alpha, 0.9, 0.9, 0.9))
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0.0)
+            signal.signal(signal.SIGALRM, previous)
 
     def test_shared_shock_induces_positive_correlation(self):
         dependent = moments(BDWParams(1.5, 0.8, 0.9, 0.9))

@@ -545,6 +545,21 @@ class TestFailurePaths:
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
+    def test_moments_bound_past_float_resolution_is_refused(self, tmp_path):
+        # at shape 0.01 the truncation bound's search started at k ~ 7e203,
+        # where k - 1 rounds to k, and never returned
+        args = ["moments", "--alpha", "0.01", "--p0", "0.9", "--p1", "0.9", "--p2", "0.9"]
+        proc = subprocess.run(
+            [sys.executable, "-m", "bdw.cli", *args, "--output", str(tmp_path / "out")],
+            capture_output=True, text=True, env=_src_env(), timeout=30,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr == (
+            "error: joint mass spreads beyond a tractable grid: all but "
+            "epsilon = 1e-10 of it needs K > 10000\n"
+        )
+        assert not (tmp_path / "out").exists()
+
     def test_pmf_table_bound_is_capped_before_the_grid(self, tmp_path, capsys, monkeypatch):
         # a (K + 1)^2 grid at K = 100000 would take 80 GB
         def no_grid(*args):

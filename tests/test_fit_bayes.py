@@ -1,5 +1,6 @@
 """Tests for the data-augmentation posterior sampler."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -490,6 +491,32 @@ class TestShapeTarget:
                 np.testing.assert_array_equal(row[row > 0], w)
             assert (st.weights.sum(axis=0) > 0).all()
 
+    def test_positions_index_each_table(self, summaries):
+        for st in summaries:
+            tables = (st.vals0, st.vals1, st.vals2)
+            for pos, vals in zip(st.positions, tables):
+                np.testing.assert_array_equal(st.vals[pos], vals)
+            assert st.row_sums == tuple(st.weights.sum(axis=1).tolist())
+            assert st.top == st.vals.max()
+
+    def test_exposures_read_the_shared_power_table(self, summaries):
+        lams = (0.04, 0.2, 0.1)
+        for st in summaries:
+            tables = ((st.w0, st.vals0), (st.w1, st.vals1), (st.w2, st.vals2))
+            g = fit_bayes._alpha_logtarget(AlphaPrior(), lams, st)
+            for alpha in np.geomspace(0.05, 50.0, 41).tolist():
+                # each exposure's own dot over its own powers, bit for bit
+                want = tuple(float(np.dot(w, vals**alpha)) for w, vals in tables)
+                assert dataclasses.replace(st).exposures(alpha) == want
+                g(alpha * 1.5)
+                assert st.exposures(alpha) == want
+                g(alpha)
+                last, table = st._power
+                assert last == alpha
+                assert st.exposures(alpha) == want
+                # the target's table served the exposures: no power computed
+                assert st._power[1] is table
+
     def test_overflow_keeps_the_finite_exposure(self):
         st = summarize(self.OVERFLOW)
         with np.errstate(over="ignore", invalid="ignore"):
@@ -689,6 +716,62 @@ class TestAugmentedGibbs:
         assert res.draws[-1].tolist() == [
             3.583635485243226, 5e-324, 0.06391116851556927, 0.04511657998167057
         ]
+
+    # the last draw of paths test_pinned_means does not take, recorded
+    # before the sweeps shared one power table: the nasal data, a prior
+    # whose total shape equals its split (so the rate step makes no
+    # Metropolis draw), and a proper shape prior
+    NASAL_START = MOBWParams(
+        2.5256654297557684, 0.05177897846721536, 0.04721899815318204, 0.12026980117467112
+    )
+    FOOTBALL_START = MOBWParams(
+        2.04903512410653, 0.039429474284680244, 0.23269437942340682, 0.11091248359997838
+    )
+
+    @pytest.mark.parametrize(
+        "dataset, start, priors, last",
+        [
+            (
+                "nasal", NASAL_START, {},
+                [3.9970344765896266, 5e-324, 0.042881932390023386, 0.04190073435756605],
+            ),
+            (
+                "football", FOOTBALL_START, {"prior": DGPrior(3, 1, 1, 1, 1)},
+                [3.5329851945654918, 0.004640447730565732, 0.09053021942351386,
+                 0.08839385288677327],
+            ),
+            (
+                "football", FOOTBALL_START, {"alpha_prior": AlphaPrior(1, 1)},
+                [3.1180236918080593, 5e-324, 0.0922628318594241, 0.08644174356595095],
+            ),
+        ],
+        ids=["nasal-default", "football-split-prior", "football-shape-prior"],
+    )
+    def test_pinned_last_draw(self, request, dataset, start, priors, last):
+        data = request.getfixturevalue(dataset)
+        res = augmented_gibbs(
+            data, M=200, N=2, start=start, rng=np.random.default_rng(7), **priors
+        )
+        assert res.draws[-1].tolist() == last
+
+    def test_each_sweep_calls_both_steps(self, football, monkeypatch):
+        # the traced benchmark times the two steps through these calls
+        calls = {"rate": 0, "shape": 0}
+        rate_step = fit_bayes.sample_lambdas_conditional
+        shape_step = fit_bayes.sample_alpha_conditional
+
+        def counted_rate(*args):
+            calls["rate"] += 1
+            return rate_step(*args)
+
+        def counted_shape(*args):
+            calls["shape"] += 1
+            return shape_step(*args)
+
+        monkeypatch.setattr(fit_bayes, "sample_lambdas_conditional", counted_rate)
+        monkeypatch.setattr(fit_bayes, "sample_alpha_conditional", counted_shape)
+        augmented_gibbs(football, M=150, N=3, rng=np.random.default_rng(2))
+        assert calls == {"rate": 450, "shape": 450}
 
     @pytest.mark.parametrize("seed", range(3))
     def test_wide_support_law(self, seed):
