@@ -7,16 +7,20 @@ so reports can be diffed and checksummed.  Verbosity is controlled by the
 
 Each command handler imports the layers it runs, so a process starts on
 only those: ``pmf-table`` never loads the fitting modules.
+
+``run`` is the program entry (``bdw`` and ``python -m bdw.cli``); ``main``
+serves in-process callers.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import logging
 import os
 import sys
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, NoReturn, Sequence
 
 import numpy as np
 
@@ -28,7 +32,7 @@ if TYPE_CHECKING:
     from .fit_ml import BivariateDataset
     from .gof import ChiSquareReport
 
-__all__ = ["load_csv", "main"]
+__all__ = ["load_csv", "main", "run"]
 
 log = logging.getLogger("bdw")
 
@@ -62,7 +66,9 @@ def load_csv(path: str) -> BivariateDataset:
     from .fit_ml import BivariateDataset
 
     pairs: list[tuple[int, int]] = []
-    with open(path, newline="") as fh:
+    # utf-8-sig drops the byte-order mark that Excel's "CSV UTF-8" writes,
+    # which would otherwise make line 1 read as a header
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         for lineno, row in enumerate(csv.reader(fh), start=1):
             if not row or all(not tok.strip() for tok in row):
                 continue
@@ -432,5 +438,21 @@ def main(argv: Sequence[str] | None = None) -> int:
     return 0
 
 
+def run() -> NoReturn:
+    """Run :func:`main` on ``sys.argv`` and exit with its status.
+
+    On every way out, argparse's ``SystemExit`` included, the live objects
+    are first frozen into the collector's permanent generation: the
+    interpreter's final collection, most of a short command's exit time,
+    skips them, and the OS reclaims their memory. atexit handlers and the
+    flush of the standard streams still run.
+    """
+    try:
+        code = main()
+    finally:
+        gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -1,5 +1,6 @@
 """End-to-end tests for the command-line interface."""
 
+import gc
 import hashlib
 import json
 import math
@@ -7,6 +8,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import warnings
 
 import jsonschema
 import numpy as np
@@ -64,6 +66,13 @@ class TestLoadCsv:
         path.write_text("1,2\n1,2,3\n")
         with pytest.raises(ValueError, match="line 2: expected two columns, got 3"):
             load_csv(str(path))
+
+    @pytest.mark.parametrize("header", ["", "x1,x2\n"], ids=["headerless", "headed"])
+    def test_reads_past_a_byte_order_mark(self, tmp_path, header):
+        # Excel's "CSV UTF-8" starts the file with a byte-order mark
+        path = tmp_path / "d.csv"
+        path.write_text("\ufeff" + header + "1,2\n3,1\n2,2\n0,1\n", encoding="utf-8")
+        assert load_csv(str(path)).pairs == ((1, 2), (3, 1), (2, 2), (0, 1))
 
     def test_header_only_file(self, tmp_path):
         path = tmp_path / "d.csv"
@@ -625,6 +634,13 @@ def _src_env():
     return {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
 
 
+def _program(args):
+    # the program path: a fresh ``python -m bdw.cli`` on this tree's src
+    return subprocess.run(
+        [sys.executable, "-m", "bdw.cli", *args], capture_output=True, env=_src_env()
+    )
+
+
 def _modules_after(tmp_path, commands, imports=(), package="scipy"):
     proc = subprocess.run(
         [sys.executable, "-c", _STARTUP_PROBE, str(tmp_path), json.dumps(commands),
@@ -670,6 +686,80 @@ class TestStartup:
     @pytest.mark.parametrize("argv", ALL_COMMANDS, ids=lambda argv: argv[0])
     def test_command_loads_only_its_layers(self, tmp_path, argv):
         assert _modules_after(tmp_path, [argv], package="bdw") == self._LOADED[argv[0]]
+
+
+# Run the module as ``python -m`` does; an atexit hook, which runs after
+# the program's own exit path, writes the collector's freeze count to a file.
+_FREEZE_PROBE = """
+import atexit, gc, runpy, sys
+out = sys.argv[1]
+atexit.register(lambda: open(out, "w").write(str(gc.get_freeze_count())))
+sys.argv = ["bdw", *sys.argv[2:]]
+runpy.run_module("bdw.cli", run_name="__main__")
+"""
+
+
+class TestProgramEntry:
+    @pytest.mark.parametrize("argv", ALL_COMMANDS, ids=lambda argv: argv[0])
+    def test_program_report_equals_in_process_report(self, tmp_path, argv):
+        out = tmp_path / "report"
+        assert main([*argv, "--output", str(out)]) == 0
+        proc = _program(argv)
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        assert proc.stdout == out.read_bytes()
+
+    @pytest.mark.parametrize("argv, code", [
+        (["fit-ml", "--input", "missing.csv"], 1),
+        (["bogus"], 2),
+    ], ids=["missing-file", "unknown-command"])
+    def test_program_failure_equals_in_process_failure(self, capsys, argv, code):
+        try:
+            rc = main(argv)
+        except SystemExit as exc:
+            rc = exc.code
+        err = capsys.readouterr().err
+        proc = _program(argv)
+        assert (proc.returncode, proc.stderr.decode(), proc.stdout) == (code, err, b"")
+        assert rc == code
+
+    def test_program_warnings_equal_in_process_warnings(self, tmp_path):
+        # the data of test_fit_ml_shared_rate_at_boundary: lambda0 fits at 0
+        law = BDWParams(1.5, 1.0, 0.7, 0.75)
+        draws = bivariate.sample(law, np.random.default_rng(3), size=200)
+        path = tmp_path / "noties.csv"
+        path.write_text("".join(f"{a},{b}\n" for a, b in draws.tolist() if a != b))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("default")
+            assert main(["fit-ml", "--input", str(path), "--output", str(tmp_path / "a")]) == 0
+        shown = "".join(
+            warnings.formatwarning(w.message, w.category, w.filename, w.lineno) for w in caught
+        )
+        assert "at its boundary" in shown
+        proc = _program(["fit-ml", "--input", str(path), "--output", str(tmp_path / "b")])
+        assert (proc.returncode, proc.stderr.decode()) == (0, shown)
+        assert (tmp_path / "a").read_bytes() == (tmp_path / "b").read_bytes()
+
+    @pytest.mark.parametrize("argv, code", [
+        (ALL_COMMANDS[-1], 0),
+        (["bogus"], 2),
+    ], ids=["success", "usage-error"])
+    def test_program_exits_with_objects_frozen(self, tmp_path, argv, code):
+        count = tmp_path / "freeze_count"
+        proc = subprocess.run(
+            [sys.executable, "-c", _FREEZE_PROBE, str(count), *argv],
+            capture_output=True, text=True, env=_src_env(),
+        )
+        assert proc.returncode == code, proc.stderr
+        assert int(count.read_text()) > 0
+
+    @pytest.mark.parametrize("argv, code", [
+        (ALL_COMMANDS[-1], 0),
+        (["fit-ml", "--input", "missing.csv"], 1),
+    ], ids=["success", "refused"])
+    def test_library_call_leaves_the_collector_alone(self, tmp_path, capsys, argv, code):
+        before = gc.get_freeze_count()
+        assert main([*argv, "--output", str(tmp_path / "out")]) == code
+        assert gc.get_freeze_count() == before
 
 
 class TestTracedRun:
