@@ -11,7 +11,10 @@ The joint survival function, with weak inequalities on both coordinates, is
     S(x1, x2) = p1**(x1**alpha) * p2**(x2**alpha) * p0**(max(x1, x2)**alpha)
 
 and all probability computations below are exact rearrangements of its
-rectangle differences, evaluated in log space.
+rectangle differences, evaluated in log space.  They read the law's rates
+``lambda_i = -ln(p_i)``, those of the latent pair of :mod:`bdw.mobw`, so
+each takes the law as survival bases (:class:`BDWParams`) or as rates
+(:class:`bdw.mobw.MOBWParams`); :func:`_rates` is the one conversion.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .univariate import DWParams, _floor_counts, _logpmf_arr, dw_pmf, dw_sf
+from .univariate import DWParams, _floor_counts, _log1mexp, _logpmf_arr, _power
 
 __all__ = [
     "BDWParams",
@@ -125,21 +128,34 @@ def _check_cell(x1, x2) -> tuple[int, int]:
     return int(x1), int(x2)
 
 
-def joint_sf(params: BDWParams, x1: float, x2: float) -> float:
+def _rates(params) -> tuple[float, float, float, float]:
+    """``(alpha, lambda0, lambda1, lambda2)`` of a law given as survival
+    bases (:class:`BDWParams`, ``lambda_i = -ln(p_i)``) or as rates."""
+    if isinstance(params, BDWParams):
+        lam0 = 0.0 if params.p0 == 1.0 else -math.log(params.p0)
+        return params.alpha, lam0, -math.log(params.p1), -math.log(params.p2)
+    return params.alpha, params.lambda0, params.lambda1, params.lambda2
+
+
+def _log_sf(rates: tuple, x1: float, x2: float) -> float:
+    # log joint survival at the floors of (x1, x2) >= 0; a power past the
+    # float range gives -inf, and a zero shared rate adds nothing even there
+    a, lam0, lam1, lam2 = rates
+    t1 = _power(float(math.floor(x1)), a)
+    t2 = _power(float(math.floor(x2)), a)
+    shared = max(t1, t2) * lam0 if lam0 > 0.0 else 0.0
+    return -(t1 * lam1 + t2 * lam2 + shared)
+
+
+def joint_sf(params, x1: float, x2: float) -> float:
     """Joint survival ``P(X1 >= x1, X2 >= x2)`` for real non-negative arguments.
 
     Both inequalities are weak; non-integer arguments are floored, matching
-    the univariate convention.
+    the univariate convention.  A survival below the float range is 0.
     """
     if x1 < 0 or x2 < 0:
         raise ValueError("arguments must be non-negative")
-    a = params.alpha
-    t1 = float(math.floor(x1)) ** a
-    t2 = float(math.floor(x2)) ** a
-    tz = max(t1, t2)
-    return math.exp(
-        t1 * math.log(params.p1) + t2 * math.log(params.p2) + tz * math.log(params.p0)
-    )
+    return math.exp(_log_sf(_rates(params), x1, x2))
 
 
 def _partition(x1: np.ndarray, x2: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -176,42 +192,39 @@ def _fill_log_joint_pmf(out, x1, x2, parts, dw, power, log1mexp):
     return out
 
 
-def _log_joint_pmf_arr(params: BDWParams, x1: np.ndarray, x2: np.ndarray, parts) -> np.ndarray:
+def _log_joint_pmf_arr(params, x1: np.ndarray, x2: np.ndarray, parts) -> np.ndarray:
     """Log joint pmf at the cells ``(x1, x2)``, arrays of one shape of
-    integer-valued floats split by ``parts`` (no validation)."""
-    a = params.alpha
-    lnp0, lnp1, lnp2 = math.log(params.p0), math.log(params.p1), math.log(params.p2)
+    integer-valued floats split by ``parts`` (no validation).  A cell past
+    the float range, where a power overflows, comes back as -inf."""
+    a, lam0, lam1, lam2 = _rates(params)
 
-    def log_base(rates):
-        return lnp0 * rates[0] + lnp1 * rates[1] + lnp2 * rates[2]
+    def rate(flags):
+        return lam0 * flags[0] + lam1 * flags[1] + lam2 * flags[2]
 
-    def dw(y, rates):
-        return _logpmf_arr(y, a, log_base(rates))
+    def dw(y, flags):
+        return _logpmf_arr(y, a, rate(flags))
 
-    def power(y, rates):
-        return np.where(y > 0, np.power(y, a), 0.0) * log_base(rates)
+    def power(y, flags):
+        return -rate(flags) * np.where(y > 0, np.power(y, a), 0.0)
 
-    def log1mexp(u):
-        with np.errstate(invalid="ignore"):
-            return np.where(u > 0, np.log1p(-np.exp(-u)), -np.inf)
-
-    if params.p0 == 1.0:
+    if lam0 == 0.0:
         # independence: a tie has no shared-shock atom, and the product the
         # cells above take is then the product of the marginals; it avoids
         # the atom's difference of two nearly equal terms
         below, above, ties = parts
         parts = (below, above | ties, np.zeros_like(ties))
-    return _fill_log_joint_pmf(np.empty(x1.shape), x1, x2, parts, dw, power, log1mexp)
+    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+        return _fill_log_joint_pmf(np.empty(x1.shape), x1, x2, parts, dw, power, _log1mexp)
 
 
-def joint_logpmf(params: BDWParams, x1: int, x2: int) -> float:
+def joint_logpmf(params, x1: int, x2: int) -> float:
     """Natural log of the joint mass at an integer pair."""
     i, j = _check_cell(x1, x2)
     g1, g2 = np.asarray([float(i)]), np.asarray([float(j)])
     return float(_log_joint_pmf_arr(params, g1, g2, _partition(g1, g2))[0])
 
 
-def joint_pmf(params: BDWParams, x1: int, x2: int) -> float:
+def joint_pmf(params, x1: int, x2: int) -> float:
     """Joint probability mass at an integer pair.
 
     Off the diagonal the mass factorises into two DW masses; on the
@@ -221,21 +234,22 @@ def joint_pmf(params: BDWParams, x1: int, x2: int) -> float:
     return math.exp(joint_logpmf(params, x1, x2))
 
 
-def joint_cdf(params: BDWParams, x1: int, x2: int) -> float:
+def joint_cdf(params, x1: int, x2: int) -> float:
     """Joint distribution function ``P(X1 <= x1, X2 <= x2)``.
 
     Computed through the survival inclusion-exclusion identity: with weak-
     inequality survival functions, ``P(X1 > x1, X2 > x2)`` is the joint
-    survival at ``(x1+1, x2+1)``.
+    survival at ``(x1+1, x2+1)``, and a marginal's is the joint survival
+    with the other coordinate at 0.
     """
     i, j = _check_cell(x1, x2)
-    m1, m2 = marginals(params)
-    f1 = 1.0 - dw_sf(m1, i + 1)
-    f2 = 1.0 - dw_sf(m2, j + 1)
-    return f1 + f2 - 1.0 + joint_sf(params, i + 1, j + 1)
+    rates = _rates(params)
+    f1 = 1.0 - math.exp(_log_sf(rates, i + 1, 0))
+    f2 = 1.0 - math.exp(_log_sf(rates, 0, j + 1))
+    return f1 + f2 - 1.0 + math.exp(_log_sf(rates, i + 1, j + 1))
 
 
-def joint_pmf_grid(params: BDWParams, k1: int, k2: int) -> np.ndarray:
+def joint_pmf_grid(params, k1: int, k2: int) -> np.ndarray:
     """Joint pmf table over the rectangle [0, k1] x [0, k2].
 
     Returns an array of shape (k1+1, k2+1) with entry [i, j] equal to
@@ -278,27 +292,32 @@ def closure_min(components: list[BDWParams]) -> DWParams:
     return DWParams(alpha, prod)
 
 
-def cond_pmf(params: BDWParams, x1: int, x2: int) -> float:
+def _second_mass(rates: tuple, j: int) -> float:
+    # P(X2 = j), the DW mass of the rate lambda0 + lambda2, refused at zero
+    a, lam0, _, lam2 = rates
+    mass = math.exp(_logpmf_arr(np.asarray([float(j)]), a, lam0 + lam2)[0])
+    if mass == 0.0:
+        raise ValueError(f"conditioning event X2 = {j} has zero probability numerically")
+    return mass
+
+
+def cond_pmf(params, x1: int, x2: int) -> float:
     """Conditional mass ``P(X1 = x1 | X2 = x2)``."""
     i, j = _check_cell(x1, x2)
-    _, m2 = marginals(params)
-    denom = dw_pmf(m2, j)
-    if denom == 0.0:
-        raise ValueError(f"conditioning event X2 = {j} has zero probability numerically")
-    return joint_pmf(params, i, j) / denom
+    return joint_pmf(params, i, j) / _second_mass(_rates(params), j)
 
 
-def cond_sf_given_ge(params: BDWParams, x1: int, x2: int) -> float:
+def cond_sf_given_ge(params, x1: int, x2: int) -> float:
     """Conditional survival ``P(X1 >= x1 | X2 >= x2)``."""
     i, j = _check_cell(x1, x2)
-    _, m2 = marginals(params)
-    denom = dw_sf(m2, j)
+    rates = _rates(params)
+    denom = math.exp(_log_sf(rates, 0, j))
     if denom == 0.0:
         raise ValueError(f"conditioning event X2 >= {j} has zero probability numerically")
-    return joint_sf(params, i, j) / denom
+    return math.exp(_log_sf(rates, i, j)) / denom
 
 
-def cond_sf_given_eq(params: BDWParams, x1: int, x2: int) -> float:
+def cond_sf_given_eq(params, x1: int, x2: int) -> float:
     """Conditional survival ``P(X1 >= x1 | X2 = x2)``.
 
     For ``x1 <= x2`` this collapses to the survival of the first
@@ -306,21 +325,17 @@ def cond_sf_given_eq(params: BDWParams, x1: int, x2: int) -> float:
     coordinate's exact value pins the shared shock beyond ``x2`` already.
     """
     i, j = _check_cell(x1, x2)
-    a = params.alpha
+    rates = _rates(params)
+    a, lam0, lam1, lam2 = rates
+    t = _power(float(i), a)
     if i <= j:
-        return math.exp(float(i) ** a * math.log(params.p1))
-    _, m2 = marginals(params)
-    num = math.exp(
-        float(i) ** a * math.log(params.p0 * params.p1)
-        + _logpmf_arr(np.asarray([float(j)]), a, math.log(params.p2))[0]
-    )
-    denom = dw_pmf(m2, j)
-    if denom == 0.0:
-        raise ValueError(f"conditioning event X2 = {j} has zero probability numerically")
-    return num / denom
+        return math.exp(-(t * lam1))
+    # U0 and U1 outlive x1 while U2 fails at x2
+    num = math.exp(-(t * (lam0 + lam1)) + _logpmf_arr(np.asarray([float(j)]), a, lam2)[0])
+    return num / _second_mass(rates, j)
 
 
-def sample(params: BDWParams, rng: np.random.Generator, size=None):
+def sample(params, rng: np.random.Generator, size=None):
     """Draw pairs by the shock construction: the floors of the latent pair
     :func:`bdw.mobw.mobw_sample` draws at the rates :func:`to_mobw`.
 
@@ -350,7 +365,7 @@ def _intractable_grid(k: int | None, epsilon: float | None = None) -> ValueError
     )
 
 
-def _table_bound(params: BDWParams, epsilon: float = 1e-6) -> int:
+def _table_bound(params, epsilon: float = 1e-6) -> int:
     """Smallest K >= 1 whose grid [0, K]^2 holds all but ``epsilon`` of the
     joint mass; refused past ``_MAX_GRID_BOUND``."""
     k = 1
@@ -361,29 +376,27 @@ def _table_bound(params: BDWParams, epsilon: float = 1e-6) -> int:
     return k
 
 
-def _truncation_bound(params: BDWParams, epsilon: float) -> int:
+def _truncation_bound(params, epsilon: float) -> int:
     # smallest K with the heavier marginal's survival below epsilon; the
-    # heavier tail has the larger survival base, so it controls both
-    qmax = params.p0 * max(params.p1, params.p2)
-    # the start solves qmax**(k**alpha) = epsilon, so K lies within one of
-    # it; from 2**53 on a float no longer resolves one step of k and the
+    # heavier tail has the smaller rate, so it controls both
+    a, lam0, lam1, lam2 = _rates(params)
+    lam = lam0 + min(lam1, lam2)
+    # the start solves exp(-lam * k**alpha) = epsilon, so K lies within one
+    # of it; from 2**53 on a float no longer resolves one step of k and the
     # search below would not end, so such a start, far past the grid cap,
     # is refused without it
-    try:
-        start = (math.log(epsilon) / math.log(qmax)) ** (1.0 / params.alpha)
-    except OverflowError:
-        start = math.inf
+    start = _power(-math.log(epsilon) / lam, 1.0 / a)
     if not start < 2.0**53:
         raise _intractable_grid(None, epsilon)
     k = max(1, math.ceil(start))
-    while math.exp(float(k) ** params.alpha * math.log(qmax)) >= epsilon:
+    while math.exp(-(float(k) ** a * lam)) >= epsilon:
         k += 1
-    while k > 1 and math.exp(float(k - 1) ** params.alpha * math.log(qmax)) < epsilon:
+    while k > 1 and math.exp(-(float(k - 1) ** a * lam)) < epsilon:
         k -= 1
     return k
 
 
-def moments(params: BDWParams, epsilon: float = 1e-10) -> BdwMoments:
+def moments(params, epsilon: float = 1e-10) -> BdwMoments:
     """Means, variances, covariance and correlation by truncated summation.
 
     The double sum runs over [0, K]^2 where K is the smallest integer at
@@ -410,22 +423,32 @@ def moments(params: BDWParams, epsilon: float = 1e-10) -> BdwMoments:
     return BdwMoments(mean1, mean2, var1, var2, cov, corr, k)
 
 
-def to_mobw(params: BDWParams):
+def to_mobw(params):
     """Rates of the continuous latent model: ``lambda_i = -ln(p_i)``."""
     from .mobw import MOBWParams
 
-    lam0 = 0.0 if params.p0 == 1.0 else -math.log(params.p0)
-    return MOBWParams(params.alpha, lam0, -math.log(params.p1), -math.log(params.p2))
+    return MOBWParams(*_rates(params))
 
 
 def from_mobw(params) -> BDWParams:
-    """Survival bases from latent rates: ``p_i = exp(-lambda_i)``."""
-    return BDWParams(
-        params.alpha,
-        1.0 if params.lambda0 == 0.0 else math.exp(-params.lambda0),
-        math.exp(-params.lambda1),
-        math.exp(-params.lambda2),
-    )
+    """Survival bases from latent rates: ``p_i = exp(-lambda_i)``.
+
+    A positive rate below ~1.1e-16 rounds its base to 1, which survival
+    bases cannot hold (at ``lambda0`` it would read as independence): it
+    is refused by name, and the law's functions take its rates instead.
+    """
+    bases = []
+    for name in ("lambda0", "lambda1", "lambda2"):
+        rate = getattr(params, name)
+        base = math.exp(-rate)
+        if base == 1.0 and rate > 0.0:
+            raise ValueError(
+                f"the rate {name} = {rate:.3g} rounds its survival base "
+                f"exp(-{name}) to 1: survival bases cannot hold this law, "
+                f"its rates can"
+            )
+        bases.append(base)
+    return BDWParams(params.alpha, *bases)
 
 
 def _grid_report(logratio: np.ndarray, coords: tuple) -> GridCheckReport:
@@ -455,14 +478,14 @@ def _grid_report(logratio: np.ndarray, coords: tuple) -> GridCheckReport:
     return GridCheckReport(worst >= 0.0, math.exp(worst), max_ratio, witness, logratio.size)
 
 
-def _grid_powers(params: BDWParams, k: int) -> np.ndarray:
+def _grid_powers(params, k: int) -> np.ndarray:
     # v**alpha for v in [0, k], the powers every survival ratio is made of
     if k < 1:
         raise ValueError("grid bound must be at least 1")
     return np.array([float(v) ** params.alpha for v in range(k + 1)])
 
 
-def is_tp2_on_grid(params: BDWParams, k: int = 10) -> GridCheckReport:
+def is_tp2_on_grid(params, k: int = 10) -> GridCheckReport:
     """Sweep the order-2 total-positivity inequality of the joint survival.
 
     For every ``x11 <= x12`` and ``x21 <= x22`` in [0, k] the product
@@ -479,14 +502,14 @@ def is_tp2_on_grid(params: BDWParams, k: int = 10) -> GridCheckReport:
     x21, x22 = lo[None, :], hi[None, :]
     # the largest of the four maxima appears on both sides and cancels
     # exactly; only the smaller pair survives
-    logratio = math.log(params.p0) * (
+    logratio = -_rates(params)[1] * (
         pw[np.maximum(x11, x21)]
         - np.minimum(pw[np.maximum(x12, x21)], pw[np.maximum(x11, x22)])
     )
     return _grid_report(logratio, (x11, x12, x21, x22))
 
 
-def pqd_check_on_grid(params: BDWParams, k: int = 10) -> GridCheckReport:
+def pqd_check_on_grid(params, k: int = 10) -> GridCheckReport:
     """Sweep positive quadrant dependence: joint survival vs product of marginals.
 
     The ratio reduces exactly to ``p0**(-min(x1, x2)**alpha)``: the
@@ -496,5 +519,5 @@ def pqd_check_on_grid(params: BDWParams, k: int = 10) -> GridCheckReport:
     """
     pw = _grid_powers(params, k)
     x1, x2 = np.ogrid[: k + 1, : k + 1]
-    logratio = -math.log(params.p0) * pw[np.minimum(x1, x2)]
+    logratio = _rates(params)[1] * pw[np.minimum(x1, x2)]
     return _grid_report(logratio, (x1, x2))

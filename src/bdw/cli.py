@@ -18,6 +18,7 @@ import argparse
 import gc
 import json
 import logging
+import math
 import os
 import sys
 from typing import TYPE_CHECKING, NoReturn, Sequence
@@ -170,7 +171,6 @@ def _cmd_fit_ml(args: argparse.Namespace) -> None:
     data, source = _dataset(args)
     fit = nested_em(data)
     th = fit.params
-    b = fit.bdw
     try:
         test = alpha_equals_one_test(fit, data)
         shape_test = {
@@ -187,14 +187,15 @@ def _cmd_fit_ml(args: argparse.Namespace) -> None:
             "lambda0": th.lambda0,
             "lambda1": th.lambda1,
             "lambda2": th.lambda2,
-            "p0": b.p0,
-            "p1": b.p1,
-            "p2": b.p2,
+            # the survival bases, at most 1: a rate below ~1.1e-16 writes 1.0
+            "p0": math.exp(-th.lambda0),
+            "p1": math.exp(-th.lambda1),
+            "p2": math.exp(-th.lambda2),
         },
         "ci95_halfwidth": fit.ci95,
         "loglik": fit.loglik,
         "shape_one_test": shape_test,
-        "gof": _chi_dict(chisq_bdw(data, b)),
+        "gof": _chi_dict(chisq_bdw(data, th)),
     }
     _emit(_report("fit-ml", source, {}, results), args.output)
 
@@ -245,7 +246,7 @@ def _cmd_gof(args: argparse.Namespace) -> None:
     data, source = _dataset(args)
     if args.column == "joint":
         fit = nested_em(data)
-        rep = chisq_bdw(data, fit.bdw)
+        rep = chisq_bdw(data, fit.params)
         fitted = {
             "alpha": fit.params.alpha,
             "lambda0": fit.params.lambda0,

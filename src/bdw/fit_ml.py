@@ -37,7 +37,6 @@ from .univariate import (
     _log1mexp_jet,
     _newton_min,
     _power_jet,
-    _survival_base,
     dw_fit_minchisq,
 )
 
@@ -189,9 +188,14 @@ class MLFitReport:
     """Outcome of the maximum-likelihood solve."""
 
     params: MOBWParams
-    bdw: bivariate.BDWParams
     loglik: float
     ci95: dict | None
+
+    @property
+    def bdw(self) -> bivariate.BDWParams:
+        """The fitted law in survival bases, computed on demand; refused by
+        name when a fitted rate rounds its base to 1."""
+        return bivariate.from_mobw(self.params)
 
 
 def _cell_log_masses(theta: MOBWParams, data: BivariateDataset) -> np.ndarray:
@@ -202,7 +206,7 @@ def _cell_log_masses(theta: MOBWParams, data: BivariateDataset) -> np.ndarray:
     built on top.
     """
     x1, x2, _ = data.cell_arrays
-    lp = bivariate._log_joint_pmf_arr(bivariate.from_mobw(theta), x1, x2, data.partition)
+    lp = bivariate._log_joint_pmf_arr(theta, x1, x2, data.partition)
     bad = ~np.isfinite(lp)
     if np.any(bad):
         cell, _, row = data.cells[int(np.argmax(bad))]
@@ -419,9 +423,10 @@ def nested_em(data: BivariateDataset, start: MOBWParams | None = None) -> MLFitR
     positive (Self & Liang 1987): ``lambda0`` is then reported as exactly
     zero, with a warning and no confidence intervals.  Otherwise the
     half-widths come from the observed information at the fit, when it is
-    positive definite.  An all-tie sample, a constant column, a sample
-    with no row on one side of the diagonal, and a fitted coordinate rate
-    whose survival base rounds to one are refused by name.
+    positive definite.  An all-tie sample, a constant column and a sample
+    with no row on one side of the diagonal are refused by name.  The fit
+    is in rates, so a rate too small for its survival base to differ from
+    1 is fitted; only :attr:`MLFitReport.bdw` refuses such a fit.
     """
     theta = _identified_start(data, start)
     # names the row whose cell has zero probability at a bad start
@@ -429,9 +434,6 @@ def nested_em(data: BivariateDataset, start: MOBWParams | None = None) -> MLFitR
     z0 = np.log([theta.alpha, max(theta.lambda0, 1e-8), theta.lambda1, theta.lambda2])
     z, neg_loglik = _newton_min(lambda z: _neg_loglik_in_logs(z, data), z0)
     theta = np.exp(z)
-    top = np.max(data.cell_arrays[:2])
-    for i in (2, 3):
-        _survival_base(PARAM_NAMES[i], theta[i], top)
     at_zero = theta.copy()
     at_zero[1] = 0.0
     value0, score0, _ = bdw_loglik_derivatives(at_zero, data)
@@ -451,12 +453,7 @@ def nested_em(data: BivariateDataset, start: MOBWParams | None = None) -> MLFitR
             ci95 = {name: float((hi - lo) / 2.0) for name, (lo, hi) in intervals.items()}
         except ValueError as exc:
             warnings.warn(f"confidence intervals unavailable: {exc}")
-    return MLFitReport(
-        params=params,
-        bdw=bivariate.from_mobw(params),
-        loglik=bdw_loglik(params, data),
-        ci95=ci95,
-    )
+    return MLFitReport(params=params, loglik=bdw_loglik(params, data), ci95=ci95)
 
 
 def observed_info_ci(

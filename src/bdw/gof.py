@@ -16,11 +16,12 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from . import bivariate
-from .bivariate import BDWParams
 from .univariate import DWParams, dw_pmf, dw_sf
 
 if TYPE_CHECKING:
+    from .bivariate import BDWParams
     from .fit_ml import BivariateDataset
+    from .mobw import MOBWParams
 
 __all__ = [
     "ChiSquareReport",
@@ -171,9 +172,10 @@ def chisq_dw(
 
 
 def chisq_bdw(
-    data: BivariateDataset, params: BDWParams, df_penalty: int = 0
+    data: BivariateDataset, params: BDWParams | MOBWParams, df_penalty: int = 0
 ) -> ChiSquareReport:
-    """Chi-square fit check of paired counts against a fitted joint law.
+    """Chi-square fit check of paired counts against a fitted joint law,
+    given as survival bases or as the rates of a fit.
 
     The cell layout is the observed-support product grid; the last row
     and column absorb the tail mass on their axis, so expected counts sum

@@ -386,9 +386,9 @@ def cell_probability(params: MOBWParams, i: int, j: int) -> float:
 
     This is the rectangle difference of :func:`mobw_sf` at the cell
     corners, evaluated through the discrete pair's log-space mass function
-    so deep-tail cells do not cancel to zero prematurely.
+    on the rates, so deep-tail cells do not cancel to zero prematurely.
     """
-    return bivariate.joint_pmf(bivariate.from_mobw(params), i, j)
+    return bivariate.joint_pmf(params, i, j)
 
 
 def _clamped_mode(alpha: float, lam: float, i: int) -> float:
@@ -424,7 +424,7 @@ def ml_predict(params: MOBWParams, i: int, j: int) -> LatentPrediction:
     only a cell of log-mass ``-inf`` is refused.
     """
     i, j = bivariate._check_cell(i, j)
-    log_mass = bivariate.joint_logpmf(bivariate.from_mobw(params), i, j)
+    log_mass = bivariate.joint_logpmf(params, i, j)
     return _predict_in_cell(params, i, j, log_mass)
 
 
@@ -460,7 +460,7 @@ def _predict_in_cell(
     # a component that carries no mass.  Its denominator is the mass of
     # the minimum, a DW law with the total rate, at i.
     w = _clamped_mode(a, params.total, i)
-    log_pmin = _logpmf_arr(np.array([float(i)]), a, -params.total)[0]
+    log_pmin = _logpmf_arr(np.array([float(i)]), a, params.total)[0]
     best_log_w = _branch_logpdf(params, w, w, "tie") - log_pmin
     massless = best_log_w == -math.inf
     best = LatentPrediction(w, w, "tie-diagonal", _weight(best_log_w))

@@ -172,7 +172,7 @@ def dw_logpmf(params: DWParams, y: int) -> float:
     _require_proper(params)
     if y < 0 or y != int(y):
         raise ValueError(f"support is the non-negative integers, got {y}")
-    return float(_logpmf_arr(np.asarray([float(y)]), params.alpha, math.log(params.p))[0])
+    return float(_logpmf_arr(np.asarray([float(y)]), params.alpha, -math.log(params.p))[0])
 
 
 def dw_pmf(params: DWParams, y: int) -> float:
@@ -192,7 +192,7 @@ def dw_sf(params: DWParams, y: float) -> float:
     k = math.floor(y)
     if k == 0:
         return 1.0
-    return math.exp(float(k) ** params.alpha * math.log(params.p))
+    return math.exp(_power(float(k), params.alpha) * math.log(params.p))
 
 
 def _floor_counts(lifetimes) -> np.ndarray:
@@ -223,21 +223,36 @@ def dw_min_of_n(params: DWParams, n: int) -> DWParams:
     return DWParams(params.alpha, params.p**n)
 
 
-def _logpmf_arr(y: np.ndarray, alpha: float, lnp: float) -> np.ndarray:
-    """log pmf of DW(alpha, e**lnp) on an array of non-negative integer values.
+def _power(y: float, alpha: float) -> float:
+    """``y**alpha`` for ``y >= 0``; ``inf`` past the float range, where the
+    float power raises."""
+    try:
+        return y**alpha
+    except OverflowError:
+        return math.inf
 
-    Evaluated as ``t1*lnp + log1p(-exp((t2 - t1)*lnp))`` with ``t1 = y**alpha``
-    and ``t2 = (y+1)**alpha``, which keeps full relative accuracy when the two
-    survival terms nearly cancel (p close to 1).  Cells whose mass underflows
-    to zero come back as -inf.
+
+def _log1mexp(u):
+    """``log(1 - exp(-u))`` as ``log(-expm1(-u))``, which keeps full relative
+    accuracy for small ``u`` (Mächler 2012, "Accurately computing
+    log(1 - exp(-|a|))"); ``-inf`` for ``u <= 0`` and for NaN."""
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return np.where(u > 0, np.log(-np.expm1(-u)), -np.inf)
+
+
+def _logpmf_arr(y: np.ndarray, alpha: float, rate: float) -> np.ndarray:
+    """log pmf of DW(alpha, e**-rate) on an array of non-negative integer values.
+
+    Evaluated as ``-rate*t1 + log1mexp(rate*(t2 - t1))`` with ``t1 =
+    y**alpha`` and ``t2 = (y+1)**alpha``, which keeps full relative accuracy
+    when the two survival terms nearly cancel (a rate close to 0).  Cells
+    whose mass underflows to zero, a power past the float range among
+    them, come back as -inf.
     """
     with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
         t1 = np.where(y > 0, np.power(y, alpha), 0.0)
         t2 = np.power(y + 1.0, alpha)
-        d = (t2 - t1) * lnp
-        out = t1 * lnp + np.log1p(-np.exp(d))
-    out = np.where(np.isfinite(t1), out, -np.inf)
-    return out
+        return t1 * -rate + _log1mexp((t2 - t1) * rate)
 
 
 def _dataset_1d(data) -> np.ndarray:
@@ -296,7 +311,7 @@ def _log1mexp_jet(u: _Jet) -> _Jet:
     g1 = 1.0 / np.expm1(u.v)
     g2 = -(g1 + g1 * g1)
     return _Jet(
-        np.log(-np.expm1(-u.v)),
+        _log1mexp(u.v),
         g1[:, None] * u.g,
         g2[:, None, None] * (u.g[:, :, None] * u.g[:, None, :]) + g1[:, None, None] * u.h,
     )
@@ -529,12 +544,12 @@ def _grid_start(objective, values: np.ndarray, log_alpha: np.ndarray, logit_p: n
     """``(log alpha, log(-log p))`` of the grid point where ``objective``, a
     function of the log-pmf table over ``values``, is least (the first in
     row-major order on ties)."""
-    lnp = -np.logaddexp(0.0, -logit_p)
+    rate = np.logaddexp(0.0, -logit_p)
     with np.errstate(all="ignore"):
-        table = _logpmf_arr(values, np.exp(log_alpha)[:, None, None], lnp[None, :, None])
+        table = _logpmf_arr(values, np.exp(log_alpha)[:, None, None], rate[None, :, None])
         obj = objective(table)
     i, j = np.unravel_index(int(np.argmin(obj)), obj.shape)
-    return np.array([log_alpha[i], math.log(-lnp[j])])
+    return np.array([log_alpha[i], math.log(rate[j])])
 
 
 def _solve_fit(fun, start: np.ndarray, top: float) -> tuple[DWParams, float]:

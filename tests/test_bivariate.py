@@ -123,6 +123,34 @@ class TestJointLaw:
         # p0 = 1 is the legal independence boundary
         BDWParams(1.5, 1.0, 0.8, 0.7)
 
+    def test_cell_past_the_float_range_has_no_mass_and_no_warning(self):
+        # the cell's powers overflow and its tie branch subtracts two -inf;
+        # the suite turns an escaping RuntimeWarning into a failure
+        params = BDWParams(50.0, 0.5, 0.5, 0.5)
+        assert joint_logpmf(params, 10**7, 10**7) == -math.inf
+        assert joint_pmf(params, 10**7, 10**7) == 0.0
+        assert joint_pmf_grid(params, 1, 1).sum() == pytest.approx(1.0)
+
+    @pytest.mark.parametrize(
+        "law, limit",
+        [
+            (lambda: joint_sf(BDWParams(50.0, 0.5, 0.5, 0.5), 10**7, 10**7), 0.0),
+            (lambda: joint_sf(BDWParams(50.0, 1.0, 0.5, 0.5), 10**7, 10**7), 0.0),
+            (lambda: joint_sf(BDWParams(50.0, 1.0, 0.5, 0.5), 10**7, 0), 0.0),
+            (lambda: joint_cdf(BDWParams(50.0, 0.5, 0.5, 0.5), 10**7, 10**7), 1.0),
+            (lambda: joint_cdf(BDWParams(50.0, 1.0, 0.5, 0.5), 10**7, 10**7), 1.0),
+            (lambda: cond_sf_given_eq(BDWParams(50.0, 0.5, 0.5, 0.5), 10**7, 10**7), 0.0),
+            (lambda: cond_sf_given_eq(BDWParams(50.0, 0.5, 0.5, 0.5), 10**7, 1), 0.0),
+            (lambda: dw_sf(DWParams(50.0, 0.5), 10**7), 0.0),
+        ],
+        ids=["joint_sf", "joint_sf-independent", "joint_sf-axis", "joint_cdf",
+             "joint_cdf-independent", "cond_sf_given_eq", "cond_sf_given_eq-above", "dw_sf"],
+    )
+    def test_survival_past_the_float_range_is_its_limit(self, law, limit):
+        # the power overflows a float: the survival is 0 and the cdf 1, not
+        # an OverflowError, and a zero shared rate times inf is not NaN
+        assert law() == limit
+
 
 class TestDerivedLaws:
     @pytest.mark.parametrize("params", CASES)

@@ -30,10 +30,19 @@ FOOTBALL_LL = -65.2195869955
 NASAL_MLE = (2.5874322166, 0.0653245623, 0.0614183570, 0.0792398929)
 NASAL_LL = -70.3095359276
 
-# samples that no fit accepts: no row with x1 > x2 (lambda2 has no
-# evidence), and counts too large for the survival bases to be told from 1
+# a sample that no fit accepts: no row with x1 > x2 (lambda2 has no evidence)
 ONE_SIDED = ((1, 1), (2, 2), (3, 3), (0, 1))
+# counts too large for the survival bases to be told from 1: the ML point
+# has rates 2e-17 to 7e-17, which only the rates hold
 LARGE_COUNTS = ((100, 120), (130, 90), (110, 110), (95, 140), (120, 100))
+
+
+def _tiny_rate_sample():
+    # 200 floors of a latent pair of rates ~1e-16, counts up to 118
+    draws = mobw.mobw_sample(
+        MOBWParams(8.0, 5e-17, 1e-16, 1e-16), np.random.default_rng(1), size=200
+    )
+    return BivariateDataset.from_pairs(np.floor(draws).astype(int).tolist())
 
 
 class TestDataset:
@@ -126,22 +135,50 @@ ORACLE_THETAS = [
     (3.0, 0.0, 0.2, 0.15),
     (1.7, 0.3, 0.5, 0.25),
 ]
+# rates (lambda/2, lambda, 1.3*lambda) whose survival bases lie within
+# 1e-6 to 1e-20 of one; from 1e-16 down the bases round to 1
+TINY_RATE_THETAS = [
+    (a, lam / 2, lam, 1.3 * lam)
+    for a, lam in [(8.0, 1e-6), (12.0, 1e-12), (2.0, 1e-9)]
+    + [(a, lam) for a in (5.0, 8.0, 12.0, 20.0) for lam in (1e-12, 1e-16, 1e-20)]
+]
+
+
+def _oracle_cells(theta):
+    # ORACLE_CELLS scaled to the law's spread, lambda1**(-1/alpha), once
+    # that passes 20; unscaled for every law of ORACLE_THETAS
+    k = max(1, int(theta[2] ** (-1.0 / theta[0]) / 10.0))
+    return [(k * a, k * b) for a, b in ORACLE_CELLS]
 
 
 class TestLoglikDerivatives:
-    @pytest.mark.parametrize("theta", ORACLE_THETAS)
+    @pytest.mark.parametrize("theta", ORACLE_THETAS + TINY_RATE_THETAS)
     def test_cell_derivatives_match_mpmath(self, theta):
         # central differences at 50 digits; at lambda0 = 0 they step into
-        # the analytic continuation of the survival to negative rates
+        # the analytic continuation of the survival to negative rates.  The
+        # value path, given the rates and given the survival bases where
+        # they are below one, keeps the mass to 1e-12 relative.  At tiny
+        # rates only the values are checked: there the jets' small entries
+        # (on the diagonal, d2/dlambda2**2) lose relative accuracy
+        bases = [math.exp(-v) for v in theta[1:]]
         mp.mp.dps = 50
         try:
-            for cell in ORACLE_CELLS:
-                value, grad, hess = bdw_loglik_derivatives(
-                    theta, BivariateDataset((cell,))
-                )
+            for cell in _oracle_cells(theta):
+                data = BivariateDataset((cell,))
+                value, grad, hess = bdw_loglik_derivatives(theta, data)
                 f = _oracle_logpmf(*cell)
                 at = [mp.mpf(v) for v in theta]
                 want_v = float(f(*at))
+                assert bdw_loglik(MOBWParams(*theta), data) == pytest.approx(want_v, abs=1e-12)
+                assert bdw_loglik(MOBWParams(*theta), data) == pytest.approx(value, rel=1e-13)
+                if max(bases[1:]) < 1.0 and (bases[0] < 1.0 or theta[1] == 0.0):
+                    exact = [-mp.log(mp.mpf(p)) for p in bases]
+                    law = bivariate.BDWParams(theta[0], *bases)
+                    assert bivariate.joint_logpmf(law, *cell) == pytest.approx(
+                        float(f(at[0], *exact)), abs=1e-12
+                    )
+                if theta not in ORACLE_THETAS:
+                    continue
                 want_g = np.array(
                     [float(mp.diff(f, at, tuple(int(k == i) for k in range(4)))) for i in range(4)]
                 )
@@ -260,15 +297,24 @@ class TestImputation:
         assert len(calls) == 1
 
     def test_zero_probability_cell_is_named(self):
-        # the cell's log-mass is -inf: refused by its first row, as the
-        # likelihood refuses it
-        data = BivariateDataset(((0, 1), (1, 0), (1000, 2000), (1000, 2000)))
-        theta = MOBWParams(0.1, 1e-13, 1e-13, 1e-13)
-        msg = r"^data row 2 \(cell \(1000, 2000\)\) has zero probability$"
+        # the cell's log-mass is -inf, its powers past the float range:
+        # refused by its first row, as the likelihood refuses it
+        data = BivariateDataset(((0, 1), (1, 0), (10**7, 10**7), (10**7, 10**7)))
+        theta = MOBWParams(50.0, 0.5, 0.5, 0.5)
+        msg = r"^data row 2 \(cell \(10000000, 10000000\)\) has zero probability$"
         with pytest.raises(ValueError, match=msg):
             bdw_loglik(theta, data)
         with pytest.raises(ValueError, match=msg):
             impute_dataset(theta, data)
+        # rates of 1e-13 leave the far cell a finite log-mass, which the
+        # value path gives to 1e-12 of 50-digit mpmath, and the jet too
+        data = BivariateDataset(((0, 1), (1, 0), (1000, 2000), (1000, 2000)))
+        theta = MOBWParams(0.1, 1e-13, 1e-13, 1e-13)
+        value, _, _ = bdw_loglik_derivatives((0.1, 1e-13, 1e-13, 1e-13), data)
+        assert bdw_loglik(theta, data) == pytest.approx(value, rel=1e-13)
+        far = bivariate.joint_logpmf(theta, 1000, 2000)
+        assert far == pytest.approx(-76.83770215838052, abs=1e-12)
+        assert len(impute_dataset(theta, data)) == 4
 
     def test_underflowing_cell_mass_is_imputed(self):
         # the log-mass is finite but its exponential underflows to zero:
@@ -474,17 +520,35 @@ class TestNestedEM:
 
     @pytest.mark.filterwarnings("ignore:inconsistent marginal fits")
     def test_counts_beyond_resolution_are_named(self):
-        # the ML point has shape 7.75 and rates 2e-17 to 7e-17: the survival bases
-        # round to 1, so no start can help
+        # the marginal start fits the x1 column by a DW law in survival
+        # bases, whose base rounds to 1
         data = BivariateDataset(LARGE_COUNTS)
         with pytest.raises(
             ValueError, match=r"^column x1: the fitted rate lambda = \S+ rounds .* counts up to 130 "
         ):
             nested_em(data)
-        with pytest.raises(
-            ValueError, match=r"^the fitted rate lambda2 = \S+ rounds its survival base .* counts up to 140 "
-        ):
-            nested_em(data, start=MOBWParams(7.0, 1e-15, 1e-15, 1e-15))
+
+    @pytest.mark.filterwarnings("ignore:inconsistent marginal fits")
+    @pytest.mark.parametrize(
+        "sample, start, loglik",
+        [
+            ("large-counts", MOBWParams(7.0, 1e-15, 1e-15, 1e-15), -40.5838),
+            ("alpha-8", None, -1512.6452),
+        ],
+        ids=["large-counts", "alpha-8"],
+    )
+    def test_rates_below_base_resolution_are_fitted(self, sample, start, loglik):
+        # the ML point's rates, ~1e-17, round every survival base to 1; the
+        # fit runs in rates and stops at a zero of the score
+        data = BivariateDataset(LARGE_COUNTS) if sample == "large-counts" else _tiny_rate_sample()
+        fit = nested_em(data, start=start)
+        assert fit.loglik == pytest.approx(loglik, abs=1e-4)
+        assert max(fit.params.lambda1, fit.params.lambda2) < 1e-16
+        z = np.log([fit.params.alpha, fit.params.lambda0, fit.params.lambda1, fit.params.lambda2])
+        _, grad, _ = fit_ml._neg_loglik_in_logs(z, data)
+        assert np.linalg.norm(grad) <= 1e-8
+        with pytest.raises(ValueError, match=r"^the rate lambda0 = \S+ rounds its survival base"):
+            fit.bdw
 
     def test_unfittable_column_is_named(self):
         # the x1 column is [1, 1, 2, 2, 2], which no DW law fits best

@@ -194,9 +194,13 @@ class TestPrediction:
         pred = ml_predict(MOBWParams(2.0, 1.0, 1.0, 1.0), 30, 30)
         assert pred[:3] == (30.0, 30.0, "tie-diagonal")
         assert pred.density_value == pytest.approx(60.0, rel=1e-9)
-        # only a cell whose log-mass is -inf is refused
-        with pytest.raises(ValueError, match=r"^cell \(1000, 2000\) has zero probability$"):
-            ml_predict(MOBWParams(0.1, 1e-13, 1e-13, 1e-13), 1000, 2000)
+        # only a cell whose log-mass is -inf is refused, here one whose
+        # powers pass the float range; rates of 1e-13 leave cell
+        # (1000, 2000) a finite log-mass, and it is predicted
+        with pytest.raises(ValueError, match=r"^cell \(10000000, 10000000\) has zero probability$"):
+            ml_predict(MOBWParams(50.0, 0.5, 0.5, 0.5), 10**7, 10**7)
+        pred = ml_predict(MOBWParams(0.1, 1e-13, 1e-13, 1e-13), 1000, 2000)
+        assert pred[:3] == (1000.0, 2000.0, "below-diagonal")
 
     def test_vanishing_shared_share_is_no_domain_error(self):
         # lambda0 / total underflows to zero: the diagonal then has no
