@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .univariate import DWParams, _floor_counts, _log1mexp, _logpmf_arr, _power
+from .univariate import DWParams, _floor_counts, _log1mexp, _logpmf_arr, _power, _to_base
 
 __all__ = [
     "BDWParams",
@@ -377,23 +377,15 @@ def _table_bound(params, epsilon: float = 1e-6) -> int:
 
 
 def _truncation_bound(params, epsilon: float) -> int:
-    # smallest K with the heavier marginal's survival below epsilon; the
-    # heavier tail has the smaller rate, so it controls both
+    # smallest K with the heavier marginal's survival exp(-lam * K**alpha)
+    # below epsilon; the heavier tail has the smaller rate, so it controls
+    # both.  A bound from 2**53 up, or infinite, is far past the grid cap;
+    # a float no longer holds it as an integer, so it is refused unnamed
     a, lam0, lam1, lam2 = _rates(params)
-    lam = lam0 + min(lam1, lam2)
-    # the start solves exp(-lam * k**alpha) = epsilon, so K lies within one
-    # of it; from 2**53 on a float no longer resolves one step of k and the
-    # search below would not end, so such a start, far past the grid cap,
-    # is refused without it
-    start = _power(-math.log(epsilon) / lam, 1.0 / a)
-    if not start < 2.0**53:
+    k = _power(-math.log(epsilon) / (lam0 + min(lam1, lam2)), 1.0 / a)
+    if not k < 2.0**53:
         raise _intractable_grid(None, epsilon)
-    k = max(1, math.ceil(start))
-    while math.exp(-(float(k) ** a * lam)) >= epsilon:
-        k += 1
-    while k > 1 and math.exp(-(float(k - 1) ** a * lam)) < epsilon:
-        k -= 1
-    return k
+    return max(1, math.ceil(k))
 
 
 def moments(params, epsilon: float = 1e-10) -> BdwMoments:
@@ -431,24 +423,12 @@ def to_mobw(params):
 
 
 def from_mobw(params) -> BDWParams:
-    """Survival bases from latent rates: ``p_i = exp(-lambda_i)``.
-
-    A positive rate below ~1.1e-16 rounds its base to 1, which survival
-    bases cannot hold (at ``lambda0`` it would read as independence): it
-    is refused by name, and the law's functions take its rates instead.
-    """
-    bases = []
-    for name in ("lambda0", "lambda1", "lambda2"):
-        rate = getattr(params, name)
-        base = math.exp(-rate)
-        if base == 1.0 and rate > 0.0:
-            raise ValueError(
-                f"the rate {name} = {rate:.3g} rounds its survival base "
-                f"exp(-{name}) to 1: survival bases cannot hold this law, "
-                f"its rates can"
-            )
-        bases.append(base)
-    return BDWParams(params.alpha, *bases)
+    """Survival bases from latent rates: ``p_i = exp(-lambda_i)``; a
+    positive rate whose base rounds to 1 (at ``lambda0`` it would read as
+    independence) is refused by name, and the law's functions take its
+    rates instead."""
+    names = ("lambda0", "lambda1", "lambda2")
+    return BDWParams(params.alpha, *(_to_base(name, getattr(params, name)) for name in names))
 
 
 def _grid_report(logratio: np.ndarray, coords: tuple) -> GridCheckReport:

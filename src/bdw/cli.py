@@ -146,15 +146,16 @@ def _cmd_fit_dw(args: argparse.Namespace) -> None:
     column = data.column(args.column)
     ml = dw_fit_ml(column)
     mc = dw_fit_minchisq(column)
-    fit_check = chisq_dw(column, mc.params, absorb_tail=not args.no_absorb_tail)
+    fit_check = chisq_dw(column, mc.law, absorb_tail=not args.no_absorb_tail)
+    # the report's p < 1 refuses by name a rate that rounds its base to 1
     results = {
         "ml": {
-            "alpha": ml.params.alpha,
+            "alpha": ml.law.alpha,
             "p": ml.params.p,
             "loglik": ml.loglik,
         },
         "min_chisq": {
-            "alpha": mc.params.alpha,
+            "alpha": mc.law.alpha,
             "p": mc.params.p,
             "chisq": mc.chisq,
         },
@@ -255,12 +256,10 @@ def _cmd_gof(args: argparse.Namespace) -> None:
         }
     else:
         column = data.column(args.column)
-        if args.estimator == "ml":
-            pars = dw_fit_ml(column).params
-        else:
-            pars = dw_fit_minchisq(column).params
-        rep = chisq_dw(column, pars, absorb_tail=not args.no_absorb_tail)
-        fitted = {"alpha": pars.alpha, "p": pars.p}
+        fit = dw_fit_ml(column) if args.estimator == "ml" else dw_fit_minchisq(column)
+        rep = chisq_dw(column, fit.law, absorb_tail=not args.no_absorb_tail)
+        # the report's p < 1, as in fit-dw
+        fitted = {"alpha": fit.law.alpha, "p": fit.params.p}
     results = {"fitted": fitted, "gof": _chi_dict(rep)}
     config = {
         "column": args.column,

@@ -30,13 +30,13 @@ from .mobw import (
 from .univariate import (
     ALPHA_HI,
     ALPHA_LO,
-    DWParams,
     _dw_jet,
     _in_logs,
     _Jet,
     _log1mexp_jet,
     _newton_min,
     _power_jet,
+    _rate,
     dw_fit_minchisq,
 )
 
@@ -244,33 +244,27 @@ def bdw_loglik_derivatives(
         return float(w @ jet.v), w @ jet.g, np.tensordot(w, jet.h, axes=1)
 
 
-def initial_params_from_marginals(
-    first: DWParams, second: DWParams, minimum: DWParams
-) -> MOBWParams:
-    """Starting point from three univariate fits.
+def initial_params_from_marginals(first, second, minimum) -> MOBWParams:
+    """Starting point from three univariate fits, each a DW law in its base
+    or in its rate (:func:`bdw.univariate._rate`).
 
     The two coordinate fits and the fit of the coordinatewise minimum carry
-    survival bases ``p0*p1``, ``p0*p2`` and ``p0*p1*p2``; this inverts that
-    map and averages the three shapes.  A product falling outside (0, 1] is
-    clamped to the boundary with a warning — the inversion is exact only
-    when the three fits are mutually consistent.
+    rates ``lambda0 + lambda1``, ``lambda0 + lambda2`` and ``lambda0 +
+    lambda1 + lambda2``; this inverts that map and averages the three
+    shapes.  A negative shared rate is clamped to 0, and a coordinate rate
+    at most 0 floored at 1e-10 times the minimum's, with a warning: the
+    inversion is exact only when the three fits are mutually consistent.
     """
-    alpha = (first.alpha + second.alpha + minimum.alpha) / 3.0
-    q1, q2, q12 = first.p, second.p, minimum.p
-    p0 = q1 * q2 / q12
-    p1 = q12 / q2
-    p2 = q12 / q1
-    eps = 1e-10
-    if p0 > 1.0:
-        warnings.warn(f"inconsistent marginal fits: shared base {p0:.6f} clamped to 1")
-        p0 = 1.0
-    for name, v in (("p1", p1), ("p2", p2)):
-        if v >= 1.0:
-            warnings.warn(f"inconsistent marginal fits: {name} = {v:.6f} clamped below 1")
-    p1 = min(p1, 1.0 - eps)
-    p2 = min(p2, 1.0 - eps)
-    lam0 = 0.0 if p0 == 1.0 else -math.log(p0)
-    return MOBWParams(alpha, lam0, -math.log(p1), -math.log(p2))
+    (a1, rate1), (a2, rate2), (a12, rate12) = (_rate(f) for f in (first, second, minimum))
+    lam0, lam1, lam2 = rate1 + rate2 - rate12, rate12 - rate2, rate12 - rate1
+    if lam0 < 0.0:
+        warnings.warn(f"inconsistent marginal fits: shared rate {lam0:.6g} clamped to 0")
+    floor = 1e-10 * rate12
+    for name, v in (("lambda1", lam1), ("lambda2", lam2)):
+        if v <= 0.0:
+            warnings.warn(f"inconsistent marginal fits: {name} = {v:.6g} floored at {floor:.3g}")
+    alpha = (a1 + a2 + a12) / 3.0
+    return MOBWParams(alpha, max(lam0, 0.0), max(lam1, floor), max(lam2, floor))
 
 
 def init_estimates(data: BivariateDataset) -> MOBWParams:
@@ -286,7 +280,7 @@ def init_estimates(data: BivariateDataset) -> MOBWParams:
     for name in ("x1", "x2", "min"):
         col = data.column(name)
         try:
-            fits.append(dw_fit_minchisq(col).params)
+            fits.append(dw_fit_minchisq(col).law)
         except ValueError as exc:
             what = f"column {name}"
             if col.min() == col.max():

@@ -16,12 +16,13 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from . import bivariate
-from .univariate import DWParams, dw_pmf, dw_sf
+from .univariate import dw_pmf, dw_sf
 
 if TYPE_CHECKING:
     from .bivariate import BDWParams
     from .fit_ml import BivariateDataset
     from .mobw import MOBWParams
+    from .univariate import DWParams, WeibullParams
 
 __all__ = [
     "ChiSquareReport",
@@ -136,11 +137,12 @@ def _report(
 
 def chisq_dw(
     data: Sequence[int],
-    params: DWParams,
+    params: DWParams | WeibullParams,
     absorb_tail: bool = True,
     df_penalty: int = 0,
 ) -> ChiSquareReport:
-    """Chi-square fit check of a univariate sample against a fitted law.
+    """Chi-square fit check of a univariate sample against a fitted law,
+    given as its survival base or as the rate of a fit.
 
     Cells are the observed support values ``{0, ..., max}``.  With
     ``absorb_tail`` the last cell also absorbs the mass above the sample

@@ -8,9 +8,14 @@ which is the representation used throughout this package: survival beyond
 With ``alpha = 1`` the law reduces to the geometric distribution with
 success probability ``1 - p``.
 
-Both fits run the package's one optimizer, :func:`_newton_min`: damped
-Newton steps in log-parameters on exact derivatives, which the DW
-log-pmf's jet (:func:`_dw_jet`) supplies.
+Every function of the DW law reads its rate through one conversion,
+:func:`_rate`, and takes the law as its survival base (:class:`DWParams`)
+or as the continuous Weibull law whose floor it is
+(:class:`WeibullParams`).  Both fits run the package's one optimizer,
+:func:`_newton_min`: damped Newton steps in log-parameters on exact
+derivatives, which the DW log-pmf's jet (:func:`_dw_jet`) supplies.  They
+hold the fitted rate, and compute its survival base only on demand,
+through :func:`_to_base`.
 """
 
 from __future__ import annotations
@@ -79,11 +84,12 @@ class WeibullParams:
 
 @dataclass(frozen=True)
 class DWParams:
-    """Discrete Weibull law with survival ``p**(y**alpha)``.
+    """Discrete Weibull law with survival ``p**(y**alpha)``, ``0 < p < 1``.
 
-    ``p = 1`` is accepted only so that a degenerate component can be carried
-    around inside the bivariate model (a never-failing shared shock); every
-    standalone operation on the law itself requires ``p < 1``.
+    ``p = 1`` has no distribution on the integers and is refused; the
+    bivariate model's never-failing shared shock is its ``p0 = 1``, and a
+    rate too small for its base to differ from 1 is held as a
+    :class:`WeibullParams`.
     """
 
     alpha: float
@@ -92,22 +98,43 @@ class DWParams:
     def __post_init__(self) -> None:
         if not (self.alpha > 0 and math.isfinite(self.alpha)):
             raise ValueError(f"shape must be positive and finite, got {self.alpha}")
-        if not 0 < self.p <= 1:
-            raise ValueError(f"p must lie in (0, 1], got {self.p}")
+        if not 0 < self.p < 1:
+            raise ValueError(f"p must lie in (0, 1), got {self.p}")
+
+
+def _rate(params) -> tuple[float, float]:
+    """``(alpha, lambda)`` of a DW law given as its survival base
+    (:class:`DWParams`, ``lambda = -ln(p)``) or as its latent Weibull law."""
+    if isinstance(params, DWParams):
+        return params.alpha, -math.log(params.p)
+    return params.alpha, params.lam
+
+
+def _to_base(name: str, rate: float) -> float:
+    """The survival base ``exp(-rate)`` of the rate called ``name``; a
+    positive rate below ~1.1e-16 rounds it to 1, and is refused by name."""
+    base = math.exp(-rate)
+    if base == 1.0 and rate > 0.0:
+        raise ValueError(
+            f"the rate {name} = {rate:.3g} rounds its survival base "
+            f"exp(-{name}) to 1: survival bases cannot hold this law, "
+            f"its rates can"
+        )
+    return base
 
 
 class DWFit(NamedTuple):
-    """Maximum-likelihood fit of a DW law together with its attained log-likelihood."""
+    """Maximum-likelihood fit of a DW law together with its attained
+    log-likelihood; ``law`` is the fitted latent Weibull law, in its rate."""
 
-    params: DWParams
+    law: WeibullParams
     loglik: float
 
-
-def _require_proper(params: DWParams) -> None:
-    # p = 1 is the degenerate boundary reserved for the bivariate shared
-    # component; as a standalone law it has no distribution on the integers.
-    if params.p == 1:
-        raise ValueError("operation requires p < 1 (p = 1 is degenerate)")
+    @property
+    def params(self) -> DWParams:
+        """The fitted law in its survival base, computed on demand; refused
+        by name when the fitted rate rounds the base to 1."""
+        return DWParams(self.law.alpha, _to_base("lambda", self.law.lam))
 
 
 def we_pdf(params: WeibullParams, x: float) -> float:
@@ -167,32 +194,31 @@ def we_sample(params: WeibullParams, rng: np.random.Generator, size=None):
     return x
 
 
-def dw_logpmf(params: DWParams, y: int) -> float:
+def dw_logpmf(params, y: int) -> float:
     """Natural log of the DW probability mass at the integer ``y >= 0``."""
-    _require_proper(params)
     if y < 0 or y != int(y):
         raise ValueError(f"support is the non-negative integers, got {y}")
-    return float(_logpmf_arr(np.asarray([float(y)]), params.alpha, -math.log(params.p))[0])
+    return float(_logpmf_arr(np.asarray([float(y)]), *_rate(params))[0])
 
 
-def dw_pmf(params: DWParams, y: int) -> float:
+def dw_pmf(params, y: int) -> float:
     """Probability mass ``p**(y**alpha) - p**((y+1)**alpha)`` at the integer ``y >= 0``."""
     return math.exp(dw_logpmf(params, y))
 
 
-def dw_sf(params: DWParams, y: float) -> float:
+def dw_sf(params, y: float) -> float:
     """Survival ``P(Y >= y) = p**(floor(y)**alpha)`` for real ``y >= 0``.
 
     The inequality is weak, so ``dw_sf(params, 0) == 1`` and the function is
     constant on each unit cell.
     """
-    _require_proper(params)
     if y < 0:
         raise ValueError(f"y must be non-negative, got {y}")
     k = math.floor(y)
     if k == 0:
         return 1.0
-    return math.exp(_power(float(k), params.alpha) * math.log(params.p))
+    alpha, lam = _rate(params)
+    return math.exp(-(_power(float(k), alpha) * lam))
 
 
 def _floor_counts(lifetimes) -> np.ndarray:
@@ -208,11 +234,9 @@ def _floor_counts(lifetimes) -> np.ndarray:
     return y.astype(np.int64)
 
 
-def dw_sample(params: DWParams, rng: np.random.Generator, size=None):
+def dw_sample(params, rng: np.random.Generator, size=None):
     """Draw from the DW law as the floor of a continuous Weibull lifetime."""
-    _require_proper(params)
-    lam = -math.log(params.p)
-    counts = _floor_counts(we_sample(WeibullParams(params.alpha, lam), rng, size=size))
+    counts = _floor_counts(we_sample(WeibullParams(*_rate(params)), rng, size=size))
     return int(counts) if size is None else counts
 
 
@@ -264,8 +288,6 @@ def _dataset_1d(data) -> np.ndarray:
     if not np.issubdtype(xs.dtype, np.number) or np.any(xs != np.floor(xs)) or np.any(xs < 0):
         raise ValueError("data must be non-negative integers")
     return xs.astype(float)
-
-
 
 
 @dataclass(frozen=True)
@@ -454,15 +476,16 @@ def dw_fit_ml(data: Sequence[int]) -> DWFit:
     Returns
     -------
     DWFit
-        Fitted parameters and the attained log-likelihood.
+        The fitted law in its rate and the attained log-likelihood.  A
+        rate too small for ``p`` to be told from one, as on counts past
+        100, is fitted; only :attr:`DWFit.params` refuses it.
 
     Raises
     ------
     ValueError
         On an empty sample, when all observations are equal (the
-        likelihood then degenerates towards a boundary point mass), when
-        no DW law attains the supremum, or when the counts are too large
-        for ``p`` to be told from one.  A sample on two adjacent values
+        likelihood then degenerates towards a boundary point mass), or
+        when no DW law attains the supremum.  A sample on two adjacent values
         ``{k, k+1}`` is one with no maximizer: as the shape grows with
         ``lambda*(k+1)**alpha`` held, the DW law tends to any two-point
         law on them, so the supremum is the sample's own frequencies.
@@ -481,15 +504,18 @@ def dw_fit_ml(data: Sequence[int]) -> DWFit:
         np.linspace(math.log(ALPHA_LO), math.log(ALPHA_HI), 61),
         np.linspace(-35.0, 35.0, 71),
     )
-    params, value = _solve_fit(lambda z: _neg_loglik_jet(z, values, counts), start, values[-1])
-    return DWFit(params, -value)
+    law, value = _solve_fit(lambda z: _neg_loglik_jet(z, values, counts), start)
+    return DWFit(law, -value)
 
 
 class DWChisqFit(NamedTuple):
-    """Minimum-chi-square fit of a DW law with the minimized Pearson statistic."""
+    """Minimum-chi-square fit of a DW law with the minimized Pearson
+    statistic; ``law`` is the fitted latent Weibull law, in its rate."""
 
-    params: DWParams
+    law: WeibullParams
     chisq: float
+    # the law in its survival base, as for the ML fit
+    params = DWFit.params
 
 
 def dw_fit_minchisq(data: Sequence[int]) -> DWChisqFit:
@@ -511,7 +537,7 @@ def dw_fit_minchisq(data: Sequence[int]) -> DWChisqFit:
     Returns
     -------
     DWChisqFit
-        Fitted parameters and the attained (minimized) chi-square.
+        The fitted law in its rate and the attained (minimized) chi-square.
 
     Raises
     ------
@@ -525,8 +551,8 @@ def dw_fit_minchisq(data: Sequence[int]) -> DWChisqFit:
         np.linspace(math.log(ALPHA_LO), math.log(ALPHA_HI), 25),
         np.linspace(-6.0, 6.0, 25),
     )
-    params, value = _solve_fit(lambda z: _pearson_jet(z, values, counts, n), start, values[-1])
-    return DWChisqFit(params, value)
+    law, value = _solve_fit(lambda z: _pearson_jet(z, values, counts, n), start)
+    return DWChisqFit(law, value)
 
 
 def _distinct_values(data) -> tuple[np.ndarray, np.ndarray, int]:
@@ -552,25 +578,12 @@ def _grid_start(objective, values: np.ndarray, log_alpha: np.ndarray, logit_p: n
     return np.array([log_alpha[i], math.log(rate[j])])
 
 
-def _solve_fit(fun, start: np.ndarray, top: float) -> tuple[DWParams, float]:
+def _solve_fit(fun, start: np.ndarray) -> tuple[WeibullParams, float]:
     """Minimize a DW fit's objective ``fun`` of ``z = (log alpha, log(-log p))``
-    from ``start``; return the law at the minimum and the minimum value.
-    ``top`` is the largest count of the sample."""
+    from ``start``; return the law at the minimum, in its rate, and the
+    minimum value."""
     try:
         z, value = _newton_min(fun, start)
     except _StepCapError as exc:
         raise ValueError(f"no DW law fits this sample best: {exc}") from None
-    return DWParams(math.exp(z[0]), _survival_base("lambda", math.exp(z[1]), top)), value
-
-
-def _survival_base(name: str, rate: float, top: float) -> float:
-    """``exp(-rate)``, refused by name when it rounds to one."""
-    p = math.exp(-rate)
-    if p == 1.0:
-        raise ValueError(
-            f"the fitted rate {name} = {rate:.3g} rounds its survival base "
-            f"exp(-{name}) to 1: counts up to {top:g} need a base closer to "
-            f"1 than a float resolves"
-        )
-    return p
-
+    return WeibullParams(math.exp(z[0]), math.exp(z[1])), value

@@ -20,6 +20,9 @@ from bdw.bivariate import BDWParams
 from bdw.cli import load_csv, main
 from bdw.datasets import FOOTBALL_PAIRS, NASAL_PAIRS, builtin_dataset
 
+# counts whose ML rates, ~1e-17, round their survival bases to 1
+LARGE_COUNTS_CSV = "100,120\n130,90\n110,110\n95,140\n120,100\n"
+
 # canonical serialization of the bundled data, pinned so silent edits
 # to the shipped values cannot pass unnoticed
 FOOTBALL_SHA = "86348849a425af72692a8eddd0c1120038cdbf41511c8cce4748d610b584c16d"
@@ -147,6 +150,26 @@ class TestReportSchema:
         alpha = rep["results"]["estimates"]["alpha"]
         assert math.isfinite(shape["ci_low"]) and math.isfinite(shape["ci_high"])
         assert shape["ci_low"] < alpha < shape["ci_high"]
+
+    @pytest.mark.filterwarnings("ignore:inconsistent marginal fits")
+    @pytest.mark.parametrize(
+        "command",
+        [["fit-ml"], ["gof", "--column", "joint"], ["fit-bayes", "-M", "200", "-N", "2"]],
+        ids=["fit-ml", "gof", "fit-bayes"],
+    )
+    def test_large_counts_are_fitted_in_rates(self, tmp_path, report_schema, command):
+        # the joint commands start from the marginal fits' rates and report
+        # rates; fit-ml's survival bases write 1.0 where they round to it
+        path = tmp_path / "large.csv"
+        path.write_text(LARGE_COUNTS_CSV)
+        rep = run_cli(tmp_path, [*command, "--input", str(path)])
+        jsonschema.validate(rep, report_schema)
+        res = rep["results"]
+        rates = res["means"] if command[0] == "fit-bayes" else res.get("estimates", res.get("fitted"))
+        for name in ("lambda0", "lambda1", "lambda2"):
+            assert 0.0 < rates[name] < 1e-14, name
+        if command[0] == "fit-ml":
+            assert res["estimates"]["p0"] == 1.0
 
     def test_fit_bayes(self, tmp_path, report_schema):
         rep = run_cli(
@@ -480,15 +503,12 @@ class TestFailurePaths:
                     [["fit-dw", "--column", "x1"]],
                 ),
                 (
+                    # the DW fits hold rates ~1e-20, and the report's p < 1
+                    # refuses them at its edge
                     "large-counts",
-                    "100,120\n130,90\n110,110\n95,140\n120,100\n",
-                    "the fitted rate lambda = 1.",
-                    [
-                        ["fit-dw", "--column", "x1"],
-                        ["fit-ml"],
-                        ["gof", "--column", "joint"],
-                        ["fit-bayes", "-M", "200", "-N", "2"],
-                    ],
+                    LARGE_COUNTS_CSV,
+                    "the rate lambda = 1.",
+                    [["fit-dw", "--column", "x1"], ["gof", "--column", "x1"]],
                 ),
             ]
             for command in commands

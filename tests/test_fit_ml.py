@@ -37,10 +37,11 @@ ONE_SIDED = ((1, 1), (2, 2), (3, 3), (0, 1))
 LARGE_COUNTS = ((100, 120), (130, 90), (110, 110), (95, 140), (120, 100))
 
 
-def _tiny_rate_sample():
-    # 200 floors of a latent pair of rates ~1e-16, counts up to 118
+def _tiny_rate_sample(alpha=8.0):
+    # 200 floors of a latent pair of rates ~1e-16: counts up to 118 at
+    # shape 8, 24 at shape 12 and 6 at shape 20
     draws = mobw.mobw_sample(
-        MOBWParams(8.0, 5e-17, 1e-16, 1e-16), np.random.default_rng(1), size=200
+        MOBWParams(alpha, 5e-17, 1e-16, 1e-16), np.random.default_rng(1), size=200
     )
     return BivariateDataset.from_pairs(np.floor(draws).astype(int).tolist())
 
@@ -518,29 +519,39 @@ class TestNestedEM:
         ):
             nested_em(data, start=start)
 
-    @pytest.mark.filterwarnings("ignore:inconsistent marginal fits")
     def test_counts_beyond_resolution_are_named(self):
-        # the marginal start fits the x1 column by a DW law in survival
-        # bases, whose base rounds to 1
+        # the marginal start inverts the three fits' rates, ~1e-14 to
+        # 1e-20, whose survival bases round to 1; the fits disagree, and
+        # each coordinate rate at or below zero is floored relative to the
+        # minimum's rate and named in a warning
         data = BivariateDataset(LARGE_COUNTS)
-        with pytest.raises(
-            ValueError, match=r"^column x1: the fitted rate lambda = \S+ rounds .* counts up to 130 "
-        ):
-            nested_em(data)
+        with pytest.warns(UserWarning) as caught:
+            start = init_estimates(data)
+        named = sorted(str(w.message).split(" = ")[0] for w in caught)
+        assert named == [f"inconsistent marginal fits: lambda{i}" for i in (1, 2)]
+        floor = 1e-10 * dw_fit_minchisq(data.column("min")).law.lam
+        assert start.lambda1 == start.lambda2 == floor
+        assert start.lambda0 > 0.0
+        with pytest.raises(ValueError, match=r"^the rate lambda0 = \S+ rounds its survival base"):
+            nested_em(data, start=start).bdw
 
     @pytest.mark.filterwarnings("ignore:inconsistent marginal fits")
     @pytest.mark.parametrize(
         "sample, start, loglik",
         [
             ("large-counts", MOBWParams(7.0, 1e-15, 1e-15, 1e-15), -40.5838),
-            ("alpha-8", None, -1512.6452),
+            ("large-counts", None, -40.5838),
+            (8.0, None, -1512.6452),
+            (12.0, None, -803.1450),
+            (20.0, None, -284.5920),
         ],
-        ids=["large-counts", "alpha-8"],
+        ids=["large-counts", "large-counts-default", "alpha-8", "alpha-12", "alpha-20"],
     )
     def test_rates_below_base_resolution_are_fitted(self, sample, start, loglik):
         # the ML point's rates, ~1e-17, round every survival base to 1; the
-        # fit runs in rates and stops at a zero of the score
-        data = BivariateDataset(LARGE_COUNTS) if sample == "large-counts" else _tiny_rate_sample()
+        # fit runs in rates, from the marginal start as from a given one,
+        # and stops at a zero of the score
+        data = BivariateDataset(LARGE_COUNTS) if sample == "large-counts" else _tiny_rate_sample(sample)
         fit = nested_em(data, start=start)
         assert fit.loglik == pytest.approx(loglik, abs=1e-4)
         assert max(fit.params.lambda1, fit.params.lambda2) < 1e-16

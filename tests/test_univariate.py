@@ -134,12 +134,9 @@ class TestDiscreteWeibullPMF:
             DWParams(-0.5, 0.5)
         with pytest.raises(ValueError):
             dw_pmf(DWParams(1.0, 0.5), -1)
-        # p = 1 is a carrier value for the degenerate shared component only
-        degenerate = DWParams(1.0, 1.0)
-        with pytest.raises(ValueError):
-            dw_pmf(degenerate, 0)
-        with pytest.raises(ValueError):
-            dw_sf(degenerate, 1)
+        # p = 1 has no distribution on the integers: refused when built
+        with pytest.raises(ValueError, match=r"^p must lie in \(0, 1\), got 1.0"):
+            DWParams(1.0, 1.0)
 
 
 class TestDWSampling:
@@ -257,9 +254,22 @@ class TestDWFitting:
 
     @pytest.mark.parametrize("fit", [dw_fit_minchisq, dw_fit_ml])
     def test_counts_beyond_resolution_are_named(self, fit):
-        # the best law's p = exp(-lambda) rounds to 1 at these counts
-        with pytest.raises(ValueError, match=r"^the fitted rate lambda = \S+ rounds .* counts up to 130 "):
-            fit([100, 130, 110, 95, 120])
+        # the best law's p = exp(-lambda) rounds to 1 at these counts: the
+        # fit holds its rate, and only the law in bases is refused
+        xs = [100, 130, 110, 95, 120]
+        got = fit(xs)
+        assert 0.0 < got.law.lam and math.exp(-got.law.lam) == 1.0
+        # a minimum in (log alpha, log lambda): the objective's gradient vanishes
+        values, counts = np.unique(xs, return_counts=True)
+        values, counts = values.astype(float), counts.astype(float)
+        z = np.log([got.law.alpha, got.law.lam])
+        if fit is dw_fit_ml:
+            _, grad, _ = univariate._neg_loglik_jet(z, values, counts)
+        else:
+            _, grad, _ = univariate._pearson_jet(z, values, counts, len(xs))
+        assert np.linalg.norm(grad) <= 1e-8
+        with pytest.raises(ValueError, match=r"^the rate lambda = \S+ rounds its survival base"):
+            got.params
 
     def test_search_box_spans_real_data(self):
         assert ALPHA_LO <= 0.1 and ALPHA_HI >= 10.0
