@@ -138,11 +138,11 @@ def _rates(params) -> tuple[float, float, float, float]:
 
 
 def _log_sf(rates: tuple, x1: float, x2: float) -> float:
-    # log joint survival at the floors of (x1, x2) >= 0; a power past the
+    # log survival of the latent pair past (x1, x2) >= 0; a power past the
     # float range gives -inf, and a zero shared rate adds nothing even there
     a, lam0, lam1, lam2 = rates
-    t1 = _power(float(math.floor(x1)), a)
-    t2 = _power(float(math.floor(x2)), a)
+    t1 = _power(float(x1), a)
+    t2 = _power(float(x2), a)
     shared = max(t1, t2) * lam0 if lam0 > 0.0 else 0.0
     return -(t1 * lam1 + t2 * lam2 + shared)
 
@@ -155,7 +155,7 @@ def joint_sf(params, x1: float, x2: float) -> float:
     """
     if x1 < 0 or x2 < 0:
         raise ValueError("arguments must be non-negative")
-    return math.exp(_log_sf(_rates(params), x1, x2))
+    return math.exp(_log_sf(_rates(params), math.floor(x1), math.floor(x2)))
 
 
 def _partition(x1: np.ndarray, x2: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -254,18 +254,20 @@ def _cmd_gof(args: argparse.Namespace) -> None:
             "lambda1": fit.params.lambda1,
             "lambda2": fit.params.lambda2,
         }
+        config = {"column": "joint", "estimator": "ml", "absorb_tail": True}
     else:
+        estimator = args.estimator or "minchisq"
         column = data.column(args.column)
-        fit = dw_fit_ml(column) if args.estimator == "ml" else dw_fit_minchisq(column)
+        fit = dw_fit_ml(column) if estimator == "ml" else dw_fit_minchisq(column)
         rep = chisq_dw(column, fit.law, absorb_tail=not args.no_absorb_tail)
         # the report's p < 1, as in fit-dw
         fitted = {"alpha": fit.law.alpha, "p": fit.params.p}
+        config = {
+            "column": args.column,
+            "estimator": estimator,
+            "absorb_tail": not args.no_absorb_tail,
+        }
     results = {"fitted": fitted, "gof": _chi_dict(rep)}
-    config = {
-        "column": args.column,
-        "estimator": args.estimator,
-        "absorb_tail": not args.no_absorb_tail,
-    }
     _emit(_report("gof", source, config, results), args.output)
 
 
@@ -392,8 +394,8 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_input_options(p)
     p.add_argument("--column", choices=("x1", "x2", "min", "joint"),
                    default="joint")
-    p.add_argument("--estimator", choices=("minchisq", "ml"),
-                   default="minchisq")
+    p.add_argument("--estimator", choices=("minchisq", "ml"), default=None,
+                   help="a column's fit (default minchisq); joint fits by ml")
     p.add_argument("--no-absorb-tail", action="store_true")
     p.add_argument("--output")
     p.set_defaults(func=_cmd_gof)
@@ -429,7 +431,15 @@ def main(argv: Sequence[str] | None = None) -> int:
         ),
         format="%(levelname)s %(name)s: %(message)s",
     )
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    if args.func is _cmd_gof and args.column == "joint" and (
+        args.no_absorb_tail or args.estimator == "minchisq"
+    ):
+        parser.error(
+            "gof --column joint fits by ml and always absorbs the tail: "
+            "--estimator minchisq and --no-absorb-tail apply to a single column"
+        )
     try:
         args.func(args)
     except (ValueError, OSError) as exc:

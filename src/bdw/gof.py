@@ -3,8 +3,10 @@
 Univariate fits are checked on the observed support with the upper tail
 absorbed into the last cell (optional, on by default); bivariate fits on
 the observed-support product grid with tail absorption on both axes.
-Adjacent cells with expected count below one are pooled so the usual
-chi-square approximation is not applied to near-empty cells.
+The two checks differ only in how they fill their count and mass tables:
+one axis rule labels both, and one path pools and scores them.  Adjacent
+cells with expected count below one are pooled so the usual chi-square
+approximation is not applied to near-empty cells.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from . import bivariate
-from .univariate import dw_pmf, dw_sf
+from .univariate import _dataset_1d, _pearson, dw_pmf, dw_sf
 
 if TYPE_CHECKING:
     from .bivariate import BDWParams
@@ -87,10 +89,10 @@ class ChiSquareReport:
 def _pool(
     labels: list[str], observed: list[int], expected: list[float]
 ) -> tuple[list[str], list[int], list[float]]:
-    """Merge adjacent cells rightward until every group's expected >= 1."""
-    glabels: list[list[str]] = []
-    gobs: list[int] = []
-    gexp: list[float] = []
+    """Merge adjacent cells rightward until every group's expected >= 1; a
+    remainder short of it joins the last group, or stands alone when there
+    is none."""
+    groups: list[tuple[list[str], int, float]] = []
     acc_l: list[str] = []
     acc_o = 0
     acc_e = 0.0
@@ -99,39 +101,44 @@ def _pool(
         acc_o += o
         acc_e += e
         if acc_e >= POOL_THRESHOLD:
-            glabels.append(acc_l)
-            gobs.append(acc_o)
-            gexp.append(acc_e)
+            groups.append((acc_l, acc_o, acc_e))
             acc_l, acc_o, acc_e = [], 0, 0.0
     if acc_l:
-        if glabels:
-            glabels[-1].extend(acc_l)
-            gobs[-1] += acc_o
-            gexp[-1] += acc_e
-        else:
-            glabels.append(acc_l)
-            gobs.append(acc_o)
-            gexp.append(acc_e)
-    return (["+".join(g) for g in glabels], gobs, gexp)
+        if groups:
+            last_l, last_o, last_e = groups.pop()
+            acc_l, acc_o, acc_e = last_l + acc_l, last_o + acc_o, last_e + acc_e
+        groups.append((acc_l, acc_o, acc_e))
+    return (
+        ["+".join(g[0]) for g in groups], [g[1] for g in groups], [g[2] for g in groups]
+    )
+
+
+def _axis(top: int, absorb_tail: bool = True) -> list[str]:
+    """Labels of an axis holding the values ``0..top``; with ``absorb_tail``
+    the last cell also holds the tail above it, ``>=top`` when ``top > 0``."""
+    return [str(y) for y in range(top)] + [
+        f">={top}" if absorb_tail and top > 0 else str(top)
+    ]
 
 
 def _report(
-    labels: list[str], observed: list[int], expected: list[float], df_penalty: int
+    labels: list[str], counts: np.ndarray, mass: np.ndarray, df_penalty: int
 ) -> ChiSquareReport:
-    labels, obs, exp = _pool(labels, observed, expected)
+    """Pool and score a table of observed counts against its cell masses,
+    both laid out in the row-major order of ``labels``."""
+    n = int(counts.sum())
+    labels, obs, exp = _pool(labels, counts.ravel().tolist(), (n * mass).ravel().tolist())
     if len(obs) < 2:
         raise ValueError("fewer than two cells after pooling")
     df = len(obs) - 1 - df_penalty
     if df < 1:
         raise ValueError("no degrees of freedom left after the penalty")
-    o = np.asarray(obs, dtype=float)
-    e = np.asarray(exp, dtype=float)
-    stat = float(np.sum((o - e) ** 2 / e))
-    cells = tuple(
-        (lab, int(oo), float(ee)) for lab, oo, ee in zip(labels, obs, exp)
-    )
+    stat = float(_pearson(np.asarray(obs, dtype=float), np.asarray(exp)))
     return ChiSquareReport(
-        statistic=stat, df=df, p_value=chisq_upper_tail(stat, df), cells=cells
+        statistic=stat,
+        df=df,
+        p_value=chisq_upper_tail(stat, df),
+        cells=tuple(zip(labels, obs, exp)),
     )
 
 
@@ -149,28 +156,14 @@ def chisq_dw(
     maximum, so expected counts sum to ``n``; without it each cell keeps
     its bare probability mass, which matches how the single-coordinate
     fit tables in common use report the statistic.  ``df_penalty``
-    subtracts fitted-parameter degrees from ``#cells - 1``.
+    subtracts fitted-parameter degrees from ``#cells - 1``.  The sample is
+    validated as the DW fits validate theirs.
     """
-    values = [int(v) for v in data]
-    if not values:
-        raise ValueError("data must be non-empty")
-    if any(v < 0 for v in values):
-        raise ValueError("data must be non-negative")
-    top = max(values)
-    counts = np.bincount(values, minlength=top + 1)
-    n = len(values)
-    labels = []
-    observed = []
-    expected = []
-    for y in range(top + 1):
-        if y == top and absorb_tail:
-            labels.append(f">={y}" if y > 0 else "all")
-            expected.append(n * dw_sf(params, y))
-        else:
-            labels.append(str(y))
-            expected.append(n * dw_pmf(params, y))
-        observed.append(int(counts[y]))
-    return _report(labels, observed, expected, df_penalty)
+    values = _dataset_1d(data).astype(np.int64)
+    top = int(values.max())
+    last = dw_sf if absorb_tail else dw_pmf
+    mass = np.array([dw_pmf(params, y) for y in range(top)] + [last(params, top)])
+    return _report(_axis(top, absorb_tail), np.bincount(values), mass, df_penalty)
 
 
 def chisq_bdw(
@@ -186,7 +179,6 @@ def chisq_bdw(
     """
     x1, x2, w = data.cell_arrays
     top1, top2 = int(x1.max()), int(x2.max())
-    n = data.n
     counts = np.zeros((top1 + 1, top2 + 1), dtype=np.int64)
     counts[x1.astype(np.int64), x2.astype(np.int64)] = w
 
@@ -200,14 +192,5 @@ def chisq_bdw(
         mass[i, top2] = s(params, i, top2) - s(params, i + 1, top2)
     mass[top1, top2] = s(params, top1, top2)
 
-    labels = []
-    observed = []
-    expected = []
-    for i in range(top1 + 1):
-        for j in range(top2 + 1):
-            mark1 = f">={i}" if i == top1 and top1 > 0 else str(i)
-            mark2 = f">={j}" if j == top2 and top2 > 0 else str(j)
-            labels.append(f"({mark1},{mark2})")
-            observed.append(int(counts[i, j]))
-            expected.append(n * float(mass[i, j]))
-    return _report(labels, observed, expected, df_penalty)
+    labels = [f"({a},{b})" for a in _axis(top1) for b in _axis(top2)]
+    return _report(labels, counts, mass, df_penalty)

@@ -26,7 +26,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from . import bivariate
-from .univariate import WeibullParams, _logpmf_arr, we_mode, we_sample
+from .univariate import WeibullParams, _logpmf_arr, _power, we_mode, we_sample
 
 __all__ = [
     "MOBWParams",
@@ -297,15 +297,11 @@ def cause_counts(
 
 
 def mobw_sf(params: MOBWParams, y1: float, y2: float) -> float:
-    """Joint survival ``P(Y1 > y1, Y2 > y2)``."""
+    """Joint survival ``P(Y1 > y1, Y2 > y2)``; 0 past the float range.  The
+    discrete pair's :func:`bivariate.joint_sf` is this at the floors."""
     if y1 < 0 or y2 < 0:
         raise ValueError("arguments must be non-negative")
-    a = params.alpha
-    return math.exp(
-        -params.lambda1 * y1**a
-        - params.lambda2 * y2**a
-        - params.lambda0 * max(y1, y2) ** a
-    )
+    return math.exp(bivariate._log_sf(bivariate._rates(params), y1, y2))
 
 
 def _log_we_pdf(y: float, alpha: float, lam: float) -> float:
@@ -319,7 +315,7 @@ def _log_we_pdf(y: float, alpha: float, lam: float) -> float:
         if alpha == 1:
             return math.log(lam)
         return math.inf
-    return math.log(alpha * lam) + (alpha - 1.0) * math.log(y) - lam * y**alpha
+    return math.log(alpha * lam) + (alpha - 1.0) * math.log(y) - lam * _power(y, alpha)
 
 
 def _branch_rates(params: MOBWParams, kind: str) -> tuple[float, float]:

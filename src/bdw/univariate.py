@@ -142,7 +142,8 @@ def we_pdf(params: WeibullParams, x: float) -> float:
 
     At ``x = 0`` the density is 0 for ``alpha > 1`` and ``lam`` for
     ``alpha = 1``; for ``alpha < 1`` it diverges and
-    :class:`SingularDensityError` is raised.
+    :class:`SingularDensityError` is raised.  Where ``x**alpha`` passes the
+    float range the density is 0.
     """
     if x < 0:
         raise ValueError(f"x must be non-negative, got {x}")
@@ -153,14 +154,17 @@ def we_pdf(params: WeibullParams, x: float) -> float:
         if a == 1:
             return lam
         raise SingularDensityError("density diverges at 0 for shape below one")
-    return a * lam * x ** (a - 1.0) * math.exp(-lam * x**a)
+    survival = math.exp(-lam * _power(x, a))
+    # a power past the float range leaves no survival, and no density
+    return a * lam * _power(x, a - 1.0) * survival if survival > 0 else 0.0
 
 
 def we_cdf(params: WeibullParams, x: float) -> float:
-    """Distribution function ``1 - exp(-lam*x**alpha)`` at ``x >= 0``."""
+    """Distribution function ``1 - exp(-lam*x**alpha)`` at ``x >= 0``; 1 past
+    the float range."""
     if x < 0:
         raise ValueError(f"x must be non-negative, got {x}")
-    return -math.expm1(-params.lam * x**params.alpha)
+    return -math.expm1(-params.lam * _power(x, params.alpha))
 
 
 def we_mode(alpha: float, lam: float) -> float:

@@ -200,6 +200,8 @@ class TestReportSchema:
         rep = run_cli(tmp_path, ["gof", "--dataset", "nasal"])
         jsonschema.validate(rep, report_schema)
         assert rep["config"]["column"] == "joint"
+        assert rep["config"]["estimator"] == "ml"
+        assert rep["config"]["absorb_tail"] is True
         assert rep["results"]["gof"]["p_value"] > 0.05
         assert set(rep["results"]["fitted"]) == {
             "alpha",
@@ -207,6 +209,14 @@ class TestReportSchema:
             "lambda1",
             "lambda2",
         }
+
+    def test_gof_joint_takes_its_own_estimator(self, tmp_path):
+        rep = run_cli(tmp_path, ["gof", "--dataset", "football", "--estimator", "ml"])
+        assert rep["config"] == {"absorb_tail": True, "column": "joint", "estimator": "ml"}
+
+    def test_gof_column_defaults_to_minchisq(self, tmp_path):
+        rep = run_cli(tmp_path, ["gof", "--dataset", "football", "--column", "x2"])
+        assert rep["config"] == {"absorb_tail": True, "column": "x2", "estimator": "minchisq"}
 
     def test_gof_column(self, tmp_path, report_schema):
         rep = run_cli(
@@ -545,6 +555,18 @@ class TestFailurePaths:
                     "-1",
                 ]
             )
+
+    @pytest.mark.parametrize("option", [
+        ["--no-absorb-tail"],
+        ["--estimator", "minchisq"],
+    ], ids=["no-absorb-tail", "estimator-minchisq"])
+    def test_gof_joint_refuses_column_options(self, capsys, option):
+        # the joint check fits by ML and always absorbs the tail
+        with pytest.raises(SystemExit) as exc:
+            main(["gof", "--dataset", "football", "--column", "joint", *option])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "gof --column joint fits by ml and always absorbs the tail" in err
 
     def test_invalid_parameters_fail_cleanly(self, capsys):
         rc = main(

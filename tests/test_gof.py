@@ -1,3 +1,6 @@
+import functools
+import operator
+
 import mpmath as mp
 import numpy as np
 import pytest
@@ -5,8 +8,8 @@ from scipy import stats
 
 from bdw.bivariate import BDWParams, joint_pmf, joint_sf, sample
 from bdw.fit_ml import BivariateDataset, nested_em
-from bdw.gof import POOL_THRESHOLD, _pool, chisq_bdw, chisq_dw, chisq_upper_tail
-from bdw.univariate import DWParams
+from bdw.gof import POOL_THRESHOLD, _pool, _report, chisq_bdw, chisq_dw, chisq_upper_tail
+from bdw.univariate import DWParams, dw_fit_ml
 
 
 class TestUpperTail:
@@ -118,6 +121,58 @@ class TestUnivariate:
             chisq_dw([], DWParams(1.5, 0.5))
         with pytest.raises(ValueError):
             chisq_dw([-1, 2], DWParams(1.5, 0.5))
+
+    @pytest.mark.parametrize("data", [[0.5, 1.7, 2], ["1", "2"]], ids=["fractions", "strings"])
+    def test_non_counts_are_refused_as_the_fits_refuse_them(self, data):
+        # a fraction is not truncated to a count, nor a string parsed
+        for check in (dw_fit_ml, lambda d: chisq_dw(d, DWParams(1.5, 0.5))):
+            with pytest.raises(ValueError, match="^data must be non-negative integers$"):
+                check(data)
+
+    @pytest.mark.parametrize("absorb_tail", [True, False])
+    def test_integral_floats_score_as_counts(self, football, absorb_tail):
+        column = football.column("x1")
+        assert column.dtype == np.int64
+        params = DWParams(1.8424, 0.7617)
+        want = chisq_dw(column, params, absorb_tail=absorb_tail)
+        got = chisq_dw(column.astype(float), params, absorb_tail=absorb_tail)
+        assert repr(got) == repr(want)
+
+
+class TestPool:
+    def test_small_leading_cells_pool_rightward(self):
+        labels, obs, exp = _pool(["0", "1", "2", "3"], [1, 0, 2, 3], [0.25, 0.5, 0.25, 2.0])
+        assert labels == ["0+1+2", "3"]
+        assert obs == [3, 3]
+        assert exp == [1.0, 2.0]
+
+    def test_trailing_remainder_joins_the_last_group(self):
+        labels, obs, exp = _pool(
+            ["0", "1", "2", "3", "4"], [2, 1, 0, 1, 1], [1.5, 0.5, 0.5, 0.25, 0.125]
+        )
+        assert labels == ["0", "1+2+3+4"]
+        assert obs == [2, 3]
+        assert exp == [1.5, 1.0 + (0.25 + 0.125)]
+
+    def test_total_below_one_is_one_group_and_refused(self):
+        labels, obs, exp = _pool(["0", "1", "2"], [1, 0, 0], [0.25, 0.5, 0.125])
+        assert (labels, obs, exp) == (["0+1+2"], [1], [0.875])
+        mass = np.array([0.25, 0.5, 0.125])
+        with pytest.raises(ValueError, match="fewer than two cells"):
+            _report(["0", "1", "2"], np.array([1, 0, 0]), mass, 0)
+
+    def test_group_sums_are_sequential(self):
+        # ten cells of 0.1 sum to 0.9999999999999999 left to right, so an
+        # eleventh closes the group; the remainder is summed on its own,
+        # then added to the last group
+        expected = [0.1] * 11 + [0.1, 0.1, 0.1]
+        _, obs, exp = _pool([str(k) for k in range(14)], [1] * 14, expected)
+        group = functools.reduce(operator.add, expected[:11])
+        assert functools.reduce(operator.add, expected[:10]) < POOL_THRESHOLD <= group
+        assert obs == [14]
+        assert exp == [group + (0.1 + 0.1 + 0.1)]
+        # 1.4, where one left-to-right sum of all fourteen gives 1.4000000000000001
+        assert exp[0] != functools.reduce(operator.add, expected)
 
 
 class TestBivariate:

@@ -73,6 +73,18 @@ class TestDensity:
         )
         assert above_mass == pytest.approx(REF.lambda2 / total, abs=1e-6)
 
+    def test_survival_past_float_range_is_zero(self):
+        # y**alpha past the float range, where a bare float power raises
+        params = MOBWParams(50.0, 0.5, 0.5, 0.5)
+        assert mobw_sf(params, 1e10, 0.0) == 0.0
+        assert mobw_sf(params, 0.0, 1e10) == 0.0
+
+    def test_density_past_float_range_is_zero(self):
+        params = MOBWParams(50.0, 0.5, 0.5, 0.5)
+        assert mobw_pdf(params, 1e10, 1e10) == (0.0, "diagonal")
+        assert mobw_pdf(params, 1.0, 1e10) == (0.0, "below")
+        assert mobw_pdf(params, 1e10, 1.0) == (0.0, "above")
+
     def test_diagonal_without_shared_rate_carries_nothing(self):
         params = MOBWParams(1.8, 0.0, 0.5, 0.4)
         assert mobw_pdf(params, 1.3, 1.3).value == 0.0
@@ -257,6 +269,15 @@ class TestCompleteData:
     def test_non_finite_contribution_rejected(self):
         with pytest.raises(ValueError, match="non-finite"):
             complete_loglik(REF, [CompleteObservation(0.0, 1.0, "below")])
+
+    def test_lifetime_past_float_range_is_refused_by_name(self):
+        params = MOBWParams(50.0, 0.5, 0.5, 0.5)
+        for obs in (
+            CompleteObservation(1e10, 1e10, "tie"),
+            CompleteObservation(1.0, 1e10, "below"),
+        ):
+            with pytest.raises(ValueError, match="non-finite log-density -inf"):
+                complete_loglik(params, [obs])
 
     def test_observation_validation(self):
         with pytest.raises(ValueError):

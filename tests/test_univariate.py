@@ -65,6 +65,13 @@ class TestContinuousWeibull:
         with pytest.raises(ValueError):
             we_mode(0.9, 1.0)
 
+    # x**alpha past the float range, where a bare float power raises
+    def test_density_past_float_range_is_zero(self):
+        assert we_pdf(WeibullParams(50.0, 0.5), 1e10) == 0.0
+
+    def test_cdf_past_float_range_is_one(self):
+        assert we_cdf(WeibullParams(50.0, 0.5), 1e10) == 1.0
+
     def test_sampler_agrees_with_reference(self, rng):
         params = WeibullParams(1.5, 2.0)
         draws = we_sample(params, rng, size=20_000)
