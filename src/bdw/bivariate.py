@@ -20,11 +20,18 @@ each takes the law as survival bases (:class:`BDWParams`) or as rates
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .univariate import DWParams, _floor_counts, _log1mexp, _logpmf_arr, _power, _to_base
+from .univariate import (
+    DWParams,
+    _floor_counts,
+    _log1mexp,
+    _logpmf_arr,
+    _power,
+    _Record,
+    _to_base,
+)
 
 __all__ = [
     "BDWParams",
@@ -51,8 +58,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class BDWParams:
+class BDWParams(_Record):
     """Parameters of the bivariate discrete Weibull law.
 
     Parameters
@@ -85,8 +91,7 @@ class BDWParams:
                 raise ValueError(f"{name} must lie in (0, 1), got {v}")
 
 
-@dataclass(frozen=True)
-class BivariateGeomParams:
+class BivariateGeomParams(_Record):
     """Bivariate geometric law: the shape-one special case of :class:`BDWParams`."""
 
     p0: float
@@ -97,8 +102,7 @@ class BivariateGeomParams:
         return BDWParams(1.0, self.p0, self.p1, self.p2)
 
 
-@dataclass(frozen=True)
-class BdwMoments:
+class BdwMoments(_Record):
     """First and second moments of a BDW law from a truncated double sum."""
 
     mean1: float
@@ -110,8 +114,7 @@ class BdwMoments:
     truncation_bound: int
 
 
-@dataclass(frozen=True)
-class GridCheckReport:
+class GridCheckReport(_Record):
     """Result of an inequality sweep over a finite grid of survival ratios."""
 
     passed: bool

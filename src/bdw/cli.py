@@ -3,7 +3,8 @@
 Every command emits a JSON report with stable key order (``pmf-table``
 emits CSV); with the same inputs and seed the output is byte-identical,
 so reports can be diffed and checksummed.  Verbosity is controlled by the
-``BDW_LOG`` environment variable (standard logging level names).
+``BDW_LOG`` environment variable (standard logging level names); only
+then is ``logging`` imported.
 
 Each command handler imports the layers it runs, so a process starts on
 only those: ``pmf-table`` never loads the fitting modules.
@@ -17,7 +18,6 @@ from __future__ import annotations
 import argparse
 import gc
 import json
-import logging
 import math
 import os
 import sys
@@ -35,9 +35,15 @@ if TYPE_CHECKING:
 
 __all__ = ["load_csv", "main", "run"]
 
-log = logging.getLogger("bdw")
-
 SCHEMA_VERSION = 1
+
+
+def _info(msg: str, *args) -> None:
+    # to the "bdw" logger when logging is loaded: by main under BDW_LOG, or
+    # by an in-process caller; a plain command never imports it
+    logging = sys.modules.get("logging")
+    if logging is not None:
+        logging.getLogger("bdw").info(msg, *args)
 
 
 def _int_field(token: str, lineno: int) -> int:
@@ -52,11 +58,15 @@ def _int_field(token: str, lineno: int) -> int:
 
 
 def _looks_like_header(row: list[str]) -> bool:
+    # a header holds text that is no number; a row of numbers, fractions
+    # and blanks included, is data, and its non-integers are refused
     for token in row:
+        text = token.strip()
         try:
-            int(token.strip())
+            float(text)
         except ValueError:
-            return True
+            if text:
+                return True
     return False
 
 
@@ -94,7 +104,7 @@ def _dataset(args: argparse.Namespace) -> tuple[BivariateDataset, dict]:
     else:
         data = load_csv(args.input)
         source = {"path": args.input, "n": len(data.pairs)}
-    log.info("loaded %d pairs", len(data.pairs))
+    _info("loaded %d pairs", len(data.pairs))
     return data, source
 
 
@@ -133,7 +143,7 @@ def _emit(report: dict, output: str | None) -> None:
     if output:
         with open(output, "w") as fh:
             fh.write(text)
-        log.info("report written to %s", output)
+        _info("report written to %s", output)
     else:
         sys.stdout.write(text)
 
@@ -305,7 +315,7 @@ def _cmd_pmf_table(args: argparse.Namespace) -> None:
     if args.output:
         with open(args.output, "w") as fh:
             fh.write(text)
-        log.info("grid written to %s", args.output)
+        _info("grid written to %s", args.output)
     else:
         sys.stdout.write(text)
 
@@ -424,13 +434,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    logging.basicConfig(
-        stream=sys.stderr,
-        level=getattr(
-            logging, os.environ.get("BDW_LOG", "WARNING").upper(), logging.WARNING
-        ),
-        format="%(levelname)s %(name)s: %(message)s",
-    )
+    if "BDW_LOG" in os.environ:
+        import logging
+
+        logging.basicConfig(
+            stream=sys.stderr,
+            level=getattr(logging, os.environ["BDW_LOG"].upper(), logging.WARNING),
+            format="%(levelname)s %(name)s: %(message)s",
+        )
     parser = _build_parser()
     args = parser.parse_args(argv)
     if args.func is _cmd_gof and args.column == "joint" and (

@@ -14,13 +14,13 @@ step functions accept a complete sample or its summary.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .fit_ml import PARAM_NAMES, BivariateDataset, _identified_start, impute_dataset
 from .mobw import CompleteObservation, MOBWParams, SampleSummary, cause_counts, summarize
+from .univariate import _Record
 
 __all__ = [
     "DGPrior",
@@ -42,8 +42,7 @@ SLICE_ALPHA_HI = 1e3
 SLICE_WIDTH = 0.5
 
 
-@dataclass(frozen=True)
-class DGPrior:
+class DGPrior(_Record):
     """Dirichlet-Gamma prior on the three rates.
 
     ``a`` and ``b`` shape the total rate; ``a0, a1, a2`` split it.  When
@@ -64,8 +63,7 @@ class DGPrior:
                 raise ValueError(f"hyper-parameter {name} must be positive")
 
 
-@dataclass(frozen=True)
-class AlphaPrior:
+class AlphaPrior(_Record):
     """Gamma prior (shape ``c``, rate ``d``) on the common shape."""
 
     c: float = 1e-4
@@ -251,8 +249,7 @@ def sample_alpha_conditional(
             right = x1
 
 
-@dataclass(frozen=True, eq=False)
-class PosteriorDraws:
+class PosteriorDraws(_Record, eq=False):
     """Draws of ``(alpha, lambda0, lambda1, lambda2)`` with summaries."""
 
     draws: np.ndarray

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
@@ -37,6 +36,7 @@ from .univariate import (
     _newton_min,
     _power_jet,
     _rate,
+    _Record,
     dw_fit_minchisq,
 )
 
@@ -62,8 +62,7 @@ _INNER_EM_TOL = 1e-9
 _INNER_EM_MAX_ITER = 1000
 
 
-@dataclass(frozen=True)
-class BivariateDataset:
+class BivariateDataset(_Record):
     """Immutable container of observed integer pairs.
 
     The compression to distinct cells drives everything downstream: all
@@ -172,8 +171,7 @@ class BivariateDataset:
         return BivariateDataset(tuple((b, a) for a, b in self.pairs))
 
 
-@dataclass(frozen=True)
-class AlphaTestReport:
+class AlphaTestReport(_Record):
     """Decision on whether the common shape could be one (geometric case)."""
 
     reject: bool
@@ -183,8 +181,7 @@ class AlphaTestReport:
     verdict: str
 
 
-@dataclass(frozen=True)
-class MLFitReport:
+class MLFitReport(_Record):
     """Outcome of the maximum-likelihood solve."""
 
     params: MOBWParams

@@ -12,13 +12,12 @@ approximation is not applied to near-empty cells.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 from . import bivariate
-from .univariate import _dataset_1d, _pearson, dw_pmf, dw_sf
+from .univariate import _dataset_1d, _pearson, _Record, dw_pmf, dw_sf
 
 if TYPE_CHECKING:
     from .bivariate import BDWParams
@@ -76,8 +75,7 @@ def chisq_upper_tail(x: float, df: int) -> float:
     return min(1.0, lead + tail)
 
 
-@dataclass(frozen=True)
-class ChiSquareReport:
+class ChiSquareReport(_Record):
     """Chi-square statistic with its cell layout and p-value."""
 
     statistic: float

@@ -20,13 +20,12 @@ three branches is written once, in ``_branch_logpdf``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from . import bivariate
-from .univariate import WeibullParams, _logpmf_arr, _power, we_mode, we_sample
+from .univariate import WeibullParams, _logpmf_arr, _power, _Record, we_mode, we_sample
 
 __all__ = [
     "MOBWParams",
@@ -45,8 +44,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class MOBWParams:
+class MOBWParams(_Record):
     """Shape and the three component rates of the MOBW law.
 
     ``lambda0`` is the rate of the shared shock and may be zero, in which
@@ -113,8 +111,7 @@ class LatentPrediction(NamedTuple):
         return "tie"
 
 
-@dataclass(frozen=True)
-class CompleteObservation:
+class CompleteObservation(_Record):
     """One fully observed latent pair with its branch label.
 
     ``kind`` is authoritative: a boundary prediction can collapse both
@@ -143,8 +140,7 @@ class CompleteObservation:
             raise ValueError(f"pair ({self.y1}, {self.y2}) inconsistent with kind {self.kind!r}")
 
 
-@dataclass(frozen=True, eq=False)
-class SampleSummary:
+class SampleSummary(_Record, eq=False):
     """What the latent-sample updates read from a sequence of complete pairs.
 
     Events are the recorded lifetimes: two per off-diagonal pair, one per
@@ -179,7 +175,8 @@ class SampleSummary:
     event_count: int
     log_y_sum: float
     first_zero: int | None
-    _power: tuple = field(default=(math.nan, None), init=False, repr=False)
+    # not a field: the last (shape, power table), set by powers()
+    _power = (math.nan, None)
 
     def powers(self, alpha: float) -> np.ndarray:
         """``vals**alpha``, computed only when ``alpha`` differs from the last

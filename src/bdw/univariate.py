@@ -21,7 +21,6 @@ through :func:`_to_base`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -60,8 +59,80 @@ class SingularDensityError(ValueError):
     """
 
 
-@dataclass(frozen=True)
-class WeibullParams:
+class _Record:
+    """Base of the package's immutable records.
+
+    A subclass's fields are its own annotated names, in order; a
+    class-level value is that field's default.  Construction takes the
+    fields by position or keyword and then calls ``__post_init__``, which
+    validates and may set a field with ``object.__setattr__``.  Assignment
+    and deletion raise ``AttributeError``.  Equality and hashing go by the
+    fields, between instances of the same class, unless the class
+    statement passes ``eq=False``, which keeps identity.  The repr is
+    ``Name(field=value, ...)``.
+
+    The methods are written out once here, so creating a record class
+    compiles no generated code.
+    """
+
+    _fields: tuple[str, ...]
+    _defaults: dict[str, object]
+
+    def __init_subclass__(cls, eq: bool = True, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._fields = tuple(cls.__dict__.get("__annotations__", ()))
+        cls._defaults = {name: cls.__dict__[name] for name in cls._fields if name in cls.__dict__}
+        if not eq:
+            cls.__eq__ = object.__eq__
+            cls.__hash__ = object.__hash__
+
+    def __init__(self, *args, **kwargs) -> None:
+        fields = self._fields
+        name = type(self).__name__
+        if len(args) > len(fields):
+            raise TypeError(
+                f"{name}() takes {len(fields)} arguments but {len(args)} were given"
+            )
+        values = dict(zip(fields, args))
+        for field in fields[len(args):]:
+            if field in kwargs:
+                values[field] = kwargs.pop(field)
+            elif field in self._defaults:
+                values[field] = self._defaults[field]
+            else:
+                raise TypeError(f"{name}() missing argument {field!r}")
+        for key in kwargs:
+            problem = "multiple values for" if key in fields else "an unexpected keyword"
+            raise TypeError(f"{name}() got {problem} argument {key!r}")
+        self.__dict__.update(values)
+        self.__post_init__()
+
+    def __post_init__(self) -> None:
+        pass
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _values(self) -> tuple:
+        return tuple(self.__dict__[field] for field in self._fields)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        body = ", ".join(f"{field}={self.__dict__[field]!r}" for field in self._fields)
+        return f"{type(self).__qualname__}({body})"
+
+
+class WeibullParams(_Record):
     """Continuous Weibull law with density ``alpha*lam*x**(alpha-1)*exp(-lam*x**alpha)``.
 
     Parameters
@@ -82,8 +153,7 @@ class WeibullParams:
             raise ValueError(f"rate must be positive and finite, got {self.lam}")
 
 
-@dataclass(frozen=True)
-class DWParams:
+class DWParams(_Record):
     """Discrete Weibull law with survival ``p**(y**alpha)``, ``0 < p < 1``.
 
     ``p = 1`` has no distribution on the integers and is refused; the
@@ -294,8 +364,7 @@ def _dataset_1d(data) -> np.ndarray:
     return xs.astype(float)
 
 
-@dataclass(frozen=True)
-class _Jet:
+class _Jet(_Record):
     """Per-cell values with gradients and Hessians in a parameter vector
     ``theta = (alpha, rate, ...)``: the shape first, then any number of rates."""
 

@@ -77,6 +77,22 @@ class TestLoadCsv:
         path.write_text("\ufeff" + header + "1,2\n3,1\n2,2\n0,1\n", encoding="utf-8")
         assert load_csv(str(path)).pairs == ((1, 2), (3, 1), (2, 2), (0, 1))
 
+    @pytest.mark.parametrize("first", ["1.5,2", "1e3,4", "2,nan", "3, "])
+    def test_numeric_first_row_is_data(self, tmp_path, first):
+        # a first row of numbers is no header: a non-integer in it is refused
+        path = tmp_path / "d.csv"
+        path.write_text(first + "\n1,2\n")
+        token = next(t.strip() for t in first.split(",") if not t.isdigit())
+        with pytest.raises(ValueError, match=f"^line 1: '{token}' is not an integer$"):
+            load_csv(str(path))
+
+    @pytest.mark.parametrize("bom", ["", "\ufeff"], ids=["plain", "byte-order-mark"])
+    @pytest.mark.parametrize("header", ["x1,x2", "count,2", "1,total", "x1,"])
+    def test_text_header_is_skipped(self, tmp_path, bom, header):
+        path = tmp_path / "d.csv"
+        path.write_text(bom + header + "\n1,2\n0,3\n", encoding="utf-8")
+        assert load_csv(str(path)).pairs == ((1, 2), (0, 3))
+
     def test_header_only_file(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("a,b\n")
@@ -669,17 +685,19 @@ ALL_COMMANDS = [
 ]
 
 
-def _src_env():
-    # this tree's src first on the path of a child interpreter
+def _src_env(**extra):
+    # this tree's src first on the path of a child interpreter; BDW_LOG
+    # only where a test sets it, never inherited from the calling shell
     src = str(pathlib.Path(bdw.__file__).resolve().parents[1])
     path = [src, os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [src]
-    return {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    env = {k: v for k, v in os.environ.items() if k != "BDW_LOG"}
+    return {**env, "PYTHONPATH": os.pathsep.join(path), **extra}
 
 
-def _program(args):
+def _program(args, **env):
     # the program path: a fresh ``python -m bdw.cli`` on this tree's src
     return subprocess.run(
-        [sys.executable, "-m", "bdw.cli", *args], capture_output=True, env=_src_env()
+        [sys.executable, "-m", "bdw.cli", *args], capture_output=True, env=_src_env(**env)
     )
 
 
@@ -711,6 +729,23 @@ class TestStartup:
         # the control: the probe does see numpy.ma once something imports it
         loaded = _modules_after(tmp_path, fit_bayes, ["numpy.ma"], package="numpy.ma")
         assert "numpy.ma" in loaded
+
+    @pytest.mark.parametrize("package", ["dataclasses", "logging"])
+    def test_commands_load_neither_dataclasses_nor_logging(self, tmp_path, package):
+        # records carry no generated code, and logging loads only under BDW_LOG
+        assert _modules_after(tmp_path, ALL_COMMANDS, package=package) == set()
+        # the control: the probe does see the module once something imports it
+        loaded = _modules_after(tmp_path, ALL_COMMANDS[:1], [package], package=package)
+        assert package in loaded
+
+    @pytest.mark.parametrize("package", ["dataclasses", "logging"])
+    def test_layers_import_without_dataclasses_or_logging(self, tmp_path, package):
+        layers = ["bdw.fit_ml", "bdw.fit_bayes", "bdw.gof"]
+        assert _modules_after(tmp_path, [], layers, package=package) == set()
+
+    def test_source_holds_no_dataclasses(self):
+        src = pathlib.Path(bdw.__file__).parent
+        assert [p.name for p in src.glob("*.py") if "dataclass" in p.read_text()] == []
 
     # the bdw modules each command loads: the layers it runs, and no other
     _START = {"bdw", "bdw.cli", "bdw.bivariate", "bdw.univariate", "bdw.datasets"}
@@ -802,6 +837,42 @@ class TestProgramEntry:
         before = gc.get_freeze_count()
         assert main([*argv, "--output", str(tmp_path / "out")]) == code
         assert gc.get_freeze_count() == before
+
+
+# ``main`` called by a fresh interpreter, the in-process entry
+_MAIN_PROBE = "import sys, bdw.cli; sys.exit(bdw.cli.main(sys.argv[1:]))"
+
+
+class TestLogging:
+    @pytest.mark.parametrize("entry", ["main", "module"])
+    def test_info_reports_the_load_and_the_write(self, tmp_path, entry):
+        out = tmp_path / "report.json"
+        argv = ["fit-ml", "--dataset", "football", "--output", str(out)]
+        if entry == "main":
+            proc = subprocess.run([sys.executable, "-c", _MAIN_PROBE, *argv],
+                                  capture_output=True, env=_src_env(BDW_LOG="INFO"))
+        else:
+            proc = _program(argv, BDW_LOG="INFO")
+        assert proc.returncode == 0
+        assert proc.stderr.decode() == (
+            f"INFO bdw: loaded 26 pairs\nINFO bdw: report written to {out}\n"
+        )
+
+    def test_level_name_is_case_blind(self, tmp_path):
+        out = tmp_path / "grid.csv"
+        argv = ["pmf-table", "--alpha", "1.5", "--p0", "0.9", "--p1", "0.7", "--p2", "0.75",
+                "--k", "2", "--output", str(out)]
+        proc = _program(argv, BDW_LOG="info")
+        assert (proc.returncode, proc.stderr.decode()) == (0, f"INFO bdw: grid written to {out}\n")
+
+    # unset, a level above INFO, or a name logging does not know (which
+    # falls back to WARNING): the report, and nothing on stderr
+    @pytest.mark.parametrize("level", [None, "WARNING", "bogus"])
+    def test_quiet_levels_write_nothing(self, tmp_path, level):
+        env = {} if level is None else {"BDW_LOG": level}
+        proc = _program(["fit-ml", "--dataset", "football", "--output", str(tmp_path / "r")], **env)
+        assert (proc.returncode, proc.stderr, proc.stdout) == (0, b"", b"")
+        assert (tmp_path / "r").stat().st_size > 0
 
 
 class TestTracedRun:
