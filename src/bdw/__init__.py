@@ -35,7 +35,7 @@ _EXPORTS = {
         "to_mobw",
     ),
     "cli": (),
-    "datasets": ("builtin_dataset",),
+    "datasets": ("BivariateDataset", "builtin_dataset"),
     "fit_bayes": (
         "AlphaPrior",
         "DGPrior",
@@ -45,7 +45,6 @@ _EXPORTS = {
         "hpd_interval",
     ),
     "fit_ml": (
-        "BivariateDataset",
         "MLFitReport",
         "alpha_equals_one_test",
         "bdw_loglik",

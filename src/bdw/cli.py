@@ -1,13 +1,14 @@
 """Command-line interface for fitting and simulating the bivariate model.
 
-Every command emits a JSON report with stable key order (``pmf-table``
-emits CSV); with the same inputs and seed the output is byte-identical,
-so reports can be diffed and checksummed.  Verbosity is controlled by the
-``BDW_LOG`` environment variable (standard logging level names); only
-then is ``logging`` imported.
+Every command writes through one writer a JSON report with stable key
+order (``pmf-table`` a CSV grid); with the same inputs and seed the output
+is byte-identical, so reports can be diffed and checksummed.  Verbosity is
+controlled by the ``BDW_LOG`` environment variable (standard logging level
+names); only then is ``logging`` imported.
 
 Each command handler imports the layers it runs, so a process starts on
-only those: ``pmf-table`` never loads the fitting modules.
+only those: ``pmf-table`` never loads the fitting modules, nor ``fit-dw``
+the joint fit.
 
 ``run`` is the program entry (``bdw`` and ``python -m bdw.cli``); ``main``
 serves in-process callers.
@@ -27,15 +28,17 @@ import numpy as np
 
 from . import bivariate
 from .bivariate import BDWParams
-from .datasets import BUILTIN, builtin_dataset
+from .datasets import BUILTIN, BivariateDataset, builtin_dataset
 
 if TYPE_CHECKING:
-    from .fit_ml import BivariateDataset
     from .gof import ChiSquareReport
 
 __all__ = ["load_csv", "main", "run"]
 
 SCHEMA_VERSION = 1
+# the law options of simulate, pmf-table and moments, and fit-bayes' priors
+_LAW = ("alpha", "p0", "p1", "p2")
+_PRIOR = ("a", "b", "a0", "a1", "a2", "c", "d")
 
 
 def _info(msg: str, *args) -> None:
@@ -74,8 +77,6 @@ def load_csv(path: str) -> BivariateDataset:
     """Read paired counts from a two-column CSV, optional single header."""
     import csv
 
-    from .fit_ml import BivariateDataset
-
     pairs: list[tuple[int, int]] = []
     # utf-8-sig drops the byte-order mark that Excel's "CSV UTF-8" writes,
     # which would otherwise make line 1 read as a header
@@ -108,8 +109,18 @@ def _dataset(args: argparse.Namespace) -> tuple[BivariateDataset, dict]:
     return data, source
 
 
-def _bdw_params(args: argparse.Namespace) -> BDWParams:
-    return BDWParams(args.alpha, args.p0, args.p1, args.p2)
+def _law(args: argparse.Namespace) -> tuple[BDWParams, dict]:
+    config = {name: getattr(args, name) for name in _LAW}
+    return BDWParams(**config), config
+
+
+def _rates(params) -> dict:
+    return {name: getattr(params, name) for name in ("alpha", "lambda0", "lambda1", "lambda2")}
+
+
+def _dw_law(fit) -> dict:
+    # the report's p < 1 refuses by name a rate that rounds its base to 1
+    return {"alpha": fit.law.alpha, "p": fit.params.p}
 
 
 def _chi_dict(rep: ChiSquareReport) -> dict:
@@ -121,31 +132,31 @@ def _chi_dict(rep: ChiSquareReport) -> dict:
     }
 
 
-def _report(
-    command: str,
+def _write(text: str, output: str | None, what: str) -> None:
+    if output:
+        with open(output, "w") as fh:
+            fh.write(text)
+        _info("%s written to %s", what, output)
+    else:
+        sys.stdout.write(text)
+
+
+def _emit(
+    args: argparse.Namespace,
     source: dict,
     config: dict,
     results: dict,
     seed: int | None = None,
-) -> dict:
-    return {
+) -> None:
+    report = {
         "schema_version": SCHEMA_VERSION,
-        "command": command,
+        "command": args.command,
         "input": source,
         "seed": seed,
         "config": config,
         "results": results,
     }
-
-
-def _emit(report: dict, output: str | None) -> None:
-    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
-    if output:
-        with open(output, "w") as fh:
-            fh.write(text)
-        _info("report written to %s", output)
-    else:
-        sys.stdout.write(text)
+    _write(json.dumps(report, indent=2, sort_keys=True) + "\n", args.output, "report")
 
 
 def _cmd_fit_dw(args: argparse.Namespace) -> None:
@@ -157,22 +168,13 @@ def _cmd_fit_dw(args: argparse.Namespace) -> None:
     ml = dw_fit_ml(column)
     mc = dw_fit_minchisq(column)
     fit_check = chisq_dw(column, mc.law, absorb_tail=not args.no_absorb_tail)
-    # the report's p < 1 refuses by name a rate that rounds its base to 1
     results = {
-        "ml": {
-            "alpha": ml.law.alpha,
-            "p": ml.params.p,
-            "loglik": ml.loglik,
-        },
-        "min_chisq": {
-            "alpha": mc.law.alpha,
-            "p": mc.params.p,
-            "chisq": mc.chisq,
-        },
+        "ml": {**_dw_law(ml), "loglik": ml.loglik},
+        "min_chisq": {**_dw_law(mc), "chisq": mc.chisq},
         "gof": _chi_dict(fit_check),
     }
     config = {"column": args.column, "absorb_tail": not args.no_absorb_tail}
-    _emit(_report("fit-dw", source, config, results), args.output)
+    _emit(args, source, config, results)
 
 
 def _cmd_fit_ml(args: argparse.Namespace) -> None:
@@ -184,31 +186,21 @@ def _cmd_fit_ml(args: argparse.Namespace) -> None:
     th = fit.params
     try:
         test = alpha_equals_one_test(fit, data)
-        shape_test = {
-            "reject": test.reject,
-            "ci_low": test.ci_low,
-            "ci_high": test.ci_high,
-            "verdict": test.verdict,
-        }
+        keys = ("reject", "ci_low", "ci_high", "verdict")
+        shape_test = {name: getattr(test, name) for name in keys}
     except ValueError as exc:
         shape_test = {"error": str(exc)}
+    estimates = _rates(th)
+    # the survival bases, at most 1: a rate below ~1.1e-16 writes 1.0
+    estimates.update(p0=math.exp(-th.lambda0), p1=math.exp(-th.lambda1), p2=math.exp(-th.lambda2))
     results = {
-        "estimates": {
-            "alpha": th.alpha,
-            "lambda0": th.lambda0,
-            "lambda1": th.lambda1,
-            "lambda2": th.lambda2,
-            # the survival bases, at most 1: a rate below ~1.1e-16 writes 1.0
-            "p0": math.exp(-th.lambda0),
-            "p1": math.exp(-th.lambda1),
-            "p2": math.exp(-th.lambda2),
-        },
+        "estimates": estimates,
         "ci95_halfwidth": fit.ci95,
         "loglik": fit.loglik,
         "shape_one_test": shape_test,
         "gof": _chi_dict(chisq_bdw(data, th)),
     }
-    _emit(_report("fit-ml", source, {}, results), args.output)
+    _emit(args, source, {}, results)
 
 
 def _cmd_fit_bayes(args: argparse.Namespace) -> None:
@@ -234,75 +226,51 @@ def _cmd_fit_bayes(args: argparse.Namespace) -> None:
         "M": post.M,
         "N": post.N,
     }
-    config = {
-        "a": args.a,
-        "b": args.b,
-        "a0": args.a0,
-        "a1": args.a1,
-        "a2": args.a2,
-        "c": args.c,
-        "d": args.d,
-        "M": args.draws,
-        "N": args.rounds,
-        "burn_in": args.burn_in,
-    }
-    _emit(_report("fit-bayes", source, config, results, seed=args.seed), args.output)
+    config = {name: getattr(args, name) for name in _PRIOR}
+    config.update(M=args.draws, N=args.rounds, burn_in=args.burn_in)
+    _emit(args, source, config, results, seed=args.seed)
 
 
 def _cmd_gof(args: argparse.Namespace) -> None:
-    from .fit_ml import nested_em
     from .gof import chisq_bdw, chisq_dw
     from .univariate import dw_fit_minchisq, dw_fit_ml
 
     data, source = _dataset(args)
     if args.column == "joint":
+        from .fit_ml import nested_em
+
         fit = nested_em(data)
         rep = chisq_bdw(data, fit.params)
-        fitted = {
-            "alpha": fit.params.alpha,
-            "lambda0": fit.params.lambda0,
-            "lambda1": fit.params.lambda1,
-            "lambda2": fit.params.lambda2,
-        }
+        fitted = _rates(fit.params)
         config = {"column": "joint", "estimator": "ml", "absorb_tail": True}
     else:
         estimator = args.estimator or "minchisq"
         column = data.column(args.column)
         fit = dw_fit_ml(column) if estimator == "ml" else dw_fit_minchisq(column)
         rep = chisq_dw(column, fit.law, absorb_tail=not args.no_absorb_tail)
-        # the report's p < 1, as in fit-dw
-        fitted = {"alpha": fit.law.alpha, "p": fit.params.p}
+        fitted = _dw_law(fit)
         config = {
             "column": args.column,
             "estimator": estimator,
             "absorb_tail": not args.no_absorb_tail,
         }
     results = {"fitted": fitted, "gof": _chi_dict(rep)}
-    _emit(_report("gof", source, config, results), args.output)
+    _emit(args, source, config, results)
 
 
 def _cmd_simulate(args: argparse.Namespace) -> None:
-    params = _bdw_params(args)
+    params, config = _law(args)
     if args.n < 1:
         raise ValueError("sample size must be at least 1")
     rng = np.random.default_rng(args.seed)
     draws = bivariate.sample(params, rng, size=args.n)
     results = {"pairs": [[int(a), int(b)] for a, b in draws]}
-    config = {
-        "alpha": args.alpha,
-        "p0": args.p0,
-        "p1": args.p1,
-        "p2": args.p2,
-        "n": args.n,
-    }
-    _emit(
-        _report("simulate", {"generator": "bdw"}, config, results, seed=args.seed),
-        args.output,
-    )
+    config["n"] = args.n
+    _emit(args, {"generator": "bdw"}, config, results, seed=args.seed)
 
 
 def _cmd_pmf_table(args: argparse.Namespace) -> None:
-    params = _bdw_params(args)
+    params, _ = _law(args)
     if args.k is not None and args.k > bivariate._MAX_GRID_BOUND:
         raise bivariate._intractable_grid(args.k)
     k = args.k if args.k is not None else bivariate._table_bound(params)
@@ -311,49 +279,30 @@ def _cmd_pmf_table(args: argparse.Namespace) -> None:
     for i in range(k + 1):
         for j in range(k + 1):
             lines.append(f"{i},{j},{float(grid[i, j])!r}")
-    text = "\n".join(lines) + "\n"
-    if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text)
-        _info("grid written to %s", args.output)
-    else:
-        sys.stdout.write(text)
+    _write("\n".join(lines) + "\n", args.output, "grid")
 
 
 def _cmd_moments(args: argparse.Namespace) -> None:
-    params = _bdw_params(args)
+    params, config = _law(args)
     m = bivariate.moments(params)
-    results = {
-        "mean1": m.mean1,
-        "mean2": m.mean2,
-        "var1": m.var1,
-        "var2": m.var2,
-        "covariance": m.covariance,
-        "correlation": m.correlation,
-        "truncation_bound": m.truncation_bound,
-    }
-    config = {
-        "alpha": args.alpha,
-        "p0": args.p0,
-        "p1": args.p1,
-        "p2": args.p2,
-    }
-    _emit(_report("moments", {"generator": "bdw"}, config, results), args.output)
+    results = {name: getattr(m, name) for name in m._fields}
+    _emit(args, {"generator": "bdw"}, config, results)
 
 
-def _add_input_options(sub: argparse.ArgumentParser) -> None:
-    group = sub.add_mutually_exclusive_group(required=True)
-    group.add_argument(
-        "--dataset", choices=sorted(BUILTIN), help="built-in dataset name"
-    )
-    group.add_argument("--input", help="CSV file with two integer columns")
-
-
-def _add_param_options(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--alpha", type=float, required=True)
-    sub.add_argument("--p0", type=float, required=True)
-    sub.add_argument("--p1", type=float, required=True)
-    sub.add_argument("--p2", type=float, required=True)
+def _command(sub, name: str, func, help: str, law: bool = False) -> argparse.ArgumentParser:
+    # a command reads data, or the four law options where it takes a law
+    p = sub.add_parser(name, help=help)
+    p.set_defaults(func=func)
+    if law:
+        for option in _LAW:
+            p.add_argument(f"--{option}", type=float, required=True)
+    else:
+        group = p.add_mutually_exclusive_group(required=True)
+        group.add_argument(
+            "--dataset", choices=sorted(BUILTIN), help="built-in dataset name"
+        )
+        group.add_argument("--input", help="CSV file with two integer columns")
+    return p
 
 
 def _seed_value(text: str) -> int:
@@ -370,66 +319,43 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("fit-dw", help="fit one-dimensional discrete Weibull")
-    _add_input_options(p)
+    p = _command(sub, "fit-dw", _cmd_fit_dw, "fit one-dimensional discrete Weibull")
     p.add_argument("--column", choices=("x1", "x2", "min"), required=True)
     p.add_argument("--no-absorb-tail", action="store_true")
-    p.add_argument("--output")
-    p.set_defaults(func=_cmd_fit_dw)
 
-    p = sub.add_parser("fit-ml", help="maximum-likelihood joint fit")
-    _add_input_options(p)
-    p.add_argument("--output")
-    p.set_defaults(func=_cmd_fit_ml)
+    _command(sub, "fit-ml", _cmd_fit_ml, "maximum-likelihood joint fit")
 
-    p = sub.add_parser("fit-bayes", help="Bayesian joint fit")
-    _add_input_options(p)
+    p = _command(sub, "fit-bayes", _cmd_fit_bayes, "Bayesian joint fit")
     p.add_argument("--draws", "-M", type=int, default=10_000,
                    help="Gibbs draws per round")
     p.add_argument("--rounds", "-N", type=int, default=20,
                    help="outer imputation rounds")
     p.add_argument("--seed", type=_seed_value, default=0)
     p.add_argument("--burn-in", type=float, default=0.1)
-    p.add_argument("--a", type=float, default=1e-4)
-    p.add_argument("--b", type=float, default=1e-4)
-    p.add_argument("--a0", type=float, default=1e-4)
-    p.add_argument("--a1", type=float, default=1e-4)
-    p.add_argument("--a2", type=float, default=1e-4)
-    p.add_argument("--c", type=float, default=1e-4)
-    p.add_argument("--d", type=float, default=1e-4)
-    p.add_argument("--output")
-    p.set_defaults(func=_cmd_fit_bayes)
+    for option in _PRIOR:
+        p.add_argument(f"--{option}", type=float, default=1e-4)
 
-    p = sub.add_parser("gof", help="chi-square goodness of fit")
-    _add_input_options(p)
+    p = _command(sub, "gof", _cmd_gof, "chi-square goodness of fit")
     p.add_argument("--column", choices=("x1", "x2", "min", "joint"),
                    default="joint")
     p.add_argument("--estimator", choices=("minchisq", "ml"), default=None,
                    help="a column's fit (default minchisq); joint fits by ml")
     p.add_argument("--no-absorb-tail", action="store_true")
-    p.add_argument("--output")
-    p.set_defaults(func=_cmd_gof)
 
-    p = sub.add_parser("simulate", help="draw joint samples")
-    _add_param_options(p)
+    p = _command(sub, "simulate", _cmd_simulate, "draw joint samples", law=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--seed", type=_seed_value, default=0)
-    p.add_argument("--output")
-    p.set_defaults(func=_cmd_simulate)
 
-    p = sub.add_parser("pmf-table", help="joint PMF grid as CSV")
-    _add_param_options(p)
+    p = _command(sub, "pmf-table", _cmd_pmf_table, "joint PMF grid as CSV", law=True)
     p.add_argument("--k", type=int, default=None,
                    help=f"grid bound, at most {bivariate._MAX_GRID_BOUND}; "
                         "default leaves < 1e-6 mass outside")
-    p.add_argument("--output")
-    p.set_defaults(func=_cmd_pmf_table)
 
-    p = sub.add_parser("moments", help="means, variances and correlation")
-    _add_param_options(p)
-    p.add_argument("--output")
-    p.set_defaults(func=_cmd_moments)
+    _command(sub, "moments", _cmd_moments, "means, variances and correlation", law=True)
 
+    # last in every command's usage and help
+    for p in sub.choices.values():
+        p.add_argument("--output")
     return parser
 
 
@@ -444,7 +370,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         )
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.func is _cmd_gof and args.column == "joint" and (
+    if args.command == "gof" and args.column == "joint" and (
         args.no_absorb_tail or args.estimator == "minchisq"
     ):
         parser.error(

@@ -18,7 +18,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .fit_ml import PARAM_NAMES, BivariateDataset, _identified_start, impute_dataset
+from .datasets import BivariateDataset
+from .fit_ml import PARAM_NAMES, _identified_start, impute_dataset
 from .mobw import CompleteObservation, MOBWParams, SampleSummary, cause_counts, summarize
 from .univariate import _Record
 

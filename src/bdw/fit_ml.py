@@ -8,6 +8,10 @@ log-parameters from the marginal starting point, reads the observed
 information off the same Hessian, and reports a shared-shock rate whose
 one-sided score at zero is not positive as exactly zero.
 
+The pairs arrive as a :class:`~bdw.datasets.BivariateDataset`, the data
+layer's container; the name is imported here too, so
+``bdw.fit_ml.BivariateDataset`` and pickles that name it still resolve.
+
 The continuous shared-shock helpers — most likely latent lifetimes per
 cell and an inner EM over the latent failure causes — serve the Bayesian
 sampler and the distribution checks.
@@ -17,12 +21,12 @@ from __future__ import annotations
 
 import math
 import warnings
-from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
 from . import bivariate
+from .datasets import _ALL_TIES, BivariateDataset
 from .mobw import (
     MOBWParams, CompleteObservation, _predict_in_cell, cause_counts, complete_loglik, summarize
 )
@@ -56,119 +60,9 @@ __all__ = [
 ]
 
 PARAM_NAMES = ("alpha", "lambda0", "lambda1", "lambda2")
-_ALL_TIES = "sample is all ties: coordinate rates are not identifiable"
 # the inner EM stops once its log-likelihood moves less than this
 _INNER_EM_TOL = 1e-9
 _INNER_EM_MAX_ITER = 1000
-
-
-class BivariateDataset(_Record):
-    """Immutable container of observed integer pairs.
-
-    The compression to distinct cells drives everything downstream: all
-    likelihood and imputation work is done once per distinct cell and
-    weighted by its count, which also makes every estimate invariant to row
-    order.  The cells are split once into the three parts of the joint
-    log-pmf (:attr:`partition`), and the below-diagonal, above-diagonal
-    and tie row counts are read off that split.
-    """
-
-    pairs: tuple[tuple[int, int], ...]
-
-    def __post_init__(self) -> None:
-        if not self.pairs:
-            raise ValueError("dataset is empty")
-        clean = []
-        for row, (x1, x2) in enumerate(self.pairs):
-            for v in (x1, x2):
-                if v < 0 or v != int(v):
-                    raise ValueError(
-                        f"row {row}: entries must be non-negative integers, got ({x1}, {x2})"
-                    )
-            clean.append((int(x1), int(x2)))
-        object.__setattr__(self, "pairs", tuple(clean))
-
-    @classmethod
-    def from_pairs(cls, pairs: Sequence[Sequence[int]]) -> "BivariateDataset":
-        return cls(tuple(pairs))
-
-    @property
-    def n(self) -> int:
-        return len(self.pairs)
-
-    @property
-    def n_below(self) -> int:
-        """Rows with x1 < x2."""
-        return int(self.cell_arrays[2][self.partition[0]].sum())
-
-    @property
-    def n_above(self) -> int:
-        """Rows with x1 > x2."""
-        return int(self.cell_arrays[2][self.partition[1]].sum())
-
-    @property
-    def n_ties(self) -> int:
-        """Rows with x1 = x2."""
-        return int(self.cell_arrays[2][self.partition[2]].sum())
-
-    @cached_property
-    def cells(self) -> tuple[tuple[tuple[int, int], int, int], ...]:
-        """Distinct cells as (cell, count, first row index), sorted by cell."""
-        seen: dict[tuple[int, int], list] = {}
-        for row, cell in enumerate(self.pairs):
-            rec = seen.setdefault(cell, [cell, 0, row])
-            rec[1] += 1
-        return tuple((c, k, r) for c, k, r in sorted(seen.values(), key=lambda t: t[0]))
-
-    @cached_property
-    def cell_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """:attr:`cells` as read-only float arrays: first coordinate, second, count."""
-        cols = np.array([(c[0], c[1], k) for c, k, _ in self.cells], dtype=float)
-        cols.flags.writeable = False
-        return cols[:, 0], cols[:, 1], cols[:, 2]
-
-    @cached_property
-    def partition(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Masks over :attr:`cells` of the cells below the diagonal, above it
-        and on it: the three parts of the joint log-pmf."""
-        masks = bivariate._partition(*self.cell_arrays[:2])
-        for mask in masks:
-            mask.flags.writeable = False
-        return masks
-
-    def column(self, which: str) -> np.ndarray:
-        """One of the three univariate views: ``x1``, ``x2`` or ``min``."""
-        arr = np.asarray(self.pairs, dtype=np.int64)
-        if which == "x1":
-            return arr[:, 0]
-        if which == "x2":
-            return arr[:, 1]
-        if which == "min":
-            return arr.min(axis=1)
-        raise ValueError(f"column must be x1, x2 or min, got {which!r}")
-
-    def require_untied_rows(self) -> None:
-        """Raise unless some row has ``x1 != x2``: on ties alone the shared
-        shock explains every row and the coordinate rates are not
-        identifiable."""
-        if self.n_ties == self.n:
-            raise ValueError(_ALL_TIES)
-
-    def require_both_orders(self) -> None:
-        """Raise unless each coordinate is the strictly smaller one in some
-        row.  Only a row with ``x1 < x2`` shows the first coordinate's own
-        component failing first: without one, ``lambda1`` has no evidence
-        and the fit drives it to zero.  Likewise ``lambda2`` and ``x1 > x2``."""
-        below, above, _ = self.partition
-        for rate, order, mask in (("lambda1", "x1 < x2", below), ("lambda2", "x1 > x2", above)):
-            if not mask.any():
-                raise ValueError(
-                    f"no row has {order}: the coordinate rate {rate} is not identifiable"
-                )
-
-    def swapped(self) -> "BivariateDataset":
-        """The same rows with the coordinates exchanged."""
-        return BivariateDataset(tuple((b, a) for a, b in self.pairs))
 
 
 class AlphaTestReport(_Record):

@@ -21,7 +21,7 @@ from .univariate import _dataset_1d, _pearson, _Record, dw_pmf, dw_sf
 
 if TYPE_CHECKING:
     from .bivariate import BDWParams
-    from .fit_ml import BivariateDataset
+    from .datasets import BivariateDataset
     from .mobw import MOBWParams
     from .univariate import DWParams, WeibullParams
 

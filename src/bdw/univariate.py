@@ -359,7 +359,8 @@ def _dataset_1d(data) -> np.ndarray:
         raise ValueError("empty dataset")
     if xs.ndim != 1:
         raise ValueError("expected a one-dimensional collection of counts")
-    if not np.issubdtype(xs.dtype, np.number) or np.any(xs != np.floor(xs)) or np.any(xs < 0):
+    finite = np.issubdtype(xs.dtype, np.number) and np.all(np.isfinite(xs))
+    if not finite or np.any(xs != np.floor(xs)) or np.any(xs < 0):
         raise ValueError("data must be non-negative integers")
     return xs.astype(float)
 

@@ -756,13 +756,19 @@ class TestStartup:
         "simulate": _START | {"bdw.mobw"},
         "fit-ml": _FITS,
         "gof": _FITS,
-        "fit-dw": _FITS,
+        "gof-x1": _START | {"bdw.gof"},
+        "fit-dw": _START | {"bdw.gof"},
         "fit-bayes": _FITS - {"bdw.gof"} | {"bdw.fit_bayes"},
     }
 
     @pytest.mark.parametrize("argv", ALL_COMMANDS, ids=lambda argv: argv[0])
     def test_command_loads_only_its_layers(self, tmp_path, argv):
         assert _modules_after(tmp_path, [argv], package="bdw") == self._LOADED[argv[0]]
+
+    def test_column_gof_loads_only_its_layers(self, tmp_path):
+        # one column's fit check runs the DW fits, not the joint fit
+        argv = ["gof", "--dataset", "nasal", "--column", "x1"]
+        assert _modules_after(tmp_path, [argv], package="bdw") == self._LOADED["gof-x1"]
 
 
 # Run the module as ``python -m`` does; an atexit hook, which runs after

@@ -104,6 +104,18 @@ class TestDataset:
         assert ds.pairs == ((1, 2), (0, 1))
         assert all(type(v) is int for row in ds.pairs for v in row)
 
+    @pytest.mark.parametrize("row, message", [
+        ((1, float("inf")), r"entries must be non-negative integers, got \(1, inf\)"),
+        ((float("nan"), 1), r"entries must be non-negative integers, got \(nan, 1\)"),
+        (("1", 2), r"entries must be non-negative integers, got \('1', 2\)"),
+        ((1,), r"expected two entries, got \(1,\)"),
+        ((1, 2, 3), r"expected two entries, got \(1, 2, 3\)"),
+        (5, r"expected two entries, got 5"),
+    ], ids=["inf", "nan", "string", "one-entry", "three-entries", "not-a-row"])
+    def test_malformed_row_is_refused_by_its_index(self, row, message):
+        with pytest.raises(ValueError, match=f"^row 1: {message}$"):
+            BivariateDataset(((0, 1), row))
+
 
 class TestLoglik:
     def test_matches_cellwise_sum(self, football):

@@ -9,7 +9,7 @@ from scipy import stats
 from bdw.bivariate import BDWParams, joint_pmf, joint_sf, sample
 from bdw.fit_ml import BivariateDataset, nested_em
 from bdw.gof import POOL_THRESHOLD, _pool, _report, chisq_bdw, chisq_dw, chisq_upper_tail
-from bdw.univariate import DWParams, dw_fit_ml
+from bdw.univariate import DWParams, dw_fit_minchisq, dw_fit_ml
 
 
 class TestUpperTail:
@@ -122,10 +122,15 @@ class TestUnivariate:
         with pytest.raises(ValueError):
             chisq_dw([-1, 2], DWParams(1.5, 0.5))
 
-    @pytest.mark.parametrize("data", [[0.5, 1.7, 2], ["1", "2"]], ids=["fractions", "strings"])
+    @pytest.mark.parametrize(
+        "data",
+        [[0.5, 1.7, 2], ["1", "2"], [0, 1, 2, np.inf], [0, 1, np.nan]],
+        ids=["fractions", "strings", "infinite", "nan"],
+    )
     def test_non_counts_are_refused_as_the_fits_refuse_them(self, data):
-        # a fraction is not truncated to a count, nor a string parsed
-        for check in (dw_fit_ml, lambda d: chisq_dw(d, DWParams(1.5, 0.5))):
+        # a fraction is not truncated to a count, nor a string parsed, nor
+        # an infinite value cast to int64
+        for check in (dw_fit_ml, dw_fit_minchisq, lambda d: chisq_dw(d, DWParams(1.5, 0.5))):
             with pytest.raises(ValueError, match="^data must be non-negative integers$"):
                 check(data)
 

@@ -22,6 +22,19 @@ def test_public_names_are_their_submodules_objects():
         assert home.__name__.startswith("bdw.") and getattr(home, name) is obj, name
 
 
+def test_dataset_container_is_one_object():
+    # it lives in the data layer; the ML-fit layer imports the name, so a
+    # pickle that names bdw.fit_ml still loads
+    import pickle
+
+    from bdw import datasets, fit_ml
+
+    assert bdw.BivariateDataset is fit_ml.BivariateDataset is datasets.BivariateDataset
+    data = datasets.builtin_dataset("nasal")
+    old = pickle.dumps(data, protocol=0).replace(b"bdw.datasets\n", b"bdw.fit_ml\n")
+    assert b"bdw.fit_ml\n" in old and pickle.loads(old) == data
+
+
 def test_dir_lists_the_public_api():
     listed = dir(bdw)
     assert "__all__" in listed
