@@ -25,6 +25,8 @@ import numpy as np
 
 from .univariate import (
     DWParams,
+    _count,
+    _floor,
     _floor_counts,
     _log1mexp,
     _logpmf_arr,
@@ -125,10 +127,7 @@ class GridCheckReport(_Record):
 
 
 def _check_cell(x1, x2) -> tuple[int, int]:
-    for v in (x1, x2):
-        if v < 0 or v != int(v):
-            raise ValueError(f"support is pairs of non-negative integers, got ({x1}, {x2})")
-    return int(x1), int(x2)
+    return _count(x1, "x1"), _count(x2, "x2")
 
 
 def _rates(params) -> tuple[float, float, float, float]:
@@ -154,11 +153,12 @@ def joint_sf(params, x1: float, x2: float) -> float:
     """Joint survival ``P(X1 >= x1, X2 >= x2)`` for real non-negative arguments.
 
     Both inequalities are weak; non-integer arguments are floored, matching
-    the univariate convention.  A survival below the float range is 0.
+    the univariate convention.  A survival below the float range is 0, as
+    is the limit at an infinite argument.
     """
-    if x1 < 0 or x2 < 0:
-        raise ValueError("arguments must be non-negative")
-    return math.exp(_log_sf(_rates(params), math.floor(x1), math.floor(x2)))
+    if not (x1 >= 0 and x2 >= 0):
+        raise ValueError(f"arguments must be non-negative, got ({x1}, {x2})")
+    return math.exp(_log_sf(_rates(params), _floor(x1), _floor(x2)))
 
 
 def _partition(x1: np.ndarray, x2: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -258,8 +258,7 @@ def joint_pmf_grid(params, k1: int, k2: int) -> np.ndarray:
     Returns an array of shape (k1+1, k2+1) with entry [i, j] equal to
     ``joint_pmf(params, i, j)``.
     """
-    if k1 < 0 or k2 < 0:
-        raise ValueError("grid bounds must be non-negative")
+    k1, k2 = _count(k1, "k1"), _count(k2, "k2")
     g1, g2 = np.broadcast_arrays(
         np.arange(k1 + 1, dtype=float)[:, None], np.arange(k2 + 1, dtype=float)[None, :]
     )
@@ -463,8 +462,6 @@ def _grid_report(logratio: np.ndarray, coords: tuple) -> GridCheckReport:
 
 def _grid_powers(params, k: int) -> np.ndarray:
     # v**alpha for v in [0, k], the powers every survival ratio is made of
-    if k < 1:
-        raise ValueError("grid bound must be at least 1")
     return np.array([float(v) ** params.alpha for v in range(k + 1)])
 
 
@@ -479,6 +476,7 @@ def is_tp2_on_grid(params, k: int = 10) -> GridCheckReport:
     identically one when ``p0 = 1``.  The sweep runs over ``(x11, x12)``,
     then ``(x21, x22)``, each in row-major order.
     """
+    k = _count(k, "k", positive=True)
     pw = _grid_powers(params, k)
     lo, hi = np.triu_indices(k + 1)
     x11, x12 = lo[:, None], hi[:, None]
@@ -500,6 +498,7 @@ def pqd_check_on_grid(params, k: int = 10) -> GridCheckReport:
     Equality holds everywhere iff ``p0 = 1``; otherwise the boundary rows
     ``min(x1, x2) = 0`` are the only equality cells.
     """
+    k = _count(k, "k", positive=True)
     pw = _grid_powers(params, k)
     x1, x2 = np.ogrid[: k + 1, : k + 1]
     logratio = _rates(params)[1] * pw[np.minimum(x1, x2)]

@@ -29,6 +29,7 @@ import numpy as np
 from . import bivariate
 from .bivariate import BDWParams
 from .datasets import BUILTIN, BivariateDataset, builtin_dataset
+from .univariate import _MAX_COUNT
 
 if TYPE_CHECKING:
     from .gof import ChiSquareReport
@@ -57,6 +58,8 @@ def _int_field(token: str, lineno: int) -> int:
         raise ValueError(f"line {lineno}: {text!r} is not an integer") from None
     if value < 0:
         raise ValueError(f"line {lineno}: negative value {value}")
+    if value > _MAX_COUNT:
+        raise ValueError(f"line {lineno}: {value} exceeds the largest count 2**63 - 1")
     return value
 
 

@@ -25,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from . import bivariate
-from .univariate import _Record
+from .univariate import _MAX_COUNT, _Record
 
 _ALL_TIES = "sample is all ties: coordinate rates are not identifiable"
 
@@ -58,7 +58,12 @@ class BivariateDataset(_Record):
                 counts = False  # an entry that is no number, or is infinite
             if not counts:
                 raise ValueError(f"row {row}: entries must be non-negative integers, got {pair!r}")
-            clean.append((int(x1), int(x2)))
+            x1, x2 = int(x1), int(x2)
+            if max(x1, x2) > _MAX_COUNT:
+                raise ValueError(
+                    f"row {row}: the count {max(x1, x2)} exceeds the largest count 2**63 - 1"
+                )
+            clean.append((x1, x2))
         object.__setattr__(self, "pairs", tuple(clean))
 
     @classmethod

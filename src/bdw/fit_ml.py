@@ -228,16 +228,13 @@ def inner_em_mobw(
     st = summarize(sample)
     if st.n_below + st.n_above == 0:
         raise ValueError(_ALL_TIES)
-    for name, vals in (("first", st.vals1), ("second", st.vals2)):
-        if vals.size == 0:
+    for name, total in (("first", st.row_sums[1]), ("second", st.row_sums[2])):
+        if total == 0.0:
             raise ValueError(
                 f"{name} coordinate is identically zero: its rate is not identifiable"
             )
-
-    # value tables with their logarithms, in the order of st.exposures
-    tables = [
-        (v, w, np.log(v)) for v, w in ((st.vals0, st.w0), (st.vals1, st.w1), (st.vals2, st.w2))
-    ]
+    logs = np.log(st.vals)
+    observations = list(sample)
 
     def m_step(counts, alpha):
         # maximize the attributed-cause objective over shape and rates;
@@ -249,11 +246,15 @@ def inner_em_mobw(
             val = st.event_count * z[0] + (a - 1.0) * st.log_y_sum
             d1 = st.event_count + a * st.log_y_sum
             d2 = a * st.log_y_sum
-            for c, (vals, w, logs) in zip(counts, tables):
+            with np.errstate(over="ignore"):
+                table = st.powers(a)
+            # each exposure at its own positions, as st.exposures reads it
+            for c, w, pos in zip(counts, (st.w0, st.w1, st.w2), st.positions):
                 if c > 0.0:
                     with np.errstate(over="ignore", invalid="ignore"):
-                        wv = w * vals**a
-                        t, t_a, t_aa = wv.sum(), wv @ logs, wv @ (logs * logs)
+                        wv = w * table[pos]
+                        lg = logs[pos]
+                        t, t_a, t_aa = wv.sum(), wv @ lg, wv @ (lg * lg)
                     # first and second derivatives of log(t) in z = log(a)
                     u1 = a * t_a / t
                     u2 = a * (t_a + a * t_aa) / t - u1 * u1
@@ -277,7 +278,7 @@ def inner_em_mobw(
         # E-step: expected cause counts given the current rates
         counts = cause_counts(st, (theta.lambda0, theta.lambda1, theta.lambda2))
         theta = m_step(counts, theta.alpha)
-        cur = complete_loglik(theta, list(sample))
+        cur = complete_loglik(theta, observations)
         if trace is not None:
             trace.append(cur)
         if prev is not None and abs(cur - prev) < _INNER_EM_TOL:

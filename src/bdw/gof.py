@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from . import bivariate
-from .univariate import _dataset_1d, _pearson, _Record, dw_pmf, dw_sf
+from .univariate import _count, _dataset_1d, _pearson, _Record, dw_pmf, dw_sf
 
 if TYPE_CHECKING:
     from .bivariate import BDWParams
@@ -42,9 +42,10 @@ def chisq_upper_tail(x: float, df: int) -> float:
     Parameters
     ----------
     x : float
-        Non-negative test statistic.
+        Non-negative test statistic; NaN is refused, and ``inf`` has tail 0.
     df : int
-        Positive integer degrees of freedom.
+        Positive integer degrees of freedom; a fraction, an infinity or NaN
+        is refused.
 
     Returns
     -------
@@ -55,14 +56,15 @@ def chisq_upper_tail(x: float, df: int) -> float:
         for odd ``df``.  The terms are summed in log space, so the result
         keeps its relative accuracy far into the tail.
     """
-    if df <= 0 or df != int(df):
-        raise ValueError("degrees of freedom must be a positive integer")
-    if x < 0:
-        raise ValueError("statistic must be non-negative")
+    df = _count(df, "degrees of freedom", positive=True)
+    if not x >= 0:
+        raise ValueError(f"statistic must be non-negative, got {x}")
     if x == 0:
         return 1.0
+    if x == math.inf:
+        return 0.0
     h = x / 2.0
-    m, odd = divmod(int(df), 2)
+    m, odd = divmod(df, 2)
     lead = math.erfc(math.sqrt(h)) if odd else 0.0
     if m == 0:
         return lead

@@ -25,7 +25,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from . import bivariate
-from .univariate import WeibullParams, _logpmf_arr, _power, _Record, we_mode, we_sample
+from .univariate import WeibullParams, _count, _logpmf_arr, _power, _Record, we_mode, we_sample
 
 __all__ = [
     "MOBWParams",
@@ -146,30 +146,28 @@ class SampleSummary(_Record, eq=False):
     Events are the recorded lifetimes: two per off-diagonal pair, one per
     tie.  ``log_y_sum`` sums their logarithms and is ``-inf`` when one of
     them is zero; ``first_zero`` is then the index of the first
-    observation holding a zero event.  ``vals1``, ``vals2`` and ``vals0``
-    are the distinct positive values of ``y1``, ``y2`` and ``max(y1, y2)``,
-    and ``w1``, ``w2``, ``w0`` their multiplicities.  ``vals`` is the union
-    of the three tables and ``weights`` its 3 x K multiplicities, rows in
-    the order ``(T0, T1, T2)``, so a rate-weighted sum of the three
-    exposures takes one power of ``vals``.  ``positions`` holds, in the
-    same order, where each table's values sit in ``vals``; ``row_sums``
-    holds the rows' totals and ``top`` the largest value (0 when there is
-    none).  The last power table of ``vals`` is kept (:meth:`powers`), so
-    the exposures and the shape's target at one shape share one power.
+    observation holding a zero event.  ``vals`` is the one value table:
+    the distinct positive values of ``max(y1, y2)``, ``y1`` and ``y2``
+    together.  ``weights`` holds their 3 x K multiplicities, rows in the
+    order of the exposures ``(T0, T1, T2)``, so a rate-weighted sum of the
+    three exposures takes one power of ``vals``.  ``positions`` holds, in
+    the same order, where each exposure's values sit in ``vals`` (a row's
+    non-zero entries), and ``w0``, ``w1``, ``w2`` their multiplicities;
+    ``row_sums`` holds the rows' totals and ``top`` the largest value (0
+    when there is none).  The last power table of ``vals`` is kept
+    (:meth:`powers`), so the exposures and the shape's target at one shape
+    share one power.
     """
 
     n_below: int
     n_above: int
     n_tie: int
-    vals1: np.ndarray
-    w1: np.ndarray
-    vals2: np.ndarray
-    w2: np.ndarray
-    vals0: np.ndarray
-    w0: np.ndarray
     vals: np.ndarray
     weights: np.ndarray
     positions: tuple[np.ndarray, np.ndarray, np.ndarray]
+    w0: np.ndarray
+    w1: np.ndarray
+    w2: np.ndarray
     row_sums: tuple[float, float, float]
     top: float
     event_count: int
@@ -200,26 +198,8 @@ class SampleSummary(_Record, eq=False):
         )
 
 
-def _value_table(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    vals, counts = np.unique(values[values > 0], return_counts=True)
-    return vals, counts.astype(float)
-
-
-def _fused_table(
-    tables: Sequence[tuple[np.ndarray, np.ndarray]],
-) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, ...]]:
-    # the union of the tables' values, one row of multiplicities per table,
-    # and where each table's values sit in the union; asked for the
-    # inverse, np.unique also skips its masked-array check, whose first
-    # call imports numpy.ma (~15 ms of start-up)
-    sizes = [v.size for v, _ in tables]
-    vals, where = np.unique(
-        np.concatenate([v for v, _ in tables]), return_inverse=True
-    )
-    weights = np.zeros((len(tables), vals.size))
-    rows = np.repeat(np.arange(len(tables)), sizes)
-    weights[rows, where] = np.concatenate([w for _, w in tables])
-    return vals, weights, tuple(np.split(where, np.cumsum(sizes)[:-1]))
+# the kind codes of the array summarize reads a sample into
+_KINDS = {"below": 0, "above": 1, "tie": 2}
 
 
 def summarize(
@@ -229,39 +209,43 @@ def summarize(
     returned as it is, so callers may pass either."""
     if isinstance(sample, SampleSummary):
         return sample
-    counts = {"below": 0, "above": 0, "tie": 0}
-    rows = []
-    log_y = 0.0
-    first_zero = None
-    for idx, obs in enumerate(sample):
-        counts[obs.kind] += 1
-        rows.append((obs.y1, obs.y2))
-        events = (obs.y1,) if obs.kind == "tie" else (obs.y1, obs.y2)
-        if min(events) > 0.0:
-            log_y += sum(math.log(v) for v in events)
-        elif first_zero is None:
-            first_zero = idx
-    y = np.array(rows, dtype=float).reshape(-1, 2)
-    n_below, n_above, n_tie = counts["below"], counts["above"], counts["tie"]
-    t1 = _value_table(y[:, 0])
-    t2 = _value_table(y[:, 1])
-    t0 = _value_table(y.max(axis=1))
-    vals, weights, positions = _fused_table((t0, t1, t2))
+    rows = np.array([(o.y1, o.y2, _KINDS[o.kind]) for o in sample], dtype=float)
+    y1, y2, kind = rows.reshape(-1, 3).T
+    n = kind.size
+    n_below, n_above, n_tie = np.bincount(kind.astype(np.intp), minlength=3).tolist()
+    # the exposures' values end to end, in the order (T0, T1, T2); asked for
+    # the inverse, np.unique also skips its masked-array check, whose first
+    # call imports numpy.ma (~15 ms of start-up)
+    values = np.concatenate([np.maximum(y1, y2), y1, y2])
+    positive = values > 0
+    vals, where = np.unique(values[positive], return_inverse=True)
+    exposure = np.repeat(np.arange(3), n)[positive]
+    counts = np.bincount(exposure * vals.size + where, minlength=3 * vals.size)
+    weights = counts.reshape(3, vals.size).astype(float)
+    positions = tuple(np.flatnonzero(row) for row in weights)
+    # a tie's lifetimes are equal, so a zero event is a row whose smaller
+    # lifetime is zero
+    zero = np.flatnonzero(np.minimum(y1, y2) == 0.0)
+    log_y = -math.inf if zero.size else 0.0
+    if n and not zero.size:
+        # every value is positive, so where indexes all three columns; math.log
+        # gives libm's bits, and cumsum adds the rows' events in row order
+        logs = np.array([math.log(v) for v in vals.tolist()])
+        log1, log2 = logs[where[n : 2 * n]], logs[where[2 * n :]]
+        log_y = float(np.cumsum(np.where(kind == 2, log1, log1 + log2))[-1])
     return SampleSummary(
         n_below,
         n_above,
         n_tie,
-        *t1,
-        *t2,
-        *t0,
         vals,
         weights,
         positions,
+        *(row[pos] for row, pos in zip(weights, positions)),
         tuple(weights.sum(axis=1).tolist()),
         float(vals[-1]) if vals.size else 0.0,
         event_count=2 * (n_below + n_above) + n_tie,
-        log_y_sum=log_y if first_zero is None else -math.inf,
-        first_zero=first_zero,
+        log_y_sum=log_y,
+        first_zero=int(zero[0]) if zero.size else None,
     )
 
 
@@ -296,8 +280,8 @@ def cause_counts(
 def mobw_sf(params: MOBWParams, y1: float, y2: float) -> float:
     """Joint survival ``P(Y1 > y1, Y2 > y2)``; 0 past the float range.  The
     discrete pair's :func:`bivariate.joint_sf` is this at the floors."""
-    if y1 < 0 or y2 < 0:
-        raise ValueError("arguments must be non-negative")
+    if not (y1 >= 0 and y2 >= 0):
+        raise ValueError(f"arguments must be non-negative, got ({y1}, {y2})")
     return math.exp(bivariate._log_sf(bivariate._rates(params), y1, y2))
 
 
@@ -344,12 +328,13 @@ def mobw_pdf(params: MOBWParams, y1: float, y2: float) -> MobwDensity:
     Off the diagonal this is a genuine two-dimensional density; on the
     diagonal it is the singular part's density along the line, carrying
     total mass ``lambda0 / total``.  The value can be infinite on the
-    axes when the shape is below one.
+    axes when the shape is below one; it is 0 at an infinite argument.
     """
-    if y1 < 0 or y2 < 0:
-        raise ValueError("arguments must be non-negative")
+    if not (y1 >= 0 and y2 >= 0):
+        raise ValueError(f"arguments must be non-negative, got ({y1}, {y2})")
     kind = "below" if y1 < y2 else "above" if y1 > y2 else "tie"
-    value = math.exp(_branch_logpdf(params, y1, y2, kind))
+    # no lifetime is infinite: the density is 0 there, beside a pole at 0 too
+    value = 0.0 if math.inf in (y1, y2) else math.exp(_branch_logpdf(params, y1, y2, kind))
     return MobwDensity(value, "diagonal" if kind == "tie" else kind)
 
 
@@ -416,7 +401,7 @@ def ml_predict(params: MOBWParams, i: int, j: int) -> LatentPrediction:
     a cell whose mass underflows but whose log-mass is finite is predicted;
     only a cell of log-mass ``-inf`` is refused.
     """
-    i, j = bivariate._check_cell(i, j)
+    i, j = _count(i, "i"), _count(j, "j")
     log_mass = bivariate.joint_logpmf(params, i, j)
     return _predict_in_cell(params, i, j, log_mass)
 

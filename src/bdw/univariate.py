@@ -215,7 +215,7 @@ def we_pdf(params: WeibullParams, x: float) -> float:
     :class:`SingularDensityError` is raised.  Where ``x**alpha`` passes the
     float range the density is 0.
     """
-    if x < 0:
+    if not x >= 0:
         raise ValueError(f"x must be non-negative, got {x}")
     a, lam = params.alpha, params.lam
     if x == 0:
@@ -232,7 +232,7 @@ def we_pdf(params: WeibullParams, x: float) -> float:
 def we_cdf(params: WeibullParams, x: float) -> float:
     """Distribution function ``1 - exp(-lam*x**alpha)`` at ``x >= 0``; 1 past
     the float range."""
-    if x < 0:
+    if not x >= 0:
         raise ValueError(f"x must be non-negative, got {x}")
     return -math.expm1(-params.lam * _power(x, params.alpha))
 
@@ -268,10 +268,24 @@ def we_sample(params: WeibullParams, rng: np.random.Generator, size=None):
     return x
 
 
+def _count(value, name: str, positive: bool = False) -> int:
+    """``value`` as an int, when it is a non-negative (or ``positive``) whole
+    number: an int, an integral float or a numpy integer.  Anything else,
+    an infinity, NaN or a string among them, is refused by ``name``."""
+    least = 1 if positive else 0
+    try:
+        whole = value >= least and value == int(value)
+    except (TypeError, ValueError, OverflowError):
+        whole = False
+    if not whole:
+        what = "positive" if positive else "non-negative"
+        raise ValueError(f"{name} must be a {what} integer, got {value!r}")
+    return int(value)
+
+
 def dw_logpmf(params, y: int) -> float:
     """Natural log of the DW probability mass at the integer ``y >= 0``."""
-    if y < 0 or y != int(y):
-        raise ValueError(f"support is the non-negative integers, got {y}")
+    y = _count(y, "y")
     return float(_logpmf_arr(np.asarray([float(y)]), *_rate(params))[0])
 
 
@@ -284,15 +298,19 @@ def dw_sf(params, y: float) -> float:
     """Survival ``P(Y >= y) = p**(floor(y)**alpha)`` for real ``y >= 0``.
 
     The inequality is weak, so ``dw_sf(params, 0) == 1`` and the function is
-    constant on each unit cell.
+    constant on each unit cell; at ``y = inf`` it is its limit 0.
     """
-    if y < 0:
+    if not y >= 0:
         raise ValueError(f"y must be non-negative, got {y}")
-    k = math.floor(y)
+    k = _floor(y)
     if k == 0:
         return 1.0
     alpha, lam = _rate(params)
     return math.exp(-(_power(float(k), alpha) * lam))
+
+
+# the largest count, 2**63 - 1: every count array is int64
+_MAX_COUNT = 2**63 - 1
 
 
 def _floor_counts(lifetimes) -> np.ndarray:
@@ -316,9 +334,13 @@ def dw_sample(params, rng: np.random.Generator, size=None):
 
 def dw_min_of_n(params: DWParams, n: int) -> DWParams:
     """Law of the minimum of ``n`` independent copies: same shape, ``p**n``."""
-    if n < 1 or n != int(n):
-        raise ValueError(f"n must be a positive integer, got {n}")
+    n = _count(n, "n", positive=True)
     return DWParams(params.alpha, params.p**n)
+
+
+def _floor(y: float) -> float:
+    """``floor(y)`` for ``y >= 0``, with ``inf`` kept, where ``math.floor`` raises."""
+    return y if y == math.inf else math.floor(y)
 
 
 def _power(y: float, alpha: float) -> float:

@@ -64,6 +64,13 @@ class TestLoadCsv:
         with pytest.raises(ValueError, match="line 2: negative value -1"):
             load_csv(str(path))
 
+    def test_count_past_int64_is_located(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("9223372036854775807,0\n9223372036854775808,1\n")
+        message = r"^line 2: 9223372036854775808 exceeds the largest count 2\*\*63 - 1$"
+        with pytest.raises(ValueError, match=message):
+            load_csv(str(path))
+
     def test_wrong_column_count(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("1,2\n1,2,3\n")
@@ -547,6 +554,18 @@ class TestFailurePaths:
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err, err
+
+    @pytest.mark.parametrize(
+        "command", [["fit-dw", "--column", "x1"], ["fit-ml"]], ids=["fit-dw", "fit-ml"]
+    )
+    def test_count_past_int64_fails_by_its_line(self, tmp_path, capsys, command):
+        path = tmp_path / "huge.csv"
+        path.write_text("1,2\n99999999999999999999,3\n0,1\n")
+        rc = main([*command, "--input", str(path)])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: line 2: 99999999999999999999 exceeds the largest count 2**63 - 1\n"
+        )
 
     def test_unknown_dataset_choice(self, capsys):
         with pytest.raises(SystemExit):

@@ -156,14 +156,23 @@ class TestCompleteDataReductions:
 
 
 class TestSampleSummary:
-    SAMPLES = {"mixed": MIXED, "all_ties": ALL_TIES, "empty": ()}
+    ZERO_EVENT = (
+        CompleteObservation(0.5, 1.2, "below"),
+        CompleteObservation(0.0, 1.5, "below"),
+        CompleteObservation(0.0, 0.0, "tie"),
+    )
+    SAMPLES = {"mixed": MIXED, "all_ties": ALL_TIES, "empty": (), "zero_event": ZERO_EVENT}
 
-    @pytest.fixture(params=["mixed", "all_ties", "empty", "football"])
-    def sample(self, request):
-        if request.param == "football":
-            data = request.getfixturevalue("football")
+    @staticmethod
+    def _named(name, request):
+        if name in ("football", "panel"):
+            data = request.getfixturevalue("football") if name == "football" else _wide_panel()
             return tuple(impute_dataset(init_estimates(data), data))
-        return self.SAMPLES[request.param]
+        return TestSampleSummary.SAMPLES[name]
+
+    @pytest.fixture(params=["mixed", "all_ties", "empty", "football", "panel"])
+    def sample(self, request):
+        return self._named(request.param, request)
 
     def test_steps_agree_on_raw_and_summary(self, sample):
         st = summarize(sample)
@@ -188,19 +197,26 @@ class TestSampleSummary:
                 )
             assert pair[0] == pair[1]
 
-    def test_matches_row_by_row_sums(self, sample):
+    @pytest.mark.parametrize(
+        "name", ["mixed", "all_ties", "empty", "football", "panel", "zero_event"]
+    )
+    def test_matches_row_by_row_sums(self, name, request):
+        sample = self._named(name, request)
         st = summarize(sample)
         kinds = [o.kind for o in sample]
         assert (st.n_below, st.n_above, st.n_tie) == tuple(
             kinds.count(k) for k in ("below", "above", "tie")
         )
         assert st.event_count == sum(1 if k == "tie" else 2 for k in kinds)
-        want_log = sum(
-            math.log(o.y1) if o.kind == "tie" else math.log(o.y1) + math.log(o.y2)
-            for o in sample
-        )
-        assert st.log_y_sum == pytest.approx(want_log, rel=1e-12, abs=1e-12)
-        assert st.first_zero is None
+        # the events' logarithms, added row by row: the bits the shape step reads
+        want_log, first_zero = 0.0, None
+        for idx, o in enumerate(sample):
+            if min(o.y1, o.y2) == 0.0:
+                first_zero = idx if first_zero is None else first_zero
+            else:
+                want_log += math.log(o.y1) if o.kind == "tie" else math.log(o.y1) + math.log(o.y2)
+        assert st.first_zero == first_zero
+        assert st.log_y_sum == (want_log if first_zero is None else -math.inf)
         for alpha in (0.6, 1.6):
             t0, t1, t2 = exposures(sample, alpha)
             assert t1 == pytest.approx(sum(o.y1**alpha for o in sample), rel=1e-12)
@@ -225,12 +241,7 @@ class TestSampleSummary:
         assert cause_counts(sample, lams) == pytest.approx(want, rel=1e-12, abs=1e-12)
 
     def test_zero_event_lifetime(self):
-        sample = (
-            CompleteObservation(0.5, 1.2, "below"),
-            CompleteObservation(0.0, 1.5, "below"),
-            CompleteObservation(0.0, 0.0, "tie"),
-        )
-        st = summarize(sample)
+        st = summarize(self.ZERO_EVENT)
         assert st.log_y_sum == -math.inf
         assert st.first_zero == 1
         # zero lifetimes add nothing to the exposures
@@ -485,27 +496,34 @@ class TestShapeTarget:
     def summaries(self, samples):
         return [summarize(sample) for sample in samples]
 
-    def test_fused_table_holds_the_three_tables(self, summaries):
-        for st in summaries:
-            for row, (vals, w) in zip(
-                st.weights, ((st.vals0, st.w0), (st.vals1, st.w1), (st.vals2, st.w2))
-            ):
-                np.testing.assert_array_equal(st.vals[row > 0], vals)
-                np.testing.assert_array_equal(row[row > 0], w)
+    def test_fused_table_holds_the_three_tables(self, samples, summaries):
+        for sample, st in zip(samples, summaries):
+            columns = (
+                [max(o.y1, o.y2) for o in sample], [o.y1 for o in sample], [o.y2 for o in sample]
+            )
+            multiplicities = (st.w0, st.w1, st.w2)
+            for row, pos, w, column in zip(st.weights, st.positions, multiplicities, columns):
+                want, counts = np.unique([v for v in column if v > 0], return_counts=True)
+                np.testing.assert_array_equal(st.vals[pos], want)
+                np.testing.assert_array_equal(w, counts)
+                np.testing.assert_array_equal(row[pos], w)
+                assert row.sum() == w.sum()
             assert (st.weights.sum(axis=0) > 0).all()
 
     def test_positions_index_each_table(self, summaries):
         for st in summaries:
-            tables = (st.vals0, st.vals1, st.vals2)
-            for pos, vals in zip(st.positions, tables):
-                np.testing.assert_array_equal(st.vals[pos], vals)
+            assert (np.diff(st.vals) > 0).all() and st.vals[0] > 0
+            for row, pos in zip(st.weights, st.positions):
+                # each exposure's values, in order, are the row's non-zero entries
+                assert pos.dtype == np.intp and (np.diff(pos) > 0).all()
+                np.testing.assert_array_equal(np.flatnonzero(row), pos)
             assert st.row_sums == tuple(st.weights.sum(axis=1).tolist())
             assert st.top == st.vals.max()
 
     def test_exposures_read_the_shared_power_table(self, samples, summaries):
         lams = (0.04, 0.2, 0.1)
         for sample, st in zip(samples, summaries):
-            tables = ((st.w0, st.vals0), (st.w1, st.vals1), (st.w2, st.vals2))
+            tables = [(w, st.vals[pos]) for w, pos in zip((st.w0, st.w1, st.w2), st.positions)]
             g = fit_bayes._alpha_logtarget(AlphaPrior(), lams, st)
             for alpha in np.geomspace(0.05, 50.0, 41).tolist():
                 # each exposure's own dot over its own powers, bit for bit

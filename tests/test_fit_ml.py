@@ -111,7 +111,11 @@ class TestDataset:
         ((1,), r"expected two entries, got \(1,\)"),
         ((1, 2, 3), r"expected two entries, got \(1, 2, 3\)"),
         (5, r"expected two entries, got 5"),
-    ], ids=["inf", "nan", "string", "one-entry", "three-entries", "not-a-row"])
+        ((99999999999999999999, 3),
+         r"the count 99999999999999999999 exceeds the largest count 2\*\*63 - 1"),
+        ((2.0**63, 3), r"the count 9223372036854775808 exceeds the largest count 2\*\*63 - 1"),
+    ], ids=["inf", "nan", "string", "one-entry", "three-entries", "not-a-row", "past-int64",
+            "float-past-int64"])
     def test_malformed_row_is_refused_by_its_index(self, row, message):
         with pytest.raises(ValueError, match=f"^row 1: {message}$"):
             BivariateDataset(((0, 1), row))

@@ -1,4 +1,5 @@
 import functools
+import math
 import operator
 
 import mpmath as mp
@@ -51,6 +52,27 @@ class TestUpperTail:
         # the closed form holds for whole degrees of freedom alone
         with pytest.raises(ValueError, match="positive integer"):
             chisq_upper_tail(1.0, 2.5)
+
+    @pytest.mark.parametrize(
+        "x, df, outcome",
+        [
+            (math.inf, 1, 0.0),
+            (math.inf, 4, 0.0),
+            (math.inf, 7, 0.0),
+            (math.nan, 3, "statistic must be non-negative, got nan"),
+            (1.0, 2.5, "degrees of freedom must be a positive integer, got 2.5"),
+            (1.0, math.inf, "degrees of freedom must be a positive integer, got inf"),
+            (1.0, math.nan, "degrees of freedom must be a positive integer, got nan"),
+        ],
+        ids=["inf-1", "inf-4", "inf-7", "nan-statistic", "fractional-df", "infinite-df", "nan-df"],
+    )
+    def test_edges(self, x, df, outcome):
+        # an infinite statistic has no tail left; the rest is refused by name
+        if isinstance(outcome, str):
+            with pytest.raises(ValueError, match=f"^{outcome}$"):
+                chisq_upper_tail(x, df)
+        else:
+            assert chisq_upper_tail(x, df) == outcome
 
 
 class TestUnivariate:

@@ -1,10 +1,11 @@
 import math
+import re
 
 import numpy as np
 import pytest
 from scipy import integrate, stats
 
-from bdw import bivariate, univariate
+from bdw import bivariate, gof, mobw, univariate
 from bdw.univariate import (
     ALPHA_HI,
     ALPHA_LO,
@@ -389,3 +390,74 @@ class TestNewtonSolver:
 
         with pytest.raises(univariate._StepCapError, match="step overflows: .* not attained"):
             univariate._newton_min(fun, np.zeros(1))
+
+
+# the scalar law functions' arguments, with the name each refusal gives;
+# a count argument refuses anything but a whole number
+_LAW = bivariate.BDWParams(1.5, 0.9, 0.7, 0.75)
+_LATENT = mobw.MOBWParams(1.5, 0.1, 0.3, 0.2)
+_DW = DWParams(1.5, 0.7)
+COUNT_ARGS = {
+    "joint_pmf": (lambda v: bivariate.joint_pmf(_LAW, v, 0), "x1"),
+    "joint_cdf": (lambda v: bivariate.joint_cdf(_LAW, 0, v), "x2"),
+    "cond_pmf": (lambda v: bivariate.cond_pmf(_LAW, v, 1), "x1"),
+    "ml_predict": (lambda v: mobw.ml_predict(_LATENT, v, 0), "i"),
+    "dw_pmf": (lambda v: dw_pmf(_DW, v), "y"),
+    "dw_logpmf": (lambda v: dw_logpmf(_DW, v), "y"),
+    "dw_min_of_n": (lambda v: dw_min_of_n(_DW, v), "n"),
+    "joint_pmf_grid": (lambda v: bivariate.joint_pmf_grid(_LAW, v, 3), "k1"),
+    "is_tp2_on_grid": (lambda v: bivariate.is_tp2_on_grid(_LAW, v), "k"),
+    "pqd_check_on_grid": (lambda v: bivariate.pqd_check_on_grid(_LAW, v), "k"),
+    "chisq_upper_tail-df": (lambda v: gof.chisq_upper_tail(1.0, v), "degrees of freedom"),
+}
+# a real argument, with the function's limit at infinity
+REAL_ARGS = {
+    "dw_sf": (lambda v: dw_sf(_DW, v), "y", 0.0),
+    "joint_sf": (lambda v: bivariate.joint_sf(_LAW, v, 0), "arguments", 0.0),
+    "we_pdf": (lambda v: we_pdf(WeibullParams(1.5, 0.3), v), "x", 0.0),
+    "we_cdf": (lambda v: we_cdf(WeibullParams(1.5, 0.3), v), "x", 1.0),
+    "mobw_sf": (lambda v: mobw.mobw_sf(_LATENT, v, 0), "arguments", 0.0),
+    "mobw_pdf": (lambda v: mobw.mobw_pdf(_LATENT, v, 1.0).value, "arguments", 0.0),
+    "chisq_upper_tail-x": (lambda v: gof.chisq_upper_tail(v, 3), "statistic", 0.0),
+}
+ODD_VALUES = pytest.mark.parametrize(
+    "value", [math.inf, math.nan, 2.5, -1], ids=["inf", "nan", "fraction", "negative"]
+)
+
+
+class TestArgumentContract:
+    @ODD_VALUES
+    @pytest.mark.parametrize("entry", sorted(COUNT_ARGS))
+    def test_count_argument_is_refused_by_name(self, entry, value):
+        call, name = COUNT_ARGS[entry]
+        message = rf"^{name} must be a (non-negative|positive) integer, got {value!r}$"
+        with pytest.raises(ValueError, match=message):
+            call(value)
+
+    @pytest.mark.parametrize("entry", sorted(COUNT_ARGS))
+    def test_whole_numbers_of_any_type_are_counts(self, entry):
+        call, _ = COUNT_ARGS[entry]
+        want = repr(call(3))
+        for value in (3.0, np.int64(3), np.float64(3.0)):
+            assert repr(call(value)) == want
+
+    @ODD_VALUES
+    @pytest.mark.parametrize("entry", sorted(REAL_ARGS))
+    def test_real_argument_is_finite_or_refused_by_name(self, entry, value):
+        call, name, limit = REAL_ARGS[entry]
+        if value >= 0:
+            got = call(value)
+            assert math.isfinite(got)
+            assert value < math.inf or got == limit
+        else:
+            message = rf"^{name} must be non-negative, got \(?{re.escape(repr(value))}"
+            with pytest.raises(ValueError, match=message):
+                call(value)
+
+    def test_infinite_lifetime_has_no_density_beside_a_pole(self):
+        # below shape one the density is infinite on the axes, but no
+        # lifetime is infinite
+        law = mobw.MOBWParams(0.5, 0.1, 0.3, 0.2)
+        assert mobw.mobw_pdf(law, 2.5, 0.0).value == math.inf
+        assert mobw.mobw_pdf(law, math.inf, 0.0) == (0.0, "above")
+        assert mobw.mobw_pdf(law, 0.0, math.inf) == (0.0, "below")
