@@ -22,6 +22,7 @@ _EXPORTS = {
         "BDWParams",
         "BdwMoments",
         "BivariateGeomParams",
+        "MOBWParams",
         "from_mobw",
         "joint_cdf",
         "joint_logpmf",
@@ -52,7 +53,7 @@ _EXPORTS = {
         "nested_em",
     ),
     "gof": ("ChiSquareReport", "chisq_bdw", "chisq_dw", "chisq_upper_tail"),
-    "mobw": ("CompleteObservation", "LatentPrediction", "MOBWParams", "ml_predict"),
+    "mobw": ("CompleteObservation", "LatentPrediction", "ml_predict"),
     "univariate": (
         "DWParams",
         "SingularDensityError",

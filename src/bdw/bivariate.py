@@ -12,9 +12,16 @@ The joint survival function, with weak inequalities on both coordinates, is
 
 and all probability computations below are exact rearrangements of its
 rectangle differences, evaluated in log space.  They read the law's rates
-``lambda_i = -ln(p_i)``, those of the latent pair of :mod:`bdw.mobw`, so
-each takes the law as survival bases (:class:`BDWParams`) or as rates
-(:class:`bdw.mobw.MOBWParams`); :func:`_rates` is the one conversion.
+``lambda_i = -ln(p_i)``, so each takes the law as survival bases
+(:class:`BDWParams`) or as rates (:class:`MOBWParams`); :func:`_rates` is
+the one conversion.
+
+The rates are those of the continuous Marshall–Olkin pair whose floors
+the law is: ``Y1 = min(U1, U0)``, ``Y2 = min(U2, U0)`` with Weibull
+``Ui`` of rate ``lambda_i``.  :func:`mobw_sample` draws that pair by the
+shock construction, and :func:`sample` floors it.  The latent pair's
+densities and the latent-sample code of the fits live in
+:mod:`bdw.mobw`.
 """
 
 from __future__ import annotations
@@ -25,6 +32,7 @@ import numpy as np
 
 from .univariate import (
     DWParams,
+    WeibullParams,
     _count,
     _floor,
     _floor_counts,
@@ -33,10 +41,12 @@ from .univariate import (
     _power,
     _Record,
     _to_base,
+    we_sample,
 )
 
 __all__ = [
     "BDWParams",
+    "MOBWParams",
     "BivariateGeomParams",
     "BdwMoments",
     "GridCheckReport",
@@ -52,6 +62,7 @@ __all__ = [
     "cond_sf_given_ge",
     "cond_sf_given_eq",
     "sample",
+    "mobw_sample",
     "moments",
     "to_mobw",
     "from_mobw",
@@ -91,6 +102,35 @@ class BDWParams(_Record):
             v = getattr(self, name)
             if not 0 < v < 1:
                 raise ValueError(f"{name} must lie in (0, 1), got {v}")
+
+
+class MOBWParams(_Record):
+    """Shape and the three component rates of the law, those of the
+    continuous Marshall–Olkin bivariate Weibull (MOBW) pair it floors.
+
+    ``lambda0`` is the rate of the shared shock and may be zero, in which
+    case the coordinates are independent and the diagonal carries no mass;
+    the coordinate-specific rates must be strictly positive.
+    """
+
+    alpha: float
+    lambda0: float
+    lambda1: float
+    lambda2: float
+
+    def __post_init__(self) -> None:
+        if not (self.alpha > 0 and math.isfinite(self.alpha)):
+            raise ValueError(f"shape must be positive and finite, got {self.alpha}")
+        if not (self.lambda0 >= 0 and math.isfinite(self.lambda0)):
+            raise ValueError(f"lambda0 must be non-negative and finite, got {self.lambda0}")
+        for name in ("lambda1", "lambda2"):
+            v = getattr(self, name)
+            if not (v > 0 and math.isfinite(v)):
+                raise ValueError(f"{name} must be positive and finite, got {v}")
+
+    @property
+    def total(self) -> float:
+        return self.lambda0 + self.lambda1 + self.lambda2
 
 
 class BivariateGeomParams(_Record):
@@ -337,15 +377,34 @@ def cond_sf_given_eq(params, x1: int, x2: int) -> float:
     return num / _second_mass(rates, j)
 
 
+def mobw_sample(params: MOBWParams, rng: np.random.Generator, size=None):
+    """Draw latent pairs through the shared-shock construction.
+
+    With ``size`` given, returns an array of shape (size, 2); otherwise a
+    single tuple.  Floors of the output follow the discrete pair law with
+    survival bases ``exp(-lambda_i)``.
+    """
+    n = 1 if size is None else int(size)
+    u1 = we_sample(WeibullParams(params.alpha, params.lambda1), rng, size=n)
+    u2 = we_sample(WeibullParams(params.alpha, params.lambda2), rng, size=n)
+    if params.lambda0 > 0:
+        u0 = we_sample(WeibullParams(params.alpha, params.lambda0), rng, size=n)
+        y1 = np.minimum(u1, u0)
+        y2 = np.minimum(u2, u0)
+    else:
+        y1, y2 = u1, u2
+    if size is None:
+        return float(y1[0]), float(y2[0])
+    return np.column_stack([y1, y2])
+
+
 def sample(params, rng: np.random.Generator, size=None):
     """Draw pairs by the shock construction: the floors of the latent pair
-    :func:`bdw.mobw.mobw_sample` draws at the rates :func:`to_mobw`.
+    :func:`mobw_sample` draws at the rates :func:`to_mobw`.
 
     With ``size`` given, returns an array of shape (size, 2); otherwise a
     single tuple.  A lifetime past the int64 range is refused.
     """
-    from .mobw import mobw_sample
-
     pairs = _floor_counts(mobw_sample(to_mobw(params), rng, size=1 if size is None else size))
     return (int(pairs[0, 0]), int(pairs[0, 1])) if size is None else pairs
 
@@ -417,10 +476,8 @@ def moments(params, epsilon: float = 1e-10) -> BdwMoments:
     return BdwMoments(mean1, mean2, var1, var2, cov, corr, k)
 
 
-def to_mobw(params):
+def to_mobw(params) -> MOBWParams:
     """Rates of the continuous latent model: ``lambda_i = -ln(p_i)``."""
-    from .mobw import MOBWParams
-
     return MOBWParams(*_rates(params))
 
 
@@ -429,7 +486,7 @@ def from_mobw(params) -> BDWParams:
     positive rate whose base rounds to 1 (at ``lambda0`` it would read as
     independence) is refused by name, and the law's functions take its
     rates instead."""
-    names = ("lambda0", "lambda1", "lambda2")
+    names = MOBWParams._fields[1:]
     return BDWParams(params.alpha, *(_to_base(name, getattr(params, name)) for name in names))
 
 

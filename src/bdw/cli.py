@@ -117,8 +117,8 @@ def _law(args: argparse.Namespace) -> tuple[BDWParams, dict]:
     return BDWParams(**config), config
 
 
-def _rates(params) -> dict:
-    return {name: getattr(params, name) for name in ("alpha", "lambda0", "lambda1", "lambda2")}
+def _rates(params: bivariate.MOBWParams) -> dict:
+    return {name: getattr(params, name) for name in params._fields}
 
 
 def _dw_law(fit) -> dict:

@@ -2,7 +2,9 @@
 
 :class:`BivariateDataset` holds the observed integer pairs that every
 fit, fit check and command reads; it refuses a malformed row by its index
-and compresses the rows to distinct cells once.
+and compresses the rows to distinct cells once.  :func:`_cell_log_masses`
+reads the joint log-mass of those cells under a law, for the likelihood
+of the ML fit and the latent imputation alike.
 
 Two small bivariate count datasets ship with the package so every fitting
 command can be exercised without external files.
@@ -147,6 +149,22 @@ class BivariateDataset(_Record):
     def swapped(self) -> "BivariateDataset":
         """The same rows with the coordinates exchanged."""
         return BivariateDataset(tuple((b, a) for a, b in self.pairs))
+
+
+def _cell_log_masses(theta: bivariate.MOBWParams, data: BivariateDataset) -> np.ndarray:
+    """Log joint mass of each of ``data``'s distinct cells under ``theta``.
+
+    A cell whose probability underflows to zero aborts with that cell's
+    first row index, since a silent ``-inf`` would poison every comparison
+    built on top.
+    """
+    x1, x2, _ = data.cell_arrays
+    lp = bivariate._log_joint_pmf_arr(theta, x1, x2, data.partition)
+    bad = ~np.isfinite(lp)
+    if np.any(bad):
+        cell, _, row = data.cells[int(np.argmax(bad))]
+        raise ValueError(f"data row {row} (cell {cell}) has zero probability")
+    return lp
 
 
 FOOTBALL_PAIRS: tuple[tuple[int, int], ...] = (

@@ -4,11 +4,15 @@ The rates carry a Dirichlet-Gamma prior: the total rate is gamma, the
 split between shared and individual shocks is Dirichlet.  The shape has
 an independent gamma prior.  Estimation augments the integer data to
 latent continuous lifetimes cell by cell with the most likely latent pair
-of each cell, summarizes that sample once (:func:`bdw.mobw.summarize`), and
-runs Gibbs sweeps over the latent failure causes, the three rates, and the
-shape on the summary; the outer loop re-imputes at the current draw
-averages and the final round's draws carry the reported summaries.  The
-step functions accept a complete sample or its summary.
+of each cell, summarizes that sample once, and runs Gibbs sweeps over the
+latent failure causes, the three rates, and the shape on the summary; the
+outer loop re-imputes at the current draw averages and the final round's
+draws carry the reported summaries.  The step functions accept a complete
+sample or its summary.
+
+The latent-sample path, imputation (:func:`bdw.mobw.impute_dataset`),
+summary and cause attribution, is :mod:`bdw.mobw`'s; the start point and
+its identifiability checks are the ML fit's (:mod:`bdw.fit_ml`).
 """
 
 from __future__ import annotations
@@ -19,8 +23,10 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .datasets import BivariateDataset
-from .fit_ml import PARAM_NAMES, _identified_start, impute_dataset
-from .mobw import CompleteObservation, MOBWParams, SampleSummary, cause_counts, summarize
+from .fit_ml import PARAM_NAMES, _identified_start
+from .mobw import (
+    CompleteObservation, MOBWParams, SampleSummary, cause_counts, impute_dataset, summarize
+)
 from .univariate import _Record
 
 __all__ = [
@@ -267,10 +273,21 @@ def credible_interval(
     """Equal-tailed credible interval covering mass ``1 - beta``."""
     if not 0 < beta < 1:
         raise ValueError("beta must lie in (0, 1)")
-    g = np.sort(np.asarray(draws, dtype=float))
+    g = _sorted_draws(draws)
     if g.size == 0:
         raise ValueError("draws must be non-empty")
     return _linear_quantile(g, beta / 2.0), _linear_quantile(g, 1.0 - beta / 2.0)
+
+
+def _sorted_draws(draws: Sequence[float]) -> np.ndarray:
+    # the draws in order; an infinite or NaN draw has no place in an
+    # interval and is refused by its index
+    g = np.asarray(draws, dtype=float)
+    bad = ~np.isfinite(g)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ValueError(f"draws must be finite, got {float(g[i])!r} at index {i}")
+    return np.sort(g)
 
 
 def _linear_quantile(g: np.ndarray, q: float) -> float:
@@ -294,7 +311,7 @@ def hpd_interval(
     """
     if not 0 < beta < 1:
         raise ValueError("beta must lie in (0, 1)")
-    g = np.sort(np.asarray(draws, dtype=float))
+    g = _sorted_draws(draws)
     m = g.size
     if m * (1.0 - beta) < 2:
         raise ValueError("too few draws for the requested mass")

@@ -9,12 +9,15 @@ information off the same Hessian, and reports a shared-shock rate whose
 one-sided score at zero is not positive as exactly zero.
 
 The pairs arrive as a :class:`~bdw.datasets.BivariateDataset`, the data
-layer's container; the name is imported here too, so
-``bdw.fit_ml.BivariateDataset`` and pickles that name it still resolve.
+layer's container, and the fit is a law in rates,
+:class:`~bdw.bivariate.MOBWParams`.  The name ``BivariateDataset`` is
+imported here too, so ``bdw.fit_ml.BivariateDataset`` and pickles that
+name it still resolve.
 
-The continuous shared-shock helpers — most likely latent lifetimes per
-cell and an inner EM over the latent failure causes — serve the Bayesian
-sampler and the distribution checks.
+The latent-sample helpers :func:`~bdw.mobw.impute_dataset` and
+:func:`~bdw.mobw.inner_em_mobw`, which no ML fit runs, live in
+:mod:`bdw.mobw`; both names still resolve here, loading that module on
+first use (PEP 562).
 """
 
 from __future__ import annotations
@@ -26,13 +29,9 @@ from typing import Sequence
 import numpy as np
 
 from . import bivariate
-from .datasets import _ALL_TIES, BivariateDataset
-from .mobw import (
-    MOBWParams, CompleteObservation, _predict_in_cell, cause_counts, complete_loglik, summarize
-)
+from .bivariate import MOBWParams
+from .datasets import BivariateDataset, _cell_log_masses
 from .univariate import (
-    ALPHA_HI,
-    ALPHA_LO,
     _dw_jet,
     _in_logs,
     _Jet,
@@ -50,8 +49,6 @@ __all__ = [
     "bdw_loglik",
     "initial_params_from_marginals",
     "init_estimates",
-    "impute_dataset",
-    "inner_em_mobw",
     "nested_em",
     "bdw_loglik_derivatives",
     "observed_info_ci",
@@ -59,10 +56,20 @@ __all__ = [
     "AlphaTestReport",
 ]
 
-PARAM_NAMES = ("alpha", "lambda0", "lambda1", "lambda2")
-# the inner EM stops once its log-likelihood moves less than this
-_INNER_EM_TOL = 1e-9
-_INNER_EM_MAX_ITER = 1000
+PARAM_NAMES = MOBWParams._fields
+
+
+def __getattr__(name: str):
+    # impute_dataset and inner_em_mobw live in bdw.mobw; their names resolve
+    # here for the callers that import them from this module, and load
+    # bdw.mobw only when one is read
+    if name not in ("impute_dataset", "inner_em_mobw"):
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import mobw
+
+    value = getattr(mobw, name)
+    globals()[name] = value
+    return value
 
 
 class AlphaTestReport(_Record):
@@ -87,22 +94,6 @@ class MLFitReport(_Record):
         """The fitted law in survival bases, computed on demand; refused by
         name when a fitted rate rounds its base to 1."""
         return bivariate.from_mobw(self.params)
-
-
-def _cell_log_masses(theta: MOBWParams, data: BivariateDataset) -> np.ndarray:
-    """Log joint mass of each of ``data``'s distinct cells under ``theta``.
-
-    A cell whose probability underflows to zero aborts with that cell's
-    first row index, since a silent ``-inf`` would poison every comparison
-    built on top.
-    """
-    x1, x2, _ = data.cell_arrays
-    lp = bivariate._log_joint_pmf_arr(theta, x1, x2, data.partition)
-    bad = ~np.isfinite(lp)
-    if np.any(bad):
-        cell, _, row = data.cells[int(np.argmax(bad))]
-        raise ValueError(f"data row {row} (cell {cell}) has zero probability")
-    return lp
 
 
 def bdw_loglik(theta: MOBWParams, data: BivariateDataset) -> float:
@@ -188,102 +179,6 @@ def _identified_start(data: BivariateDataset, start: MOBWParams | None) -> MOBWP
     data.require_untied_rows()
     theta = init_estimates(data) if start is None else start
     data.require_both_orders()
-    return theta
-
-
-def impute_dataset(theta: MOBWParams, data: BivariateDataset) -> list[CompleteObservation]:
-    """Most likely latent lifetimes for every row, aligned with row order.
-
-    The cells' masses are evaluated together, the predictor runs once per
-    distinct cell and the result is replicated, so permuted datasets impute
-    identical multisets.
-    """
-    cache: dict[tuple[int, int], CompleteObservation] = {}
-    for (cell, _, _), lp in zip(data.cells, _cell_log_masses(theta, data)):
-        pred = _predict_in_cell(theta, *cell, lp)
-        cache[cell] = CompleteObservation(pred.y1hat, pred.y2hat, pred.kind)
-    return [cache[cell] for cell in data.pairs]
-
-
-def inner_em_mobw(
-    sample: Sequence[CompleteObservation],
-    start: MOBWParams,
-    trace: list | None = None,
-) -> MOBWParams:
-    """Fit the continuous shared-shock model to fully observed pairs.
-
-    The missing information is which component caused each recorded
-    minimum.  The E-step attributes causes fractionally from the current
-    rates; the M-step is closed-form in the rates given the shape and
-    reduces the shape update to a one-dimensional Newton solve of the
-    profiled objective in ``log(alpha)``, clamped to [0.01, 100].  The
-    log-likelihood of the flagged pairs is non-decreasing across
-    iterations; pass ``trace`` to collect it.
-
-    A zero lifetime among the recorded events leaves the boundary value
-    finite only at shape one, so such samples are fitted with the shape
-    pinned there.  A sample that is all ties, or has an identically zero
-    coordinate, does not identify the coordinate rates and is rejected.
-    """
-    st = summarize(sample)
-    if st.n_below + st.n_above == 0:
-        raise ValueError(_ALL_TIES)
-    for name, total in (("first", st.row_sums[1]), ("second", st.row_sums[2])):
-        if total == 0.0:
-            raise ValueError(
-                f"{name} coordinate is identically zero: its rate is not identifiable"
-            )
-    logs = np.log(st.vals)
-    observations = list(sample)
-
-    def m_step(counts, alpha):
-        # maximize the attributed-cause objective over shape and rates;
-        # rates profile out exactly, leaving a concave problem in alpha
-        c0, c1, c2 = counts
-
-        def neg_profiled(z: np.ndarray):
-            a = math.exp(z[0])
-            val = st.event_count * z[0] + (a - 1.0) * st.log_y_sum
-            d1 = st.event_count + a * st.log_y_sum
-            d2 = a * st.log_y_sum
-            with np.errstate(over="ignore"):
-                table = st.powers(a)
-            # each exposure at its own positions, as st.exposures reads it
-            for c, w, pos in zip(counts, (st.w0, st.w1, st.w2), st.positions):
-                if c > 0.0:
-                    with np.errstate(over="ignore", invalid="ignore"):
-                        wv = w * table[pos]
-                        lg = logs[pos]
-                        t, t_a, t_aa = wv.sum(), wv @ lg, wv @ (lg * lg)
-                    # first and second derivatives of log(t) in z = log(a)
-                    u1 = a * t_a / t
-                    u2 = a * (t_a + a * t_aa) / t - u1 * u1
-                    val += c * (math.log(c) - math.log(t)) - c
-                    d1 -= c * u1
-                    d2 -= c * u2
-            return -val, np.array([-d1]), np.array([[-d2]])
-
-        if st.first_zero is not None:
-            a = 1.0
-        else:
-            z0 = np.log([min(max(alpha, ALPHA_LO), ALPHA_HI)])
-            z, _ = _newton_min(neg_profiled, z0)
-            a = min(max(math.exp(z[0]), ALPHA_LO), ALPHA_HI)
-        t0, t1, t2 = st.exposures(a)
-        return MOBWParams(a, c0 / t0 if c0 > 0 else 0.0, c1 / t1, c2 / t2)
-
-    theta = start
-    prev = None
-    for _ in range(_INNER_EM_MAX_ITER):
-        # E-step: expected cause counts given the current rates
-        counts = cause_counts(st, (theta.lambda0, theta.lambda1, theta.lambda2))
-        theta = m_step(counts, theta.alpha)
-        cur = complete_loglik(theta, observations)
-        if trace is not None:
-            trace.append(cur)
-        if prev is not None and abs(cur - prev) < _INNER_EM_TOL:
-            break
-        prev = cur
     return theta
 
 

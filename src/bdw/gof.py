@@ -20,9 +20,8 @@ from . import bivariate
 from .univariate import _count, _dataset_1d, _pearson, _Record, dw_pmf, dw_sf
 
 if TYPE_CHECKING:
-    from .bivariate import BDWParams
+    from .bivariate import BDWParams, MOBWParams
     from .datasets import BivariateDataset
-    from .mobw import MOBWParams
     from .univariate import DWParams, WeibullParams
 
 __all__ = [

@@ -9,12 +9,18 @@ survival
 
 whose law splits into two absolutely continuous pieces off the diagonal and
 a singular piece on it.  Taking floors of ``(Y1, Y2)`` yields exactly the
-discrete pair, which is what makes this module the engine room for
-estimation: the fitting code imputes latent lifetimes cell by cell with
-:func:`ml_predict`, reduces each imputed sample once with :func:`summarize`,
-attributes its failures to causes with :func:`cause_counts`, and measures
-imputations with :func:`complete_loglik`.  The density of each of the
-three branches is written once, in ``_branch_logpdf``.
+discrete pair.  The law in rates, :class:`MOBWParams`, and the shock
+construction, :func:`mobw_sample`, belong to that discrete law and are
+defined in :mod:`bdw.bivariate`; they are re-exported here.
+
+This module holds the latent-sample path of the fits: it imputes the most
+likely latent lifetimes of every row (:func:`impute_dataset`, one
+:func:`ml_predict` per cell), reduces each imputed sample once with
+:func:`summarize`, attributes its failures to causes with
+:func:`cause_counts`, fits the continuous model to it by an inner EM
+(:func:`inner_em_mobw`), and measures it with :func:`complete_loglik`.
+The density of each of the three branches is written once, in
+``_branch_logpdf``.
 """
 
 from __future__ import annotations
@@ -25,7 +31,11 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from . import bivariate
-from .univariate import WeibullParams, _count, _logpmf_arr, _power, _Record, we_mode, we_sample
+from .bivariate import MOBWParams, mobw_sample
+from .datasets import _ALL_TIES, BivariateDataset, _cell_log_masses
+from .univariate import (
+    ALPHA_HI, ALPHA_LO, _count, _logpmf_arr, _newton_min, _power, _Record, we_mode
+)
 
 __all__ = [
     "MOBWParams",
@@ -40,36 +50,14 @@ __all__ = [
     "mobw_sample",
     "cell_probability",
     "ml_predict",
+    "impute_dataset",
     "complete_loglik",
+    "inner_em_mobw",
 ]
 
-
-class MOBWParams(_Record):
-    """Shape and the three component rates of the MOBW law.
-
-    ``lambda0`` is the rate of the shared shock and may be zero, in which
-    case the coordinates are independent and the diagonal carries no mass;
-    the coordinate-specific rates must be strictly positive.
-    """
-
-    alpha: float
-    lambda0: float
-    lambda1: float
-    lambda2: float
-
-    def __post_init__(self) -> None:
-        if not (self.alpha > 0 and math.isfinite(self.alpha)):
-            raise ValueError(f"shape must be positive and finite, got {self.alpha}")
-        if not (self.lambda0 >= 0 and math.isfinite(self.lambda0)):
-            raise ValueError(f"lambda0 must be non-negative and finite, got {self.lambda0}")
-        for name in ("lambda1", "lambda2"):
-            v = getattr(self, name)
-            if not (v > 0 and math.isfinite(v)):
-                raise ValueError(f"{name} must be positive and finite, got {v}")
-
-    @property
-    def total(self) -> float:
-        return self.lambda0 + self.lambda1 + self.lambda2
+# the inner EM stops once its log-likelihood moves less than this
+_INNER_EM_TOL = 1e-9
+_INNER_EM_MAX_ITER = 1000
 
 
 class MobwDensity(NamedTuple):
@@ -338,27 +326,6 @@ def mobw_pdf(params: MOBWParams, y1: float, y2: float) -> MobwDensity:
     return MobwDensity(value, "diagonal" if kind == "tie" else kind)
 
 
-def mobw_sample(params: MOBWParams, rng: np.random.Generator, size=None):
-    """Draw pairs through the shared-shock construction.
-
-    With ``size`` given, returns an array of shape (size, 2); otherwise a
-    single tuple.  Floors of the output follow the discrete pair law with
-    survival bases ``exp(-lambda_i)``.
-    """
-    n = 1 if size is None else int(size)
-    u1 = we_sample(WeibullParams(params.alpha, params.lambda1), rng, size=n)
-    u2 = we_sample(WeibullParams(params.alpha, params.lambda2), rng, size=n)
-    if params.lambda0 > 0:
-        u0 = we_sample(WeibullParams(params.alpha, params.lambda0), rng, size=n)
-        y1 = np.minimum(u1, u0)
-        y2 = np.minimum(u2, u0)
-    else:
-        y1, y2 = u1, u2
-    if size is None:
-        return float(y1[0]), float(y2[0])
-    return np.column_stack([y1, y2])
-
-
 def cell_probability(params: MOBWParams, i: int, j: int) -> float:
     """Probability that the floors land in the cell ``(i, j)``.
 
@@ -457,6 +424,20 @@ def _predict_in_cell(
     return best
 
 
+def impute_dataset(theta: MOBWParams, data: BivariateDataset) -> list[CompleteObservation]:
+    """Most likely latent lifetimes for every row, aligned with row order.
+
+    The cells' masses are evaluated together, the predictor runs once per
+    distinct cell and the result is replicated, so permuted datasets impute
+    identical multisets.
+    """
+    cache: dict[tuple[int, int], CompleteObservation] = {}
+    for (cell, _, _), lp in zip(data.cells, _cell_log_masses(theta, data)):
+        pred = _predict_in_cell(theta, *cell, lp)
+        cache[cell] = CompleteObservation(pred.y1hat, pred.y2hat, pred.kind)
+    return [cache[cell] for cell in data.pairs]
+
+
 def complete_loglik(params: MOBWParams, sample: list[CompleteObservation]) -> float:
     """Log-likelihood of fully observed latent pairs.
 
@@ -479,3 +460,85 @@ def complete_loglik(params: MOBWParams, sample: list[CompleteObservation]) -> fl
             )
         out += term
     return out
+
+
+def inner_em_mobw(
+    sample: Sequence[CompleteObservation],
+    start: MOBWParams,
+    trace: list | None = None,
+) -> MOBWParams:
+    """Fit the continuous shared-shock model to fully observed pairs.
+
+    The missing information is which component caused each recorded
+    minimum.  The E-step attributes causes fractionally from the current
+    rates; the M-step is closed-form in the rates given the shape and
+    reduces the shape update to a one-dimensional Newton solve of the
+    profiled objective in ``log(alpha)``, clamped to [0.01, 100].  The
+    log-likelihood of the flagged pairs is non-decreasing across
+    iterations; pass ``trace`` to collect it.
+
+    A zero lifetime among the recorded events leaves the boundary value
+    finite only at shape one, so such samples are fitted with the shape
+    pinned there.  A sample that is all ties, or has an identically zero
+    coordinate, does not identify the coordinate rates and is rejected.
+    """
+    st = summarize(sample)
+    if st.n_below + st.n_above == 0:
+        raise ValueError(_ALL_TIES)
+    for name, total in (("first", st.row_sums[1]), ("second", st.row_sums[2])):
+        if total == 0.0:
+            raise ValueError(
+                f"{name} coordinate is identically zero: its rate is not identifiable"
+            )
+    logs = np.log(st.vals)
+    observations = list(sample)
+
+    def m_step(counts, alpha):
+        # maximize the attributed-cause objective over shape and rates;
+        # rates profile out exactly, leaving a concave problem in alpha
+        c0, c1, c2 = counts
+
+        def neg_profiled(z: np.ndarray):
+            a = math.exp(z[0])
+            val = st.event_count * z[0] + (a - 1.0) * st.log_y_sum
+            d1 = st.event_count + a * st.log_y_sum
+            d2 = a * st.log_y_sum
+            with np.errstate(over="ignore"):
+                table = st.powers(a)
+            # each exposure at its own positions, as st.exposures reads it
+            for c, w, pos in zip(counts, (st.w0, st.w1, st.w2), st.positions):
+                if c > 0.0:
+                    with np.errstate(over="ignore", invalid="ignore"):
+                        wv = w * table[pos]
+                        lg = logs[pos]
+                        t, t_a, t_aa = wv.sum(), wv @ lg, wv @ (lg * lg)
+                    # first and second derivatives of log(t) in z = log(a)
+                    u1 = a * t_a / t
+                    u2 = a * (t_a + a * t_aa) / t - u1 * u1
+                    val += c * (math.log(c) - math.log(t)) - c
+                    d1 -= c * u1
+                    d2 -= c * u2
+            return -val, np.array([-d1]), np.array([[-d2]])
+
+        if st.first_zero is not None:
+            a = 1.0
+        else:
+            z0 = np.log([min(max(alpha, ALPHA_LO), ALPHA_HI)])
+            z, _ = _newton_min(neg_profiled, z0)
+            a = min(max(math.exp(z[0]), ALPHA_LO), ALPHA_HI)
+        t0, t1, t2 = st.exposures(a)
+        return MOBWParams(a, c0 / t0 if c0 > 0 else 0.0, c1 / t1, c2 / t2)
+
+    theta = start
+    prev = None
+    for _ in range(_INNER_EM_MAX_ITER):
+        # E-step: expected cause counts given the current rates
+        counts = cause_counts(st, (theta.lambda0, theta.lambda1, theta.lambda2))
+        theta = m_step(counts, theta.alpha)
+        cur = complete_loglik(theta, observations)
+        if trace is not None:
+            trace.append(cur)
+        if prev is not None and abs(cur - prev) < _INNER_EM_TOL:
+            break
+        prev = cur
+    return theta

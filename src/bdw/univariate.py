@@ -243,10 +243,12 @@ def we_mode(alpha: float, lam: float) -> float:
     Defined only for ``alpha > 1``; below that the density is decreasing and
     has no interior mode.
     """
+    if not (alpha > 0 and math.isfinite(alpha)):
+        raise ValueError(f"shape must be positive and finite, got {alpha}")
     if alpha <= 1:
         raise ValueError(f"mode requires shape above one, got {alpha}")
-    if lam <= 0:
-        raise ValueError(f"rate must be positive, got {lam}")
+    if not (lam > 0 and math.isfinite(lam)):
+        raise ValueError(f"rate must be positive and finite, got {lam}")
     return ((alpha - 1.0) / (alpha * lam)) ** (1.0 / alpha)
 
 
@@ -270,8 +272,9 @@ def we_sample(params: WeibullParams, rng: np.random.Generator, size=None):
 
 def _count(value, name: str, positive: bool = False) -> int:
     """``value`` as an int, when it is a non-negative (or ``positive``) whole
-    number: an int, an integral float or a numpy integer.  Anything else,
-    an infinity, NaN or a string among them, is refused by ``name``."""
+    number at most ``_MAX_COUNT``: an int, an integral float or a numpy
+    integer.  Anything else, an infinity, NaN, a string or a count past
+    the int64 range among them, is refused by ``name``."""
     least = 1 if positive else 0
     try:
         whole = value >= least and value == int(value)
@@ -280,6 +283,8 @@ def _count(value, name: str, positive: bool = False) -> int:
     if not whole:
         what = "positive" if positive else "non-negative"
         raise ValueError(f"{name} must be a {what} integer, got {value!r}")
+    if value > _MAX_COUNT:
+        raise ValueError(f"{name} must not exceed the largest count 2**63 - 1, got {value!r}")
     return int(value)
 
 
@@ -384,6 +389,11 @@ def _dataset_1d(data) -> np.ndarray:
     finite = np.issubdtype(xs.dtype, np.number) and np.all(np.isfinite(xs))
     if not finite or np.any(xs != np.floor(xs)) or np.any(xs < 0):
         raise ValueError("data must be non-negative integers")
+    # int() of the largest entry is exact in every dtype; a float past the
+    # int64 range would wrap where a count is cast to int64
+    top = int(xs.max())
+    if top > _MAX_COUNT:
+        raise ValueError(f"data must not exceed the largest count 2**63 - 1, got {top}")
     return xs.astype(float)
 
 

@@ -768,16 +768,16 @@ class TestStartup:
 
     # the bdw modules each command loads: the layers it runs, and no other
     _START = {"bdw", "bdw.cli", "bdw.bivariate", "bdw.univariate", "bdw.datasets"}
-    _FITS = _START | {"bdw.mobw", "bdw.fit_ml", "bdw.gof"}
+    _FITS = _START | {"bdw.fit_ml", "bdw.gof"}
     _LOADED = {
         "pmf-table": _START,
         "moments": _START,
-        "simulate": _START | {"bdw.mobw"},
+        "simulate": _START,
         "fit-ml": _FITS,
         "gof": _FITS,
         "gof-x1": _START | {"bdw.gof"},
         "fit-dw": _START | {"bdw.gof"},
-        "fit-bayes": _FITS - {"bdw.gof"} | {"bdw.fit_bayes"},
+        "fit-bayes": _START | {"bdw.fit_ml", "bdw.mobw", "bdw.fit_bayes"},
     }
 
     @pytest.mark.parametrize("argv", ALL_COMMANDS, ids=lambda argv: argv[0])

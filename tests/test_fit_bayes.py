@@ -597,6 +597,14 @@ class TestIntervals:
         with pytest.raises(ValueError, match="non-empty"):
             credible_interval([], beta=0.05)
 
+    @pytest.mark.parametrize("interval", [credible_interval, hpd_interval])
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
+    def test_non_finite_draw_is_refused_by_its_index(self, interval, bad):
+        # a sorted infinite draw read (1.0, nan) at an end, as did a NaN
+        draws = [1.0, bad, 2.0, 3.0] * 10
+        with pytest.raises(ValueError, match=rf"^draws must be finite, got {bad!r} at index 1$"):
+            interval(draws)
+
     def test_hpd_uniform_grid(self):
         # 100 equally likely values, 90% mass: every window has length
         # 90, the leftmost wins

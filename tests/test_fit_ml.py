@@ -397,20 +397,22 @@ class TestInnerEM:
         assert l0 == pytest.approx(c0 / t0, rel=1e-4, abs=1e-8)
 
     def test_e_step_is_the_expected_cause_attribution(self, football, monkeypatch):
-        # one attribution serves the Gibbs rate step and the inner EM
+        # one attribution serves the Gibbs rate step and the inner EM, which
+        # reads it from the latent layer
+        assert fit_bayes.cause_counts is mobw.cause_counts
+        cause_counts = mobw.cause_counts
         calls = []
 
         def counted(st, lambdas, rng=None):
             calls.append(lambdas)
-            return mobw.cause_counts(st, lambdas, rng)
+            return cause_counts(st, lambdas, rng)
 
-        monkeypatch.setattr(fit_ml, "cause_counts", counted)
+        monkeypatch.setattr(mobw, "cause_counts", counted)
         theta = init_estimates(football)
         trace = []
         inner_em_mobw(impute_dataset(theta, football), theta, trace=trace)
         assert len(calls) == len(trace)
         assert calls[0] == (theta.lambda0, theta.lambda1, theta.lambda2)
-        assert fit_bayes.cause_counts is mobw.cause_counts
 
     def test_all_tie_sample_rejected(self):
         from bdw.mobw import CompleteObservation

@@ -145,15 +145,24 @@ class TestUnivariate:
             chisq_dw([-1, 2], DWParams(1.5, 0.5))
 
     @pytest.mark.parametrize(
-        "data",
-        [[0.5, 1.7, 2], ["1", "2"], [0, 1, 2, np.inf], [0, 1, np.nan]],
-        ids=["fractions", "strings", "infinite", "nan"],
+        "data, message",
+        [
+            ([0.5, 1.7, 2], "^data must be non-negative integers$"),
+            (["1", "2"], "^data must be non-negative integers$"),
+            ([0, 1, 2, np.inf], "^data must be non-negative integers$"),
+            ([0, 1, np.nan], "^data must be non-negative integers$"),
+            (
+                [0, 1, 2, 2**63],
+                r"^data must not exceed the largest count 2\*\*63 - 1, got 9223372036854775808$",
+            ),
+        ],
+        ids=["fractions", "strings", "infinite", "nan", "past-int64"],
     )
-    def test_non_counts_are_refused_as_the_fits_refuse_them(self, data):
+    def test_non_counts_are_refused_as_the_fits_refuse_them(self, data, message):
         # a fraction is not truncated to a count, nor a string parsed, nor
-        # an infinite value cast to int64
+        # an infinite value or one past the int64 range cast to int64
         for check in (dw_fit_ml, dw_fit_minchisq, lambda d: chisq_dw(d, DWParams(1.5, 0.5))):
-            with pytest.raises(ValueError, match="^data must be non-negative integers$"):
+            with pytest.raises(ValueError, match=message):
                 check(data)
 
     @pytest.mark.parametrize("absorb_tail", [True, False])

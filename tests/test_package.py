@@ -1,5 +1,6 @@
 """The package namespace: public names resolve, on first use, to their submodules' objects."""
 
+import ast
 import json
 import os
 import pathlib
@@ -33,6 +34,81 @@ def test_dataset_container_is_one_object():
     data = datasets.builtin_dataset("nasal")
     old = pickle.dumps(data, protocol=0).replace(b"bdw.datasets\n", b"bdw.fit_ml\n")
     assert b"bdw.fit_ml\n" in old and pickle.loads(old) == data
+
+
+def test_law_in_rates_is_one_object():
+    # the law in rates and its shock sampler live in the law layer; the
+    # latent layer re-exports them, so a pickle that names bdw.mobw loads
+    import pickle
+
+    from bdw import bivariate, mobw
+
+    assert bdw.MOBWParams is bivariate.MOBWParams is mobw.MOBWParams
+    assert mobw.mobw_sample is bivariate.mobw_sample
+    law = bivariate.MOBWParams(1.5, 0.1, 0.3, 0.2)
+    old = pickle.dumps(law, protocol=0).replace(b"bdw.bivariate\n", b"bdw.mobw\n")
+    assert b"bdw.mobw\n" in old and pickle.loads(old) == law
+
+
+def test_latent_sample_helpers_resolve_in_the_ml_layer():
+    # they live in the latent layer; the ML-fit layer resolves their names
+    from bdw import fit_ml, mobw
+
+    assert fit_ml.impute_dataset is mobw.impute_dataset
+    assert fit_ml.inner_em_mobw is mobw.inner_em_mobw
+    with pytest.raises(AttributeError, match="^module 'bdw.fit_ml' has no attribute 'summarize'$"):
+        fit_ml.summarize
+
+
+# the package's layers, lowest first: a module imports only the layers
+# below its own
+LAYERS = [
+    {"univariate"}, {"bivariate"}, {"datasets"}, {"gof", "mobw", "fit_ml"}, {"fit_bayes"}, {"cli"}
+]
+RANK = {module: rank for rank, layer in enumerate(LAYERS) for module in layer}
+
+
+def _bdw_imports(nodes, function=None, typing=False):
+    """``(module, enclosing function, under TYPE_CHECKING)`` of every
+    import of a ``bdw`` submodule among ``nodes``, at any depth."""
+    for node in nodes:
+        if isinstance(node, ast.ImportFrom):
+            if node.level:
+                # from . import a, b / from .a import x
+                targets = [a.name for a in node.names] if node.module is None else [node.module]
+            else:
+                targets = [node.module[4:]] if (node.module or "").startswith("bdw.") else []
+        elif isinstance(node, ast.Import):
+            targets = [a.name[4:] for a in node.names if a.name.startswith("bdw.")]
+        elif isinstance(node, ast.If) and ast.unparse(node.test) == "TYPE_CHECKING":
+            yield from _bdw_imports(node.body, function, True)
+            yield from _bdw_imports(node.orelse, function, typing)
+            continue
+        else:
+            inner = function
+            if function is None and isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                inner = node.name
+            yield from _bdw_imports(ast.iter_child_nodes(node), inner, typing)
+            continue
+        for target in targets:
+            yield target.split(".")[0], function, typing
+
+
+def test_each_module_imports_only_the_layers_below_it():
+    src = pathlib.Path(bdw.__file__).parent
+    paths = sorted(src.glob("*.py"))
+    assert {p.stem for p in paths} == {*RANK, "__init__"}
+    wrong = []
+    for path in paths:
+        module = path.stem
+        for target, function, typing in _bdw_imports(ast.parse(path.read_text()).body):
+            if typing or (module, function) == ("fit_ml", "__getattr__"):
+                continue  # a type name, or the ML layer's name shim
+            if function is not None and not (module == "cli" and function.startswith("_cmd_")):
+                wrong.append(f"{module}.{function} imports {target} when called")
+            elif RANK[target] >= RANK[module]:
+                wrong.append(f"{module} imports {target}")
+    assert wrong == []
 
 
 def test_dir_lists_the_public_api():

@@ -410,7 +410,8 @@ COUNT_ARGS = {
     "pqd_check_on_grid": (lambda v: bivariate.pqd_check_on_grid(_LAW, v), "k"),
     "chisq_upper_tail-df": (lambda v: gof.chisq_upper_tail(1.0, v), "degrees of freedom"),
 }
-# a real argument, with the function's limit at infinity
+# a real argument, with the function's limit at infinity, or None where
+# the argument must be positive and finite
 REAL_ARGS = {
     "dw_sf": (lambda v: dw_sf(_DW, v), "y", 0.0),
     "joint_sf": (lambda v: bivariate.joint_sf(_LAW, v, 0), "arguments", 0.0),
@@ -419,10 +420,14 @@ REAL_ARGS = {
     "mobw_sf": (lambda v: mobw.mobw_sf(_LATENT, v, 0), "arguments", 0.0),
     "mobw_pdf": (lambda v: mobw.mobw_pdf(_LATENT, v, 1.0).value, "arguments", 0.0),
     "chisq_upper_tail-x": (lambda v: gof.chisq_upper_tail(v, 3), "statistic", 0.0),
+    "we_mode-shape": (lambda v: we_mode(v, 0.3), "shape", None),
+    "we_mode-rate": (lambda v: we_mode(1.5, v), "rate", None),
 }
 ODD_VALUES = pytest.mark.parametrize(
     "value", [math.inf, math.nan, 2.5, -1], ids=["inf", "nan", "fraction", "negative"]
 )
+# whole numbers past the int64 range, and past the float range
+PAST_INT64 = pytest.mark.parametrize("value", [2**63, 10**400], ids=["2**63", "10**400"])
 
 
 class TestArgumentContract:
@@ -433,6 +438,23 @@ class TestArgumentContract:
         message = rf"^{name} must be a (non-negative|positive) integer, got {value!r}$"
         with pytest.raises(ValueError, match=message):
             call(value)
+
+    # the two grid sweeps are left out: a bound that passed the count rule
+    # would build its grid, so a lapse there would exhaust memory, not fail
+    @PAST_INT64
+    @pytest.mark.parametrize(
+        "entry", sorted(set(COUNT_ARGS) - {"is_tp2_on_grid", "pqd_check_on_grid"})
+    )
+    def test_count_past_int64_is_refused_by_name(self, entry, value):
+        call, name = COUNT_ARGS[entry]
+        message = rf"^{name} must not exceed the largest count 2\*\*63 - 1, got {value!r}$"
+        with pytest.raises(ValueError, match=message):
+            call(value)
+
+    @pytest.mark.parametrize("entry", ["joint_pmf", "joint_cdf", "cond_pmf", "dw_pmf"])
+    def test_largest_count_is_a_count(self, entry):
+        call, _ = COUNT_ARGS[entry]
+        assert math.isfinite(call(2**63 - 1))
 
     @pytest.mark.parametrize("entry", sorted(COUNT_ARGS))
     def test_whole_numbers_of_any_type_are_counts(self, entry):
@@ -445,7 +467,14 @@ class TestArgumentContract:
     @pytest.mark.parametrize("entry", sorted(REAL_ARGS))
     def test_real_argument_is_finite_or_refused_by_name(self, entry, value):
         call, name, limit = REAL_ARGS[entry]
-        if value >= 0:
+        if limit is None:
+            if 0 < value < math.inf:
+                assert math.isfinite(call(value))
+            else:
+                message = rf"^{name} must be positive and finite, got {re.escape(repr(value))}$"
+                with pytest.raises(ValueError, match=message):
+                    call(value)
+        elif value >= 0:
             got = call(value)
             assert math.isfinite(got)
             assert value < math.inf or got == limit
