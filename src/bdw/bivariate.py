@@ -127,6 +127,10 @@ class MOBWParams(_Record):
             v = getattr(self, name)
             if not (v > 0 and math.isfinite(v)):
                 raise ValueError(f"{name} must be positive and finite, got {v}")
+        if not math.isfinite(self.total):
+            raise ValueError(
+                f"the total rate lambda0 + lambda1 + lambda2 must be finite, got {self.total}"
+            )
 
     @property
     def total(self) -> float:
@@ -157,7 +161,8 @@ class BdwMoments(_Record):
 
 
 class GridCheckReport(_Record):
-    """Result of an inequality sweep over a finite grid of survival ratios."""
+    """Result of a dependence check over a finite grid of survival ratios,
+    evaluated from the paper's closed form of the ratios."""
 
     passed: bool
     worst_ratio: float
@@ -410,7 +415,7 @@ def sample(params, rng: np.random.Generator, size=None):
 
 
 # the largest bound K of a grid [0, K]^2 that is built: the (K + 1)^2 table
-# of a wider grid does not fit in memory
+# of a wider grid does not fit in memory; moments' box keeps the same cap
 _MAX_GRID_BOUND = 10_000
 
 
@@ -452,25 +457,37 @@ def _truncation_bound(params, epsilon: float) -> int:
 def moments(params, epsilon: float = 1e-10) -> BdwMoments:
     """Means, variances, covariance and correlation by truncated summation.
 
-    The double sum runs over [0, K]^2 where K is the smallest integer at
-    which the heavier marginal's survival drops below ``epsilon``; K is
-    reported so callers can judge the truncation.  A K past
-    ``_MAX_GRID_BOUND`` is refused before the grid is built.
+    The sums run over [0, K]^2 where K is the smallest integer at which the
+    heavier marginal's survival drops below ``epsilon``; K is reported so
+    callers can judge the truncation, and one past ``_MAX_GRID_BOUND`` is
+    refused.  Each sum adds box tail probabilities, read in O(K) off the
+    joint survival ``S(x, y) = e1[x] * e2[y] * e0[max(x, y)]`` with
+    ``e_i[v] = exp(-lambda_i * v**alpha)``: ``E[X1; box]`` sums
+    ``P(X1 >= v, box)`` over v = 1..K, ``E[X1**2; box]`` weighs it by
+    ``2v - 1``, and ``E[X1 X2; box]`` sums ``P(X1 >= x, X2 >= y, box)``.
     """
     if not 0 < epsilon <= 1e-4:
         raise ValueError(f"epsilon must lie in (0, 1e-4], got {epsilon}")
     k = _truncation_bound(params, epsilon)
     if k > _MAX_GRID_BOUND:
         raise _intractable_grid(k, epsilon)
-    grid = joint_pmf_grid(params, k, k)
-    xs = np.arange(k + 1, dtype=float)
-    p1m = grid.sum(axis=1)
-    p2m = grid.sum(axis=0)
-    mean1 = float(xs @ p1m)
-    mean2 = float(xs @ p2m)
-    var1 = float(xs**2 @ p1m) - mean1**2
-    var2 = float(xs**2 @ p2m) - mean2**2
-    exy = float(xs @ grid @ xs)
+    a, lam0, lam1, lam2 = _rates(params)
+    with np.errstate(over="ignore"):
+        pw = np.arange(k + 2, dtype=float) ** a
+    e0 = np.exp(-lam0 * pw) if lam0 > 0.0 else np.ones(k + 2)
+    e1, e2 = np.exp(-lam1 * pw), np.exp(-lam2 * pw)
+    # P(Xi >= v, box) for v = 1..K: S(v, 0) - S(v, K+1), less the same at K+1
+    t1, t2 = e1 * (e0 - e0[-1] * e2[-1]), e2 * (e0 - e0[-1] * e1[-1])
+    g1, g2 = t1[1:-1] - t1[-1], t2[1:-1] - t2[-1]
+    odd = np.arange(1, 2 * k, 2, dtype=float)
+    mean1, mean2 = float(g1.sum()), float(g2.sum())
+    var1, var2 = float(odd @ g1) - mean1**2, float(odd @ g2) - mean2**2
+    # S over [1, K]^2 split at the diagonal, where c_i[y] sums e_i[x] over
+    # 1 <= x < y, less the survivals past the far edges, each counted K times
+    f0, f1, f2 = e0[1:-1], e1[1:-1], e2[1:-1]
+    c1, c2 = np.cumsum(f1) - f1, np.cumsum(f2) - f2
+    edges = e0[-1] * (e2[-1] * f1.sum() + e1[-1] * f2.sum() - k * e1[-1] * e2[-1])
+    exy = float(f0 @ (f1 * f2 + f2 * c1 + f1 * c2) - k * edges)
     cov = exy - mean1 * mean2
     corr = cov / math.sqrt(var1 * var2)
     return BdwMoments(mean1, mean2, var1, var2, cov, corr, k)
@@ -490,73 +507,48 @@ def from_mobw(params) -> BDWParams:
     return BDWParams(params.alpha, *(_to_base(name, getattr(params, name)) for name in names))
 
 
-def _grid_report(logratio: np.ndarray, coords: tuple) -> GridCheckReport:
-    """Reduce a sweep's log-ratios, in sweep order, to its report.
-
-    ``coords`` holds one array per grid coordinate, broadcastable to
-    ``logratio``; the witness is the first point attaining a negative
-    worst.  A NaN log-ratio (the difference of two powers that overflowed
-    to inf) is skipped, as a comparison skips it.  A finite largest
-    log-ratio whose ratio overflows a float is refused, naming the grid
-    bound: the largest coordinate.
-    """
-    worst = float(np.fmin.reduce(logratio, axis=None, initial=math.inf))
-    best = float(np.fmax.reduce(logratio, axis=None, initial=-math.inf))
+def _dependence_report(params, k: int, checked: int) -> GridCheckReport:
+    # every log-ratio of a check on the grid of bound k is lambda0 times a
+    # non-negative difference of powers: the least is 0 and the largest
+    # lambda0 * k**alpha, which is 0 at a zero shared rate even where the
+    # power overflows; a largest ratio past the float range is refused
+    a, lam0 = _rates(params)[:2]
+    best = lam0 * _power(float(k), a) if lam0 > 0.0 else 0.0
     try:
         max_ratio = math.exp(best)
     except OverflowError:
-        k = max(int(np.max(c)) for c in coords)
+        max_ratio = math.inf
+    if max_ratio == math.inf:
         raise ValueError(
             f"the largest survival ratio on the grid of bound k = {k} is "
             f"exp({best!r}), past the float range: check a smaller k"
-        ) from None
-    witness = None
-    if worst < 0:
-        at = np.unravel_index(np.argmax(logratio == worst), logratio.shape)
-        witness = tuple(int(np.broadcast_to(c, logratio.shape)[at]) for c in coords)
-    return GridCheckReport(worst >= 0.0, math.exp(worst), max_ratio, witness, logratio.size)
-
-
-def _grid_powers(params, k: int) -> np.ndarray:
-    # v**alpha for v in [0, k], the powers every survival ratio is made of
-    return np.array([float(v) ** params.alpha for v in range(k + 1)])
+        )
+    return GridCheckReport(True, 1.0, max_ratio, None, checked)
 
 
 def is_tp2_on_grid(params, k: int = 10) -> GridCheckReport:
-    """Sweep the order-2 total-positivity inequality of the joint survival.
+    """Order-2 total positivity of the joint survival on [0, k]^2.
 
     For every ``x11 <= x12`` and ``x21 <= x22`` in [0, k] the product
     ``S(x11,x21)*S(x12,x22)`` must dominate ``S(x12,x21)*S(x11,x22)``.  The
-    coordinate-specific factors cancel exactly in the ratio, which therefore
-    reduces to a power of ``p0``; evaluating that reduced form keeps the
-    sweep immune to spurious last-ulp violations, and makes the ratio
-    identically one when ``p0 = 1``.  The sweep runs over ``(x11, x12)``,
-    then ``(x21, x22)``, each in row-major order.
+    coordinate-specific factors and the largest of the four maxima cancel,
+    leaving ``p0**(a - min(b, c))`` with ``a = max(x11, x21)**alpha``, ``b =
+    max(x12, x21)**alpha`` and ``c = max(x11, x22)**alpha``.  As ``a <=
+    min(b, c)``, it is at least one for every law, the paper's result.  The
+    report evaluates it over the T**2 rectangles, T = (k+1)(k+2)/2.
     """
     k = _count(k, "k", positive=True)
-    pw = _grid_powers(params, k)
-    lo, hi = np.triu_indices(k + 1)
-    x11, x12 = lo[:, None], hi[:, None]
-    x21, x22 = lo[None, :], hi[None, :]
-    # the largest of the four maxima appears on both sides and cancels
-    # exactly; only the smaller pair survives
-    logratio = -_rates(params)[1] * (
-        pw[np.maximum(x11, x21)]
-        - np.minimum(pw[np.maximum(x12, x21)], pw[np.maximum(x11, x22)])
-    )
-    return _grid_report(logratio, (x11, x12, x21, x22))
+    pairs = (k + 1) * (k + 2) // 2
+    return _dependence_report(params, k, pairs * pairs)
 
 
 def pqd_check_on_grid(params, k: int = 10) -> GridCheckReport:
-    """Sweep positive quadrant dependence: joint survival vs product of marginals.
+    """Positive quadrant dependence on [0, k]^2: joint survival vs product of marginals.
 
-    The ratio reduces exactly to ``p0**(-min(x1, x2)**alpha)``: the
-    coordinatewise factors cancel and the shared component does the work.
-    Equality holds everywhere iff ``p0 = 1``; otherwise the boundary rows
-    ``min(x1, x2) = 0`` are the only equality cells.
+    The ratio reduces exactly to ``p0**(-min(x1, x2)**alpha)``, at least one
+    for every law, the paper's result: the coordinatewise factors cancel and
+    the shared component does the work.  Equality holds everywhere iff
+    ``p0 = 1``.  The report evaluates it over the (k+1)**2 cells.
     """
     k = _count(k, "k", positive=True)
-    pw = _grid_powers(params, k)
-    x1, x2 = np.ogrid[: k + 1, : k + 1]
-    logratio = _rates(params)[1] * pw[np.minimum(x1, x2)]
-    return _grid_report(logratio, (x1, x2))
+    return _dependence_report(params, k, (k + 1) ** 2)

@@ -1,14 +1,18 @@
 import math
 import signal
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from bdw import bivariate
 from bdw.bivariate import (
     BDWParams,
     BivariateGeomParams,
+    MOBWParams,
     closure_min,
     cond_pmf,
     cond_sf_given_eq,
@@ -46,6 +50,39 @@ def rect_mass(params, i, j):
         - joint_sf(params, i, j + 1)
         + joint_sf(params, i + 1, j + 1)
     )
+
+
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
+
+
+def _oracle_log_ratios(law, k):
+    """The TP2 and the PQD log-ratios of the joint survival on [0, k]^2,
+    each with the sum of the magnitudes of the log-survivals it cancels.
+
+    TP2 spans every ``x11 <= x12`` (rows) and ``x21 <= x22`` (columns), in
+    the order of ``np.triu_indices``; PQD spans every cell ``(x1, x2)``.
+    """
+    rates = bivariate._rates(law)
+    ls = np.array([[bivariate._log_sf(rates, x1, x2) for x2 in range(k + 1)]
+                   for x1 in range(k + 1)])
+    lo, hi = np.triu_indices(k + 1)
+    terms = (ls[lo[:, None], lo], ls[hi[:, None], hi], -ls[hi[:, None], lo], -ls[lo[:, None], hi])
+    tp2 = (sum(terms), sum(np.abs(t) for t in terms))
+    terms = (ls, -ls[:, :1], -ls[:1, :])
+    pqd = (sum(terms), sum(np.abs(t) for t in terms))
+    return tp2, pqd
+
+
+@st.composite
+def _dependence_laws(draw):
+    # shapes 0.05 to 20 and rates e**-20 to e, log-uniform, the shared rate
+    # sometimes 0, given as survival bases or as rates
+    alpha = math.exp(draw(st.floats(math.log(0.05), math.log(20.0))))
+    rate = st.floats(-20.0, 1.0).map(math.exp)
+    lam = (draw(st.one_of(st.just(0.0), rate)), draw(rate), draw(rate))
+    if draw(st.booleans()):
+        return BDWParams(alpha, *(math.exp(-v) for v in lam))
+    return MOBWParams(alpha, *lam)
 
 
 class TestJointLaw:
@@ -236,6 +273,36 @@ class TestMomentsAndDependence:
         )
         assert m.truncation_bound >= 1
 
+    @staticmethod
+    def _no_grid(*args):
+        raise AssertionError("the grid was built")
+
+    def test_moments_sum_the_grid_without_building_it(self, monkeypatch):
+        # rates 0.1, 0.2 and 0.3: moments' box is [0, 228]^2 at shape 0.8
+        params = BDWParams(0.8, math.exp(-0.1), math.exp(-0.2), math.exp(-0.3))
+        k = 228
+        grid = joint_pmf_grid(params, k, k)
+        xs = np.arange(k + 1, dtype=float)
+        p1, p2 = grid.sum(axis=1), grid.sum(axis=0)
+        mean1, mean2 = xs @ p1, xs @ p2
+        var1, var2 = xs**2 @ p1 - mean1**2, xs**2 @ p2 - mean2**2
+        cov = xs @ grid @ xs - mean1 * mean2
+        monkeypatch.setattr(bivariate, "joint_pmf_grid", self._no_grid)
+        want = (mean1, mean2, var1, var2, cov, cov / math.sqrt(var1 * var2), k)
+        for law in (params, to_mobw(params)):
+            m = moments(law)
+            assert [getattr(m, name) for name in m._fields] == pytest.approx(want, rel=1e-12)
+
+    def test_moments_of_a_wide_box(self, monkeypatch):
+        # at shape 0.5 the box is [0, 5891]^2; the values are sums over its
+        # (K + 1)^2 pmf grid, recorded, as the grid takes seconds to build
+        monkeypatch.setattr(bivariate, "joint_pmf_grid", self._no_grid)
+        m = moments(BDWParams(0.5, math.exp(-0.1), math.exp(-0.2), math.exp(-0.3)))
+        assert [getattr(m, name) for name in m._fields] == pytest.approx([
+            21.780951967610715, 12.076758982200765, 2466.616543498568,
+            779.4286881916595, 130.55500711032164, 0.09415741338613233, 5891,
+        ], rel=1e-12)
+
     def test_heavy_tail_is_refused_before_the_grid(self, monkeypatch):
         # K = 62872299 would need a (K + 1)^2 grid of 28 PiB
         def no_grid(*args):
@@ -296,15 +363,6 @@ class TestMomentsAndDependence:
         assert rep.witness is None
         assert rep.worst_ratio >= 1.0
 
-    def test_grid_reduction_names_the_first_worst_point(self):
-        # two points share the worst log-ratio; a NaN is skipped
-        logratio = np.array([[0.5, -1.0], [np.nan, -1.0]])
-        rows, cols = np.ogrid[:2, :2]
-        rep = bivariate._grid_report(logratio, (rows, 10 + cols))
-        assert rep == bivariate.GridCheckReport(
-            False, math.exp(-1.0), math.exp(0.5), (0, 11), 4
-        )
-
     @pytest.mark.parametrize("check", [is_tp2_on_grid, pqd_check_on_grid])
     def test_overflowing_ratio_is_refused_by_name(self, check):
         # the largest ratio is exp(4.3e11): past the float range at k = 12
@@ -314,6 +372,13 @@ class TestMomentsAndDependence:
             check(BDWParams(10.0, 0.001, 0.5, 0.5), 12)
         # a grid whose largest ratio fits still reports
         assert check(BDWParams(10.0, 0.001, 0.5, 0.5), 1).max_ratio == pytest.approx(1000.0)
+        # k**alpha past the float range: refused where lambda0 > 0, and a
+        # ratio of one everywhere at p0 = 1
+        with pytest.raises(ValueError, match=r"^the largest survival ratio on the grid "
+                           r"of bound k = 10 is exp\(inf\), past the float range: "
+                           r"check a smaller k$"):
+            check(BDWParams(400.0, 0.9, 0.7, 0.7), 10)
+        assert check(BDWParams(400.0, 1.0, 0.7, 0.7), 10).max_ratio == 1.0
 
     def test_tp2_sweep_covers_ordered_pairs(self):
         rep = is_tp2_on_grid(BDWParams(1.3, 0.8, 0.7, 0.6), k=3)
@@ -324,6 +389,31 @@ class TestMomentsAndDependence:
         rep = pqd_check_on_grid(BDWParams(1.7, 1.0, 0.8, 0.7), k=8)
         assert rep.passed
         assert rep.max_ratio == pytest.approx(1.0, abs=1e-15)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(law=_dependence_laws(), k=st.integers(1, 12))
+    def test_checks_evaluate_the_sweep_of_the_survival(self, law, k):
+        # the oracle sweeps every ratio the checks stand for, formed from the
+        # joint survival, not from the reduced form; each log-ratio is good
+        # to 1e-12 of the log-survivals it cancels
+        for check, (logratio, scale) in zip(
+            (is_tp2_on_grid, pqd_check_on_grid), _oracle_log_ratios(law, k)
+        ):
+            tol = 1e-12 * scale
+            assert (logratio >= -tol).all()
+            assert abs(logratio.flat[np.argmin(logratio)]) <= tol.flat[np.argmin(logratio)]
+            at = np.argmax(logratio)
+            best, tol = logratio.flat[at], tol.flat[at]
+            assume(abs(best - _LOG_FLOAT_MAX) > tol)
+            if best > _LOG_FLOAT_MAX:
+                with pytest.raises(ValueError, match=rf"^the largest survival ratio on the "
+                                   rf"grid of bound k = {k} is exp\("):
+                    check(law, k)
+                continue
+            rep = check(law, k)
+            assert (rep.passed, rep.worst_ratio, rep.witness) == (True, 1.0, None)
+            assert rep.checked == logratio.size
+            assert rep.max_ratio == pytest.approx(math.exp(best), rel=max(tol, 1e-12))
 
 
 class TestLatentCorrespondence:

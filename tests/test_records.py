@@ -140,6 +140,11 @@ def test_equality_is_within_one_class():
     (lambda: BDWParams(1.5, 0.9, 1.0, 0.75), r"p1 must lie in \(0, 1\), got 1.0"),
     (lambda: MOBWParams(1.5, -1.0, 0.3, 0.2), "lambda0 must be non-negative and finite, got -1.0"),
     (lambda: MOBWParams(1.5, 0.1, 0.3, 0.0), "lambda2 must be positive and finite, got 0.0"),
+    # rates each finite whose total is not: the law's total rate is refused
+    (lambda: MOBWParams(2.0, 1e308, 1e308, 1e308),
+     r"the total rate lambda0 \+ lambda1 \+ lambda2 must be finite, got inf"),
+    (lambda: MOBWParams(2.0, 0.0, 1.7e308, 1.7e308),
+     r"the total rate lambda0 \+ lambda1 \+ lambda2 must be finite, got inf"),
     (lambda: CompleteObservation(-1.0, 2.0, "below"), "lifetimes must be non-negative"),
     (lambda: CompleteObservation(1.0, 2.0, "tied"), "kind must be below, above or tie, got 'tied'"),
     (lambda: CompleteObservation(2.0, 1.0, "below"),

@@ -439,12 +439,8 @@ class TestArgumentContract:
         with pytest.raises(ValueError, match=message):
             call(value)
 
-    # the two grid sweeps are left out: a bound that passed the count rule
-    # would build its grid, so a lapse there would exhaust memory, not fail
     @PAST_INT64
-    @pytest.mark.parametrize(
-        "entry", sorted(set(COUNT_ARGS) - {"is_tp2_on_grid", "pqd_check_on_grid"})
-    )
+    @pytest.mark.parametrize("entry", sorted(COUNT_ARGS))
     def test_count_past_int64_is_refused_by_name(self, entry, value):
         call, name = COUNT_ARGS[entry]
         message = rf"^{name} must not exceed the largest count 2\*\*63 - 1, got {value!r}$"
@@ -455,6 +451,16 @@ class TestArgumentContract:
     def test_largest_count_is_a_count(self, entry):
         call, _ = COUNT_ARGS[entry]
         assert math.isfinite(call(2**63 - 1))
+
+    @pytest.mark.parametrize("check", [bivariate.is_tp2_on_grid, bivariate.pqd_check_on_grid])
+    def test_largest_count_is_a_grid_bound(self, check):
+        # the law's largest ratio there is past the float range, refused by
+        # name; at p0 = 1 every ratio is one
+        k = 2**63 - 1
+        with pytest.raises(ValueError, match=rf"^the largest survival ratio on the grid "
+                           rf"of bound k = {k} is exp\("):
+            check(_LAW, k)
+        assert check(bivariate.BDWParams(1.5, 1.0, 0.7, 0.75), k).max_ratio == 1.0
 
     @pytest.mark.parametrize("entry", sorted(COUNT_ARGS))
     def test_whole_numbers_of_any_type_are_counts(self, entry):
