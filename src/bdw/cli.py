@@ -29,7 +29,7 @@ import numpy as np
 from . import bivariate
 from .bivariate import BDWParams
 from .datasets import BUILTIN, BivariateDataset, builtin_dataset
-from .univariate import _MAX_COUNT
+from .univariate import _MAX_COUNT, _count
 
 if TYPE_CHECKING:
     from .gof import ChiSquareReport
@@ -274,9 +274,9 @@ def _cmd_simulate(args: argparse.Namespace) -> None:
 
 def _cmd_pmf_table(args: argparse.Namespace) -> None:
     params, _ = _law(args)
-    if args.k is not None and args.k > bivariate._MAX_GRID_BOUND:
-        raise bivariate._intractable_grid(args.k)
-    k = args.k if args.k is not None else bivariate._table_bound(params)
+    k = bivariate._table_bound(params) if args.k is None else _count(args.k, "--k")
+    if k > bivariate._MAX_GRID_BOUND:
+        raise bivariate._intractable_grid(k)
     grid = bivariate.joint_pmf_grid(params, k, k)
     lines = ["x1,x2,pmf"]
     for i in range(k + 1):

@@ -237,6 +237,9 @@ def nested_em(data: BivariateDataset, start: MOBWParams | None = None) -> MLFitR
     return MLFitReport(params=params, loglik=bdw_loglik(params, data), ci95=ci95)
 
 
+_Z95 = 1.9599639845400536  # statistics.NormalDist().inv_cdf(0.5 + 0.95 / 2.0)
+
+
 def observed_info_ci(
     theta: MOBWParams, data: BivariateDataset, level: float = 0.95
 ) -> dict[str, tuple[float, float]]:
@@ -248,9 +251,6 @@ def observed_info_ci(
     positive definite — the quadratic approximation is then untrustworthy
     and profile likelihood is the honest fallback.
     """
-    # imported here: statistics costs every command's start-up ~3 ms
-    from statistics import NormalDist
-
     if not 0 < level < 1:
         raise ValueError(f"level must lie in (0, 1), got {level}")
     x0 = np.array([theta.alpha, theta.lambda0, theta.lambda1, theta.lambda2])
@@ -265,7 +265,11 @@ def observed_info_ci(
             "use profile likelihood for interval estimates"
         ) from None
     cov = np.linalg.inv(info)
-    z = NormalDist().inv_cdf(0.5 + level / 2.0)
+    if level == 0.95:
+        z = _Z95
+    else:  # imported here: statistics costs every command's start-up ~3 ms
+        from statistics import NormalDist
+        z = NormalDist().inv_cdf(0.5 + level / 2.0)
     out = {}
     for k, i in enumerate(free):
         se = math.sqrt(cov[k, k])

@@ -12,7 +12,7 @@ approximation is not applied to near-empty cells.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
@@ -85,31 +85,24 @@ class ChiSquareReport(_Record):
     cells: tuple[tuple[str, int, float], ...]
 
 
-def _pool(
-    labels: list[str], observed: list[int], expected: list[float]
-) -> tuple[list[str], list[int], list[float]]:
+def _pool(observed: list[int], expected: list[float]) -> list[tuple[int, int, int, float]]:
     """Merge adjacent cells rightward until every group's expected >= 1; a
     remainder short of it joins the last group, or stands alone when there
-    is none."""
-    groups: list[tuple[list[str], int, float]] = []
-    acc_l: list[str] = []
-    acc_o = 0
-    acc_e = 0.0
-    for lab, o, e in zip(labels, observed, expected):
-        acc_l.append(lab)
+    is none.  A group is its first and last cell with its two sums."""
+    groups: list[tuple[int, int, int, float]] = []
+    first, acc_o, acc_e = 0, 0, 0.0
+    for k, (o, e) in enumerate(zip(observed, expected)):
         acc_o += o
         acc_e += e
         if acc_e >= POOL_THRESHOLD:
-            groups.append((acc_l, acc_o, acc_e))
-            acc_l, acc_o, acc_e = [], 0, 0.0
-    if acc_l:
+            groups.append((first, k, acc_o, acc_e))
+            first, acc_o, acc_e = k + 1, 0, 0.0
+    if first < len(observed):
         if groups:
-            last_l, last_o, last_e = groups.pop()
-            acc_l, acc_o, acc_e = last_l + acc_l, last_o + acc_o, last_e + acc_e
-        groups.append((acc_l, acc_o, acc_e))
-    return (
-        ["+".join(g[0]) for g in groups], [g[1] for g in groups], [g[2] for g in groups]
-    )
+            first, _, last_o, last_e = groups.pop()
+            acc_o, acc_e = last_o + acc_o, last_e + acc_e
+        groups.append((first, len(observed) - 1, acc_o, acc_e))
+    return groups
 
 
 def _axis(top: int, absorb_tail: bool = True) -> list[str]:
@@ -121,24 +114,26 @@ def _axis(top: int, absorb_tail: bool = True) -> list[str]:
 
 
 def _report(
-    labels: list[str], counts: np.ndarray, mass: np.ndarray, df_penalty: int
+    name: Callable[[int], str], counts: np.ndarray, mass: np.ndarray, df_penalty: int
 ) -> ChiSquareReport:
-    """Pool and score a table of observed counts against its cell masses,
-    both laid out in the row-major order of ``labels``."""
+    """Pool and score a row-major table of counts against its cell masses.
+    ``name(k)`` labels cell k; a group of one cell keeps its label, of two
+    reads ``a+b``, and of more ``first..last``."""
+    df_penalty = _count(df_penalty, "df_penalty")
     n = int(counts.sum())
-    labels, obs, exp = _pool(labels, counts.ravel().tolist(), (n * mass).ravel().tolist())
-    if len(obs) < 2:
+    groups = _pool(counts.ravel().tolist(), (n * mass).ravel().tolist())
+    if len(groups) < 2:
         raise ValueError("fewer than two cells after pooling")
-    df = len(obs) - 1 - df_penalty
+    df = len(groups) - 1 - df_penalty
     if df < 1:
         raise ValueError("no degrees of freedom left after the penalty")
+    _, _, obs, exp = zip(*groups)
     stat = float(_pearson(np.asarray(obs, dtype=float), np.asarray(exp)))
-    return ChiSquareReport(
-        statistic=stat,
-        df=df,
-        p_value=chisq_upper_tail(stat, df),
-        cells=tuple(zip(labels, obs, exp)),
+    cells = tuple(
+        (name(a) if a == b else name(a) + ("+" if b == a + 1 else "..") + name(b), o, e)
+        for a, b, o, e in groups
     )
+    return ChiSquareReport(statistic=stat, df=df, p_value=chisq_upper_tail(stat, df), cells=cells)
 
 
 def chisq_dw(
@@ -162,7 +157,7 @@ def chisq_dw(
     top = int(values.max())
     last = dw_sf if absorb_tail else dw_pmf
     mass = np.array([dw_pmf(params, y) for y in range(top)] + [last(params, top)])
-    return _report(_axis(top, absorb_tail), np.bincount(values), mass, df_penalty)
+    return _report(_axis(top, absorb_tail).__getitem__, np.bincount(values), mass, df_penalty)
 
 
 def chisq_bdw(
@@ -191,5 +186,5 @@ def chisq_bdw(
         mass[i, top2] = s(params, i, top2) - s(params, i + 1, top2)
     mass[top1, top2] = s(params, top1, top2)
 
-    labels = [f"({a},{b})" for a in _axis(top1) for b in _axis(top2)]
-    return _report(labels, counts, mass, df_penalty)
+    axis1, axis2, w = _axis(top1), _axis(top2), top2 + 1
+    return _report(lambda k: f"({axis1[k // w]},{axis2[k % w]})", counts, mass, df_penalty)

@@ -659,6 +659,14 @@ class TestFailurePaths:
         assert err == "error: a grid [0, K]^2 with K = 100000 > 10000 is not tractable\n"
         assert not (tmp_path / "out").exists()
 
+    def test_pmf_table_negative_bound_is_refused_by_its_option(self, tmp_path, capsys):
+        # the grid once refused it under its own argument name, k1
+        args = ["pmf-table", "--alpha", "1.5", "--p0", "0.9", "--p1", "0.7", "--p2", "0.75"]
+        rc = main([*args, "--k", "-1", "--output", str(tmp_path / "out")])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: --k must be a non-negative integer, got -1\n"
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize(
         "args", [["fit-dw", "--column", "x1"], ["gof", "--column", "x1", "--estimator", "ml"]]
     )
@@ -749,9 +757,10 @@ class TestStartup:
         loaded = _modules_after(tmp_path, fit_bayes, ["numpy.ma"], package="numpy.ma")
         assert "numpy.ma" in loaded
 
-    @pytest.mark.parametrize("package", ["dataclasses", "logging"])
+    @pytest.mark.parametrize("package", ["dataclasses", "logging", "statistics"])
     def test_commands_load_neither_dataclasses_nor_logging(self, tmp_path, package):
-        # records carry no generated code, and logging loads only under BDW_LOG
+        # records carry no generated code, logging loads only under BDW_LOG,
+        # and statistics only for intervals at a level other than 95%
         assert _modules_after(tmp_path, ALL_COMMANDS, package=package) == set()
         # the control: the probe does see the module once something imports it
         loaded = _modules_after(tmp_path, ALL_COMMANDS[:1], [package], package=package)

@@ -616,6 +616,19 @@ class TestInference:
         assert fit.ci95 is not None
         assert fit.ci95["alpha"] == pytest.approx((hi - lo) / 2.0, rel=1e-6)
 
+    def test_default_quantile_is_the_normal_quantile(self, football):
+        # the default level reads a constant, so statistics is not imported
+        # for it; another level takes its quantile from statistics
+        from statistics import NormalDist
+
+        assert fit_ml._Z95 == NormalDist().inv_cdf(0.5 + 0.95 / 2.0)
+        fit = nested_em(football)
+        lo95, hi95 = observed_info_ci(fit.params, football)["alpha"]
+        lo90, hi90 = observed_info_ci(fit.params, football, level=0.9)["alpha"]
+        assert (hi90 - lo90) / (hi95 - lo95) == pytest.approx(
+            NormalDist().inv_cdf(0.95) / fit_ml._Z95, rel=1e-12
+        )
+
     @pytest.mark.filterwarnings("ignore:inconsistent marginal fits")
     def test_intervals_at_shared_rate_boundary(self):
         # no ties: lambda0 sits at 0, where the full 4x4 information is

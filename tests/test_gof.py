@@ -1,15 +1,17 @@
 import functools
 import math
 import operator
+import re
 
 import mpmath as mp
 import numpy as np
 import pytest
 from scipy import stats
 
+from bdw import gof
 from bdw.bivariate import BDWParams, joint_pmf, joint_sf, sample
 from bdw.fit_ml import BivariateDataset, nested_em
-from bdw.gof import POOL_THRESHOLD, _pool, _report, chisq_bdw, chisq_dw, chisq_upper_tail
+from bdw.gof import POOL_THRESHOLD, _axis, _pool, _report, chisq_bdw, chisq_dw, chisq_upper_tail
 from bdw.univariate import DWParams, dw_fit_minchisq, dw_fit_ml
 
 
@@ -175,40 +177,127 @@ class TestUnivariate:
         assert repr(got) == repr(want)
 
 
+@pytest.mark.parametrize(
+    "penalty, shown", [(-2, "-2"), (0.5, "0.5"), (math.nan, "nan"), ("1", "'1'")],
+    ids=["negative", "fraction", "nan", "string"],
+)
+@pytest.mark.parametrize("check", ["column", "joint"])
+def test_df_penalty_is_a_count(football, check, penalty, shown):
+    # a negative penalty once added degrees of freedom, a fraction or NaN was
+    # refused as the degrees of freedom, and a string raised a bare TypeError
+    if check == "column":
+        data, params, fit_check = [0, 1, 1, 2, 2, 2, 3, 3, 4, 5], DWParams(1.5, 0.7), chisq_dw
+    else:
+        data, params, fit_check = football, nested_em(football).bdw, chisq_bdw
+    assert fit_check(data, params, df_penalty=0).df == (3 if check == "column" else 10)
+    message = f"df_penalty must be a non-negative integer, got {shown}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        fit_check(data, params, df_penalty=penalty)
+
+
 class TestPool:
     def test_small_leading_cells_pool_rightward(self):
-        labels, obs, exp = _pool(["0", "1", "2", "3"], [1, 0, 2, 3], [0.25, 0.5, 0.25, 2.0])
-        assert labels == ["0+1+2", "3"]
-        assert obs == [3, 3]
-        assert exp == [1.0, 2.0]
+        groups = _pool([1, 0, 2, 3], [0.25, 0.5, 0.25, 2.0])
+        assert groups == [(0, 2, 3, 1.0), (3, 3, 3, 2.0)]
 
     def test_trailing_remainder_joins_the_last_group(self):
-        labels, obs, exp = _pool(
-            ["0", "1", "2", "3", "4"], [2, 1, 0, 1, 1], [1.5, 0.5, 0.5, 0.25, 0.125]
-        )
-        assert labels == ["0", "1+2+3+4"]
-        assert obs == [2, 3]
-        assert exp == [1.5, 1.0 + (0.25 + 0.125)]
+        groups = _pool([2, 1, 0, 1, 1], [1.5, 0.5, 0.5, 0.25, 0.125])
+        assert groups == [(0, 0, 2, 1.5), (1, 4, 3, 1.0 + (0.25 + 0.125))]
 
     def test_total_below_one_is_one_group_and_refused(self):
-        labels, obs, exp = _pool(["0", "1", "2"], [1, 0, 0], [0.25, 0.5, 0.125])
-        assert (labels, obs, exp) == (["0+1+2"], [1], [0.875])
+        assert _pool([1, 0, 0], [0.25, 0.5, 0.125]) == [(0, 2, 1, 0.875)]
         mass = np.array([0.25, 0.5, 0.125])
         with pytest.raises(ValueError, match="fewer than two cells"):
-            _report(["0", "1", "2"], np.array([1, 0, 0]), mass, 0)
+            _report(str, np.array([1, 0, 0]), mass, 0)
 
     def test_group_sums_are_sequential(self):
         # ten cells of 0.1 sum to 0.9999999999999999 left to right, so an
         # eleventh closes the group; the remainder is summed on its own,
         # then added to the last group
         expected = [0.1] * 11 + [0.1, 0.1, 0.1]
-        _, obs, exp = _pool([str(k) for k in range(14)], [1] * 14, expected)
+        groups = _pool([1] * 14, expected)
         group = functools.reduce(operator.add, expected[:11])
         assert functools.reduce(operator.add, expected[:10]) < POOL_THRESHOLD <= group
-        assert obs == [14]
-        assert exp == [group + (0.1 + 0.1 + 0.1)]
+        assert groups == [(0, 13, 14, group + (0.1 + 0.1 + 0.1))]
         # 1.4, where one left-to-right sum of all fourteen gives 1.4000000000000001
-        assert exp[0] != functools.reduce(operator.add, expected)
+        assert groups[0][3] != functools.reduce(operator.add, expected)
+
+    def test_groups_are_labelled_by_their_ends(self):
+        # groups of one, two and four cells: a range names its first and
+        # last cell only
+        mass = np.array([0.5, 0.0625, 0.1875, 0.0625, 0.03125, 0.03125, 0.0625])
+        rep = _report(lambda k: f"c{k}", np.array([4, 2, 1, 1, 0, 0, 0]), mass, 0)
+        assert rep.cells == (("c0", 4, 4.0), ("c1+c2", 3, 2.0), ("c3..c6", 1, 1.5))
+
+
+def _joined_cells(labels, observed, expected):
+    # the oracle: the pool as it once labelled its groups, by joining every
+    # cell label of a group with "+"
+    groups = []
+    acc_l, acc_o, acc_e = [], 0, 0.0
+    for lab, o, e in zip(labels, observed, expected):
+        acc_l.append(lab)
+        acc_o += o
+        acc_e += e
+        if acc_e >= POOL_THRESHOLD:
+            groups.append((acc_l, acc_o, acc_e))
+            acc_l, acc_o, acc_e = [], 0, 0.0
+    if acc_l:
+        if groups:
+            last_l, last_o, last_e = groups.pop()
+            acc_l, acc_o, acc_e = last_l + acc_l, last_o + acc_o, last_e + acc_e
+        groups.append((acc_l, acc_o, acc_e))
+    return [("+".join(g[0]), g[1], g[2]) for g in groups]
+
+
+# the six-row sample whose joined labels grew with the square of k
+def _spread(k):
+    return BivariateDataset(((0, 0), (1, 1), (2, 1), (1, 2), (k, 0), (0, k)))
+
+
+WIDE = BDWParams(1.2, 0.97, 0.95, 0.96)
+
+
+class TestRangeLabels:
+    @pytest.mark.parametrize("case", ["football", "nasal", "wide", "spread"])
+    def test_reports_match_the_joined_labels(self, football, nasal, monkeypatch, case):
+        if case == "wide":
+            draws = sample(WIDE, np.random.default_rng(8), size=1000)
+            data, params = BivariateDataset.from_pairs(draws.tolist()), WIDE
+        elif case == "spread":
+            data, params = _spread(300), WIDE
+        else:
+            data = football if case == "football" else nasal
+            params = nested_em(data).bdw
+        tables = []
+
+        def spy(name, counts, mass, df_penalty):
+            tables.append((counts, mass))
+            return _report(name, counts, mass, df_penalty)
+
+        monkeypatch.setattr(gof, "_report", spy)
+        rep = chisq_bdw(data, params)
+        (counts, mass), = tables
+        top1, top2 = counts.shape[0] - 1, counts.shape[1] - 1
+        labels = [f"({a},{b})" for a in _axis(top1) for b in _axis(top2)]
+        want = _joined_cells(labels, counts.ravel().tolist(), (data.n * mass).ravel().tolist())
+        assert len(rep.cells) == len(want)
+        ranges = 0
+        for (label, o, e), (joined, want_o, want_e) in zip(rep.cells, want):
+            assert (o, e) == (want_o, want_e)
+            parts = joined.split("+")
+            if len(parts) <= 2:
+                assert label == joined
+            else:
+                assert label == f"{parts[0]}..{parts[-1]}"
+                ranges += 1
+        assert ranges > 0 or case == "nasal"
+
+    def test_labels_are_bounded(self):
+        # joined, one label of this report held 9.7 MB
+        rep = chisq_bdw(_spread(1000), WIDE)
+        assert max(len(label) for label, _, _ in rep.cells) < 40
+        assert rep.cells[-1][0].endswith("..(>=1000,>=1000)")
 
 
 class TestBivariate:
@@ -271,7 +360,7 @@ class TestBivariate:
                     mass = joint_pmf(params, i, j)
                 expected.append(data.n * mass)
         cells = (top1 + 1) * (top2 + 1)
-        _, _, want = _pool([str(k) for k in range(cells)], [0] * cells, expected)
+        want = [e for _, _, _, e in _pool([0] * cells, expected)]
         got = [e for _, _, e in chisq_bdw(data, params).cells]
         np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
 
