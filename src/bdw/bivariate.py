@@ -27,8 +27,8 @@ densities and the latent-sample code of the fits live in
 from __future__ import annotations
 
 import math
-
-import numpy as np
+from itertools import accumulate
+from typing import TYPE_CHECKING
 
 from .univariate import (
     DWParams,
@@ -43,6 +43,9 @@ from .univariate import (
     _to_base,
     we_sample,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "BDWParams",
@@ -244,6 +247,8 @@ def _log_joint_pmf_arr(params, x1: np.ndarray, x2: np.ndarray, parts) -> np.ndar
     """Log joint pmf at the cells ``(x1, x2)``, arrays of one shape of
     integer-valued floats split by ``parts`` (no validation).  A cell past
     the float range, where a power overflows, comes back as -inf."""
+    import numpy as np
+
     a, lam0, lam1, lam2 = _rates(params)
 
     def rate(flags):
@@ -267,6 +272,8 @@ def _log_joint_pmf_arr(params, x1: np.ndarray, x2: np.ndarray, parts) -> np.ndar
 
 def joint_logpmf(params, x1: int, x2: int) -> float:
     """Natural log of the joint mass at an integer pair."""
+    import numpy as np
+
     i, j = _check_cell(x1, x2)
     g1, g2 = np.asarray([float(i)]), np.asarray([float(j)])
     return float(_log_joint_pmf_arr(params, g1, g2, _partition(g1, g2))[0])
@@ -303,6 +310,8 @@ def joint_pmf_grid(params, k1: int, k2: int) -> np.ndarray:
     Returns an array of shape (k1+1, k2+1) with entry [i, j] equal to
     ``joint_pmf(params, i, j)``.
     """
+    import numpy as np
+
     k1, k2 = _count(k1, "k1"), _count(k2, "k2")
     g1, g2 = np.broadcast_arrays(
         np.arange(k1 + 1, dtype=float)[:, None], np.arange(k2 + 1, dtype=float)[None, :]
@@ -341,6 +350,8 @@ def closure_min(components: list[BDWParams]) -> DWParams:
 
 def _second_mass(rates: tuple, j: int) -> float:
     # P(X2 = j), the DW mass of the rate lambda0 + lambda2, refused at zero
+    import numpy as np
+
     a, lam0, _, lam2 = rates
     mass = math.exp(_logpmf_arr(np.asarray([float(j)]), a, lam0 + lam2)[0])
     if mass == 0.0:
@@ -371,6 +382,8 @@ def cond_sf_given_eq(params, x1: int, x2: int) -> float:
     coordinate's own component, ``p1**(x1**alpha)``: knowing the second
     coordinate's exact value pins the shared shock beyond ``x2`` already.
     """
+    import numpy as np
+
     i, j = _check_cell(x1, x2)
     rates = _rates(params)
     a, lam0, lam1, lam2 = rates
@@ -389,6 +402,8 @@ def mobw_sample(params: MOBWParams, rng: np.random.Generator, size=None):
     single tuple.  Floors of the output follow the discrete pair law with
     survival bases ``exp(-lambda_i)``.
     """
+    import numpy as np
+
     n = 1 if size is None else int(size)
     u1 = we_sample(WeibullParams(params.alpha, params.lambda1), rng, size=n)
     u2 = we_sample(WeibullParams(params.alpha, params.lambda2), rng, size=n)
@@ -465,6 +480,8 @@ def moments(params, epsilon: float = 1e-10) -> BdwMoments:
     ``e_i[v] = exp(-lambda_i * v**alpha)``: ``E[X1; box]`` sums
     ``P(X1 >= v, box)`` over v = 1..K, ``E[X1**2; box]`` weighs it by
     ``2v - 1``, and ``E[X1 X2; box]`` sums ``P(X1 >= x, X2 >= y, box)``.
+    The sums run over plain floats, each exactly rounded by
+    :func:`math.fsum`, so the moments import no numpy.
     """
     if not 0 < epsilon <= 1e-4:
         raise ValueError(f"epsilon must lie in (0, 1e-4], got {epsilon}")
@@ -472,22 +489,26 @@ def moments(params, epsilon: float = 1e-10) -> BdwMoments:
     if k > _MAX_GRID_BOUND:
         raise _intractable_grid(k, epsilon)
     a, lam0, lam1, lam2 = _rates(params)
-    with np.errstate(over="ignore"):
-        pw = np.arange(k + 2, dtype=float) ** a
-    e0 = np.exp(-lam0 * pw) if lam0 > 0.0 else np.ones(k + 2)
-    e1, e2 = np.exp(-lam1 * pw), np.exp(-lam2 * pw)
+    pw = [_power(float(v), a) for v in range(k + 2)]
+    e0 = [math.exp(-lam0 * t) for t in pw] if lam0 > 0.0 else [1.0] * (k + 2)
+    e1, e2 = [math.exp(-lam1 * t) for t in pw], [math.exp(-lam2 * t) for t in pw]
     # P(Xi >= v, box) for v = 1..K: S(v, 0) - S(v, K+1), less the same at K+1
-    t1, t2 = e1 * (e0 - e0[-1] * e2[-1]), e2 * (e0 - e0[-1] * e1[-1])
-    g1, g2 = t1[1:-1] - t1[-1], t2[1:-1] - t2[-1]
-    odd = np.arange(1, 2 * k, 2, dtype=float)
-    mean1, mean2 = float(g1.sum()), float(g2.sum())
-    var1, var2 = float(odd @ g1) - mean1**2, float(odd @ g2) - mean2**2
+    s1, s2 = e0[-1] * e2[-1], e0[-1] * e1[-1]
+    t1 = [u * (w - s1) for u, w in zip(e1, e0)]
+    t2 = [u * (w - s2) for u, w in zip(e2, e0)]
+    g1, g2 = [t - t1[-1] for t in t1[1:-1]], [t - t2[-1] for t in t2[1:-1]]
+    mean1, mean2 = math.fsum(g1), math.fsum(g2)
+    # weights 2v - 1 for v = 1..K
+    var1 = math.fsum((2 * i + 1) * g for i, g in enumerate(g1)) - mean1**2
+    var2 = math.fsum((2 * i + 1) * g for i, g in enumerate(g2)) - mean2**2
     # S over [1, K]^2 split at the diagonal, where c_i[y] sums e_i[x] over
     # 1 <= x < y, less the survivals past the far edges, each counted K times
     f0, f1, f2 = e0[1:-1], e1[1:-1], e2[1:-1]
-    c1, c2 = np.cumsum(f1) - f1, np.cumsum(f2) - f2
-    edges = e0[-1] * (e2[-1] * f1.sum() + e1[-1] * f2.sum() - k * e1[-1] * e2[-1])
-    exy = float(f0 @ (f1 * f2 + f2 * c1 + f1 * c2) - k * edges)
+    c1, c2 = accumulate(f1, initial=0.0), accumulate(f2, initial=0.0)
+    edges = e0[-1] * (e2[-1] * math.fsum(f1) + e1[-1] * math.fsum(f2) - k * e1[-1] * e2[-1])
+    exy = math.fsum(
+        u0 * (u1 * u2 + u2 * v1 + u1 * v2) for u0, u1, u2, v1, v2 in zip(f0, f1, f2, c1, c2)
+    ) - k * edges
     cov = exy - mean1 * mean2
     corr = cov / math.sqrt(var1 * var2)
     return BdwMoments(mean1, mean2, var1, var2, cov, corr, k)

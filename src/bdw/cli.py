@@ -8,7 +8,9 @@ names); only then is ``logging`` imported.
 
 Each command handler imports the layers it runs, so a process starts on
 only those: ``pmf-table`` never loads the fitting modules, nor ``fit-dw``
-the joint fit.
+the joint fit.  The law layers import numpy only in the functions that
+build arrays, so ``moments``, ``--help`` and every refusal of a law's
+options run without it.
 
 ``run`` is the program entry (``bdw`` and ``python -m bdw.cli``); ``main``
 serves in-process callers.
@@ -23,8 +25,6 @@ import math
 import os
 import sys
 from typing import TYPE_CHECKING, NoReturn, Sequence
-
-import numpy as np
 
 from . import bivariate
 from .bivariate import BDWParams
@@ -207,6 +207,8 @@ def _cmd_fit_ml(args: argparse.Namespace) -> None:
 
 
 def _cmd_fit_bayes(args: argparse.Namespace) -> None:
+    import numpy as np
+
     from .fit_bayes import AlphaPrior, DGPrior, augmented_gibbs
 
     data, source = _dataset(args)
@@ -265,6 +267,9 @@ def _cmd_simulate(args: argparse.Namespace) -> None:
     params, config = _law(args)
     if args.n < 1:
         raise ValueError("sample size must be at least 1")
+    # after the checks, so a refused law or size loads no numpy
+    import numpy as np
+
     rng = np.random.default_rng(args.seed)
     draws = bivariate.sample(params, rng, size=args.n)
     results = {"pairs": [[int(a), int(b)] for a, b in draws]}

@@ -22,12 +22,13 @@ consecutive days of a common-cold study.
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from . import bivariate
 from .univariate import _MAX_COUNT, _Record
+
+if TYPE_CHECKING:
+    import numpy as np
 
 _ALL_TIES = "sample is all ties: coordinate rates are not identifiable"
 
@@ -103,6 +104,8 @@ class BivariateDataset(_Record):
     @cached_property
     def cell_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """:attr:`cells` as read-only float arrays: first coordinate, second, count."""
+        import numpy as np
+
         cols = np.array([(c[0], c[1], k) for c, k, _ in self.cells], dtype=float)
         cols.flags.writeable = False
         return cols[:, 0], cols[:, 1], cols[:, 2]
@@ -118,6 +121,8 @@ class BivariateDataset(_Record):
 
     def column(self, which: str) -> np.ndarray:
         """One of the three univariate views: ``x1``, ``x2`` or ``min``."""
+        import numpy as np
+
         arr = np.asarray(self.pairs, dtype=np.int64)
         if which == "x1":
             return arr[:, 0]
@@ -158,6 +163,8 @@ def _cell_log_masses(theta: bivariate.MOBWParams, data: BivariateDataset) -> np.
     first row index, since a silent ``-inf`` would poison every comparison
     built on top.
     """
+    import numpy as np
+
     x1, x2, _ = data.cell_arrays
     lp = bivariate._log_joint_pmf_arr(theta, x1, x2, data.partition)
     bad = ~np.isfinite(lp)

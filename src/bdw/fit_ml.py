@@ -173,10 +173,19 @@ def init_estimates(data: BivariateDataset) -> MOBWParams:
 
 def _identified_start(data: BivariateDataset, start: MOBWParams | None) -> MOBWParams:
     """``start``, or :func:`init_estimates`, once ``data`` identifies every
-    rate.  Refused in this order: an all-tie sample, a column that cannot
-    be fitted (named by :func:`init_estimates`), and a coordinate rate with
-    no evidence."""
+    parameter.  Refused in this order: an all-tie sample, a sample with no
+    count above 1, a column that cannot be fitted (named by
+    :func:`init_estimates`), and a coordinate rate with no evidence.
+
+    On counts of 0 and 1 alone, raising the shape at fixed rates only
+    moves mass from counts past 1 onto theirs, so the likelihood has no
+    maximum in the shape and any fitted shape would be arbitrary.  The
+    check is on the whole sample: a joint fit whose minimum column alone
+    holds only 0 and 1 runs."""
     data.require_untied_rows()
+    x1, x2, _ = data.cell_arrays
+    if max(x1.max(), x2.max()) <= 1.0:
+        raise ValueError("the shape is not identified: no count exceeds 1")
     theta = init_estimates(data) if start is None else start
     data.require_both_orders()
     return theta

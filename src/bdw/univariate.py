@@ -21,9 +21,11 @@ through :func:`_to_base`.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple, Sequence
+import sys
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "SingularDensityError",
@@ -260,6 +262,8 @@ def we_sample(params: WeibullParams, rng: np.random.Generator, size=None):
     0; a very small shape can still power a lifetime past the float range,
     to inf.
     """
+    import numpy as np
+
     u = rng.random(size)
     # -log1p(-u) is an exact Exponential(1) inverse transform on [0, 1).
     e = -np.log1p(-u)
@@ -290,6 +294,8 @@ def _count(value, name: str, positive: bool = False) -> int:
 
 def dw_logpmf(params, y: int) -> float:
     """Natural log of the DW probability mass at the integer ``y >= 0``."""
+    import numpy as np
+
     y = _count(y, "y")
     return float(_logpmf_arr(np.asarray([float(y)]), *_rate(params))[0])
 
@@ -321,6 +327,8 @@ _MAX_COUNT = 2**63 - 1
 def _floor_counts(lifetimes) -> np.ndarray:
     """Floors of non-negative lifetimes as int64 counts; a lifetime at or
     past 2**63, or infinite, is refused rather than wrapped to a negative."""
+    import numpy as np
+
     y = np.floor(lifetimes)
     beyond = ~(y < 2.0**63)
     if np.any(beyond):
@@ -361,6 +369,8 @@ def _log1mexp(u):
     """``log(1 - exp(-u))`` as ``log(-expm1(-u))``, which keeps full relative
     accuracy for small ``u`` (Mächler 2012, "Accurately computing
     log(1 - exp(-|a|))"); ``-inf`` for ``u <= 0`` and for NaN."""
+    import numpy as np
+
     with np.errstate(invalid="ignore", divide="ignore"):
         return np.where(u > 0, np.log(-np.expm1(-u)), -np.inf)
 
@@ -374,6 +384,8 @@ def _logpmf_arr(y: np.ndarray, alpha: float, rate: float) -> np.ndarray:
     whose mass underflows to zero, a power past the float range among
     them, come back as -inf.
     """
+    import numpy as np
+
     with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
         t1 = np.where(y > 0, np.power(y, alpha), 0.0)
         t2 = np.power(y + 1.0, alpha)
@@ -381,6 +393,8 @@ def _logpmf_arr(y: np.ndarray, alpha: float, rate: float) -> np.ndarray:
 
 
 def _dataset_1d(data) -> np.ndarray:
+    import numpy as np
+
     xs = np.asarray(data)
     if xs.size == 0:
         raise ValueError("empty dataset")
@@ -417,6 +431,8 @@ class _Jet(_Record):
 
 def _power_jet(y: np.ndarray, theta: np.ndarray, rates: tuple) -> _Jet:
     """Jet of ``-r * y**alpha``, where ``r`` sums the rates flagged in ``rates``."""
+    import numpy as np
+
     m = np.array([0.0, *rates])
     shape = np.zeros(m.size)
     shape[0] = 1.0
@@ -436,6 +452,8 @@ def _power_jet(y: np.ndarray, theta: np.ndarray, rates: tuple) -> _Jet:
 def _log1mexp_jet(u: _Jet) -> _Jet:
     """Jet of ``log(1 - exp(-u))``: its first derivative in ``u`` is
     ``g1 = 1/expm1(u)`` and its second ``-(g1 + g1**2)``."""
+    import numpy as np
+
     g1 = 1.0 / np.expm1(u.v)
     g2 = -(g1 + g1 * g1)
     return _Jet(
@@ -454,6 +472,8 @@ def _dw_jet(y: np.ndarray, theta: np.ndarray, rates: tuple) -> _Jet:
 def _in_logs(theta: np.ndarray, value: float, grad: np.ndarray, hess: np.ndarray):
     """Value, gradient and Hessian carried from ``theta`` to ``z = log(theta)``;
     non-finite entries pass through silently."""
+    import numpy as np
+
     with np.errstate(invalid="ignore", over="ignore"):
         grad_z = theta * grad
         return value, grad_z, np.outer(theta, theta) * hess + np.diag(grad_z)
@@ -465,7 +485,7 @@ _MAX_STEP = 2.0
 # well-posed fits take 3-20 steps; the cap ends a descent towards an
 # infimum at infinity, as on a sample that no DW law fits best
 _MAX_ITER = 200
-_EPS = np.finfo(float).eps
+_EPS = sys.float_info.epsilon
 
 
 class _StepCapError(ValueError):
@@ -488,6 +508,8 @@ def _newton_min(fun, z0: np.ndarray) -> tuple[np.ndarray, float]:
     descending after ``_MAX_ITER`` steps, or whose Newton step overflows
     (no curvature along a descent direction), raises :class:`_StepCapError`.
     """
+    import numpy as np
+
     def finite(*parts) -> bool:
         return all(bool(np.isfinite(part).all()) for part in parts)
 
@@ -542,6 +564,8 @@ def _newton_min(fun, z0: np.ndarray) -> tuple[np.ndarray, float]:
 
 def _pearson(counts: np.ndarray, expected: np.ndarray) -> np.ndarray:
     """Pearson statistic over the last axis; ``inf`` where a cell expects nothing."""
+    import numpy as np
+
     stat = np.sum((counts - expected) ** 2 / expected, axis=-1)
     return np.where(np.all(expected > 0, axis=-1), stat, np.inf)
 
@@ -549,6 +573,8 @@ def _pearson(counts: np.ndarray, expected: np.ndarray) -> np.ndarray:
 def _neg_loglik_jet(z: np.ndarray, values: np.ndarray, counts: np.ndarray):
     """Negative DW log-likelihood of ``counts`` at ``values``, with its
     gradient and Hessian, in ``z = (log alpha, log(-log p))``."""
+    import numpy as np
+
     theta = np.exp(z)
     with np.errstate(all="ignore"):
         jet = _dw_jet(values, theta, (1,))
@@ -560,6 +586,8 @@ def _pearson_jet(z: np.ndarray, values: np.ndarray, counts: np.ndarray, n: int):
     """Pearson statistic of ``counts`` against ``n`` times the DW pmf, with
     its gradient ``sum((e - o**2/e) * dl)`` and Hessian, in the
     coordinates of :func:`_neg_loglik_jet`; ``l`` is a cell's log-pmf."""
+    import numpy as np
+
     theta = np.exp(z)
     with np.errstate(all="ignore"):
         jet = _dw_jet(values, theta, (1,))
@@ -596,6 +624,8 @@ def dw_fit_ml(data: Sequence[int]) -> DWFit:
         ``lambda*(k+1)**alpha`` held, the DW law tends to any two-point
         law on them, so the supremum is the sample's own frequencies.
     """
+    import numpy as np
+
     values, counts, n = _distinct_values(data)
     if values.size == 2 and values[1] - values[0] == 1:
         sup = float(counts @ np.log(counts / n))
@@ -650,6 +680,8 @@ def dw_fit_minchisq(data: Sequence[int]) -> DWChisqFit:
     ValueError
         As :func:`dw_fit_ml` does.
     """
+    import numpy as np
+
     values, counts, n = _distinct_values(data)
     start = _grid_start(
         lambda logpmf: _pearson(counts, n * np.exp(logpmf)),
@@ -663,6 +695,8 @@ def dw_fit_minchisq(data: Sequence[int]) -> DWChisqFit:
 
 def _distinct_values(data) -> tuple[np.ndarray, np.ndarray, int]:
     """Distinct values of a count sample, their multiplicities and the sample size."""
+    import numpy as np
+
     xs = _dataset_1d(data)
     values, counts = np.unique(xs, return_counts=True)
     if values.size < 2:
@@ -676,6 +710,8 @@ def _grid_start(objective, values: np.ndarray, log_alpha: np.ndarray, logit_p: n
     """``(log alpha, log(-log p))`` of the grid point where ``objective``, a
     function of the log-pmf table over ``values``, is least (the first in
     row-major order on ties)."""
+    import numpy as np
+
     rate = np.logaddexp(0.0, -logit_p)
     with np.errstate(all="ignore"):
         table = _logpmf_arr(values, np.exp(log_alpha)[:, None, None], rate[None, :, None])

@@ -4,7 +4,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
@@ -83,6 +83,48 @@ def _dependence_laws(draw):
     if draw(st.booleans()):
         return BDWParams(alpha, *(math.exp(-v) for v in lam))
     return MOBWParams(alpha, *lam)
+
+
+def _numpy_moments(params, epsilon=1e-10):
+    """The moments' box sums on numpy arrays, as ``moments`` took them
+    before it summed plain floats: pairwise sums, dot products and an
+    inclusive ``cumsum`` less its own term."""
+    k = bivariate._truncation_bound(params, epsilon)
+    a, lam0, lam1, lam2 = bivariate._rates(params)
+    with np.errstate(over="ignore"):
+        pw = np.arange(k + 2, dtype=float) ** a
+    e0 = np.exp(-lam0 * pw) if lam0 > 0.0 else np.ones(k + 2)
+    e1, e2 = np.exp(-lam1 * pw), np.exp(-lam2 * pw)
+    t1, t2 = e1 * (e0 - e0[-1] * e2[-1]), e2 * (e0 - e0[-1] * e1[-1])
+    g1, g2 = t1[1:-1] - t1[-1], t2[1:-1] - t2[-1]
+    odd = np.arange(1, 2 * k, 2, dtype=float)
+    mean1, mean2 = float(g1.sum()), float(g2.sum())
+    var1, var2 = float(odd @ g1) - mean1**2, float(odd @ g2) - mean2**2
+    f0, f1, f2 = e0[1:-1], e1[1:-1], e2[1:-1]
+    c1, c2 = np.cumsum(f1) - f1, np.cumsum(f2) - f2
+    edges = e0[-1] * (e2[-1] * f1.sum() + e1[-1] * f2.sum() - k * e1[-1] * e2[-1])
+    exy = float(f0 @ (f1 * f2 + f2 * c1 + f1 * c2) - k * edges)
+    cov = exy - mean1 * mean2
+    return mean1, mean2, var1, var2, cov, cov / math.sqrt(var1 * var2), k
+
+
+@st.composite
+def _moment_laws(draw):
+    # shapes 0.3 to 20 and rates e**-20 to e**2, log-uniform, the shared
+    # rate sometimes 0, given as survival bases or as rates; a law whose box
+    # passes the grid cap is refused, and not drawn
+    alpha = math.exp(draw(st.floats(math.log(0.3), math.log(20.0))))
+    rate = st.floats(-20.0, 2.0).map(math.exp)
+    lam = (draw(st.one_of(st.just(0.0), rate)), draw(rate), draw(rate))
+    law = MOBWParams(alpha, *lam)
+    try:
+        k = bivariate._truncation_bound(law, 1e-10)
+    except ValueError:
+        k = math.inf
+    assume(k <= bivariate._MAX_GRID_BOUND)
+    if draw(st.booleans()):
+        return BDWParams(alpha, *(math.exp(-v) for v in lam))
+    return law
 
 
 class TestJointLaw:
@@ -302,6 +344,28 @@ class TestMomentsAndDependence:
             21.780951967610715, 12.076758982200765, 2466.616543498568,
             779.4286881916595, 130.55500711032164, 0.09415741338613233, 5891,
         ], rel=1e-12)
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(law=_moment_laws())
+    # a shared rate of 5e-324 at a shape where (K + 1)**alpha overflows,
+    # and at the largest shape drawn
+    @example(law=MOBWParams(1100.0, 5e-324, 0.5, 2.0))
+    @example(law=MOBWParams(20.0, 5e-324, 1e-20, 1e-18))
+    def test_moments_agree_with_the_array_sums(self, law):
+        # the fields agree to 1e-12 relative to the magnitudes each one's
+        # rounding scales with: a variance or covariance is a difference of
+        # second moments, which at a zero shared rate leaves the covariance
+        # pure rounding, and the correlation divides it by the deviations
+        m = moments(law)
+        mean1, mean2, var1, var2, cov, corr, k = want = _numpy_moments(law)
+        s1, s2 = var1 + mean1**2, var2 + mean2**2
+        scales = (
+            mean1, mean2, s1, s2, math.sqrt(s1 * s2),
+            math.sqrt(s1 * s2 / (var1 * var2)) + abs(corr) * (s1 / var1 + s2 / var2) / 2,
+        )
+        assert m.truncation_bound == k
+        for name, value, scale in zip(m._fields, want, scales):
+            assert abs(getattr(m, name) - value) <= 1e-12 * scale, (name, getattr(m, name), value)
 
     def test_heavy_tail_is_refused_before_the_grid(self, monkeypatch):
         # K = 62872299 would need a (K + 1)^2 grid of 28 PiB

@@ -524,6 +524,13 @@ class TestFailurePaths:
                     [["fit-ml"], ["gof", "--column", "joint"], ["fit-bayes", "-M", "200", "-N", "2"]],
                 ),
                 (
+                    # on counts of 0 and 1 alone the likelihood rises with the shape
+                    "zero-one",
+                    "0,0\n0,1\n1,0\n1,1\n0,1\n1,0\n",
+                    "the shape is not identified: no count exceeds 1",
+                    [["fit-ml"], ["gof", "--column", "joint"], ["fit-bayes", "-M", "200", "-N", "2"]],
+                ),
+                (
                     "no-best-min-chisq",
                     "1,0\n1,3\n2,1\n2,4\n2,2\n",
                     "no DW law fits this sample best",
@@ -552,8 +559,9 @@ class TestFailurePaths:
         path.write_text(rows)
         rc = main([*command, "--input", str(path)])
         assert rc == 1
-        err = capsys.readouterr().err
+        out, err = capsys.readouterr()
         assert err.startswith("error: ") and message in err, err
+        assert out == ""
 
     @pytest.mark.parametrize(
         "command", [["fit-dw", "--column", "x1"], ["fit-ml"]], ids=["fit-dw", "fit-ml"]
@@ -699,6 +707,16 @@ for name in imports:
 print(json.dumps(sorted(m for m in sys.modules if (m + ".").startswith(package + "."))))
 """
 
+# a script on the functions of the joint survival: prints the numpy modules loaded
+_LAW_SCRIPT = """
+import json, sys
+import bdw
+for law in (bdw.BDWParams(1.5, 0.9, 0.7, 0.75), bdw.MOBWParams(0.8, 0.0, 0.3, 0.2)):
+    bdw.moments(law), bdw.joint_sf(law, 1, 2), bdw.joint_cdf(law, 2, 3)
+    bdw.bivariate.is_tp2_on_grid(law), bdw.bivariate.pqd_check_on_grid(law)
+print(json.dumps(sorted(m for m in sys.modules if (m + ".").startswith("numpy."))))
+"""
+
 # every command: none of them needs scipy
 ALL_COMMANDS = [
     ["fit-ml", "--dataset", "football"],
@@ -774,6 +792,45 @@ class TestStartup:
     def test_source_holds_no_dataclasses(self):
         src = pathlib.Path(bdw.__file__).parent
         assert [p.name for p in src.glob("*.py") if "dataclass" in p.read_text()] == []
+
+    def test_law_commands_do_not_load_numpy(self, tmp_path):
+        # with no command, the probe is a bare ``import bdw.cli``
+        moments = [argv for argv in ALL_COMMANDS if argv[0] == "moments"]
+        assert _modules_after(tmp_path, moments, package="numpy") == set()
+        assert _modules_after(tmp_path, [], package="numpy") == set()
+
+    @pytest.mark.parametrize("command", ["pmf-table", "simulate"])
+    def test_array_commands_load_numpy(self, tmp_path, command):
+        # the control: the probe does see numpy where a command builds arrays
+        argv = [argv for argv in ALL_COMMANDS if argv[0] == command]
+        assert "numpy" in _modules_after(tmp_path, argv, package="numpy")
+
+    def test_law_script_does_not_load_numpy(self):
+        proc = subprocess.run(
+            [sys.executable, "-c", _LAW_SCRIPT], capture_output=True, text=True, env=_src_env()
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == []
+
+    def test_law_commands_run_where_numpy_cannot_import(self, tmp_path):
+        # a numpy package that refuses to import, first on the child's path
+        stub = tmp_path / "stub" / "numpy"
+        stub.mkdir(parents=True)
+        (stub / "__init__.py").write_text('raise ImportError("stub numpy")\n')
+        path = os.pathsep.join([str(stub.parent), _src_env()["PYTHONPATH"]])
+        proc = _program(["--help"], PYTHONPATH=path)
+        assert (proc.returncode, proc.stderr) == (0, b"") and b"moments" in proc.stdout
+        law = ["--alpha", "1.5", "--p0", "0.9", "--p1", "0.7", "--p2", "0.75"]
+        out = tmp_path / "report.json"
+        assert main(["moments", *law, "--output", str(out)]) == 0
+        proc = _program(["moments", *law], PYTHONPATH=path)
+        assert (proc.returncode, proc.stderr, proc.stdout) == (0, b"", out.read_bytes())
+        proc = _program(["moments", "--alpha", "-1", *law[2:]], PYTHONPATH=path)
+        assert (proc.returncode, proc.stdout) == (1, b"")
+        assert proc.stderr == b"error: shape must be positive and finite, got -1.0\n"
+        # the control: a command that draws does need numpy
+        proc = _program(["simulate", *law, "--n", "5"], PYTHONPATH=path)
+        assert proc.returncode == 1 and b"ImportError: stub numpy" in proc.stderr
 
     # the bdw modules each command loads: the layers it runs, and no other
     _START = {"bdw", "bdw.cli", "bdw.bivariate", "bdw.univariate", "bdw.datasets"}

@@ -831,6 +831,9 @@ class TestAugmentedGibbs:
         [
             (((1, 1), (2, 2), (3, 3), (0, 1)), r"^no row has x1 > x2: the coordinate rate lambda2"),
             (((1, 1), (2, 2), (3, 3), (1, 0)), r"^no row has x1 < x2: the coordinate rate lambda1"),
+            # on counts of 0 and 1 alone the likelihood rises with the shape
+            (((0, 0), (0, 1), (1, 0), (1, 1), (0, 1)),
+             r"^the shape is not identified: no count exceeds 1$"),
         ],
     )
     def test_unidentified_sample_is_refused(self, pairs, message):

@@ -32,6 +32,14 @@ NASAL_LL = -70.3095359276
 
 # a sample that no fit accepts: no row with x1 > x2 (lambda2 has no evidence)
 ONE_SIDED = ((1, 1), (2, 2), (3, 3), (0, 1))
+# 40 rows uniform on {0, 1}^2: at any rates the likelihood rises with the
+# shape, and the fit once stopped at an arbitrary alpha = 6.10
+ZERO_ONE = tuple(map(tuple, np.random.default_rng(0).integers(0, 2, size=(40, 2)).tolist()))
+# counts past 1, while the minimum column holds only 0 and 1
+MIN_ZERO_ONE = (
+    (0, 2), (1, 3), (2, 0), (1, 1), (0, 1), (3, 1), (1, 0), (0, 0), (2, 1), (1, 2), (1, 1),
+    (0, 0), (1, 1), (1, 1),
+)
 # counts too large for the survival bases to be told from 1: the ML point
 # has rates 2e-17 to 7e-17, which only the rates hold
 LARGE_COUNTS = ((100, 120), (130, 90), (110, 110), (95, 140), (120, 100))
@@ -523,6 +531,30 @@ class TestNestedEM:
             match=rf"^column x1 is constant \(every value is {value}\): all observations are equal",
         ):
             nested_em(BivariateDataset(pairs))
+
+    @pytest.mark.parametrize("start", [None, MOBWParams(1.5, 0.3, 0.5, 0.4)])
+    def test_sample_without_a_count_above_one_is_refused(self, start, monkeypatch):
+        # refused before the marginal start is fitted, and silently
+        def no_start(data):
+            raise AssertionError("init_estimates ran")
+
+        monkeypatch.setattr(fit_ml, "init_estimates", no_start)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(
+                ValueError, match="^the shape is not identified: no count exceeds 1$"
+            ):
+                nested_em(BivariateDataset(ZERO_ONE), start=start)
+
+    def test_minimum_column_of_zeros_and_ones_is_fitted(self):
+        # the check is on the whole sample: init_estimates fits such a column
+        data = BivariateDataset(MIN_ZERO_ONE)
+        assert set(data.column("min").tolist()) == {0, 1}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fit = nested_em(data)
+        assert fit.ci95 is not None and math.isfinite(fit.loglik)
+        assert fit.params.alpha == pytest.approx(1.956821031060384, rel=1e-6)
 
     @pytest.mark.filterwarnings("ignore:inconsistent marginal fits")
     @pytest.mark.parametrize("start", [None, MOBWParams(1.5, 0.3, 0.5, 0.4)])
