@@ -9,9 +9,9 @@ Public names resolve on first use (PEP 562): ``import bdw`` loads no
 submodule, and ``bdw.nested_em`` imports ``bdw.fit_ml`` when it is first
 read, so a process loads only the layers it uses.  The law layers,
 ``univariate``, ``bivariate`` and ``datasets``, import numpy only inside
-the functions that build arrays: a script that reads only the joint
-survival, through ``bdw.moments``, ``bdw.joint_sf`` or ``bdw.joint_cdf``,
-loads no numpy.
+the functions that build arrays: a script on the scalar law functions,
+such as ``bdw.moments``, ``bdw.joint_sf``, ``bdw.joint_pmf`` or
+``bdw.dw_pmf``, loads no numpy.
 """
 
 from __future__ import annotations

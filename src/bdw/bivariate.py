@@ -37,7 +37,9 @@ from .univariate import (
     _floor,
     _floor_counts,
     _log1mexp,
+    _log1mexp_float,
     _logpmf_arr,
+    _logpmf_float,
     _power,
     _Record,
     _to_base,
@@ -270,13 +272,34 @@ def _log_joint_pmf_arr(params, x1: np.ndarray, x2: np.ndarray, parts) -> np.ndar
         return _fill_log_joint_pmf(np.empty(x1.shape), x1, x2, parts, dw, power, _log1mexp)
 
 
+def _log_tie(lam0: float, lam1: float, t: float, t_next: float, dw02: float, dw2: float) -> float:
+    # the shared shock's atom at (x, x), from the powers t = x**alpha and
+    # t_next = (x+1)**alpha and the DW log-masses at x of the rates
+    # lambda0 + lambda2 and lambda2: the tie part of _fill_log_joint_pmf
+    lead = -lam1 * t + dw02
+    trail = -(lam0 + lam1) * t_next + dw2
+    return lead + _log1mexp_float(lead - trail)
+
+
+def _log_cell(rates: tuple, i: int, j: int) -> float:
+    """Log joint pmf at the cell ``(i, j)`` on floats: the below / above /
+    tie split of :func:`_fill_log_joint_pmf`, each part a sum of scalar DW
+    log-masses.  At a zero shared rate a tie is read as above, as
+    :func:`_log_joint_pmf_arr` reads it."""
+    a, lam0, lam1, lam2 = rates
+    x, y = float(i), float(j)
+    if i < j:
+        return _logpmf_float(x, a, lam1) + _logpmf_float(y, a, lam0 + lam2)
+    if i > j or lam0 == 0.0:
+        return _logpmf_float(x, a, lam0 + lam1) + _logpmf_float(y, a, lam2)
+    dw02, dw2 = _logpmf_float(x, a, lam0 + lam2), _logpmf_float(x, a, lam2)
+    return _log_tie(lam0, lam1, _power(x, a), _power(x + 1.0, a), dw02, dw2)
+
+
 def joint_logpmf(params, x1: int, x2: int) -> float:
     """Natural log of the joint mass at an integer pair."""
-    import numpy as np
-
     i, j = _check_cell(x1, x2)
-    g1, g2 = np.asarray([float(i)]), np.asarray([float(j)])
-    return float(_log_joint_pmf_arr(params, g1, g2, _partition(g1, g2))[0])
+    return _log_cell(_rates(params), i, j)
 
 
 def joint_pmf(params, x1: int, x2: int) -> float:
@@ -319,6 +342,44 @@ def joint_pmf_grid(params, k1: int, k2: int) -> np.ndarray:
     return np.exp(_log_joint_pmf_arr(params, g1, g2, _partition(g1, g2)))
 
 
+def _pmf_rows(params, k: int):
+    """The rows of the joint pmf table over [0, k]^2: an iterator whose
+    i-th item lists the masses at ``(i, 0..k)``, each bit-identical to
+    ``joint_pmf(params, i, j)``, for a valid ``k`` (no validation).
+
+    Off the diagonal a cell's log-mass is a sum of two DW log-masses
+    (:func:`_log_cell`), so the table needs four DW log-mass tables over
+    0..k, at the rates ``lambda1``, ``lambda0 + lambda2``, ``lambda0 +
+    lambda1`` and ``lambda2``, and the powers ``y**alpha`` for y = 0..k+1;
+    each row adds their entries, and a tie takes one more term.  The
+    tables are built here and the rows one at a time as they are read, so
+    the work is O(k) transcendental calls and k**2 exponentials, and the
+    memory O(k).
+    """
+    a, lam0, lam1, lam2 = _rates(params)
+    t = [_power(float(y), a) for y in range(k + 2)]
+
+    def table(rate: float) -> list[float]:
+        return [_logpmf_float(float(y), a, rate) for y in range(k + 1)]
+
+    below1, below2 = table(lam1), table(lam0 + lam2)
+    above1, above2 = table(lam0 + lam1), table(lam2)
+
+    def rows():
+        exp = math.exp
+        for i in range(k + 1):
+            if lam0 == 0.0:
+                tie = above1[i] + above2[i]
+            else:
+                tie = _log_tie(lam0, lam1, t[i], t[i + 1], below2[i], above2[i])
+            above, below = above1[i], below1[i]
+            yield [exp(above + w) for w in above2[:i]] + [exp(tie)] + [
+                exp(below + w) for w in below2[i + 1:]
+            ]
+
+    return rows()
+
+
 def marginals(params: BDWParams) -> tuple[DWParams, DWParams]:
     """Marginal laws: ``X1 ~ DW(alpha, p0*p1)`` and ``X2 ~ DW(alpha, p0*p2)``."""
     return (
@@ -350,10 +411,8 @@ def closure_min(components: list[BDWParams]) -> DWParams:
 
 def _second_mass(rates: tuple, j: int) -> float:
     # P(X2 = j), the DW mass of the rate lambda0 + lambda2, refused at zero
-    import numpy as np
-
     a, lam0, _, lam2 = rates
-    mass = math.exp(_logpmf_arr(np.asarray([float(j)]), a, lam0 + lam2)[0])
+    mass = math.exp(_logpmf_float(float(j), a, lam0 + lam2))
     if mass == 0.0:
         raise ValueError(f"conditioning event X2 = {j} has zero probability numerically")
     return mass
@@ -382,8 +441,6 @@ def cond_sf_given_eq(params, x1: int, x2: int) -> float:
     coordinate's own component, ``p1**(x1**alpha)``: knowing the second
     coordinate's exact value pins the shared shock beyond ``x2`` already.
     """
-    import numpy as np
-
     i, j = _check_cell(x1, x2)
     rates = _rates(params)
     a, lam0, lam1, lam2 = rates
@@ -391,7 +448,7 @@ def cond_sf_given_eq(params, x1: int, x2: int) -> float:
     if i <= j:
         return math.exp(-(t * lam1))
     # U0 and U1 outlive x1 while U2 fails at x2
-    num = math.exp(-(t * (lam0 + lam1)) + _logpmf_arr(np.asarray([float(j)]), a, lam2)[0])
+    num = math.exp(-(t * (lam0 + lam1)) + _logpmf_float(float(j), a, lam2))
     return num / _second_mass(rates, j)
 
 
@@ -481,7 +538,11 @@ def moments(params, epsilon: float = 1e-10) -> BdwMoments:
     ``P(X1 >= v, box)`` over v = 1..K, ``E[X1**2; box]`` weighs it by
     ``2v - 1``, and ``E[X1 X2; box]`` sums ``P(X1 >= x, X2 >= y, box)``.
     The sums run over plain floats, each exactly rounded by
-    :func:`math.fsum`, so the moments import no numpy.
+    :func:`math.fsum`, so the moments import no numpy.  At a zero shared
+    rate the coordinates are independent, and the covariance is that of the
+    truncation alone, ``E[X1; X1 <= K] E[X2; X2 <= K] (1 - P1 P2)`` with
+    ``Pi = P(Xi <= K)``: read in closed form, it is never a difference of
+    two nearly equal sums.
     """
     if not 0 < epsilon <= 1e-4:
         raise ValueError(f"epsilon must lie in (0, 1e-4], got {epsilon}")
@@ -501,6 +562,13 @@ def moments(params, epsilon: float = 1e-10) -> BdwMoments:
     # weights 2v - 1 for v = 1..K
     var1 = math.fsum((2 * i + 1) * g for i, g in enumerate(g1)) - mean1**2
     var2 = math.fsum((2 * i + 1) * g for i, g in enumerate(g2)) - mean2**2
+    if lam0 == 0.0:
+        # independent coordinates on a product box: E[X1 X2; box] is
+        # mean1 * mean2 / (P1 * P2) with Pi = P(Xi <= K) = 1 - qi, so the
+        # covariance is the box's truncation alone, taken without cancellation
+        q1, q2 = e1[-1], e2[-1]
+        cov = mean1 * mean2 * (q1 + q2 - q1 * q2) / ((1.0 - q1) * (1.0 - q2))
+        return BdwMoments(mean1, mean2, var1, var2, cov, cov / math.sqrt(var1 * var2), k)
     # S over [1, K]^2 split at the diagonal, where c_i[y] sums e_i[x] over
     # 1 <= x < y, less the survivals past the far edges, each counted K times
     f0, f1, f2 = e0[1:-1], e1[1:-1], e2[1:-1]

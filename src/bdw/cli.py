@@ -9,8 +9,9 @@ names); only then is ``logging`` imported.
 Each command handler imports the layers it runs, so a process starts on
 only those: ``pmf-table`` never loads the fitting modules, nor ``fit-dw``
 the joint fit.  The law layers import numpy only in the functions that
-build arrays, so ``moments``, ``--help`` and every refusal of a law's
-options run without it.
+build arrays, so ``moments``, ``pmf-table``, ``--help`` and every refusal
+of a law's options run without it: ``pmf-table`` writes its grid row by
+row from scalar DW log-mass tables.
 
 ``run`` is the program entry (``bdw`` and ``python -m bdw.cli``); ``main``
 serves in-process callers.
@@ -24,7 +25,8 @@ import json
 import math
 import os
 import sys
-from typing import TYPE_CHECKING, NoReturn, Sequence
+from itertools import chain
+from typing import TYPE_CHECKING, Iterable, Iterator, NoReturn, Sequence
 
 from . import bivariate
 from .bivariate import BDWParams
@@ -135,13 +137,15 @@ def _chi_dict(rep: ChiSquareReport) -> dict:
     }
 
 
-def _write(text: str, output: str | None, what: str) -> None:
+def _write(chunks: Iterable[str], output: str | None, what: str) -> None:
+    # chunk by chunk as they are produced, so a long output is never held
+    # whole; the file opens here, after the command's checks have passed
     if output:
         with open(output, "w") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
         _info("%s written to %s", what, output)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
 
 
 def _emit(
@@ -159,7 +163,7 @@ def _emit(
         "config": config,
         "results": results,
     }
-    _write(json.dumps(report, indent=2, sort_keys=True) + "\n", args.output, "report")
+    _write((json.dumps(report, indent=2, sort_keys=True) + "\n",), args.output, "report")
 
 
 def _cmd_fit_dw(args: argparse.Namespace) -> None:
@@ -277,17 +281,21 @@ def _cmd_simulate(args: argparse.Namespace) -> None:
     _emit(args, {"generator": "bdw"}, config, results, seed=args.seed)
 
 
+def _grid_csv(params, k: int) -> Iterator[str]:
+    # the pmf-table CSV over [0, k]^2: its header, then one chunk per row
+    rows = bivariate._pmf_rows(params, k)
+    return chain(["x1,x2,pmf\n"], (
+        "".join([f"{i},{j},{mass!r}\n" for j, mass in enumerate(row)])
+        for i, row in enumerate(rows)
+    ))
+
+
 def _cmd_pmf_table(args: argparse.Namespace) -> None:
     params, _ = _law(args)
     k = bivariate._table_bound(params) if args.k is None else _count(args.k, "--k")
     if k > bivariate._MAX_GRID_BOUND:
         raise bivariate._intractable_grid(k)
-    grid = bivariate.joint_pmf_grid(params, k, k)
-    lines = ["x1,x2,pmf"]
-    for i in range(k + 1):
-        for j in range(k + 1):
-            lines.append(f"{i},{j},{float(grid[i, j])!r}")
-    _write("\n".join(lines) + "\n", args.output, "grid")
+    _write(_grid_csv(params, k), args.output, "grid")
 
 
 def _cmd_moments(args: argparse.Namespace) -> None:

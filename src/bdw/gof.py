@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING, Callable, Sequence
 import numpy as np
 
 from . import bivariate
-from .univariate import _count, _dataset_1d, _pearson, _Record, dw_pmf, dw_sf
+from .univariate import _count, _dataset_1d, _logpmf_arr, _pearson, _rate, _Record, dw_sf
 
 if TYPE_CHECKING:
     from .bivariate import BDWParams, MOBWParams
@@ -155,8 +155,10 @@ def chisq_dw(
     """
     values = _dataset_1d(data).astype(np.int64)
     top = int(values.max())
-    last = dw_sf if absorb_tail else dw_pmf
-    mass = np.array([dw_pmf(params, y) for y in range(top)] + [last(params, top)])
+    logs = _logpmf_arr(np.arange(top + 1, dtype=float), *_rate(params))
+    mass = np.array([math.exp(v) for v in logs.tolist()])
+    if absorb_tail:
+        mass[top] = dw_sf(params, top)
     return _report(_axis(top, absorb_tail).__getitem__, np.bincount(values), mass, df_penalty)
 
 

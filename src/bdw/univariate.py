@@ -294,10 +294,7 @@ def _count(value, name: str, positive: bool = False) -> int:
 
 def dw_logpmf(params, y: int) -> float:
     """Natural log of the DW probability mass at the integer ``y >= 0``."""
-    import numpy as np
-
-    y = _count(y, "y")
-    return float(_logpmf_arr(np.asarray([float(y)]), *_rate(params))[0])
+    return _logpmf_float(float(_count(y, "y")), *_rate(params))
 
 
 def dw_pmf(params, y: int) -> float:
@@ -373,6 +370,20 @@ def _log1mexp(u):
 
     with np.errstate(invalid="ignore", divide="ignore"):
         return np.where(u > 0, np.log(-np.expm1(-u)), -np.inf)
+
+
+def _log1mexp_float(u: float) -> float:
+    """:func:`_log1mexp` of one float, on ``math``: ``log(-expm1(-u))``, and
+    ``-inf`` for ``u <= 0`` and for NaN."""
+    return math.log(-math.expm1(-u)) if u > 0 else -math.inf
+
+
+def _logpmf_float(y: float, alpha: float, rate: float) -> float:
+    """:func:`_logpmf_arr` at one non-negative integer-valued float, on
+    ``math``: ``-rate*t1 + log1mexp(rate*(t2 - t1))`` with ``t1 = y**alpha``
+    and ``t2 = (y+1)**alpha``.  A power past the float range gives -inf."""
+    t1 = _power(y, alpha)
+    return t1 * -rate + _log1mexp_float((_power(y + 1.0, alpha) - t1) * rate)
 
 
 def _logpmf_arr(y: np.ndarray, alpha: float, rate: float) -> np.ndarray:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from mpmath import mp
 from scipy import stats
 
 from bdw import bivariate
@@ -366,6 +367,35 @@ class TestMomentsAndDependence:
         assert m.truncation_bound == k
         for name, value, scale in zip(m._fields, want, scales):
             assert abs(getattr(m, name) - value) <= 1e-12 * scale, (name, getattr(m, name), value)
+
+    @pytest.mark.parametrize("law", [
+        BDWParams(1.8, 1.0, 0.8, 0.7),
+        MOBWParams(7.01, 0.0, 4.27e-8, 6.10e-3),
+        MOBWParams(1.0, 0.0, 1.0, 1.0),
+    ])
+    def test_independent_covariance_is_the_truncation_alone(self, law):
+        # at a zero shared rate the box [0, K]^2 is a product, and its
+        # covariance is that of the truncation: 3.4e-13, 1.2e-16 and 9.4e-12
+        # here, against 50-digit box sums at the law's own float rates; the
+        # difference of the two box sums read 3.4395e-13 and 1.8e-15 for
+        # the first two
+        m = moments(law)
+        a, _, lam1, lam2 = bivariate._rates(law)
+        with mp.workdps(50):
+            def masses(lam):
+                s = [mp.exp(-mp.mpf(lam) * mp.mpf(x) ** mp.mpf(a)) for x in range(k + 2)]
+                return [s[x] - s[x + 1] for x in range(k + 1)]
+
+            k = m.truncation_bound
+            f1, f2 = masses(lam1), masses(lam2)
+            e1, e2 = mp.fsum(x * p for x, p in enumerate(f1)), mp.fsum(y * p for y, p in enumerate(f2))
+            p1, p2 = mp.fsum(f1), mp.fsum(f2)
+            cov = e1 * e2 * (1 - p1 * p2)
+            var1 = mp.fsum(x * x * p for x, p in enumerate(f1)) * p2 - (e1 * p2) ** 2
+            var2 = mp.fsum(y * y * p for y, p in enumerate(f2)) * p1 - (e2 * p1) ** 2
+            corr = cov / mp.sqrt(var1 * var2)
+        assert m.covariance == pytest.approx(float(cov), rel=1e-12, abs=0.0)
+        assert m.correlation == pytest.approx(float(corr), rel=1e-12, abs=0.0)
 
     def test_heavy_tail_is_refused_before_the_grid(self, monkeypatch):
         # K = 62872299 would need a (K + 1)^2 grid of 28 PiB

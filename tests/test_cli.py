@@ -13,10 +13,13 @@ import warnings
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from mpmath import mp
 
 import bdw
-from bdw import bivariate
-from bdw.bivariate import BDWParams
+from bdw import bivariate, cli
+from bdw.bivariate import BDWParams, MOBWParams
 from bdw.cli import load_csv, main
 from bdw.datasets import FOOTBALL_PAIRS, NASAL_PAIRS, builtin_dataset
 
@@ -120,6 +123,26 @@ class TestBundledData:
     def test_unknown_name(self):
         with pytest.raises(ValueError, match="unknown dataset"):
             builtin_dataset("bogus")
+
+
+# sha256 of two DW fit-check reports, recorded when chisq_dw still called
+# dw_pmf once per value: its masses now come from one array of log-masses,
+# whose entries equal the one-element evaluations bit for bit
+DW_REPORT_SHA = {
+    "fit-dw-min": "b765e29092ef7923d0de9210660c905b1d02b66adfb121d19f6d1abb725babe4",
+    "gof-x1": "76f504779c3d83517fc750224db0834043a78a96c8f974e4f97c451c82f52c3d",
+}
+
+
+class TestReportBytes:
+    @pytest.mark.parametrize("name, argv", [
+        ("fit-dw-min", ["fit-dw", "--dataset", "nasal", "--column", "min"]),
+        ("gof-x1", ["gof", "--dataset", "nasal", "--column", "x1"]),
+    ], ids=["fit-dw-min", "gof-x1"])
+    def test_dw_report_keeps_its_bytes(self, tmp_path, name, argv):
+        out = tmp_path / "report.json"
+        assert main([*argv, "--output", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == DW_REPORT_SHA[name]
 
 
 class TestReportSchema:
@@ -390,6 +413,94 @@ class TestPmfTable:
         lines = out.read_text().splitlines()[1:]
         total = sum(float(line.split(",")[2]) for line in lines)
         assert total == pytest.approx(1.0, abs=1e-6)
+
+
+@st.composite
+def _table_laws(draw):
+    # shapes 0.3 to 20 and rates 1e-20 to e, log-uniform, the shared rate
+    # sometimes 0, in survival bases where the other two lie below one;
+    # and a grid bound up to 12
+    alpha = math.exp(draw(st.floats(math.log(0.3), math.log(20.0))))
+    rate = st.floats(math.log(1e-20), 1.0).map(math.exp)
+    lam = (draw(st.one_of(st.just(0.0), rate)), draw(rate), draw(rate))
+    law = MOBWParams(alpha, *lam)
+    bases = [math.exp(-v) for v in lam]
+    if max(bases[1:]) < 1.0 and draw(st.booleans()):
+        law = BDWParams(alpha, *bases)
+    return law, draw(st.integers(0, 12))
+
+
+def _oracle_mass(law, i, j):
+    # the cell's mass as the rectangle difference of the joint survival at
+    # the law's float rates, in mpmath at the caller's precision
+    a, l0, l1, l2 = (mp.mpf(v) for v in bivariate._rates(law))
+
+    def sf(x, y):
+        return mp.exp(-l1 * mp.mpf(x) ** a - l2 * mp.mpf(y) ** a - l0 * mp.mpf(max(x, y)) ** a)
+
+    return sf(i, j) - sf(i + 1, j) - sf(i, j + 1) + sf(i + 1, j + 1)
+
+
+def _atom_lead(law, i):
+    # P(X1 >= i, X2 = i), the larger of the two terms whose difference is
+    # the shared shock's atom at (i, i), in 50-digit mpmath
+    with mp.workdps(50):
+        a, l0, l1, l2 = (mp.mpf(v) for v in bivariate._rates(law))
+        t, t_next = mp.mpf(i) ** a, mp.mpf(i + 1) ** a
+        return float(mp.exp(-(l0 + l1 + l2) * t) * -mp.expm1(-(l0 + l2) * (t_next - t)))
+
+
+class TestPmfTableRows:
+    def test_refused_bound_builds_no_table(self, tmp_path, capsys, monkeypatch):
+        # the bound is refused before the DW log-mass tables and the file
+        def no_rows(*args):
+            raise AssertionError("the tables were built")
+
+        monkeypatch.setattr(bivariate, "_pmf_rows", no_rows)
+        args = ["pmf-table", "--alpha", "1.5", "--p0", "0.9", "--p1", "0.7", "--p2", "0.75"]
+        assert main([*args, "--k", "10001", "--output", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == (
+            "error: a grid [0, K]^2 with K = 10001 > 10000 is not tractable\n"
+        )
+        assert not (tmp_path / "out").exists()
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(case=_table_laws())
+    # the benchmark's table law, a law in bases at p0 = 1, and cells whose
+    # powers pass the float range: (K + 1)**alpha overflows from K = 1
+    @example(case=(BDWParams(1.5, 0.9, 0.7, 0.75), 10))
+    @example(case=(BDWParams(1.8, 1.0, 0.8, 0.7), 8))
+    @example(case=(MOBWParams(1100.0, 5e-324, 0.5, 2.0), 3))
+    def test_csv_entries_are_the_joint_pmf(self, case):
+        law, k = case
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            chunks = list(cli._grid_csv(law, k))
+            grid = bivariate.joint_pmf_grid(law, k, k)
+        assert chunks[0] == "x1,x2,pmf\n" and len(chunks) == k + 2
+        lines = "".join(chunks[1:]).splitlines()
+        assert len(lines) == (k + 1) ** 2
+        shared = bivariate._rates(law)[1] > 0.0
+        for n, line in enumerate(lines):
+            i, j, text = line.split(",")
+            i, j, mass = int(i), int(j), float(text)
+            assert (i, j) == divmod(n, k + 1)
+            assert mass.hex() == bivariate.joint_pmf(law, i, j).hex(), (i, j)
+            # off the diagonal, and on it at a zero shared rate, a mass is a
+            # product of two DW masses, held to its own relative error; the
+            # shared shock's atom is a difference of two terms taken from
+            # their logs, held to the larger term, where its rounding scales
+            want = float(grid[i, j])
+            lead = _atom_lead(law, i) if shared and i == j else None
+            # the array path, apart from subnormal masses, which hold fewer bits
+            if max(mass, want) >= sys.float_info.min:
+                assert abs(mass - want) <= 1e-13 * (lead or want), (i, j, mass, want)
+            if mass >= 1e-300:
+                # the rectangle cancels about -log10(mass) digits of its terms
+                with mp.workdps(50 + math.ceil(-math.log10(mass))):
+                    exact = _oracle_mass(law, i, j)
+                    bound = 1e-12 * (exact if lead is None else lead)
+                    assert abs(mass - exact) <= bound, (i, j, mass, exact)
 
 
 class TestRoundTrip:
@@ -707,13 +818,21 @@ for name in imports:
 print(json.dumps(sorted(m for m in sys.modules if (m + ".").startswith(package + "."))))
 """
 
-# a script on the functions of the joint survival: prints the numpy modules loaded
+# a script on the scalar functions of the joint law and its DW laws: prints
+# the numpy modules loaded
 _LAW_SCRIPT = """
 import json, sys
 import bdw
+from bdw.bivariate import cond_pmf, cond_sf_given_eq, cond_sf_given_ge
+from bdw.univariate import dw_logpmf
 for law in (bdw.BDWParams(1.5, 0.9, 0.7, 0.75), bdw.MOBWParams(0.8, 0.0, 0.3, 0.2)):
     bdw.moments(law), bdw.joint_sf(law, 1, 2), bdw.joint_cdf(law, 2, 3)
     bdw.bivariate.is_tp2_on_grid(law), bdw.bivariate.pqd_check_on_grid(law)
+    for cell in ((1, 2), (3, 1), (2, 2)):
+        bdw.joint_pmf(law, *cell), bdw.joint_logpmf(law, *cell), cond_pmf(law, *cell)
+        cond_sf_given_ge(law, *cell), cond_sf_given_eq(law, *cell)
+for law in (bdw.DWParams(1.5, 0.6), bdw.WeibullParams(0.8, 0.3)):
+    bdw.dw_pmf(law, 3), dw_logpmf(law, 0)
 print(json.dumps(sorted(m for m in sys.modules if (m + ".").startswith("numpy."))))
 """
 
@@ -795,11 +914,11 @@ class TestStartup:
 
     def test_law_commands_do_not_load_numpy(self, tmp_path):
         # with no command, the probe is a bare ``import bdw.cli``
-        moments = [argv for argv in ALL_COMMANDS if argv[0] == "moments"]
-        assert _modules_after(tmp_path, moments, package="numpy") == set()
+        laws = [argv for argv in ALL_COMMANDS if argv[0] in ("moments", "pmf-table")]
+        assert _modules_after(tmp_path, laws, package="numpy") == set()
         assert _modules_after(tmp_path, [], package="numpy") == set()
 
-    @pytest.mark.parametrize("command", ["pmf-table", "simulate"])
+    @pytest.mark.parametrize("command", ["simulate"])
     def test_array_commands_load_numpy(self, tmp_path, command):
         # the control: the probe does see numpy where a command builds arrays
         argv = [argv for argv in ALL_COMMANDS if argv[0] == command]
@@ -828,6 +947,10 @@ class TestStartup:
         proc = _program(["moments", "--alpha", "-1", *law[2:]], PYTHONPATH=path)
         assert (proc.returncode, proc.stdout) == (1, b"")
         assert proc.stderr == b"error: shape must be positive and finite, got -1.0\n"
+        grid = tmp_path / "grid.csv"
+        assert main(["pmf-table", *law, "--k", "6", "--output", str(grid)]) == 0
+        proc = _program(["pmf-table", *law, "--k", "6"], PYTHONPATH=path)
+        assert (proc.returncode, proc.stderr, proc.stdout) == (0, b"", grid.read_bytes())
         # the control: a command that draws does need numpy
         proc = _program(["simulate", *law, "--n", "5"], PYTHONPATH=path)
         assert proc.returncode == 1 and b"ImportError: stub numpy" in proc.stderr
