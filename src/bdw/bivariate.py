@@ -211,71 +211,44 @@ def joint_sf(params, x1: float, x2: float) -> float:
     return math.exp(_log_sf(_rates(params), _floor(x1), _floor(x2)))
 
 
-def _partition(x1: np.ndarray, x2: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Masks of the cells below (``x1 < x2``), above and on the diagonal."""
-    below = x1 < x2
-    above = x1 > x2
-    return below, above, ~(below | above)
+# the rates of X1 and X2 below the diagonal, then above it, as rows over
+# (lambda0, lambda1, lambda2): lambda1, lambda0 + lambda2, lambda0 + lambda1, lambda2
+_RATE_MAP = ((0, 1, 0), (1, 0, 1), (1, 1, 0), (0, 0, 1))
 
 
-def _fill_log_joint_pmf(out, x1, x2, parts, dw, power, log1mexp):
-    """Fill ``out`` with the joint log-pmf at the cells ``(x1, x2)``, part by part.
-
-    ``parts`` holds the masks of :func:`_partition`.  The three primitives
-    take a rate ``r`` as flags over ``(lambda0, lambda1, lambda2)``:
-    ``dw(y, rates)`` is the DW log-pmf at ``y`` with survival base
-    ``exp(-r)``, ``power(y, rates)`` is ``-r * y**alpha``, and
-    ``log1mexp(u)`` is ``log(1 - exp(-u))``.  Values and derivatives pass
-    their own primitives and share this split.
+def _log_joint_pmf_at(params, vals: np.ndarray, i1: np.ndarray, i2: np.ndarray) -> np.ndarray:
+    """Log joint pmf at the cells ``(vals[i1], vals[i2])``: ``vals`` holds
+    distinct integer-valued floats in increasing order, and the index
+    arrays broadcast together (no validation).  The cells gather four DW
+    log-mass tables over ``vals``, one per row of ``_RATE_MAP``, and the
+    shared shock's atom; at a zero shared rate a tie reads the cells above,
+    the product of the marginals.  A power past the float range gives -inf.
     """
-    r1, r2 = (0, 1, 0), (0, 0, 1)
-    r01, r02 = (1, 1, 0), (1, 0, 1)
-    below, above, ties = parts
-    if below.any():
-        out[below] = dw(x1[below], r1) + dw(x2[below], r02)
-    if above.any():
-        out[above] = dw(x1[above], r01) + dw(x2[above], r2)
-    if ties.any():
-        x = x1[ties]
-        # the tie's mass is exp(lead) - exp(trail), the shared shock's atom,
-        # kept in log space: the leading term dominates at every valid point
-        lead = power(x, r1) + dw(x, r02)
-        trail = power(x + 1.0, r01) + dw(x, r2)
-        out[ties] = lead + log1mexp(lead - trail)
-    return out
-
-
-def _log_joint_pmf_arr(params, x1: np.ndarray, x2: np.ndarray, parts) -> np.ndarray:
-    """Log joint pmf at the cells ``(x1, x2)``, arrays of one shape of
-    integer-valued floats split by ``parts`` (no validation).  A cell past
-    the float range, where a power overflows, comes back as -inf."""
     import numpy as np
 
     a, lam0, lam1, lam2 = _rates(params)
-
-    def rate(flags):
-        return lam0 * flags[0] + lam1 * flags[1] + lam2 * flags[2]
-
-    def dw(y, flags):
-        return _logpmf_arr(y, a, rate(flags))
-
-    def power(y, flags):
-        return -rate(flags) * np.where(y > 0, np.power(y, a), 0.0)
-
-    if lam0 == 0.0:
-        # independence: a tie has no shared-shock atom, and the product the
-        # cells above take is then the product of the marginals; it avoids
-        # the atom's difference of two nearly equal terms
-        below, above, ties = parts
-        parts = (below, above | ties, np.zeros_like(ties))
     with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
-        return _fill_log_joint_pmf(np.empty(x1.shape), x1, x2, parts, dw, power, _log1mexp)
+        below1, below2, above1, above2 = (
+            _logpmf_arr(vals, a, lam0 * m0 + lam1 * m1 + lam2 * m2) for m0, m1, m2 in _RATE_MAP
+        )
+        # the tie's mass is exp(lead) - exp(trail), the shared shock's atom,
+        # kept in log space: the leading term dominates at every valid point
+        lead = -lam1 * np.where(vals > 0, np.power(vals, a), 0.0) + below2
+        trail = -(lam0 + lam1) * np.power(vals + 1.0, a) + above2
+        tie = lead + _log1mexp(lead - trail)
+    # a cell's part: 0 below the diagonal, 1 above, 2 a tie, which adds -0.0
+    part = (i1 >= i2).astype(np.intp)
+    if lam0 != 0.0:
+        part += i1 == i2
+    first = np.stack([below1, above1, tie])
+    second = np.stack([below2, above2, np.full(vals.shape, -0.0)])
+    return first[part, i1] + second[part, i2]
 
 
 def _log_tie(lam0: float, lam1: float, t: float, t_next: float, dw02: float, dw2: float) -> float:
     # the shared shock's atom at (x, x), from the powers t = x**alpha and
     # t_next = (x+1)**alpha and the DW log-masses at x of the rates
-    # lambda0 + lambda2 and lambda2: the tie part of _fill_log_joint_pmf
+    # lambda0 + lambda2 and lambda2, as _log_joint_pmf_at reads it
     lead = -lam1 * t + dw02
     trail = -(lam0 + lam1) * t_next + dw2
     return lead + _log1mexp_float(lead - trail)
@@ -283,9 +256,9 @@ def _log_tie(lam0: float, lam1: float, t: float, t_next: float, dw02: float, dw2
 
 def _log_cell(rates: tuple, i: int, j: int) -> float:
     """Log joint pmf at the cell ``(i, j)`` on floats: the below / above /
-    tie split of :func:`_fill_log_joint_pmf`, each part a sum of scalar DW
-    log-masses.  At a zero shared rate a tie is read as above, as
-    :func:`_log_joint_pmf_arr` reads it."""
+    tie split of :func:`_log_joint_pmf_at`, each part a sum of scalar DW
+    log-masses.  At a zero shared rate a tie is read as above, as on
+    arrays."""
     a, lam0, lam1, lam2 = rates
     x, y = float(i), float(j)
     if i < j:
@@ -331,15 +304,17 @@ def joint_pmf_grid(params, k1: int, k2: int) -> np.ndarray:
     """Joint pmf table over the rectangle [0, k1] x [0, k2].
 
     Returns an array of shape (k1+1, k2+1) with entry [i, j] equal to
-    ``joint_pmf(params, i, j)``.
+    ``joint_pmf(params, i, j)``.  A grid of more cells than [0, K]^2 at
+    the cap ``_MAX_GRID_BOUND`` is refused by name, before it is built.
     """
     import numpy as np
 
     k1, k2 = _count(k1, "k1"), _count(k2, "k2")
-    g1, g2 = np.broadcast_arrays(
-        np.arange(k1 + 1, dtype=float)[:, None], np.arange(k2 + 1, dtype=float)[None, :]
-    )
-    return np.exp(_log_joint_pmf_arr(params, g1, g2, _partition(g1, g2)))
+    if (k1 + 1) * (k2 + 1) > (_MAX_GRID_BOUND + 1) ** 2:
+        raise _intractable_grid(max(k1, k2))
+    vals = np.arange(max(k1, k2) + 1, dtype=float)
+    i1, i2 = np.arange(k1 + 1)[:, None], np.arange(k2 + 1)[None, :]
+    return np.exp(_log_joint_pmf_at(params, vals, i1, i2))
 
 
 def _pmf_rows(params, k: int):

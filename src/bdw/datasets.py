@@ -2,9 +2,9 @@
 
 :class:`BivariateDataset` holds the observed integer pairs that every
 fit, fit check and command reads; it refuses a malformed row by its index
-and compresses the rows to distinct cells once.  :func:`_cell_log_masses`
-reads the joint log-mass of those cells under a law, for the likelihood
-of the ML fit and the latent imputation alike.
+and lays the rows' distinct cells once on a table of their values.
+:func:`_cell_log_masses` reads the cells' joint log-masses off it, for the
+likelihood of the ML fit and the latent imputation alike.
 
 Two small bivariate count datasets ship with the package so every fitting
 command can be exercised without external files.
@@ -39,9 +39,9 @@ class BivariateDataset(_Record):
     The compression to distinct cells drives everything downstream: all
     likelihood and imputation work is done once per distinct cell and
     weighted by its count, which also makes every estimate invariant to row
-    order.  The cells are split once into the three parts of the joint
-    log-pmf (:attr:`partition`), and the below-diagonal, above-diagonal
-    and tie row counts are read off that split.
+    order.  The cells lie on one table of their values (:attr:`value_table`),
+    whose weights give the row counts below, above and on the diagonal and
+    the refusals of a sample that leaves a rate unidentified.
     """
 
     pairs: tuple[tuple[int, int], ...]
@@ -80,17 +80,17 @@ class BivariateDataset(_Record):
     @property
     def n_below(self) -> int:
         """Rows with x1 < x2."""
-        return int(self.cell_arrays[2][self.partition[0]].sum())
+        return int(self.value_table[3][0].sum())
 
     @property
     def n_above(self) -> int:
         """Rows with x1 > x2."""
-        return int(self.cell_arrays[2][self.partition[1]].sum())
+        return int(self.value_table[3][2].sum())
 
     @property
     def n_ties(self) -> int:
         """Rows with x1 = x2."""
-        return int(self.cell_arrays[2][self.partition[2]].sum())
+        return int(self.value_table[3][4].sum())
 
     @cached_property
     def cells(self) -> tuple[tuple[tuple[int, int], int, int], ...]:
@@ -111,13 +111,23 @@ class BivariateDataset(_Record):
         return cols[:, 0], cols[:, 1], cols[:, 2]
 
     @cached_property
-    def partition(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Masks over :attr:`cells` of the cells below the diagonal, above it
-        and on it: the three parts of the joint log-pmf."""
-        masks = bivariate._partition(*self.cell_arrays[:2])
-        for mask in masks:
-            mask.flags.writeable = False
-        return masks
+    def value_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """:attr:`cells` on one table of their distinct values, as read-only
+        arrays ``(vals, i1, i2, weights)``: cell c is ``(vals[i1[c]],
+        vals[i2[c]])``, with ``vals`` increasing.  Row k < 4 of the 5 x K
+        ``weights`` counts the values of the k-th DW law of
+        ``bivariate._RATE_MAP`` over the rows, and row 4 the ties."""
+        import numpy as np
+
+        x1, x2, w = self.cell_arrays
+        vals, where = np.unique(np.concatenate([x1, x2]), return_inverse=True)
+        i1, i2 = where[: w.size], where[w.size :]
+        below, above = i1 < i2, i1 > i2
+        parts = ((below, i1), (below, i2), (above, i1), (above, i2), (i1 == i2, i1))
+        weights = np.array([np.bincount(i[m], w[m], minlength=vals.size) for m, i in parts])
+        for arr in (vals, i1, i2, weights):
+            arr.flags.writeable = False
+        return vals, i1, i2, weights
 
     def column(self, which: str) -> np.ndarray:
         """One of the three univariate views: ``x1``, ``x2`` or ``min``."""
@@ -144,9 +154,9 @@ class BivariateDataset(_Record):
         row.  Only a row with ``x1 < x2`` shows the first coordinate's own
         component failing first: without one, ``lambda1`` has no evidence
         and the fit drives it to zero.  Likewise ``lambda2`` and ``x1 > x2``."""
-        below, above, _ = self.partition
-        for rate, order, mask in (("lambda1", "x1 < x2", below), ("lambda2", "x1 > x2", above)):
-            if not mask.any():
+        weights = self.value_table[3]
+        for rate, order, row in (("lambda1", "x1 < x2", 0), ("lambda2", "x1 > x2", 2)):
+            if not weights[row].any():
                 raise ValueError(
                     f"no row has {order}: the coordinate rate {rate} is not identifiable"
                 )
@@ -165,8 +175,8 @@ def _cell_log_masses(theta: bivariate.MOBWParams, data: BivariateDataset) -> np.
     """
     import numpy as np
 
-    x1, x2, _ = data.cell_arrays
-    lp = bivariate._log_joint_pmf_arr(theta, x1, x2, data.partition)
+    vals, i1, i2, _ = data.value_table
+    lp = bivariate._log_joint_pmf_at(theta, vals, i1, i2)
     bad = ~np.isfinite(lp)
     if np.any(bad):
         cell, _, row = data.cells[int(np.argmax(bad))]

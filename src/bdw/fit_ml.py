@@ -1,8 +1,9 @@
 """Maximum-likelihood fitting of the bivariate discrete Weibull model.
 
 The observed-data log-likelihood of the integer pairs is closed form, and
-so are its score and Hessian: every cell's log-mass is a sum of terms
-``-r*y**alpha`` and ``log(1 - exp(-u))``, with ``r`` a sum of the rates.
+so are its score and Hessian: four weighted DW log-likelihoods over the
+dataset's value table, one per rate of ``bivariate._RATE_MAP``, and the
+shared shock's atom at the ties.
 :func:`nested_em` maximizes it with one damped Newton solve in
 log-parameters from the marginal starting point, reads the observed
 information off the same Hessian, and reports a shared-shock rate whose
@@ -102,6 +103,16 @@ def bdw_loglik(theta: MOBWParams, data: BivariateDataset) -> float:
     return float(data.cell_arrays[2] @ _cell_log_masses(theta, data))
 
 
+# d(alpha, r) / d(alpha, lambda0, lambda1, lambda2) for each rate r of
+# bivariate._RATE_MAP: a jet in (alpha, r) lifts as g @ J and J.T @ h @ J
+_LIFT = np.array([[[1, 0, 0, 0], [0, *row]] for row in bivariate._RATE_MAP], dtype=float)
+
+
+def _lift(jet: _Jet, k: int) -> _Jet:
+    j = _LIFT[k]
+    return _Jet(jet.v, jet.g @ j, j.T @ jet.h @ j)
+
+
 def bdw_loglik_derivatives(
     theta: Sequence[float], data: BivariateDataset
 ) -> tuple[float, np.ndarray, np.ndarray]:
@@ -110,20 +121,32 @@ def bdw_loglik_derivatives(
     ``theta`` holds ``(alpha, lambda0, lambda1, lambda2)``; ``lambda0 = 0``
     (independence) is allowed.  Derivatives are in these natural
     parameters.  A cell of zero probability makes the value ``-inf`` and
-    the derivatives non-finite rather than raising.
+    the derivatives non-finite rather than raising.  The values of
+    positive weight in the four DW parts of ``data.value_table`` take one
+    2 x 2 jet each, at their part's rate; the tie values take the 4 x 4
+    jet of the shared shock's atom, in that form even at ``lambda0 = 0``,
+    so the score in ``lambda0`` is the one-sided one.
     """
     theta = np.asarray(theta, dtype=float)
-    x1, x2, w = data.cell_arrays
-    n = w.size
-    out = _Jet(np.empty(n), np.empty((n, 4)), np.empty((n, 4, 4)))
+    alpha = theta[0]
+    vals, _, _, weights = data.value_table
+    rates = np.array(bivariate._RATE_MAP, dtype=float) @ theta[1:]
+    part, at = np.nonzero(weights[:4])
+    w, ties = weights[part, at], np.flatnonzero(weights[4])
+    x, wt = vals[ties], weights[4, ties]
     with np.errstate(all="ignore"):
-        jet = bivariate._fill_log_joint_pmf(
-            out, x1, x2, data.partition,
-            lambda y, rates: _dw_jet(y, theta, rates),
-            lambda y, rates: _power_jet(y, theta, rates),
-            _log1mexp_jet,
-        )
-        return float(w @ jet.v), w @ jet.g, np.tensordot(w, jet.h, axes=1)
+        # the off-diagonal jets, summed per rate, then lifted
+        jet = _dw_jet(vals[at], alpha, rates[part])
+        per_rate = (part == np.arange(4)[:, None]) * w
+        grad = np.einsum("ka,kai->i", per_rate @ jet.g, _LIFT)
+        hess = np.einsum("kai,kab,kbj->ij", _LIFT, np.tensordot(per_rate, jet.h, axes=1), _LIFT)
+        # the atom exp(lead) - exp(trail), as bivariate._log_joint_pmf_at takes it
+        r1, r02, r01, r2 = rates
+        lead = _lift(_power_jet(x, alpha, r1), 0) + _lift(_dw_jet(x, alpha, r02), 1)
+        trail = _lift(_power_jet(x + 1.0, alpha, r01), 2) + _lift(_dw_jet(x, alpha, r2), 3)
+        atom = lead + _log1mexp_jet(lead - trail)
+        value = float(w @ jet.v + wt @ atom.v)
+        return value, grad + wt @ atom.g, hess + np.tensordot(wt, atom.h, axes=1)
 
 
 def initial_params_from_marginals(first, second, minimum) -> MOBWParams:
@@ -183,8 +206,7 @@ def _identified_start(data: BivariateDataset, start: MOBWParams | None) -> MOBWP
     check is on the whole sample: a joint fit whose minimum column alone
     holds only 0 and 1 runs."""
     data.require_untied_rows()
-    x1, x2, _ = data.cell_arrays
-    if max(x1.max(), x2.max()) <= 1.0:
+    if data.value_table[0][-1] <= 1.0:
         raise ValueError("the shape is not identified: no count exceeds 1")
     theta = init_estimates(data) if start is None else start
     data.require_both_orders()

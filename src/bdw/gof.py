@@ -175,9 +175,6 @@ def chisq_bdw(
     """
     x1, x2, w = data.cell_arrays
     top1, top2 = int(x1.max()), int(x2.max())
-    counts = np.zeros((top1 + 1, top2 + 1), dtype=np.int64)
-    counts[x1.astype(np.int64), x2.astype(np.int64)] = w
-
     # interior cells take the pmf; the last row and column absorb the tail
     # mass on their axis as differences of the joint survival
     mass = bivariate.joint_pmf_grid(params, top1, top2)
@@ -187,6 +184,9 @@ def chisq_bdw(
     for i in range(top1):
         mass[i, top2] = s(params, i, top2) - s(params, i + 1, top2)
     mass[top1, top2] = s(params, top1, top2)
+    # the counts come after the masses, whose grid refuses a size past the cap
+    counts = np.zeros(mass.shape, dtype=np.int64)
+    counts[x1.astype(np.int64), x2.astype(np.int64)] = w
 
     axis1, axis2, w = _axis(top1), _axis(top2), top2 + 1
     return _report(lambda k: f"({axis1[k // w]},{axis2[k % w]})", counts, mass, df_penalty)

@@ -423,7 +423,7 @@ def _dataset_1d(data) -> np.ndarray:
 
 
 class _Jet(_Record):
-    """Per-cell values with gradients and Hessians in a parameter vector
+    """Per-entry values with gradients and Hessians in a parameter vector
     ``theta = (alpha, rate, ...)``: the shape first, then any number of rates."""
 
     v: np.ndarray
@@ -436,28 +436,18 @@ class _Jet(_Record):
     def __sub__(self, other: "_Jet") -> "_Jet":
         return _Jet(self.v - other.v, self.g - other.g, self.h - other.h)
 
-    def __setitem__(self, mask: np.ndarray, other: "_Jet") -> None:
-        self.v[mask], self.g[mask], self.h[mask] = other.v, other.g, other.h
 
-
-def _power_jet(y: np.ndarray, theta: np.ndarray, rates: tuple) -> _Jet:
-    """Jet of ``-r * y**alpha``, where ``r`` sums the rates flagged in ``rates``."""
+def _power_jet(y: np.ndarray, alpha: float, rate) -> _Jet:
+    """Jet of ``-rate * y**alpha`` in ``(alpha, rate)``; ``rate`` is one
+    float or one per entry of ``y``."""
     import numpy as np
 
-    m = np.array([0.0, *rates])
-    shape = np.zeros(m.size)
-    shape[0] = 1.0
-    r = float(m @ theta)
     ly = np.log(np.where(y > 0, y, 1.0))
-    t = y ** theta[0]
+    t = y**alpha
     t_a = t * ly
     t_aa = t_a * ly
-    cross = np.outer(shape, m) + np.outer(m, shape)
-    return _Jet(
-        -r * t,
-        -(r * t_a)[:, None] * shape - t[:, None] * m,
-        -(r * t_aa)[:, None, None] * np.outer(shape, shape) - t_a[:, None, None] * cross,
-    )
+    h = np.stack([-(rate * t_aa), -t_a, -t_a, np.zeros_like(t)], axis=-1)
+    return _Jet(-rate * t, np.stack([-(rate * t_a), -t], axis=-1), h.reshape(t.shape + (2, 2)))
 
 
 def _log1mexp_jet(u: _Jet) -> _Jet:
@@ -474,10 +464,11 @@ def _log1mexp_jet(u: _Jet) -> _Jet:
     )
 
 
-def _dw_jet(y: np.ndarray, theta: np.ndarray, rates: tuple) -> _Jet:
-    """Jet of the DW log-pmf at ``y`` with survival base ``exp(-r)``."""
-    here = _power_jet(y, theta, rates)
-    return here + _log1mexp_jet(here - _power_jet(y + 1.0, theta, rates))
+def _dw_jet(y: np.ndarray, alpha: float, rate) -> _Jet:
+    """Jet of the DW log-pmf at ``y`` in ``(alpha, rate)``, the survival base
+    being ``exp(-rate)``; ``rate`` is one float or one per entry of ``y``."""
+    here = _power_jet(y, alpha, rate)
+    return here + _log1mexp_jet(here - _power_jet(y + 1.0, alpha, rate))
 
 
 def _in_logs(theta: np.ndarray, value: float, grad: np.ndarray, hess: np.ndarray):
@@ -588,7 +579,7 @@ def _neg_loglik_jet(z: np.ndarray, values: np.ndarray, counts: np.ndarray):
 
     theta = np.exp(z)
     with np.errstate(all="ignore"):
-        jet = _dw_jet(values, theta, (1,))
+        jet = _dw_jet(values, theta[0], theta[1])
         hess = np.tensordot(counts, jet.h, axes=1)
         return _in_logs(theta, -float(counts @ jet.v), -(counts @ jet.g), -hess)
 
@@ -601,7 +592,7 @@ def _pearson_jet(z: np.ndarray, values: np.ndarray, counts: np.ndarray, n: int):
 
     theta = np.exp(z)
     with np.errstate(all="ignore"):
-        jet = _dw_jet(values, theta, (1,))
+        jet = _dw_jet(values, theta[0], theta[1])
         e = n * np.exp(jet.v)
         q = counts * counts / e
         grad = (e - q) @ jet.g

@@ -413,6 +413,23 @@ class TestMomentsAndDependence:
         with pytest.raises(ValueError, match=r"epsilon = 1e-06 of it needs K > 10000$"):
             bivariate._table_bound(params)
 
+    @pytest.mark.parametrize("k1, k2, k", [
+        (10**6, 10**6, 10**6),  # 931 GiB of grid
+        (10_001, 10_000, 10_001),
+        (10**8 + 10**5, 0, 10**8 + 10**5),  # one row, more cells than the cap's square
+    ])
+    def test_grid_past_the_cap_is_refused_before_it_is_built(self, monkeypatch, k1, k2, k):
+        def no_tables(*args):
+            raise AssertionError("the tables were built")
+
+        monkeypatch.setattr(bivariate, "_log_joint_pmf_at", no_tables)
+        with pytest.raises(
+            ValueError, match=rf"^a grid \[0, K\]\^2 with K = {k} > 10000 is not tractable$"
+        ):
+            joint_pmf_grid(MOBWParams(1.5, 0.1, 0.3, 0.2), k1, k2)
+        with pytest.raises(ValueError, match=rf"K = {k} > 10000"):
+            joint_pmf_grid(MOBWParams(1.5, 0.1, 0.3, 0.2), k2, k1)
+
     @pytest.mark.parametrize("alpha", [0.01, 0.001])
     def test_bound_past_float_resolution_is_refused(self, monkeypatch, alpha):
         # the bound's start is ~7e203 at shape 0.01 (and overflows at 0.001),

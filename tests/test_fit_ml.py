@@ -77,7 +77,16 @@ class TestDataset:
             int(np.sum(rows[:, 0] > rows[:, 1])),
             int(np.sum(rows[:, 0] == rows[:, 1])),
         )
-        assert data.partition is data.partition
+        assert data.value_table is data.value_table
+        vals, i1, i2, weights = data.value_table
+        x1, x2, w = data.cell_arrays
+        np.testing.assert_array_equal(vals[i1], x1)
+        np.testing.assert_array_equal(vals[i2], x2)
+        assert np.all(np.diff(vals) > 0)
+        # the five parts' histograms hold every row once per coordinate read
+        assert weights.sum(axis=1).tolist() == [
+            data.n_below, data.n_below, data.n_above, data.n_above, data.n_ties
+        ]
 
     def test_columns_and_cells(self, football):
         x1 = football.column("x1")

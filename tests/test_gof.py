@@ -364,6 +364,14 @@ class TestBivariate:
         got = [e for _, _, e in chisq_bdw(data, params).cells]
         np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
 
+    def test_grid_past_the_cap_is_refused_by_name(self):
+        # a grid of 10**12 cells: refused by name, not by numpy's MemoryError
+        data = BivariateDataset(((0, 10**6), (10**6, 0), (1, 1), (2, 1)))
+        with pytest.raises(
+            ValueError, match=r"^a grid \[0, K\]\^2 with K = 1000000 > 10000 is not tractable$"
+        ):
+            chisq_bdw(data, BDWParams(1.5, 0.9, 0.7, 0.75))
+
     def test_df_penalty_and_errors(self, football):
         fit = nested_em(football)
         base = chisq_bdw(football, fit.bdw)

@@ -170,10 +170,31 @@ def test_post_init_may_set_a_field():
 def test_dataset_cached_properties_are_computed_once(monkeypatch):
     data = BivariateDataset(((1, 2), (0, 1), (2, 2), (1, 2)))
     calls = []
-    real = bdw.bivariate._partition
-    monkeypatch.setattr(bdw.bivariate, "_partition", lambda *a: calls.append(1) or real(*a))
-    for name in ("cells", "cell_arrays", "partition"):
+    real = np.unique
+    monkeypatch.setattr(np, "unique", lambda *a, **k: calls.append(1) or real(*a, **k))
+    for name in ("cells", "cell_arrays", "value_table"):
         assert getattr(data, name) is getattr(data, name)
         assert name in vars(data)
     assert (data.n_below, data.n_above, data.n_ties) == (3, 0, 1)
+    with pytest.raises(ValueError, match="no row has x1 > x2"):
+        data.require_both_orders()
+    data.require_untied_rows()
     assert calls == [1]
+
+
+def test_dataset_counts_and_refusals_read_the_value_table():
+    # a table whose weights put every row on the diagonal: the counts and
+    # both refusals follow it, not the rows
+    data = BivariateDataset(((1, 2), (2, 1), (2, 2)))
+    vals, i1, i2, weights = data.value_table
+    assert (data.n_below, data.n_above, data.n_ties) == (1, 1, 1)
+    data.require_both_orders()
+    data.require_untied_rows()
+    ties = np.zeros_like(weights)
+    ties[4, -1] = data.n
+    vars(data)["value_table"] = (vals, i1, i2, ties)
+    assert (data.n_below, data.n_above, data.n_ties) == (0, 0, 3)
+    with pytest.raises(ValueError, match="no row has x1 < x2"):
+        data.require_both_orders()
+    with pytest.raises(ValueError, match="sample is all ties"):
+        data.require_untied_rows()
