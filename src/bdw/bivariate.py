@@ -219,22 +219,22 @@ _RATE_MAP = ((0, 1, 0), (1, 0, 1), (1, 1, 0), (0, 0, 1))
 def _log_joint_pmf_at(params, vals: np.ndarray, i1: np.ndarray, i2: np.ndarray) -> np.ndarray:
     """Log joint pmf at the cells ``(vals[i1], vals[i2])``: ``vals`` holds
     distinct integer-valued floats in increasing order, and the index
-    arrays broadcast together (no validation).  The cells gather four DW
-    log-mass tables over ``vals``, one per row of ``_RATE_MAP``, and the
-    shared shock's atom; at a zero shared rate a tie reads the cells above,
-    the product of the marginals.  A power past the float range gives -inf.
-    """
+    arrays broadcast together (no validation).  The cells gather a (4, K)
+    DW log-mass table over ``vals``, one row per rate of ``_RATE_MAP`` from
+    one call on a rate column, and the shared shock's atom off rows 1 and 3
+    and the powers at rates 0 and 2, the rows the likelihood's jets read.
+    At a zero shared rate a tie reads the cells above, the product of the
+    marginals.  A power past the float range gives -inf."""
     import numpy as np
 
     a, lam0, lam1, lam2 = _rates(params)
+    rate = (np.array(_RATE_MAP, dtype=float) @ (lam0, lam1, lam2))[:, None]
     with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
-        below1, below2, above1, above2 = (
-            _logpmf_arr(vals, a, lam0 * m0 + lam1 * m1 + lam2 * m2) for m0, m1, m2 in _RATE_MAP
-        )
+        below1, below2, above1, above2 = _logpmf_arr(vals, a, rate)
         # the tie's mass is exp(lead) - exp(trail), the shared shock's atom,
         # kept in log space: the leading term dominates at every valid point
-        lead = -lam1 * np.where(vals > 0, np.power(vals, a), 0.0) + below2
-        trail = -(lam0 + lam1) * np.power(vals + 1.0, a) + above2
+        lead = -rate[0] * np.where(vals > 0, np.power(vals, a), 0.0) + below2
+        trail = -rate[2] * np.power(vals + 1.0, a) + above2
         tie = lead + _log1mexp(lead - trail)
     # a cell's part: 0 below the diagonal, 1 above, 2 a tie, which adds -0.0
     part = (i1 >= i2).astype(np.intp)

@@ -33,15 +33,7 @@ from . import bivariate
 from .bivariate import MOBWParams
 from .datasets import BivariateDataset, _cell_log_masses
 from .univariate import (
-    _dw_jet,
-    _in_logs,
-    _Jet,
-    _log1mexp_jet,
-    _newton_min,
-    _power_jet,
-    _rate,
-    _Record,
-    dw_fit_minchisq,
+    _in_logs, _Jet, _log1mexp_jet, _newton_min, _power_jet, _rate, _Record, dw_fit_minchisq
 )
 
 __all__ = [
@@ -108,9 +100,10 @@ def bdw_loglik(theta: MOBWParams, data: BivariateDataset) -> float:
 _LIFT = np.array([[[1, 0, 0, 0], [0, *row]] for row in bivariate._RATE_MAP], dtype=float)
 
 
-def _lift(jet: _Jet, k: int) -> _Jet:
+def _lift(table: _Jet, k: int, at: np.ndarray) -> _Jet:
+    # the entries ``at`` of row k of a (4, K) jet table, lifted through rate k of the map
     j = _LIFT[k]
-    return _Jet(jet.v, jet.g @ j, j.T @ jet.h @ j)
+    return _Jet(table.v[k, at], table.g[k, at] @ j, j.T @ table.h[k, at] @ j)
 
 
 def bdw_loglik_derivatives(
@@ -121,29 +114,31 @@ def bdw_loglik_derivatives(
     ``theta`` holds ``(alpha, lambda0, lambda1, lambda2)``; ``lambda0 = 0``
     (independence) is allowed.  Derivatives are in these natural
     parameters.  A cell of zero probability makes the value ``-inf`` and
-    the derivatives non-finite rather than raising.  The values of
-    positive weight in the four DW parts of ``data.value_table`` take one
-    2 x 2 jet each, at their part's rate; the tie values take the 4 x 4
-    jet of the shared shock's atom, in that form even at ``lambda0 = 0``,
-    so the score in ``lambda0`` is the one-sided one.
+    the derivatives non-finite rather than raising.  As in
+    :func:`bivariate._log_joint_pmf_at`, the values of ``data.value_table``
+    take one table of DW jets at the four rates of ``_RATE_MAP``; its
+    entries of positive weight are summed per rate and lifted, and the
+    ties read the shared shock's atom off its rows, in that form even at
+    ``lambda0 = 0``, so the score in ``lambda0`` is the one-sided one.
     """
     theta = np.asarray(theta, dtype=float)
     alpha = theta[0]
     vals, _, _, weights = data.value_table
-    rates = np.array(bivariate._RATE_MAP, dtype=float) @ theta[1:]
+    rates = (np.array(bivariate._RATE_MAP, dtype=float) @ theta[1:])[:, None]
     part, at = np.nonzero(weights[:4])
     w, ties = weights[part, at], np.flatnonzero(weights[4])
-    x, wt = vals[ties], weights[4, ties]
+    wt = weights[4, ties]
     with np.errstate(all="ignore"):
+        here, succ = _power_jet(vals, alpha, rates), _power_jet(vals + 1.0, alpha, rates)
+        table = here + _log1mexp_jet(here - succ)
         # the off-diagonal jets, summed per rate, then lifted
-        jet = _dw_jet(vals[at], alpha, rates[part])
+        jet = _Jet(table.v[part, at], table.g[part, at], table.h[part, at])
         per_rate = (part == np.arange(4)[:, None]) * w
         grad = np.einsum("ka,kai->i", per_rate @ jet.g, _LIFT)
         hess = np.einsum("kai,kab,kbj->ij", _LIFT, np.tensordot(per_rate, jet.h, axes=1), _LIFT)
-        # the atom exp(lead) - exp(trail), as bivariate._log_joint_pmf_at takes it
-        r1, r02, r01, r2 = rates
-        lead = _lift(_power_jet(x, alpha, r1), 0) + _lift(_dw_jet(x, alpha, r02), 1)
-        trail = _lift(_power_jet(x + 1.0, alpha, r01), 2) + _lift(_dw_jet(x, alpha, r2), 3)
+        # the atom exp(lead) - exp(trail), off the rows _log_joint_pmf_at reads
+        lead = _lift(here, 0, ties) + _lift(table, 1, ties)
+        trail = _lift(succ, 2, ties) + _lift(table, 3, ties)
         atom = lead + _log1mexp_jet(lead - trail)
         value = float(w @ jet.v + wt @ atom.v)
         return value, grad + wt @ atom.g, hess + np.tensordot(wt, atom.h, axes=1)

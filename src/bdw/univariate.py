@@ -438,35 +438,37 @@ class _Jet(_Record):
 
 
 def _power_jet(y: np.ndarray, alpha: float, rate) -> _Jet:
-    """Jet of ``-rate * y**alpha`` in ``(alpha, rate)``; ``rate`` is one
-    float or one per entry of ``y``."""
+    """Jet of ``-rate * y**alpha`` in ``(alpha, rate)``, over the broadcast of
+    ``rate`` against ``y``: a ``(R, 1)`` rate column gives one row per rate."""
     import numpy as np
 
     ly = np.log(np.where(y > 0, y, 1.0))
     t = y**alpha
     t_a = t * ly
-    t_aa = t_a * ly
-    h = np.stack([-(rate * t_aa), -t_a, -t_a, np.zeros_like(t)], axis=-1)
-    return _Jet(-rate * t, np.stack([-(rate * t_a), -t], axis=-1), h.reshape(t.shape + (2, 2)))
+    v = -rate * t
+    g, h = np.empty(v.shape + (2,)), np.zeros(v.shape + (2, 2))
+    g[..., 0], g[..., 1] = -(rate * t_a), -t
+    h[..., 0, 0], h[..., 0, 1], h[..., 1, 0] = -(rate * (t_a * ly)), -t_a, -t_a
+    return _Jet(v, g, h)
 
 
 def _log1mexp_jet(u: _Jet) -> _Jet:
-    """Jet of ``log(1 - exp(-u))``: its first derivative in ``u`` is
-    ``g1 = 1/expm1(u)`` and its second ``-(g1 + g1**2)``."""
+    """Jet of ``log(1 - exp(-u))`` over any leading axes: its derivatives in
+    ``u`` are ``g1 = 1/expm1(u)`` and ``-(g1 + g1**2)``."""
     import numpy as np
 
     g1 = 1.0 / np.expm1(u.v)
     g2 = -(g1 + g1 * g1)
     return _Jet(
         _log1mexp(u.v),
-        g1[:, None] * u.g,
-        g2[:, None, None] * (u.g[:, :, None] * u.g[:, None, :]) + g1[:, None, None] * u.h,
+        g1[..., None] * u.g,
+        g2[..., None, None] * (u.g[..., :, None] * u.g[..., None, :]) + g1[..., None, None] * u.h,
     )
 
 
 def _dw_jet(y: np.ndarray, alpha: float, rate) -> _Jet:
     """Jet of the DW log-pmf at ``y`` in ``(alpha, rate)``, the survival base
-    being ``exp(-rate)``; ``rate`` is one float or one per entry of ``y``."""
+    being ``exp(-rate)``; ``rate`` broadcasts against ``y`` as in :func:`_power_jet`."""
     here = _power_jet(y, alpha, rate)
     return here + _log1mexp_jet(here - _power_jet(y + 1.0, alpha, rate))
 

@@ -6,6 +6,7 @@ import json
 import math
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import warnings
@@ -18,7 +19,7 @@ from hypothesis import strategies as st
 from mpmath import mp
 
 import bdw
-from bdw import bivariate, cli
+from bdw import bivariate, cli, fit_bayes
 from bdw.bivariate import BDWParams, MOBWParams
 from bdw.cli import load_csv, main
 from bdw.datasets import FOOTBALL_PAIRS, NASAL_PAIRS, builtin_dataset
@@ -547,7 +548,60 @@ class TestRoundTrip:
             assert abs(est[name] - want) < 3 * se, name
 
 
+# draws too large to allocate: 10**12 simulated pairs (7.28 TiB of
+# lifetimes) and 10**12 Gibbs draws of four parameters (29.1 TiB)
+OVERSIZE = {
+    "simulate": ["simulate", "--alpha", "1.6", "--p0", "0.95", "--p1", "0.8", "--p2", "0.85",
+                 "--n", "1000000000000"],
+    "fit-bayes": ["fit-bayes", "--dataset", "football", "-M", "1000000000000", "-N", "1"],
+}
+
+
 class TestFailurePaths:
+    @pytest.mark.parametrize(
+        "command, owner, name",
+        [("simulate", bivariate, "sample"), ("fit-bayes", fit_bayes, "augmented_gibbs")],
+        ids=["simulate", "fit-bayes"],
+    )
+    @pytest.mark.parametrize(
+        "message, line",
+        [
+            ("Unable to allocate 7.28 TiB for an array with shape (1000000000000,) and data "
+             "type float64", None),
+            ("", "out of memory"),
+        ],
+        ids=["numpy", "bare"],
+    )
+    def test_failed_allocation_is_one_error_line(
+        self, tmp_path, capsys, monkeypatch, command, owner, name, message, line
+    ):
+        # the draw's allocation fails as numpy fails it, or with Python's
+        # own empty MemoryError: one line, no traceback and no report
+        def no_memory(*args, **kwargs):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(owner, name, no_memory)
+        out = tmp_path / "out"
+        assert main([*OVERSIZE[command], "--output", str(out)]) == 1
+        assert capsys.readouterr() == ("", f"error: {line or message}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", sorted(OVERSIZE))
+    def test_oversize_draw_fails_under_an_address_space_cap(self, tmp_path, command):
+        # a child capped at 4 GB of address space, so the real allocation
+        # fails whatever the host's overcommit setting
+        resource = pytest.importorskip("resource")
+        cap = 4 << 30
+        out = tmp_path / "out"
+        proc = subprocess.run(
+            [sys.executable, "-m", "bdw.cli", *OVERSIZE[command], "--output", str(out)],
+            capture_output=True, text=True, env=_src_env(OPENBLAS_NUM_THREADS="1"),
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
+        )
+        assert proc.returncode == 1
+        assert re.fullmatch(r"error: Unable to allocate [^\n]* TiB [^\n]*\n", proc.stderr)
+        assert not out.exists()
+
     def test_missing_input_file(self, capsys):
         rc = main(["fit-dw", "--input", "/nonexistent.csv", "--column", "x1"])
         assert rc == 1

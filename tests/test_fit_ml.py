@@ -1,3 +1,4 @@
+import collections
 import math
 import warnings
 
@@ -6,7 +7,8 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize
 
-from bdw import bivariate, fit_bayes, fit_ml, mobw
+from bdw import bivariate, fit_bayes, fit_ml, mobw, univariate
+from bdw.datasets import _cell_log_masses
 from bdw.fit_bayes import augmented_gibbs
 from bdw.fit_ml import (
     BivariateDataset,
@@ -230,6 +232,37 @@ class TestLoglikDerivatives:
                 np.testing.assert_allclose(hess, want_h, rtol=1e-8, atol=1e-12, err_msg=str(cell))
         finally:
             mp.mp.dps = 15
+
+    @pytest.mark.parametrize("name", ["football", "nasal", "untied"])
+    def test_one_table_per_call(self, request, monkeypatch, name):
+        # the score, the Hessian and the atom read one table of DW jets:
+        # one power jet of the values, one of their successors, one
+        # log1mexp jet for the table and one for the atom, counted through
+        # univariate._dw_jet too; the value path builds its four DW rows in
+        # one _logpmf_arr call
+        untied = BivariateDataset(((0, 1), (2, 1), (1, 3), (3, 0)))
+        data = untied if name == "untied" else request.getfixturevalue(name)
+        calls = collections.Counter()
+
+        def counted(fn, owners):
+            real = getattr(owners[0], fn)
+
+            def call(*args):
+                calls[fn] += 1
+                return real(*args)
+
+            for owner in owners:
+                monkeypatch.setattr(owner, fn, call)
+
+        counted("_power_jet", (univariate, fit_ml))
+        counted("_log1mexp_jet", (univariate, fit_ml))
+        counted("_logpmf_arr", (bivariate,))
+        theta = (2.0, 0.05, 0.2, 0.1)
+        bdw_loglik_derivatives(theta, data)
+        assert calls == {"_power_jet": 2, "_log1mexp_jet": 2}
+        calls.clear()
+        _cell_log_masses(MOBWParams(*theta), data)
+        assert calls == {"_logpmf_arr": 1}
 
     def test_value_matches_loglik(self, football):
         theta = MOBWParams(2.0, 0.05, 0.2, 0.1)

@@ -338,6 +338,36 @@ class TestFitObjectives:
         np.testing.assert_allclose(hess, num_hess, rtol=1e-6, atol=1e-8 * scale)
 
 
+def _bits(*arrays):
+    return [(a.shape, a.tobytes()) for a in arrays]
+
+
+class TestRateColumns:
+    # a (4, 1) rate column gives, row by row and bit for bit, what four
+    # scalar-rate calls give; the values hold 0, and at alpha = 1100 their
+    # powers pass the float range from y = 2
+    VALUES = np.array([0.0, 1.0, 2.0, 3.0, 7.0, 40.0])
+    RATES = (0.3, 0.25, 1e-12, 2.5)
+
+    @pytest.mark.parametrize("alpha", [0.2, 1.5, 20.0, 1100.0])
+    def test_rows_equal_scalar_rate_calls(self, alpha):
+        column = np.array(self.RATES)[:, None]
+        y = self.VALUES
+
+        def jets(rate):
+            here = univariate._power_jet(y, alpha, rate)
+            tail = univariate._log1mexp_jet(here - univariate._power_jet(y + 1.0, alpha, rate))
+            return (here, tail)
+
+        with np.errstate(all="ignore"):
+            rows = jets(column), univariate._logpmf_arr(y, alpha, column)
+            for k, rate in enumerate(self.RATES):
+                one = jets(rate), univariate._logpmf_arr(y, alpha, rate)
+                for got, want in zip(rows[0], one[0]):
+                    assert _bits(got.v[k], got.g[k], got.h[k]) == _bits(want.v, want.g, want.h)
+                assert _bits(rows[1][k]) == _bits(one[1])
+
+
 class TestNewtonSolver:
     @staticmethod
     def rosenbrock(z):
