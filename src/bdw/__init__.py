@@ -8,10 +8,12 @@ command-line tool wraps the fitting and simulation entry points.
 Public names resolve on first use (PEP 562): ``import bdw`` loads no
 submodule, and ``bdw.nested_em`` imports ``bdw.fit_ml`` when it is first
 read, so a process loads only the layers it uses.  The law layers,
-``univariate``, ``bivariate`` and ``datasets``, import numpy only inside
+``weibull``, ``bivariate`` and ``datasets``, import numpy only inside
 the functions that build arrays: a script on the scalar law functions,
 such as ``bdw.moments``, ``bdw.joint_sf``, ``bdw.joint_pmf`` or
-``bdw.dw_pmf``, loads no numpy.
+``bdw.dw_pmf``, loads no numpy.  The joint law rests on the DW law of
+``weibull`` alone; the DW fits (``univariate``) load only where a fit
+runs.
 """
 
 from __future__ import annotations
@@ -58,12 +60,11 @@ _EXPORTS = {
     ),
     "gof": ("ChiSquareReport", "chisq_bdw", "chisq_dw", "chisq_upper_tail"),
     "mobw": ("CompleteObservation", "LatentPrediction", "ml_predict"),
-    "univariate": (
+    "univariate": ("dw_fit_minchisq", "dw_fit_ml"),
+    "weibull": (
         "DWParams",
         "SingularDensityError",
         "WeibullParams",
-        "dw_fit_minchisq",
-        "dw_fit_ml",
         "dw_pmf",
         "dw_sample",
         "dw_sf",

@@ -30,7 +30,7 @@ import math
 from itertools import accumulate
 from typing import TYPE_CHECKING
 
-from .univariate import (
+from .weibull import (
     DWParams,
     WeibullParams,
     _count,

@@ -7,11 +7,14 @@ controlled by the ``BDW_LOG`` environment variable (standard logging level
 names); only then is ``logging`` imported.
 
 Each command handler imports the layers it runs, so a process starts on
-only those: ``pmf-table`` never loads the fitting modules, nor ``fit-dw``
-the joint fit.  The law layers import numpy only in the functions that
-build arrays, so ``moments``, ``pmf-table``, ``--help`` and every refusal
-of a law's options run without it: ``pmf-table`` writes its grid row by
-row from scalar DW log-mass tables.
+only those: ``pmf-table``, ``moments`` and ``simulate`` run on the laws
+of ``weibull`` and ``bivariate`` and never load a fitting module, the DW
+fits of ``univariate`` among them, nor does ``fit-dw`` load the joint
+fit.  The law layers import numpy only in the functions that build
+arrays, so ``moments``, ``pmf-table``, ``--help`` and every refusal of a
+law's options run without it: ``pmf-table`` writes its grid row by row
+from scalar DW log-mass tables.  Only the JSON writer imports ``json``,
+so ``pmf-table`` and ``--help`` load no ``json`` either.
 
 ``run`` is the program entry (``bdw`` and ``python -m bdw.cli``); ``main``
 serves in-process callers.
@@ -21,7 +24,6 @@ from __future__ import annotations
 
 import argparse
 import gc
-import json
 import math
 import os
 import sys
@@ -31,7 +33,7 @@ from typing import TYPE_CHECKING, Iterable, Iterator, NoReturn, Sequence
 from . import bivariate
 from .bivariate import BDWParams
 from .datasets import BUILTIN, BivariateDataset, builtin_dataset
-from .univariate import _MAX_COUNT, _count
+from .weibull import _MAX_COUNT, _count
 
 if TYPE_CHECKING:
     from .gof import ChiSquareReport
@@ -155,6 +157,9 @@ def _emit(
     results: dict,
     seed: int | None = None,
 ) -> None:
+    # imported here, as load_csv imports csv: pmf-table writes no JSON
+    import json
+
     report = {
         "schema_version": SCHEMA_VERSION,
         "command": args.command,

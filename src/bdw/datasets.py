@@ -25,7 +25,7 @@ from functools import cached_property
 from typing import TYPE_CHECKING, Sequence
 
 from . import bivariate
-from .univariate import _MAX_COUNT, _Record
+from .weibull import _MAX_COUNT, _Record
 
 if TYPE_CHECKING:
     import numpy as np

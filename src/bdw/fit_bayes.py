@@ -27,7 +27,7 @@ from .fit_ml import PARAM_NAMES, _identified_start
 from .mobw import (
     CompleteObservation, MOBWParams, SampleSummary, cause_counts, impute_dataset, summarize
 )
-from .univariate import _Record
+from .weibull import _power, _Record
 
 __all__ = [
     "DGPrior",
@@ -128,6 +128,22 @@ def exposures(
     return summarize(sample).exposures(alpha)
 
 
+def _finite_exposures(st: SampleSummary, alpha: float) -> tuple[float, float, float]:
+    """``st.exposures(alpha)``, refused by name where one passes the float range."""
+    # an exposure sums at most one power per event, none above the largest;
+    # only past twice that bound, room for the sums' rounding, may one overflow
+    if _power(st.top, alpha) * (2.0 * st.event_count) < math.inf:
+        return st.exposures(alpha)
+    with np.errstate(over="ignore"):
+        sums = st.exposures(alpha)
+    if math.inf in sums:
+        raise ValueError(
+            f"the exposures pass the float range at shape {alpha:.6g}: "
+            f"the rates' full conditionals cannot be drawn there"
+        )
+    return sums
+
+
 def sample_lambdas_conditional(
     prior: DGPrior,
     alpha: float,
@@ -141,11 +157,12 @@ def sample_lambdas_conditional(
     conditional.  When the prior total-shape ``a`` differs from
     ``a0+a1+a2`` the gamma product is only a proposal and a Metropolis
     accept step corrects for the ``(bλ)^(a-a0-a1-a2)`` factor; the
-    current rates are kept on rejection.
+    current rates are kept on rejection.  Exposures past the float range
+    are refused by name.
     """
     sample = summarize(sample)
     n0, n1, n2 = cause_counts(sample, lambdas, rng)
-    t0, t1, t2 = sample.exposures(alpha)
+    t0, t1, t2 = _finite_exposures(sample, alpha)
     a0, a1, a2, b = prior.a0, prior.a1, prior.a2, prior.b
     gamma = rng.gamma
     # near-zero shapes make gamma draws underflow; keep them positive
@@ -224,7 +241,9 @@ def sample_alpha_conditional(
     """One draw of the shape from its conditional given rates and sample.
 
     Slice sampling with stepping-out and shrinkage; exact in stationarity
-    for the conditional known up to its normalizing constant.
+    for the conditional known up to its normalizing constant.  A
+    log-target so large at the current shape that the slice level rounds
+    to it is refused by name.
     """
     g = _alpha_logtarget(alpha_prior, lambdas, summarize(sample))
     lo, hi, width = SLICE_ALPHA_LO, SLICE_ALPHA_HI, SLICE_WIDTH
@@ -234,6 +253,13 @@ def sample_alpha_conditional(
     if not math.isfinite(gx0):
         raise ValueError("conditional density vanishes at the current shape")
     level = gx0 - rng.exponential()
+    if not level < gx0:
+        # the slice would not hold x0, and the shrinkage below would close
+        # on x0 without ever accepting
+        raise ValueError(
+            f"the shape's slice cannot be drawn at shape {x0:.6g}: its "
+            f"log-density {gx0:.6g} is so large that the slice level rounds to it"
+        )
     # lo + (hi - lo) * rng.random() is how numpy computes rng.uniform(lo,
     # hi), so the draws are the same bits without uniform's call overhead
     left = x0 - width * random()

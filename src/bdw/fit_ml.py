@@ -32,9 +32,8 @@ import numpy as np
 from . import bivariate
 from .bivariate import MOBWParams
 from .datasets import BivariateDataset, _cell_log_masses
-from .univariate import (
-    _in_logs, _Jet, _log1mexp_jet, _newton_min, _power_jet, _rate, _Record, dw_fit_minchisq
-)
+from .univariate import _in_logs, _Jet, _log1mexp_jet, _newton_min, _power_jet, dw_fit_minchisq
+from .weibull import _rate, _Record
 
 __all__ = [
     "BivariateDataset",
@@ -146,7 +145,7 @@ def bdw_loglik_derivatives(
 
 def initial_params_from_marginals(first, second, minimum) -> MOBWParams:
     """Starting point from three univariate fits, each a DW law in its base
-    or in its rate (:func:`bdw.univariate._rate`).
+    or in its rate (:func:`bdw.weibull._rate`).
 
     The two coordinate fits and the fit of the coordinatewise minimum carry
     rates ``lambda0 + lambda1``, ``lambda0 + lambda2`` and ``lambda0 +

@@ -17,12 +17,13 @@ from typing import TYPE_CHECKING, Callable, Sequence
 import numpy as np
 
 from . import bivariate
-from .univariate import _count, _dataset_1d, _logpmf_arr, _pearson, _rate, _Record, dw_sf
+from .univariate import _dataset_1d, _pearson
+from .weibull import _count, _logpmf_arr, _rate, _Record, dw_sf
 
 if TYPE_CHECKING:
     from .bivariate import BDWParams, MOBWParams
     from .datasets import BivariateDataset
-    from .univariate import DWParams, WeibullParams
+    from .weibull import DWParams, WeibullParams
 
 __all__ = [
     "ChiSquareReport",

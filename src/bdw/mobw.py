@@ -33,9 +33,8 @@ import numpy as np
 from . import bivariate
 from .bivariate import MOBWParams, mobw_sample
 from .datasets import _ALL_TIES, BivariateDataset, _cell_log_masses
-from .univariate import (
-    ALPHA_HI, ALPHA_LO, _count, _logpmf_arr, _newton_min, _power, _Record, we_mode
-)
+from .univariate import ALPHA_HI, ALPHA_LO, _newton_min
+from .weibull import _count, _logpmf_arr, _power, _Record, we_mode
 
 __all__ = [
     "MOBWParams",

@@ -1,0 +1,382 @@
+"""The continuous and discrete Weibull laws.
+
+The discrete Weibull (DW) distribution places mass ``p**(y**alpha) -
+p**((y + 1)**alpha)`` on each non-negative integer ``y``.  It arises as the
+integer part of a continuous Weibull lifetime with rate ``lam = -ln(p)``,
+which is the representation used throughout this package: survival beyond
+``y`` is ``p**(y**alpha)`` with a weak inequality, i.e. ``P(Y >= y)``.
+With ``alpha = 1`` the law reduces to the geometric distribution with
+success probability ``1 - p``.
+
+Every function of the DW law reads its rate through one conversion,
+:func:`_rate`, and takes the law as its survival base (:class:`DWParams`)
+or as the continuous Weibull law whose floor it is
+(:class:`WeibullParams`); :func:`_to_base` gives a rate's survival base
+and refuses one that rounds to 1.  The DW log-mass is written once on
+floats (:func:`_logpmf_float`) and once on arrays (:func:`_logpmf_arr`),
+both through ``log1mexp``.  This module is the package's lowest layer:
+it holds the records' base class, :class:`_Record`, and the count checks,
+and imports numpy only inside the functions that build arrays.  The DW
+fits, which need more, live in :mod:`bdw.univariate`.
+"""
+
+from __future__ import annotations
+
+import math
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    import numpy as np
+
+__all__ = [
+    "SingularDensityError",
+    "WeibullParams",
+    "DWParams",
+    "we_pdf",
+    "we_cdf",
+    "we_mode",
+    "we_sample",
+    "dw_pmf",
+    "dw_logpmf",
+    "dw_sf",
+    "dw_sample",
+    "dw_min_of_n",
+]
+
+
+class SingularDensityError(ValueError):
+    """The density is infinite at the requested point.
+
+    Raised for the continuous Weibull density at the origin when the shape
+    is below one; the pole is a property of the law, not a numerical
+    failure, so it is reported as a distinct signal rather than a float.
+    """
+
+
+class _Record:
+    """Base of the package's immutable records.
+
+    A subclass's fields are its own annotated names, in order; a
+    class-level value is that field's default.  Construction takes the
+    fields by position or keyword and then calls ``__post_init__``, which
+    validates and may set a field with ``object.__setattr__``.  Assignment
+    and deletion raise ``AttributeError``.  Equality and hashing go by the
+    fields, between instances of the same class, unless the class
+    statement passes ``eq=False``, which keeps identity.  The repr is
+    ``Name(field=value, ...)``.
+
+    The methods are written out once here, so creating a record class
+    compiles no generated code.
+    """
+
+    _fields: tuple[str, ...]
+    _defaults: dict[str, object]
+
+    def __init_subclass__(cls, eq: bool = True, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._fields = tuple(cls.__dict__.get("__annotations__", ()))
+        cls._defaults = {name: cls.__dict__[name] for name in cls._fields if name in cls.__dict__}
+        if not eq:
+            cls.__eq__ = object.__eq__
+            cls.__hash__ = object.__hash__
+
+    def __init__(self, *args, **kwargs) -> None:
+        fields = self._fields
+        name = type(self).__name__
+        if len(args) > len(fields):
+            raise TypeError(
+                f"{name}() takes {len(fields)} arguments but {len(args)} were given"
+            )
+        values = dict(zip(fields, args))
+        for field in fields[len(args):]:
+            if field in kwargs:
+                values[field] = kwargs.pop(field)
+            elif field in self._defaults:
+                values[field] = self._defaults[field]
+            else:
+                raise TypeError(f"{name}() missing argument {field!r}")
+        for key in kwargs:
+            problem = "multiple values for" if key in fields else "an unexpected keyword"
+            raise TypeError(f"{name}() got {problem} argument {key!r}")
+        self.__dict__.update(values)
+        self.__post_init__()
+
+    def __post_init__(self) -> None:
+        pass
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _values(self) -> tuple:
+        return tuple(self.__dict__[field] for field in self._fields)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        body = ", ".join(f"{field}={self.__dict__[field]!r}" for field in self._fields)
+        return f"{type(self).__qualname__}({body})"
+
+
+class WeibullParams(_Record):
+    """Continuous Weibull law with density ``alpha*lam*x**(alpha-1)*exp(-lam*x**alpha)``.
+
+    Parameters
+    ----------
+    alpha : float
+        Shape, strictly positive.
+    lam : float
+        Rate, strictly positive.
+    """
+
+    alpha: float
+    lam: float
+
+    def __post_init__(self) -> None:
+        if not (self.alpha > 0 and math.isfinite(self.alpha)):
+            raise ValueError(f"shape must be positive and finite, got {self.alpha}")
+        if not (self.lam > 0 and math.isfinite(self.lam)):
+            raise ValueError(f"rate must be positive and finite, got {self.lam}")
+
+
+class DWParams(_Record):
+    """Discrete Weibull law with survival ``p**(y**alpha)``, ``0 < p < 1``.
+
+    ``p = 1`` has no distribution on the integers and is refused; the
+    bivariate model's never-failing shared shock is its ``p0 = 1``, and a
+    rate too small for its base to differ from 1 is held as a
+    :class:`WeibullParams`.
+    """
+
+    alpha: float
+    p: float
+
+    def __post_init__(self) -> None:
+        if not (self.alpha > 0 and math.isfinite(self.alpha)):
+            raise ValueError(f"shape must be positive and finite, got {self.alpha}")
+        if not 0 < self.p < 1:
+            raise ValueError(f"p must lie in (0, 1), got {self.p}")
+
+
+def _rate(params) -> tuple[float, float]:
+    """``(alpha, lambda)`` of a DW law given as its survival base
+    (:class:`DWParams`, ``lambda = -ln(p)``) or as its latent Weibull law."""
+    if isinstance(params, DWParams):
+        return params.alpha, -math.log(params.p)
+    return params.alpha, params.lam
+
+
+def _to_base(name: str, rate: float) -> float:
+    """The survival base ``exp(-rate)`` of the rate called ``name``; a
+    positive rate below ~1.1e-16 rounds it to 1, and is refused by name."""
+    base = math.exp(-rate)
+    if base == 1.0 and rate > 0.0:
+        raise ValueError(
+            f"the rate {name} = {rate:.3g} rounds its survival base "
+            f"exp(-{name}) to 1: survival bases cannot hold this law, "
+            f"its rates can"
+        )
+    return base
+
+
+
+def we_pdf(params: WeibullParams, x: float) -> float:
+    """Density of the continuous Weibull law at ``x >= 0``.
+
+    At ``x = 0`` the density is 0 for ``alpha > 1`` and ``lam`` for
+    ``alpha = 1``; for ``alpha < 1`` it diverges and
+    :class:`SingularDensityError` is raised.  Where ``x**alpha`` passes the
+    float range the density is 0.
+    """
+    if not x >= 0:
+        raise ValueError(f"x must be non-negative, got {x}")
+    a, lam = params.alpha, params.lam
+    if x == 0:
+        if a > 1:
+            return 0.0
+        if a == 1:
+            return lam
+        raise SingularDensityError("density diverges at 0 for shape below one")
+    survival = math.exp(-lam * _power(x, a))
+    # a power past the float range leaves no survival, and no density
+    return a * lam * _power(x, a - 1.0) * survival if survival > 0 else 0.0
+
+
+def we_cdf(params: WeibullParams, x: float) -> float:
+    """Distribution function ``1 - exp(-lam*x**alpha)`` at ``x >= 0``; 1 past
+    the float range."""
+    if not x >= 0:
+        raise ValueError(f"x must be non-negative, got {x}")
+    return -math.expm1(-params.lam * _power(x, params.alpha))
+
+
+def we_mode(alpha: float, lam: float) -> float:
+    """Interior mode ``((alpha-1)/(alpha*lam))**(1/alpha)`` of the density.
+
+    Defined only for ``alpha > 1``; below that the density is decreasing and
+    has no interior mode.
+    """
+    if not (alpha > 0 and math.isfinite(alpha)):
+        raise ValueError(f"shape must be positive and finite, got {alpha}")
+    if alpha <= 1:
+        raise ValueError(f"mode requires shape above one, got {alpha}")
+    if not (lam > 0 and math.isfinite(lam)):
+        raise ValueError(f"rate must be positive and finite, got {lam}")
+    return ((alpha - 1.0) / (alpha * lam)) ** (1.0 / alpha)
+
+
+def we_sample(params: WeibullParams, rng: np.random.Generator, size=None):
+    """Draw from the continuous Weibull law by inversion.
+
+    The uniform deviate lies in [0, 1) on the generator's 53-bit grid, so
+    the exponential deviate is finite and a deviate of 0 maps to the value
+    0; a very small shape can still power a lifetime past the float range,
+    to inf.
+    """
+    import numpy as np
+
+    u = rng.random(size)
+    # -log1p(-u) is an exact Exponential(1) inverse transform on [0, 1).
+    e = -np.log1p(-u)
+    with np.errstate(over="ignore"):
+        x = (e / params.lam) ** (1.0 / params.alpha)
+    if size is None:
+        return float(x)
+    return x
+
+
+def _count(value, name: str, positive: bool = False) -> int:
+    """``value`` as an int, when it is a non-negative (or ``positive``) whole
+    number at most ``_MAX_COUNT``: an int, an integral float or a numpy
+    integer.  Anything else, an infinity, NaN, a string or a count past
+    the int64 range among them, is refused by ``name``."""
+    least = 1 if positive else 0
+    try:
+        whole = value >= least and value == int(value)
+    except (TypeError, ValueError, OverflowError):
+        whole = False
+    if not whole:
+        what = "positive" if positive else "non-negative"
+        raise ValueError(f"{name} must be a {what} integer, got {value!r}")
+    if value > _MAX_COUNT:
+        raise ValueError(f"{name} must not exceed the largest count 2**63 - 1, got {value!r}")
+    return int(value)
+
+
+def dw_logpmf(params, y: int) -> float:
+    """Natural log of the DW probability mass at the integer ``y >= 0``."""
+    return _logpmf_float(float(_count(y, "y")), *_rate(params))
+
+
+def dw_pmf(params, y: int) -> float:
+    """Probability mass ``p**(y**alpha) - p**((y+1)**alpha)`` at the integer ``y >= 0``."""
+    return math.exp(dw_logpmf(params, y))
+
+
+def dw_sf(params, y: float) -> float:
+    """Survival ``P(Y >= y) = p**(floor(y)**alpha)`` for real ``y >= 0``.
+
+    The inequality is weak, so ``dw_sf(params, 0) == 1`` and the function is
+    constant on each unit cell; at ``y = inf`` it is its limit 0.
+    """
+    if not y >= 0:
+        raise ValueError(f"y must be non-negative, got {y}")
+    k = _floor(y)
+    if k == 0:
+        return 1.0
+    alpha, lam = _rate(params)
+    return math.exp(-(_power(float(k), alpha) * lam))
+
+
+# the largest count, 2**63 - 1: every count array is int64
+_MAX_COUNT = 2**63 - 1
+
+
+def _floor_counts(lifetimes) -> np.ndarray:
+    """Floors of non-negative lifetimes as int64 counts; a lifetime at or
+    past 2**63, or infinite, is refused rather than wrapped to a negative."""
+    import numpy as np
+
+    y = np.floor(lifetimes)
+    beyond = ~(y < 2.0**63)
+    if np.any(beyond):
+        raise ValueError(
+            f"a drawn lifetime of {y[beyond].flat[0]:.6g} exceeds the largest "
+            f"count 2**63 - 1: the law's tail is too heavy to sample"
+        )
+    return y.astype(np.int64)
+
+
+def dw_sample(params, rng: np.random.Generator, size=None):
+    """Draw from the DW law as the floor of a continuous Weibull lifetime."""
+    counts = _floor_counts(we_sample(WeibullParams(*_rate(params)), rng, size=size))
+    return int(counts) if size is None else counts
+
+
+def dw_min_of_n(params: DWParams, n: int) -> DWParams:
+    """Law of the minimum of ``n`` independent copies: same shape, ``p**n``."""
+    n = _count(n, "n", positive=True)
+    return DWParams(params.alpha, params.p**n)
+
+
+def _floor(y: float) -> float:
+    """``floor(y)`` for ``y >= 0``, with ``inf`` kept, where ``math.floor`` raises."""
+    return y if y == math.inf else math.floor(y)
+
+
+def _power(y: float, alpha: float) -> float:
+    """``y**alpha`` for ``y >= 0``; ``inf`` past the float range, where the
+    float power raises."""
+    try:
+        return y**alpha
+    except OverflowError:
+        return math.inf
+
+
+def _log1mexp(u):
+    """``log(1 - exp(-u))`` as ``log(-expm1(-u))``, which keeps full relative
+    accuracy for small ``u`` (Mächler 2012, "Accurately computing
+    log(1 - exp(-|a|))"); ``-inf`` for ``u <= 0`` and for NaN."""
+    import numpy as np
+
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return np.where(u > 0, np.log(-np.expm1(-u)), -np.inf)
+
+
+def _log1mexp_float(u: float) -> float:
+    """:func:`_log1mexp` of one float, on ``math``: ``log(-expm1(-u))``, and
+    ``-inf`` for ``u <= 0`` and for NaN."""
+    return math.log(-math.expm1(-u)) if u > 0 else -math.inf
+
+
+def _logpmf_float(y: float, alpha: float, rate: float) -> float:
+    """:func:`_logpmf_arr` at one non-negative integer-valued float, on
+    ``math``: ``-rate*t1 + log1mexp(rate*(t2 - t1))`` with ``t1 = y**alpha``
+    and ``t2 = (y+1)**alpha``.  A power past the float range gives -inf."""
+    t1 = _power(y, alpha)
+    return t1 * -rate + _log1mexp_float((_power(y + 1.0, alpha) - t1) * rate)
+
+
+def _logpmf_arr(y: np.ndarray, alpha: float, rate: float) -> np.ndarray:
+    """log pmf of DW(alpha, e**-rate) on an array of non-negative integer values.
+
+    Evaluated as ``-rate*t1 + log1mexp(rate*(t2 - t1))`` with ``t1 =
+    y**alpha`` and ``t2 = (y+1)**alpha``, which keeps full relative accuracy
+    when the two survival terms nearly cancel (a rate close to 0).  Cells
+    whose mass underflows to zero, a power past the float range among
+    them, come back as -inf.
+    """
+    import numpy as np
+
+    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+        t1 = np.where(y > 0, np.power(y, alpha), 0.0)
+        t2 = np.power(y + 1.0, alpha)
+        return t1 * -rate + _log1mexp((t2 - t1) * rate)

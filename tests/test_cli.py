@@ -602,6 +602,22 @@ class TestFailurePaths:
         assert re.fullmatch(r"error: Unable to allocate [^\n]* TiB [^\n]*\n", proc.stderr)
         assert not out.exists()
 
+    @pytest.mark.parametrize("draws, c, message", [
+        ("100", "1e16", "the shape's slice cannot be drawn at shape "),
+        ("200", "1e7", "the exposures pass the float range at shape "),
+    ], ids=["slice-level", "exposures"])
+    def test_strong_shape_prior_is_one_error_line(self, draws, c, message):
+        # under so strong a shape prior the chain runs the shape up until a
+        # step cannot be drawn: the program ends with one named error, and
+        # no RuntimeWarning, where it once ran forever or wrote rates of 5e-324
+        argv = ["fit-bayes", "--dataset", "football", "-M", draws, "-N", "1", "--c", c]
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "bdw.cli", *argv],
+            capture_output=True, text=True, env=_src_env(), timeout=120,
+        )
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr.startswith(f"error: {message}") and proc.stderr.count("\n") == 1
+
     def test_missing_input_file(self, capsys):
         rc = main(["fit-dw", "--input", "/nonexistent.csv", "--column", "x1"])
         assert rc == 1
@@ -872,6 +888,27 @@ for name in imports:
 print(json.dumps(sorted(m for m in sys.modules if (m + ".").startswith(package + "."))))
 """
 
+# runs one command in-process, as _STARTUP_PROBE does but without importing
+# json itself, and prints on its last line whether json was loaded
+_JSON_PROBE = """
+import sys
+import bdw.cli
+try:
+    bdw.cli.main(sys.argv[1:])
+except SystemExit:
+    pass
+print("json" in sys.modules)
+"""
+
+
+def _json_loaded(argv) -> bool:
+    proc = subprocess.run(
+        [sys.executable, "-c", _JSON_PROBE, *argv], capture_output=True, text=True, env=_src_env()
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()[-1] == "True"
+
+
 # a script on the scalar functions of the joint law and its DW laws: prints
 # the numpy modules loaded
 _LAW_SCRIPT = """
@@ -966,6 +1003,15 @@ class TestStartup:
         src = pathlib.Path(bdw.__file__).parent
         assert [p.name for p in src.glob("*.py") if "dataclass" in p.read_text()] == []
 
+    def test_only_the_json_writer_loads_json(self, tmp_path):
+        # pmf-table writes CSV and --help its usage: neither loads json
+        command = {argv[0]: argv for argv in ALL_COMMANDS}
+        out = ["--output", str(tmp_path / "out")]
+        assert not _json_loaded(["--help"])
+        assert not _json_loaded([*command["pmf-table"], *out])
+        # the control: the probe does see json where a command writes a report
+        assert _json_loaded([*command["moments"], *out])
+
     def test_law_commands_do_not_load_numpy(self, tmp_path):
         # with no command, the probe is a bare ``import bdw.cli``
         laws = [argv for argv in ALL_COMMANDS if argv[0] in ("moments", "pmf-table")]
@@ -1009,18 +1055,19 @@ class TestStartup:
         proc = _program(["simulate", *law, "--n", "5"], PYTHONPATH=path)
         assert proc.returncode == 1 and b"ImportError: stub numpy" in proc.stderr
 
-    # the bdw modules each command loads: the layers it runs, and no other
-    _START = {"bdw", "bdw.cli", "bdw.bivariate", "bdw.univariate", "bdw.datasets"}
-    _FITS = _START | {"bdw.fit_ml", "bdw.gof"}
+    # the bdw modules each command loads: the layers it runs, and no other;
+    # the law commands run on the DW law, and only a fit loads the DW fits
+    _START = {"bdw", "bdw.cli", "bdw.bivariate", "bdw.weibull", "bdw.datasets"}
+    _FITS = _START | {"bdw.univariate", "bdw.fit_ml", "bdw.gof"}
     _LOADED = {
         "pmf-table": _START,
         "moments": _START,
         "simulate": _START,
         "fit-ml": _FITS,
         "gof": _FITS,
-        "gof-x1": _START | {"bdw.gof"},
-        "fit-dw": _START | {"bdw.gof"},
-        "fit-bayes": _START | {"bdw.fit_ml", "bdw.mobw", "bdw.fit_bayes"},
+        "gof-x1": _START | {"bdw.univariate", "bdw.gof"},
+        "fit-dw": _START | {"bdw.univariate", "bdw.gof"},
+        "fit-bayes": _START | {"bdw.univariate", "bdw.fit_ml", "bdw.mobw", "bdw.fit_bayes"},
     }
 
     @pytest.mark.parametrize("argv", ALL_COMMANDS, ids=lambda argv: argv[0])

@@ -366,6 +366,45 @@ class TestLambdaConditional:
         m2, s2 = run(202)
         assert np.all(np.abs(m1 - m2) < 3 * np.sqrt(s1**2 + s2**2))
 
+    # two lifetimes of 9 in y2 and max(y1, y2): at 322.9 each power is
+    # finite and their sum is not; at 330 the power itself overflows
+    NINES = (CompleteObservation(1.0, 9.0, "below"), CompleteObservation(1.0, 9.0, "below"))
+
+    @pytest.mark.parametrize("alpha", [322.9, 330.0])
+    def test_exposure_past_the_float_range_is_named(self, alpha):
+        # under the suite's RuntimeWarning filter, so no numpy warning escapes
+        message = f"^the exposures pass the float range at shape {alpha:g}: "
+        with pytest.raises(ValueError, match=message):
+            sample_lambdas_conditional(
+                PRIOR_EQ, alpha, self.NINES, (0.4, 0.7, 0.9), np.random.default_rng(0)
+            )
+
+    def test_exposures_near_the_float_range_are_drawn(self):
+        # one lifetime of 9: the sums' bound overflows at 322.9, the sums do not
+        st = summarize(self.NINES[:1])
+        with np.errstate(over="raise"):
+            want = st.exposures(322.9)
+        assert math.isfinite(want[0]) and fit_bayes._finite_exposures(st, 322.9) == want
+        rng = np.random.default_rng(0)
+        lams = sample_lambdas_conditional(PRIOR_EQ, 322.9, st, (0.4, 0.7, 0.9), rng)
+        assert all(lam > 0 for lam in lams)
+
+
+class _BoundedRng:
+    """A generator that fails the test past ``limit`` uniform draws, so a
+    slice that never accepts ends it instead of hanging it."""
+
+    def __init__(self, seed: int, limit: int = 10_000) -> None:
+        self.rng, self.left = np.random.default_rng(seed), limit
+
+    def exponential(self) -> float:
+        return self.rng.exponential()
+
+    def random(self) -> float:
+        self.left -= 1
+        assert self.left >= 0, "the slice never accepted"
+        return self.rng.random()
+
 
 class TestAlphaConditional:
     def test_chain_matches_quadrature_oracle(self):
@@ -434,6 +473,18 @@ class TestAlphaConditional:
             draws[i] = a
         draws = draws[500:]
         assert abs(draws.mean() - 1.8) < 3 * draws.std()
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_level_that_rounds_to_the_target_is_refused(self, seed):
+        # a shape prior so strong that the target at the shape, ~7e17, has
+        # an ulp of 128: the exponential draw vanishes against it, and a
+        # slice whose level is the target's own value may never accept
+        prior = AlphaPrior(c=1e18, d=1e-4)
+        with pytest.raises(ValueError, match="^the shape's slice cannot be drawn at shape 2: "):
+            sample_alpha_conditional(prior, (0.4, 0.7, 0.9), MIXED, 2.0, _BoundedRng(seed))
+        # the control: with room for the level below the target, it draws
+        prior = AlphaPrior(c=1e12, d=1e-4)
+        assert sample_alpha_conditional(prior, (0.4, 0.7, 0.9), MIXED, 2.0, _BoundedRng(seed)) > 0
 
     def test_vanishing_conditional_raises(self):
         # lifetimes above one overflow the exposure at the clamped shape

@@ -11,7 +11,16 @@ import pytest
 
 import bdw
 
-SUBMODULES = ["bivariate", "cli", "datasets", "fit_bayes", "fit_ml", "gof", "mobw", "univariate"]
+SUBMODULES = [
+    "bivariate", "cli", "datasets", "fit_bayes", "fit_ml", "gof", "mobw", "univariate", "weibull"
+]
+
+
+def _src_env() -> dict:
+    # this tree's src first on the path of a child interpreter
+    src = str(pathlib.Path(bdw.__file__).resolve().parents[1])
+    path = [src, os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [src]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
 
 
 def test_public_names_are_their_submodules_objects():
@@ -50,6 +59,48 @@ def test_law_in_rates_is_one_object():
     assert b"bdw.mobw\n" in old and pickle.loads(old) == law
 
 
+def test_dw_fits_reexport_the_dw_law():
+    # the DW law lives in its own layer; the fits' module re-exports its
+    # public names as the same objects, and only its fits are its own
+    from bdw import univariate, weibull
+
+    for name in weibull.__all__:
+        assert name in univariate.__all__ and getattr(univariate, name) is getattr(weibull, name)
+    own = {
+        name for name in univariate.__all__
+        if getattr(univariate, name).__module__ == "bdw.univariate"
+    }
+    assert set(univariate.__all__) - own == set(weibull.__all__)
+    assert own == {"DWFit", "DWChisqFit", "dw_fit_ml", "dw_fit_minchisq"}
+
+
+def test_dw_law_pickle_naming_the_fits_module_loads():
+    # records pickled before the DW law had its own layer name bdw.univariate
+    import pickle
+
+    from bdw import weibull
+
+    for law in (weibull.DWParams(1.5, 0.6), weibull.WeibullParams(0.8, 0.3)):
+        old = pickle.dumps(law, protocol=0).replace(b"bdw.weibull\n", b"bdw.univariate\n")
+        assert b"bdw.univariate\n" in old and pickle.loads(old) == law
+
+
+def test_joint_law_loads_no_dw_fits():
+    # the joint law rests on the DW law alone: its module, and the package
+    # names it serves, load no fitting code
+    script = """
+import sys
+import bdw, bdw.bivariate, bdw.datasets
+bdw.moments(bdw.MOBWParams(1.5, 0.1, 0.3, 0.2)), bdw.dw_pmf(bdw.DWParams(1.5, 0.6), 2)
+print(*sorted(m for m in sys.modules if (m + ".").startswith("bdw.")))
+"""
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=_src_env()
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["bdw", "bdw.bivariate", "bdw.datasets", "bdw.weibull"]
+
+
 def test_latent_sample_helpers_resolve_in_the_ml_layer():
     # they live in the latent layer; the ML-fit layer resolves their names
     from bdw import fit_ml, mobw
@@ -63,7 +114,12 @@ def test_latent_sample_helpers_resolve_in_the_ml_layer():
 # the package's layers, lowest first: a module imports only the layers
 # below its own
 LAYERS = [
-    {"univariate"}, {"bivariate"}, {"datasets"}, {"gof", "mobw", "fit_ml"}, {"fit_bayes"}, {"cli"}
+    {"weibull"},
+    {"univariate", "bivariate"},
+    {"datasets"},
+    {"gof", "mobw", "fit_ml"},
+    {"fit_bayes"},
+    {"cli"},
 ]
 RANK = {module: rank for rank, layer in enumerate(LAYERS) for module in layer}
 
@@ -147,17 +203,14 @@ print(json.dumps({
 
 
 def test_names_resolve_on_first_use():
-    src = str(pathlib.Path(bdw.__file__).resolve().parents[1])
-    path = [src, os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [src]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
     proc = subprocess.run(
-        [sys.executable, "-c", _PROBE, *SUBMODULES], capture_output=True, text=True, env=env
+        [sys.executable, "-c", _PROBE, *SUBMODULES], capture_output=True, text=True, env=_src_env()
     )
     assert proc.returncode == 0, proc.stderr
     out = json.loads(proc.stdout)
     bare, one, star = out["steps"]
     assert bare == ["bdw"]
-    assert one == ["bdw", "bdw.bivariate", "bdw.univariate"]
+    assert one == ["bdw", "bdw.bivariate", "bdw.weibull"]
     assert set(star) == {"bdw", *(f"bdw.{m}" for m in SUBMODULES if m != "cli")}
     assert out["star"] == sorted(bdw.__all__)
     assert out["same"]
