@@ -517,7 +517,7 @@ def moments(params, epsilon: float = 1e-10) -> BdwMoments:
     rate the coordinates are independent, and the covariance is that of the
     truncation alone, ``E[X1; X1 <= K] E[X2; X2 <= K] (1 - P1 P2)`` with
     ``Pi = P(Xi <= K)``: read in closed form, it is never a difference of
-    two nearly equal sums.
+    two nearly equal sums.  A coordinate of zero variance is refused by name.
     """
     if not 0 < epsilon <= 1e-4:
         raise ValueError(f"epsilon must lie in (0, 1e-4], got {epsilon}")
@@ -537,13 +537,18 @@ def moments(params, epsilon: float = 1e-10) -> BdwMoments:
     # weights 2v - 1 for v = 1..K
     var1 = math.fsum((2 * i + 1) * g for i, g in enumerate(g1)) - mean1**2
     var2 = math.fsum((2 * i + 1) * g for i, g in enumerate(g2)) - mean2**2
+    # the roots are taken apart where their product underflows (a zero variance is refused)
+    for i, var in ((1, var1), (2, var2)):
+        if var == 0.0:
+            raise ValueError(f"X{i} has variance 0 in the float range: no correlation is defined")
+    root = math.sqrt(var1 * var2) or math.sqrt(var1) * math.sqrt(var2)
     if lam0 == 0.0:
         # independent coordinates on a product box: E[X1 X2; box] is
         # mean1 * mean2 / (P1 * P2) with Pi = P(Xi <= K) = 1 - qi, so the
         # covariance is the box's truncation alone, taken without cancellation
         q1, q2 = e1[-1], e2[-1]
         cov = mean1 * mean2 * (q1 + q2 - q1 * q2) / ((1.0 - q1) * (1.0 - q2))
-        return BdwMoments(mean1, mean2, var1, var2, cov, cov / math.sqrt(var1 * var2), k)
+        return BdwMoments(mean1, mean2, var1, var2, cov, cov / root, k)
     # S over [1, K]^2 split at the diagonal, where c_i[y] sums e_i[x] over
     # 1 <= x < y, less the survivals past the far edges, each counted K times
     f0, f1, f2 = e0[1:-1], e1[1:-1], e2[1:-1]
@@ -553,8 +558,7 @@ def moments(params, epsilon: float = 1e-10) -> BdwMoments:
         u0 * (u1 * u2 + u2 * v1 + u1 * v2) for u0, u1, u2, v1, v2 in zip(f0, f1, f2, c1, c2)
     ) - k * edges
     cov = exy - mean1 * mean2
-    corr = cov / math.sqrt(var1 * var2)
-    return BdwMoments(mean1, mean2, var1, var2, cov, corr, k)
+    return BdwMoments(mean1, mean2, var1, var2, cov, cov / root, k)
 
 
 def to_mobw(params) -> MOBWParams:

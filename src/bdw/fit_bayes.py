@@ -11,8 +11,8 @@ draws carry the reported summaries.  The step functions accept a complete
 sample or its summary.
 
 The latent-sample path, imputation (:func:`bdw.mobw.impute_dataset`),
-summary and cause attribution, is :mod:`bdw.mobw`'s; the start point and
-its identifiability checks are the ML fit's (:mod:`bdw.fit_ml`).
+summary, cause attribution and exposures, is :mod:`bdw.mobw`'s; the start
+point and its identifiability checks are the ML fit's (:mod:`bdw.fit_ml`).
 """
 
 from __future__ import annotations
@@ -25,9 +25,10 @@ import numpy as np
 from .datasets import BivariateDataset
 from .fit_ml import PARAM_NAMES, _identified_start
 from .mobw import (
-    CompleteObservation, MOBWParams, SampleSummary, cause_counts, impute_dataset, summarize
+    CompleteObservation, MOBWParams, SampleSummary, cause_counts, exposures, impute_dataset,
+    summarize,
 )
-from .weibull import _power, _Record
+from .weibull import _Record
 
 __all__ = [
     "DGPrior",
@@ -117,33 +118,6 @@ def dg_logpdf(
     return out
 
 
-def exposures(
-    sample: Sequence[CompleteObservation] | SampleSummary, alpha: float
-) -> tuple[float, float, float]:
-    """Cause-specific exposure sums ``(T0, T1, T2)`` at a given shape.
-
-    ``T1 = Σ y1^α``, ``T2 = Σ y2^α``, ``T0 = Σ max(y1, y2)^α`` over the
-    whole sample; zero lifetimes contribute nothing.
-    """
-    return summarize(sample).exposures(alpha)
-
-
-def _finite_exposures(st: SampleSummary, alpha: float) -> tuple[float, float, float]:
-    """``st.exposures(alpha)``, refused by name where one passes the float range."""
-    # an exposure sums at most one power per event, none above the largest;
-    # only past twice that bound, room for the sums' rounding, may one overflow
-    if _power(st.top, alpha) * (2.0 * st.event_count) < math.inf:
-        return st.exposures(alpha)
-    with np.errstate(over="ignore"):
-        sums = st.exposures(alpha)
-    if math.inf in sums:
-        raise ValueError(
-            f"the exposures pass the float range at shape {alpha:.6g}: "
-            f"the rates' full conditionals cannot be drawn there"
-        )
-    return sums
-
-
 def sample_lambdas_conditional(
     prior: DGPrior,
     alpha: float,
@@ -162,7 +136,7 @@ def sample_lambdas_conditional(
     """
     sample = summarize(sample)
     n0, n1, n2 = cause_counts(sample, lambdas, rng)
-    t0, t1, t2 = _finite_exposures(sample, alpha)
+    t0, t1, t2 = exposures(sample, alpha)
     a0, a1, a2, b = prior.a0, prior.a1, prior.a2, prior.b
     gamma = rng.gamma
     # near-zero shapes make gamma draws underflow; keep them positive
@@ -297,17 +271,17 @@ def credible_interval(
     draws: Sequence[float], beta: float = 0.05
 ) -> tuple[float, float]:
     """Equal-tailed credible interval covering mass ``1 - beta``."""
-    if not 0 < beta < 1:
-        raise ValueError("beta must lie in (0, 1)")
-    g = _sorted_draws(draws)
+    g = _sorted_draws(draws, beta)
     if g.size == 0:
         raise ValueError("draws must be non-empty")
     return _linear_quantile(g, beta / 2.0), _linear_quantile(g, 1.0 - beta / 2.0)
 
 
-def _sorted_draws(draws: Sequence[float]) -> np.ndarray:
-    # the draws in order; an infinite or NaN draw has no place in an
-    # interval and is refused by its index
+def _sorted_draws(draws: Sequence[float], beta: float) -> np.ndarray:
+    # the draws in order for an interval of mass 1 - beta; an infinite or
+    # NaN draw has no place in an interval and is refused by its index
+    if not 0 < beta < 1:
+        raise ValueError("beta must lie in (0, 1)")
     g = np.asarray(draws, dtype=float)
     bad = ~np.isfinite(g)
     if bad.any():
@@ -335,9 +309,7 @@ def hpd_interval(
     Scans windows ``[g_(i), g_(i+k)]`` with ``k = ceil((1-β) M)`` over
     the sorted draws and keeps the shortest, leftmost on ties.
     """
-    if not 0 < beta < 1:
-        raise ValueError("beta must lie in (0, 1)")
-    g = _sorted_draws(draws)
+    g = _sorted_draws(draws, beta)
     m = g.size
     if m * (1.0 - beta) < 2:
         raise ValueError("too few draws for the requested mass")

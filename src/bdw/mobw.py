@@ -17,7 +17,8 @@ This module holds the latent-sample path of the fits: it imputes the most
 likely latent lifetimes of every row (:func:`impute_dataset`, one
 :func:`ml_predict` per cell), reduces each imputed sample once with
 :func:`summarize`, attributes its failures to causes with
-:func:`cause_counts`, fits the continuous model to it by an inner EM
+:func:`cause_counts`, sums its exposures with :func:`exposures` (refusing
+one past the float range), fits the continuous model to it by an inner EM
 (:func:`inner_em_mobw`), and measures it with :func:`complete_loglik`.
 The density of each of the three branches is written once, in
 ``_branch_logpdf``.
@@ -44,6 +45,7 @@ __all__ = [
     "SampleSummary",
     "summarize",
     "cause_counts",
+    "exposures",
     "mobw_sf",
     "mobw_pdf",
     "mobw_sample",
@@ -264,6 +266,27 @@ def cause_counts(
     return n0, n1, n2
 
 
+def exposures(
+    sample: Sequence[CompleteObservation] | SampleSummary, alpha: float
+) -> tuple[float, float, float]:
+    """Cause-specific exposure sums ``(T0, T1, T2)`` at a given shape:
+    ``T0 = Σ max(y1, y2)^α``, ``T1 = Σ y1^α`` and ``T2 = Σ y2^α``, where zero
+    lifetimes add nothing; an exposure past the float range is refused."""
+    st = summarize(sample)
+    # an exposure sums at most one power per event, none above the largest;
+    # only past twice that bound, room for the sums' rounding, may one overflow
+    if _power(st.top, alpha) * (2.0 * st.event_count) < math.inf:
+        return st.exposures(alpha)
+    with np.errstate(over="ignore"):
+        sums = st.exposures(alpha)
+    if math.inf in sums:
+        raise ValueError(
+            f"the exposures pass the float range at shape {alpha:.6g}: "
+            f"the rates cannot be drawn or fitted there"
+        )
+    return sums
+
+
 def mobw_sf(params: MOBWParams, y1: float, y2: float) -> float:
     """Joint survival ``P(Y1 > y1, Y2 > y2)``; 0 past the float range.  The
     discrete pair's :func:`bivariate.joint_sf` is this at the floors."""
@@ -479,7 +502,8 @@ def inner_em_mobw(
     A zero lifetime among the recorded events leaves the boundary value
     finite only at shape one, so such samples are fitted with the shape
     pinned there.  A sample that is all ties, or has an identically zero
-    coordinate, does not identify the coordinate rates and is rejected.
+    coordinate, does not identify the coordinate rates and is rejected, as
+    are exposures that leave the float range at the fitted shape.
     """
     st = summarize(sample)
     if st.n_below + st.n_above == 0:
@@ -502,19 +526,17 @@ def inner_em_mobw(
             val = st.event_count * z[0] + (a - 1.0) * st.log_y_sum
             d1 = st.event_count + a * st.log_y_sum
             d2 = a * st.log_y_sum
-            with np.errstate(over="ignore"):
-                table = st.powers(a)
-            # each exposure at its own positions, as st.exposures reads it
             for c, w, pos in zip(counts, (st.w0, st.w1, st.w2), st.positions):
                 if c > 0.0:
-                    with np.errstate(over="ignore", invalid="ignore"):
-                        wv = w * table[pos]
-                        lg = logs[pos]
-                        t, t_a, t_aa = wv.sum(), wv @ lg, wv @ (lg * lg)
+                    # the exposure over its largest power, the last, which
+                    # val adds back: each term is at most 1, and t at least 1
+                    lg = logs[pos]
+                    wv = w * np.exp(a * (lg - lg[-1]))
+                    t, t_a, t_aa = wv.sum(), wv @ lg, wv @ (lg * lg)
                     # first and second derivatives of log(t) in z = log(a)
                     u1 = a * t_a / t
                     u2 = a * (t_a + a * t_aa) / t - u1 * u1
-                    val += c * (math.log(c) - math.log(t)) - c
+                    val += c * (math.log(c) - math.log(t) - a * lg[-1]) - c
                     d1 -= c * u1
                     d2 -= c * u2
             return -val, np.array([-d1]), np.array([[-d2]])
@@ -525,7 +547,9 @@ def inner_em_mobw(
             z0 = np.log([min(max(alpha, ALPHA_LO), ALPHA_HI)])
             z, _ = _newton_min(neg_profiled, z0)
             a = min(max(math.exp(z[0]), ALPHA_LO), ALPHA_HI)
-        t0, t1, t2 = st.exposures(a)
+        t0, t1, t2 = exposures(st, a)
+        if 0.0 in (t1, t2):  # T0 >= T1, T2: the coordinate exposures underflow first
+            raise ValueError(f"the exposures underflow at shape {a:.6g}: no rate fits there")
         return MOBWParams(a, c0 / t0 if c0 > 0 else 0.0, c1 / t1, c2 / t2)
 
     theta = start

@@ -397,6 +397,29 @@ class TestMomentsAndDependence:
         assert m.covariance == pytest.approx(float(cov), rel=1e-12, abs=0.0)
         assert m.correlation == pytest.approx(float(corr), rel=1e-12, abs=0.0)
 
+    @pytest.mark.parametrize("law, corr", [
+        (BDWParams(2.0, 1.0, 1e-200, 1e-200), 0.0),
+        (BDWParams(2.0, 0.5, 1e-200, 1e-200), 0.0),
+        # P(X1 >= 1, X2 >= 1) / P(X1 >= 1) = p2: the box holds {0, 1}^2
+        (BDWParams(2.0, 1e-200, 0.5, 0.5), 0.5),
+    ])
+    def test_correlation_of_variances_whose_product_underflows(self, law, corr):
+        # both variances are ~1e-200, so their product rounds to 0
+        m = moments(law)
+        assert m.var1 > 0.0 and m.var2 > 0.0 and m.var1 * m.var2 == 0.0
+        assert m.correlation == pytest.approx(corr, rel=1e-12, abs=0.0)
+        assert m.correlation == m.covariance / (math.sqrt(m.var1) * math.sqrt(m.var2))
+
+    @pytest.mark.parametrize("law, i", [
+        (MOBWParams(1.0, 0.0, 800.0, 800.0), 1),
+        (MOBWParams(1.0, 0.0, 1.0, 800.0), 2),
+        (MOBWParams(1.0, 800.0, 1.0, 1.0), 1),
+    ])
+    def test_zero_variance_is_refused_by_name(self, law, i):
+        # exp(-800) underflows: the coordinate's whole mass sits at 0
+        with pytest.raises(ValueError, match=rf"^X{i} has variance 0 in the float range: "):
+            moments(law)
+
     def test_heavy_tail_is_refused_before_the_grid(self, monkeypatch):
         # K = 62872299 would need a (K + 1)^2 grid of 28 PiB
         def no_grid(*args):

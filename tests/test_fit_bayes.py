@@ -384,7 +384,7 @@ class TestLambdaConditional:
         st = summarize(self.NINES[:1])
         with np.errstate(over="raise"):
             want = st.exposures(322.9)
-        assert math.isfinite(want[0]) and fit_bayes._finite_exposures(st, 322.9) == want
+        assert math.isfinite(want[0]) and fit_bayes.exposures(st, 322.9) == want
         rng = np.random.default_rng(0)
         lams = sample_lambdas_conditional(PRIOR_EQ, 322.9, st, (0.4, 0.7, 0.9), rng)
         assert all(lam > 0 for lam in lams)

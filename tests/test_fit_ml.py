@@ -464,6 +464,66 @@ class TestInnerEM:
         assert len(calls) == len(trace)
         assert calls[0] == (theta.lambda0, theta.lambda1, theta.lambda2)
 
+    # inner EM fits from each bundled dataset's start, recorded when the
+    # profile summed raw powers; its scaled sums move them by rounding only
+    INNER_FITS = {
+        "football": (3.1701026248272655, 5.7823026552359104e-11, 0.1294280543190818,
+                     0.1022813632180077),
+        "nasal": (4.265493240972163, 1.8833462310541625e-11, 0.03263433128379531,
+                  0.037762374499570296),
+    }
+
+    @pytest.mark.parametrize("name", sorted(INNER_FITS))
+    def test_fits_keep_their_values(self, name, request):
+        data = request.getfixturevalue(name)
+        theta = init_estimates(data)
+        fit = inner_em_mobw(impute_dataset(theta, data), theta)
+        got = (fit.alpha, fit.lambda0, fit.lambda1, fit.lambda2)
+        assert got == pytest.approx(self.INNER_FITS[name], rel=1e-12, abs=0.0)
+
+    def test_rate_update_reads_the_guarded_exposures(self, football, monkeypatch):
+        # one exposure sum serves the Gibbs rate step, the inner EM and callers
+        assert fit_bayes.exposures is mobw.exposures
+        assert not hasattr(fit_bayes, "_finite_exposures")
+        exposures = mobw.exposures
+        shapes = []
+
+        def counted(st, alpha):
+            shapes.append(alpha)
+            return exposures(st, alpha)
+
+        monkeypatch.setattr(mobw, "exposures", counted)
+        theta = init_estimates(football)
+        trace = []
+        fit = inner_em_mobw(impute_dataset(theta, football), theta, trace=trace)
+        assert len(shapes) == len(trace) and shapes[-1] == fit.alpha
+
+    def test_profile_to_the_box_edge_past_the_float_range_is_refused(self):
+        # the profile rises to the shape's bound 100, where 2000**100 passes
+        # the float range: the rate update is refused by name, with no warning
+        data = BivariateDataset(
+            ((2000, 2001), (2001, 2000), (2000, 2000), (2002, 2001), (2001, 2003))
+        )
+        law = MOBWParams(60, 1e-200, 1e-200, 1e-200)
+        sample = impute_dataset(law, data)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            message = "^the exposures pass the float range at shape 100: "
+            with pytest.raises(ValueError, match=message):
+                inner_em_mobw(sample, law)
+
+    def test_exposures_that_underflow_are_refused(self):
+        # every lifetime is 1e-300, so the profile rises to the shape's bound,
+        # where the exposures round to 0 and no rate c / T is finite
+        sample = [
+            CompleteObservation(1e-300, 1e-300, "below"),
+            CompleteObservation(1e-300, 1e-300, "above"),
+        ]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^the exposures underflow at shape 100: "):
+                inner_em_mobw(sample, MOBWParams(3.0, 0.4, 0.7, 0.9))
+
     def test_all_tie_sample_rejected(self):
         from bdw.mobw import CompleteObservation
 

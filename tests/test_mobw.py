@@ -1,21 +1,29 @@
+import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
 from scipy import integrate
 
 from bdw.bivariate import BDWParams, from_mobw, joint_pmf
+from bdw.fit_bayes import AlphaPrior, DGPrior, sample_alpha_conditional, sample_lambdas_conditional
 from bdw.fit_ml import BivariateDataset, impute_dataset
 from bdw.mobw import (
     CompleteObservation,
     LatentPrediction,
     MOBWParams,
+    SampleSummary,
+    cause_counts,
     cell_probability,
     complete_loglik,
+    exposures,
+    inner_em_mobw,
     ml_predict,
     mobw_pdf,
     mobw_sample,
     mobw_sf,
+    summarize,
 )
 from bdw.univariate import WeibullParams, we_mode, we_pdf
 
@@ -299,3 +307,75 @@ class TestCompleteData:
         assert pred.kind == "below"
         assert LatentPrediction(1.0, 1.0, "tie-diagonal", 1.0).kind == "tie"
         assert LatentPrediction(1.2, 1.0, "above-diagonal", 1.0).kind == "above"
+
+
+# lifetimes from near the smallest normal float to past the float range of
+# any power above 2, and shapes up to the Gibbs sampler's bound 1e3
+CONTRACT_LIFETIMES = (1e-300, 0.5, 1e4, 1e150)
+CONTRACT_SHAPES = (0.01, 0.3, 1.0, 3.0, 30.0, 100.0, 322.9, 1e3)
+
+
+def _pair(y1, y2, kind=None):
+    kind = kind or ("below" if y1 < y2 else "above" if y1 > y2 else "tie")
+    return CompleteObservation(y1, y2, kind)
+
+
+CONTRACT_SAMPLES = {
+    "every-pair": [_pair(a, b) for a, b in itertools.product(CONTRACT_LIFETIMES, repeat=2)],
+    "no-ties": [_pair(a, b) for a, b in itertools.permutations(CONTRACT_LIFETIMES, 2)],
+    # collapsed off-diagonal pairs: every event sits at its exposure's top
+    **{
+        f"collapsed-{y:g}": [_pair(y, y, "below"), _pair(y, y, "above")]
+        for y in CONTRACT_LIFETIMES
+    },
+    **{
+        f"two-{a:g}-{b:g}": [_pair(a, b), _pair(b, a), _pair(b, b)]
+        for a, b in itertools.combinations(CONTRACT_LIFETIMES, 2)
+    },
+}
+
+
+class TestRuntimeWarningContract:
+    """The latent layer on valid input returns finite output or raises a
+    ValueError; no warning escapes."""
+
+    @pytest.fixture(autouse=True)
+    def _warnings_are_errors(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            yield
+
+    @staticmethod
+    def _finite_or_refused(call):
+        try:
+            out = call()
+        except ValueError:
+            return
+        if isinstance(out, MOBWParams):
+            out = (out.alpha, out.lambda0, out.lambda1, out.lambda2)
+        elif isinstance(out, SampleSummary):
+            out = (out.log_y_sum, *out.row_sums, *out.vals.tolist())
+        assert np.isfinite(out).all(), out
+
+    @pytest.mark.parametrize("name", sorted(CONTRACT_SAMPLES))
+    def test_latent_sample_functions(self, name):
+        sample = CONTRACT_SAMPLES[name]
+        check = self._finite_or_refused
+        check(lambda: summarize(sample))
+        for alpha in CONTRACT_SHAPES:
+            for lams in ((0.4, 0.7, 0.9), (1e-200, 1e-200, 1e-200)):
+                law = MOBWParams(alpha, *lams)
+                rng = np.random.default_rng(0)
+                check(lambda: exposures(sample, alpha))
+                check(lambda: cause_counts(sample, lams))
+                check(lambda: cause_counts(sample, lams, rng))
+                check(lambda: complete_loglik(law, sample))
+                check(lambda: sample_lambdas_conditional(DGPrior(), alpha, sample, lams, rng))
+                check(lambda: sample_alpha_conditional(AlphaPrior(), lams, sample, alpha, rng))
+        # the inner EM clamps its start to [0.01, 100]: from both ends
+        for alpha in (0.01, 1e3):
+            check(lambda: inner_em_mobw(sample, MOBWParams(alpha, 0.4, 0.7, 0.9)))
+
+    def test_exposures_past_the_float_range_are_refused(self):
+        with pytest.raises(ValueError, match="^the exposures pass the float range at shape 8: "):
+            exposures([CompleteObservation(1e150, 1e150, "tie")], 8.0)
