@@ -11,9 +11,10 @@ read, so a process loads only the layers it uses.  The law layers,
 ``weibull``, ``bivariate`` and ``datasets``, import numpy only inside
 the functions that build arrays: a script on the scalar law functions,
 such as ``bdw.moments``, ``bdw.joint_sf``, ``bdw.joint_pmf`` or
-``bdw.dw_pmf``, loads no numpy.  The joint law rests on the DW law of
-``weibull`` alone; the DW fits (``univariate``) load only where a fit
-runs.
+``bdw.dw_pmf``, loads no numpy, and neither do the DW fits and the
+univariate fit check of a list of ints, which run on ``math``.  The
+joint law rests on the DW law of ``weibull`` alone; the DW fits
+(``univariate``) load only where a fit runs.
 """
 
 from __future__ import annotations

@@ -13,7 +13,8 @@ fits of ``univariate`` among them, nor does ``fit-dw`` load the joint
 fit.  The law layers import numpy only in the functions that build
 arrays, so ``moments``, ``pmf-table``, ``--help`` and every refusal of a
 law's options run without it: ``pmf-table`` writes its grid row by row
-from scalar DW log-mass tables.  Only the JSON writer imports ``json``,
+from scalar DW log-mass tables.  So do ``fit-dw`` and a column's ``gof``,
+whose DW fits and fit check read the column's ints on ``math``.  Only the JSON writer imports ``json``,
 so ``pmf-table`` and ``--help`` load no ``json`` either.
 
 ``run`` is the program entry (``bdw`` and ``python -m bdw.cli``); ``main``
@@ -176,7 +177,7 @@ def _cmd_fit_dw(args: argparse.Namespace) -> None:
     from .univariate import dw_fit_minchisq, dw_fit_ml
 
     data, source = _dataset(args)
-    column = data.column(args.column)
+    column = data.column_ints(args.column)
     ml = dw_fit_ml(column)
     mc = dw_fit_minchisq(column)
     fit_check = chisq_dw(column, mc.law, absorb_tail=not args.no_absorb_tail)
@@ -259,7 +260,7 @@ def _cmd_gof(args: argparse.Namespace) -> None:
         config = {"column": "joint", "estimator": "ml", "absorb_tail": True}
     else:
         estimator = args.estimator or "minchisq"
-        column = data.column(args.column)
+        column = data.column_ints(args.column)
         fit = dw_fit_ml(column) if estimator == "ml" else dw_fit_minchisq(column)
         rep = chisq_dw(column, fit.law, absorb_tail=not args.no_absorb_tail)
         fitted = _dw_law(fit)

@@ -129,18 +129,21 @@ class BivariateDataset(_Record):
             arr.flags.writeable = False
         return vals, i1, i2, weights
 
+    def column_ints(self, which: str) -> list[int]:
+        """One of the three univariate views, ``x1``, ``x2`` or ``min``, as ints."""
+        if which == "x1":
+            return [x1 for x1, _ in self.pairs]
+        if which == "x2":
+            return [x2 for _, x2 in self.pairs]
+        if which == "min":
+            return [min(pair) for pair in self.pairs]
+        raise ValueError(f"column must be x1, x2 or min, got {which!r}")
+
     def column(self, which: str) -> np.ndarray:
-        """One of the three univariate views: ``x1``, ``x2`` or ``min``."""
+        """:meth:`column_ints` as an int64 array."""
         import numpy as np
 
-        arr = np.asarray(self.pairs, dtype=np.int64)
-        if which == "x1":
-            return arr[:, 0]
-        if which == "x2":
-            return arr[:, 1]
-        if which == "min":
-            return arr.min(axis=1)
-        raise ValueError(f"column must be x1, x2 or min, got {which!r}")
+        return np.array(self.column_ints(which), dtype=np.int64)
 
     def require_untied_rows(self) -> None:
         """Raise unless some row has ``x1 != x2``: on ties alone the shared

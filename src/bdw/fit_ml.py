@@ -177,12 +177,12 @@ def init_estimates(data: BivariateDataset) -> MOBWParams:
     """
     fits = []
     for name in ("x1", "x2", "min"):
-        col = data.column(name)
+        col = data.column_ints(name)
         try:
             fits.append(dw_fit_minchisq(col).law)
         except ValueError as exc:
             what = f"column {name}"
-            if col.min() == col.max():
+            if min(col) == max(col):
                 what += f" is constant (every value is {col[0]})"
             raise ValueError(f"{what}: {exc}") from None
     return initial_params_from_marginals(*fits)
@@ -211,7 +211,7 @@ def _neg_loglik_in_logs(z: np.ndarray, data: BivariateDataset):
     """Negative log-likelihood, score and Hessian in log-parameters."""
     theta = np.exp(z)
     value, grad, hess = bdw_loglik_derivatives(theta, data)
-    return _in_logs(theta, -value, -grad, -hess)
+    return _in_logs(theta.tolist(), -value, (-grad).tolist(), (-hess).tolist())
 
 
 def nested_em(data: BivariateDataset, start: MOBWParams | None = None) -> MLFitReport:

@@ -3,22 +3,23 @@
 Univariate fits are checked on the observed support with the upper tail
 absorbed into the last cell (optional, on by default); bivariate fits on
 the observed-support product grid with tail absorption on both axes.
-The two checks differ only in how they fill their count and mass tables:
-one axis rule labels both, and one path pools and scores them.  Adjacent
-cells with expected count below one are pooled so the usual chi-square
+The two checks differ only in how they produce their cells' counts and
+expected counts, which the univariate one streams on ``math``: one axis
+rule labels both, and one path pools and scores them.  Adjacent cells
+with expected count below one are pooled so the usual chi-square
 approximation is not applied to near-empty cells.
 """
 
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Callable, Sequence
-
-import numpy as np
+from collections import Counter
+from itertools import repeat
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
 from . import bivariate
-from .univariate import _dataset_1d, _pearson
-from .weibull import _count, _logpmf_arr, _rate, _Record, dw_sf
+from .univariate import _counts_1d, _pearson
+from .weibull import _count, _log1mexp_float, _power, _rate, _Record, dw_pmf, dw_sf
 
 if TYPE_CHECKING:
     from .bivariate import BDWParams, MOBWParams
@@ -86,50 +87,49 @@ class ChiSquareReport(_Record):
     cells: tuple[tuple[str, int, float], ...]
 
 
-def _pool(observed: list[int], expected: list[float]) -> list[tuple[int, int, int, float]]:
-    """Merge adjacent cells rightward until every group's expected >= 1; a
-    remainder short of it joins the last group, or stands alone when there
-    is none.  A group is its first and last cell with its two sums."""
+def _pool(observed: Iterable[int], expected: Iterable[float]) -> list[tuple[int, int, int, float]]:
+    """Merge adjacent cells, read once as they come, rightward until every
+    group's expected >= 1; a remainder short of it joins the last group, or
+    stands alone when there is none.  A group is its first and last cell
+    with its two sums."""
     groups: list[tuple[int, int, int, float]] = []
-    first, acc_o, acc_e = 0, 0, 0.0
-    for k, (o, e) in enumerate(zip(observed, expected)):
+    first, acc_o, acc_e, last = 0, 0, 0.0, -1
+    for last, (o, e) in enumerate(zip(observed, expected)):
         acc_o += o
         acc_e += e
         if acc_e >= POOL_THRESHOLD:
-            groups.append((first, k, acc_o, acc_e))
-            first, acc_o, acc_e = k + 1, 0, 0.0
-    if first < len(observed):
+            groups.append((first, last, acc_o, acc_e))
+            first, acc_o, acc_e = last + 1, 0, 0.0
+    if first <= last:
         if groups:
             first, _, last_o, last_e = groups.pop()
             acc_o, acc_e = last_o + acc_o, last_e + acc_e
-        groups.append((first, len(observed) - 1, acc_o, acc_e))
+        groups.append((first, last, acc_o, acc_e))
     return groups
 
 
-def _axis(top: int, absorb_tail: bool = True) -> list[str]:
-    """Labels of an axis holding the values ``0..top``; with ``absorb_tail``
+def _axis(top: int, absorb_tail: bool = True) -> Callable[[int], str]:
+    """Cell k's label on an axis holding the values ``0..top``; with ``absorb_tail``
     the last cell also holds the tail above it, ``>=top`` when ``top > 0``."""
-    return [str(y) for y in range(top)] + [
-        f">={top}" if absorb_tail and top > 0 else str(top)
-    ]
+    last = f">={top}" if absorb_tail and top > 0 else str(top)
+    return lambda k: last if k == top else str(k)
 
 
 def _report(
-    name: Callable[[int], str], counts: np.ndarray, mass: np.ndarray, df_penalty: int
+    name: Callable[[int], str], observed: Iterable[int], expected: Iterable[float], df_penalty: int
 ) -> ChiSquareReport:
-    """Pool and score a row-major table of counts against its cell masses.
+    """Pool and score a row-major table of counts against expected counts.
     ``name(k)`` labels cell k; a group of one cell keeps its label, of two
     reads ``a+b``, and of more ``first..last``."""
     df_penalty = _count(df_penalty, "df_penalty")
-    n = int(counts.sum())
-    groups = _pool(counts.ravel().tolist(), (n * mass).ravel().tolist())
+    groups = _pool(observed, expected)
     if len(groups) < 2:
         raise ValueError("fewer than two cells after pooling")
     df = len(groups) - 1 - df_penalty
     if df < 1:
         raise ValueError("no degrees of freedom left after the penalty")
     _, _, obs, exp = zip(*groups)
-    stat = float(_pearson(np.asarray(obs, dtype=float), np.asarray(exp)))
+    stat = _pearson(obs, exp)
     cells = tuple(
         (name(a) if a == b else name(a) + ("+" if b == a + 1 else "..") + name(b), o, e)
         for a, b, o, e in groups
@@ -152,15 +152,34 @@ def chisq_dw(
     its bare probability mass, which matches how the single-coordinate
     fit tables in common use report the statistic.  ``df_penalty``
     subtracts fitted-parameter degrees from ``#cells - 1``.  The sample is
-    validated as the DW fits validate theirs.
+    validated as the DW fits validate theirs, and a support of more cells
+    than the joint check's grid may hold is refused by name.  The cells
+    stream once, with one power per cell, in memory that does not grow.
     """
-    values = _dataset_1d(data).astype(np.int64)
-    top = int(values.max())
-    logs = _logpmf_arr(np.arange(top + 1, dtype=float), *_rate(params))
-    mass = np.array([math.exp(v) for v in logs.tolist()])
-    if absorb_tail:
-        mass[top] = dw_sf(params, top)
-    return _report(_axis(top, absorb_tail).__getitem__, np.bincount(values), mass, df_penalty)
+    xs = _counts_1d(data)
+    top = max(xs)
+    cap = bivariate._MAX_GRID_BOUND**2
+    if top >= cap:
+        raise ValueError(
+            f"the fit check's support 0..{top} holds {top + 1} cells, "
+            f"more than the {cap} of a tractable grid"
+        )
+    alpha, rate = _rate(params)
+    seen, n = Counter(xs), len(xs)
+
+    def expected() -> Iterator[float]:
+        # a cell's successor power is the next cell's own; from the first
+        # cell whose survival exp(-rate*t1) underflows on, every mass is 0
+        t1, y = 0.0, 0
+        while y < top and t1 * rate < 746.0:
+            t2 = _power(y + 1.0, alpha)
+            yield n * math.exp(t1 * -rate + _log1mexp_float((t2 - t1) * rate))
+            t1, y = t2, y + 1
+        yield from repeat(0.0, top - y)
+        yield n * (dw_sf(params, top) if absorb_tail else dw_pmf(params, top))
+
+    observed = map(seen.get, range(top + 1), repeat(0))
+    return _report(_axis(top, absorb_tail), observed, expected(), df_penalty)
 
 
 def chisq_bdw(
@@ -174,6 +193,8 @@ def chisq_bdw(
     to ``n``.  Cells with small expected counts are pooled along the
     row-major scan (rightward within a row, then on to the next row).
     """
+    import numpy as np
+
     x1, x2, w = data.cell_arrays
     top1, top2 = int(x1.max()), int(x2.max())
     # interior cells take the pmf; the last row and column absorb the tail
@@ -190,4 +211,9 @@ def chisq_bdw(
     counts[x1.astype(np.int64), x2.astype(np.int64)] = w
 
     axis1, axis2, w = _axis(top1), _axis(top2), top2 + 1
-    return _report(lambda k: f"({axis1[k // w]},{axis2[k % w]})", counts, mass, df_penalty)
+    return _report(
+        lambda k: f"({axis1(k // w)},{axis2(k % w)})",
+        counts.ravel().tolist(),
+        (data.n * mass).ravel().tolist(),
+        df_penalty,
+    )

@@ -5,9 +5,10 @@ The DW law itself, its records and its log-mass kernels live in
 likelihood (:func:`dw_fit_ml`) and by minimum chi-square
 (:func:`dw_fit_minchisq`), run the package's one optimizer,
 :func:`_newton_min`: damped Newton steps in log-parameters on exact
-derivatives, which the DW log-pmf's jet (:func:`_dw_jet`) supplies.  They
-hold the fitted rate, and compute its survival base only on demand,
-through :func:`~bdw.weibull._to_base`.
+derivatives, which the DW log-pmf's jets (:func:`_dw_jets`) supply, on
+``math``: a fit of a list of ints loads no numpy.  They hold the fitted
+rate, and compute its survival base only on demand, through
+:func:`~bdw.weibull._to_base`.
 
 The law's public names are imported here too, so ``bdw.univariate.DWParams``
 and pickles that name this module still resolve.
@@ -17,6 +18,8 @@ from __future__ import annotations
 
 import math
 import sys
+from collections import Counter
+from itertools import combinations
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .weibull import (
@@ -25,7 +28,7 @@ from .weibull import (
     SingularDensityError,
     WeibullParams,
     _log1mexp,
-    _logpmf_arr,
+    _power,
     _Record,
     _to_base,
     dw_logpmf,
@@ -61,8 +64,8 @@ __all__ = [
     "DWChisqFit",
 ]
 
-# Search box for the shape parameter in all fits; wide enough that real
-# count data never touches it.
+# Box for the shape in the inner EM's profile (bdw.mobw); wide enough
+# that real count data never touches it.
 ALPHA_LO = 1e-2
 ALPHA_HI = 1e2
 
@@ -81,23 +84,38 @@ class DWFit(NamedTuple):
         return DWParams(self.law.alpha, _to_base("lambda", self.law.lam))
 
 
-def _dataset_1d(data) -> np.ndarray:
-    import numpy as np
+def _counts_1d(data) -> list[int]:
+    """A sample of counts as ints: a list, tuple or range of ints as it is,
+    anything else, an array among them, through ``numpy.asarray``."""
+    if isinstance(data, (list, tuple, range)) and all(type(y) is int for y in data):
+        if not data:
+            raise ValueError("empty dataset")
+        xs, whole = list(data), min(data) >= 0
+    else:
+        import numpy as np
 
-    xs = np.asarray(data)
-    if xs.size == 0:
-        raise ValueError("empty dataset")
-    if xs.ndim != 1:
-        raise ValueError("expected a one-dimensional collection of counts")
-    finite = np.issubdtype(xs.dtype, np.number) and np.all(np.isfinite(xs))
-    if not finite or np.any(xs != np.floor(xs)) or np.any(xs < 0):
+        arr = np.asarray(data)
+        if arr.size == 0:
+            raise ValueError("empty dataset")
+        if arr.ndim != 1:
+            raise ValueError("expected a one-dimensional collection of counts")
+        whole = arr.dtype.kind in "iuf" and bool(
+            np.all(np.isfinite(arr)) and np.all(arr == np.floor(arr)) and np.all(arr >= 0)
+        )
+        # int() of each entry is exact in every dtype; a float past the
+        # int64 range would wrap where it is cast to int64
+        xs = [int(y) for y in arr.tolist()] if whole else []
+    if not whole:
         raise ValueError("data must be non-negative integers")
-    # int() of the largest entry is exact in every dtype; a float past the
-    # int64 range would wrap where a count is cast to int64
-    top = int(xs.max())
+    top = max(xs)
     if top > _MAX_COUNT:
         raise ValueError(f"data must not exceed the largest count 2**63 - 1, got {top}")
-    return xs.astype(float)
+    if top >= 2**53:  # where y and y + 1 are one float, and the DW law has no mass
+        raise ValueError(
+            f"data must be below 2**53, got {top}: at such a count y, "
+            f"y and y + 1 are one float"
+        )
+    return xs
 
 
 class _Jet(_Record):
@@ -144,21 +162,49 @@ def _log1mexp_jet(u: _Jet) -> _Jet:
     )
 
 
-def _dw_jet(y: np.ndarray, alpha: float, rate) -> _Jet:
-    """Jet of the DW log-pmf at ``y`` in ``(alpha, rate)``, the survival base
-    being ``exp(-rate)``; ``rate`` broadcasts against ``y`` as in :func:`_power_jet`."""
-    here = _power_jet(y, alpha, rate)
-    return here + _log1mexp_jet(here - _power_jet(y + 1.0, alpha, rate))
+def _dw_jets(values: list[float], alpha: float, rate: float) -> list[tuple[float, ...]]:
+    """The DW log-pmf ``-rate*t1 + log1mexp(rate*dt)`` at each value, with
+    ``t1 = y**alpha`` and ``dt = (y+1)**alpha - t1``, and its gradient and
+    Hessian in ``(alpha, rate)``: ``(v, g_a, g_r, h_aa, h_ar, h_rr)``.  ``dt``
+    is ``t1*expm1(alpha*log1p(1/y))``, exact where the powers cancel; a
+    value of no mass, or whose powers pass the float range, gets a
+    non-finite jet."""
+    jets = []
+    for y in values:
+        ly = ly1 = s = t1 = 0.0
+        dt = 1.0
+        if y > 0.0:
+            ly, ly1, s, t1 = math.log(y), math.log(y + 1.0), math.log1p(1.0 / y), _power(y, alpha)
+            try:
+                dt = t1 * math.expm1(alpha * s)
+            except OverflowError:
+                dt = math.inf
+        # the first and second derivatives of t1 and dt in alpha
+        a1, da = t1 * ly, t1 * s + dt * ly1
+        b1, db = a1 * ly, t1 * s * (ly + ly1) + dt * ly1 * ly1
+        u, ua = dt * rate, da * rate
+        if u > 0.0:
+            tail = -math.expm1(-u)
+            v, g1 = math.log(tail), math.exp(-u) / tail
+        else:
+            v, g1 = -math.inf, math.nan
+        g2 = -(g1 + g1 * g1)
+        jets.append((
+            t1 * -rate + v, -(rate * a1) + g1 * ua, -t1 + g1 * dt,
+            -(rate * b1) + g2 * ua * ua + g1 * (rate * db),
+            -a1 + g2 * ua * dt + g1 * da, g2 * dt * dt,
+        ))
+    return jets
 
 
-def _in_logs(theta: np.ndarray, value: float, grad: np.ndarray, hess: np.ndarray):
-    """Value, gradient and Hessian carried from ``theta`` to ``z = log(theta)``;
-    non-finite entries pass through silently."""
-    import numpy as np
-
-    with np.errstate(invalid="ignore", over="ignore"):
-        grad_z = theta * grad
-        return value, grad_z, np.outer(theta, theta) * hess + np.diag(grad_z)
+def _in_logs(theta, value: float, grad, hess) -> tuple[float, list[float], list[list[float]]]:
+    """Value, gradient and Hessian, given as sequences of floats, carried
+    from ``theta`` to ``z = log(theta)``; non-finite entries pass through."""
+    grad_z = [t * g for t, g in zip(theta, grad)]
+    hess_z = [[ti * tj * h for tj, h in zip(theta, row)] for ti, row in zip(theta, hess)]
+    for i, g in enumerate(grad_z):
+        hess_z[i][i] += g
+    return value, grad_z, hess_z
 
 
 # longest step of the Newton solver, in log-parameters: at most a factor
@@ -175,61 +221,92 @@ class _StepCapError(ValueError):
     without converging, or its Newton step was too long to represent."""
 
 
-def _newton_min(fun, z0: np.ndarray) -> tuple[np.ndarray, float]:
+def _eigh(a) -> tuple[list[float], list[list[float]]]:
+    """Eigenvalues and orthonormal eigenvectors, as columns, of a small
+    symmetric matrix, by cyclic Jacobi rotations; an off-diagonal entry is
+    dropped below the float resolution of both its diagonal entries."""
+    n, a = len(a), [list(row) for row in a]
+    vecs = [[float(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(50):  # a matrix of order 4 takes 3-5 sweeps
+        rotated = False
+        for p, q in combinations(range(n), 2):
+            apq, app, aqq = a[p][q], a[p][p], a[q][q]
+            if abs(app) + 100.0 * abs(apq) == abs(app) and abs(aqq) + 100.0 * abs(apq) == abs(aqq):
+                a[p][q] = a[q][p] = 0.0
+                continue
+            rotated = True
+            # the rotation's tangent, the smaller root of t**2 + 2*theta*t = 1
+            theta = (aqq - app) / (2.0 * apq)
+            t = math.copysign(1.0 / (abs(theta) + math.hypot(theta, 1.0)), theta)
+            c = 1.0 / math.hypot(t, 1.0)
+            s, tau = t * c, t * c / (1.0 + c)
+            a[p][p], a[q][q], a[p][q], a[q][p] = app - t * apq, aqq + t * apq, 0.0, 0.0
+            # the rotation of columns p and q; a's rows p and q mirror them
+            for row in [a[r] for r in range(n) if r != p and r != q] + vecs:
+                x, y = row[p], row[q]
+                row[p], row[q] = x - s * (y + tau * x), y + s * (x - tau * y)
+            for r in range(n):
+                a[p][r], a[q][r] = a[r][p], a[r][q]
+        if not rotated:
+            break
+    return [a[i][i] for i in range(n)], vecs
+
+
+def _evaluate(fun, z: list[float]):
+    """``fun(z)`` as floats in lists, or ``None`` where one is not finite."""
+    f, g, h = fun(z)
+    f, g, h = float(f), [float(v) for v in g], [[float(v) for v in row] for row in h]
+    finite = math.isfinite(f) and all(map(math.isfinite, g + [v for row in h for v in row]))
+    return (f, g, h) if finite else None
+
+
+def _newton_min(fun, z0) -> tuple[list[float], float]:
     """Minimize ``fun`` from ``z0`` by damped Newton steps; return the point and value.
 
-    ``fun(z)`` returns the value, gradient and Hessian; a non-finite one
-    marks ``z`` as outside the domain.  Each step solves ``(H + mu*I) s =
-    -g`` on the eigen-decomposition of ``H``, with ``mu`` raised where
-    needed so the system is positive definite, and its length is capped at
-    ``_MAX_STEP``.  A step is taken only when the value falls, or, within
-    the float resolution of the value, when the gradient shrinks;
-    otherwise ``mu`` grows and the step shortens.  The solve ends after
-    the first step whose predicted or attained decrease is below that
-    resolution, such as a crawl towards a rate of zero.  A solve still
-    descending after ``_MAX_ITER`` steps, or whose Newton step overflows
-    (no curvature along a descent direction), raises :class:`_StepCapError`.
+    ``fun(z)`` returns the value, gradient and Hessian, in floats or numpy;
+    a non-finite one marks ``z`` as outside the domain.  Each step solves
+    ``(H + mu*I) s = -g`` on :func:`_eigh` of ``H``, with ``mu`` raised
+    where needed so the system is positive definite, and its length is
+    capped at ``_MAX_STEP``.  A step is taken only when the value falls,
+    or, within the float resolution of the value, when the gradient
+    shrinks; otherwise ``mu`` grows and the step shortens.  The solve ends
+    after the first step whose predicted or attained decrease is below
+    that resolution, such as a crawl towards a rate of zero.  A solve
+    still descending after ``_MAX_ITER`` steps, or whose Newton step
+    overflows (no curvature along a descent direction), raises
+    :class:`_StepCapError`.
     """
-    import numpy as np
-
-    def finite(*parts) -> bool:
-        return all(bool(np.isfinite(part).all()) for part in parts)
-
-    z = np.asarray(z0, dtype=float)
-    f, g, h = fun(z)
-    if not finite(f, g, h):
+    z = [float(v) for v in z0]
+    state = _evaluate(fun, z)
+    if state is None:
         raise ValueError("the objective is not finite at the start point")
+    f, g, h = state
     mu = 0.0
     for _ in range(_MAX_ITER):
-        w, vecs = np.linalg.eigh(h)
-        scale = max(float(np.abs(w).max()), 1e-300)
-        lowest = float(w.min())
+        w, vecs = _eigh(h)
+        scale = max(max(map(abs, w)), 1e-300)
+        lowest = min(w)
         shift = mu if lowest > 0.0 else mu + 1e-10 * scale - lowest
-        gv = vecs.T @ g
-        with np.errstate(over="ignore"):
-            sv = -gv / (w + shift)
-            length = float(np.linalg.norm(sv))
-        if not finite(sv):
+        gv = [sum(row[k] * gi for row, gi in zip(vecs, g)) for k in range(len(z))]
+        sv = [-gk / (wk + shift) for gk, wk in zip(gv, w)]
+        if not all(map(math.isfinite, sv)):
             raise _StepCapError(
                 "the Newton step overflows: the objective has no curvature "
                 "along its descent, so the infimum is not attained"
             )
-        if length == math.inf:
-            # the squares of sv overflow; those of sv / max|sv| cannot
-            big = float(np.abs(sv).max())
-            length = big * float(np.linalg.norm(sv / big))
-        if length > _MAX_STEP:
-            sv *= _MAX_STEP / length
-        predicted = -float(gv @ sv + 0.5 * (w * sv) @ sv)
+        if math.hypot(*sv) > _MAX_STEP:
+            # through sv / max|sv|, whose norm is finite where that of sv is not
+            sv = [sk / max(map(abs, sv)) for sk in sv]
+            sv = [sk * (_MAX_STEP / math.hypot(*sv)) for sk in sv]
+        predicted = -sum(gk * sk + 0.5 * (wk * sk) * sk for gk, wk, sk in zip(gv, w, sv))
         resolution = 4.0 * _EPS * max(abs(f), 1.0)
-        z_new = z + vecs @ sv
-        f_new, g_new, h_new = fun(z_new)
-        if finite(f_new, g_new, h_new) and (
-            f_new < f
-            or (f_new <= f + resolution and np.linalg.norm(g_new) < np.linalg.norm(g))
+        z_new = [zi + sum(v * sk for v, sk in zip(row, sv)) for zi, row in zip(z, vecs)]
+        new = _evaluate(fun, z_new)
+        if new is not None and (
+            new[0] < f or (new[0] <= f + resolution and math.hypot(*new[1]) < math.hypot(*g))
         ):
-            gain = f - f_new
-            z, f, g, h = z_new, f_new, g_new, h_new
+            gain = f - new[0]
+            z, (f, g, h) = z_new, new
             mu = mu / 4.0 if mu > 1e-12 * scale else 0.0
         elif predicted > resolution:
             mu = max(4.0 * shift, 1e-4 * scale)
@@ -237,57 +314,63 @@ def _newton_min(fun, z0: np.ndarray) -> tuple[np.ndarray, float]:
         else:
             gain = 0.0
         if min(predicted, gain) <= resolution:
-            return z, float(f)
+            return z, f
     raise _StepCapError(
         f"the Newton solve was still descending after {_MAX_ITER} steps: "
         f"the infimum is not attained"
     )
 
 
-def _pearson(counts: np.ndarray, expected: np.ndarray) -> np.ndarray:
-    """Pearson statistic over the last axis; ``inf`` where a cell expects nothing."""
-    import numpy as np
+def _pearson(counts, expected) -> float:
+    """Pearson statistic of counts against expected counts; ``inf`` where a
+    cell expects nothing."""
+    if not all(e > 0.0 for e in expected):
+        return math.inf
+    return math.fsum((o - e) * (o - e) / e for o, e in zip(counts, expected))
 
-    stat = np.sum((counts - expected) ** 2 / expected, axis=-1)
-    return np.where(np.all(expected > 0, axis=-1), stat, np.inf)
+
+def _sum_in_logs(theta, value: float, jets, first, second):
+    """``value`` with the gradient ``sum(first*g)`` and Hessian ``sum(second*g*g'
+    + first*h)`` of per-value DW jets, in ``z = log(theta)``."""
+    ga = gr = haa = har = hrr = 0.0
+    for w1, w2, (_, da, dr, daa, dar, drr) in zip(first, second, jets):
+        ga, gr = ga + w1 * da, gr + w1 * dr
+        haa += w2 * da * da + w1 * daa
+        har += w2 * da * dr + w1 * dar
+        hrr += w2 * dr * dr + w1 * drr
+    return _in_logs(theta, value, (ga, gr), ((haa, har), (har, hrr)))
 
 
-def _neg_loglik_jet(z: np.ndarray, values: np.ndarray, counts: np.ndarray):
+def _neg_loglik_jet(z, values: list[float], counts: list[float]):
     """Negative DW log-likelihood of ``counts`` at ``values``, with its
     gradient and Hessian, in ``z = (log alpha, log(-log p))``."""
-    import numpy as np
-
-    theta = np.exp(z)
-    with np.errstate(all="ignore"):
-        jet = _dw_jet(values, theta[0], theta[1])
-        hess = np.tensordot(counts, jet.h, axes=1)
-        return _in_logs(theta, -float(counts @ jet.v), -(counts @ jet.g), -hess)
+    theta = (math.exp(z[0]), math.exp(z[1]))
+    jets = _dw_jets(values, *theta)
+    value = -math.fsum(c * jet[0] for c, jet in zip(counts, jets))
+    return _sum_in_logs(theta, value, jets, [-c for c in counts], [0.0] * len(counts))
 
 
-def _pearson_jet(z: np.ndarray, values: np.ndarray, counts: np.ndarray, n: int):
+def _pearson_jet(z, values: list[float], counts: list[float], n: int):
     """Pearson statistic of ``counts`` against ``n`` times the DW pmf, with
     its gradient ``sum((e - o**2/e) * dl)`` and Hessian, in the
     coordinates of :func:`_neg_loglik_jet`; ``l`` is a cell's log-pmf."""
-    import numpy as np
-
-    theta = np.exp(z)
-    with np.errstate(all="ignore"):
-        jet = _dw_jet(values, theta[0], theta[1])
-        e = n * np.exp(jet.v)
-        q = counts * counts / e
-        grad = (e - q) @ jet.g
-        hess = np.einsum("k,ki,kj->ij", e + q, jet.g, jet.g)
-        hess += np.tensordot(e - q, jet.h, axes=1)
-        return _in_logs(theta, float(_pearson(counts, e)), grad, hess)
+    theta = (math.exp(z[0]), math.exp(z[1]))
+    jets = _dw_jets(values, *theta)
+    e = [n * math.exp(jet[0]) for jet in jets]
+    value = _pearson(counts, e)
+    if value == math.inf:
+        return value, (0.0, 0.0), ((0.0, 0.0), (0.0, 0.0))
+    q = [o * o / ek for o, ek in zip(counts, e)]
+    first, second = [a - b for a, b in zip(e, q)], [a + b for a, b in zip(e, q)]
+    return _sum_in_logs(theta, value, jets, first, second)
 
 
 def dw_fit_ml(data: Sequence[int]) -> DWFit:
     """Maximum-likelihood fit of a DW law to a sample of counts.
 
-    The likelihood is evaluated at once on a grid over shape in
-    [0.01, 100] and ``logit(p)`` in [-35, 35], and :func:`_newton_min`
-    refines the best grid point in ``(log alpha, log(-log p))`` with the
-    exact score and Hessian.
+    :func:`_newton_min` minimizes the negative log-likelihood in ``(log
+    alpha, log(-log p))`` with its exact score and Hessian, from the
+    geometric law (shape one) of the sample's mean.
 
     Returns
     -------
@@ -300,29 +383,22 @@ def dw_fit_ml(data: Sequence[int]) -> DWFit:
     ------
     ValueError
         On an empty sample, when all observations are equal (the
-        likelihood then degenerates towards a boundary point mass), or
-        when no DW law attains the supremum.  A sample on two adjacent values
-        ``{k, k+1}`` is one with no maximizer: as the shape grows with
-        ``lambda*(k+1)**alpha`` held, the DW law tends to any two-point
-        law on them, so the supremum is the sample's own frequencies.
+        likelihood then degenerates towards a boundary point mass), on a
+        count at or past 2**53, or when no DW law attains the supremum.  A
+        sample on two adjacent values ``{k, k+1}`` is one with no
+        maximizer: as the shape grows with ``lambda*(k+1)**alpha`` held,
+        the DW law tends to any two-point law on them, so the supremum is
+        the sample's own frequencies.
     """
-    import numpy as np
-
     values, counts, n = _distinct_values(data)
-    if values.size == 2 and values[1] - values[0] == 1:
-        sup = float(counts @ np.log(counts / n))
+    if len(values) == 2 and values[1] - values[0] == 1:
+        sup = sum(c * math.log(c / n) for c in counts)
         raise ValueError(
             f"no DW law fits this sample best: on the two adjacent values "
             f"{values[0]:g} and {values[1]:g} the log-likelihood approaches "
             f"its supremum {sup:.6g} only as the shape grows without bound"
         )
-    start = _grid_start(
-        lambda logpmf: -(logpmf @ counts),
-        values,
-        np.linspace(math.log(ALPHA_LO), math.log(ALPHA_HI), 61),
-        np.linspace(-35.0, 35.0, 71),
-    )
-    law, value = _solve_fit(lambda z: _neg_loglik_jet(z, values, counts), start)
+    law, value = _solve_fit(lambda z: _neg_loglik_jet(z, values, counts), values, counts, n)
     return DWFit(law, -value)
 
 
@@ -346,11 +422,7 @@ def dw_fit_minchisq(data: Sequence[int]) -> DWChisqFit:
     and maximum-likelihood estimates generally differ at small samples;
     both are exposed because published marginal fits for this family are
     reproducible only under this criterion, while likelihood comparisons
-    need :func:`dw_fit_ml`.
-
-    The statistic is evaluated at once on a 25 x 25 grid over shape in
-    [0.01, 100] and ``logit(p)`` in [-6, 6], and :func:`_newton_min`
-    refines the best grid point with its exact gradient and Hessian.
+    need :func:`dw_fit_ml`.  The solve is that of the ML fit.
 
     Returns
     -------
@@ -362,52 +434,32 @@ def dw_fit_minchisq(data: Sequence[int]) -> DWChisqFit:
     ValueError
         As :func:`dw_fit_ml` does.
     """
-    import numpy as np
-
     values, counts, n = _distinct_values(data)
-    start = _grid_start(
-        lambda logpmf: _pearson(counts, n * np.exp(logpmf)),
-        values,
-        np.linspace(math.log(ALPHA_LO), math.log(ALPHA_HI), 25),
-        np.linspace(-6.0, 6.0, 25),
-    )
-    law, value = _solve_fit(lambda z: _pearson_jet(z, values, counts, n), start)
+    law, value = _solve_fit(lambda z: _pearson_jet(z, values, counts, n), values, counts, n)
     return DWChisqFit(law, value)
 
 
-def _distinct_values(data) -> tuple[np.ndarray, np.ndarray, int]:
-    """Distinct values of a count sample, their multiplicities and the sample size."""
-    import numpy as np
-
-    xs = _dataset_1d(data)
-    values, counts = np.unique(xs, return_counts=True)
-    if values.size < 2:
+def _distinct_values(data) -> tuple[list[float], list[float], int]:
+    """Distinct values of a count sample, increasing, their multiplicities
+    and the sample size."""
+    xs = _counts_1d(data)
+    tally = Counter(xs)
+    if len(tally) < 2:
         raise ValueError(
             "all observations are equal; the fit degenerates to a boundary point mass"
         )
-    return values, counts.astype(float), xs.size
+    values = sorted(tally)
+    return [float(y) for y in values], [float(tally[y]) for y in values], len(xs)
 
 
-def _grid_start(objective, values: np.ndarray, log_alpha: np.ndarray, logit_p: np.ndarray) -> np.ndarray:
-    """``(log alpha, log(-log p))`` of the grid point where ``objective``, a
-    function of the log-pmf table over ``values``, is least (the first in
-    row-major order on ties)."""
-    import numpy as np
-
-    rate = np.logaddexp(0.0, -logit_p)
-    with np.errstate(all="ignore"):
-        table = _logpmf_arr(values, np.exp(log_alpha)[:, None, None], rate[None, :, None])
-        obj = objective(table)
-    i, j = np.unravel_index(int(np.argmin(obj)), obj.shape)
-    return np.array([log_alpha[i], math.log(rate[j])])
-
-
-def _solve_fit(fun, start: np.ndarray) -> tuple[WeibullParams, float]:
+def _solve_fit(fun, values, counts, n) -> tuple[WeibullParams, float]:
     """Minimize a DW fit's objective ``fun`` of ``z = (log alpha, log(-log p))``
-    from ``start``; return the law at the minimum, in its rate, and the
+    from the geometric law of the sample's mean (shape 1, rate
+    ``log1p(1/mean)``); return the law at the minimum, in its rate, and the
     minimum value."""
+    mean = math.fsum(c * y for y, c in zip(values, counts)) / n
     try:
-        z, value = _newton_min(fun, start)
+        z, value = _newton_min(fun, [0.0, math.log(math.log1p(1.0 / mean))])
     except _StepCapError as exc:
         raise ValueError(f"no DW law fits this sample best: {exc}") from None
     return WeibullParams(math.exp(z[0]), math.exp(z[1])), value

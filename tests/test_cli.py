@@ -126,34 +126,36 @@ class TestBundledData:
             builtin_dataset("bogus")
 
 
-# sha256 of two DW fit-check reports, recorded when chisq_dw still called
-# dw_pmf once per value: its masses now come from one array of log-masses,
-# whose entries equal the one-element evaluations bit for bit
+# sha256 of two DW fit-check reports, recorded once the DW fits and
+# chisq_dw ran on math; TestReportValues bounds how far they moved from
+# the reports of the array fits
 DW_REPORT_SHA = {
-    "fit-dw-min": "b765e29092ef7923d0de9210660c905b1d02b66adfb121d19f6d1abb725babe4",
-    "gof-x1": "76f504779c3d83517fc750224db0834043a78a96c8f974e4f97c451c82f52c3d",
+    "fit-dw-min": "361d1a2dabe6e4932280fdc1d81d8ad2d5842df2cd41a555ea89365abd159240",
+    "gof-x1": "c431b27c5aca84372320fc2324d2124941cefbca61a92c498998dd542f900231",
 }
 
 
-# the joint reports' digests, recorded before the latent layer's exposures
-# moved into bdw.mobw; a refactor that keeps the estimates keeps these bytes
+# the joint reports' digests, first recorded before the latent layer's
+# exposures moved into bdw.mobw; a refactor that keeps the estimates keeps
+# these bytes.  The fits' four were re-recorded once the DW fits started
+# from the geometric law and the Newton solver ran on math (TestReportValues)
 _LAW = ["--alpha", "1.5", "--p0", "0.9", "--p1", "0.7", "--p2", "0.75"]
 JOINT_REPORTS = {
     "fit-ml-football": (
         ["fit-ml", "--dataset", "football"],
-        "f487bf7225b93de8473e0e11901756e325b1bd5106630f73bc6ef49ca6d6e99d",
+        "20bc9da1f0c6d041ce7966a7a1eb08de4c2a58ab9dd628878f2a6e361cf67eda",
     ),
     "fit-ml-nasal": (
         ["fit-ml", "--dataset", "nasal"],
-        "ff8520691443b641c653e392d09991600418fa88070e55dc9e6351b25d182362",
+        "881f066c5935eeeb05237bcb0262d0447411ae5396644c030f5b284d2cab1e24",
     ),
     "gof-joint-football": (
         ["gof", "--dataset", "football", "--column", "joint"],
-        "a495aa1d1326308b27118dd91912f806c508d1649eeef5f07d87f27a2358ea49",
+        "f8e9bda1f6ef7ba58fdae6ac781d1a4699788882a689c6e31f739e936e83c65d",
     ),
     "fit-bayes-football": (
         ["fit-bayes", "--dataset", "football", "-M", "200", "-N", "2", "--seed", "1"],
-        "d8d1b52221ccae3340459639df5ed0fd5c8df8e3fae5c97a061b249e6cdd65d5",
+        "5da2bb9062fb10892a4e024ff98bf91a3c8798f109ebda60d2cc836af2bf32e6",
     ),
     "moments": (
         ["moments", *_LAW],
@@ -187,6 +189,40 @@ class TestReportBytes:
         out = tmp_path / "report"
         assert main([*argv, "--output", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+# every report above, parsed, as recorded before the DW fits, their start
+# and the Newton solver moved onto math: a float may move by rounding, up to
+# 1e-10 relative (1e-9 in the Gibbs draws, which follow their start), and
+# every other leaf, strings, labels, counts and df among them, is unchanged
+REPORT_VALUES = json.loads((pathlib.Path(__file__).parent / "report_values.json").read_text())
+
+
+def _leaves(node, path=()):
+    # (path, value) of each leaf of a parsed report, in key order
+    if isinstance(node, dict):
+        for key in sorted(node):
+            yield from _leaves(node[key], (*path, key))
+    elif isinstance(node, list):
+        for i, item in enumerate(node):
+            yield from _leaves(item, (*path, i))
+    else:
+        yield path, node
+
+
+class TestReportValues:
+    @pytest.mark.parametrize("name", sorted(REPORT_VALUES))
+    def test_report_keeps_its_values(self, tmp_path, name):
+        argv, want = REPORT_VALUES[name]["argv"], REPORT_VALUES[name]["report"]
+        rel = 1e-9 if argv[0] == "fit-bayes" else 1e-10
+        got = list(_leaves(run_cli(tmp_path, argv)))
+        assert [path for path, _ in got] == [path for path, _ in _leaves(want)]
+        for (path, value), (_, recorded) in zip(got, _leaves(want)):
+            if type(recorded) is float:
+                assert type(value) is float, path
+                assert math.isclose(value, recorded, rel_tol=rel, abs_tol=0.0), path
+            else:
+                assert (type(value), value) == (type(recorded), recorded), path
 
 
 class TestReportSchema:
@@ -982,6 +1018,16 @@ ALL_COMMANDS = [
     ["moments", "--alpha", "1.5", "--p0", "0.9", "--p1", "0.7", "--p2", "0.75"],
 ]
 
+# the DW fits and one column's fit check, on every column, with both
+# estimators and both tail rules: they run on math and load no numpy
+DW_COMMANDS = [
+    ["fit-dw", "--dataset", "nasal", "--column", column, *tail]
+    for column in ("x1", "x2", "min") for tail in ([], ["--no-absorb-tail"])
+] + [
+    ["gof", "--dataset", "football", "--column", column, "--estimator", estimator]
+    for column in ("x1", "x2", "min") for estimator in ("minchisq", "ml")
+]
+
 
 def _src_env(**extra):
     # this tree's src first on the path of a child interpreter; BDW_LOG
@@ -1061,7 +1107,10 @@ class TestStartup:
         assert _modules_after(tmp_path, laws, package="numpy") == set()
         assert _modules_after(tmp_path, [], package="numpy") == set()
 
-    @pytest.mark.parametrize("command", ["simulate"])
+    def test_dw_commands_do_not_load_numpy(self, tmp_path):
+        assert _modules_after(tmp_path, DW_COMMANDS, package="numpy") == set()
+
+    @pytest.mark.parametrize("command", ["simulate", "fit-ml", "gof", "fit-bayes"])
     def test_array_commands_load_numpy(self, tmp_path, command):
         # the control: the probe does see numpy where a command builds arrays
         argv = [argv for argv in ALL_COMMANDS if argv[0] == command]
@@ -1097,6 +1146,26 @@ class TestStartup:
         # the control: a command that draws does need numpy
         proc = _program(["simulate", *law, "--n", "5"], PYTHONPATH=path)
         assert proc.returncode == 1 and b"ImportError: stub numpy" in proc.stderr
+
+    def test_dw_commands_run_where_numpy_cannot_import(self, tmp_path):
+        # the same bytes as a run with numpy, on every column, estimator and
+        # tail rule, and the same error line where a fit's base rounds to 1
+        stub = tmp_path / "stub" / "numpy"
+        stub.mkdir(parents=True)
+        (stub / "__init__.py").write_text('raise ImportError("stub numpy")\n')
+        path = os.pathsep.join([str(stub.parent), _src_env()["PYTHONPATH"]])
+        out = tmp_path / "report.json"
+        for argv in DW_COMMANDS:
+            assert main([*argv, "--output", str(out)]) == 0
+            proc = _program(argv, PYTHONPATH=path)
+            assert (proc.returncode, proc.stderr, proc.stdout) == (0, b"", out.read_bytes()), argv
+        large = tmp_path / "large.csv"
+        large.write_text(LARGE_COUNTS_CSV)
+        argv = ["fit-dw", "--input", str(large), "--column", "x1"]
+        want = _program(argv)
+        assert want.returncode == 1 and want.stderr.startswith(b"error: the rate lambda = ")
+        proc = _program(argv, PYTHONPATH=path)
+        assert (proc.returncode, proc.stderr, proc.stdout) == (1, want.stderr, b"")
 
     def test_moments_of_tiny_variances_run_where_numpy_cannot_import(self, tmp_path):
         # both variances ~1e-200: their product underflows, their roots do not

@@ -12,7 +12,7 @@ from bdw import gof
 from bdw.bivariate import BDWParams, joint_pmf, joint_sf, sample
 from bdw.fit_ml import BivariateDataset, nested_em
 from bdw.gof import POOL_THRESHOLD, _axis, _pool, _report, chisq_bdw, chisq_dw, chisq_upper_tail
-from bdw.univariate import DWParams, dw_fit_minchisq, dw_fit_ml
+from bdw.univariate import DWParams, dw_fit_minchisq, dw_fit_ml, dw_pmf, dw_sf
 
 
 class TestUpperTail:
@@ -75,6 +75,43 @@ class TestUpperTail:
                 chisq_upper_tail(x, df)
         else:
             assert chisq_upper_tail(x, df) == outcome
+
+
+# more samples that are no counts, each with the message the array input
+# check gave (recorded before the check read lists without numpy), and the
+# counts from 2**53 on, where y + 1.0 == y and the fits found no finite
+# objective
+_NOT_COUNTS = "^data must be non-negative integers$"
+_NOT_1D = "^expected a one-dimensional collection of counts$"
+_PAST_INT64 = r"^data must not exceed the largest count 2\*\*63 - 1, got "
+NON_COUNTS = {
+    "empty-list": ([], "^empty dataset$"),
+    "empty-array": (np.array([]), "^empty dataset$"),
+    "empty-2d-array": (np.zeros((0, 2)), "^empty dataset$"),
+    "2d-list": ([[0, 1], [2, 3]], _NOT_1D),
+    "2d-array": (np.array([[0, 1], [2, 3]]), _NOT_1D),
+    "scalar": (3, _NOT_1D),
+    "numpy-scalar": (np.int64(3), _NOT_1D),
+    "string": ("0123", _NOT_1D),
+    "nan-array": (np.array([0.0, 1.0, np.nan]), _NOT_COUNTS),
+    "-inf": ([0, 1, -math.inf], _NOT_COUNTS),
+    "negative": ([0, 1, -1], _NOT_COUNTS),
+    "negative-array": (np.array([0, 1, -1]), _NOT_COUNTS),
+    "fraction-array": (np.array([0.0, 1.0, 0.5]), _NOT_COUNTS),
+    "bools": ([True, False, True], _NOT_COUNTS),
+    "numpy-bools": ([np.True_, np.False_], _NOT_COUNTS),
+    "bool-array": (np.array([True, False]), _NOT_COUNTS),
+    "int-and-string": ([0, "1"], _NOT_COUNTS),
+    "none": ([0, None], _NOT_COUNTS),
+    "2**63-array": (np.array([0, 1, 2**63], dtype=np.uint64), _PAST_INT64 + "9223372036854775808$"),
+    "1e300": ([0, 1, 1e300], _PAST_INT64 + str(int(1e300)) + "$"),
+    "1e300-array": (np.array([0.0, 1.0, 1e300]), _PAST_INT64 + str(int(1e300)) + "$"),
+    # numpy reads 2**64 as an object, which the array check refused as no count
+    "2**64": ([0, 1, 2**64], _PAST_INT64 + "18446744073709551616$"),
+    "2**53": ([0, 1, 2**53], r"^data must be below 2\*\*53, got 9007199254740992: at such a "
+              r"count y, y and y \+ 1 are one float$"),
+    "2**62-array": (np.array([0, 1, 2**62]), r"^data must be below 2\*\*53, got 4611686018427387904"),
+}
 
 
 class TestUnivariate:
@@ -157,15 +194,64 @@ class TestUnivariate:
                 [0, 1, 2, 2**63],
                 r"^data must not exceed the largest count 2\*\*63 - 1, got 9223372036854775808$",
             ),
+            *NON_COUNTS.values(),
         ],
-        ids=["fractions", "strings", "infinite", "nan", "past-int64"],
+        ids=["fractions", "strings", "infinite", "nan", "past-int64", *NON_COUNTS],
     )
     def test_non_counts_are_refused_as_the_fits_refuse_them(self, data, message):
         # a fraction is not truncated to a count, nor a string parsed, nor
-        # an infinite value or one past the int64 range cast to int64
+        # an infinite value or one past the int64 range cast to int64; a
+        # list of ints is read without numpy, anything else through
+        # numpy.asarray, with the same messages
         for check in (dw_fit_ml, dw_fit_minchisq, lambda d: chisq_dw(d, DWParams(1.5, 0.5))):
             with pytest.raises(ValueError, match=message):
                 check(data)
+
+    @pytest.mark.parametrize("absorb_tail", [True, False])
+    @pytest.mark.parametrize("law", [DWParams(1.5, 0.5), DWParams(0.4, 0.999), DWParams(3.0, 0.01)])
+    def test_streamed_cells_are_the_scalar_masses(self, monkeypatch, law, absorb_tail):
+        # one power per cell, and the masses of dw_pmf and dw_sf bit for bit;
+        # past the cell where the survival underflows every mass is 0
+        xs = [0, 0, 1, 1, 2, 3, 7, 40]
+        cells = []
+
+        def spy(name, observed, expected, df_penalty):
+            cells.extend(zip(observed, expected))
+
+        monkeypatch.setattr(gof, "_report", spy)
+        chisq_dw(xs, law, absorb_tail=absorb_tail)
+        last = dw_sf(law, 40) if absorb_tail else dw_pmf(law, 40)
+        want = [len(xs) * m for m in [dw_pmf(law, y) for y in range(40)] + [last]]
+        assert [e for _, e in cells] == want
+        assert [o for o, _ in cells] == [xs.count(y) for y in range(41)]
+
+    def test_wide_support_streams_in_flat_memory(self):
+        # the support's cells are never held: its peak is a small fraction
+        # of what a table of 10**5 floats takes
+        import tracemalloc
+
+        tracemalloc.start()
+        try:
+            rep = chisq_dw([0, 0, 1, 1, 2, 3, 10**5], DWParams(1.5, 0.5))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
+        assert [(label, o) for label, o, _ in rep.cells] == [("0", 2), ("1..>=100000", 5)]
+        assert [e for _, _, e in rep.cells] == pytest.approx([3.5, 3.5], rel=1e-15)
+
+    def test_support_past_the_grid_budget_is_refused_before_streaming(self, monkeypatch):
+        # 10**8 + 1 cells, more than the joint check's grid may hold: refused
+        # by name before a power is taken
+        powers = []
+        monkeypatch.setattr(gof, "_power", lambda y, a: powers.append(y) or y**a)
+        message = (
+            r"^the fit check's support 0\.\.100000000 holds 100000001 cells, "
+            r"more than the 100000000 of a tractable grid$"
+        )
+        with pytest.raises(ValueError, match=message):
+            chisq_dw([0, 0, 1, 1, 2, 3, 10**8], DWParams(1.5, 0.5))
+        assert powers == []
 
     @pytest.mark.parametrize("absorb_tail", [True, False])
     def test_integral_floats_score_as_counts(self, football, absorb_tail):
@@ -206,9 +292,8 @@ class TestPool:
 
     def test_total_below_one_is_one_group_and_refused(self):
         assert _pool([1, 0, 0], [0.25, 0.5, 0.125]) == [(0, 2, 1, 0.875)]
-        mass = np.array([0.25, 0.5, 0.125])
         with pytest.raises(ValueError, match="fewer than two cells"):
-            _report(str, np.array([1, 0, 0]), mass, 0)
+            _report(str, [1, 0, 0], [0.25, 0.5, 0.125], 0)
 
     def test_group_sums_are_sequential(self):
         # ten cells of 0.1 sum to 0.9999999999999999 left to right, so an
@@ -225,8 +310,8 @@ class TestPool:
     def test_groups_are_labelled_by_their_ends(self):
         # groups of one, two and four cells: a range names its first and
         # last cell only
-        mass = np.array([0.5, 0.0625, 0.1875, 0.0625, 0.03125, 0.03125, 0.0625])
-        rep = _report(lambda k: f"c{k}", np.array([4, 2, 1, 1, 0, 0, 0]), mass, 0)
+        expected = [4.0, 0.5, 1.5, 0.5, 0.25, 0.25, 0.5]
+        rep = _report(lambda k: f"c{k}", [4, 2, 1, 1, 0, 0, 0], expected, 0)
         assert rep.cells == (("c0", 4, 4.0), ("c1+c2", 3, 2.0), ("c3..c6", 1, 1.5))
 
 
@@ -271,16 +356,18 @@ class TestRangeLabels:
             params = nested_em(data).bdw
         tables = []
 
-        def spy(name, counts, mass, df_penalty):
-            tables.append((counts, mass))
-            return _report(name, counts, mass, df_penalty)
+        def spy(name, observed, expected, df_penalty):
+            tables.append((observed, expected))
+            return _report(name, observed, expected, df_penalty)
 
         monkeypatch.setattr(gof, "_report", spy)
         rep = chisq_bdw(data, params)
-        (counts, mass), = tables
-        top1, top2 = counts.shape[0] - 1, counts.shape[1] - 1
-        labels = [f"({a},{b})" for a in _axis(top1) for b in _axis(top2)]
-        want = _joined_cells(labels, counts.ravel().tolist(), (data.n * mass).ravel().tolist())
+        (observed, expected), = tables
+        top1, top2 = (max(column) for column in zip(*data.pairs))
+        axis1, axis2 = _axis(top1), _axis(top2)
+        labels = [f"({axis1(a)},{axis2(b)})" for a in range(top1 + 1) for b in range(top2 + 1)]
+        assert len(labels) == len(observed) == len(expected)
+        want = _joined_cells(labels, observed, expected)
         assert len(rep.cells) == len(want)
         ranges = 0
         for (label, o, e), (joined, want_o, want_e) in zip(rep.cells, want):

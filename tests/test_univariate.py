@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy import integrate, stats
 
-from bdw import bivariate, gof, mobw, univariate
+from bdw import bivariate, gof, mobw, univariate, weibull
 from bdw.univariate import (
     ALPHA_HI,
     ALPHA_LO,
@@ -269,7 +269,7 @@ class TestDWFitting:
         assert 0.0 < got.law.lam and math.exp(-got.law.lam) == 1.0
         # a minimum in (log alpha, log lambda): the objective's gradient vanishes
         values, counts = np.unique(xs, return_counts=True)
-        values, counts = values.astype(float), counts.astype(float)
+        values, counts = values.astype(float).tolist(), counts.astype(float).tolist()
         z = np.log([got.law.alpha, got.law.lam])
         if fit is dw_fit_ml:
             _, grad, _ = univariate._neg_loglik_jet(z, values, counts)
@@ -304,14 +304,17 @@ class TestFitObjectives:
     # the objectives the DW fits hand to the Newton solver, in
     # (log alpha, log(-log p)): values from the pmf, derivatives against
     # central differences of the objective itself
-    VALUES = np.array([0.0, 1.0, 2.0, 4.0, 7.0])
-    COUNTS = np.array([5.0, 9.0, 6.0, 3.0, 1.0])
+    VALUES = [0.0, 1.0, 2.0, 4.0, 7.0]
+    COUNTS = [5.0, 9.0, 6.0, 3.0, 1.0]
 
     def objective(self, kind, z):
         z = np.asarray(z, dtype=float)
         if kind == "loglik":
-            return univariate._neg_loglik_jet(z, self.VALUES, self.COUNTS)
-        return univariate._pearson_jet(z, self.VALUES, self.COUNTS, int(self.COUNTS.sum()))
+            value, grad, hess = univariate._neg_loglik_jet(z, self.VALUES, self.COUNTS)
+        else:
+            n = int(sum(self.COUNTS))
+            value, grad, hess = univariate._pearson_jet(z, self.VALUES, self.COUNTS, n)
+        return value, np.array(grad), np.array(hess)
 
     @pytest.mark.parametrize("z", [(0.3, -1.0), (-0.7, 0.5), (0.9, -2.0), (0.0, -0.3)])
     @pytest.mark.parametrize("kind", ["loglik", "pearson"])
@@ -321,7 +324,7 @@ class TestFitObjectives:
             params = DWParams(math.exp(z[0]), math.exp(-math.exp(z[1])))
             want = -sum(c * dw_logpmf(params, int(v)) for v, c in zip(self.VALUES, self.COUNTS))
         else:
-            want = _pearson_by_pmf(np.repeat(self.VALUES, self.COUNTS.astype(int)), z)
+            want = _pearson_by_pmf(np.repeat(self.VALUES, np.array(self.COUNTS, dtype=int)), z)
         assert value == pytest.approx(want, rel=1e-12)
         h = 1e-5
         steps = [h * e for e in np.eye(2)]
@@ -360,9 +363,9 @@ class TestRateColumns:
             return (here, tail)
 
         with np.errstate(all="ignore"):
-            rows = jets(column), univariate._logpmf_arr(y, alpha, column)
+            rows = jets(column), weibull._logpmf_arr(y, alpha, column)
             for k, rate in enumerate(self.RATES):
-                one = jets(rate), univariate._logpmf_arr(y, alpha, rate)
+                one = jets(rate), weibull._logpmf_arr(y, alpha, rate)
                 for got, want in zip(rows[0], one[0]):
                     assert _bits(got.v[k], got.g[k], got.h[k]) == _bits(want.v, want.g, want.h)
                 assert _bits(rows[1][k]) == _bits(one[1])
@@ -421,6 +424,98 @@ class TestNewtonSolver:
         with pytest.raises(univariate._StepCapError, match="step overflows: .* not attained"):
             univariate._newton_min(fun, np.zeros(1))
 
+    @pytest.mark.parametrize("case", ["random", "indefinite", "graded", "diagonal", "zero", "one"])
+    def test_jacobi_eigen_solve_diagonalizes(self, case):
+        # the solver's eigen-decomposition on math: an orthonormal basis in
+        # which the matrix is diagonal, with numpy's eigenvalues
+        rng = np.random.default_rng(5)
+        if case in ("random", "indefinite"):
+            b = rng.normal(size=(4, 4))
+            a = b @ b.T if case == "random" else b + b.T
+        elif case == "graded":
+            # entries over twelve orders of magnitude, as in log-rates
+            d = np.diag(10.0 ** np.arange(0, -12, -3))
+            b = rng.normal(size=(4, 4))
+            a = d @ (b @ b.T) @ d
+        elif case == "diagonal":
+            a = np.diag([3.0, -1.0, 0.0, 2.0])
+        elif case == "zero":
+            a = np.zeros((4, 4))
+        else:
+            a = np.array([[-2.5]])
+        w, vecs = univariate._eigh(a.tolist())
+        v = np.array(vecs)
+        np.testing.assert_allclose(v.T @ v, np.eye(len(a)), rtol=0.0, atol=1e-14)
+        scale = max(np.abs(a).max(), 1e-300)
+        np.testing.assert_allclose(v @ np.diag(w) @ v.T, a, rtol=0.0, atol=1e-14 * scale)
+        np.testing.assert_allclose(sorted(w), np.linalg.eigvalsh(a), rtol=0.0, atol=1e-14 * scale)
+
+    def test_objectives_in_numpy_are_read_as_floats(self):
+        # the joint fit and the inner EM hand the one solver numpy objectives
+        z, value = univariate._newton_min(self.rosenbrock, np.array([-1.2, 1.0]))
+        assert type(value) is float and all(type(v) is float for v in z)
+        np.testing.assert_allclose(z, [1.0, 1.0], rtol=1e-9)
+
+
+class TestDWStart:
+    @pytest.mark.parametrize("fit", [dw_fit_ml, dw_fit_minchisq])
+    @pytest.mark.parametrize("xs", [[0, 1, 1, 2, 3, 5], [100, 130, 110, 95, 120], [0, 0, 0, 7]])
+    def test_fits_start_from_the_geometric_law_of_the_mean(self, monkeypatch, fit, xs):
+        starts = []
+        solve = univariate._newton_min
+
+        def spy(fun, z0):
+            starts.append(list(z0))
+            return solve(fun, z0)
+
+        monkeypatch.setattr(univariate, "_newton_min", spy)
+        fit(xs)
+        mean = sum(xs) / len(xs)
+        assert starts == [[0.0, math.log(math.log1p(1.0 / mean))]]
+
+    def test_jets_keep_their_accuracy_at_large_counts(self):
+        # (y+1)**alpha - y**alpha cancels at large y; the jets take it as
+        # y**alpha * expm1(alpha * log1p(1/y)): log-masses to 1e-13 of mpmath
+        from mpmath import mp
+
+        values, alpha, rate = [0.0, 3.0, 1e6, 1e12], 2.5, 1e-30
+        jets = univariate._dw_jets(values, alpha, rate)
+        with mp.workdps(50):
+            for y, jet in zip(values, jets):
+                a, r = mp.mpf(alpha), mp.mpf(rate)
+                want = mp.log(mp.exp(-r * mp.mpf(y) ** a) - mp.exp(-r * (mp.mpf(y) + 1) ** a))
+                assert jet[0] == pytest.approx(float(want), rel=1e-13), y
+
+
+SAMPLE_CHECKS = {
+    "dw_fit_ml": dw_fit_ml,
+    "dw_fit_minchisq": dw_fit_minchisq,
+    "chisq_dw": lambda xs: gof.chisq_dw(xs, DWParams(1.5, 0.5)),
+}
+
+
+class TestSampleContract:
+    # the refusals themselves are test_gof.py's table of non-counts
+    @pytest.mark.parametrize("check", sorted(SAMPLE_CHECKS))
+    def test_counts_of_any_container_agree(self, check):
+        xs = [0, 3, 1, 1, 2, 5, 1, 0, 2]
+        want = repr(SAMPLE_CHECKS[check](xs))
+        for data in (tuple(xs), np.array(xs), np.array(xs, dtype=float), np.array(xs, dtype=np.uint8),
+                     [np.int64(v) for v in xs], [float(v) for v in xs]):
+            assert repr(SAMPLE_CHECKS[check](data)) == want
+
+    def test_largest_count_below_2_53_is_fitted(self):
+        xs = [0, 1, 2**53 - 1]
+        assert math.isfinite(dw_fit_ml(xs).loglik)
+        assert math.isfinite(dw_fit_minchisq(xs).chisq)
+
+    def test_count_past_2_53_names_its_column_in_the_joint_fit(self):
+        from bdw.datasets import BivariateDataset
+        from bdw.fit_ml import nested_em
+
+        data = BivariateDataset(((0, 1), (2, 0), (1, 1), (2**62, 3)))
+        with pytest.raises(ValueError, match=r"^column x1: data must be below 2\*\*53, got "):
+            nested_em(data)
 
 # the scalar law functions' arguments, with the name each refusal gives;
 # a count argument refuses anything but a whole number

@@ -18,7 +18,8 @@ from bdw import bivariate
 from bdw.bivariate import BDWParams, MOBWParams, joint_pmf_grid
 from bdw.datasets import BivariateDataset, _cell_log_masses
 from bdw.fit_ml import bdw_loglik_derivatives
-from bdw.univariate import _Jet, _log1mexp, _log1mexp_jet, _logpmf_arr
+from bdw.univariate import _Jet, _log1mexp_jet
+from bdw.weibull import _log1mexp, _logpmf_arr
 
 WIDE = BDWParams(1.2, 0.97, 0.95, 0.96)
 
