@@ -1,9 +1,9 @@
 """Maximum-likelihood fitting of the bivariate discrete Weibull model.
 
 The observed-data log-likelihood of the integer pairs is closed form, and
-so are its score and Hessian: four weighted DW log-likelihoods over the
-dataset's value table, one per rate of ``bivariate._RATE_MAP``, and the
-shared shock's atom at the ties.
+so are its score and Hessian, from the DW fits' jets on ``math``: four
+weighted DW log-likelihoods over the dataset's value table, one per rate
+of ``bivariate._RATE_MAP``, and the shared shock's atom at the ties.
 :func:`nested_em` maximizes it with one damped Newton solve in
 log-parameters from the marginal starting point, reads the observed
 information off the same Hessian, and reports a shared-shock rate whose
@@ -32,8 +32,8 @@ import numpy as np
 from . import bivariate
 from .bivariate import MOBWParams
 from .datasets import BivariateDataset, _cell_log_masses
-from .univariate import _in_logs, _Jet, _log1mexp_jet, _newton_min, _power_jet, dw_fit_minchisq
-from .weibull import _rate, _Record
+from .univariate import _dw_jets, _in_logs, _log1mexp_terms, _newton_min, dw_fit_minchisq
+from .weibull import _power, _rate, _Record
 
 __all__ = [
     "BivariateDataset",
@@ -94,15 +94,51 @@ def bdw_loglik(theta: MOBWParams, data: BivariateDataset) -> float:
     return float(data.cell_arrays[2] @ _cell_log_masses(theta, data))
 
 
-# d(alpha, r) / d(alpha, lambda0, lambda1, lambda2) for each rate r of
-# bivariate._RATE_MAP: a jet in (alpha, r) lifts as g @ J and J.T @ h @ J
-_LIFT = np.array([[[1, 0, 0, 0], [0, *row]] for row in bivariate._RATE_MAP], dtype=float)
+# the Hessian's upper triangle in theta = (alpha, lambda0, lambda1, lambda2), row by row
+_UPPER = [(i, j) for i in range(4) for j in range(i, 4)]
 
 
-def _lift(table: _Jet, k: int, at: np.ndarray) -> _Jet:
-    # the entries ``at`` of row k of a (4, K) jet table, lifted through rate k of the map
-    j = _LIFT[k]
-    return _Jet(table.v[k, at], table.g[k, at] @ j, j.T @ table.h[k, at] @ j)
+def _axpy(acc, w: float, jet):
+    # acc + w * jet, for jets (value, gradient, upper triangle) in theta
+    g = [a + w * b for a, b in zip(acc[1], jet[1])]
+    return acc[0] + w * jet[0], g, [a + w * b for a, b in zip(acc[2], jet[2])]
+
+
+def _in_theta(jet, row):
+    # a jet (v, g_a, g_r, h_aa, h_ar, h_rr) in alpha and the rate ``row``, in theta; h by _UPPER
+    v, ga, gr, haa, har, hrr = jet
+    r0, r1, r2 = row
+    h0, h1, h2 = hrr * r0, hrr * r1, hrr * r2
+    h = [haa, har * r0, har * r1, har * r2, h0 * r0, h0 * r1, h0 * r2, h1 * r1, h1 * r2, h2 * r2]
+    return v, [ga, gr * r0, gr * r1, gr * r2], h
+
+
+def _scaled_power(y: float, alpha: float, rate: float) -> tuple[float, ...]:
+    # -rate * y**alpha with its jet (v, g_a, g_r, h_aa, h_ar, h_rr) in (alpha, rate)
+    ly = math.log(y) if y > 0.0 else 0.0
+    t = _power(y, alpha)
+    ta = t * ly
+    return -rate * t, -(rate * ta), -t, -(rate * (ta * ly)), -ta, 0.0
+
+
+def _tie_jet(x: float, alpha: float, rates, below2, above2):
+    """The shared shock's atom at the tie ``(x, x)`` and its jet in theta, as
+    :func:`bivariate._log_tie` takes it: ``lead + log1mexp(lead - trail)``,
+    ``lead = -lambda1*x**alpha + dw(x; lambda0 + lambda2)`` and ``trail =
+    -(lambda0 + lambda1)*(x + 1)**alpha + dw(x; lambda2)``, from the four
+    ``rates`` of ``_RATE_MAP`` and the DW jets at ``x`` of its rows 1 and 3."""
+    rows = bivariate._RATE_MAP
+    power = _in_theta(_scaled_power(x, alpha, rates[0]), rows[0])
+    lead = _axpy(power, 1.0, _in_theta(below2, rows[1]))
+    power = _in_theta(_scaled_power(x + 1.0, alpha, rates[2]), rows[2])
+    trail = _axpy(power, 1.0, _in_theta(above2, rows[3]))
+    u, ug, uh = _axpy(lead, -1.0, trail)
+    v, g1, g2 = _log1mexp_terms(u)
+    return (
+        lead[0] + v,
+        [a + g1 * b for a, b in zip(lead[1], ug)],
+        [a + (g2 * (ug[i] * ug[j]) + g1 * b) for a, b, (i, j) in zip(lead[2], uh, _UPPER)],
+    )
 
 
 def bdw_loglik_derivatives(
@@ -115,32 +151,27 @@ def bdw_loglik_derivatives(
     parameters.  A cell of zero probability makes the value ``-inf`` and
     the derivatives non-finite rather than raising.  As in
     :func:`bivariate._log_joint_pmf_at`, the values of ``data.value_table``
-    take one table of DW jets at the four rates of ``_RATE_MAP``; its
-    entries of positive weight are summed per rate and lifted, and the
-    ties read the shared shock's atom off its rows, in that form even at
+    take one :func:`bdw.univariate._dw_jets` call per rate of ``_RATE_MAP``,
+    each row summed over its positive weights and lifted once; each tie's
+    atom (:func:`_tie_jet`) reads rows 1 and 3, in that form even at
     ``lambda0 = 0``, so the score in ``lambda0`` is the one-sided one.
     """
-    theta = np.asarray(theta, dtype=float)
-    alpha = theta[0]
+    alpha, *lams = (float(v) for v in theta)
     vals, _, _, weights = data.value_table
-    rates = (np.array(bivariate._RATE_MAP, dtype=float) @ theta[1:])[:, None]
-    part, at = np.nonzero(weights[:4])
-    w, ties = weights[part, at], np.flatnonzero(weights[4])
-    wt = weights[4, ties]
-    with np.errstate(all="ignore"):
-        here, succ = _power_jet(vals, alpha, rates), _power_jet(vals + 1.0, alpha, rates)
-        table = here + _log1mexp_jet(here - succ)
-        # the off-diagonal jets, summed per rate, then lifted
-        jet = _Jet(table.v[part, at], table.g[part, at], table.h[part, at])
-        per_rate = (part == np.arange(4)[:, None]) * w
-        grad = np.einsum("ka,kai->i", per_rate @ jet.g, _LIFT)
-        hess = np.einsum("kai,kab,kbj->ij", _LIFT, np.tensordot(per_rate, jet.h, axes=1), _LIFT)
-        # the atom exp(lead) - exp(trail), off the rows _log_joint_pmf_at reads
-        lead = _lift(here, 0, ties) + _lift(table, 1, ties)
-        trail = _lift(succ, 2, ties) + _lift(table, 3, ties)
-        atom = lead + _log1mexp_jet(lead - trail)
-        value = float(w @ jet.v + wt @ atom.v)
-        return value, grad + wt @ atom.g, hess + np.tensordot(wt, atom.h, axes=1)
+    values, weights = vals.tolist(), weights.tolist()
+    rates = [sum(m * lam for m, lam in zip(row, lams)) for row in bivariate._RATE_MAP]
+    jets = [_dw_jets(values, alpha, rate) for rate in rates]
+    total = (0.0, [0.0] * 4, [0.0] * len(_UPPER))
+    for row, table, counts in zip(bivariate._RATE_MAP, jets, weights):
+        per_rate = [sum(w * x for w, x in zip(counts, col) if w > 0.0) for col in zip(*table)]
+        total = _axpy(total, 1.0, _in_theta(per_rate, row))
+    for x, w, below2, above2 in zip(values, weights[4], jets[1], jets[3]):
+        if w > 0.0:
+            total = _axpy(total, w, _tie_jet(x, alpha, rates, below2, above2))
+    hess = np.empty((4, 4))
+    for (i, j), h in zip(_UPPER, total[2]):
+        hess[i, j] = hess[j, i] = h
+    return total[0], np.array(total[1]), hess
 
 
 def initial_params_from_marginals(first, second, minimum) -> MOBWParams:

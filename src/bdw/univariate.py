@@ -20,16 +20,15 @@ import math
 import sys
 from collections import Counter
 from itertools import combinations
-from typing import TYPE_CHECKING, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .weibull import (
     _MAX_COUNT,
     DWParams,
     SingularDensityError,
     WeibullParams,
-    _log1mexp,
+    _is_bool,
     _power,
-    _Record,
     _to_base,
     dw_logpmf,
     dw_min_of_n,
@@ -41,9 +40,6 @@ from .weibull import (
     we_pdf,
     we_sample,
 )
-
-if TYPE_CHECKING:
-    import numpy as np
 
 __all__ = [
     "SingularDensityError",
@@ -99,7 +95,9 @@ def _counts_1d(data) -> list[int]:
             raise ValueError("empty dataset")
         if arr.ndim != 1:
             raise ValueError("expected a one-dimensional collection of counts")
-        whole = arr.dtype.kind in "iuf" and bool(
+        # numpy reads a bool among numbers as 0 or 1, which is no count
+        mixed = isinstance(data, (list, tuple)) and any(map(_is_bool, data))
+        whole = not mixed and arr.dtype.kind in "iuf" and bool(
             np.all(np.isfinite(arr)) and np.all(arr == np.floor(arr)) and np.all(arr >= 0)
         )
         # int() of each entry is exact in every dtype; a float past the
@@ -118,48 +116,16 @@ def _counts_1d(data) -> list[int]:
     return xs
 
 
-class _Jet(_Record):
-    """Per-entry values with gradients and Hessians in a parameter vector
-    ``theta = (alpha, rate, ...)``: the shape first, then any number of rates."""
-
-    v: np.ndarray
-    g: np.ndarray
-    h: np.ndarray
-
-    def __add__(self, other: "_Jet") -> "_Jet":
-        return _Jet(self.v + other.v, self.g + other.g, self.h + other.h)
-
-    def __sub__(self, other: "_Jet") -> "_Jet":
-        return _Jet(self.v - other.v, self.g - other.g, self.h - other.h)
-
-
-def _power_jet(y: np.ndarray, alpha: float, rate) -> _Jet:
-    """Jet of ``-rate * y**alpha`` in ``(alpha, rate)``, over the broadcast of
-    ``rate`` against ``y``: a ``(R, 1)`` rate column gives one row per rate."""
-    import numpy as np
-
-    ly = np.log(np.where(y > 0, y, 1.0))
-    t = y**alpha
-    t_a = t * ly
-    v = -rate * t
-    g, h = np.empty(v.shape + (2,)), np.zeros(v.shape + (2, 2))
-    g[..., 0], g[..., 1] = -(rate * t_a), -t
-    h[..., 0, 0], h[..., 0, 1], h[..., 1, 0] = -(rate * (t_a * ly)), -t_a, -t_a
-    return _Jet(v, g, h)
-
-
-def _log1mexp_jet(u: _Jet) -> _Jet:
-    """Jet of ``log(1 - exp(-u))`` over any leading axes: its derivatives in
-    ``u`` are ``g1 = 1/expm1(u)`` and ``-(g1 + g1**2)``."""
-    import numpy as np
-
-    g1 = 1.0 / np.expm1(u.v)
-    g2 = -(g1 + g1 * g1)
-    return _Jet(
-        _log1mexp(u.v),
-        g1[..., None] * u.g,
-        g2[..., None, None] * (u.g[..., :, None] * u.g[..., None, :]) + g1[..., None, None] * u.h,
-    )
+def _log1mexp_terms(u: float) -> tuple[float, float, float]:
+    """``log(1 - exp(-u))`` with its first and second derivatives in ``u``,
+    ``g1 = exp(-u)/(1 - exp(-u))`` and ``-(g1 + g1**2)``; ``-inf`` and NaN
+    derivatives for ``u <= 0`` and for NaN.  No value of ``u`` raises."""
+    if u > 0.0:
+        tail = -math.expm1(-u)
+        v, g1 = math.log(tail), math.exp(-u) / tail
+    else:
+        v, g1 = -math.inf, math.nan
+    return v, g1, -(g1 + g1 * g1)
 
 
 def _dw_jets(values: list[float], alpha: float, rate: float) -> list[tuple[float, ...]]:
@@ -183,12 +149,7 @@ def _dw_jets(values: list[float], alpha: float, rate: float) -> list[tuple[float
         a1, da = t1 * ly, t1 * s + dt * ly1
         b1, db = a1 * ly, t1 * s * (ly + ly1) + dt * ly1 * ly1
         u, ua = dt * rate, da * rate
-        if u > 0.0:
-            tail = -math.expm1(-u)
-            v, g1 = math.log(tail), math.exp(-u) / tail
-        else:
-            v, g1 = -math.inf, math.nan
-        g2 = -(g1 + g1 * g1)
+        v, g1, g2 = _log1mexp_terms(u)
         jets.append((
             t1 * -rate + v, -(rate * a1) + g1 * ua, -t1 + g1 * dt,
             -(rate * b1) + g2 * ua * ua + g1 * (rate * db),

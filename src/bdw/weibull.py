@@ -23,6 +23,7 @@ fits, which need more, live in :mod:`bdw.univariate`.
 from __future__ import annotations
 
 import math
+import sys
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
@@ -253,14 +254,20 @@ def we_sample(params: WeibullParams, rng: np.random.Generator, size=None):
     return x
 
 
+def _is_bool(value) -> bool:
+    # a Python or numpy bool; a numpy bool exists only once numpy is loaded
+    np = sys.modules.get("numpy")
+    return isinstance(value, bool) or (np is not None and isinstance(value, np.bool_))
+
+
 def _count(value, name: str, positive: bool = False) -> int:
     """``value`` as an int, when it is a non-negative (or ``positive``) whole
     number at most ``_MAX_COUNT``: an int, an integral float or a numpy
-    integer.  Anything else, an infinity, NaN, a string or a count past
-    the int64 range among them, is refused by ``name``."""
+    integer.  Anything else, a bool, an infinity, NaN, a string or a count
+    past the int64 range among them, is refused by ``name``."""
     least = 1 if positive else 0
     try:
-        whole = value >= least and value == int(value)
+        whole = not _is_bool(value) and value >= least and value == int(value)
     except (TypeError, ValueError, OverflowError):
         whole = False
     if not whole:

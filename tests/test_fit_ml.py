@@ -235,10 +235,9 @@ class TestLoglikDerivatives:
 
     @pytest.mark.parametrize("name", ["football", "nasal", "untied"])
     def test_one_table_per_call(self, request, monkeypatch, name):
-        # the score, the Hessian and the atom read one table of DW jets:
-        # one power jet of the values, one of their successors, one
-        # log1mexp jet for the table and one for the atom; the value path
-        # builds its four DW rows in one _logpmf_arr call
+        # the score, the Hessian and the atom read the DW jets of the
+        # values, one _dw_jets call per rate of the rate map; the value
+        # path builds its four DW rows in one _logpmf_arr call
         untied = BivariateDataset(((0, 1), (2, 1), (1, 3), (3, 0)))
         data = untied if name == "untied" else request.getfixturevalue(name)
         calls = collections.Counter()
@@ -253,12 +252,11 @@ class TestLoglikDerivatives:
             for owner in owners:
                 monkeypatch.setattr(owner, fn, call)
 
-        counted("_power_jet", (univariate, fit_ml))
-        counted("_log1mexp_jet", (univariate, fit_ml))
+        counted("_dw_jets", (fit_ml,))
         counted("_logpmf_arr", (bivariate,))
         theta = (2.0, 0.05, 0.2, 0.1)
         bdw_loglik_derivatives(theta, data)
-        assert calls == {"_power_jet": 2, "_log1mexp_jet": 2}
+        assert calls == {"_dw_jets": 4}
         calls.clear()
         _cell_log_masses(MOBWParams(*theta), data)
         assert calls == {"_logpmf_arr": 1}

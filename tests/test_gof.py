@@ -101,6 +101,8 @@ NON_COUNTS = {
     "bools": ([True, False, True], _NOT_COUNTS),
     "numpy-bools": ([np.True_, np.False_], _NOT_COUNTS),
     "bool-array": (np.array([True, False]), _NOT_COUNTS),
+    "bool-and-ints": ([True, 2, 3, 3], _NOT_COUNTS),
+    "numpy-bool-and-ints": ([np.True_, 2, 3, 3], _NOT_COUNTS),
     "int-and-string": ([0, "1"], _NOT_COUNTS),
     "none": ([0, None], _NOT_COUNTS),
     "2**63-array": (np.array([0, 1, 2**63], dtype=np.uint64), _PAST_INT64 + "9223372036854775808$"),

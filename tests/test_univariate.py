@@ -356,19 +356,10 @@ class TestRateColumns:
     def test_rows_equal_scalar_rate_calls(self, alpha):
         column = np.array(self.RATES)[:, None]
         y = self.VALUES
-
-        def jets(rate):
-            here = univariate._power_jet(y, alpha, rate)
-            tail = univariate._log1mexp_jet(here - univariate._power_jet(y + 1.0, alpha, rate))
-            return (here, tail)
-
         with np.errstate(all="ignore"):
-            rows = jets(column), weibull._logpmf_arr(y, alpha, column)
+            rows = weibull._logpmf_arr(y, alpha, column)
             for k, rate in enumerate(self.RATES):
-                one = jets(rate), weibull._logpmf_arr(y, alpha, rate)
-                for got, want in zip(rows[0], one[0]):
-                    assert _bits(got.v[k], got.g[k], got.h[k]) == _bits(want.v, want.g, want.h)
-                assert _bits(rows[1][k]) == _bits(one[1])
+                assert _bits(rows[k]) == _bits(weibull._logpmf_arr(y, alpha, rate))
 
 
 class TestNewtonSolver:
@@ -551,12 +542,17 @@ REAL_ARGS = {
 ODD_VALUES = pytest.mark.parametrize(
     "value", [math.inf, math.nan, 2.5, -1], ids=["inf", "nan", "fraction", "negative"]
 )
+# and a bool, which is a whole number but no count
+ODD_COUNTS = pytest.mark.parametrize(
+    "value", [math.inf, math.nan, 2.5, -1, True, np.True_],
+    ids=["inf", "nan", "fraction", "negative", "bool", "numpy-bool"],
+)
 # whole numbers past the int64 range, and past the float range
 PAST_INT64 = pytest.mark.parametrize("value", [2**63, 10**400], ids=["2**63", "10**400"])
 
 
 class TestArgumentContract:
-    @ODD_VALUES
+    @ODD_COUNTS
     @pytest.mark.parametrize("entry", sorted(COUNT_ARGS))
     def test_count_argument_is_refused_by_name(self, entry, value):
         call, name = COUNT_ARGS[entry]
