@@ -36,11 +36,10 @@ from .weibull import (
     _count,
     _floor,
     _floor_counts,
-    _log1mexp,
-    _log1mexp_float,
-    _logpmf_arr,
+    _log_dw,
     _logpmf_float,
     _power,
+    _power_step,
     _Record,
     _to_base,
     we_sample,
@@ -216,57 +215,64 @@ def joint_sf(params, x1: float, x2: float) -> float:
 _RATE_MAP = ((0, 1, 0), (1, 0, 1), (1, 1, 0), (0, 0, 1))
 
 
+def _atom(lams, d: float) -> tuple[float, float, float]:
+    """``(exp(-total*d), C, S)`` of the shared shock's atom at a tie with the
+    power step ``(t, d)``: its survival rectangle over ``S(x, x) =
+    exp(-total*t)`` is the sum of non-negative terms ``S = A*B + C``, ``A =
+    1 - exp(-(lambda0 + lambda1)*d)``, ``B = 1 - exp(-(lambda0 +
+    lambda2)*d)`` and ``C = exp(-total*d)*(1 - exp(-lambda0*d))``, each by
+    ``expm1``, so nothing cancels.  At a zero shared rate ``C = 0``, the
+    product of the marginals; ``C`` vanishes with ``exp(-total*d)``, also
+    where ``lambda0*d`` is ``0*inf``."""
+    lam0, lam1, lam2 = lams
+    shock = math.exp(-((lam0 + lam1 + lam2) * d))
+    c = shock * -math.expm1(-(lam0 * d)) if shock > 0.0 else 0.0
+    return shock, c, math.expm1(-((lam0 + lam1) * d)) * math.expm1(-((lam0 + lam2) * d)) + c
+
+
+def _log_tie(rates: tuple, t: float, d: float) -> float:
+    """Log of the atom ``P(X1 = X2 = x)``, ``-total*t + log(S)``
+    (:func:`_atom`); a power past the float range gives -inf."""
+    _, lam0, lam1, lam2 = rates
+    s = _atom(rates[1:], d)[2]
+    return t * -(lam0 + lam1 + lam2) + (math.log(s) if s > 0.0 else -math.inf)
+
+
+def _log_rows(rates: tuple, values: list[float]) -> list[list[float]]:
+    """The five rows of the joint log-pmf at each of ``values``: the DW
+    log-masses of the four rates of ``_RATE_MAP`` (``x1`` and ``x2`` below
+    the diagonal, then above it) and the tie's atom (:func:`_log_tie`), all
+    from one power step per value, on ``math``."""
+    a, lam0, lam1, lam2 = rates
+    steps = [_power_step(y, a) for y in values]
+    rows = [[_log_dw(t, d, r) for t, d in steps] for r in (lam1, lam0 + lam2, lam0 + lam1, lam2)]
+    return rows + [[_log_tie(rates, t, d) for t, d in steps]]
+
+
 def _log_joint_pmf_at(params, vals: np.ndarray, i1: np.ndarray, i2: np.ndarray) -> np.ndarray:
     """Log joint pmf at the cells ``(vals[i1], vals[i2])``: ``vals`` holds
     distinct integer-valued floats in increasing order, and the index
-    arrays broadcast together (no validation).  The cells gather a (4, K)
-    DW log-mass table over ``vals``, one row per rate of ``_RATE_MAP`` from
-    one call on a rate column, and the shared shock's atom off rows 1 and 3
-    and the powers at rates 0 and 2, the rows the likelihood's jets read.
-    At a zero shared rate a tie reads the cells above, the product of the
-    marginals.  A power past the float range gives -inf."""
+    arrays broadcast together (no validation).  The cells gather the five
+    rows of :func:`_log_rows` over ``vals``: below the diagonal rows 0 and
+    1, above it rows 2 and 3, and a tie row 4 and a row of -0.0."""
     import numpy as np
 
-    a, lam0, lam1, lam2 = _rates(params)
-    rate = (np.array(_RATE_MAP, dtype=float) @ (lam0, lam1, lam2))[:, None]
-    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
-        below1, below2, above1, above2 = _logpmf_arr(vals, a, rate)
-        # the tie's mass is exp(lead) - exp(trail), the shared shock's atom,
-        # kept in log space: the leading term dominates at every valid point
-        lead = -rate[0] * np.where(vals > 0, np.power(vals, a), 0.0) + below2
-        trail = -rate[2] * np.power(vals + 1.0, a) + above2
-        tie = lead + _log1mexp(lead - trail)
-    # a cell's part: 0 below the diagonal, 1 above, 2 a tie, which adds -0.0
-    part = (i1 >= i2).astype(np.intp)
-    if lam0 != 0.0:
-        part += i1 == i2
-    first = np.stack([below1, above1, tie])
-    second = np.stack([below2, above2, np.full(vals.shape, -0.0)])
-    return first[part, i1] + second[part, i2]
-
-
-def _log_tie(lam0: float, lam1: float, t: float, t_next: float, dw02: float, dw2: float) -> float:
-    # the shared shock's atom at (x, x), from the powers t = x**alpha and
-    # t_next = (x+1)**alpha and the DW log-masses at x of the rates
-    # lambda0 + lambda2 and lambda2, as _log_joint_pmf_at reads it
-    lead = -lam1 * t + dw02
-    trail = -(lam0 + lam1) * t_next + dw2
-    return lead + _log1mexp_float(lead - trail)
+    rows = _log_rows(_rates(params), vals.tolist())
+    table = np.array([*rows, [-0.0] * vals.size])
+    part = 2 * ((i1 >= i2).astype(np.intp) + (i1 == i2))
+    return table[part, i1] + table[part + 1, i2]
 
 
 def _log_cell(rates: tuple, i: int, j: int) -> float:
     """Log joint pmf at the cell ``(i, j)`` on floats: the below / above /
-    tie split of :func:`_log_joint_pmf_at`, each part a sum of scalar DW
-    log-masses.  At a zero shared rate a tie is read as above, as on
-    arrays."""
+    tie split of :func:`_log_joint_pmf_at`, entry for entry."""
     a, lam0, lam1, lam2 = rates
     x, y = float(i), float(j)
     if i < j:
         return _logpmf_float(x, a, lam1) + _logpmf_float(y, a, lam0 + lam2)
-    if i > j or lam0 == 0.0:
+    if i > j:
         return _logpmf_float(x, a, lam0 + lam1) + _logpmf_float(y, a, lam2)
-    dw02, dw2 = _logpmf_float(x, a, lam0 + lam2), _logpmf_float(x, a, lam2)
-    return _log_tie(lam0, lam1, _power(x, a), _power(x + 1.0, a), dw02, dw2)
+    return _log_tie(rates, *_power_step(x, a))
 
 
 def joint_logpmf(params, x1: int, x2: int) -> float:
@@ -279,8 +285,8 @@ def joint_pmf(params, x1: int, x2: int) -> float:
     """Joint probability mass at an integer pair.
 
     Off the diagonal the mass factorises into two DW masses; on the
-    diagonal it is a difference of two products reflecting the shared
-    shock's atom, evaluated stably in log space.
+    diagonal it is the shared shock's atom, a sum of non-negative terms
+    (:func:`_log_tie`), evaluated in log space.
     """
     return math.exp(joint_logpmf(params, x1, x2))
 
@@ -322,33 +328,18 @@ def _pmf_rows(params, k: int):
     i-th item lists the masses at ``(i, 0..k)``, each bit-identical to
     ``joint_pmf(params, i, j)``, for a valid ``k`` (no validation).
 
-    Off the diagonal a cell's log-mass is a sum of two DW log-masses
-    (:func:`_log_cell`), so the table needs four DW log-mass tables over
-    0..k, at the rates ``lambda1``, ``lambda0 + lambda2``, ``lambda0 +
-    lambda1`` and ``lambda2``, and the powers ``y**alpha`` for y = 0..k+1;
-    each row adds their entries, and a tie takes one more term.  The
-    tables are built here and the rows one at a time as they are read, so
-    the work is O(k) transcendental calls and k**2 exponentials, and the
-    memory O(k).
+    The five rows of :func:`_log_rows` over 0..k are built here, and the
+    table's rows one at a time as they are read, each cell the sum of two
+    entries off the diagonal and the atom on it; so the work is O(k)
+    transcendental calls and k**2 exponentials, and the memory O(k).
     """
-    a, lam0, lam1, lam2 = _rates(params)
-    t = [_power(float(y), a) for y in range(k + 2)]
-
-    def table(rate: float) -> list[float]:
-        return [_logpmf_float(float(y), a, rate) for y in range(k + 1)]
-
-    below1, below2 = table(lam1), table(lam0 + lam2)
-    above1, above2 = table(lam0 + lam1), table(lam2)
+    below1, below2, above1, above2, tie = _log_rows(_rates(params), list(map(float, range(k + 1))))
 
     def rows():
         exp = math.exp
         for i in range(k + 1):
-            if lam0 == 0.0:
-                tie = above1[i] + above2[i]
-            else:
-                tie = _log_tie(lam0, lam1, t[i], t[i + 1], below2[i], above2[i])
             above, below = above1[i], below1[i]
-            yield [exp(above + w) for w in above2[:i]] + [exp(tie)] + [
+            yield [exp(above + w) for w in above2[:i]] + [exp(tie[i])] + [
                 exp(below + w) for w in below2[i + 1:]
             ]
 

@@ -1,9 +1,12 @@
 """Maximum-likelihood fitting of the bivariate discrete Weibull model.
 
 The observed-data log-likelihood of the integer pairs is closed form, and
-so are its score and Hessian, from the DW fits' jets on ``math``: four
-weighted DW log-likelihoods over the dataset's value table, one per rate
-of ``bivariate._RATE_MAP``, and the shared shock's atom at the ties.
+so are its score and Hessian, on ``math``: four weighted DW
+log-likelihoods over the dataset's value table, one per rate of
+``bivariate._RATE_MAP``, from the DW fits' jets, and the shared shock's
+atom at the ties, one jet in the four parameters per tie value from the
+atom's positive sum (:func:`_tie_jet`).  Both read one power step per
+value (:func:`bdw.weibull._power_step`).
 :func:`nested_em` maximizes it with one damped Newton solve in
 log-parameters from the marginal starting point, reads the observed
 information off the same Hessian, and reports a shared-shock rate whose
@@ -32,8 +35,8 @@ import numpy as np
 from . import bivariate
 from .bivariate import MOBWParams
 from .datasets import BivariateDataset, _cell_log_masses
-from .univariate import _dw_jets, _in_logs, _log1mexp_terms, _newton_min, dw_fit_minchisq
-from .weibull import _power, _rate, _Record
+from .univariate import _dw_jets, _in_logs, _newton_min, _step_jet, dw_fit_minchisq
+from .weibull import _rate, _Record
 
 __all__ = [
     "BivariateDataset",
@@ -113,31 +116,46 @@ def _in_theta(jet, row):
     return v, [ga, gr * r0, gr * r1, gr * r2], h
 
 
-def _scaled_power(y: float, alpha: float, rate: float) -> tuple[float, ...]:
-    # -rate * y**alpha with its jet (v, g_a, g_r, h_aa, h_ar, h_rr) in (alpha, rate)
-    ly = math.log(y) if y > 0.0 else 0.0
-    t = _power(y, alpha)
-    ta = t * ly
-    return -rate * t, -(rate * ta), -t, -(rate * (ta * ly)), -ta, 0.0
+def _tie_jet(x: float, alpha: float, lams) -> tuple[float, list[float], list[float]]:
+    """The shared shock's atom at the tie ``(x, x)`` and its jet in theta, on
+    the form of :func:`bivariate._log_tie`: ``-total*t + G``, ``G = log(S)``
+    and ``S = A*B + C`` (:func:`bivariate._atom`), a function of ``(p, q, r)
+    = ((lambda0 + lambda1)*d, (lambda0 + lambda2)*d, lambda0*d)`` over the
+    power step ``(t, d)`` at ``x``.  S's derivatives are taken in their
+    sign-definite forms: ``S_p = e**-p (1 - e**-(lambda2 d))``, ``S_q =
+    e**-q (1 - e**-(lambda1 d))``, ``S_r = S_pq = S_rr = -S_pr = -S_qr =
+    e**-(total d)``, ``S_pp = -S_p`` and ``S_qq = -S_q``; as ``S*S_pq -
+    S_p*S_q = C``, ``G_pq = C/S**2``, which is exactly 0 at a zero shared
+    rate.  A tie of no mass gets ``-inf`` and NaN derivatives."""
+    lam0, lam1, lam2 = lams
+    t, d, t_a, d_a, t_aa, d_aa = _step_jet(x, alpha)
+    total = lam0 + lam1 + lam2
+    rho = (lam0 + lam1, lam0 + lam2, lam0)
+    shock, c, s = bivariate._atom(lams, d)
+    if not s > 0.0:
+        return -math.inf, [math.nan] * 4, [math.nan] * len(_UPPER)
+    # G's gradient and Hessian in (p, q, r)
+    gp = math.exp(-(rho[0] * d)) * -math.expm1(-(lam2 * d)) / s
+    gq = math.exp(-(rho[1] * d)) * -math.expm1(-(lam1 * d)) / s
+    gr = shock / s
+    g, hpq, hpr, hqr = (gp, gq, gr), c / s / s, -gr - gp * gr, -gr - gq * gr
+    h = ((-gp - gp * gp, hpq, hpr), (hpq, -gq - gq * gq, hqr), (hpr, hqr, gr - gr * gr))
+    # in (alpha, rho), rho being the rates of p, q and r, which d multiplies
+    hr = [row[0] * rho[0] + row[1] * rho[1] + row[2] * rho[2] for row in h]
+    rg = rho[0] * gp + rho[1] * gq + rho[2] * gr
+    h_aa = d_a * d_a * (rho[0] * hr[0] + rho[1] * hr[1] + rho[2] * hr[2]) + d_aa * rg
 
+    def lift(v):
+        # from rho to (lambda0, lambda1, lambda2): lambda0 is in all three
+        return v[0] + v[1] + v[2], v[0], v[1]
 
-def _tie_jet(x: float, alpha: float, rates, below2, above2):
-    """The shared shock's atom at the tie ``(x, x)`` and its jet in theta, as
-    :func:`bivariate._log_tie` takes it: ``lead + log1mexp(lead - trail)``,
-    ``lead = -lambda1*x**alpha + dw(x; lambda0 + lambda2)`` and ``trail =
-    -(lambda0 + lambda1)*(x + 1)**alpha + dw(x; lambda2)``, from the four
-    ``rates`` of ``_RATE_MAP`` and the DW jets at ``x`` of its rows 1 and 3."""
-    rows = bivariate._RATE_MAP
-    power = _in_theta(_scaled_power(x, alpha, rates[0]), rows[0])
-    lead = _axpy(power, 1.0, _in_theta(below2, rows[1]))
-    power = _in_theta(_scaled_power(x + 1.0, alpha, rates[2]), rows[2])
-    trail = _axpy(power, 1.0, _in_theta(above2, rows[3]))
-    u, ug, uh = _axpy(lead, -1.0, trail)
-    v, g1, g2 = _log1mexp_terms(u)
+    h_al = lift([d_a * (gi + d * hi) for gi, hi in zip(g, hr)])
+    h_ll = [lift(col) for col in zip(*(lift([d * d * hij for hij in row]) for row in h))]
     return (
-        lead[0] + v,
-        [a + g1 * b for a, b in zip(lead[1], ug)],
-        [a + (g2 * (ug[i] * ug[j]) + g1 * b) for a, b, (i, j) in zip(lead[2], uh, _UPPER)],
+        t * -total + math.log(s),
+        [d_a * rg - total * t_a, *(d * gi - t for gi in lift(g))],
+        [h_aa - total * t_aa, *(v - t_a for v in h_al),
+         *h_ll[0], h_ll[1][1], h_ll[1][2], h_ll[2][2]],
     )
 
 
@@ -150,24 +168,26 @@ def bdw_loglik_derivatives(
     (independence) is allowed.  Derivatives are in these natural
     parameters.  A cell of zero probability makes the value ``-inf`` and
     the derivatives non-finite rather than raising.  As in
-    :func:`bivariate._log_joint_pmf_at`, the values of ``data.value_table``
-    take one :func:`bdw.univariate._dw_jets` call per rate of ``_RATE_MAP``,
-    each row summed over its positive weights and lifted once; each tie's
-    atom (:func:`_tie_jet`) reads rows 1 and 3, in that form even at
-    ``lambda0 = 0``, so the score in ``lambda0`` is the one-sided one.
+    :func:`bivariate._log_joint_pmf_at`, ``data.value_table`` takes one
+    :func:`bdw.univariate._dw_jets` call per rate of ``_RATE_MAP``, on the
+    values of positive weight in that row, each row summed and lifted once;
+    each tie value's atom (:func:`_tie_jet`) is one jet in theta, in that
+    form even at ``lambda0 = 0``, so the score in ``lambda0`` is the
+    one-sided one.
     """
     alpha, *lams = (float(v) for v in theta)
     vals, _, _, weights = data.value_table
     values, weights = vals.tolist(), weights.tolist()
-    rates = [sum(m * lam for m, lam in zip(row, lams)) for row in bivariate._RATE_MAP]
-    jets = [_dw_jets(values, alpha, rate) for rate in rates]
     total = (0.0, [0.0] * 4, [0.0] * len(_UPPER))
-    for row, table, counts in zip(bivariate._RATE_MAP, jets, weights):
-        per_rate = [sum(w * x for w, x in zip(counts, col) if w > 0.0) for col in zip(*table)]
+    for row, counts in zip(bivariate._RATE_MAP, weights):
+        rate = sum(m * lam for m, lam in zip(row, lams))
+        jets = _dw_jets([y for y, w in zip(values, counts) if w > 0.0], alpha, rate)
+        read = [w for w in counts if w > 0.0]
+        per_rate = [sum(w * jet[k] for w, jet in zip(read, jets)) for k in range(6)]
         total = _axpy(total, 1.0, _in_theta(per_rate, row))
-    for x, w, below2, above2 in zip(values, weights[4], jets[1], jets[3]):
+    for x, w in zip(values, weights[4]):
         if w > 0.0:
-            total = _axpy(total, w, _tie_jet(x, alpha, rates, below2, above2))
+            total = _axpy(total, w, _tie_jet(x, alpha, lams))
     hess = np.empty((4, 4))
     for (i, j), h in zip(_UPPER, total[2]):
         hess[i, j] = hess[j, i] = h

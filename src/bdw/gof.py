@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
 from . import bivariate
 from .univariate import _counts_1d, _pearson
-from .weibull import _count, _log1mexp_float, _power, _rate, _Record, dw_pmf, dw_sf
+from .weibull import _count, _log_dw, _power_step, _rate, _Record, dw_pmf, dw_sf
 
 if TYPE_CHECKING:
     from .bivariate import BDWParams, MOBWParams
@@ -154,7 +154,7 @@ def chisq_dw(
     subtracts fitted-parameter degrees from ``#cells - 1``.  The sample is
     validated as the DW fits validate theirs, and a support of more cells
     than the joint check's grid may hold is refused by name.  The cells
-    stream once, with one power per cell, in memory that does not grow.
+    stream once, with one power step per cell, in memory that does not grow.
     """
     xs = _counts_1d(data)
     top = max(xs)
@@ -168,13 +168,13 @@ def chisq_dw(
     seen, n = Counter(xs), len(xs)
 
     def expected() -> Iterator[float]:
-        # a cell's successor power is the next cell's own; from the first
-        # cell whose survival exp(-rate*t1) underflows on, every mass is 0
-        t1, y = 0.0, 0
-        while y < top and t1 * rate < 746.0:
-            t2 = _power(y + 1.0, alpha)
-            yield n * math.exp(t1 * -rate + _log1mexp_float((t2 - t1) * rate))
-            t1, y = t2, y + 1
+        # from the first cell whose survival exp(-rate*t) underflows on,
+        # every mass is 0
+        y, (t, d) = 0, _power_step(0.0, alpha)
+        while y < top and t * rate < 746.0:
+            yield n * math.exp(_log_dw(t, d, rate))
+            y += 1
+            t, d = _power_step(float(y), alpha)
         yield from repeat(0.0, top - y)
         yield n * (dw_sf(params, top) if absorb_tail else dw_pmf(params, top))
 

@@ -35,7 +35,7 @@ from . import bivariate
 from .bivariate import MOBWParams, mobw_sample
 from .datasets import _ALL_TIES, BivariateDataset, _cell_log_masses
 from .univariate import ALPHA_HI, ALPHA_LO, _newton_min
-from .weibull import _count, _logpmf_arr, _power, _Record, we_mode
+from .weibull import _count, _logpmf_float, _power, _Record, we_mode
 
 __all__ = [
     "MOBWParams",
@@ -427,7 +427,7 @@ def _predict_in_cell(
     # a component that carries no mass.  Its denominator is the mass of
     # the minimum, a DW law with the total rate, at i.
     w = _clamped_mode(a, params.total, i)
-    log_pmin = _logpmf_arr(np.array([float(i)]), a, params.total)[0]
+    log_pmin = _logpmf_float(float(i), a, params.total)
     best_log_w = _branch_logpdf(params, w, w, "tie") - log_pmin
     massless = best_log_w == -math.inf
     best = LatentPrediction(w, w, "tie-diagonal", _weight(best_log_w))

@@ -28,7 +28,7 @@ from .weibull import (
     SingularDensityError,
     WeibullParams,
     _is_bool,
-    _power,
+    _power_step,
     _to_base,
     dw_logpmf,
     dw_min_of_n,
@@ -128,26 +128,27 @@ def _log1mexp_terms(u: float) -> tuple[float, float, float]:
     return v, g1, -(g1 + g1 * g1)
 
 
+def _step_jet(y: float, alpha: float) -> tuple[float, ...]:
+    """The power step ``(t, d)`` at ``y`` (:func:`~bdw.weibull._power_step`)
+    with its derivatives in ``alpha``, ``(t, d, t_a, d_a, t_aa, d_aa)``:
+    ``t*log(y)**k``, and ``(y+1)**alpha*log(y+1)**k - t*log(y)**k`` regrouped
+    on ``d`` and ``s = log1p(1/y)``; all four are 0 at ``y = 0``."""
+    t, d = _power_step(y, alpha)
+    if y == 0.0:
+        return t, d, 0.0, 0.0, 0.0, 0.0
+    ly, ly1, s = math.log(y), math.log(y + 1.0), math.log1p(1.0 / y)
+    t_a = t * ly
+    return t, d, t_a, t * s + d * ly1, t_a * ly, t * s * (ly + ly1) + d * ly1 * ly1
+
+
 def _dw_jets(values: list[float], alpha: float, rate: float) -> list[tuple[float, ...]]:
-    """The DW log-pmf ``-rate*t1 + log1mexp(rate*dt)`` at each value, with
-    ``t1 = y**alpha`` and ``dt = (y+1)**alpha - t1``, and its gradient and
-    Hessian in ``(alpha, rate)``: ``(v, g_a, g_r, h_aa, h_ar, h_rr)``.  ``dt``
-    is ``t1*expm1(alpha*log1p(1/y))``, exact where the powers cancel; a
-    value of no mass, or whose powers pass the float range, gets a
-    non-finite jet."""
+    """The DW log-pmf ``-rate*t + log1mexp(rate*d)`` at each value, from its
+    power step (:func:`_step_jet`), and its gradient and Hessian in
+    ``(alpha, rate)``: ``(v, g_a, g_r, h_aa, h_ar, h_rr)``.  A value of no
+    mass, or whose powers pass the float range, gets a non-finite jet."""
     jets = []
     for y in values:
-        ly = ly1 = s = t1 = 0.0
-        dt = 1.0
-        if y > 0.0:
-            ly, ly1, s, t1 = math.log(y), math.log(y + 1.0), math.log1p(1.0 / y), _power(y, alpha)
-            try:
-                dt = t1 * math.expm1(alpha * s)
-            except OverflowError:
-                dt = math.inf
-        # the first and second derivatives of t1 and dt in alpha
-        a1, da = t1 * ly, t1 * s + dt * ly1
-        b1, db = a1 * ly, t1 * s * (ly + ly1) + dt * ly1 * ly1
+        t1, dt, a1, da, b1, db = _step_jet(y, alpha)
         u, ua = dt * rate, da * rate
         v, g1, g2 = _log1mexp_terms(u)
         jets.append((

@@ -12,12 +12,13 @@ Every function of the DW law reads its rate through one conversion,
 :func:`_rate`, and takes the law as its survival base (:class:`DWParams`)
 or as the continuous Weibull law whose floor it is
 (:class:`WeibullParams`); :func:`_to_base` gives a rate's survival base
-and refuses one that rounds to 1.  The DW log-mass is written once on
-floats (:func:`_logpmf_float`) and once on arrays (:func:`_logpmf_arr`),
-both through ``log1mexp``.  This module is the package's lowest layer:
-it holds the records' base class, :class:`_Record`, and the count checks,
-and imports numpy only inside the functions that build arrays.  The DW
-fits, which need more, live in :mod:`bdw.univariate`.
+and refuses one that rounds to 1.  The DW log-mass is written once, on
+``math``, from one power step (:func:`_power_step`, the only place where
+``(y+1)**alpha - y**alpha`` is formed) and ``log1mexp`` (:func:`_log_dw`).
+This module is the package's lowest layer: it holds the records' base
+class, :class:`_Record`, and the count checks, and imports numpy only
+inside the functions that draw samples.  The DW fits, which need more,
+live in :mod:`bdw.univariate`.
 """
 
 from __future__ import annotations
@@ -188,7 +189,6 @@ def _to_base(name: str, rate: float) -> float:
     return base
 
 
-
 def we_pdf(params: WeibullParams, x: float) -> float:
     """Density of the continuous Weibull law at ``x >= 0``.
 
@@ -348,42 +348,28 @@ def _power(y: float, alpha: float) -> float:
         return math.inf
 
 
-def _log1mexp(u):
-    """``log(1 - exp(-u))`` as ``log(-expm1(-u))``, which keeps full relative
-    accuracy for small ``u`` (Mächler 2012, "Accurately computing
-    log(1 - exp(-|a|))"); ``-inf`` for ``u <= 0`` and for NaN."""
-    import numpy as np
+def _power_step(y: float, alpha: float) -> tuple[float, float]:
+    """``t = y**alpha`` at an integer-valued ``y >= 0`` and the step ``d =
+    (y+1)**alpha - t``, the package's one difference of powers: ``t *
+    expm1(alpha*log1p(1/y))``, exact where the powers nearly cancel, and 1
+    at ``y = 0``.  A power past the float range is ``inf``."""
+    if y == 0.0:
+        return 0.0, 1.0
+    t = _power(y, alpha)
+    try:
+        return t, t * math.expm1(alpha * math.log1p(1.0 / y))
+    except OverflowError:
+        return t, math.inf
 
-    with np.errstate(invalid="ignore", divide="ignore"):
-        return np.where(u > 0, np.log(-np.expm1(-u)), -np.inf)
 
-
-def _log1mexp_float(u: float) -> float:
-    """:func:`_log1mexp` of one float, on ``math``: ``log(-expm1(-u))``, and
-    ``-inf`` for ``u <= 0`` and for NaN."""
-    return math.log(-math.expm1(-u)) if u > 0 else -math.inf
+def _log_dw(t: float, d: float, rate: float) -> float:
+    """The DW log-mass ``-rate*t + log(-expm1(-rate*d))`` from a power step,
+    to full relative accuracy at small ``rate*d`` (Mächler 2012); a mass
+    that underflows, a power past the float range among them, gives -inf."""
+    u = d * rate
+    return t * -rate + (math.log(-math.expm1(-u)) if u > 0.0 else -math.inf)
 
 
 def _logpmf_float(y: float, alpha: float, rate: float) -> float:
-    """:func:`_logpmf_arr` at one non-negative integer-valued float, on
-    ``math``: ``-rate*t1 + log1mexp(rate*(t2 - t1))`` with ``t1 = y**alpha``
-    and ``t2 = (y+1)**alpha``.  A power past the float range gives -inf."""
-    t1 = _power(y, alpha)
-    return t1 * -rate + _log1mexp_float((_power(y + 1.0, alpha) - t1) * rate)
-
-
-def _logpmf_arr(y: np.ndarray, alpha: float, rate: float) -> np.ndarray:
-    """log pmf of DW(alpha, e**-rate) on an array of non-negative integer values.
-
-    Evaluated as ``-rate*t1 + log1mexp(rate*(t2 - t1))`` with ``t1 =
-    y**alpha`` and ``t2 = (y+1)**alpha``, which keeps full relative accuracy
-    when the two survival terms nearly cancel (a rate close to 0).  Cells
-    whose mass underflows to zero, a power past the float range among
-    them, come back as -inf.
-    """
-    import numpy as np
-
-    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
-        t1 = np.where(y > 0, np.power(y, alpha), 0.0)
-        t2 = np.power(y + 1.0, alpha)
-        return t1 * -rate + _log1mexp((t2 - t1) * rate)
+    """The DW log-mass of the rate ``rate`` at an integer-valued float."""
+    return _log_dw(*_power_step(y, alpha), rate)

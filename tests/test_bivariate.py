@@ -203,13 +203,44 @@ class TestJointLaw:
         # p0 = 1 is the legal independence boundary
         BDWParams(1.5, 1.0, 0.8, 0.7)
 
-    def test_cell_past_the_float_range_has_no_mass_and_no_warning(self):
-        # the cell's powers overflow and its tie branch subtracts two -inf;
-        # the suite turns an escaping RuntimeWarning into a failure
-        params = BDWParams(50.0, 0.5, 0.5, 0.5)
+    @pytest.mark.parametrize("p0", [0.5, 1.0], ids=["shared", "independent"])
+    def test_cell_past_the_float_range_has_no_mass_and_no_warning(self, p0):
+        # the cell's powers overflow, and at p0 = 1 the atom's lambda0 * d
+        # is 0 * inf; the suite turns an escaping RuntimeWarning into a
+        # failure
+        params = BDWParams(50.0, p0, 0.5, 0.5)
         assert joint_logpmf(params, 10**7, 10**7) == -math.inf
         assert joint_pmf(params, 10**7, 10**7) == 0.0
         assert joint_pmf_grid(params, 1, 1).sum() == pytest.approx(1.0)
+        # only the next power overflows: the tie keeps S(1, 1) = exp(-total)
+        law = MOBWParams(1100.0, 1.0 - p0, 0.5, 2.0)
+        assert joint_logpmf(law, 1, 1) == -law.total
+
+    @pytest.mark.parametrize("law, x", [
+        (MOBWParams(1.0, 1e-20, 1e-20, 1.0), 0),
+        (MOBWParams(1.0, 1e-12, 1e-12, 1.0), 2),
+        (MOBWParams(1.0, 6.14421235332821e-06, 9.118819655545162e-04, 1.0), 0),
+        (MOBWParams(3.0, 1e-27, 1e-27, 1e-27), 10**6),
+        (MOBWParams(1.5, 1e-10, 2e-10, 3e-10), 10**7),
+        (MOBWParams(12.0, 5e-21, 1e-20, 1.3e-20), 2),
+        (MOBWParams(20.0, 5e-21, 1e-20, 1.3e-20), 2),
+        (MOBWParams(2.1527952957, 0.0717123697, 0.1911053881, 0.1363609074), 3),
+        (MOBWParams(0.3, 2.0, 0.5, 0.4), 5),
+        (MOBWParams(2.0, 0.0, 1e-12, 0.3), 4),
+    ])
+    def test_atom_matches_mpmath(self, law, x):
+        # the shared shock's atom, the survival rectangle at (x, x): a sum of
+        # non-negative terms keeps its log-mass to 1e-12 relative where the
+        # rectangle's terms nearly cancel (the first law's mass is 1.6e-20)
+        with mp.workdps(60):
+            a, l0, l1, l2 = (mp.mpf(v) for v in bivariate._rates(law))
+
+            def sf(i, j):
+                i, j = mp.mpf(i), mp.mpf(j)
+                return mp.exp(-l1 * i**a - l2 * j**a - l0 * max(i, j) ** a)
+
+            want = mp.log(sf(x, x) - sf(x + 1, x) - sf(x, x + 1) + sf(x + 1, x + 1))
+        assert joint_logpmf(law, x, x) == pytest.approx(float(want), rel=1e-12)
 
     @pytest.mark.parametrize(
         "law, limit",

@@ -244,9 +244,9 @@ class TestUnivariate:
 
     def test_support_past_the_grid_budget_is_refused_before_streaming(self, monkeypatch):
         # 10**8 + 1 cells, more than the joint check's grid may hold: refused
-        # by name before a power is taken
-        powers = []
-        monkeypatch.setattr(gof, "_power", lambda y, a: powers.append(y) or y**a)
+        # by name before a power step is taken
+        powers, step = [], gof._power_step
+        monkeypatch.setattr(gof, "_power_step", lambda y, a: powers.append(y) or step(y, a))
         message = (
             r"^the fit check's support 0\.\.100000000 holds 100000001 cells, "
             r"more than the 100000000 of a tractable grid$"

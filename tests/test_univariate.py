@@ -133,6 +133,22 @@ class TestDiscreteWeibullPMF:
         )
         assert dw_pmf(params, 1) > 0
 
+    @pytest.mark.parametrize("alpha", [0.3, 1.0, 1.5, 3.0])
+    @pytest.mark.parametrize("rate", [1e-27, 1e-20, 1e-12, 1e-6, 0.5])
+    def test_log_mass_matches_mpmath_at_large_counts(self, alpha, rate):
+        # (y+1)**alpha - y**alpha cancels as alpha/y shrinks, and the mass
+        # as the rate does; the power step keeps the log-mass to 1e-12
+        # relative of the survival difference at counts up to 10**9
+        from mpmath import mp
+
+        law = WeibullParams(alpha, rate)
+        with mp.workdps(80):
+            a, r = mp.mpf(alpha), mp.mpf(rate)
+            for y in [0, 1, 7, 10**3, 10**6, 10**9]:
+                y_ = mp.mpf(y)
+                want = mp.log(mp.exp(-r * y_**a) - mp.exp(-r * (y_ + 1) ** a))
+                assert weibull.dw_logpmf(law, y) == pytest.approx(float(want), rel=1e-12), y
+
     def test_validation(self):
         with pytest.raises(ValueError):
             DWParams(1.0, 0.0)
@@ -339,27 +355,6 @@ class TestFitObjectives:
         scale = np.abs(grad).max() + np.abs(hess).max()
         np.testing.assert_allclose(grad, num_grad, rtol=1e-7, atol=1e-9 * scale)
         np.testing.assert_allclose(hess, num_hess, rtol=1e-6, atol=1e-8 * scale)
-
-
-def _bits(*arrays):
-    return [(a.shape, a.tobytes()) for a in arrays]
-
-
-class TestRateColumns:
-    # a (4, 1) rate column gives, row by row and bit for bit, what four
-    # scalar-rate calls give; the values hold 0, and at alpha = 1100 their
-    # powers pass the float range from y = 2
-    VALUES = np.array([0.0, 1.0, 2.0, 3.0, 7.0, 40.0])
-    RATES = (0.3, 0.25, 1e-12, 2.5)
-
-    @pytest.mark.parametrize("alpha", [0.2, 1.5, 20.0, 1100.0])
-    def test_rows_equal_scalar_rate_calls(self, alpha):
-        column = np.array(self.RATES)[:, None]
-        y = self.VALUES
-        with np.errstate(all="ignore"):
-            rows = weibull._logpmf_arr(y, alpha, column)
-            for k, rate in enumerate(self.RATES):
-                assert _bits(rows[k]) == _bits(weibull._logpmf_arr(y, alpha, rate))
 
 
 class TestNewtonSolver:

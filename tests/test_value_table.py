@@ -5,14 +5,14 @@ oracle: three boolean masks over the cells (below the diagonal, above it,
 on it), each part filled from primitives that take a rate as flags over
 ``(lambda0, lambda1, lambda2)``, once for the values and once for the
 per-cell ``(n, 4, 4)`` jets of the likelihood's score and Hessian.  The
-jet primitives are written out here: the power jet, the DW jet in
-``(alpha, rate)`` on the form ``y**alpha * expm1(alpha*log1p(1/y))`` of
-its power difference, and the ``log(1 - exp(-u))`` jet.  They take their
-powers and logs per value on ``math``: at small rates a DW jet's Hessian
-entry in ``(alpha, rate)``, and the tie atom's ``lead - trail``, are
-differences of terms of size ``1/u``, so a last-bit difference in a power,
-such as numpy's vectorized ``power`` can make against ``math``'s, would
-show as ``eps/u`` there.
+primitives are written out here on ``math``, on the kernel's forms: the
+power step ``d = (y+1)**alpha - y**alpha`` as ``y**alpha *
+expm1(alpha*log1p(1/y))``, the DW log-mass and its jet in ``(alpha,
+rate)`` through it, and the shared shock's atom as the positive sum ``A*B
++ C`` over ``S(x, x)``.  The atom's jet is taken here by the chain rule
+through ``(p, q, r) = ((lambda0 + lambda1)*d, (lambda0 + lambda2)*d,
+lambda0*d)``, with the derivatives of ``log(A*B + C)`` in ``(p, q, r)`` in
+their sign-definite forms.
 """
 
 import math
@@ -27,7 +27,6 @@ from bdw import bivariate
 from bdw.bivariate import BDWParams, MOBWParams, joint_pmf_grid
 from bdw.datasets import BivariateDataset, _cell_log_masses
 from bdw.fit_ml import bdw_loglik_derivatives
-from bdw.weibull import _log1mexp, _logpmf_arr
 
 WIDE = BDWParams(1.2, 0.97, 0.95, 0.96)
 
@@ -38,7 +37,7 @@ def _ref_parts(x1, x2):
     return below, above, ~(below | above)
 
 
-def _ref_fill(out, x1, x2, parts, dw, power, log1mexp):
+def _ref_fill(out, x1, x2, parts, dw, tie):
     r1, r2 = (0, 1, 0), (0, 0, 1)
     r01, r02 = (1, 1, 0), (1, 0, 1)
     below, above, ties = parts
@@ -47,11 +46,44 @@ def _ref_fill(out, x1, x2, parts, dw, power, log1mexp):
     if above.any():
         out[above] = dw(x1[above], r01) + dw(x2[above], r2)
     if ties.any():
-        x = x1[ties]
-        lead = power(x, r1) + dw(x, r02)
-        trail = power(x + 1.0, r01) + dw(x, r2)
-        out[ties] = lead + log1mexp(lead - trail)
+        out[ties] = tie(x1[ties])
     return out
+
+
+def _power(y, a):
+    # y**a, and inf past the float range, where the float power raises
+    try:
+        return y**a
+    except OverflowError:
+        return math.inf
+
+
+def _ref_step(y, a):
+    # y**a and the step (y+1)**a - y**a to the next power, which keeps its
+    # digits where the powers cancel; (0, 1) at y = 0
+    if y == 0.0:
+        return 0.0, 1.0
+    t = _power(y, a)
+    try:
+        return t, t * math.expm1(a * math.log1p(1.0 / y))
+    except OverflowError:
+        return t, math.inf
+
+
+def _ref_log1mexp(u):
+    return math.log(-math.expm1(-u)) if u > 0.0 else -math.inf
+
+
+def _ref_atom(x, a, lam0, lam1, lam2):
+    # the tie's survival rectangle over S(x, x) = exp(-total*t): A*B + C with
+    # A = 1 - exp(-(lam0 + lam1)*d), B = 1 - exp(-(lam0 + lam2)*d) and
+    # C = exp(-total*d)*(1 - exp(-lam0*d)), which vanishes with exp(-total*d)
+    t, d = _ref_step(x, a)
+    total = lam0 + lam1 + lam2
+    shock = math.exp(-(total * d))
+    c = shock * -math.expm1(-(lam0 * d)) if shock > 0.0 else 0.0
+    s = math.expm1(-((lam0 + lam1) * d)) * math.expm1(-((lam0 + lam2) * d)) + c
+    return t, d, total, shock, c, s
 
 
 def _ref_log_joint_pmf(params, x1, x2):
@@ -61,17 +93,21 @@ def _ref_log_joint_pmf(params, x1, x2):
         return lam0 * flags[0] + lam1 * flags[1] + lam2 * flags[2]
 
     def dw(y, flags):
-        return _logpmf_arr(y, a, rate(flags))
+        r = rate(flags)
+        values = []
+        for v in y.tolist():
+            t, d = _ref_step(v, a)
+            values.append(t * -r + _ref_log1mexp(d * r))
+        return np.array(values)
 
-    def power(y, flags):
-        return -rate(flags) * np.where(y > 0, np.power(y, a), 0.0)
+    def tie(x):
+        values = []
+        for v in x.tolist():
+            t, _, total, _, _, s = _ref_atom(v, a, lam0, lam1, lam2)
+            values.append(t * -total + (math.log(s) if s > 0.0 else -math.inf))
+        return np.array(values)
 
-    parts = _ref_parts(x1, x2)
-    if lam0 == 0.0:
-        below, above, ties = parts
-        parts = (below, above | ties, np.zeros_like(ties))
-    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
-        return _ref_fill(np.empty(x1.shape), x1, x2, parts, dw, power, _log1mexp)
+    return _ref_fill(np.empty(x1.shape), x1, x2, _ref_parts(x1, x2), dw, tie)
 
 
 def _ref_grid(params, k1, k2):
@@ -90,9 +126,6 @@ class _Jet:
     def __add__(self, other):
         return _Jet(self.v + other.v, self.g + other.g, self.h + other.h)
 
-    def __sub__(self, other):
-        return _Jet(self.v - other.v, self.g - other.g, self.h - other.h)
-
 
 def _ref_log1mexp_terms(u):
     # log(1 - exp(-u)) with its derivatives in u, g1 = exp(-u)/(1 - exp(-u))
@@ -103,15 +136,6 @@ def _ref_log1mexp_terms(u):
     else:
         v, g1 = -math.inf, math.nan
     return v, g1, -(g1 + g1 * g1)
-
-
-def _log1mexp_jet(u):
-    v, g1, g2 = np.array([_ref_log1mexp_terms(x) for x in u.v.tolist()]).reshape(-1, 3).T
-    return _Jet(
-        v,
-        g1[..., None] * u.g,
-        g2[..., None, None] * (u.g[..., :, None] * u.g[..., None, :]) + g1[..., None, None] * u.h,
-    )
 
 
 def _ref_lift(jets, rates):
@@ -130,51 +154,24 @@ def _ref_lift(jets, rates):
     )
 
 
-def _power(y, a):
-    # y**a, and inf past the float range, where the float power raises
-    try:
-        return y**a
-    except OverflowError:
-        return math.inf
-
-
-def _ref_power_jet(y, theta, rates):
-    m = np.array([0.0, *rates])
-    shape = np.zeros(m.size)
-    shape[0] = 1.0
-    r = float(m @ theta)
-    ly = np.array([math.log(x) if x > 0.0 else 0.0 for x in y.tolist()])
-    t = np.array([_power(x, theta[0]) for x in y.tolist()])
-    t_a = t * ly
-    t_aa = t_a * ly
-    cross = np.outer(shape, m) + np.outer(m, shape)
-    return _Jet(
-        -r * t,
-        -(r * t_a)[:, None] * shape - t[:, None] * m,
-        -(r * t_aa)[:, None, None] * np.outer(shape, shape) - t_a[:, None, None] * cross,
-    )
+def _ref_step_jet(x, a):
+    # the power step with its first and second alpha derivatives: those of
+    # t are t*log(y)**k, and those of d, (y+1)**a*log(y+1)**k - t*log(y)**k,
+    # regrouped on d and s = log1p(1/y) the same way
+    t, d = _ref_step(x, a)
+    if x == 0.0:
+        return t, d, 0.0, 0.0, 0.0, 0.0
+    ly, ly1, s = math.log(x), math.log(x + 1.0), math.log1p(1.0 / x)
+    return t, d, t * ly, t * s + d * ly1, t * ly * ly, t * s * (ly + ly1) + d * ly1 * ly1
 
 
 def _ref_dw_jet(y, theta, rates):
-    # -r*t1 + log1mexp(u), u = r*dt, t1 = y**alpha and dt = (y+1)**alpha - t1,
-    # taken as t1*expm1(alpha*s), s = log1p(1/y), which keeps its digits where
-    # the powers cancel, and as 1 at y = 0; the alpha derivatives of t1 are
-    # t1*log(y)**k, and those of dt, (y+1)**alpha*log(y+1)**k - t1*log(y)**k,
-    # regrouped on dt and s the same way
-    a = theta[0]
+    # -r*t1 + log1mexp(u), u = r*dt, through the power step and its alpha
+    # derivatives
     r = float(np.array([0.0, *rates]) @ theta)
     jets = []
     for x in y.tolist():
-        t1, dt, t1_a, t1_aa, dt_a, dt_aa = 0.0, 1.0, 0.0, 0.0, 0.0, 0.0
-        if x > 0.0:
-            ly, ly1, s = math.log(x), math.log(x + 1.0), math.log1p(1.0 / x)
-            t1 = _power(x, a)
-            try:
-                dt = t1 * math.expm1(a * s)
-            except OverflowError:
-                dt = math.inf
-            t1_a, dt_a = t1 * ly, t1 * s + dt * ly1
-            t1_aa, dt_aa = t1_a * ly, t1 * s * (ly + ly1) + dt * ly1 * ly1
+        t1, dt, t1_a, dt_a, t1_aa, dt_aa = _ref_step_jet(x, theta[0])
         u_a = dt_a * r
         v, g1, g2 = _ref_log1mexp_terms(dt * r)
         jets.append((
@@ -183,6 +180,57 @@ def _ref_dw_jet(y, theta, rates):
             g2 * dt * dt,
         ))
     return _ref_lift(jets, rates)
+
+
+# the rates rho of p, q and r as flags over (lambda0, lambda1, lambda2)
+_PQR = ((1, 1, 0), (1, 0, 1), (1, 0, 0))
+
+
+def _to_theta(v):
+    # a vector over rho as one over (lambda0, lambda1, lambda2): the sum of
+    # its entries that each rate's flag column marks, in the order of rho
+    return [sum(v[i] for i in range(3) if _PQR[i][k]) for k in range(3)]
+
+
+def _ref_tie_jet(x, theta):
+    # -total*t + log S, S = A*B + C a function of (p, q, r) = rho*d: the
+    # gradient and Hessian of log S in (p, q, r), carried to (alpha, rho),
+    # where d moves with alpha, and from rho to theta by the rates' flags.
+    # Every sum runs in plain floats in the order of rho: at small rates
+    # the (alpha, rho) entries cancel terms of size 1/u, so a summation
+    # order of a matrix product's own would show as eps/u there
+    a, lam0, lam1, lam2 = theta
+    rho = [sum(f * lam for f, lam in zip(flags, theta[1:])) for flags in _PQR]
+    v, g, h = [], [], []
+    for y in x.tolist():
+        t, d, t_a, d_a, t_aa, d_aa = _ref_step_jet(y, a)
+        _, _, total, shock, c, s = _ref_atom(y, a, lam0, lam1, lam2)
+        if not s > 0.0:
+            v.append(-math.inf)
+            g.append(np.full(4, np.nan))
+            h.append(np.full((4, 4), np.nan))
+            continue
+        s_p = math.exp(-(rho[0] * d)) * -math.expm1(-(lam2 * d))
+        s_q = math.exp(-(rho[1] * d)) * -math.expm1(-(lam1 * d))
+        grad = [s_p / s, s_q / s, shock / s]
+        # S_pp = -S_p, S_qq = -S_q, S_rr = S_r = -S_pr = -S_qr, and
+        # S*S_pq - S_p*S_q = C
+        second = [[-s_p, 0.0, -shock], [0.0, -s_q, -shock], [-shock, -shock, shock]]
+        hess = [[sij / s - gi * gj for sij, gj in zip(row, grad)] for row, gi in zip(second, grad)]
+        hess[0][1] = hess[1][0] = c / s / s
+        hr = [sum(hij * rj for hij, rj in zip(row, rho)) for row in hess]
+        rg = sum(ri * gi for ri, gi in zip(rho, grad))
+        out = np.empty((4, 4))
+        out[0, 0] = d_a * d_a * sum(ri * hi for ri, hi in zip(rho, hr)) + d_aa * rg - total * t_aa
+        out[0, 1:] = out[1:, 0] = [e - t_a for e in _to_theta(
+            [d_a * (gi + d * hi) for gi, hi in zip(grad, hr)]
+        )]
+        block = [_to_theta(col) for col in zip(*(_to_theta([d * d * e for e in row]) for row in hess))]
+        out[1:, 1:] = block
+        v.append(-total * t + math.log(s))
+        g.append([d_a * rg - total * t_a, *(d * e - t for e in _to_theta(grad))])
+        h.append(out)
+    return _Jet(np.array(v), np.array(g).reshape(-1, 4), np.array(h).reshape(-1, 4, 4))
 
 
 class _CellJets:
@@ -202,8 +250,7 @@ def _ref_cell_jets(theta, data):
         return _ref_fill(
             _CellJets(w.size), x1, x2, _ref_parts(x1, x2),
             lambda y, rates: _ref_dw_jet(y, theta, rates),
-            lambda y, rates: _ref_power_jet(y, theta, rates),
-            _log1mexp_jet,
+            lambda x: _ref_tie_jet(x, theta),
         )
 
 
