@@ -27,8 +27,8 @@ densities and the latent-sample code of the fits live in
 from __future__ import annotations
 
 import math
-from itertools import accumulate
-from typing import TYPE_CHECKING
+from itertools import accumulate, chain
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .weibull import (
     DWParams,
@@ -249,36 +249,29 @@ def _log_rows(rates: tuple, values: list[float]) -> list[list[float]]:
     return rows + [[_log_tie(rates, t, d) for t, d in steps]]
 
 
-def _log_joint_pmf_at(params, vals: np.ndarray, i1: np.ndarray, i2: np.ndarray) -> np.ndarray:
-    """Log joint pmf at the cells ``(vals[i1], vals[i2])``: ``vals`` holds
-    distinct integer-valued floats in increasing order, and the index
-    arrays broadcast together (no validation).  The cells gather the five
-    rows of :func:`_log_rows` over ``vals``: below the diagonal rows 0 and
-    1, above it rows 2 and 3, and a tie row 4 and a row of -0.0."""
-    import numpy as np
-
-    rows = _log_rows(_rates(params), vals.tolist())
-    table = np.array([*rows, [-0.0] * vals.size])
-    part = 2 * ((i1 >= i2).astype(np.intp) + (i1 == i2))
-    return table[part, i1] + table[part + 1, i2]
+def _log_joint_pmf_at(params, vals: Sequence[float], cells: Iterable[tuple[int, int]]):
+    """Log joint pmf, a list, at the cells ``(vals[i], vals[j])`` of the pairs
+    ``(i, j)`` in ``cells``, ``vals`` increasing integer-valued floats (no
+    validation): the gather of the five rows of :func:`_log_rows` over
+    ``vals``, below the diagonal rows 0 and 1, above it 2 and 3, a tie 4."""
+    below1, below2, above1, above2, tie = _log_rows(_rates(params), vals)
+    return [
+        below1[i] + below2[j] if i < j else above1[i] + above2[j] if i > j else tie[i]
+        for i, j in cells
+    ]
 
 
-def _log_cell(rates: tuple, i: int, j: int) -> float:
-    """Log joint pmf at the cell ``(i, j)`` on floats: the below / above /
-    tie split of :func:`_log_joint_pmf_at`, entry for entry."""
-    a, lam0, lam1, lam2 = rates
+def joint_logpmf(params, x1: int, x2: int) -> float:
+    """Natural log of the joint mass at an integer pair: the below / above /
+    tie split of :func:`_log_joint_pmf_at`, entry for entry, on floats."""
+    i, j = _check_cell(x1, x2)
+    a, lam0, lam1, lam2 = rates = _rates(params)
     x, y = float(i), float(j)
     if i < j:
         return _logpmf_float(x, a, lam1) + _logpmf_float(y, a, lam0 + lam2)
     if i > j:
         return _logpmf_float(x, a, lam0 + lam1) + _logpmf_float(y, a, lam2)
     return _log_tie(rates, *_power_step(x, a))
-
-
-def joint_logpmf(params, x1: int, x2: int) -> float:
-    """Natural log of the joint mass at an integer pair."""
-    i, j = _check_cell(x1, x2)
-    return _log_cell(_rates(params), i, j)
 
 
 def joint_pmf(params, x1: int, x2: int) -> float:
@@ -310,40 +303,35 @@ def joint_pmf_grid(params, k1: int, k2: int) -> np.ndarray:
     """Joint pmf table over the rectangle [0, k1] x [0, k2].
 
     Returns an array of shape (k1+1, k2+1) with entry [i, j] equal to
-    ``joint_pmf(params, i, j)``.  A grid of more cells than [0, K]^2 at
-    the cap ``_MAX_GRID_BOUND`` is refused by name, before it is built.
+    ``joint_pmf(params, i, j)``, filled row by row from :func:`_pmf_rows`.
+    A grid of more cells than [0, K]^2 at the cap ``_MAX_GRID_BOUND`` is
+    refused by name, before it is built.
     """
     import numpy as np
 
     k1, k2 = _count(k1, "k1"), _count(k2, "k2")
-    if (k1 + 1) * (k2 + 1) > (_MAX_GRID_BOUND + 1) ** 2:
-        raise _intractable_grid(max(k1, k2))
-    vals = np.arange(max(k1, k2) + 1, dtype=float)
-    i1, i2 = np.arange(k1 + 1)[:, None], np.arange(k2 + 1)[None, :]
-    return np.exp(_log_joint_pmf_at(params, vals, i1, i2))
+    _check_grid(k1, k2)
+    masses = chain.from_iterable(_pmf_rows(params, k1, k2))
+    return np.fromiter(masses, float, (k1 + 1) * (k2 + 1)).reshape(k1 + 1, k2 + 1)
 
 
-def _pmf_rows(params, k: int):
-    """The rows of the joint pmf table over [0, k]^2: an iterator whose
-    i-th item lists the masses at ``(i, 0..k)``, each bit-identical to
-    ``joint_pmf(params, i, j)``, for a valid ``k`` (no validation).
-
-    The five rows of :func:`_log_rows` over 0..k are built here, and the
-    table's rows one at a time as they are read, each cell the sum of two
-    entries off the diagonal and the atom on it; so the work is O(k)
-    transcendental calls and k**2 exponentials, and the memory O(k).
-    """
-    below1, below2, above1, above2, tie = _log_rows(_rates(params), list(map(float, range(k + 1))))
-
-    def rows():
-        exp = math.exp
-        for i in range(k + 1):
-            above, below = above1[i], below1[i]
-            yield [exp(above + w) for w in above2[:i]] + [exp(tie[i])] + [
-                exp(below + w) for w in below2[i + 1:]
-            ]
-
-    return rows()
+def _pmf_rows(params, k1: int, k2: int):
+    """The rows of the joint pmf table over [0, k1] x [0, k2], generated as
+    lists: row i holds the masses at ``(i, 0..k2)``, each bit-identical to
+    ``joint_pmf(params, i, j)``, for valid bounds (no validation).  The five
+    rows of :func:`_log_rows` over 0..max(k1, k2) are built at the first
+    read, each cell the sum of two of their entries off the diagonal and the
+    atom on it: O(k1 + k2) transcendental calls and memory, and one
+    exponential per cell."""
+    values = list(map(float, range(max(k1, k2) + 1)))
+    below1, below2, above1, above2, tie = _log_rows(_rates(params), values)
+    exp = math.exp
+    for i in range(k1 + 1):
+        above, below = above1[i], below1[i]
+        row = [exp(above + w) for w in above2[: min(i, k2 + 1)]]
+        if i <= k2:
+            row += [exp(tie[i])] + [exp(below + w) for w in below2[i + 1 : k2 + 1]]
+        yield row
 
 
 def marginals(params: BDWParams) -> tuple[DWParams, DWParams]:
@@ -455,6 +443,12 @@ def sample(params, rng: np.random.Generator, size=None):
 # the largest bound K of a grid [0, K]^2 that is built: the (K + 1)^2 table
 # of a wider grid does not fit in memory; moments' box keeps the same cap
 _MAX_GRID_BOUND = 10_000
+
+
+def _check_grid(k1: int, k2: int) -> None:
+    # refuses by name a grid [0, k1] x [0, k2] of more cells than [0, K]^2
+    if (k1 + 1) * (k2 + 1) > (_MAX_GRID_BOUND + 1) ** 2:
+        raise _intractable_grid(max(k1, k2))
 
 
 def _intractable_grid(k: int | None, epsilon: float | None = None) -> ValueError:

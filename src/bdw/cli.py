@@ -13,9 +13,9 @@ fits of ``univariate`` among them, nor does ``fit-dw`` load the joint
 fit.  The law layers import numpy only in the functions that build
 arrays, so ``moments``, ``pmf-table``, ``--help`` and every refusal of a
 law's options run without it: ``pmf-table`` writes its grid row by row
-from scalar DW log-mass tables.  So do ``fit-dw`` and a column's ``gof``,
-whose DW fits and fit check read the column's ints on ``math``.  Only the JSON writer imports ``json``,
-so ``pmf-table`` and ``--help`` load no ``json`` either.
+from scalar DW log-mass tables.  So do ``fit-dw``, ``fit-ml`` and ``gof``,
+whose fits and fit checks run on ``math``.  Only the JSON writer imports
+``json``, so ``pmf-table`` and ``--help`` load no ``json`` either.
 
 ``run`` is the program entry (``bdw`` and ``python -m bdw.cli``); ``main``
 serves in-process callers.
@@ -289,18 +289,16 @@ def _cmd_simulate(args: argparse.Namespace) -> None:
 
 def _grid_csv(params, k: int) -> Iterator[str]:
     # the pmf-table CSV over [0, k]^2: its header, then one chunk per row
-    rows = bivariate._pmf_rows(params, k)
     return chain(["x1,x2,pmf\n"], (
         "".join([f"{i},{j},{mass!r}\n" for j, mass in enumerate(row)])
-        for i, row in enumerate(rows)
+        for i, row in enumerate(bivariate._pmf_rows(params, k, k))
     ))
 
 
 def _cmd_pmf_table(args: argparse.Namespace) -> None:
     params, _ = _law(args)
     k = bivariate._table_bound(params) if args.k is None else _count(args.k, "--k")
-    if k > bivariate._MAX_GRID_BOUND:
-        raise bivariate._intractable_grid(k)
+    bivariate._check_grid(k, k)
     _write(_grid_csv(params, k), args.output, "grid")
 
 

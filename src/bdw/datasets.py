@@ -2,7 +2,8 @@
 
 :class:`BivariateDataset` holds the observed integer pairs that every
 fit, fit check and command reads; it refuses a malformed row by its index
-and lays the rows' distinct cells once on a table of their values.
+and lays the rows' distinct cells once on a table of their values, tuples
+of floats and ints built with a dict and a sort, which loads no numpy.
 :func:`_cell_log_masses` reads the cells' joint log-masses off it, for the
 likelihood of the ML fit and the latent imputation alike.
 
@@ -21,6 +22,7 @@ consecutive days of a common-cold study.
 
 from __future__ import annotations
 
+import math
 from functools import cached_property
 from typing import TYPE_CHECKING, Sequence
 
@@ -80,17 +82,17 @@ class BivariateDataset(_Record):
     @property
     def n_below(self) -> int:
         """Rows with x1 < x2."""
-        return int(self.value_table[3][0].sum())
+        return sum(self.value_table[3][0])
 
     @property
     def n_above(self) -> int:
         """Rows with x1 > x2."""
-        return int(self.value_table[3][2].sum())
+        return sum(self.value_table[3][2])
 
     @property
     def n_ties(self) -> int:
         """Rows with x1 = x2."""
-        return int(self.value_table[3][4].sum())
+        return sum(self.value_table[3][4])
 
     @cached_property
     def cells(self) -> tuple[tuple[tuple[int, int], int, int], ...]:
@@ -102,32 +104,22 @@ class BivariateDataset(_Record):
         return tuple((c, k, r) for c, k, r in sorted(seen.values(), key=lambda t: t[0]))
 
     @cached_property
-    def cell_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """:attr:`cells` as read-only float arrays: first coordinate, second, count."""
-        import numpy as np
-
-        cols = np.array([(c[0], c[1], k) for c, k, _ in self.cells], dtype=float)
-        cols.flags.writeable = False
-        return cols[:, 0], cols[:, 1], cols[:, 2]
-
-    @cached_property
-    def value_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """:attr:`cells` on one table of their distinct values, as read-only
-        arrays ``(vals, i1, i2, weights)``: cell c is ``(vals[i1[c]],
-        vals[i2[c]])``, with ``vals`` increasing.  Row k < 4 of the 5 x K
-        ``weights`` counts the values of the k-th DW law of
+    def value_table(self) -> tuple[tuple, tuple, tuple, tuple[tuple[int, ...], ...]]:
+        """:attr:`cells` on one table of their distinct values, as tuples
+        ``(vals, i1, i2, weights)``: cell c is ``(vals[i1[c]],
+        vals[i2[c]])``, with ``vals`` increasing floats.  Row k < 4 of the
+        5 x K int ``weights`` counts the values of the k-th DW law of
         ``bivariate._RATE_MAP`` over the rows, and row 4 the ties."""
-        import numpy as np
-
-        x1, x2, w = self.cell_arrays
-        vals, where = np.unique(np.concatenate([x1, x2]), return_inverse=True)
-        i1, i2 = where[: w.size], where[w.size :]
-        below, above = i1 < i2, i1 > i2
-        parts = ((below, i1), (below, i2), (above, i1), (above, i2), (i1 == i2, i1))
-        weights = np.array([np.bincount(i[m], w[m], minlength=vals.size) for m, i in parts])
-        for arr in (vals, i1, i2, weights):
-            arr.flags.writeable = False
-        return vals, i1, i2, weights
+        vals = sorted({v for cell, _, _ in self.cells for v in cell})
+        where = {v: k for k, v in enumerate(vals)}
+        i1, i2 = zip(*((where[x1], where[x2]) for (x1, x2), _, _ in self.cells))
+        weights = [[0] * len(vals) for _ in range(5)]
+        for a, b, (_, count, _) in zip(i1, i2, self.cells):
+            part = 2 * ((a >= b) + (a == b))
+            weights[part][a] += count
+            if a != b:
+                weights[part + 1][b] += count
+        return tuple(map(float, vals)), i1, i2, tuple(map(tuple, weights))
 
     def column_ints(self, which: str) -> list[int]:
         """One of the three univariate views, ``x1``, ``x2`` or ``min``, as ints."""
@@ -159,7 +151,7 @@ class BivariateDataset(_Record):
         and the fit drives it to zero.  Likewise ``lambda2`` and ``x1 > x2``."""
         weights = self.value_table[3]
         for rate, order, row in (("lambda1", "x1 < x2", 0), ("lambda2", "x1 > x2", 2)):
-            if not weights[row].any():
+            if not any(weights[row]):
                 raise ValueError(
                     f"no row has {order}: the coordinate rate {rate} is not identifiable"
                 )
@@ -169,21 +161,18 @@ class BivariateDataset(_Record):
         return BivariateDataset(tuple((b, a) for a, b in self.pairs))
 
 
-def _cell_log_masses(theta: bivariate.MOBWParams, data: BivariateDataset) -> np.ndarray:
+def _cell_log_masses(theta: bivariate.MOBWParams, data: BivariateDataset) -> list[float]:
     """Log joint mass of each of ``data``'s distinct cells under ``theta``.
 
     A cell whose probability underflows to zero aborts with that cell's
     first row index, since a silent ``-inf`` would poison every comparison
     built on top.
     """
-    import numpy as np
-
     vals, i1, i2, _ = data.value_table
-    lp = bivariate._log_joint_pmf_at(theta, vals, i1, i2)
-    bad = ~np.isfinite(lp)
-    if np.any(bad):
-        cell, _, row = data.cells[int(np.argmax(bad))]
-        raise ValueError(f"data row {row} (cell {cell}) has zero probability")
+    lp = bivariate._log_joint_pmf_at(theta, vals, zip(i1, i2))
+    for (cell, _, row), v in zip(data.cells, lp):
+        if not math.isfinite(v):
+            raise ValueError(f"data row {row} (cell {cell}) has zero probability")
     return lp
 
 

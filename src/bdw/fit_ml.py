@@ -5,12 +5,12 @@ so are its score and Hessian, on ``math``: four weighted DW
 log-likelihoods over the dataset's value table, one per rate of
 ``bivariate._RATE_MAP``, from the DW fits' jets, and the shared shock's
 atom at the ties, one jet in the four parameters per tie value from the
-atom's positive sum (:func:`_tie_jet`).  Both read one power step per
-value (:func:`bdw.weibull._power_step`).
-:func:`nested_em` maximizes it with one damped Newton solve in
-log-parameters from the marginal starting point, reads the observed
-information off the same Hessian, and reports a shared-shock rate whose
-one-sided score at zero is not positive as exactly zero.
+atom's positive sum (:func:`_tie_jet`), from one power step per value
+(:func:`bdw.weibull._power_step`).  :func:`nested_em` maximizes it with
+one damped Newton solve in log-parameters from the marginal starting
+point, inverts the observed information off the same Hessian on the
+solver's eigen-solve, and reports a shared-shock rate whose one-sided
+score at zero is not positive as exactly zero.  Nothing here loads numpy.
 
 The pairs arrive as a :class:`~bdw.datasets.BivariateDataset`, the data
 layer's container, and the fit is a law in rates,
@@ -30,12 +30,10 @@ import math
 import warnings
 from typing import Sequence
 
-import numpy as np
-
 from . import bivariate
 from .bivariate import MOBWParams
 from .datasets import BivariateDataset, _cell_log_masses
-from .univariate import _dw_jets, _in_logs, _newton_min, _step_jet, dw_fit_minchisq
+from .univariate import _dw_jets, _eigh, _in_logs, _newton_min, _step_jet, dw_fit_minchisq
 from .weibull import _rate, _Record
 
 __all__ = [
@@ -94,7 +92,7 @@ class MLFitReport(_Record):
 def bdw_loglik(theta: MOBWParams, data: BivariateDataset) -> float:
     """Observed-data log-likelihood of the discrete pairs under ``theta``,
     summed over the distinct cells by multiplicity."""
-    return float(data.cell_arrays[2] @ _cell_log_masses(theta, data))
+    return math.fsum(k * v for (_, k, _), v in zip(data.cells, _cell_log_masses(theta, data)))
 
 
 # the Hessian's upper triangle in theta = (alpha, lambda0, lambda1, lambda2), row by row
@@ -161,13 +159,14 @@ def _tie_jet(x: float, alpha: float, lams) -> tuple[float, list[float], list[flo
 
 def bdw_loglik_derivatives(
     theta: Sequence[float], data: BivariateDataset
-) -> tuple[float, np.ndarray, np.ndarray]:
+) -> tuple[float, list[float], list[list[float]]]:
     """Observed-data log-likelihood with its exact score and Hessian.
 
     ``theta`` holds ``(alpha, lambda0, lambda1, lambda2)``; ``lambda0 = 0``
     (independence) is allowed.  Derivatives are in these natural
     parameters.  A cell of zero probability makes the value ``-inf`` and
-    the derivatives non-finite rather than raising.  As in
+    the derivatives non-finite rather than raising.  The score is a list
+    of four floats and the Hessian a 4 x 4 list of rows.  As in
     :func:`bivariate._log_joint_pmf_at`, ``data.value_table`` takes one
     :func:`bdw.univariate._dw_jets` call per rate of ``_RATE_MAP``, on the
     values of positive weight in that row, each row summed and lifted once;
@@ -176,22 +175,21 @@ def bdw_loglik_derivatives(
     one-sided one.
     """
     alpha, *lams = (float(v) for v in theta)
-    vals, _, _, weights = data.value_table
-    values, weights = vals.tolist(), weights.tolist()
+    values, _, _, weights = data.value_table
     total = (0.0, [0.0] * 4, [0.0] * len(_UPPER))
     for row, counts in zip(bivariate._RATE_MAP, weights):
         rate = sum(m * lam for m, lam in zip(row, lams))
-        jets = _dw_jets([y for y, w in zip(values, counts) if w > 0.0], alpha, rate)
-        read = [w for w in counts if w > 0.0]
+        jets = _dw_jets([y for y, w in zip(values, counts) if w > 0], alpha, rate)
+        read = [w for w in counts if w > 0]
         per_rate = [sum(w * jet[k] for w, jet in zip(read, jets)) for k in range(6)]
         total = _axpy(total, 1.0, _in_theta(per_rate, row))
     for x, w in zip(values, weights[4]):
-        if w > 0.0:
+        if w > 0:
             total = _axpy(total, w, _tie_jet(x, alpha, lams))
-    hess = np.empty((4, 4))
+    hess = [[0.0] * 4 for _ in range(4)]
     for (i, j), h in zip(_UPPER, total[2]):
-        hess[i, j] = hess[j, i] = h
-    return total[0], np.array(total[1]), hess
+        hess[i][j] = hess[j][i] = h
+    return total[0], total[1], hess
 
 
 def initial_params_from_marginals(first, second, minimum) -> MOBWParams:
@@ -258,11 +256,11 @@ def _identified_start(data: BivariateDataset, start: MOBWParams | None) -> MOBWP
     return theta
 
 
-def _neg_loglik_in_logs(z: np.ndarray, data: BivariateDataset):
+def _neg_loglik_in_logs(z: Sequence[float], data: BivariateDataset):
     """Negative log-likelihood, score and Hessian in log-parameters."""
-    theta = np.exp(z)
+    theta = [math.exp(v) for v in z]
     value, grad, hess = bdw_loglik_derivatives(theta, data)
-    return _in_logs(theta.tolist(), -value, (-grad).tolist(), (-hess).tolist())
+    return _in_logs(theta, -value, [-g for g in grad], [[-h for h in row] for row in hess])
 
 
 def nested_em(data: BivariateDataset, start: MOBWParams | None = None) -> MLFitReport:
@@ -288,16 +286,16 @@ def nested_em(data: BivariateDataset, start: MOBWParams | None = None) -> MLFitR
     theta = _identified_start(data, start)
     # names the row whose cell has zero probability at a bad start
     bdw_loglik(theta, data)
-    z0 = np.log([theta.alpha, max(theta.lambda0, 1e-8), theta.lambda1, theta.lambda2])
+    lam0 = max(theta.lambda0, 1e-8)
+    z0 = [math.log(v) for v in (theta.alpha, lam0, theta.lambda1, theta.lambda2)]
     z, neg_loglik = _newton_min(lambda z: _neg_loglik_in_logs(z, data), z0)
-    theta = np.exp(z)
-    at_zero = theta.copy()
-    at_zero[1] = 0.0
+    theta = [math.exp(v) for v in z]
+    at_zero = [theta[0], 0.0, *theta[2:]]
     value0, score0, _ = bdw_loglik_derivatives(at_zero, data)
     # the boundary must also be as likely as the solve's end point, so an
     # interior maximum of a profile that first dips is never replaced
     at_boundary = score0[1] <= 0.0 and value0 >= -neg_loglik - 1e-8
-    params = MOBWParams(*(float(v) for v in (at_zero if at_boundary else theta)))
+    params = MOBWParams(*(at_zero if at_boundary else theta))
     ci95 = None
     if at_boundary:
         warnings.warn(
@@ -307,7 +305,7 @@ def nested_em(data: BivariateDataset, start: MOBWParams | None = None) -> MLFitR
     else:
         try:
             intervals = observed_info_ci(params, data)
-            ci95 = {name: float((hi - lo) / 2.0) for name, (lo, hi) in intervals.items()}
+            ci95 = {name: (hi - lo) / 2.0 for name, (lo, hi) in intervals.items()}
         except ValueError as exc:
             warnings.warn(f"confidence intervals unavailable: {exc}")
     return MLFitReport(params=params, loglik=bdw_loglik(params, data), ci95=ci95)
@@ -323,33 +321,32 @@ def observed_info_ci(
 
     At ``lambda0 = 0`` the shared rate is held on its boundary: the
     information is inverted over the other three parameters, and
-    ``lambda0`` gets no interval.  Raises when the negative Hessian is not
-    positive definite — the quadratic approximation is then untrustworthy
-    and profile likelihood is the honest fallback.
+    ``lambda0`` gets no interval.  On its eigen-solve ``V diag(w) V^T``
+    (:func:`bdw.univariate._eigh`) each variance is ``sum_j V[k][j]**2 /
+    w[j]``.  Raises when the negative Hessian is not positive definite —
+    the quadratic approximation is then untrustworthy and profile
+    likelihood is the honest fallback.
     """
     if not 0 < level < 1:
         raise ValueError(f"level must lie in (0, 1), got {level}")
-    x0 = np.array([theta.alpha, theta.lambda0, theta.lambda1, theta.lambda2])
+    x0 = [theta.alpha, theta.lambda0, theta.lambda1, theta.lambda2]
     _, _, hess = bdw_loglik_derivatives(x0, data)
     free = [0, 2, 3] if theta.lambda0 == 0.0 else [0, 1, 2, 3]
-    info = -hess[np.ix_(free, free)]
-    try:
-        np.linalg.cholesky(info)
-    except np.linalg.LinAlgError:
+    w, vecs = _eigh([[-hess[i][j] for j in free] for i in free])
+    if not all(0.0 < wj < math.inf for wj in w):  # a NaN one too
         raise ValueError(
             "observed information is not positive definite at the fit; "
             "use profile likelihood for interval estimates"
-        ) from None
-    cov = np.linalg.inv(info)
+        )
     if level == 0.95:
         z = _Z95
     else:  # imported here: statistics costs every command's start-up ~3 ms
         from statistics import NormalDist
         z = NormalDist().inv_cdf(0.5 + level / 2.0)
     out = {}
-    for k, i in enumerate(free):
-        se = math.sqrt(cov[k, k])
-        out[PARAM_NAMES[i]] = (float(x0[i] - z * se), float(x0[i] + z * se))
+    for row, i in zip(vecs, free):
+        se = math.sqrt(sum(v * v / wj for v, wj in zip(row, w)))
+        out[PARAM_NAMES[i]] = (x0[i] - z * se, x0[i] + z * se)
     return out
 
 

@@ -3,18 +3,18 @@
 Univariate fits are checked on the observed support with the upper tail
 absorbed into the last cell (optional, on by default); bivariate fits on
 the observed-support product grid with tail absorption on both axes.
-The two checks differ only in how they produce their cells' counts and
-expected counts, which the univariate one streams on ``math``: one axis
-rule labels both, and one path pools and scores them.  Adjacent cells
-with expected count below one are pooled so the usual chi-square
-approximation is not applied to near-empty cells.
+The two checks differ only in how they stream their cells' counts and
+expected counts on ``math``, the joint one row by row from the joint
+pmf's rows and the sorted cells: one axis rule labels both, and one path
+pools and scores them, with no numpy.  Adjacent cells with expected count
+below one are pooled so the usual chi-square approximation is not applied.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
-from itertools import repeat
+from itertools import chain, repeat
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
 from . import bivariate
@@ -191,29 +191,40 @@ def chisq_bdw(
     The cell layout is the observed-support product grid; the last row
     and column absorb the tail mass on their axis, so expected counts sum
     to ``n``.  Cells with small expected counts are pooled along the
-    row-major scan (rightward within a row, then on to the next row).
+    row-major scan (rightward within a row, then on to the next row).  A
+    grid past the cap of :func:`bdw.bivariate.joint_pmf_grid` is refused by
+    name before any row is built; the rows stream once, in memory of one.
     """
-    import numpy as np
+    cells = data.cells
+    top1, top2 = cells[-1][0][0], max(x2 for (_, x2), _, _ in cells)
+    bivariate._check_grid(top1, top2)
+    n, s = data.n, bivariate.joint_sf
 
-    x1, x2, w = data.cell_arrays
-    top1, top2 = int(x1.max()), int(x2.max())
-    # interior cells take the pmf; the last row and column absorb the tail
-    # mass on their axis as differences of the joint survival
-    mass = bivariate.joint_pmf_grid(params, top1, top2)
-    s = bivariate.joint_sf
-    for j in range(top2):
-        mass[top1, j] = s(params, top1, j) - s(params, top1, j + 1)
-    for i in range(top1):
-        mass[i, top2] = s(params, i, top2) - s(params, i + 1, top2)
-    mass[top1, top2] = s(params, top1, top2)
-    # the counts come after the masses, whose grid refuses a size past the cap
-    counts = np.zeros(mass.shape, dtype=np.int64)
-    counts[x1.astype(np.int64), x2.astype(np.int64)] = w
+    def observed() -> Iterator[list[int]]:
+        # each row's counts, off the cells sorted by row
+        c = 0
+        for i in range(top1 + 1):
+            row = [0] * (top2 + 1)
+            while c < len(cells) and cells[c][0][0] == i:
+                row[cells[c][0][1]] = cells[c][1]
+                c += 1
+            yield row
+
+    def expected() -> Iterator[list[float]]:
+        # interior cells take the pmf; the last row and column absorb the
+        # tail mass on their axis as differences of the joint survival
+        for i, row in enumerate(bivariate._pmf_rows(params, top1, top2)):
+            if i < top1:
+                row[top2] = s(params, i, top2) - s(params, i + 1, top2)
+            else:
+                row = [s(params, i, j) - s(params, i, j + 1) for j in range(top2)]
+                row.append(s(params, i, top2))
+            yield [n * m for m in row]
 
     axis1, axis2, w = _axis(top1), _axis(top2), top2 + 1
     return _report(
         lambda k: f"({axis1(k // w)},{axis2(k % w)})",
-        counts.ravel().tolist(),
-        (data.n * mass).ravel().tolist(),
+        chain.from_iterable(observed()),
+        chain.from_iterable(expected()),
         df_penalty,
     )

@@ -502,7 +502,8 @@ def inner_em_mobw(
     A zero lifetime among the recorded events leaves the boundary value
     finite only at shape one, so such samples are fitted with the shape
     pinned there.  A sample that is all ties, or has an identically zero
-    coordinate, does not identify the coordinate rates and is rejected, as
+    coordinate, does not identify the coordinate rates, nor one with every
+    event at its exposure's largest value the shape: each is rejected, as
     are exposures that leave the float range at the fitted shape.
     """
     st = summarize(sample)
@@ -544,6 +545,14 @@ def inner_em_mobw(
         if st.first_zero is not None:
             a = 1.0
         else:
+            # the concave profile's slope falls to log_y_sum - sum(c * log(top))
+            # <= 0; at 0, up to rounding, every event sits at its top: no maximum
+            tops = [c * logs[pos[-1]] for c, pos in zip(counts, st.positions) if c > 0.0]
+            if st.log_y_sum - sum(tops) >= -1e-12 * (abs(st.log_y_sum) + sum(map(abs, tops))):
+                raise ValueError(
+                    "the shape is not identified: every event of the latent sample sits at "
+                    "its exposure's largest value, so the likelihood rises without bound"
+                )
             z0 = np.log([min(max(alpha, ALPHA_LO), ALPHA_HI)])
             z, _ = _newton_min(neg_profiled, z0)
             a = min(max(math.exp(z[0]), ALPHA_LO), ALPHA_HI)

@@ -476,7 +476,7 @@ class TestMomentsAndDependence:
         def no_tables(*args):
             raise AssertionError("the tables were built")
 
-        monkeypatch.setattr(bivariate, "_log_joint_pmf_at", no_tables)
+        monkeypatch.setattr(bivariate, "_log_rows", no_tables)
         with pytest.raises(
             ValueError, match=rf"^a grid \[0, K\]\^2 with K = {k} > 10000 is not tractable$"
         ):

@@ -81,12 +81,11 @@ class TestDataset:
         )
         assert data.value_table is data.value_table
         vals, i1, i2, weights = data.value_table
-        x1, x2, w = data.cell_arrays
-        np.testing.assert_array_equal(vals[i1], x1)
-        np.testing.assert_array_equal(vals[i2], x2)
-        assert np.all(np.diff(vals) > 0)
+        assert [(vals[a], vals[b]) for a, b in zip(i1, i2)] == [cell for cell, _, _ in data.cells]
+        assert all(type(v) is float for v in vals) and list(vals) == sorted(set(vals))
+        assert all(type(w) is int for row in weights for w in row)
         # the five parts' histograms hold every row once per coordinate read
-        assert weights.sum(axis=1).tolist() == [
+        assert [sum(row) for row in weights] == [
             data.n_below, data.n_below, data.n_above, data.n_above, data.n_ties
         ]
 
@@ -252,11 +251,11 @@ class TestLoglikDerivatives:
         theta = (2.0, 0.05, 0.2, 0.1)
         bdw_loglik_derivatives(theta, data)
         weights = data.value_table[3]
-        assert passed == [int(np.count_nonzero(row)) for row in weights[:4]]
+        assert passed == [sum(w > 0 for w in row) for row in weights[:4]]
         assert sum(passed) == read and not built
         _cell_log_masses(MOBWParams(*theta), data)
         assert len(built) == 1 and passed == passed[:4]
-        list(bivariate._pmf_rows(MOBWParams(*theta), 6))
+        list(bivariate._pmf_rows(MOBWParams(*theta), 6, 6))
         assert len(built) == 2
 
     def test_value_matches_loglik(self, football):
@@ -517,16 +516,28 @@ class TestInnerEM:
                 inner_em_mobw(sample, law)
 
     def test_exposures_that_underflow_are_refused(self):
-        # every lifetime is 1e-300, so the profile rises to the shape's bound,
-        # where the exposures round to 0 and no rate c / T is finite
+        # the lifetimes are 1e-300 and 1.001e-300, so the profile's maximum
+        # lies past the shape's bound 100, where the exposures round to 0
+        # and no rate c / T is finite
         sample = [
-            CompleteObservation(1e-300, 1e-300, "below"),
-            CompleteObservation(1e-300, 1e-300, "above"),
+            CompleteObservation(1e-300, 1.001e-300, "below"),
+            CompleteObservation(1.001e-300, 1e-300, "above"),
         ]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="^the exposures underflow at shape 100: "):
                 inner_em_mobw(sample, MOBWParams(3.0, 0.4, 0.7, 0.9))
+
+    @pytest.mark.parametrize("y", [1.0, 2.0, 1e-300])
+    @pytest.mark.parametrize("alpha", [0.01, 3.0, 1e3])
+    def test_sample_with_no_shape_maximum_is_refused(self, y, alpha):
+        # every event sits at its exposure's largest value: the profile
+        # rises without bound in the shape, so every start is refused alike
+        sample = [CompleteObservation(y, y, "below"), CompleteObservation(y, y, "above")]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^the shape is not identified: every event"):
+                inner_em_mobw(sample, MOBWParams(alpha, 0.4, 0.7, 0.9))
 
     def test_all_tie_sample_rejected(self):
         from bdw.mobw import CompleteObservation
@@ -779,7 +790,7 @@ class TestInference:
             fit = nested_em(data)
         assert fit.params.lambda0 == 0.0 and fit.ci95 is None
         theta = (fit.params.alpha, 0.0, fit.params.lambda1, fit.params.lambda2)
-        _, _, hess = bdw_loglik_derivatives(theta, data)
+        hess = np.array(bdw_loglik_derivatives(theta, data)[2])
         assert np.linalg.eigvalsh(-hess).min() < 0
         free = [0, 2, 3]
         info = -hess[np.ix_(free, free)]

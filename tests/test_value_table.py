@@ -24,9 +24,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bdw import bivariate
-from bdw.bivariate import BDWParams, MOBWParams, joint_pmf_grid
+from bdw.bivariate import BDWParams, MOBWParams, joint_logpmf, joint_pmf, joint_pmf_grid
 from bdw.datasets import BivariateDataset, _cell_log_masses
-from bdw.fit_ml import bdw_loglik_derivatives
+from bdw.fit_ml import bdw_loglik, bdw_loglik_derivatives
 
 WIDE = BDWParams(1.2, 0.97, 0.95, 0.96)
 
@@ -114,7 +114,14 @@ def _ref_grid(params, k1, k2):
     g1, g2 = np.broadcast_arrays(
         np.arange(k1 + 1, dtype=float)[:, None], np.arange(k2 + 1, dtype=float)[None, :]
     )
-    return np.exp(_ref_log_joint_pmf(params, g1, g2))
+    logs = _ref_log_joint_pmf(params, g1, g2)
+    return np.array([math.exp(v) for v in logs.ravel().tolist()]).reshape(logs.shape)
+
+
+def _cell_columns(data):
+    # the distinct cells as float arrays: first coordinate, second, count
+    cols = np.array([(c[0], c[1], k) for c, k, _ in data.cells], dtype=float)
+    return cols[:, 0], cols[:, 1], cols[:, 2]
 
 
 class _Jet:
@@ -245,7 +252,7 @@ class _CellJets:
 
 def _ref_cell_jets(theta, data):
     theta = np.asarray(theta, dtype=float)
-    x1, x2, w = data.cell_arrays
+    x1, x2, w = _cell_columns(data)
     with np.errstate(all="ignore"):
         return _ref_fill(
             _CellJets(w.size), x1, x2, _ref_parts(x1, x2),
@@ -290,7 +297,7 @@ class TestValues:
     @example(law=MOBWParams(2.0, 0.0, 0.2, 0.1), name="football")
     def test_cell_log_masses_match_the_mask_split(self, datasets, law, name):
         data = datasets[name]
-        x1, x2, _ = data.cell_arrays
+        x1, x2, _ = _cell_columns(data)
         want = _ref_log_joint_pmf(law, x1, x2)
         bad = ~np.isfinite(want)
         if bad.any():
@@ -300,6 +307,41 @@ class TestValues:
                 _cell_log_masses(law, data)
         else:
             np.testing.assert_array_equal(_cell_log_masses(law, data), want)
+
+
+class TestScalarLaw:
+    """The value paths equal the scalar law, bit for bit."""
+
+    @_SETTINGS
+    @given(law=_laws(), k1=st.integers(0, 60), k2=st.integers(0, 60))
+    @example(law=MOBWParams(1100.0, 5e-324, 0.5, 2.0), k1=3, k2=5)
+    def test_grid_entries_are_the_joint_pmf(self, law, k1, k2):
+        grid = joint_pmf_grid(law, k1, k2)
+        assert grid.shape == (k1 + 1, k2 + 1)
+        want = [[joint_pmf(law, i, j) for j in range(k2 + 1)] for i in range(k1 + 1)]
+        assert grid.tolist() == want
+
+    @_SETTINGS
+    @given(law=_laws(), name=st.sampled_from(["football", "nasal", "wide"]))
+    def test_cell_log_masses_are_the_joint_logpmf(self, datasets, law, name):
+        data = datasets[name]
+        want = [joint_logpmf(law, *cell) for cell, _, _ in data.cells]
+        if all(map(math.isfinite, want)):
+            assert _cell_log_masses(law, data) == want
+        else:
+            with pytest.raises(ValueError, match="has zero probability$"):
+                _cell_log_masses(law, data)
+
+    @_SETTINGS
+    @given(law=_laws(), name=st.sampled_from(["football", "nasal", "wide"]))
+    def test_loglik_is_the_sum_of_the_joint_logpmf(self, datasets, law, name):
+        data = datasets[name]
+        terms = [count * joint_logpmf(law, *cell) for cell, count, _ in data.cells]
+        if all(map(math.isfinite, terms)):
+            assert bdw_loglik(law, data) == math.fsum(terms)
+        else:
+            with pytest.raises(ValueError, match="has zero probability$"):
+                bdw_loglik(law, data)
 
 
 def _pairs():
@@ -330,7 +372,8 @@ class TestJets:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             value, grad, hess = bdw_loglik_derivatives(theta, data)
-        w = data.cell_arrays[2]
+        grad, hess = np.array(grad), np.array(hess)
+        w = _cell_columns(data)[2]
         if not all(np.isfinite(part).all() for part in (ref.v, ref.g, ref.h)):
             assert not all(np.isfinite(part).all() for part in (value, grad, hess))
             return
