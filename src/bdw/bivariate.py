@@ -32,17 +32,19 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .weibull import (
     DWParams,
-    WeibullParams,
+    _as_drawn,
     _count,
     _floor,
     _floor_counts,
+    _lifetimes,
     _log_dw,
     _logpmf_float,
     _power,
     _power_step,
     _Record,
+    _Stream,
     _to_base,
-    we_sample,
+    _uniforms,
 )
 
 if TYPE_CHECKING:
@@ -238,15 +240,23 @@ def _log_tie(rates: tuple, t: float, d: float) -> float:
     return t * -(lam0 + lam1 + lam2) + (math.log(s) if s > 0.0 else -math.inf)
 
 
-def _log_rows(rates: tuple, values: list[float]) -> list[list[float]]:
-    """The five rows of the joint log-pmf at each of ``values``: the DW
-    log-masses of the four rates of ``_RATE_MAP`` (``x1`` and ``x2`` below
-    the diagonal, then above it) and the tie's atom (:func:`_log_tie`), all
-    from one power step per value, on ``math``."""
+def _log_rows(rates: tuple, values: list[float], n1: int | None = None, n2: int | None = None):
+    """The five rows of the joint log-pmf: the DW log-masses of the four
+    rates of ``_RATE_MAP`` (``x1`` and ``x2`` below the diagonal, then
+    above it) and the tie's atom (:func:`_log_tie`), all from one power
+    step per value, on ``math``.  The rows of ``x1`` run over the first
+    ``n1`` of ``values``, those of ``x2`` over the first ``n2`` and the
+    tie's over the shorter; by default every row runs over every value."""
     a, lam0, lam1, lam2 = rates
     steps = [_power_step(y, a) for y in values]
-    rows = [[_log_dw(t, d, r) for t, d in steps] for r in (lam1, lam0 + lam2, lam0 + lam1, lam2)]
-    return rows + [[_log_tie(rates, t, d) for t, d in steps]]
+    s1, s2 = steps[:n1], steps[:n2]
+    return [
+        [_log_dw(t, d, lam1) for t, d in s1],
+        [_log_dw(t, d, lam0 + lam2) for t, d in s2],
+        [_log_dw(t, d, lam0 + lam1) for t, d in s1],
+        [_log_dw(t, d, lam2) for t, d in s2],
+        [_log_tie(rates, t, d) for t, d in min(s1, s2, key=len)],
+    ]
 
 
 def _log_joint_pmf_at(params, vals: Sequence[float], cells: Iterable[tuple[int, int]]):
@@ -318,19 +328,21 @@ def joint_pmf_grid(params, k1: int, k2: int) -> np.ndarray:
 def _pmf_rows(params, k1: int, k2: int):
     """The rows of the joint pmf table over [0, k1] x [0, k2], generated as
     lists: row i holds the masses at ``(i, 0..k2)``, each bit-identical to
-    ``joint_pmf(params, i, j)``, for valid bounds (no validation).  The five
-    rows of :func:`_log_rows` over 0..max(k1, k2) are built at the first
-    read, each cell the sum of two of their entries off the diagonal and the
-    atom on it: O(k1 + k2) transcendental calls and memory, and one
-    exponential per cell."""
+    ``joint_pmf(params, i, j)``, for valid bounds (no validation).  The rows
+    of :func:`_log_rows` are built at the first read, each only as long as
+    it is read: those of ``x1`` over 0..k1, those of ``x2`` over 0..k2 and
+    the tie's over 0..min(k1, k2).  Each cell is the sum of two of their
+    entries off the diagonal and the atom on it: O(k1 + k2) transcendental
+    calls and memory, and one exponential per cell."""
     values = list(map(float, range(max(k1, k2) + 1)))
-    below1, below2, above1, above2, tie = _log_rows(_rates(params), values)
+    below1, below2, above1, above2, tie = _log_rows(_rates(params), values, k1 + 1, k2 + 1)
     exp = math.exp
     for i in range(k1 + 1):
-        above, below = above1[i], below1[i]
-        row = [exp(above + w) for w in above2[: min(i, k2 + 1)]]
+        above = above1[i]
+        row = [exp(above + w) for w in above2[:i]]
         if i <= k2:
-            row += [exp(tie[i])] + [exp(below + w) for w in below2[i + 1 : k2 + 1]]
+            below = below1[i]
+            row += [exp(tie[i])] + [exp(below + w) for w in below2[i + 1 :]]
         yield row
 
 
@@ -406,38 +418,55 @@ def cond_sf_given_eq(params, x1: int, x2: int) -> float:
     return num / _second_mass(rates, j)
 
 
-def mobw_sample(params: MOBWParams, rng: np.random.Generator, size=None):
+def _shock_lifetimes(params: MOBWParams, rng, n: int) -> list[float]:
+    """The latent pairs of ``n`` draws of the shared-shock construction,
+    flat in row-major order ``y1, y2, y1, y2, ...``: one ``rng.random(n)``
+    per exposure, lambda1's, lambda2's, then lambda0's where it is
+    positive, through the one lifetime kernel, and each coordinate the
+    minimum of its own lifetime and the shock's."""
+    a = params.alpha
+    y1 = _lifetimes(a, params.lambda1, _uniforms(rng, n))
+    y2 = _lifetimes(a, params.lambda2, _uniforms(rng, n))
+    if params.lambda0 > 0:
+        y0 = _lifetimes(a, params.lambda0, _uniforms(rng, n))
+        y1, y2 = list(map(min, y1, y0)), list(map(min, y2, y0))
+    flat = y1 + y2
+    flat[::2], flat[1::2] = y1, y2
+    return flat
+
+
+def _as_pairs(flat: list, rng, size, dtype: str):
+    # flat row-major pairs in the caller's form (weibull._as_drawn): one
+    # tuple without a size, a list of tuples for the stream, else an array
+    if size is not None and not isinstance(rng, _Stream):
+        return _as_drawn(flat, rng, (len(flat) // 2, 2), dtype)
+    pairs = list(zip(flat[::2], flat[1::2]))
+    return pairs[0] if size is None else pairs
+
+
+def mobw_sample(params: MOBWParams, rng, size=None):
     """Draw latent pairs through the shared-shock construction.
 
-    With ``size`` given, returns an array of shape (size, 2); otherwise a
+    With ``size`` given, returns an array of shape (size, 2) for a numpy
+    generator and a list of tuples for the seeded stream; otherwise a
     single tuple.  Floors of the output follow the discrete pair law with
     survival bases ``exp(-lambda_i)``.
     """
-    import numpy as np
-
     n = 1 if size is None else int(size)
-    u1 = we_sample(WeibullParams(params.alpha, params.lambda1), rng, size=n)
-    u2 = we_sample(WeibullParams(params.alpha, params.lambda2), rng, size=n)
-    if params.lambda0 > 0:
-        u0 = we_sample(WeibullParams(params.alpha, params.lambda0), rng, size=n)
-        y1 = np.minimum(u1, u0)
-        y2 = np.minimum(u2, u0)
-    else:
-        y1, y2 = u1, u2
-    if size is None:
-        return float(y1[0]), float(y2[0])
-    return np.column_stack([y1, y2])
+    return _as_pairs(_shock_lifetimes(params, rng, n), rng, size, "float64")
 
 
-def sample(params, rng: np.random.Generator, size=None):
+def sample(params, rng, size=None):
     """Draw pairs by the shock construction: the floors of the latent pair
     :func:`mobw_sample` draws at the rates :func:`to_mobw`.
 
-    With ``size`` given, returns an array of shape (size, 2); otherwise a
-    single tuple.  A lifetime past the int64 range is refused.
+    With ``size`` given, returns an int64 array of shape (size, 2) for a
+    numpy generator and a list of int tuples for the seeded stream;
+    otherwise a single tuple.  A lifetime past the int64 range is refused.
     """
-    pairs = _floor_counts(mobw_sample(to_mobw(params), rng, size=1 if size is None else size))
-    return (int(pairs[0, 0]), int(pairs[0, 1])) if size is None else pairs
+    n = 1 if size is None else int(size)
+    counts = _floor_counts(_shock_lifetimes(to_mobw(params), rng, n))
+    return _as_pairs(counts, rng, size, "int64")
 
 
 # the largest bound K of a grid [0, K]^2 that is built: the (K + 1)^2 table

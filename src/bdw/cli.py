@@ -13,9 +13,12 @@ fits of ``univariate`` among them, nor does ``fit-dw`` load the joint
 fit.  The law layers import numpy only in the functions that build
 arrays, so ``moments``, ``pmf-table``, ``--help`` and every refusal of a
 law's options run without it: ``pmf-table`` writes its grid row by row
-from scalar DW log-mass tables.  So do ``fit-dw``, ``fit-ml`` and ``gof``,
-whose fits and fit checks run on ``math``.  Only the JSON writer imports
-``json``, so ``pmf-table`` and ``--help`` load no ``json`` either.
+from scalar DW log-mass tables.  So does ``simulate``, which draws the
+uniforms of ``numpy.random.default_rng(seed)`` from the package's own
+seeded stream, and so do ``fit-dw``, ``fit-ml`` and ``gof``, whose fits
+and fit checks run on ``math``; only ``fit-bayes`` loads numpy.  Only the
+JSON writer imports ``json``, so ``pmf-table`` and ``--help`` load no
+``json`` either.
 
 ``run`` is the program entry (``bdw`` and ``python -m bdw.cli``); ``main``
 serves in-process callers.
@@ -34,7 +37,7 @@ from typing import TYPE_CHECKING, Iterable, Iterator, NoReturn, Sequence
 from . import bivariate
 from .bivariate import BDWParams
 from .datasets import BUILTIN, BivariateDataset, builtin_dataset
-from .weibull import _MAX_COUNT, _count
+from .weibull import _MAX_COUNT, _count, _Stream
 
 if TYPE_CHECKING:
     from .gof import ChiSquareReport
@@ -277,14 +280,10 @@ def _cmd_simulate(args: argparse.Namespace) -> None:
     params, config = _law(args)
     if args.n < 1:
         raise ValueError("sample size must be at least 1")
-    # after the checks, so a refused law or size loads no numpy
-    import numpy as np
-
-    rng = np.random.default_rng(args.seed)
-    draws = bivariate.sample(params, rng, size=args.n)
-    results = {"pairs": [[int(a), int(b)] for a, b in draws]}
+    # the uniforms of numpy's default_rng(seed), drawn without numpy
+    draws = bivariate.sample(params, _Stream(args.seed), size=args.n)
     config["n"] = args.n
-    _emit(args, {"generator": "bdw"}, config, results, seed=args.seed)
+    _emit(args, {"generator": "bdw"}, config, {"pairs": draws}, seed=args.seed)
 
 
 def _grid_csv(params, k: int) -> Iterator[str]:

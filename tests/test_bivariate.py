@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from mpmath import mp
 from scipy import stats
 
-from bdw import bivariate
+from bdw import bivariate, weibull
 from bdw.bivariate import (
     BDWParams,
     BivariateGeomParams,
@@ -655,6 +655,42 @@ class TestSampling:
             u = [np.minimum(u[0], u[2]), np.minimum(u[1], u[2])]
         want = np.column_stack(u)
         np.testing.assert_array_equal(sample(params, np.random.default_rng(11), size=300), want)
+
+    @pytest.mark.parametrize("law", [
+        BDWParams(1.6, 0.95, 0.8, 0.85),
+        BDWParams(1.5, 0.9, 0.7, 0.75),
+        BDWParams(0.6, 1.0, 0.5, 0.95),  # lambda0 = 0: two exposures
+        BDWParams(1.2, 0.97, 0.95, 0.96),
+        BDWParams(0.3, 0.999, 0.99, 0.995),
+        MOBWParams(2.0, 0.0, 1e-3, 2.0),
+    ], ids=str)
+    @pytest.mark.parametrize("seed, n", [(0, 1), (1, 20), (2**64 - 1, 200), (7, 1000)])
+    def test_stream_draws_the_pairs_of_default_rng(self, law, seed, n):
+        # the package's stream gives the uniforms of default_rng(seed), and
+        # the samplers read them in the same order: lambda1, lambda2, lambda0
+        want = sample(law, np.random.default_rng(seed), size=n)
+        got = sample(law, weibull._Stream(seed), size=n)
+        assert want.shape == (n, 2) and want.dtype == np.int64
+        assert type(got) is list and got == [tuple(pair) for pair in want.tolist()]
+        latent = bivariate.mobw_sample(to_mobw(law), np.random.default_rng(seed), size=n)
+        got = bivariate.mobw_sample(to_mobw(law), weibull._Stream(seed), size=n)
+        assert latent.shape == (n, 2) and got == [tuple(pair) for pair in latent.tolist()]
+        one = sample(law, weibull._Stream(seed))
+        assert one == sample(law, np.random.default_rng(seed)) and type(one[0]) is int
+
+    def test_stream_refuses_a_heavy_tail_as_numpy_does(self):
+        law = BDWParams(0.05, 0.999, 0.99, 0.99)
+        with pytest.raises(ValueError, match="too heavy to sample") as want:
+            sample(law, np.random.default_rng(0), size=8)
+        with pytest.raises(ValueError, match="too heavy to sample") as got:
+            sample(law, weibull._Stream(0), size=8)
+        assert str(got.value) == str(want.value)
+
+    def test_refusal_names_the_first_lifetime_in_pair_order(self):
+        lifetimes = [1.5, 3.0, 2.0**63, 0.0, math.inf, 2.0**64]
+        with pytest.raises(ValueError, match=r"^a drawn lifetime of 9\.22337e\+18 exceeds"):
+            weibull._floor_counts(lifetimes)
+        assert weibull._floor_counts([0.0, 2.5, 2.0**63 - 1024]) == [0, 2, 2**63 - 1024]
 
     @pytest.mark.parametrize("alpha", [0.05, 0.001])
     def test_lifetime_past_the_count_range_is_refused(self, alpha):

@@ -1106,8 +1106,9 @@ class TestStartup:
         assert _json_loaded([*command["moments"], *out])
 
     def test_law_commands_do_not_load_numpy(self, tmp_path):
+        # simulate draws numpy's uniforms from the package's own stream;
         # with no command, the probe is a bare ``import bdw.cli``
-        laws = [argv for argv in ALL_COMMANDS if argv[0] in ("moments", "pmf-table")]
+        laws = [argv for argv in ALL_COMMANDS if argv[0] in ("moments", "pmf-table", "simulate")]
         assert _modules_after(tmp_path, laws, package="numpy") == set()
         assert _modules_after(tmp_path, [], package="numpy") == set()
 
@@ -1117,7 +1118,7 @@ class TestStartup:
     def test_joint_fit_commands_do_not_load_numpy(self, tmp_path):
         assert _modules_after(tmp_path, JOINT_COMMANDS, package="numpy") == set()
 
-    @pytest.mark.parametrize("command", ["simulate", "fit-bayes"])
+    @pytest.mark.parametrize("command", ["fit-bayes"])
     def test_array_commands_load_numpy(self, tmp_path, command):
         # the control: the probe does see numpy where a command builds arrays
         argv = [argv for argv in ALL_COMMANDS if argv[0] == command]
@@ -1150,8 +1151,15 @@ class TestStartup:
         assert main(["pmf-table", *law, "--k", "6", "--output", str(grid)]) == 0
         proc = _program(["pmf-table", *law, "--k", "6"], PYTHONPATH=path)
         assert (proc.returncode, proc.stderr, proc.stdout) == (0, b"", grid.read_bytes())
-        # the control: a command that draws does need numpy
-        proc = _program(["simulate", *law, "--n", "5"], PYTHONPATH=path)
+        sim = tmp_path / "sim.json"
+        argv = ["simulate", "--alpha", "1.6", "--p0", "0.95", "--p1", "0.8", "--p2", "0.85",
+                "--n", "20", "--seed", "1"]
+        assert main([*argv, "--output", str(sim)]) == 0
+        proc = _program(argv, PYTHONPATH=path)
+        assert (proc.returncode, proc.stderr, proc.stdout) == (0, b"", sim.read_bytes())
+        # the control: the Gibbs fit, which builds arrays, does need numpy
+        proc = _program(["fit-bayes", "--dataset", "football", "-M", "10", "-N", "1"],
+                        PYTHONPATH=path)
         assert proc.returncode == 1 and b"ImportError: stub numpy" in proc.stderr
 
     def test_dw_commands_run_where_numpy_cannot_import(self, tmp_path):

@@ -203,6 +203,56 @@ class TestDWSampling:
             dw_min_of_n(params, 0)
 
 
+# numpy's default_rng at the edges of the seed's 32-bit words, and at 50
+# seeds drawn below 2**64
+STREAM_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1] + [
+    int(seed) for seed in np.random.default_rng(20261019).integers(0, 2**64, 50, dtype=np.uint64)
+]
+
+
+class TestSeededStream:
+    @pytest.mark.parametrize("seed", STREAM_SEEDS)
+    def test_draws_equal_numpy_bit_for_bit(self, seed):
+        got = weibull._Stream(seed).random(500)
+        assert type(got) is list and got == np.random.default_rng(seed).random(500).tolist()
+
+    @pytest.mark.parametrize("seed", [0, 2**32, 2**64 - 1])
+    def test_state_carries_across_calls(self, seed):
+        stream, rng = weibull._Stream(seed), np.random.default_rng(seed)
+        first, second = stream.random(100), stream.random(200)
+        assert first == rng.random(100).tolist() and second == rng.random(200).tolist()
+        assert first + second == np.random.default_rng(seed).random(300).tolist()
+
+    @pytest.mark.parametrize("n, size", [(2**62, "32 EiB"), (10**19, "69.4 EiB")])
+    def test_draws_too_many_to_hold_are_refused_by_size(self, n, size):
+        # refused before any memory is asked for: the byte count passes
+        # the largest allocation a list can request
+        with pytest.raises(MemoryError, match=f"^Unable to allocate {size} for a list of {n} "):
+            weibull._Stream(0).random(n)
+
+    @pytest.mark.parametrize("sampler, law", [
+        (we_sample, WeibullParams(1.5, 2.0)),
+        (we_sample, WeibullParams(0.01, 1.0)),
+        (dw_sample, DWParams(1.6, 0.75)),
+        (dw_sample, WeibullParams(0.3, 1e-3)),
+    ])
+    def test_samplers_draw_the_same_through_stream_and_numpy(self, sampler, law):
+        # one lifetime kernel for both: numpy's caller gets its array back,
+        # the stream's caller a list; no size draws one value either way
+        want = sampler(law, np.random.default_rng(5), size=300)
+        got = sampler(law, weibull._Stream(5), size=300)
+        assert want.shape == (300,) and want.dtype == ("int64" if sampler is dw_sample else float)
+        assert type(got) is list and got == want.tolist()
+        one = sampler(law, np.random.default_rng(5))
+        assert one == sampler(law, weibull._Stream(5)) == want[0] and type(one) is type(got[0])
+
+    def test_numpy_caller_keeps_the_array_shape(self):
+        draws = we_sample(WeibullParams(1.5, 2.0), np.random.default_rng(5), size=(3, 4))
+        assert draws.shape == (3, 4)
+        flat = we_sample(WeibullParams(1.5, 2.0), np.random.default_rng(5), size=12)
+        assert draws.ravel().tolist() == flat.tolist()
+
+
 class TestDWFitting:
     def test_ml_fit_dominates_truth_and_neighbors(self, rng):
         truth = DWParams(1.8, 0.8)
