@@ -12,7 +12,9 @@ read, so a process loads only the layers it uses.  The law layers,
 the functions that build arrays: a script on the scalar law functions,
 such as ``bdw.moments``, ``bdw.joint_sf``, ``bdw.joint_pmf`` or
 ``bdw.dw_pmf``, loads no numpy, and neither do the DW fits and the
-univariate fit check of a list of ints, which run on ``math``.  The
+univariate fit check of a list of ints, which run on ``math``, nor the
+joint ML fit, nor the Gibbs fit drawing from the package's generator
+until its draws' array is read.  The
 joint law rests on the DW law of ``weibull`` alone; the DW fits
 (``univariate``) load only where a fit runs.
 """
@@ -59,6 +61,7 @@ _EXPORTS = {
         "init_estimates",
         "nested_em",
     ),
+    "generator": (),
     "gof": ("ChiSquareReport", "chisq_bdw", "chisq_dw", "chisq_upper_tail"),
     "mobw": ("CompleteObservation", "LatentPrediction", "ml_predict"),
     "univariate": ("dw_fit_minchisq", "dw_fit_ml"),

@@ -15,10 +15,13 @@ arrays, so ``moments``, ``pmf-table``, ``--help`` and every refusal of a
 law's options run without it: ``pmf-table`` writes its grid row by row
 from scalar DW log-mass tables.  So does ``simulate``, which draws the
 uniforms of ``numpy.random.default_rng(seed)`` from the package's own
-seeded stream, and so do ``fit-dw``, ``fit-ml`` and ``gof``, whose fits
-and fit checks run on ``math``; only ``fit-bayes`` loads numpy.  Only the
-JSON writer imports ``json``, so ``pmf-table`` and ``--help`` load no
-``json`` either.
+seeded stream, and so does ``fit-bayes``, whose generator draws that
+generator's gamma, exponential, binomial and uniform values and whose
+Gibbs sweep runs on ``math``; so do ``fit-dw``, ``fit-ml`` and ``gof``,
+whose fits and fit checks run on ``math``: no command loads numpy, and
+the reports of ``simulate`` and ``fit-bayes`` follow libm, not numpy's
+SIMD kernels.  Only the JSON writer imports ``json``, so ``pmf-table``
+and ``--help`` load no ``json`` either.
 
 ``run`` is the program entry (``bdw`` and ``python -m bdw.cli``); ``main``
 serves in-process callers.
@@ -220,14 +223,14 @@ def _cmd_fit_ml(args: argparse.Namespace) -> None:
 
 
 def _cmd_fit_bayes(args: argparse.Namespace) -> None:
-    import numpy as np
-
     from .fit_bayes import AlphaPrior, DGPrior, augmented_gibbs
+    from .generator import _Generator
 
     data, source = _dataset(args)
     prior = DGPrior(args.a, args.b, args.a0, args.a1, args.a2)
     alpha_prior = AlphaPrior(args.c, args.d)
-    rng = np.random.default_rng(args.seed)
+    # the draws of numpy's default_rng(seed), drawn without numpy
+    rng = _Generator(args.seed)
     post = augmented_gibbs(
         data,
         prior=prior,

@@ -10,6 +10,16 @@ outer loop re-imputes at the current draw averages and the final round's
 draws carry the reported summaries.  The step functions accept a complete
 sample or its summary.
 
+The sweep runs on ``math``: the summary's powers are libm's ``pow``, the
+exposures and the shape's target are sums rounded once (``math.fsum``),
+the draws are held in one list per parameter, and the intervals sort
+lists.  Its random values come from a numpy ``Generator`` or from the
+package's generator (:class:`bdw.generator._Generator`), which gives the
+same values for the same seed; the command line draws from the latter,
+so ``bdw fit-bayes`` loads no numpy, and its report does not depend on
+numpy's SIMD kernels.  Only a caller that reads
+:attr:`PosteriorDraws.draws` gets, and loads, an array.
+
 The latent-sample path, imputation (:func:`bdw.mobw.impute_dataset`),
 summary, cause attribution and exposures, is :mod:`bdw.mobw`'s; the start
 point and its identifiability checks are the ML fit's (:mod:`bdw.fit_ml`).
@@ -18,17 +28,22 @@ point and its identifiability checks are the ML fit's (:mod:`bdw.fit_ml`).
 from __future__ import annotations
 
 import math
-from typing import Callable, Sequence
-
-import numpy as np
+import os
+from functools import reduce
+from operator import add, mul
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from .datasets import BivariateDataset
 from .fit_ml import PARAM_NAMES, _identified_start
+from .generator import _Generator
 from .mobw import (
     CompleteObservation, MOBWParams, SampleSummary, cause_counts, exposures, impute_dataset,
     summarize,
 )
-from .weibull import _Record
+from .weibull import _binary_size, _Record
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "DGPrior",
@@ -123,7 +138,7 @@ def sample_lambdas_conditional(
     alpha: float,
     sample: Sequence[CompleteObservation] | SampleSummary,
     lambdas: tuple[float, float, float],
-    rng: np.random.Generator,
+    rng,
 ) -> tuple[float, float, float]:
     """One draw of the three rates given shape, sample, and current rates.
 
@@ -174,32 +189,28 @@ def _alpha_logtarget(
     d = alpha_prior.d
     log_y_sum = st.log_y_sum
     # l0*T0 + l1*T1 + l2*T2 is one power of the fused value table, at most
-    # the coefficients' total times the largest value's power; ndarray.dot
-    # gives the bits of a matmul here without the ufunc's overhead
-    coef = np.array(lambdas).dot(st.weights)
+    # the coefficients' total times the largest value's power
+    w0, w1, w2 = st.weights
+    coef = [l0 * a + l1 * b + l2 * c for a, b, c in zip(w0, w1, w2)]
     s0, s1, s2 = st.row_sums
     total = l0 * s0 + l1 * s1 + l2 * s2
     top = st.top
     powers = st.powers
-    log, fpow, inf, isfinite = math.log, math.pow, math.inf, math.isfinite
+    log, fpow, fsum, inf, isfinite = math.log, math.pow, math.fsum, math.inf, math.isfinite
 
     def g(alpha: float) -> float:
         if not (0 < alpha < inf):
             return -inf
-        # where that bound overflows, so may the sum: refuse it before numpy
-        # warns (math.pow raises OverflowError past the float range)
+        # where that bound overflows, so may the sum, and a zero coefficient
+        # times an infinite power would read NaN: refuse it (math.pow raises
+        # OverflowError past the float range, as fsum does on its way there)
         try:
             if fpow(top, alpha) * total == inf:
                 return -inf
+            dot = fsum(map(mul, coef, powers(alpha)))
         except OverflowError:
             return -inf
-        out = (
-            log_alpha_coef * log(alpha)
-            - d * alpha
-            + rate_logs
-            + (alpha - 1.0) * log_y_sum
-            - float(coef.dot(powers(alpha)))
-        )
+        out = log_alpha_coef * log(alpha) - d * alpha + rate_logs + (alpha - 1.0) * log_y_sum - dot
         return out if isfinite(out) else -inf
 
     return g
@@ -210,7 +221,7 @@ def sample_alpha_conditional(
     lambdas: tuple[float, float, float],
     sample: Sequence[CompleteObservation] | SampleSummary,
     alpha: float,
-    rng: np.random.Generator,
+    rng,
 ) -> float:
     """One draw of the shape from its conditional given rates and sample.
 
@@ -257,7 +268,13 @@ def sample_alpha_conditional(
 
 
 class PosteriorDraws(_Record, eq=False):
-    """Draws of ``(alpha, lambda0, lambda1, lambda2)`` with summaries."""
+    """Draws of ``(alpha, lambda0, lambda1, lambda2)`` with summaries.
+
+    ``draws`` is the ``(M, 4)`` float64 array of the last round's draws.
+    :func:`augmented_gibbs` hands it over as its four columns, which become
+    the array when ``draws`` is first read: a run that reads only the
+    summaries, as the command line does, loads no numpy.
+    """
 
     draws: np.ndarray
     M: int
@@ -267,36 +284,53 @@ class PosteriorDraws(_Record, eq=False):
     hpd: dict[str, tuple[float, float]]
 
 
+class _Columns(tuple):
+    """The draws of each parameter, as lists, before they are an array."""
+
+
+def _read_draws(self: PosteriorDraws) -> np.ndarray:
+    """The ``(M, 4)`` float64 array of the last round's draws."""
+    draws = self.__dict__["draws"]
+    if isinstance(draws, _Columns):
+        import numpy as np
+
+        draws = self.__dict__["draws"] = np.array(draws, dtype=float).T.copy()
+    return draws
+
+
+# set after the class statement, so the property is no field's default
+PosteriorDraws.draws = property(_read_draws)
+
+
 def credible_interval(
     draws: Sequence[float], beta: float = 0.05
 ) -> tuple[float, float]:
     """Equal-tailed credible interval covering mass ``1 - beta``."""
     g = _sorted_draws(draws, beta)
-    if g.size == 0:
+    if not g:
         raise ValueError("draws must be non-empty")
     return _linear_quantile(g, beta / 2.0), _linear_quantile(g, 1.0 - beta / 2.0)
 
 
-def _sorted_draws(draws: Sequence[float], beta: float) -> np.ndarray:
+def _sorted_draws(draws: Sequence[float], beta: float) -> list[float]:
     # the draws in order for an interval of mass 1 - beta; an infinite or
     # NaN draw has no place in an interval and is refused by its index
     if not 0 < beta < 1:
         raise ValueError("beta must lie in (0, 1)")
-    g = np.asarray(draws, dtype=float)
-    bad = ~np.isfinite(g)
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise ValueError(f"draws must be finite, got {float(g[i])!r} at index {i}")
-    return np.sort(g)
+    g = list(map(float, draws))
+    if not all(map(math.isfinite, g)):
+        i = next(i for i, v in enumerate(g) if not math.isfinite(v))
+        raise ValueError(f"draws must be finite, got {g[i]!r} at index {i}")
+    g.sort()
+    return g
 
 
-def _linear_quantile(g: np.ndarray, q: float) -> float:
-    # np.quantile's default ("linear") rule on sorted draws, with its
-    # arithmetic; np.quantile itself imports numpy.ma on first use
-    h = (g.size - 1) * q
+def _linear_quantile(g: list[float], q: float) -> float:
+    # np.quantile's default ("linear") rule on sorted draws, with its arithmetic
+    h = (len(g) - 1) * q
     k = math.floor(h)
     t = h - k
-    a, b = float(g[k]), float(g[min(k + 1, g.size - 1)])
+    a, b = g[k], g[min(k + 1, len(g) - 1)]
     d = b - a
     return a + d * t if t < 0.5 else b - d * (1.0 - t)
 
@@ -310,15 +344,15 @@ def hpd_interval(
     the sorted draws and keeps the shortest, leftmost on ties.
     """
     g = _sorted_draws(draws, beta)
-    m = g.size
+    m = len(g)
     if m * (1.0 - beta) < 2:
         raise ValueError("too few draws for the requested mass")
     k = math.ceil((1.0 - beta) * m)
     if k >= m:
         raise ValueError("too few draws for the requested mass")
-    lengths = g[k:] - g[: m - k]
-    i = int(np.argmin(lengths))
-    return float(g[i]), float(g[i + k])
+    lengths = [hi - lo for lo, hi in zip(g, g[k:])]
+    i = lengths.index(min(lengths))
+    return g[i], g[i + k]
 
 
 def augmented_gibbs(
@@ -328,7 +362,7 @@ def augmented_gibbs(
     M: int = 10_000,
     N: int = 20,
     start: MOBWParams | None = None,
-    rng: np.random.Generator | None = None,
+    rng=None,
     burn_in: float = 0.1,
 ) -> PosteriorDraws:
     """Posterior draws by alternating imputation with Gibbs sweeps.
@@ -342,6 +376,14 @@ def augmented_gibbs(
     cannot accommodate, is reported with its data row.  A sample that does
     not identify every rate is refused as :func:`bdw.fit_ml.nested_em`
     refuses it.
+
+    ``rng`` is a numpy ``Generator`` or the package's seeded generator
+    (:class:`bdw.generator._Generator`), which draws the same values for
+    the same seed; without one, the latter is seeded from the OS.  The
+    averages are numpy's: a round's point sums its draws in order, as
+    ``mean(axis=0)`` does, and the reported means pairwise, as a column's
+    ``mean()`` does.  The draws are held before the first sweep, and a
+    number too large to hold is refused by its size.
     """
     if M < 100:
         raise ValueError("M must be at least 100")
@@ -351,10 +393,17 @@ def augmented_gibbs(
         raise ValueError("burn_in must lie in [0, 1)")
     prior = DGPrior() if prior is None else prior
     alpha_prior = AlphaPrior() if alpha_prior is None else alpha_prior
-    rng = np.random.default_rng() if rng is None else rng
+    if rng is None:
+        rng = _Generator(int.from_bytes(os.urandom(16), "little"))
     theta = _identified_start(data, start)
     drop = int(M * burn_in)
-    draws = np.empty((M, 4))
+    try:
+        columns = _Columns([0.0] * M for _ in PARAM_NAMES)
+    except (MemoryError, OverflowError):
+        raise MemoryError(
+            f"Unable to allocate {_binary_size(32 * M)} for {M} draws of the four parameters"
+        ) from None
+    alphas, rates0, rates1, rates2 = columns
     for _ in range(N):
         sample = summarize(impute_dataset(theta, data))
         if sample.first_zero is not None:
@@ -371,18 +420,32 @@ def augmented_gibbs(
             alpha = sample_alpha_conditional(
                 alpha_prior, lams, sample, alpha, rng
             )
-            draws[i, 0] = alpha
-            draws[i, 1:] = lams
-        center = draws[drop:].mean(axis=0)
-        theta = MOBWParams(*center)
+            alphas[i] = alpha
+            rates0[i], rates1[i], rates2[i] = lams
+        theta = MOBWParams(*(reduce(add, col[drop:]) / (M - drop) for col in columns))
     means = {}
     cred = {}
     hpd = {}
-    for j, name in enumerate(PARAM_NAMES):
-        col = draws[:, j]
-        means[name] = float(col.mean())
+    for name, col in zip(PARAM_NAMES, columns):
+        means[name] = _pairwise_sum(col, 0, M) / M
         cred[name] = credible_interval(col)
         hpd[name] = hpd_interval(col)
     return PosteriorDraws(
-        draws=draws.copy(), M=M, N=N, means=means, credible=cred, hpd=hpd
+        draws=columns, M=M, N=N, means=means, credible=cred, hpd=hpd
     )
+
+
+def _pairwise_sum(values: list[float], lo: int, n: int) -> float:
+    """``values[lo:lo + n]`` summed as numpy's float64 ``add.reduce`` sums
+    it: from 0 below 8 terms, in eight interleaved running sums up to 128,
+    and above that by halves cut at a multiple of 8."""
+    if n < 8:
+        return reduce(add, values[lo : lo + n], 0.0)
+    if n <= 128:
+        end = lo + n - n % 8
+        r = [reduce(add, values[lo + j : end : 8]) for j in range(8)]
+        out = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        return reduce(add, values[end : lo + n], out)
+    half = n // 2
+    half -= half % 8
+    return _pairwise_sum(values, lo, half) + _pairwise_sum(values, lo + half, n - half)

@@ -21,15 +21,17 @@ likely latent lifetimes of every row (:func:`impute_dataset`, one
 one past the float range), fits the continuous model to it by an inner EM
 (:func:`inner_em_mobw`), and measures it with :func:`complete_loglik`.
 The density of each of the three branches is written once, in
-``_branch_logpdf``.
+``_branch_logpdf``.  The summary's tables are tuples built with a dict and
+a sort, and the exposures are ``math`` sums of libm powers, so the Gibbs
+sweep's path loads no numpy; only the inner EM, which no command runs,
+works on arrays.
 """
 
 from __future__ import annotations
 
 import math
+from operator import mul
 from typing import NamedTuple, Sequence
-
-import numpy as np
 
 from . import bivariate
 from .bivariate import MOBWParams, mobw_sample
@@ -137,13 +139,14 @@ class SampleSummary(_Record, eq=False):
     them is zero; ``first_zero`` is then the index of the first
     observation holding a zero event.  ``vals`` is the one value table:
     the distinct positive values of ``max(y1, y2)``, ``y1`` and ``y2``
-    together.  ``weights`` holds their 3 x K multiplicities, rows in the
-    order of the exposures ``(T0, T1, T2)``, so a rate-weighted sum of the
-    three exposures takes one power of ``vals``.  ``positions`` holds, in
-    the same order, where each exposure's values sit in ``vals`` (a row's
-    non-zero entries), and ``w0``, ``w1``, ``w2`` their multiplicities;
-    ``row_sums`` holds the rows' totals and ``top`` the largest value (0
-    when there is none).  The last power table of ``vals`` is kept
+    together, increasing.  ``weights`` holds their 3 x K multiplicities,
+    rows in the order of the exposures ``(T0, T1, T2)``, so a rate-weighted
+    sum of the three exposures takes one power of ``vals``.  ``positions``
+    holds, in the same order, where each exposure's values sit in ``vals``
+    (a row's non-zero entries), and ``w0``, ``w1``, ``w2`` their
+    multiplicities; ``row_sums`` holds the rows' totals and ``top`` the
+    largest value (0 when there is none).  Every table is a tuple, of
+    floats or ints.  The last power table of ``vals`` is kept
     (:meth:`powers`), so the exposures and the shape's target at one shape
     share one power.
     """
@@ -151,13 +154,13 @@ class SampleSummary(_Record, eq=False):
     n_below: int
     n_above: int
     n_tie: int
-    vals: np.ndarray
-    weights: np.ndarray
-    positions: tuple[np.ndarray, np.ndarray, np.ndarray]
-    w0: np.ndarray
-    w1: np.ndarray
-    w2: np.ndarray
-    row_sums: tuple[float, float, float]
+    vals: tuple[float, ...]
+    weights: tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]
+    positions: tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]
+    w0: tuple[int, ...]
+    w1: tuple[int, ...]
+    w2: tuple[int, ...]
+    row_sums: tuple[int, int, int]
     top: float
     event_count: int
     log_y_sum: float
@@ -165,30 +168,40 @@ class SampleSummary(_Record, eq=False):
     # not a field: the last (shape, power table), set by powers()
     _power = (math.nan, None)
 
-    def powers(self, alpha: float) -> np.ndarray:
-        """``vals**alpha``, computed only when ``alpha`` differs from the last
-        shape asked for; the table is shared, so it is not to be written."""
+    def powers(self, alpha: float) -> list[float]:
+        """``vals**alpha``, ``inf`` past the float range, computed only when
+        ``alpha`` differs from the last shape asked for; the table is
+        shared, so it is not to be written."""
         last, table = self._power
         if alpha != last:
-            table = self.vals**alpha
+            try:
+                table = [v**alpha for v in self.vals]
+            except OverflowError:
+                table = [_power(v, alpha) for v in self.vals]
             object.__setattr__(self, "_power", (alpha, table))
         return table
 
     def exposures(self, alpha: float) -> tuple[float, float, float]:
         """``(T0, T1, T2)``: sums of ``max(y1, y2)**alpha``, ``y1**alpha`` and
-        ``y2**alpha``; zero lifetimes contribute nothing."""
-        table = self.powers(alpha)
-        pos0, pos1, pos2 = self.positions
-        # ndarray.dot is np.dot, bit for bit, without the dispatch
+        ``y2**alpha``, each rounded once (``inf`` past the float range);
+        zero lifetimes contribute nothing."""
+        at = self.powers(alpha).__getitem__
+        p0, p1, p2 = self.positions
         return (
-            float(self.w0.dot(table[pos0])),
-            float(self.w1.dot(table[pos1])),
-            float(self.w2.dot(table[pos2])),
+            _positive_sum(map(mul, self.w0, map(at, p0))),
+            _positive_sum(map(mul, self.w1, map(at, p1))),
+            _positive_sum(map(mul, self.w2, map(at, p2))),
         )
 
 
-# the kind codes of the array summarize reads a sample into
-_KINDS = {"below": 0, "above": 1, "tie": 2}
+def _positive_sum(terms) -> float:
+    """The sum of non-negative floats, rounded once (``math.fsum``), so it
+    depends on neither their order nor the Python version; ``inf`` past the
+    float range, where fsum raises."""
+    try:
+        return math.fsum(terms)
+    except OverflowError:
+        return math.inf
 
 
 def summarize(
@@ -198,57 +211,61 @@ def summarize(
     returned as it is, so callers may pass either."""
     if isinstance(sample, SampleSummary):
         return sample
-    rows = np.array([(o.y1, o.y2, _KINDS[o.kind]) for o in sample], dtype=float)
-    y1, y2, kind = rows.reshape(-1, 3).T
-    n = kind.size
-    n_below, n_above, n_tie = np.bincount(kind.astype(np.intp), minlength=3).tolist()
-    # the exposures' values end to end, in the order (T0, T1, T2); asked for
-    # the inverse, np.unique also skips its masked-array check, whose first
-    # call imports numpy.ma (~15 ms of start-up)
-    values = np.concatenate([np.maximum(y1, y2), y1, y2])
-    positive = values > 0
-    vals, where = np.unique(values[positive], return_inverse=True)
-    exposure = np.repeat(np.arange(3), n)[positive]
-    counts = np.bincount(exposure * vals.size + where, minlength=3 * vals.size)
-    weights = counts.reshape(3, vals.size).astype(float)
-    positions = tuple(np.flatnonzero(row) for row in weights)
-    # a tie's lifetimes are equal, so a zero event is a row whose smaller
-    # lifetime is zero
-    zero = np.flatnonzero(np.minimum(y1, y2) == 0.0)
-    log_y = -math.inf if zero.size else 0.0
-    if n and not zero.size:
-        # every value is positive, so where indexes all three columns; math.log
-        # gives libm's bits, and cumsum adds the rows' events in row order
-        logs = np.array([math.log(v) for v in vals.tolist()])
-        log1, log2 = logs[where[n : 2 * n]], logs[where[2 * n :]]
-        log_y = float(np.cumsum(np.where(kind == 2, log1, log1 + log2))[-1])
+    kinds = {"below": 0, "above": 0, "tie": 0}
+    # each exposure's positive values and their multiplicities
+    tallies: tuple[dict, dict, dict] = ({}, {}, {})
+    log, log_y, first_zero = math.log, 0.0, None
+    for idx, o in enumerate(sample):
+        y1, y2 = o.y1, o.y2
+        kinds[o.kind] += 1
+        for tally, y in zip(tallies, (max(y1, y2), y1, y2)):
+            if y > 0.0:
+                tally[y] = tally.get(y, 0) + 1
+        # a tie's lifetimes are equal, so a zero event is a row whose
+        # smaller lifetime is zero; the events' logarithms add in row order
+        if first_zero is not None:
+            continue
+        if min(y1, y2) == 0.0:
+            first_zero, log_y = idx, -math.inf
+        else:
+            log_y += log(y1) if o.kind == "tie" else log(y1) + log(y2)
+    vals = sorted({v for tally in tallies for v in tally})
+    where = {v: k for k, v in enumerate(vals)}
+    weights = [[0] * len(vals) for _ in tallies]
+    for row, tally in zip(weights, tallies):
+        for v, count in tally.items():
+            row[where[v]] = count
+    positions = tuple(tuple(k for k, count in enumerate(row) if count) for row in weights)
+    n_below, n_above, n_tie = kinds["below"], kinds["above"], kinds["tie"]
     return SampleSummary(
         n_below,
         n_above,
         n_tie,
-        vals,
-        weights,
+        tuple(vals),
+        tuple(map(tuple, weights)),
         positions,
-        *(row[pos] for row, pos in zip(weights, positions)),
-        tuple(weights.sum(axis=1).tolist()),
-        float(vals[-1]) if vals.size else 0.0,
+        *(tuple(row[k] for k in pos) for row, pos in zip(weights, positions)),
+        tuple(sum(tally.values()) for tally in tallies),
+        vals[-1] if vals else 0.0,
         event_count=2 * (n_below + n_above) + n_tie,
         log_y_sum=log_y,
-        first_zero=int(zero[0]) if zero.size else None,
+        first_zero=first_zero,
     )
 
 
 def cause_counts(
     sample: Sequence[CompleteObservation] | SampleSummary,
     lambdas: tuple[float, float, float],
-    rng: np.random.Generator | None = None,
+    rng=None,
 ) -> tuple[float, float, float]:
     """Failure counts ``(N0, N1, N2)`` attributed to each latent cause.
 
     A coordinate that failed strictly first is its own cause; the later
     coordinate of an off-diagonal pair is attributed to the shared or the
-    individual shock.  With ``rng`` the ambiguous attributions are drawn
-    (two binomials), otherwise their expectations are used.
+    individual shock.  With ``rng``, a numpy ``Generator`` or the
+    package's seeded generator (:class:`bdw.generator._Generator`), the
+    ambiguous attributions are drawn (two binomials), otherwise their
+    expectations are used.
     """
     l0, l1, l2 = lambdas
     st = summarize(sample)
@@ -272,13 +289,7 @@ def exposures(
     """Cause-specific exposure sums ``(T0, T1, T2)`` at a given shape:
     ``T0 = Σ max(y1, y2)^α``, ``T1 = Σ y1^α`` and ``T2 = Σ y2^α``, where zero
     lifetimes add nothing; an exposure past the float range is refused."""
-    st = summarize(sample)
-    # an exposure sums at most one power per event, none above the largest;
-    # only past twice that bound, room for the sums' rounding, may one overflow
-    if _power(st.top, alpha) * (2.0 * st.event_count) < math.inf:
-        return st.exposures(alpha)
-    with np.errstate(over="ignore"):
-        sums = st.exposures(alpha)
+    sums = summarize(sample).exposures(alpha)
     if math.inf in sums:
         raise ValueError(
             f"the exposures pass the float range at shape {alpha:.6g}: "
@@ -514,7 +525,15 @@ def inner_em_mobw(
             raise ValueError(
                 f"{name} coordinate is identically zero: its rate is not identifiable"
             )
+    # the inner EM alone in this module runs on arrays, and no command runs it
+    import numpy as np
+
     logs = np.log(st.vals)
+    # each exposure's multiplicities and the logarithms of its values
+    tables = [
+        (np.array(w, dtype=float), logs[list(pos)])
+        for w, pos in zip((st.w0, st.w1, st.w2), st.positions)
+    ]
     observations = list(sample)
 
     def m_step(counts, alpha):
@@ -522,16 +541,15 @@ def inner_em_mobw(
         # rates profile out exactly, leaving a concave problem in alpha
         c0, c1, c2 = counts
 
-        def neg_profiled(z: np.ndarray):
+        def neg_profiled(z):
             a = math.exp(z[0])
             val = st.event_count * z[0] + (a - 1.0) * st.log_y_sum
             d1 = st.event_count + a * st.log_y_sum
             d2 = a * st.log_y_sum
-            for c, w, pos in zip(counts, (st.w0, st.w1, st.w2), st.positions):
+            for c, (w, lg) in zip(counts, tables):
                 if c > 0.0:
                     # the exposure over its largest power, the last, which
                     # val adds back: each term is at most 1, and t at least 1
-                    lg = logs[pos]
                     wv = w * np.exp(a * (lg - lg[-1]))
                     t, t_a, t_aa = wv.sum(), wv @ lg, wv @ (lg * lg)
                     # first and second derivatives of log(t) in z = log(a)
@@ -547,7 +565,7 @@ def inner_em_mobw(
         else:
             # the concave profile's slope falls to log_y_sum - sum(c * log(top))
             # <= 0; at 0, up to rounding, every event sits at its top: no maximum
-            tops = [c * logs[pos[-1]] for c, pos in zip(counts, st.positions) if c > 0.0]
+            tops = [c * lg[-1] for c, (_, lg) in zip(counts, tables) if c > 0.0]
             if st.log_y_sum - sum(tops) >= -1e-12 * (abs(st.log_y_sum) + sum(map(abs, tops))):
                 raise ValueError(
                     "the shape is not identified: every event of the latent sample sits at "

@@ -148,7 +148,10 @@ DW_REPORT_SHA = {
 # fit-ml reports were re-recorded once the likelihood, its intervals and
 # the joint fit check ran on math (a sum by fsum, intervals on the Newton
 # solver's eigen-solve, the check's masses by math.exp): at most 1.9e-15
-# relative; gof-joint kept its bytes
+# relative; gof-joint kept its bytes.  fit-bayes-football was re-recorded
+# once the Gibbs sweep ran on math and the package's own generator (powers
+# by libm, exposures and the shape's target by fsum): three floats moved by
+# at most 3.9e-16 relative
 _LAW = ["--alpha", "1.5", "--p0", "0.9", "--p1", "0.7", "--p2", "0.75"]
 JOINT_REPORTS = {
     "fit-ml-football": (
@@ -165,7 +168,7 @@ JOINT_REPORTS = {
     ),
     "fit-bayes-football": (
         ["fit-bayes", "--dataset", "football", "-M", "200", "-N", "2", "--seed", "1"],
-        "5da2bb9062fb10892a4e024ff98bf91a3c8798f109ebda60d2cc836af2bf32e6",
+        "1f41b7b1218fecde2bbc6312cc407c949420ecc7d5eecb5a15969ffca5436569",
     ),
     "moments": (
         ["moments", *_LAW],
@@ -1003,6 +1006,25 @@ for law in (bdw.DWParams(1.5, 0.6), bdw.WeibullParams(0.8, 0.3)):
 print(json.dumps(sorted(m for m in sys.modules if (m + ".").startswith("numpy."))))
 """
 
+# runs the Gibbs sweep in-process on football with the package's generator
+# ("bdw") or numpy's ("numpy"), and prints whether numpy was loaded before
+# and after the draws' array is read
+_GIBBS_SCRIPT = """
+import json, sys
+from bdw.datasets import builtin_dataset
+from bdw.fit_bayes import augmented_gibbs
+if sys.argv[1] == "numpy":
+    import numpy as np
+    rng = np.random.default_rng(1)
+else:
+    from bdw.generator import _Generator
+    rng = _Generator(1)
+post = augmented_gibbs(builtin_dataset("football"), M=100, N=1, rng=rng)
+before = "numpy" in sys.modules
+assert post.draws.shape == (100, 4)
+print(json.dumps([before, "numpy" in sys.modules]))
+"""
+
 # every command: none of them needs scipy
 ALL_COMMANDS = [
     ["fit-ml", "--dataset", "football"],
@@ -1105,24 +1127,25 @@ class TestStartup:
         # the control: the probe does see json where a command writes a report
         assert _json_loaded([*command["moments"], *out])
 
-    def test_law_commands_do_not_load_numpy(self, tmp_path):
-        # simulate draws numpy's uniforms from the package's own stream;
-        # with no command, the probe is a bare ``import bdw.cli``
-        laws = [argv for argv in ALL_COMMANDS if argv[0] in ("moments", "pmf-table", "simulate")]
-        assert _modules_after(tmp_path, laws, package="numpy") == set()
+    def test_no_command_loads_numpy(self, tmp_path):
+        # simulate and fit-bayes draw numpy's values from the package's own
+        # generator, and every fit and fit check runs on math; with no
+        # command, the probe is a bare ``import bdw.cli``
+        commands = [*ALL_COMMANDS, *DW_COMMANDS, *JOINT_COMMANDS]
+        assert _modules_after(tmp_path, commands, package="numpy") == set()
         assert _modules_after(tmp_path, [], package="numpy") == set()
 
-    def test_dw_commands_do_not_load_numpy(self, tmp_path):
-        assert _modules_after(tmp_path, DW_COMMANDS, package="numpy") == set()
-
-    def test_joint_fit_commands_do_not_load_numpy(self, tmp_path):
-        assert _modules_after(tmp_path, JOINT_COMMANDS, package="numpy") == set()
-
-    @pytest.mark.parametrize("command", ["fit-bayes"])
-    def test_array_commands_load_numpy(self, tmp_path, command):
-        # the control: the probe does see numpy where a command builds arrays
-        argv = [argv for argv in ALL_COMMANDS if argv[0] == command]
-        assert "numpy" in _modules_after(tmp_path, argv, package="numpy")
+    @pytest.mark.parametrize("rng", ["bdw", "numpy"])
+    def test_gibbs_api_loads_numpy_only_for_an_array(self, rng):
+        # the control: the Gibbs sweep in-process loads numpy where the
+        # caller hands it a numpy Generator, or reads the draws' array
+        proc = subprocess.run(
+            [sys.executable, "-c", _GIBBS_SCRIPT, rng], capture_output=True, text=True,
+            env=_src_env(),
+        )
+        assert proc.returncode == 0, proc.stderr
+        before, after = json.loads(proc.stdout)
+        assert (before, after) == ((rng == "numpy"), True)
 
     def test_law_script_does_not_load_numpy(self):
         proc = subprocess.run(
@@ -1157,9 +1180,18 @@ class TestStartup:
         assert main([*argv, "--output", str(sim)]) == 0
         proc = _program(argv, PYTHONPATH=path)
         assert (proc.returncode, proc.stderr, proc.stdout) == (0, b"", sim.read_bytes())
-        # the control: the Gibbs fit, which builds arrays, does need numpy
-        proc = _program(["fit-bayes", "--dataset", "football", "-M", "10", "-N", "1"],
-                        PYTHONPATH=path)
+        # and so does the Gibbs fit, refusals included
+        for argv in (["fit-bayes", "--dataset", "football", "-M", "200", "-N", "2", "--seed", "1"],
+                     ["fit-bayes", "--dataset", "football", "-M", "100", "-N", "1", "--c", "1e16"]):
+            want = _program(argv)
+            proc = _program(argv, PYTHONPATH=path)
+            assert (proc.returncode, proc.stderr, proc.stdout) == (
+                want.returncode, want.stderr, want.stdout
+            ), argv
+        # the control: the stub does refuse numpy to the child
+        proc = subprocess.run(
+            [sys.executable, "-c", "import numpy"], capture_output=True, env=_src_env(PYTHONPATH=path)
+        )
         assert proc.returncode == 1 and b"ImportError: stub numpy" in proc.stderr
 
     def test_dw_commands_run_where_numpy_cannot_import(self, tmp_path):
@@ -1224,7 +1256,9 @@ class TestStartup:
         "gof": _FITS,
         "gof-x1": _START | {"bdw.univariate", "bdw.gof"},
         "fit-dw": _START | {"bdw.univariate", "bdw.gof"},
-        "fit-bayes": _START | {"bdw.univariate", "bdw.fit_ml", "bdw.mobw", "bdw.fit_bayes"},
+        "fit-bayes": _START | {
+            "bdw.univariate", "bdw.fit_ml", "bdw.mobw", "bdw.fit_bayes", "bdw.generator"
+        },
     }
 
     @pytest.mark.parametrize("argv", ALL_COMMANDS, ids=lambda argv: argv[0])

@@ -12,7 +12,8 @@ import pytest
 import bdw
 
 SUBMODULES = [
-    "bivariate", "cli", "datasets", "fit_bayes", "fit_ml", "gof", "mobw", "univariate", "weibull"
+    "bivariate", "cli", "datasets", "fit_bayes", "fit_ml", "generator", "gof", "mobw", "univariate",
+    "weibull",
 ]
 
 
@@ -115,7 +116,7 @@ def test_latent_sample_helpers_resolve_in_the_ml_layer():
 # below its own
 LAYERS = [
     {"weibull"},
-    {"univariate", "bivariate"},
+    {"univariate", "bivariate", "generator"},
     {"datasets"},
     {"gof", "mobw", "fit_ml"},
     {"fit_bayes"},

@@ -116,7 +116,7 @@ def test_pinned_reprs():
     st = summarize([CompleteObservation(1.0, 2.0, "below")])
     st.powers(2.0)
     assert "_power" not in repr(st) and "_power" in vars(st)
-    assert repr(st).startswith("SampleSummary(n_below=1, n_above=0, n_tie=0, vals=array([1., 2.]), ")
+    assert repr(st).startswith("SampleSummary(n_below=1, n_above=0, n_tie=0, vals=(1.0, 2.0), ")
 
 
 def test_equality_is_within_one_class():

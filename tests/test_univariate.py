@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy import integrate, stats
 
-from bdw import bivariate, gof, mobw, univariate, weibull
+from bdw import bivariate, generator, gof, mobw, univariate, weibull
 from bdw.univariate import (
     ALPHA_HI,
     ALPHA_LO,
@@ -210,7 +210,70 @@ STREAM_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1] + [
 ]
 
 
+# numpy Generator's scalar draws, as the package's generator gives them:
+# each kind over 6 seeds x 20000 draws, against numpy's array of the same
+# draws (which numpy makes one value at a time), on every branch of the
+# gamma (shape 0, below 1, 1, above 1) and of the binomial (n = 0, p = 0,
+# p = 1, p above one half, inversion and BTPE)
+DRAW_SEEDS = [0, 1, 2**32, 2**64 - 1, *STREAM_SEEDS[6:8]]
+DRAWS = {
+    "random": (lambda g: g.random(), lambda r, n: r.random(n)),
+    "exponential": (lambda g: g.exponential(), lambda r, n: r.exponential(size=n)),
+    "normal": (lambda g: g._standard_normal(), lambda r, n: r.standard_normal(n)),
+    **{
+        f"gamma-{shape:g}": (
+            lambda g, shape=shape: g.gamma(shape, 0.7), lambda r, n, shape=shape: r.gamma(shape, 0.7, n)
+        )
+        for shape in (0.0, 1e-4, 0.5, 1.0, 2.5, 300.0)
+    },
+    **{
+        f"binomial-{n}-{p:g}": (
+            lambda g, n=n, p=p: g.binomial(n, p), lambda r, k, n=n, p=p: r.binomial(n, p, k)
+        )
+        # n = 0; p = 0 and 1; inversion below and above one half, at its
+        # edge n * p = 30, and BTPE below and above one half
+        for n, p in ((0, 0.3), (20, 0.0), (20, 1.0), (13, 0.4), (25, 0.8), (60, 0.5),
+                     (500, 0.4), (1000, 0.93))
+    },
+}
+
+
 class TestSeededStream:
+    @pytest.mark.parametrize("kind", sorted(DRAWS))
+    def test_generator_draws_equal_numpy_bit_for_bit(self, kind):
+        ours, theirs = DRAWS[kind]
+        for seed in DRAW_SEEDS:
+            g = generator._Generator(seed)
+            got = [ours(g) for _ in range(20_000)]
+            want = theirs(np.random.default_rng(seed), 20_000)
+            assert {type(v) for v in got} == {int if want.dtype == np.int64 else float}
+            assert got == want.tolist(), seed
+
+    def test_btpe_binomials_equal_numpy_bit_for_bit(self):
+        # 40 (n, p) pairs with n * min(p, 1 - p) > 30, from n = 61 to 10**6
+        pairs = np.random.default_rng(216)
+        for seed in DRAW_SEEDS[:2] + [int(s) for s in pairs.integers(0, 2**63, 38)]:
+            n = int(10 ** pairs.uniform(1.8, 6.0))
+            edge = 30.0 / n
+            p = float(pairs.uniform(edge, 1.0 - edge)) if edge < 0.49 else 0.5
+            assert n * min(p, 1.0 - p) > 30.0
+            g = generator._Generator(seed)
+            got = [g.binomial(n, p) for _ in range(2_500)]
+            assert got == np.random.default_rng(seed).binomial(n, p, 2_500).tolist(), (n, p)
+
+    @pytest.mark.parametrize("seed", DRAW_SEEDS)
+    def test_interleaved_draws_continue_one_stream(self, seed):
+        # as a Gibbs sweep calls them: every kind in turn, on one stream
+        g, r = generator._Generator(seed), np.random.default_rng(seed)
+        for _ in range(1_000):
+            assert g.binomial(7, 0.3) == r.binomial(7, 0.3)
+            assert g.binomial(400, 0.6) == r.binomial(400, 0.6)
+            assert g.gamma(4.2, 0.1) == r.gamma(4.2, 0.1)
+            assert g.gamma(0.3, 2.0) == r.gamma(0.3, 2.0)
+            assert g.random() == r.random()
+            assert g.exponential() == r.exponential()
+            assert g.random(3) == r.random(3).tolist()
+
     @pytest.mark.parametrize("seed", STREAM_SEEDS)
     def test_draws_equal_numpy_bit_for_bit(self, seed):
         got = weibull._Stream(seed).random(500)
