@@ -7,16 +7,13 @@ command-line tool wraps the fitting and simulation entry points.
 
 Public names resolve on first use (PEP 562): ``import bdw`` loads no
 submodule, and ``bdw.nested_em`` imports ``bdw.fit_ml`` when it is first
-read, so a process loads only the layers it uses.  The law layers,
-``weibull``, ``bivariate`` and ``datasets``, import numpy only inside
-the functions that build arrays: a script on the scalar law functions,
-such as ``bdw.moments``, ``bdw.joint_sf``, ``bdw.joint_pmf`` or
-``bdw.dw_pmf``, loads no numpy, and neither do the DW fits and the
-univariate fit check of a list of ints, which run on ``math``, nor the
-joint ML fit, nor the Gibbs fit drawing from the package's generator
-until its draws' array is read.  The
-joint law rests on the DW law of ``weibull`` alone; the DW fits
-(``univariate``) load only where a fit runs.
+read, so a process loads only the layers it uses.  Every computation
+runs on ``math``, and the package has no runtime dependency: numpy is
+imported only where a caller is handed an array (a sampler given a numpy
+generator, ``joint_pmf_grid``, ``BivariateDataset.column`` and the
+Gibbs fit's draws), and ``bdw[array]`` installs it.  The joint law rests
+on the DW law of ``weibull`` alone; the DW fits (``univariate``) load
+only where a fit runs.
 """
 
 from __future__ import annotations

@@ -31,12 +31,9 @@ from __future__ import annotations
 import math
 import struct
 
-from .weibull import _MASK53, _MASK64, _MASK128, _PCG_MULT, _Stream
+from .weibull import _MASK53, _MASK64, _MASK128, _PCG_MULT, _TWICE, _Stream
 
 __all__: list[str] = []
-
-# x * _TWICE is x << 64 | x for a 64-bit x: its rotations are windows of it
-_TWICE = 2**64 + 1
 
 # numpy's ziggurat radii: where the normal's base layer and the
 # exponential's begin their tails, and the normal's reciprocal
@@ -277,7 +274,8 @@ class _Generator(_Stream):
 
 
 def _stirling(x: float) -> float:
-    # the BTPE bound's Stirling correction term at x, in numpy's order
+    # the BTPE bound's Stirling correction term at x, in numpy's order and with
+    # numpy's 13680 where Stirling's series has 13860, so BTPE gives numpy's bits
     x2 = x * x
     return (13680. - (462. - (132. - (99. - 140. / x2) / x2) / x2) / x2) / x / 166320.
 

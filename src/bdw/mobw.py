@@ -22,9 +22,8 @@ one past the float range), fits the continuous model to it by an inner EM
 (:func:`inner_em_mobw`), and measures it with :func:`complete_loglik`.
 The density of each of the three branches is written once, in
 ``_branch_logpdf``.  The summary's tables are tuples built with a dict and
-a sort, and the exposures are ``math`` sums of libm powers, so the Gibbs
-sweep's path loads no numpy; only the inner EM, which no command runs,
-works on arrays.
+a sort, and the exposures are ``math`` sums of libm powers: the module
+loads no numpy.
 """
 
 from __future__ import annotations
@@ -525,14 +524,11 @@ def inner_em_mobw(
             raise ValueError(
                 f"{name} coordinate is identically zero: its rate is not identifiable"
             )
-    # the inner EM alone in this module runs on arrays, and no command runs it
-    import numpy as np
-
-    logs = np.log(st.vals)
-    # each exposure's multiplicities and the logarithms of its values
+    # each exposure's (multiplicity, log-value) pairs, increasing: the last is its top
+    logs = [math.log(v) for v in st.vals]
     tables = [
-        (np.array(w, dtype=float), logs[list(pos)])
-        for w, pos in zip((st.w0, st.w1, st.w2), st.positions)
+        [(w, logs[k]) for w, k in zip(ws, pos)]
+        for ws, pos in zip((st.w0, st.w1, st.w2), st.positions)
     ]
     observations = list(sample)
 
@@ -546,32 +542,35 @@ def inner_em_mobw(
             val = st.event_count * z[0] + (a - 1.0) * st.log_y_sum
             d1 = st.event_count + a * st.log_y_sum
             d2 = a * st.log_y_sum
-            for c, (w, lg) in zip(counts, tables):
+            for c, table in zip(counts, tables):
                 if c > 0.0:
                     # the exposure over its largest power, the last, which
                     # val adds back: each term is at most 1, and t at least 1
-                    wv = w * np.exp(a * (lg - lg[-1]))
-                    t, t_a, t_aa = wv.sum(), wv @ lg, wv @ (lg * lg)
+                    top = table[-1][1]
+                    terms = [(w * math.exp(a * (lg - top)), lg) for w, lg in table]
+                    t = math.fsum(wv for wv, _ in terms)
+                    t_a = math.fsum(wv * lg for wv, lg in terms)
+                    t_aa = math.fsum(wv * lg * lg for wv, lg in terms)
                     # first and second derivatives of log(t) in z = log(a)
                     u1 = a * t_a / t
                     u2 = a * (t_a + a * t_aa) / t - u1 * u1
-                    val += c * (math.log(c) - math.log(t) - a * lg[-1]) - c
+                    val += c * (math.log(c) - math.log(t) - a * top) - c
                     d1 -= c * u1
                     d2 -= c * u2
-            return -val, np.array([-d1]), np.array([[-d2]])
+            return -val, [-d1], [[-d2]]
 
         if st.first_zero is not None:
             a = 1.0
         else:
             # the concave profile's slope falls to log_y_sum - sum(c * log(top))
             # <= 0; at 0, up to rounding, every event sits at its top: no maximum
-            tops = [c * lg[-1] for c, (_, lg) in zip(counts, tables) if c > 0.0]
+            tops = [c * table[-1][1] for c, table in zip(counts, tables) if c > 0.0]
             if st.log_y_sum - sum(tops) >= -1e-12 * (abs(st.log_y_sum) + sum(map(abs, tops))):
                 raise ValueError(
                     "the shape is not identified: every event of the latent sample sits at "
                     "its exposure's largest value, so the likelihood rises without bound"
                 )
-            z0 = np.log([min(max(alpha, ALPHA_LO), ALPHA_HI)])
+            z0 = [math.log(min(max(alpha, ALPHA_LO), ALPHA_HI))]
             z, _ = _newton_min(neg_profiled, z0)
             a = min(max(math.exp(z[0]), ALPHA_LO), ALPHA_HI)
         t0, t1, t2 = exposures(st, a)

@@ -6,9 +6,8 @@ likelihood (:func:`dw_fit_ml`) and by minimum chi-square
 (:func:`dw_fit_minchisq`), run the package's one optimizer,
 :func:`_newton_min`: damped Newton steps in log-parameters on exact
 derivatives, which the DW log-pmf's jets (:func:`_dw_jets`) supply, on
-``math``: a fit of a list of ints loads no numpy.  They hold the fitted
-rate, and compute its survival base only on demand, through
-:func:`~bdw.weibull._to_base`.
+``math``: no fit loads numpy.  They hold the fitted rate, and compute
+its survival base only on demand, through :func:`~bdw.weibull._to_base`.
 
 The law's public names are imported here too, so ``bdw.univariate.DWParams``
 and pickles that name this module still resolve.
@@ -18,7 +17,7 @@ from __future__ import annotations
 
 import math
 import sys
-from collections import Counter
+from collections import Counter, abc
 from itertools import combinations
 from typing import NamedTuple, Sequence
 
@@ -27,7 +26,7 @@ from .weibull import (
     DWParams,
     SingularDensityError,
     WeibullParams,
-    _is_bool,
+    _is_count,
     _power_step,
     _to_base,
     dw_logpmf,
@@ -81,28 +80,29 @@ class DWFit(NamedTuple):
 
 
 def _counts_1d(data) -> list[int]:
-    """A sample of counts as ints: a list, tuple or range of ints as it is,
-    anything else, an array among them, through ``numpy.asarray``."""
-    if isinstance(data, (list, tuple, range)) and all(type(y) is int for y in data):
-        if not data:
-            raise ValueError("empty dataset")
-        xs, whole = list(data), min(data) >= 0
-    else:
-        import numpy as np
-
-        arr = np.asarray(data)
-        if arr.size == 0:
-            raise ValueError("empty dataset")
-        if arr.ndim != 1:
+    """A sample of counts as ints: a list, tuple or range as it is, any other
+    sequence or one-dimensional array through its ``tolist()`` where it has
+    one; ints are read as they are, anything else by
+    :func:`~bdw.weibull._is_count`."""
+    items = data
+    if not isinstance(data, (list, tuple, range)):
+        # a scalar, a string, a set, a mapping, an iterator or a 0-d array
+        if isinstance(data, (str, bytes)) or not (
+            isinstance(data, abc.Sequence) or getattr(data, "ndim", 0)
+        ):
             raise ValueError("expected a one-dimensional collection of counts")
-        # numpy reads a bool among numbers as 0 or 1, which is no count
-        mixed = isinstance(data, (list, tuple)) and any(map(_is_bool, data))
-        whole = not mixed and arr.dtype.kind in "iuf" and bool(
-            np.all(np.isfinite(arr)) and np.all(arr == np.floor(arr)) and np.all(arr >= 0)
-        )
-        # int() of each entry is exact in every dtype; a float past the
-        # int64 range would wrap where it is cast to int64
-        xs = [int(y) for y in arr.tolist()] if whole else []
+        items = data.tolist() if hasattr(data, "tolist") else data
+    if len(items) == 0:
+        raise ValueError("empty dataset")
+    if all(type(y) is int for y in items):
+        xs, whole = list(items), min(items) >= 0
+    else:
+        nested = any(isinstance(y, (list, tuple)) or getattr(y, "ndim", 0) for y in items)
+        if getattr(data, "ndim", 1) != 1 or nested:
+            raise ValueError("expected a one-dimensional collection of counts")
+        whole = all(map(_is_count, items))
+        # int() of each entry is exact, where a cast to int64 would wrap
+        xs = [int(y) for y in items] if whole else []
     if not whole:
         raise ValueError("data must be non-negative integers")
     top = max(xs)
@@ -225,8 +225,8 @@ def _evaluate(fun, z: list[float]):
 def _newton_min(fun, z0) -> tuple[list[float], float]:
     """Minimize ``fun`` from ``z0`` by damped Newton steps; return the point and value.
 
-    ``fun(z)`` returns the value, gradient and Hessian, in floats or numpy;
-    a non-finite one marks ``z`` as outside the domain.  Each step solves
+    ``fun(z)`` returns the value, gradient and Hessian, in floats; a
+    non-finite one marks ``z`` as outside the domain.  Each step solves
     ``(H + mu*I) s = -g`` on :func:`_eigh` of ``H``, with ``mu`` raised
     where needed so the system is positive definite, and its length is
     capped at ``_MAX_STEP``.  A step is taken only when the value falls,

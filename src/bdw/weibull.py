@@ -20,9 +20,9 @@ Every sampler draws through one lifetime kernel on ``math``
 :class:`_Stream`, which gives the uniforms of
 ``numpy.random.default_rng(seed)`` without numpy.
 This module is the package's lowest layer: it holds the records' base
-class, :class:`_Record`, and the count checks, and imports numpy only
-where a sampler hands a numpy caller its array (:func:`_as_drawn`).  The
-DW fits, which need more, live in :mod:`bdw.univariate`.
+class, :class:`_Record`, and the one count rule, :func:`_is_count`, and
+imports numpy only where a sampler hands a numpy caller its array
+(:func:`_as_drawn`).  The DW fits live in :mod:`bdw.univariate`.
 """
 
 from __future__ import annotations
@@ -280,23 +280,24 @@ def _lifetimes(alpha: float, lam: float, u: list[float]) -> list[float]:
         return [_power(-log1p(-v) / lam, power) for v in u]
 
 
-def _is_bool(value) -> bool:
-    # a Python or numpy bool; a numpy bool exists only once numpy is loaded
-    np = sys.modules.get("numpy")
-    return isinstance(value, bool) or (np is not None and isinstance(value, np.bool_))
+def _is_count(value, least: int = 0) -> bool:
+    """Whether ``value`` is a whole number at least ``least``: an int, an
+    integral float or a numpy integer; a bool, Python's or numpy's, an
+    infinity, NaN, a string or an array is not."""
+    np = sys.modules.get("numpy")  # a numpy bool exists only once numpy is loaded
+    if isinstance(value, bool) or (np is not None and isinstance(value, np.bool_)):
+        return False
+    try:
+        return bool(value >= least and value == int(value))
+    except (TypeError, ValueError, OverflowError):
+        return False
 
 
 def _count(value, name: str, positive: bool = False) -> int:
     """``value`` as an int, when it is a non-negative (or ``positive``) whole
-    number at most ``_MAX_COUNT``: an int, an integral float or a numpy
-    integer.  Anything else, a bool, an infinity, NaN, a string or a count
-    past the int64 range among them, is refused by ``name``."""
-    least = 1 if positive else 0
-    try:
-        whole = not _is_bool(value) and value >= least and value == int(value)
-    except (TypeError, ValueError, OverflowError):
-        whole = False
-    if not whole:
+    number at most ``_MAX_COUNT`` (:func:`_is_count`).  Anything else, a
+    count past the int64 range among them, is refused by ``name``."""
+    if not _is_count(value, 1 if positive else 0):
         what = "positive" if positive else "non-negative"
         raise ValueError(f"{name} must be a {what} integer, got {value!r}")
     if value > _MAX_COUNT:
@@ -407,6 +408,8 @@ _HASH_INIT_B, _HASH_MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _MASK32, _MASK53, _MASK64, _MASK128 = 2**32 - 1, 2**53 - 1, 2**64 - 1, 2**128 - 1
+# x * _TWICE is x << 64 | x for a 64-bit x: its rotations are windows of it
+_TWICE = 2**64 + 1
 
 
 def _fold(value: int) -> int:
@@ -485,12 +488,12 @@ class _Stream:
             raise MemoryError(
                 f"Unable to allocate {_binary_size(8 * n)} for a list of {n} uniform draws"
             ) from None
-        s, inc, mult, mask128, mask64, mask53 = (
-            self._state, self._inc, _PCG_MULT, _MASK128, _MASK64, _MASK53
+        s, inc, mult, twice, mask128, mask64, mask53 = (
+            self._state, self._inc, _PCG_MULT, _TWICE, _MASK128, _MASK64, _MASK53
         )
         for i in range(n):
             s = (s * mult + inc) & mask128
             x = s >> 64 ^ s & mask64
-            out[i] = ((x << 64 | x) >> (s >> 122) + 11 & mask53) * 2.0**-53
+            out[i] = (x * twice >> (s >> 122) + 11 & mask53) * 2.0**-53
         self._state = s
         return out

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from mpmath import mp
 
 import bdw
-from bdw import bivariate, cli, fit_bayes
+from bdw import bivariate, cli, fit_bayes, mobw
 from bdw.bivariate import BDWParams, MOBWParams
 from bdw.cli import load_csv, main
 from bdw.datasets import FOOTBALL_PAIRS, NASAL_PAIRS, builtin_dataset
@@ -1055,6 +1055,52 @@ JOINT_COMMANDS = [
 ]
 
 
+# the library's own computations where numpy cannot be imported: the DW fit
+# of a float list, a tuple and an array.array, and the paper's inner EM;
+# each array hand-off refuses there with numpy's ImportError
+_NO_NUMPY_SCRIPT = """
+import array, json
+import bdw
+from bdw import bivariate, weibull
+from bdw.datasets import builtin_dataset
+from bdw.fit_bayes import augmented_gibbs
+from bdw.fit_ml import init_estimates
+from bdw.generator import _Generator
+from bdw.mobw import impute_dataset, inner_em_mobw
+from bdw.univariate import dw_fit_ml
+xs = [0, 1, 1, 2, 2, 2, 3, 5]
+fits = [dw_fit_ml(data) for data in ([float(y) for y in xs], tuple(xs), array.array("q", xs))]
+football = builtin_dataset("football")
+theta = init_estimates(football)
+inner = inner_em_mobw(impute_dataset(theta, football), theta)
+
+
+class Uniforms:  # a caller's own generator, which is not the package's stream
+    def random(self, n):
+        return [0.5] * n
+
+
+post = augmented_gibbs(football, M=100, N=1, rng=_Generator(1))
+hand_offs = {
+    "_as_drawn": lambda: weibull.we_sample(bdw.WeibullParams(1.5, 0.5), Uniforms(), size=3),
+    "joint_pmf_grid": lambda: bivariate.joint_pmf_grid(bdw.BDWParams(1.5, 0.9, 0.7, 0.75), 2, 2),
+    "column": lambda: football.column("x1"),
+    "_read_draws": lambda: post.draws,
+}
+refused = {}
+for name, call in hand_offs.items():
+    try:
+        call()
+    except ImportError as exc:
+        refused[name] = str(exc)
+print(json.dumps({
+    "fits": [[fit.law.alpha, fit.law.lam, fit.loglik] for fit in fits],
+    "inner": [inner.alpha, inner.lambda0, inner.lambda1, inner.lambda2],
+    "refused": refused,
+}))
+"""
+
+
 def _src_env(**extra):
     # this tree's src first on the path of a child interpreter; BDW_LOG
     # only where a test sets it, never inherited from the calling shell
@@ -1193,6 +1239,27 @@ class TestStartup:
             [sys.executable, "-c", "import numpy"], capture_output=True, env=_src_env(PYTHONPATH=path)
         )
         assert proc.returncode == 1 and b"ImportError: stub numpy" in proc.stderr
+
+    def test_library_computes_where_numpy_cannot_import(self, tmp_path):
+        # the same values as with numpy; only the four array hand-offs need it
+        stub = tmp_path / "stub" / "numpy"
+        stub.mkdir(parents=True)
+        (stub / "__init__.py").write_text('raise ImportError("stub numpy")\n')
+        path = os.pathsep.join([str(stub.parent), _src_env()["PYTHONPATH"]])
+        proc = subprocess.run(
+            [sys.executable, "-c", _NO_NUMPY_SCRIPT], capture_output=True, text=True,
+            env=_src_env(PYTHONPATH=path),
+        )
+        assert proc.returncode == 0, proc.stderr
+        got = json.loads(proc.stdout)
+        want = bdw.dw_fit_ml([0, 1, 1, 2, 2, 2, 3, 5])
+        assert got["fits"] == [[want.law.alpha, want.law.lam, want.loglik]] * 3
+        football = builtin_dataset("football")
+        theta = bdw.init_estimates(football)
+        inner = mobw.inner_em_mobw(mobw.impute_dataset(theta, football), theta)
+        assert got["inner"] == [inner.alpha, inner.lambda0, inner.lambda1, inner.lambda2]
+        hand_offs = ["_as_drawn", "joint_pmf_grid", "column", "_read_draws"]
+        assert got["refused"] == dict.fromkeys(hand_offs, "stub numpy")
 
     def test_dw_commands_run_where_numpy_cannot_import(self, tmp_path):
         # the same bytes as a run with numpy, on every column, estimator and

@@ -1,3 +1,4 @@
+import array
 import functools
 import math
 import operator
@@ -203,10 +204,37 @@ class TestUnivariate:
     def test_non_counts_are_refused_as_the_fits_refuse_them(self, data, message):
         # a fraction is not truncated to a count, nor a string parsed, nor
         # an infinite value or one past the int64 range cast to int64; a
-        # list of ints is read without numpy, anything else through
-        # numpy.asarray, with the same messages
+        # list of ints and any other collection are read by one count rule,
+        # with the same messages
         for check in (dw_fit_ml, dw_fit_minchisq, lambda d: chisq_dw(d, DWParams(1.5, 0.5))):
             with pytest.raises(ValueError, match=message):
+                check(data)
+
+    @pytest.mark.parametrize(
+        "convert",
+        [
+            tuple,
+            lambda xs: [float(y) for y in xs],
+            lambda xs: array.array("q", xs),
+            lambda xs: np.array(xs, dtype=np.int64),
+            lambda xs: np.array(xs, dtype=np.float32),
+        ],
+        ids=["tuple", "float-list", "array.array", "int64-array", "float32-array"],
+    )
+    def test_collections_of_counts_read_as_the_list(self, convert):
+        xs = [0, 1, 1, 2, 2, 2, 3, 5]
+        for check in (dw_fit_ml, dw_fit_minchisq, lambda d: chisq_dw(d, DWParams(1.5, 0.5))):
+            assert repr(check(convert(xs))) == repr(check(xs))
+
+    @pytest.mark.parametrize(
+        "data",
+        [{0, 1, 2}, {0: 1, 2: 3}, iter([0, 1, 2]), b"012", np.array(3), [np.array([0, 1])]],
+        ids=["set", "dict", "iterator", "bytes", "0d-array", "list-of-arrays"],
+    )
+    def test_unordered_unsized_or_nested_collections_are_not_samples(self, data):
+        # a set would drop repeated counts and a dict read as its keys
+        for check in (dw_fit_ml, dw_fit_minchisq, lambda d: chisq_dw(d, DWParams(1.5, 0.5))):
+            with pytest.raises(ValueError, match=_NOT_1D):
                 check(data)
 
     @pytest.mark.parametrize("absorb_tail", [True, False])

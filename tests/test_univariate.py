@@ -550,7 +550,8 @@ class TestNewtonSolver:
         np.testing.assert_allclose(sorted(w), np.linalg.eigvalsh(a), rtol=0.0, atol=1e-14 * scale)
 
     def test_objectives_in_numpy_are_read_as_floats(self):
-        # the joint fit and the inner EM hand the one solver numpy objectives
+        # every fit hands the solver floats, and an objective in numpy is
+        # read as floats too
         z, value = univariate._newton_min(self.rosenbrock, np.array([-1.2, 1.0]))
         assert type(value) is float and all(type(v) is float for v in z)
         np.testing.assert_allclose(z, [1.0, 1.0], rtol=1e-9)
