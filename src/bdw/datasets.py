@@ -27,7 +27,7 @@ from functools import cached_property
 from typing import TYPE_CHECKING, Sequence
 
 from . import bivariate
-from .weibull import _MAX_COUNT, _Record
+from .weibull import _MAX_COUNT, _is_count, _Record
 
 if TYPE_CHECKING:
     import numpy as np
@@ -57,10 +57,11 @@ class BivariateDataset(_Record):
                 x1, x2 = pair
             except (TypeError, ValueError):
                 raise ValueError(f"row {row}: expected two entries, got {pair!r}") from None
-            try:
-                counts = x1 >= 0 and x2 >= 0 and x1 == int(x1) and x2 == int(x2)
-            except (TypeError, ValueError, ArithmeticError):
-                counts = False  # an entry that is no number, or is infinite
+            # ints are read as they are, anything else by the one count rule
+            if type(x1) is int and type(x2) is int:
+                counts = x1 >= 0 and x2 >= 0
+            else:
+                counts = _is_count(x1) and _is_count(x2)
             if not counts:
                 raise ValueError(f"row {row}: entries must be non-negative integers, got {pair!r}")
             x1, x2 = int(x1), int(x2)

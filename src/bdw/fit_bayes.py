@@ -21,8 +21,9 @@ numpy's SIMD kernels.  Only a caller that reads
 :attr:`PosteriorDraws.draws` gets, and loads, an array.
 
 The latent-sample path, imputation (:func:`bdw.mobw.impute_dataset`),
-summary, cause attribution and exposures, is :mod:`bdw.mobw`'s; the start
-point and its identifiability checks are the ML fit's (:mod:`bdw.fit_ml`).
+summary, causes, exposures and the complete-data log-likelihood (the
+shape's target), is :mod:`bdw.mobw`'s; the start point and its
+identifiability checks are the ML fit's (:mod:`bdw.fit_ml`).
 """
 
 from __future__ import annotations
@@ -30,14 +31,14 @@ from __future__ import annotations
 import math
 import os
 from functools import reduce
-from operator import add, mul
+from operator import add
 from typing import TYPE_CHECKING, Callable, Sequence
 
 from .datasets import BivariateDataset
 from .fit_ml import PARAM_NAMES, _identified_start
 from .generator import _Generator
 from .mobw import (
-    CompleteObservation, MOBWParams, SampleSummary, cause_counts, exposures, impute_dataset,
+    MOBWParams, Sample, SampleSummary, _loglik_in_shape, cause_counts, exposures, impute_dataset,
     summarize,
 )
 from .weibull import _binary_size, _Record
@@ -134,11 +135,7 @@ def dg_logpdf(
 
 
 def sample_lambdas_conditional(
-    prior: DGPrior,
-    alpha: float,
-    sample: Sequence[CompleteObservation] | SampleSummary,
-    lambdas: tuple[float, float, float],
-    rng,
+    prior: DGPrior, alpha: float, sample: Sample, lambdas: tuple[float, float, float], rng
 ) -> tuple[float, float, float]:
     """One draw of the three rates given shape, sample, and current rates.
 
@@ -171,57 +168,17 @@ def sample_lambdas_conditional(
 
 
 def _alpha_logtarget(
-    alpha_prior: AlphaPrior,
-    lambdas: tuple[float, float, float],
-    st: SampleSummary,
+    alpha_prior: AlphaPrior, lambdas: tuple[float, float, float], st: SampleSummary
 ) -> Callable[[float], float]:
-    l0, l1, l2 = lambdas
-    # density events: two per off-diagonal pair, one per tie; every tie
-    # also carries its shared-cause rate factor
-    rate_logs = 0.0
-    if st.n_below:
-        rate_logs += st.n_below * (math.log(l1) + math.log(l0 + l2))
-    if st.n_above:
-        rate_logs += st.n_above * (math.log(l0 + l1) + math.log(l2))
-    if st.n_tie:
-        rate_logs += st.n_tie * math.log(l0)
-    log_alpha_coef = alpha_prior.c - 1.0 + st.event_count
-    d = alpha_prior.d
-    log_y_sum = st.log_y_sum
-    # l0*T0 + l1*T1 + l2*T2 is one power of the fused value table, at most
-    # the coefficients' total times the largest value's power
-    w0, w1, w2 = st.weights
-    coef = [l0 * a + l1 * b + l2 * c for a, b, c in zip(w0, w1, w2)]
-    s0, s1, s2 = st.row_sums
-    total = l0 * s0 + l1 * s1 + l2 * s2
-    top = st.top
-    powers = st.powers
-    log, fpow, fsum, inf, isfinite = math.log, math.pow, math.fsum, math.inf, math.isfinite
-
-    def g(alpha: float) -> float:
-        if not (0 < alpha < inf):
-            return -inf
-        # where that bound overflows, so may the sum, and a zero coefficient
-        # times an infinite power would read NaN: refuse it (math.pow raises
-        # OverflowError past the float range, as fsum does on its way there)
-        try:
-            if fpow(top, alpha) * total == inf:
-                return -inf
-            dot = fsum(map(mul, coef, powers(alpha)))
-        except OverflowError:
-            return -inf
-        out = log_alpha_coef * log(alpha) - d * alpha + rate_logs + (alpha - 1.0) * log_y_sum - dot
-        return out if isfinite(out) else -inf
-
-    return g
+    # the complete-data log-likelihood under the prior's kernel; a zero
+    # lifetime puts the conditional at shape one alone: no slice to draw
+    if st.first_zero is not None:
+        return lambda alpha: -math.inf
+    return _loglik_in_shape(alpha_prior.c, alpha_prior.d, lambdas, st)
 
 
 def sample_alpha_conditional(
-    alpha_prior: AlphaPrior,
-    lambdas: tuple[float, float, float],
-    sample: Sequence[CompleteObservation] | SampleSummary,
-    alpha: float,
-    rng,
+    alpha_prior: AlphaPrior, lambdas: tuple[float, float, float], sample: Sample, alpha: float, rng
 ) -> float:
     """One draw of the shape from its conditional given rates and sample.
 

@@ -21,16 +21,18 @@ likely latent lifetimes of every row (:func:`impute_dataset`, one
 one past the float range), fits the continuous model to it by an inner EM
 (:func:`inner_em_mobw`), and measures it with :func:`complete_loglik`.
 The density of each of the three branches is written once, in
-``_branch_logpdf``.  The summary's tables are tuples built with a dict and
-a sort, and the exposures are ``math`` sums of libm powers: the module
-loads no numpy.
+``_branch_logpdf``, and the complete-data log-likelihood once, in closed
+form on the summary, which is all the inner EM reads; the Gibbs shape
+step's target is it under the prior's kernel.  The summary's tables are
+tuples built with a dict and a sort, and the exposures are ``math`` sums
+of libm powers: the module loads no numpy.
 """
 
 from __future__ import annotations
 
 import math
 from operator import mul
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from . import bivariate
 from .bivariate import MOBWParams, mobw_sample
@@ -193,6 +195,10 @@ class SampleSummary(_Record, eq=False):
         )
 
 
+# what the latent-sample functions take: complete pairs or their summary
+Sample = Sequence[CompleteObservation] | SampleSummary
+
+
 def _positive_sum(terms) -> float:
     """The sum of non-negative floats, rounded once (``math.fsum``), so it
     depends on neither their order nor the Python version; ``inf`` past the
@@ -203,9 +209,7 @@ def _positive_sum(terms) -> float:
         return math.inf
 
 
-def summarize(
-    sample: Sequence[CompleteObservation] | SampleSummary,
-) -> SampleSummary:
+def summarize(sample: Sample) -> SampleSummary:
     """The :class:`SampleSummary` of a complete sample; a summary is
     returned as it is, so callers may pass either."""
     if isinstance(sample, SampleSummary):
@@ -253,9 +257,7 @@ def summarize(
 
 
 def cause_counts(
-    sample: Sequence[CompleteObservation] | SampleSummary,
-    lambdas: tuple[float, float, float],
-    rng=None,
+    sample: Sample, lambdas: tuple[float, float, float], rng=None
 ) -> tuple[float, float, float]:
     """Failure counts ``(N0, N1, N2)`` attributed to each latent cause.
 
@@ -282,9 +284,7 @@ def cause_counts(
     return n0, n1, n2
 
 
-def exposures(
-    sample: Sequence[CompleteObservation] | SampleSummary, alpha: float
-) -> tuple[float, float, float]:
+def exposures(sample: Sample, alpha: float) -> tuple[float, float, float]:
     """Cause-specific exposure sums ``(T0, T1, T2)`` at a given shape:
     ``T0 = Σ max(y1, y2)^α``, ``T1 = Σ y1^α`` and ``T2 = Σ y2^α``, where zero
     lifetimes add nothing; an exposure past the float range is refused."""
@@ -319,12 +319,12 @@ def _log_we_pdf(y: float, alpha: float, lam: float) -> float:
     return math.log(alpha * lam) + (alpha - 1.0) * math.log(y) - lam * _power(y, alpha)
 
 
-def _branch_rates(params: MOBWParams, kind: str) -> tuple[float, float]:
+def _branch_rates(l0: float, l1: float, l2: float, kind: str) -> tuple[float, float]:
     # Weibull rates of (y1, y2) on an off-diagonal branch: the coordinate
     # that fails later also fails when the shared shock fires
     if kind == "below":
-        return params.lambda1, params.lambda0 + params.lambda2
-    return params.lambda0 + params.lambda1, params.lambda2
+        return l1, l0 + l2
+    return l0 + l1, l2
 
 
 def _branch_logpdf(params: MOBWParams, y1: float, y2: float, kind: str) -> float:
@@ -338,7 +338,7 @@ def _branch_logpdf(params: MOBWParams, y1: float, y2: float, kind: str) -> float
         if share == 0.0:
             return -math.inf
         return math.log(share) + _log_we_pdf(y1, a, total)
-    r1, r2 = _branch_rates(params, kind)
+    r1, r2 = _branch_rates(params.lambda0, params.lambda1, params.lambda2, kind)
     return _log_we_pdf(y1, a, r1) + _log_we_pdf(y2, a, r2)
 
 
@@ -422,10 +422,11 @@ def _predict_in_cell(
     if log_mass == -math.inf:
         raise ValueError(f"cell ({i}, {j}) has zero probability")
     a = params.alpha
+    lambdas = params.lambda0, params.lambda1, params.lambda2
 
     if i != j:
         kind = "below" if i < j else "above"
-        r1, r2 = _branch_rates(params, kind)
+        r1, r2 = _branch_rates(*lambdas, kind)
         y1 = _clamped_mode(a, r1, i)
         y2 = _clamped_mode(a, r2, j)
         log_w = _branch_logpdf(params, y1, y2, kind) - log_mass
@@ -442,7 +443,7 @@ def _predict_in_cell(
     massless = best_log_w == -math.inf
     best = LatentPrediction(w, w, "tie-diagonal", _weight(best_log_w))
     for kind in ("below", "above"):
-        r1, r2 = _branch_rates(params, kind)
+        r1, r2 = _branch_rates(*lambdas, kind)
         # the rate of the coordinate that fails first, then the other's
         first, later = (r1, r2) if kind == "below" else (r2, r1)
         u1, u2 = _clamped_mode(a, r1, i), _clamped_mode(a, r2, i)
@@ -470,44 +471,85 @@ def impute_dataset(theta: MOBWParams, data: BivariateDataset) -> list[CompleteOb
     return [cache[cell] for cell in data.pairs]
 
 
-def complete_loglik(params: MOBWParams, sample: list[CompleteObservation]) -> float:
-    """Log-likelihood of fully observed latent pairs.
+def _loglik_in_shape(
+    c: float, d: float, lambdas: tuple[float, float, float], st: SampleSummary
+) -> Callable[[float], float]:
+    """``alpha ->`` the complete-data log-likelihood of ``st`` at ``lambdas``
+    plus the log gamma kernel ``(c - 1) log(alpha) - d alpha``:
+    ``(c - 1 + event_count) log(alpha) - d alpha + rate_logs + (alpha - 1)
+    log_y_sum - sum(coef * vals**alpha)``, ``-inf`` where not finite.  A
+    zero lifetime's ``(alpha - 1) log y`` is 0 at shape one."""
+    l0, l1, l2 = lambdas
+    # each density event's log-rate: two per off-diagonal pair, one per tie
+    rate_logs = 0.0
+    for n, kind in ((st.n_below, "below"), (st.n_above, "above")):
+        if n:
+            r1, r2 = _branch_rates(l0, l1, l2, kind)
+            rate_logs += n * (math.log(r1) + math.log(r2))
+    if st.n_tie:
+        rate_logs += st.n_tie * math.log(l0)
+    log_alpha_coef = c - 1.0 + st.event_count
+    log_y_sum = st.log_y_sum
+    # l0*T0 + l1*T1 + l2*T2 is one power of the fused value table, at most
+    # the coefficients' total times the largest value's power
+    coef = [l0 * n0 + l1 * n1 + l2 * n2 for n0, n1, n2 in zip(*st.weights)]
+    s0, s1, s2 = st.row_sums
+    total = l0 * s0 + l1 * s1 + l2 * s2
+    top, powers = st.top, st.powers
+    log, fpow, fsum, inf, isfinite = math.log, math.pow, math.fsum, math.inf, math.isfinite
 
-    Each observation contributes the log of its branch's density: two
-    Weibull factors off the diagonal, the singular factor on it.  A
-    non-finite contribution (a tie with zero shared rate, or a zero
-    lifetime meeting a shape away from one) aborts with the offending
-    index, because a silently infinite objective would derail any
-    optimizer built on top.
-    """
-    out = 0.0
-    for idx, obs in enumerate(sample):
-        term = _branch_logpdf(params, obs.y1, obs.y2, obs.kind)
-        if not math.isfinite(term):
-            if obs.kind == "tie" and params.lambda0 == 0.0:
-                raise ValueError(f"observation {idx} is a tie but the shared rate is zero")
-            raise ValueError(
-                f"observation {idx} ({obs.y1}, {obs.y2}, {obs.kind}) has "
-                f"non-finite log-density {term}"
-            )
-        out += term
+    def g(alpha: float) -> float:
+        if not (0 < alpha < inf):
+            return -inf
+        # where that bound overflows, so may the sum, and a zero coefficient
+        # times an infinite power would read NaN: refuse it (math.pow raises
+        # OverflowError past the float range, as fsum does on its way there)
+        try:
+            if fpow(top, alpha) * total == inf:
+                return -inf
+            dot = fsum(map(mul, coef, powers(alpha)))
+        except OverflowError:
+            return -inf
+        y_term = (alpha - 1.0) * log_y_sum if alpha != 1.0 else 0.0
+        out = log_alpha_coef * log(alpha) - d * alpha + rate_logs + y_term - dot
+        return out if isfinite(out) else -inf
+
+    return g
+
+
+def complete_loglik(params: MOBWParams, sample: Sample) -> float:
+    """Log-likelihood of fully observed latent pairs, or of their summary:
+    each pair's branch density (two Weibull factors off the diagonal, the
+    singular factor on it), summed in closed form on the summary.  A
+    non-finite value (a tie at a zero shared rate, a zero lifetime away
+    from shape one, a power past the float range) is refused, because a
+    silently infinite objective would derail any optimizer built on top."""
+    st = summarize(sample)
+    a = params.alpha
+    if st.n_tie and params.lambda0 == 0.0:
+        raise ValueError("the sample holds a tie but the shared rate is zero")
+    if st.first_zero is not None and a != 1.0:
+        zero = f"observation {st.first_zero} holds a zero lifetime"
+        raise ValueError(f"{zero}: its log-density is non-finite at shape {a:.6g}")
+    lambdas = params.lambda0, params.lambda1, params.lambda2
+    out = _loglik_in_shape(1.0, 0.0, lambdas, st)(a)
+    if out == -math.inf:
+        raise ValueError(f"the sample has non-finite log-density -inf at {params}")
     return out
 
 
-def inner_em_mobw(
-    sample: Sequence[CompleteObservation],
-    start: MOBWParams,
-    trace: list | None = None,
-) -> MOBWParams:
-    """Fit the continuous shared-shock model to fully observed pairs.
+def inner_em_mobw(sample: Sample, start: MOBWParams, trace: list | None = None) -> MOBWParams:
+    """Fit the continuous shared-shock model to fully observed pairs or
+    their :class:`SampleSummary`, which is all the fit reads.
 
     The missing information is which component caused each recorded
     minimum.  The E-step attributes causes fractionally from the current
     rates; the M-step is closed-form in the rates given the shape and
     reduces the shape update to a one-dimensional Newton solve of the
     profiled objective in ``log(alpha)``, clamped to [0.01, 100].  The
-    log-likelihood of the flagged pairs is non-decreasing across
-    iterations; pass ``trace`` to collect it.
+    log-likelihood of the flagged pairs (:func:`complete_loglik`, once per
+    iteration) is non-decreasing across iterations; pass ``trace`` to
+    collect it.
 
     A zero lifetime among the recorded events leaves the boundary value
     finite only at shape one, so such samples are fitted with the shape
@@ -530,7 +572,6 @@ def inner_em_mobw(
         [(w, logs[k]) for w, k in zip(ws, pos)]
         for ws, pos in zip((st.w0, st.w1, st.w2), st.positions)
     ]
-    observations = list(sample)
 
     def m_step(counts, alpha):
         # maximize the attributed-cause objective over shape and rates;
@@ -584,7 +625,7 @@ def inner_em_mobw(
         # E-step: expected cause counts given the current rates
         counts = cause_counts(st, (theta.lambda0, theta.lambda1, theta.lambda2))
         theta = m_step(counts, theta.alpha)
-        cur = complete_loglik(theta, observations)
+        cur = complete_loglik(theta, st)
         if trace is not None:
             trace.append(cur)
         if prev is not None and abs(cur - prev) < _INNER_EM_TOL:

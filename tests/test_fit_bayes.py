@@ -167,7 +167,7 @@ class TestSampleSummary:
     @staticmethod
     def _named(name, request):
         if name in ("football", "panel"):
-            data = request.getfixturevalue("football") if name == "football" else _wide_panel()
+            data = request.getfixturevalue("football" if name == "football" else "wide_panel")
             return tuple(impute_dataset(init_estimates(data), data))
         return TestSampleSummary.SAMPLES[name]
 
@@ -497,16 +497,6 @@ class TestAlphaConditional:
                 )
 
 
-def _wide_panel() -> BivariateDataset:
-    # the 1000-row draw from the wide-support law (alpha 1.2, p 0.97, 0.95,
-    # 0.96) that the cells-wide benchmark workload fits: ~390 cells
-    rng = np.random.default_rng([1804_11205, 0])
-    life = [rng.weibull(1.2, size=1000) * (-math.log(p)) ** (-1.0 / 1.2) for p in (0.97, 0.95, 0.96)]
-    x1 = np.floor(np.minimum(life[0], life[1]))
-    x2 = np.floor(np.minimum(life[0], life[2]))
-    return BivariateDataset.from_pairs(np.column_stack([x1, x2]).astype(np.int64))
-
-
 def _summed_logtarget(prior, lams, st, alpha):
     # the shape's log full conditional from the three exposures, term by term
     l0, l1, l2 = lams
@@ -538,10 +528,10 @@ class TestShapeTarget:
     )
 
     @pytest.fixture(scope="class")
-    def samples(self, football, nasal):
+    def samples(self, football, nasal, wide_panel):
         return [
             impute_dataset(init_estimates(data), data)
-            for data in (football, nasal, _wide_panel())
+            for data in (football, nasal, wide_panel)
         ]
 
     @pytest.fixture(scope="class")
@@ -856,7 +846,7 @@ class TestAugmentedGibbs:
         # the package's generator draws numpy's values, so the sweep gives
         # the same draws, means and intervals through either; the wide
         # panel's binomials take the BTPE path
-        data = _wide_panel() if dataset == "wide" else request.getfixturevalue(dataset)
+        data = request.getfixturevalue("wide_panel" if dataset == "wide" else dataset)
         for seed in (0, 2**64 - 1):
             ours = augmented_gibbs(data, M=200, N=2, rng=_Generator(seed), **priors)
             theirs = augmented_gibbs(data, M=200, N=2, rng=np.random.default_rng(seed), **priors)

@@ -1,5 +1,6 @@
 import collections
 import math
+import re
 import warnings
 
 import mpmath as mp
@@ -132,8 +133,11 @@ class TestDataset:
         ((99999999999999999999, 3),
          r"the count 99999999999999999999 exceeds the largest count 2\*\*63 - 1"),
         ((2.0**63, 3), r"the count 9223372036854775808 exceeds the largest count 2\*\*63 - 1"),
+        # a bool is no count, as weibull._count and the DW fits hold
+        ((True, False), r"entries must be non-negative integers, got \(True, False\)"),
+        ((np.True_, 2), "entries must be non-negative integers, got " + re.escape(repr((np.True_, 2)))),
     ], ids=["inf", "nan", "string", "one-entry", "three-entries", "not-a-row", "past-int64",
-            "float-past-int64"])
+            "float-past-int64", "bool", "numpy-bool"])
     def test_malformed_row_is_refused_by_its_index(self, row, message):
         with pytest.raises(ValueError, match=f"^row 1: {message}$"):
             BivariateDataset(((0, 1), row))

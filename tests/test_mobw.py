@@ -7,8 +7,9 @@ import pytest
 from scipy import integrate
 
 from bdw.bivariate import BDWParams, from_mobw, joint_pmf
+from bdw import fit_bayes
 from bdw.fit_bayes import AlphaPrior, DGPrior, sample_alpha_conditional, sample_lambdas_conditional
-from bdw.fit_ml import BivariateDataset, impute_dataset
+from bdw.fit_ml import BivariateDataset, impute_dataset, init_estimates
 from bdw.generator import _Generator
 from bdw.mobw import (
     CompleteObservation,
@@ -20,6 +21,7 @@ from bdw.mobw import (
     complete_loglik,
     exposures,
     inner_em_mobw,
+    _branch_logpdf,
     ml_predict,
     mobw_pdf,
     mobw_sample,
@@ -231,8 +233,9 @@ class TestPrediction:
         assert (pred.y1hat, pred.y2hat, pred.kind) == (6.0, 6.0, "below")
         assert 0.0 < pred.density_value < math.inf
         assert mobw_pdf(params, 1.0, 1.0) == (0.0, "diagonal")
-        with pytest.raises(ValueError, match="non-finite log-density"):
-            complete_loglik(params, [CompleteObservation(1.0, 1.0, "tie")])
+        # the complete-data likelihood reads log(lambda0) itself, finite here
+        got = complete_loglik(params, [CompleteObservation(1.0, 1.0, "tie")])
+        assert got == pytest.approx(math.log(5e-324) - (5.8 + 0.02), rel=1e-12)
 
     def test_minimum_mass_survives_an_underflowing_base_product(self):
         # p0 * p1 * p2 underflows to zero, but the minimum's mass at 0 is 1
@@ -381,3 +384,90 @@ class TestRuntimeWarningContract:
     def test_exposures_past_the_float_range_are_refused(self):
         with pytest.raises(ValueError, match="^the exposures pass the float range at shape 8: "):
             exposures([CompleteObservation(1e150, 1e150, "tie")], 8.0)
+
+
+def _rowwise_loglik(params, sample):
+    # the complete-data log-likelihood row by row: each pair's branch density
+    return sum(_branch_logpdf(params, o.y1, o.y2, o.kind) for o in sample)
+
+
+# a zero lifetime in each coordinate and in a tie, beside positive ones
+ZERO_LIFETIME = [
+    _pair(0.0, 1.5),
+    _pair(0.5, 1.2),
+    _pair(2.0, 0.7),
+    _pair(1.1, 1.1),
+    _pair(1.7, 0.0),
+    _pair(0.0, 0.0),
+]
+
+
+class TestClosedForm:
+    """``complete_loglik`` sums the sample in closed form on its summary;
+    the row-by-row sum of the branch densities is its oracle."""
+
+    @staticmethod
+    def _agrees_or_refused(law, sample):
+        want = _rowwise_loglik(law, sample)
+        if math.isfinite(want):
+            assert complete_loglik(law, sample) == pytest.approx(want, rel=1e-12)
+            assert complete_loglik(law, summarize(sample)) == complete_loglik(law, sample)
+        else:
+            with pytest.raises(ValueError) as refusal:
+                complete_loglik(law, sample)
+            assert "math domain error" not in str(refusal.value)
+
+    @pytest.mark.parametrize("name", sorted(CONTRACT_SAMPLES))
+    def test_matches_the_rowwise_sum(self, name):
+        sample = CONTRACT_SAMPLES[name]
+        for alpha in CONTRACT_SHAPES:
+            for lams in ((0.4, 0.7, 0.9), (1e-200, 1e-200, 1e-200), (0.0, 0.7, 0.9)):
+                self._agrees_or_refused(MOBWParams(alpha, *lams), sample)
+
+    @pytest.mark.parametrize("dataset", ["football", "nasal", "wide_panel"])
+    def test_matches_the_rowwise_sum_on_imputations(self, request, dataset):
+        data = request.getfixturevalue(dataset)
+        theta = init_estimates(data)
+        sample = impute_dataset(theta, data)
+        rates = (theta.lambda0, theta.lambda1, theta.lambda2)
+        laws = [theta, inner_em_mobw(sample, theta)]
+        laws += [MOBWParams(alpha, *rates) for alpha in CONTRACT_SHAPES]
+        for law in laws:
+            self._agrees_or_refused(law, sample)
+
+    def test_zero_lifetime_counts_only_at_shape_one(self):
+        # at shape one a zero lifetime's density is its rate
+        sample = [_pair(0.0, 1.2)]
+        want = math.log(0.5) + math.log(0.3 + 0.4) - (0.3 + 0.4) * 1.2
+        assert complete_loglik(MOBWParams(1.0, 0.3, 0.5, 0.4), sample) == pytest.approx(
+            want, rel=1e-12
+        )
+        for alpha in (0.5, 1.0, 1.8):
+            self._agrees_or_refused(MOBWParams(alpha, 0.3, 0.5, 0.4), ZERO_LIFETIME)
+        with pytest.raises(ValueError, match="^observation 0 holds a zero lifetime: .* non-finite"):
+            complete_loglik(MOBWParams(0.5, 0.3, 0.5, 0.4), ZERO_LIFETIME)
+        # the shape's full conditional has no slice to draw, at shape one too
+        st = summarize(ZERO_LIFETIME)
+        for prior in (AlphaPrior(), AlphaPrior(c=2.0, d=1.0)):
+            g = fit_bayes._alpha_logtarget(prior, (0.3, 0.5, 0.4), st)
+            assert [g(alpha) for alpha in (0.5, 1.0, 1.8)] == [-math.inf] * 3
+
+
+class TestInnerEMOnSummary:
+    @pytest.mark.parametrize("dataset", ["football", "nasal", "wide_panel"])
+    def test_summary_fits_as_the_rows(self, request, dataset):
+        data = request.getfixturevalue(dataset)
+        theta = init_estimates(data)
+        rows = impute_dataset(theta, data)
+        rows_trace, summary_trace = [], []
+        fit = inner_em_mobw(rows, theta, trace=rows_trace)
+        assert inner_em_mobw(summarize(rows), theta, trace=summary_trace) == fit
+        assert summary_trace == rows_trace
+
+    def test_zero_lifetime_pins_the_shape_at_one(self):
+        trace = []
+        fit = inner_em_mobw(ZERO_LIFETIME, REF, trace=trace)
+        assert fit.alpha == 1.0
+        assert len(trace) >= 2
+        assert all(map(math.isfinite, trace))
+        assert all(b >= a for a, b in zip(trace, trace[1:]))
