@@ -9,11 +9,12 @@ names); only then is ``logging`` imported.
 Each command handler imports the layers it runs, so a process starts on
 only those: ``pmf-table``, ``moments`` and ``simulate`` run on the laws
 of ``weibull`` and ``bivariate`` and never load a fitting module, the DW
-fits of ``univariate`` among them, nor does ``fit-dw`` load the joint
-fit.  The law layers import numpy only in the functions that build
-arrays, so ``moments``, ``pmf-table``, ``--help`` and every refusal of a
-law's options run without it: ``pmf-table`` writes its grid row by row
-from scalar DW log-mass tables.  So does ``simulate``, which draws the
+fits of ``univariate`` among them, nor the data layer, which only the
+readers of data import; nor does ``fit-dw`` load the joint fit.  The law
+layers import numpy only in the functions that build arrays, so
+``moments``, ``pmf-table``, ``--help`` and every refusal of a law's
+options run without it: ``pmf-table`` writes its grid row by row from
+scalar DW log-mass tables.  So does ``simulate``, which draws the
 uniforms of ``numpy.random.default_rng(seed)`` from the package's own
 seeded stream, and so does ``fit-bayes``, whose generator draws that
 generator's gamma, exponential, binomial and uniform values and whose
@@ -39,10 +40,10 @@ from typing import TYPE_CHECKING, Iterable, Iterator, NoReturn, Sequence
 
 from . import bivariate
 from .bivariate import BDWParams
-from .datasets import BUILTIN, BivariateDataset, builtin_dataset
 from .weibull import _MAX_COUNT, _count, _Stream
 
 if TYPE_CHECKING:
+    from .datasets import BivariateDataset
     from .gof import ChiSquareReport
 
 __all__ = ["load_csv", "main", "run"]
@@ -51,6 +52,9 @@ SCHEMA_VERSION = 1
 # the law options of simulate, pmf-table and moments, and fit-bayes' priors
 _LAW = ("alpha", "p0", "p1", "p2")
 _PRIOR = ("a", "b", "a0", "a1", "a2", "c", "d")
+# the --dataset choices: the names of datasets.BUILTIN, sorted, written out
+# so that the law commands do not load the data layer
+_DATASETS = ("football", "nasal")
 
 
 def _info(msg: str, *args) -> None:
@@ -91,6 +95,8 @@ def load_csv(path: str) -> BivariateDataset:
     """Read paired counts from a two-column CSV, optional single header."""
     import csv
 
+    from .datasets import BivariateDataset
+
     pairs: list[tuple[int, int]] = []
     # utf-8-sig drops the byte-order mark that Excel's "CSV UTF-8" writes,
     # which would otherwise make line 1 read as a header
@@ -114,6 +120,8 @@ def load_csv(path: str) -> BivariateDataset:
 
 def _dataset(args: argparse.Namespace) -> tuple[BivariateDataset, dict]:
     if args.dataset is not None:
+        from .datasets import builtin_dataset
+
         data = builtin_dataset(args.dataset)
         source = {"dataset": args.dataset, "n": len(data.pairs)}
     else:
@@ -321,7 +329,7 @@ def _command(sub, name: str, func, help: str, law: bool = False) -> argparse.Arg
     else:
         group = p.add_mutually_exclusive_group(required=True)
         group.add_argument(
-            "--dataset", choices=sorted(BUILTIN), help="built-in dataset name"
+            "--dataset", choices=_DATASETS, help="built-in dataset name"
         )
         group.add_argument("--input", help="CSV file with two integer columns")
     return p

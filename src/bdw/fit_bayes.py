@@ -8,7 +8,11 @@ of each cell, summarizes that sample once, and runs Gibbs sweeps over the
 latent failure causes, the three rates, and the shape on the summary; the
 outer loop re-imputes at the current draw averages and the final round's
 draws carry the reported summaries.  The step functions accept a complete
-sample or its summary.
+sample or its summary, and call a step bound to it: the rate step and the
+shape's slice step are closures over the summary's tables, the priors'
+constants and the generator's draw methods, built once for each summary,
+prior and generator and kept on the summary, so a round binds them once
+and each sweep only calls them.
 
 The sweep runs on ``math``: the summary's powers are libm's ``pow``, the
 exposures and the shape's target are sums rounded once (``math.fsum``),
@@ -31,7 +35,7 @@ from __future__ import annotations
 import math
 import os
 from functools import reduce
-from operator import add
+from operator import add, mul
 from typing import TYPE_CHECKING, Callable, Sequence
 
 from .datasets import BivariateDataset
@@ -41,7 +45,7 @@ from .mobw import (
     MOBWParams, Sample, SampleSummary, _loglik_in_shape, cause_counts, exposures, impute_dataset,
     summarize,
 )
-from .weibull import _binary_size, _Record
+from .weibull import _binary_size, _left_sum, _Record
 
 if TYPE_CHECKING:
     import numpy as np
@@ -117,12 +121,12 @@ def dg_logpdf(
     lams = (lambda0, lambda1, lambda2)
     if any(l <= 0 for l in lams):
         raise ValueError("rates must be strictly positive")
-    total = sum(lams)
+    total = _left_sum(lams)
     splits = (prior.a0, prior.a1, prior.a2)
     out = (
-        math.lgamma(sum(splits))
+        math.lgamma(_left_sum(splits))
         - math.lgamma(prior.a)
-        + (prior.a - sum(splits)) * math.log(prior.b * total)
+        + (prior.a - _left_sum(splits)) * math.log(prior.b * total)
     )
     for ai, li in zip(splits, lams):
         out += (
@@ -132,6 +136,16 @@ def dg_logpdf(
             - prior.b * li
         )
     return out
+
+
+def _bind(build, st: SampleSummary, prior, rng) -> tuple:
+    """``(prior, rng, build(prior, st, rng))``, kept on the summary under the
+    builder's name.  Each public step reads it back from there and reuses
+    the step while its prior and generator are the same objects, so a
+    round's sweeps bind each step once."""
+    held = (prior, rng, build(prior, st, rng))
+    object.__setattr__(st, build.__name__, held)
+    return held
 
 
 def sample_lambdas_conditional(
@@ -146,35 +160,72 @@ def sample_lambdas_conditional(
     current rates are kept on rejection.  Exposures past the float range
     are refused by name.
     """
-    sample = summarize(sample)
-    n0, n1, n2 = cause_counts(sample, lambdas, rng)
-    t0, t1, t2 = exposures(sample, alpha)
+    st = summarize(sample)
+    held = st.__dict__.get("_rate_step")
+    if held is None or held[0] is not prior or held[1] is not rng:
+        held = _bind(_rate_step, st, prior, rng)
+    return held[2](alpha, lambdas)
+
+
+def _rate_step(prior: DGPrior, st: SampleSummary, rng) -> Callable:
+    # sample_lambdas_conditional bound to the summary's tables, the prior's
+    # constants and the generator's draws: the causes as cause_counts(st,
+    # lambdas, rng) draws them, the exposures as exposures(st, alpha) sums
+    # them, read off the tables in place
+    n_below, n_above, n_tie = st.n_below, st.n_above, st.n_tie
+    w0, w1, w2 = st.w0, st.w1, st.w2
+    p0, p1, p2 = st.positions
+    power, powers = st._pair(), st.powers
     a0, a1, a2, b = prior.a0, prior.a1, prior.a2, prior.b
-    gamma = rng.gamma
-    # near-zero shapes make gamma draws underflow; keep them positive
-    prop = (
-        max(gamma(a0 + n0, 1.0 / (b + t0)), 5e-324),
-        max(gamma(a1 + n1, 1.0 / (b + t1)), 5e-324),
-        max(gamma(a2 + n2, 1.0 / (b + t2)), 5e-324),
-    )
     excess = prior.a - (a0 + a1 + a2)
-    if excess == 0.0:
-        return prop
-    ratio = excess * (math.log(sum(prop)) - math.log(sum(lambdas)))
-    # rng.uniform() is 0 + 1 * rng.random(): the same bits, called faster
-    if math.log(rng.random()) < ratio:
-        return prop
-    return lambdas
+    binomial, gamma, random = rng.binomial, rng.gamma, rng.random
+    fsum, log, inf = math.fsum, math.log, math.inf
+
+    def step(alpha: float, lambdas: tuple[float, float, float]) -> tuple[float, float, float]:
+        l0, l1, l2 = lambdas
+        k1 = float(binomial(n_above, l1 / (l0 + l1)))
+        k2 = float(binomial(n_below, l2 / (l0 + l2)))
+        n0 = n_tie + (n_below - k2) + (n_above - k1)
+        n1 = n_below + k1
+        n2 = n_above + k2
+        at = (power[1] if alpha == power[0] else powers(alpha)).__getitem__
+        try:
+            t0 = fsum(map(mul, w0, map(at, p0)))
+            t1 = fsum(map(mul, w1, map(at, p1)))
+            t2 = fsum(map(mul, w2, map(at, p2)))
+        except OverflowError:
+            t0 = inf
+        if t0 == inf or t1 == inf or t2 == inf:
+            exposures(st, alpha)  # refuses them by name
+        # near-zero shapes make gamma draws underflow; keep them positive
+        # (max(g, 5e-324), written out: the sweep's hottest lines)
+        g0 = gamma(a0 + n0, 1.0 / (b + t0))
+        g0 = 5e-324 if 5e-324 > g0 else g0
+        g1 = gamma(a1 + n1, 1.0 / (b + t1))
+        g1 = 5e-324 if 5e-324 > g1 else g1
+        g2 = gamma(a2 + n2, 1.0 / (b + t2))
+        g2 = 5e-324 if 5e-324 > g2 else g2
+        if excess == 0.0:
+            return g0, g1, g2
+        # each total added left to right: weibull._left_sum's bits on positive rates
+        ratio = excess * (log(g0 + g1 + g2) - log(l0 + l1 + l2))
+        # rng.uniform() is 0 + 1 * rng.random(): the same bits, called faster
+        if log(random()) < ratio:
+            return g0, g1, g2
+        return lambdas
+
+    return step
 
 
 def _alpha_logtarget(
-    alpha_prior: AlphaPrior, lambdas: tuple[float, float, float], st: SampleSummary
-) -> Callable[[float], float]:
-    # the complete-data log-likelihood under the prior's kernel; a zero
-    # lifetime puts the conditional at shape one alone: no slice to draw
+    alpha_prior: AlphaPrior, st: SampleSummary
+) -> Callable[[tuple[float, float, float]], Callable[[float], float]]:
+    # lambdas -> the shape's log-target: the complete-data log-likelihood
+    # under the prior's kernel; a zero lifetime puts the conditional at
+    # shape one alone: no slice to draw
     if st.first_zero is not None:
-        return lambda alpha: -math.inf
-    return _loglik_in_shape(alpha_prior.c, alpha_prior.d, lambdas, st)
+        return lambda lambdas: lambda alpha: -math.inf
+    return _loglik_in_shape(alpha_prior.c, alpha_prior.d, st)
 
 
 def sample_alpha_conditional(
@@ -187,41 +238,58 @@ def sample_alpha_conditional(
     log-target so large at the current shape that the slice level rounds
     to it is refused by name.
     """
-    g = _alpha_logtarget(alpha_prior, lambdas, summarize(sample))
+    st = summarize(sample)
+    held = st.__dict__.get("_slice_step")
+    if held is None or held[0] is not alpha_prior or held[1] is not rng:
+        held = _bind(_slice_step, st, alpha_prior, rng)
+    return held[2](lambdas, alpha)
+
+
+def _slice_step(alpha_prior: AlphaPrior, st: SampleSummary, rng) -> Callable:
+    # sample_alpha_conditional bound to the summary's half of the target,
+    # the prior's kernel and the generator's two draws
+    target = _alpha_logtarget(alpha_prior, st)
     lo, hi, width = SLICE_ALPHA_LO, SLICE_ALPHA_HI, SLICE_WIDTH
-    random = rng.random
-    x0 = min(max(alpha, lo), hi)
-    gx0 = g(x0)
-    if not math.isfinite(gx0):
-        raise ValueError("conditional density vanishes at the current shape")
-    level = gx0 - rng.exponential()
-    if not level < gx0:
-        # the slice would not hold x0, and the shrinkage below would close
-        # on x0 without ever accepting
-        raise ValueError(
-            f"the shape's slice cannot be drawn at shape {x0:.6g}: its "
-            f"log-density {gx0:.6g} is so large that the slice level rounds to it"
-        )
-    # lo + (hi - lo) * rng.random() is how numpy computes rng.uniform(lo,
-    # hi), so the draws are the same bits without uniform's call overhead
-    left = x0 - width * random()
-    right = left + width
-    while left > lo and g(left) > level:
-        left -= width
-    while right < hi and g(right) > level:
-        right += width
-    left = max(left, lo)
-    right = min(right, hi)
-    # the accepted shape is the target's last point, so the summary keeps
-    # its power table for the next sweep's rate step and g(x0)
-    while True:
-        x1 = left + (right - left) * random()
-        if g(x1) > level:
-            return x1
-        if x1 < x0:
-            left = x1
-        else:
-            right = x1
+    random, exponential, isfinite = rng.random, rng.exponential, math.isfinite
+
+    def step(lambdas: tuple[float, float, float], alpha: float) -> float:
+        g = target(lambdas)
+        # the clamps are min and max, written out
+        x0 = lo if lo > alpha else alpha
+        x0 = hi if hi < x0 else x0
+        gx0 = g(x0)
+        if not isfinite(gx0):
+            raise ValueError("conditional density vanishes at the current shape")
+        level = gx0 - exponential()
+        if not level < gx0:
+            # the slice would not hold x0, and the shrinkage below would
+            # close on x0 without ever accepting
+            raise ValueError(
+                f"the shape's slice cannot be drawn at shape {x0:.6g}: its "
+                f"log-density {gx0:.6g} is so large that the slice level rounds to it"
+            )
+        # lo + (hi - lo) * rng.random() is how numpy computes rng.uniform(lo,
+        # hi), so the draws are the same bits without uniform's call overhead
+        left = x0 - width * random()
+        right = left + width
+        while left > lo and g(left) > level:
+            left -= width
+        while right < hi and g(right) > level:
+            right += width
+        left = lo if lo > left else left
+        right = hi if hi < right else right
+        # the accepted shape is the target's last point, so the summary keeps
+        # its power table for the next sweep's rate step and g(x0)
+        while True:
+            x1 = left + (right - left) * random()
+            if g(x1) > level:
+                return x1
+            if x1 < x0:
+                left = x1
+            else:
+                right = x1
+
+    return step
 
 
 class PosteriorDraws(_Record, eq=False):

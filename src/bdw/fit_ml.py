@@ -34,7 +34,7 @@ from . import bivariate
 from .bivariate import MOBWParams
 from .datasets import BivariateDataset, _cell_log_masses
 from .univariate import _dw_jets, _eigh, _in_logs, _newton_min, _step_jet, dw_fit_minchisq
-from .weibull import _rate, _Record
+from .weibull import _left_sum, _rate, _Record
 
 __all__ = [
     "BivariateDataset",
@@ -178,10 +178,10 @@ def bdw_loglik_derivatives(
     values, _, _, weights = data.value_table
     total = (0.0, [0.0] * 4, [0.0] * len(_UPPER))
     for row, counts in zip(bivariate._RATE_MAP, weights):
-        rate = sum(m * lam for m, lam in zip(row, lams))
+        rate = _left_sum(m * lam for m, lam in zip(row, lams))
         jets = _dw_jets([y for y, w in zip(values, counts) if w > 0], alpha, rate)
         read = [w for w in counts if w > 0]
-        per_rate = [sum(w * jet[k] for w, jet in zip(read, jets)) for k in range(6)]
+        per_rate = [_left_sum(w * jet[k] for w, jet in zip(read, jets)) for k in range(6)]
         total = _axpy(total, 1.0, _in_theta(per_rate, row))
     for x, w in zip(values, weights[4]):
         if w > 0:
@@ -345,7 +345,7 @@ def observed_info_ci(
         z = NormalDist().inv_cdf(0.5 + level / 2.0)
     out = {}
     for row, i in zip(vecs, free):
-        se = math.sqrt(sum(v * v / wj for v, wj in zip(row, w)))
+        se = math.sqrt(_left_sum(v * v / wj for v, wj in zip(row, w)))
         out[PARAM_NAMES[i]] = (x0[i] - z * se, x0[i] + z * se)
     return out
 

@@ -62,18 +62,14 @@ class _Generator(_Stream):
         x = s >> 64 ^ s & _MASK64
         return (x * _TWICE >> (s >> 122) + 11 & _MASK53) * 2.0**-53
 
-    def _next64(self) -> int:
-        # the whole 64-bit output, which the ziggurats read
-        s = self._state = (self._state * _PCG_MULT + self._inc) & _MASK128
-        x = s >> 64 ^ s & _MASK64
-        return x * _TWICE >> (s >> 122) & _MASK64
-
     def _standard_normal(self) -> float:
         # numpy's ziggurat: the low byte picks the layer, the next bit the
         # sign and the 52 above it the abscissa; the base layer's tail is
-        # drawn by Marsaglia's exponential pairs
+        # drawn by Marsaglia's exponential pairs; each try reads one whole
+        # 64-bit output, the PCG64 step inlined as in random()
         while True:
-            r = self._next64()
+            s = self._state = (self._state * _PCG_MULT + self._inc) & _MASK128
+            r = (s >> 64 ^ s & _MASK64) * _TWICE >> (s >> 122) & _MASK64
             idx = r & 0xFF
             r >>= 8
             rabs = r >> 1 & 0x000FFFFFFFFFFFFF
@@ -94,9 +90,11 @@ class _Generator(_Stream):
     def exponential(self) -> float:
         """A standard exponential deviate, by numpy's ziggurat: bits 3-10
         pick the layer and the 53 above them the abscissa; the base layer's
-        tail is the radius plus a fresh deviate by inversion."""
+        tail is the radius plus a fresh deviate by inversion.  Each try reads
+        one whole 64-bit output, the PCG64 step inlined as in random()."""
         while True:
-            r = self._next64() >> 3
+            s = self._state = (self._state * _PCG_MULT + self._inc) & _MASK128
+            r = ((s >> 64 ^ s & _MASK64) * _TWICE >> (s >> 122) & _MASK64) >> 3
             idx = r & 0xFF
             r >>= 8
             x = r * _WE[idx]

@@ -23,7 +23,9 @@ one past the float range), fits the continuous model to it by an inner EM
 The density of each of the three branches is written once, in
 ``_branch_logpdf``, and the complete-data log-likelihood once, in closed
 form on the summary, which is all the inner EM reads; the Gibbs shape
-step's target is it under the prior's kernel.  The summary's tables are
+step's target is it under the prior's kernel.  The closed form binds in
+two levels, the summary's half once and the rates' half per call, and
+reads the summary's power table in place.  The summary's tables are
 tuples built with a dict and a sort, and the exposures are ``math`` sums
 of libm powers: the module loads no numpy.
 """
@@ -38,7 +40,7 @@ from . import bivariate
 from .bivariate import MOBWParams, mobw_sample
 from .datasets import _ALL_TIES, BivariateDataset, _cell_log_masses
 from .univariate import ALPHA_HI, ALPHA_LO, _newton_min
-from .weibull import _count, _logpmf_float, _power, _Record, we_mode
+from .weibull import _count, _left_sum, _logpmf_float, _power, _Record, we_mode
 
 __all__ = [
     "MOBWParams",
@@ -147,9 +149,12 @@ class SampleSummary(_Record, eq=False):
     (a row's non-zero entries), and ``w0``, ``w1``, ``w2`` their
     multiplicities; ``row_sums`` holds the rows' totals and ``top`` the
     largest value (0 when there is none).  Every table is a tuple, of
-    floats or ints.  The last power table of ``vals`` is kept
-    (:meth:`powers`), so the exposures and the shape's target at one shape
-    share one power.
+    floats or ints.  The last power table of ``vals`` is kept with its
+    shape, as one per-instance pair ``[shape, table]`` that :meth:`powers`
+    and the shape's target read and write in place, so the exposures and
+    the target at one shape share one power.  That pair, and the Gibbs
+    steps bound to the summary (:mod:`bdw.fit_bayes`), are state, not
+    fields: they are set on first use and stay out of the repr.
     """
 
     n_below: int
@@ -166,21 +171,23 @@ class SampleSummary(_Record, eq=False):
     event_count: int
     log_y_sum: float
     first_zero: int | None
-    # not a field: the last (shape, power table), set by powers()
-    _power = (math.nan, None)
+
+    def _pair(self) -> list:
+        # the last [shape, power table]: state, not a field, made on first use
+        return self.__dict__.setdefault("_power", [math.nan, None])
 
     def powers(self, alpha: float) -> list[float]:
         """``vals**alpha``, ``inf`` past the float range, computed only when
         ``alpha`` differs from the last shape asked for; the table is
         shared, so it is not to be written."""
-        last, table = self._power
-        if alpha != last:
+        power = self._pair()
+        if alpha != power[0]:
             try:
                 table = [v**alpha for v in self.vals]
             except OverflowError:
                 table = [_power(v, alpha) for v in self.vals]
-            object.__setattr__(self, "_power", (alpha, table))
-        return table
+            power[0], power[1] = alpha, table
+        return power[1]
 
     def exposures(self, alpha: float) -> tuple[float, float, float]:
         """``(T0, T1, T2)``: sums of ``max(y1, y2)**alpha``, ``y1**alpha`` and
@@ -472,49 +479,63 @@ def impute_dataset(theta: MOBWParams, data: BivariateDataset) -> list[CompleteOb
 
 
 def _loglik_in_shape(
-    c: float, d: float, lambdas: tuple[float, float, float], st: SampleSummary
-) -> Callable[[float], float]:
-    """``alpha ->`` the complete-data log-likelihood of ``st`` at ``lambdas``
-    plus the log gamma kernel ``(c - 1) log(alpha) - d alpha``:
+    c: float, d: float, st: SampleSummary
+) -> Callable[[tuple[float, float, float]], Callable[[float], float]]:
+    """``lambdas -> alpha ->`` the complete-data log-likelihood of ``st`` at
+    ``lambdas`` plus the log gamma kernel ``(c - 1) log(alpha) - d alpha``:
     ``(c - 1 + event_count) log(alpha) - d alpha + rate_logs + (alpha - 1)
     log_y_sum - sum(coef * vals**alpha)``, ``-inf`` where not finite.  A
-    zero lifetime's ``(alpha - 1) log y`` is 0 at shape one."""
-    l0, l1, l2 = lambdas
-    # each density event's log-rate: two per off-diagonal pair, one per tie
-    rate_logs = 0.0
-    for n, kind in ((st.n_below, "below"), (st.n_above, "above")):
-        if n:
-            r1, r2 = _branch_rates(l0, l1, l2, kind)
-            rate_logs += n * (math.log(r1) + math.log(r2))
-    if st.n_tie:
-        rate_logs += st.n_tie * math.log(l0)
+    zero lifetime's ``(alpha - 1) log y`` is 0 at shape one.
+
+    The summary's half is bound here, once; ``at(lambdas)`` binds the rate
+    logarithms, the coefficients and their total, and returns the target,
+    which reads and writes the summary's power pair in place."""
+    n_below, n_above, n_tie = st.n_below, st.n_above, st.n_tie
     log_alpha_coef = c - 1.0 + st.event_count
     log_y_sum = st.log_y_sum
-    # l0*T0 + l1*T1 + l2*T2 is one power of the fused value table, at most
-    # the coefficients' total times the largest value's power
-    coef = [l0 * n0 + l1 * n1 + l2 * n2 for n0, n1, n2 in zip(*st.weights)]
+    columns = tuple(zip(*st.weights))
     s0, s1, s2 = st.row_sums
-    total = l0 * s0 + l1 * s1 + l2 * s2
-    top, powers = st.top, st.powers
+    vals, top, power = st.vals, st.top, st._pair()
     log, fpow, fsum, inf, isfinite = math.log, math.pow, math.fsum, math.inf, math.isfinite
 
-    def g(alpha: float) -> float:
-        if not (0 < alpha < inf):
-            return -inf
-        # where that bound overflows, so may the sum, and a zero coefficient
-        # times an infinite power would read NaN: refuse it (math.pow raises
-        # OverflowError past the float range, as fsum does on its way there)
-        try:
-            if fpow(top, alpha) * total == inf:
-                return -inf
-            dot = fsum(map(mul, coef, powers(alpha)))
-        except OverflowError:
-            return -inf
-        y_term = (alpha - 1.0) * log_y_sum if alpha != 1.0 else 0.0
-        out = log_alpha_coef * log(alpha) - d * alpha + rate_logs + y_term - dot
-        return out if isfinite(out) else -inf
+    def at(lambdas: tuple[float, float, float]) -> Callable[[float], float]:
+        l0, l1, l2 = lambdas
+        # each density event's log-rate: two per off-diagonal pair, one per tie
+        rate_logs = 0.0
+        for n, kind in ((n_below, "below"), (n_above, "above")):
+            if n:
+                r1, r2 = _branch_rates(l0, l1, l2, kind)
+                rate_logs += n * (log(r1) + log(r2))
+        if n_tie:
+            rate_logs += n_tie * log(l0)
+        # l0*T0 + l1*T1 + l2*T2 is one power of the fused value table, at
+        # most the coefficients' total times the largest value's power
+        coef = [l0 * n0 + l1 * n1 + l2 * n2 for n0, n1, n2 in columns]
+        total = l0 * s0 + l1 * s1 + l2 * s2
 
-    return g
+        def g(alpha: float) -> float:
+            if not (0 < alpha < inf):
+                return -inf
+            # where that bound overflows, so may the sum, and a zero
+            # coefficient times an infinite power would read NaN: refuse it
+            # (math.pow raises OverflowError past the float range, as fsum
+            # does on its way there).  Where the bound is finite, no value's
+            # power overflows, so the table needs no fallback of powers()'s
+            try:
+                if fpow(top, alpha) * total == inf:
+                    return -inf
+                if alpha != power[0]:
+                    power[0], power[1] = alpha, [v**alpha for v in vals]
+                dot = fsum(map(mul, coef, power[1]))
+            except OverflowError:
+                return -inf
+            y_term = (alpha - 1.0) * log_y_sum if alpha != 1.0 else 0.0
+            out = log_alpha_coef * log(alpha) - d * alpha + rate_logs + y_term - dot
+            return out if isfinite(out) else -inf
+
+        return g
+
+    return at
 
 
 def complete_loglik(params: MOBWParams, sample: Sample) -> float:
@@ -532,7 +553,7 @@ def complete_loglik(params: MOBWParams, sample: Sample) -> float:
         zero = f"observation {st.first_zero} holds a zero lifetime"
         raise ValueError(f"{zero}: its log-density is non-finite at shape {a:.6g}")
     lambdas = params.lambda0, params.lambda1, params.lambda2
-    out = _loglik_in_shape(1.0, 0.0, lambdas, st)(a)
+    out = _loglik_in_shape(1.0, 0.0, st)(lambdas)(a)
     if out == -math.inf:
         raise ValueError(f"the sample has non-finite log-density -inf at {params}")
     return out
@@ -606,7 +627,8 @@ def inner_em_mobw(sample: Sample, start: MOBWParams, trace: list | None = None) 
             # the concave profile's slope falls to log_y_sum - sum(c * log(top))
             # <= 0; at 0, up to rounding, every event sits at its top: no maximum
             tops = [c * table[-1][1] for c, table in zip(counts, tables) if c > 0.0]
-            if st.log_y_sum - sum(tops) >= -1e-12 * (abs(st.log_y_sum) + sum(map(abs, tops))):
+            scale = abs(st.log_y_sum) + _left_sum(map(abs, tops))
+            if st.log_y_sum - _left_sum(tops) >= -1e-12 * scale:
                 raise ValueError(
                     "the shape is not identified: every event of the latent sample sits at "
                     "its exposure's largest value, so the likelihood rises without bound"

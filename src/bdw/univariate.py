@@ -27,6 +27,7 @@ from .weibull import (
     SingularDensityError,
     WeibullParams,
     _is_count,
+    _left_sum,
     _power_step,
     _to_base,
     dw_logpmf,
@@ -249,7 +250,7 @@ def _newton_min(fun, z0) -> tuple[list[float], float]:
         scale = max(max(map(abs, w)), 1e-300)
         lowest = min(w)
         shift = mu if lowest > 0.0 else mu + 1e-10 * scale - lowest
-        gv = [sum(row[k] * gi for row, gi in zip(vecs, g)) for k in range(len(z))]
+        gv = [_left_sum(row[k] * gi for row, gi in zip(vecs, g)) for k in range(len(z))]
         sv = [-gk / (wk + shift) for gk, wk in zip(gv, w)]
         if not all(map(math.isfinite, sv)):
             raise _StepCapError(
@@ -260,9 +261,9 @@ def _newton_min(fun, z0) -> tuple[list[float], float]:
             # through sv / max|sv|, whose norm is finite where that of sv is not
             sv = [sk / max(map(abs, sv)) for sk in sv]
             sv = [sk * (_MAX_STEP / math.hypot(*sv)) for sk in sv]
-        predicted = -sum(gk * sk + 0.5 * (wk * sk) * sk for gk, wk, sk in zip(gv, w, sv))
+        predicted = -_left_sum(gk * sk + 0.5 * (wk * sk) * sk for gk, wk, sk in zip(gv, w, sv))
         resolution = 4.0 * _EPS * max(abs(f), 1.0)
-        z_new = [zi + sum(v * sk for v, sk in zip(row, sv)) for zi, row in zip(z, vecs)]
+        z_new = [zi + _left_sum(v * sk for v, sk in zip(row, sv)) for zi, row in zip(z, vecs)]
         new = _evaluate(fun, z_new)
         if new is not None and (
             new[0] < f or (new[0] <= f + resolution and math.hypot(*new[1]) < math.hypot(*g))
@@ -354,7 +355,7 @@ def dw_fit_ml(data: Sequence[int]) -> DWFit:
     """
     values, counts, n = _distinct_values(data)
     if len(values) == 2 and values[1] - values[0] == 1:
-        sup = sum(c * math.log(c / n) for c in counts)
+        sup = _left_sum(c * math.log(c / n) for c in counts)
         raise ValueError(
             f"no DW law fits this sample best: on the two adjacent values "
             f"{values[0]:g} and {values[1]:g} the log-likelihood approaches "

@@ -29,6 +29,8 @@ from __future__ import annotations
 
 import math
 import sys
+from functools import reduce
+from operator import add
 
 __all__ = [
     "SingularDensityError",
@@ -363,6 +365,13 @@ def dw_min_of_n(params: DWParams, n: int) -> DWParams:
 def _floor(y: float) -> float:
     """``floor(y)`` for ``y >= 0``, with ``inf`` kept, where ``math.floor`` raises."""
     return y if y == math.inf else math.floor(y)
+
+
+def _left_sum(xs) -> float:
+    """The floats ``xs`` added left to right from 0.0, each sum rounded: what
+    ``sum`` computes before Python 3.12, whose ``sum`` compensates, so the
+    reports do not depend on the Python version."""
+    return reduce(add, xs, 0.0)
 
 
 def _power(y: float, alpha: float) -> float:

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from mpmath import mp
 
 import bdw
-from bdw import bivariate, cli, fit_bayes, mobw
+from bdw import bivariate, cli, datasets, fit_bayes, mobw
 from bdw.bivariate import BDWParams, MOBWParams
 from bdw.cli import load_csv, main
 from bdw.datasets import FOOTBALL_PAIRS, NASAL_PAIRS, builtin_dataset
@@ -169,6 +169,12 @@ JOINT_REPORTS = {
     "fit-bayes-football": (
         ["fit-bayes", "--dataset", "football", "-M", "200", "-N", "2", "--seed", "1"],
         "1f41b7b1218fecde2bbc6312cc407c949420ecc7d5eecb5a15969ffca5436569",
+    ),
+    # the benchmark's own fit-bayes op, 10 000 sweeps, recorded before the
+    # sweep's steps were bound once per round
+    "fit-bayes-football-bench": (
+        ["fit-bayes", "--dataset", "football", "-M", "2000", "-N", "5", "--seed", "0"],
+        "2860439cead6292f4cc6857902362125ae8d600c1f425ffb4aa5ac970e06d4bc",
     ),
     "moments": (
         ["moments", *_LAW],
@@ -1312,21 +1318,27 @@ class TestStartup:
         assert (proc.returncode, proc.stderr, proc.stdout) == (0, b"", out.read_bytes())
 
     # the bdw modules each command loads: the layers it runs, and no other;
-    # the law commands run on the DW law, and only a fit loads the DW fits
-    _START = {"bdw", "bdw.cli", "bdw.bivariate", "bdw.weibull", "bdw.datasets"}
-    _FITS = _START | {"bdw.univariate", "bdw.fit_ml", "bdw.gof"}
+    # the law commands run on the DW law, only a command that reads data
+    # loads the data layer, and only a fit loads the DW fits
+    _START = {"bdw", "bdw.cli", "bdw.bivariate", "bdw.weibull"}
+    _DATA = _START | {"bdw.datasets"}
+    _FITS = _DATA | {"bdw.univariate", "bdw.fit_ml", "bdw.gof"}
     _LOADED = {
         "pmf-table": _START,
         "moments": _START,
         "simulate": _START,
         "fit-ml": _FITS,
         "gof": _FITS,
-        "gof-x1": _START | {"bdw.univariate", "bdw.gof"},
-        "fit-dw": _START | {"bdw.univariate", "bdw.gof"},
-        "fit-bayes": _START | {
+        "gof-x1": _DATA | {"bdw.univariate", "bdw.gof"},
+        "fit-dw": _DATA | {"bdw.univariate", "bdw.gof"},
+        "fit-bayes": _DATA | {
             "bdw.univariate", "bdw.fit_ml", "bdw.mobw", "bdw.fit_bayes", "bdw.generator"
         },
     }
+
+    def test_dataset_choices_are_the_builtin_names(self):
+        # written out in cli, so that the law commands do not load the data layer
+        assert cli._DATASETS == tuple(sorted(datasets.BUILTIN))
 
     @pytest.mark.parametrize("argv", ALL_COMMANDS, ids=lambda argv: argv[0])
     def test_command_loads_only_its_layers(self, tmp_path, argv):

@@ -571,7 +571,7 @@ class TestShapeTarget:
             tables = [
                 (w, [st.vals[k] for k in pos]) for w, pos in zip((st.w0, st.w1, st.w2), st.positions)
             ]
-            g = fit_bayes._alpha_logtarget(AlphaPrior(), lams, st)
+            g = fit_bayes._alpha_logtarget(AlphaPrior(), st)(lams)
             for alpha in np.geomspace(0.05, 50.0, 41).tolist():
                 # each exposure's own powers, weighted and summed with one
                 # rounding, bit for bit
@@ -598,7 +598,7 @@ class TestShapeTarget:
         assert (t0, t2) == (math.inf, math.inf)
         assert t1 == pytest.approx(3.0**330, rel=1e-15)
         assert math.isnan(naive[1])
-        g = fit_bayes._alpha_logtarget(AlphaPrior(), (0.4, 0.7, 0.9), st)
+        g = fit_bayes._alpha_logtarget(AlphaPrior(), st)((0.4, 0.7, 0.9))
         assert g(330.0) == -math.inf
         assert g(300.0) > -math.inf
 
@@ -606,7 +606,7 @@ class TestShapeTarget:
         for st in [summarize(self.OVERFLOW), *summaries]:
             top = float(st.vals[-1])
             edge = math.log(np.finfo(float).max) / math.log(top)
-            g = fit_bayes._alpha_logtarget(AlphaPrior(), (0.04, 0.2, 0.1), st)
+            g = fit_bayes._alpha_logtarget(AlphaPrior(), st)((0.04, 0.2, 0.1))
             for alpha in (edge * 1.0001, edge * 2.0, 999.0):
                 assert g(alpha) == -math.inf
 
@@ -616,10 +616,98 @@ class TestShapeTarget:
     @pytest.mark.parametrize("prior", [AlphaPrior(), AlphaPrior(c=2.0, d=1.0)])
     def test_matches_the_summed_exposures(self, summaries, lams, prior):
         for st in summaries:
-            g = fit_bayes._alpha_logtarget(prior, lams, st)
+            g = fit_bayes._alpha_logtarget(prior, st)(lams)
             for alpha in np.geomspace(0.05, 50.0, 41):
                 want = _summed_logtarget(prior, lams, st, float(alpha))
                 assert g(float(alpha)) == pytest.approx(want, rel=1e-13)
+
+
+class _Recorder:
+    """A numpy generator that records the (shape, scale) of each gamma draw."""
+
+    def __init__(self, seed: int) -> None:
+        self.rng, self.gammas = np.random.default_rng(seed), []
+
+    def binomial(self, n: int, p: float) -> int:
+        return self.rng.binomial(n, p)
+
+    def gamma(self, shape: float, scale: float) -> float:
+        self.gammas.append((shape, scale))
+        return self.rng.gamma(shape, scale)
+
+    def random(self) -> float:
+        return self.rng.random()
+
+
+class TestBoundSteps:
+    @pytest.fixture(params=["football", "panel", "mixed"])
+    def rows(self, request):
+        if request.param == "mixed":
+            return list(MIXED)
+        data = request.getfixturevalue("wide_panel" if request.param == "panel" else "football")
+        return impute_dataset(init_estimates(data), data)
+
+    def test_alternating_bindings_draw_as_fresh_summaries(self, rows):
+        # two priors and two generators, alternated on one summary: each call
+        # draws what the same call draws on a summary of its own, so no
+        # binding outlives the prior or generator it was bound to
+        st = summarize(rows)
+        priors = [(PRIOR_EQ, AlphaPrior()), (PRIOR_NE, AlphaPrior(c=2.0, d=1.0))]
+        gens = [_Generator(3), np.random.default_rng(5)]
+        twins = [_Generator(3), np.random.default_rng(5)]
+        lams, alpha = (0.04, 0.2, 0.1), 1.3
+        for i in range(16):
+            (prior, alpha_prior), k = priors[i % 2], i // 2 % 2
+            got = sample_lambdas_conditional(prior, alpha, st, lams, gens[k])
+            want = sample_lambdas_conditional(prior, alpha, summarize(rows), lams, twins[k])
+            assert got == want
+            lams = got
+            got = sample_alpha_conditional(alpha_prior, lams, st, alpha, gens[k])
+            want = sample_alpha_conditional(alpha_prior, lams, summarize(rows), alpha, twins[k])
+            assert got == want
+            alpha = got
+
+    def test_each_round_binds_each_step_once(self, football, monkeypatch):
+        builds = {"_rate_step": 0, "_slice_step": 0}
+        for name in builds:
+            build = getattr(fit_bayes, name)
+
+            def counted(*args, build=build):
+                builds[build.__name__] += 1
+                return build(*args)
+
+            counted.__name__ = name
+            monkeypatch.setattr(fit_bayes, name, counted)
+        augmented_gibbs(football, M=150, N=3, rng=_Generator(2))
+        assert builds == {"_rate_step": 3, "_slice_step": 3}
+
+    def test_shape_step_binds_only_random_and_exponential(self, rows):
+        # the slice step draws through no other method of its generator
+        st = summarize(rows)
+        lams, alpha = (0.04, 0.2, 0.1), 1.3
+        prior, rng, twin = AlphaPrior(c=2.0, d=1.0), _BoundedRng(9), _BoundedRng(9)
+        for _ in range(20):
+            got = sample_alpha_conditional(prior, lams, st, alpha, rng)
+            want = sample_alpha_conditional(prior, lams, summarize(rows), alpha, twin)
+            assert got == want
+            alpha = got
+
+    def test_rate_step_reads_cause_counts_and_exposures(self, rows):
+        # the bound step reads the causes and the exposures off the summary's
+        # tables: each gamma draw's shape and scale are, bit for bit, those
+        # of cause_counts(st, lambdas, rng) and exposures(st, alpha), with the
+        # power table fresh, stale and left by the shape step
+        st = summarize(rows)
+        lams = (0.04, 0.2, 0.1)
+        a, b = (PRIOR_NE.a0, PRIOR_NE.a1, PRIOR_NE.a2), PRIOR_NE.b
+        for seed, alpha in enumerate([1.3, 0.7, 0.7, 2.9, None, None]):
+            if alpha is None:
+                alpha = sample_alpha_conditional(AlphaPrior(), lams, st, 1.3, _Generator(seed))
+            rec = _Recorder(seed)
+            sample_lambdas_conditional(PRIOR_NE, alpha, st, lams, rec)
+            counts = cause_counts(st, lams, np.random.default_rng(seed))
+            sums = exposures(st, alpha)
+            assert rec.gammas == [(ai + n, 1.0 / (b + t)) for ai, n, t in zip(a, counts, sums)]
 
 
 class TestIntervals:

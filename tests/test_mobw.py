@@ -449,7 +449,7 @@ class TestClosedForm:
         # the shape's full conditional has no slice to draw, at shape one too
         st = summarize(ZERO_LIFETIME)
         for prior in (AlphaPrior(), AlphaPrior(c=2.0, d=1.0)):
-            g = fit_bayes._alpha_logtarget(prior, (0.3, 0.5, 0.4), st)
+            g = fit_bayes._alpha_logtarget(prior, st)((0.3, 0.5, 0.4))
             assert [g(alpha) for alpha in (0.5, 1.0, 1.8)] == [-math.inf] * 3
 
 
