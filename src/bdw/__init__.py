@@ -12,8 +12,8 @@ runs on ``math``, and the package has no runtime dependency: numpy is
 imported only where a caller is handed an array (a sampler given a numpy
 generator, ``joint_pmf_grid``, ``BivariateDataset.column`` and the
 Gibbs fit's draws), and ``bdw[array]`` installs it.  The joint law rests
-on the DW law of ``weibull`` alone; the DW fits (``univariate``) load
-only where a fit runs.
+on the DW law of ``weibull`` alone; the DW fits and their chi-square
+check (``univariate``) load only where a fit runs, and load no joint law.
 """
 
 from __future__ import annotations
@@ -59,9 +59,11 @@ _EXPORTS = {
         "nested_em",
     ),
     "generator": (),
-    "gof": ("ChiSquareReport", "chisq_bdw", "chisq_dw", "chisq_upper_tail"),
+    "gof": ("chisq_bdw",),
     "mobw": ("CompleteObservation", "LatentPrediction", "ml_predict"),
-    "univariate": ("dw_fit_minchisq", "dw_fit_ml"),
+    "univariate": (
+        "ChiSquareReport", "chisq_dw", "chisq_upper_tail", "dw_fit_minchisq", "dw_fit_ml"
+    ),
     "weibull": (
         "DWParams",
         "SingularDensityError",

@@ -28,9 +28,10 @@ from __future__ import annotations
 
 import math
 from itertools import accumulate, chain
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING
 
 from .weibull import (
+    _MAX_GRID_BOUND,
     DWParams,
     _as_drawn,
     _count,
@@ -49,6 +50,8 @@ from .weibull import (
 
 if TYPE_CHECKING:
     import numpy as np
+
+    from .datasets import BivariateDataset
 
 __all__ = [
     "BDWParams",
@@ -259,21 +262,28 @@ def _log_rows(rates: tuple, values: list[float], n1: int | None = None, n2: int 
     ]
 
 
-def _log_joint_pmf_at(params, vals: Sequence[float], cells: Iterable[tuple[int, int]]):
-    """Log joint pmf, a list, at the cells ``(vals[i], vals[j])`` of the pairs
-    ``(i, j)`` in ``cells``, ``vals`` increasing integer-valued floats (no
-    validation): the gather of the five rows of :func:`_log_rows` over
-    ``vals``, below the diagonal rows 0 and 1, above it 2 and 3, a tie 4."""
-    below1, below2, above1, above2, tie = _log_rows(_rates(params), vals)
-    return [
+def _cell_log_masses(theta: MOBWParams, data: BivariateDataset) -> list[float]:
+    """Log joint mass of each of ``data``'s distinct cells under ``theta``,
+    for the ML likelihood and the latent imputation: the gather of the five
+    rows of :func:`_log_rows` over its value table's values, below the
+    diagonal rows 0 and 1, above it 2 and 3, a tie 4.  A cell of zero
+    probability aborts with its first row index, since a silent ``-inf``
+    would poison every comparison built on top."""
+    vals, i1, i2, _ = data.value_table
+    below1, below2, above1, above2, tie = _log_rows(_rates(theta), vals)
+    lp = [
         below1[i] + below2[j] if i < j else above1[i] + above2[j] if i > j else tie[i]
-        for i, j in cells
+        for i, j in zip(i1, i2)
     ]
+    for (cell, _, row), v in zip(data.cells, lp):
+        if not math.isfinite(v):
+            raise ValueError(f"data row {row} (cell {cell}) has zero probability")
+    return lp
 
 
 def joint_logpmf(params, x1: int, x2: int) -> float:
     """Natural log of the joint mass at an integer pair: the below / above /
-    tie split of :func:`_log_joint_pmf_at`, entry for entry, on floats."""
+    tie split of :func:`_cell_log_masses`, entry for entry, on floats."""
     i, j = _check_cell(x1, x2)
     a, lam0, lam1, lam2 = rates = _rates(params)
     x, y = float(i), float(j)
@@ -467,11 +477,6 @@ def sample(params, rng, size=None):
     n = 1 if size is None else int(size)
     counts = _floor_counts(_shock_lifetimes(to_mobw(params), rng, n))
     return _as_pairs(counts, rng, size, "int64")
-
-
-# the largest bound K of a grid [0, K]^2 that is built: the (K + 1)^2 table
-# of a wider grid does not fit in memory; moments' box keeps the same cap
-_MAX_GRID_BOUND = 10_000
 
 
 def _check_grid(k1: int, k2: int) -> None:

@@ -8,9 +8,10 @@ names); only then is ``logging`` imported.
 
 Each command handler imports the layers it runs, so a process starts on
 only those: ``pmf-table``, ``moments`` and ``simulate`` run on the laws
-of ``weibull`` and ``bivariate`` and never load a fitting module, the DW
-fits of ``univariate`` among them, nor the data layer, which only the
-readers of data import; nor does ``fit-dw`` load the joint fit.  The law
+of ``weibull`` and ``bivariate`` and never load a fitting module, nor the
+data layer, which only the readers of data import; ``fit-dw`` and a
+column's ``gof`` run on ``weibull``, ``datasets`` and ``univariate``
+alone, and never load the joint law of ``bivariate``.  The law
 layers import numpy only in the functions that build arrays, so
 ``moments``, ``pmf-table``, ``--help`` and every refusal of a law's
 options run without it: ``pmf-table`` writes its grid row by row from
@@ -38,13 +39,12 @@ import sys
 from itertools import chain
 from typing import TYPE_CHECKING, Iterable, Iterator, NoReturn, Sequence
 
-from . import bivariate
-from .bivariate import BDWParams
-from .weibull import _MAX_COUNT, _count, _Stream
+from .weibull import _MAX_COUNT, _MAX_GRID_BOUND, _count, _Stream
 
 if TYPE_CHECKING:
+    from .bivariate import MOBWParams
     from .datasets import BivariateDataset
-    from .gof import ChiSquareReport
+    from .univariate import ChiSquareReport
 
 __all__ = ["load_csv", "main", "run"]
 
@@ -131,12 +131,11 @@ def _dataset(args: argparse.Namespace) -> tuple[BivariateDataset, dict]:
     return data, source
 
 
-def _law(args: argparse.Namespace) -> tuple[BDWParams, dict]:
-    config = {name: getattr(args, name) for name in _LAW}
-    return BDWParams(**config), config
+def _law(args: argparse.Namespace) -> dict:
+    return {name: getattr(args, name) for name in _LAW}
 
 
-def _rates(params: bivariate.MOBWParams) -> dict:
+def _rates(params: MOBWParams) -> dict:
     return {name: getattr(params, name) for name in params._fields}
 
 
@@ -187,8 +186,7 @@ def _emit(
 
 
 def _cmd_fit_dw(args: argparse.Namespace) -> None:
-    from .gof import chisq_dw
-    from .univariate import dw_fit_minchisq, dw_fit_ml
+    from .univariate import chisq_dw, dw_fit_minchisq, dw_fit_ml
 
     data, source = _dataset(args)
     column = data.column_ints(args.column)
@@ -261,12 +259,12 @@ def _cmd_fit_bayes(args: argparse.Namespace) -> None:
 
 
 def _cmd_gof(args: argparse.Namespace) -> None:
-    from .gof import chisq_bdw, chisq_dw
-    from .univariate import dw_fit_minchisq, dw_fit_ml
+    from .univariate import chisq_dw, dw_fit_minchisq, dw_fit_ml
 
     data, source = _dataset(args)
     if args.column == "joint":
         from .fit_ml import nested_em
+        from .gof import chisq_bdw
 
         fit = nested_em(data)
         rep = chisq_bdw(data, fit.params)
@@ -288,33 +286,40 @@ def _cmd_gof(args: argparse.Namespace) -> None:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> None:
-    params, config = _law(args)
+    from .bivariate import BDWParams, sample
+
+    config = _law(args)
+    params = BDWParams(**config)
     if args.n < 1:
         raise ValueError("sample size must be at least 1")
     # the uniforms of numpy's default_rng(seed), drawn without numpy
-    draws = bivariate.sample(params, _Stream(args.seed), size=args.n)
+    draws = sample(params, _Stream(args.seed), size=args.n)
     config["n"] = args.n
     _emit(args, {"generator": "bdw"}, config, {"pairs": draws}, seed=args.seed)
 
 
-def _grid_csv(params, k: int) -> Iterator[str]:
-    # the pmf-table CSV over [0, k]^2: its header, then one chunk per row
+def _grid_csv(rows: Iterable[list[float]]) -> Iterator[str]:
+    # the pmf-table CSV of a grid's pmf rows: its header, then one chunk per row
     return chain(["x1,x2,pmf\n"], (
         "".join([f"{i},{j},{mass!r}\n" for j, mass in enumerate(row)])
-        for i, row in enumerate(bivariate._pmf_rows(params, k, k))
+        for i, row in enumerate(rows)
     ))
 
 
 def _cmd_pmf_table(args: argparse.Namespace) -> None:
-    params, _ = _law(args)
+    from . import bivariate
+
+    params = bivariate.BDWParams(**_law(args))
     k = bivariate._table_bound(params) if args.k is None else _count(args.k, "--k")
     bivariate._check_grid(k, k)
-    _write(_grid_csv(params, k), args.output, "grid")
+    _write(_grid_csv(bivariate._pmf_rows(params, k, k)), args.output, "grid")
 
 
 def _cmd_moments(args: argparse.Namespace) -> None:
-    params, config = _law(args)
-    m = bivariate.moments(params)
+    from .bivariate import BDWParams, moments
+
+    config = _law(args)
+    m = moments(BDWParams(**config))
     results = {name: getattr(m, name) for name in m._fields}
     _emit(args, {"generator": "bdw"}, config, results)
 
@@ -378,7 +383,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = _command(sub, "pmf-table", _cmd_pmf_table, "joint PMF grid as CSV", law=True)
     p.add_argument("--k", type=int, default=None,
-                   help=f"grid bound, at most {bivariate._MAX_GRID_BOUND}; "
+                   help=f"grid bound, at most {_MAX_GRID_BOUND}; "
                         "default leaves < 1e-6 mass outside")
 
     _command(sub, "moments", _cmd_moments, "means, variances and correlation", law=True)

@@ -4,8 +4,8 @@
 fit, fit check and command reads; it refuses a malformed row by its index
 and lays the rows' distinct cells once on a table of their values, tuples
 of floats and ints built with a dict and a sort, which loads no numpy.
-:func:`_cell_log_masses` reads the cells' joint log-masses off it, for the
-likelihood of the ML fit and the latent imputation alike.
+It imports only :mod:`bdw.weibull`, so reading a column loads no joint
+law; ``bivariate._cell_log_masses`` reads the cells' log-masses off it.
 
 Two small bivariate count datasets ship with the package so every fitting
 command can be exercised without external files.
@@ -22,12 +22,10 @@ consecutive days of a common-cold study.
 
 from __future__ import annotations
 
-import math
 from functools import cached_property
 from typing import TYPE_CHECKING, Sequence
 
-from . import bivariate
-from .weibull import _MAX_COUNT, _is_count, _Record
+from .weibull import _MAX_COUNT, _as_counts, _Record
 
 if TYPE_CHECKING:
     import numpy as np
@@ -59,12 +57,12 @@ class BivariateDataset(_Record):
                 raise ValueError(f"row {row}: expected two entries, got {pair!r}") from None
             # ints are read as they are, anything else by the one count rule
             if type(x1) is int and type(x2) is int:
-                counts = x1 >= 0 and x2 >= 0
+                counts = (x1, x2) if x1 >= 0 and x2 >= 0 else None
             else:
-                counts = _is_count(x1) and _is_count(x2)
-            if not counts:
+                counts = _as_counts((x1, x2))
+            if counts is None:
                 raise ValueError(f"row {row}: entries must be non-negative integers, got {pair!r}")
-            x1, x2 = int(x1), int(x2)
+            x1, x2 = counts
             if max(x1, x2) > _MAX_COUNT:
                 raise ValueError(
                     f"row {row}: the count {max(x1, x2)} exceeds the largest count 2**63 - 1"
@@ -160,21 +158,6 @@ class BivariateDataset(_Record):
     def swapped(self) -> "BivariateDataset":
         """The same rows with the coordinates exchanged."""
         return BivariateDataset(tuple((b, a) for a, b in self.pairs))
-
-
-def _cell_log_masses(theta: bivariate.MOBWParams, data: BivariateDataset) -> list[float]:
-    """Log joint mass of each of ``data``'s distinct cells under ``theta``.
-
-    A cell whose probability underflows to zero aborts with that cell's
-    first row index, since a silent ``-inf`` would poison every comparison
-    built on top.
-    """
-    vals, i1, i2, _ = data.value_table
-    lp = bivariate._log_joint_pmf_at(theta, vals, zip(i1, i2))
-    for (cell, _, row), v in zip(data.cells, lp):
-        if not math.isfinite(v):
-            raise ValueError(f"data row {row} (cell {cell}) has zero probability")
-    return lp
 
 
 FOOTBALL_PAIRS: tuple[tuple[int, int], ...] = (

@@ -31,8 +31,8 @@ import warnings
 from typing import Sequence
 
 from . import bivariate
-from .bivariate import MOBWParams
-from .datasets import BivariateDataset, _cell_log_masses
+from .bivariate import MOBWParams, _cell_log_masses
+from .datasets import BivariateDataset
 from .univariate import _dw_jets, _eigh, _in_logs, _newton_min, _step_jet, dw_fit_minchisq
 from .weibull import _left_sum, _rate, _Record
 
@@ -167,7 +167,7 @@ def bdw_loglik_derivatives(
     parameters.  A cell of zero probability makes the value ``-inf`` and
     the derivatives non-finite rather than raising.  The score is a list
     of four floats and the Hessian a 4 x 4 list of rows.  As in
-    :func:`bivariate._log_joint_pmf_at`, ``data.value_table`` takes one
+    :func:`bivariate._cell_log_masses`, ``data.value_table`` takes one
     :func:`bdw.univariate._dw_jets` call per rate of ``_RATE_MAP``, on the
     values of positive weight in that row, each row summed and lifted once;
     each tie value's atom (:func:`_tie_jet`) is one jet in theta, in that

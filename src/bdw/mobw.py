@@ -37,8 +37,8 @@ from operator import mul
 from typing import Callable, NamedTuple, Sequence
 
 from . import bivariate
-from .bivariate import MOBWParams, mobw_sample
-from .datasets import _ALL_TIES, BivariateDataset, _cell_log_masses
+from .bivariate import MOBWParams, _cell_log_masses, mobw_sample
+from .datasets import _ALL_TIES, BivariateDataset
 from .univariate import ALPHA_HI, ALPHA_LO, _newton_min
 from .weibull import _count, _left_sum, _logpmf_float, _power, _Record, we_mode
 

@@ -1,4 +1,4 @@
-"""Fits of the discrete Weibull law to a sample of counts.
+"""Fits of the discrete Weibull law to a sample of counts, and their check.
 
 The DW law itself, its records and its log-mass kernels live in
 :mod:`bdw.weibull`; this module fits it.  Both fits, by maximum
@@ -9,6 +9,10 @@ derivatives, which the DW log-pmf's jets (:func:`_dw_jets`) supply, on
 ``math``: no fit loads numpy.  They hold the fitted rate, and compute
 its survival base only on demand, through :func:`~bdw.weibull._to_base`.
 
+The DW fit check, :func:`chisq_dw`, and the table path that the joint
+check of :mod:`bdw.gof` shares live here too, so a column's fit and fit
+check load no joint law.
+
 The law's public names are imported here too, so ``bdw.univariate.DWParams``
 and pickles that name this module still resolve.
 """
@@ -18,17 +22,22 @@ from __future__ import annotations
 import math
 import sys
 from collections import Counter, abc
-from itertools import combinations
-from typing import NamedTuple, Sequence
+from itertools import combinations, repeat
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .weibull import (
     _MAX_COUNT,
+    _MAX_GRID_BOUND,
     DWParams,
     SingularDensityError,
     WeibullParams,
-    _is_count,
+    _as_counts,
+    _count,
     _left_sum,
+    _log_dw,
     _power_step,
+    _rate,
+    _Record,
     _to_base,
     dw_logpmf,
     dw_min_of_n,
@@ -58,6 +67,9 @@ __all__ = [
     "dw_fit_ml",
     "dw_fit_minchisq",
     "DWChisqFit",
+    "ChiSquareReport",
+    "chisq_upper_tail",
+    "chisq_dw",
 ]
 
 # Box for the shape in the inner EM's profile (bdw.mobw); wide enough
@@ -84,7 +96,7 @@ def _counts_1d(data) -> list[int]:
     """A sample of counts as ints: a list, tuple or range as it is, any other
     sequence or one-dimensional array through its ``tolist()`` where it has
     one; ints are read as they are, anything else by
-    :func:`~bdw.weibull._is_count`."""
+    :func:`~bdw.weibull._as_counts`."""
     items = data
     if not isinstance(data, (list, tuple, range)):
         # a scalar, a string, a set, a mapping, an iterator or a 0-d array
@@ -96,15 +108,13 @@ def _counts_1d(data) -> list[int]:
     if len(items) == 0:
         raise ValueError("empty dataset")
     if all(type(y) is int for y in items):
-        xs, whole = list(items), min(items) >= 0
+        xs = list(items) if min(items) >= 0 else None
     else:
         nested = any(isinstance(y, (list, tuple)) or getattr(y, "ndim", 0) for y in items)
         if getattr(data, "ndim", 1) != 1 or nested:
             raise ValueError("expected a one-dimensional collection of counts")
-        whole = all(map(_is_count, items))
-        # int() of each entry is exact, where a cast to int64 would wrap
-        xs = [int(y) for y in items] if whole else []
-    if not whole:
+        xs = _as_counts(items)
+    if xs is None:
         raise ValueError("data must be non-negative integers")
     top = max(xs)
     if top > _MAX_COUNT:
@@ -290,6 +300,155 @@ def _pearson(counts, expected) -> float:
     if not all(e > 0.0 for e in expected):
         return math.inf
     return math.fsum((o - e) * (o - e) / e for o, e in zip(counts, expected))
+
+
+# expected counts below this are pooled with a neighbour
+POOL_THRESHOLD = 1.0
+
+
+def chisq_upper_tail(x: float, df: int) -> float:
+    """Upper-tail probability of the chi-square law with ``df`` degrees.
+
+    Parameters
+    ----------
+    x : float
+        Non-negative test statistic; NaN is refused, and ``inf`` has tail 0.
+    df : int
+        Positive integer degrees of freedom; a fraction, an infinity or NaN
+        is refused.
+
+    Returns
+    -------
+    float
+        ``P(X > x)`` in closed form.  With ``h = x/2`` and ``m = df // 2``
+        it is ``exp(-h) * sum(h**j / j!, j < m)`` for even ``df``, and
+        ``erfc(sqrt(h)) + exp(-h) * sum(h**(j + 1/2) / Gamma(j + 3/2), j < m)``
+        for odd ``df``.  The terms are summed in log space, so the result
+        keeps its relative accuracy far into the tail.
+    """
+    df = _count(df, "degrees of freedom", positive=True)
+    if not x >= 0:
+        raise ValueError(f"statistic must be non-negative, got {x}")
+    if x == 0:
+        return 1.0
+    if x == math.inf:
+        return 0.0
+    h = x / 2.0
+    m, odd = divmod(df, 2)
+    lead = math.erfc(math.sqrt(h)) if odd else 0.0
+    if m == 0:
+        return lead
+    logs = [
+        (j + 0.5 * odd) * math.log(h) - h - math.lgamma(j + 1.0 + 0.5 * odd)
+        for j in range(m)
+    ]
+    top = max(logs)
+    tail = math.exp(top) * math.fsum(math.exp(v - top) for v in logs)
+    return min(1.0, lead + tail)
+
+
+class ChiSquareReport(_Record):
+    """Chi-square statistic with its cell layout and p-value."""
+
+    statistic: float
+    df: int
+    p_value: float
+    cells: tuple[tuple[str, int, float], ...]
+
+
+def _pool(observed: Iterable[int], expected: Iterable[float]) -> list[tuple[int, int, int, float]]:
+    """Merge adjacent cells, read once as they come, rightward until every
+    group's expected >= 1; a remainder short of it joins the last group, or
+    stands alone when there is none.  A group is its first and last cell
+    with its two sums."""
+    groups: list[tuple[int, int, int, float]] = []
+    first, acc_o, acc_e, last = 0, 0, 0.0, -1
+    for last, (o, e) in enumerate(zip(observed, expected)):
+        acc_o += o
+        acc_e += e
+        if acc_e >= POOL_THRESHOLD:
+            groups.append((first, last, acc_o, acc_e))
+            first, acc_o, acc_e = last + 1, 0, 0.0
+    if first <= last:
+        if groups:
+            first, _, last_o, last_e = groups.pop()
+            acc_o, acc_e = last_o + acc_o, last_e + acc_e
+        groups.append((first, last, acc_o, acc_e))
+    return groups
+
+
+def _axis(top: int, absorb_tail: bool = True) -> Callable[[int], str]:
+    """Cell k's label on an axis holding the values ``0..top``; with ``absorb_tail``
+    the last cell also holds the tail above it, ``>=top`` when ``top > 0``."""
+    last = f">={top}" if absorb_tail and top > 0 else str(top)
+    return lambda k: last if k == top else str(k)
+
+
+def _report(
+    name: Callable[[int], str], observed: Iterable[int], expected: Iterable[float], df_penalty: int
+) -> ChiSquareReport:
+    """Pool and score a row-major table of counts against expected counts.
+    ``name(k)`` labels cell k; a group of one cell keeps its label, of two
+    reads ``a+b``, and of more ``first..last``."""
+    df_penalty = _count(df_penalty, "df_penalty")
+    groups = _pool(observed, expected)
+    if len(groups) < 2:
+        raise ValueError("fewer than two cells after pooling")
+    df = len(groups) - 1 - df_penalty
+    if df < 1:
+        raise ValueError("no degrees of freedom left after the penalty")
+    _, _, obs, exp = zip(*groups)
+    stat = _pearson(obs, exp)
+    cells = tuple(
+        (name(a) if a == b else name(a) + ("+" if b == a + 1 else "..") + name(b), o, e)
+        for a, b, o, e in groups
+    )
+    return ChiSquareReport(statistic=stat, df=df, p_value=chisq_upper_tail(stat, df), cells=cells)
+
+
+def chisq_dw(
+    data: Sequence[int],
+    params: DWParams | WeibullParams,
+    absorb_tail: bool = True,
+    df_penalty: int = 0,
+) -> ChiSquareReport:
+    """Chi-square fit check of a univariate sample against a fitted law,
+    given as its survival base or as the rate of a fit.
+
+    Cells are the observed support values ``{0, ..., max}``.  With
+    ``absorb_tail`` the last cell also absorbs the mass above the sample
+    maximum, so expected counts sum to ``n``; without it each cell keeps
+    its bare probability mass, which matches how the single-coordinate
+    fit tables in common use report the statistic.  ``df_penalty``
+    subtracts fitted-parameter degrees from ``#cells - 1``.  The sample is
+    validated as the DW fits validate theirs, and a support of more cells
+    than the joint check's grid may hold is refused by name.  The cells
+    stream once, with one power step per cell, in memory that does not grow.
+    """
+    xs = _counts_1d(data)
+    top = max(xs)
+    cap = _MAX_GRID_BOUND**2
+    if top >= cap:
+        raise ValueError(
+            f"the fit check's support 0..{top} holds {top + 1} cells, "
+            f"more than the {cap} of a tractable grid"
+        )
+    alpha, rate = _rate(params)
+    seen, n = Counter(xs), len(xs)
+
+    def expected() -> Iterator[float]:
+        # from the first cell whose survival exp(-rate*t) underflows on,
+        # every mass is 0
+        y, (t, d) = 0, _power_step(0.0, alpha)
+        while y < top and t * rate < 746.0:
+            yield n * math.exp(_log_dw(t, d, rate))
+            y += 1
+            t, d = _power_step(float(y), alpha)
+        yield from repeat(0.0, top - y)
+        yield n * (dw_sf(params, top) if absorb_tail else dw_pmf(params, top))
+
+    observed = map(seen.get, range(top + 1), repeat(0))
+    return _report(_axis(top, absorb_tail), observed, expected(), df_penalty)
 
 
 def _sum_in_logs(theta, value: float, jets, first, second):

@@ -20,7 +20,7 @@ Every sampler draws through one lifetime kernel on ``math``
 :class:`_Stream`, which gives the uniforms of
 ``numpy.random.default_rng(seed)`` without numpy.
 This module is the package's lowest layer: it holds the records' base
-class, :class:`_Record`, and the one count rule, :func:`_is_count`, and
+class, :class:`_Record`, and the one count rule, :func:`_as_counts`, and
 imports numpy only where a sampler hands a numpy caller its array
 (:func:`_as_drawn`).  The DW fits live in :mod:`bdw.univariate`.
 """
@@ -30,7 +30,7 @@ from __future__ import annotations
 import math
 import sys
 from functools import reduce
-from operator import add
+from operator import add, eq
 
 __all__ = [
     "SingularDensityError",
@@ -282,24 +282,27 @@ def _lifetimes(alpha: float, lam: float, u: list[float]) -> list[float]:
         return [_power(-log1p(-v) / lam, power) for v in u]
 
 
-def _is_count(value, least: int = 0) -> bool:
-    """Whether ``value`` is a whole number at least ``least``: an int, an
-    integral float or a numpy integer; a bool, Python's or numpy's, an
-    infinity, NaN, a string or an array is not."""
+def _as_counts(values, least: int = 0) -> list[int] | None:
+    """``values`` as ints if each is a whole number at least ``least`` (an int,
+    an integral float, a numpy integer), else None: a bool, Python's or numpy's
+    (matched once per type), an infinity, NaN, a string or an array is not one."""
     np = sys.modules.get("numpy")  # a numpy bool exists only once numpy is loaded
-    if isinstance(value, bool) or (np is not None and isinstance(value, np.bool_)):
-        return False
+    bools = bool if np is None else (bool, np.bool_)
+    if any(issubclass(t, bools) for t in set(map(type, values))):
+        return None
     try:
-        return bool(value >= least and value == int(value))
+        ints = list(map(int, values))  # exact, where a cast to int64 would wrap
+        return ints if all(map(eq, values, ints)) and min(values) >= least else None
     except (TypeError, ValueError, OverflowError):
-        return False
+        return None
 
 
 def _count(value, name: str, positive: bool = False) -> int:
     """``value`` as an int, when it is a non-negative (or ``positive``) whole
-    number at most ``_MAX_COUNT`` (:func:`_is_count`).  Anything else, a
-    count past the int64 range among them, is refused by ``name``."""
-    if not _is_count(value, 1 if positive else 0):
+    number at most ``_MAX_COUNT`` (an int as it is, else :func:`_as_counts`).
+    Anything else, a count past the int64 range among them, is refused by ``name``."""
+    least = 1 if positive else 0
+    if not (value >= least if type(value) is int else _as_counts((value,), least)):
         what = "positive" if positive else "non-negative"
         raise ValueError(f"{name} must be a {what} integer, got {value!r}")
     if value > _MAX_COUNT:
@@ -334,6 +337,10 @@ def dw_sf(params, y: float) -> float:
 
 # the largest count, 2**63 - 1: every count array is int64
 _MAX_COUNT = 2**63 - 1
+
+# the largest bound K of a grid [0, K]^2 that is built, as the (K + 1)^2 table
+# of a wider grid does not fit in memory; moments' box and chisq_dw keep it
+_MAX_GRID_BOUND = 10_000
 
 
 def _floor_counts(lifetimes: list[float]) -> list[int]:

@@ -565,7 +565,7 @@ class TestPmfTableRows:
         law, k = case
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            chunks = list(cli._grid_csv(law, k))
+            chunks = list(cli._grid_csv(bivariate._pmf_rows(law, k, k)))
             grid = bivariate.joint_pmf_grid(law, k, k)
         assert chunks[0] == "x1,x2,pmf\n" and len(chunks) == k + 2
         lines = "".join(chunks[1:]).splitlines()
@@ -1318,21 +1318,23 @@ class TestStartup:
         assert (proc.returncode, proc.stderr, proc.stdout) == (0, b"", out.read_bytes())
 
     # the bdw modules each command loads: the layers it runs, and no other;
-    # the law commands run on the DW law, only a command that reads data
-    # loads the data layer, and only a fit loads the DW fits
-    _START = {"bdw", "bdw.cli", "bdw.bivariate", "bdw.weibull"}
-    _DATA = _START | {"bdw.datasets"}
-    _FITS = _DATA | {"bdw.univariate", "bdw.fit_ml", "bdw.gof"}
+    # the law commands run on the joint law, only a command that reads data
+    # loads the data layer, only a fit loads the DW fits, and a column's fit
+    # and fit check load no joint law
+    _START = {"bdw", "bdw.cli", "bdw.weibull"}
+    _LAW = _START | {"bdw.bivariate"}
+    _DW = _START | {"bdw.datasets", "bdw.univariate"}
+    _FITS = _DW | {"bdw.bivariate", "bdw.fit_ml", "bdw.gof"}
     _LOADED = {
-        "pmf-table": _START,
-        "moments": _START,
-        "simulate": _START,
+        "pmf-table": _LAW,
+        "moments": _LAW,
+        "simulate": _LAW,
         "fit-ml": _FITS,
         "gof": _FITS,
-        "gof-x1": _DATA | {"bdw.univariate", "bdw.gof"},
-        "fit-dw": _DATA | {"bdw.univariate", "bdw.gof"},
-        "fit-bayes": _DATA | {
-            "bdw.univariate", "bdw.fit_ml", "bdw.mobw", "bdw.fit_bayes", "bdw.generator"
+        "gof-x1": _DW,
+        "fit-dw": _DW,
+        "fit-bayes": _DW | {
+            "bdw.bivariate", "bdw.fit_ml", "bdw.mobw", "bdw.fit_bayes", "bdw.generator"
         },
     }
 

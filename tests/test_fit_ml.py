@@ -9,7 +9,7 @@ import pytest
 from scipy.optimize import minimize
 
 from bdw import bivariate, fit_bayes, fit_ml, mobw, univariate
-from bdw.datasets import _cell_log_masses
+from bdw.bivariate import _cell_log_masses
 from bdw.fit_bayes import augmented_gibbs
 from bdw.fit_ml import (
     BivariateDataset,

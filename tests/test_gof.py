@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from bdw import bivariate, gof
+from bdw import bivariate, gof, univariate
 from bdw.bivariate import BDWParams, joint_pmf, joint_sf, sample
 from bdw.fit_ml import BivariateDataset, nested_em
 from bdw.gof import POOL_THRESHOLD, _axis, _pool, _report, chisq_bdw, chisq_dw, chisq_upper_tail
@@ -248,7 +248,7 @@ class TestUnivariate:
         def spy(name, observed, expected, df_penalty):
             cells.extend(zip(observed, expected))
 
-        monkeypatch.setattr(gof, "_report", spy)
+        monkeypatch.setattr(univariate, "_report", spy)
         chisq_dw(xs, law, absorb_tail=absorb_tail)
         last = dw_sf(law, 40) if absorb_tail else dw_pmf(law, 40)
         want = [len(xs) * m for m in [dw_pmf(law, y) for y in range(40)] + [last]]
@@ -273,8 +273,8 @@ class TestUnivariate:
     def test_support_past_the_grid_budget_is_refused_before_streaming(self, monkeypatch):
         # 10**8 + 1 cells, more than the joint check's grid may hold: refused
         # by name before a power step is taken
-        powers, step = [], gof._power_step
-        monkeypatch.setattr(gof, "_power_step", lambda y, a: powers.append(y) or step(y, a))
+        powers, step = [], univariate._power_step
+        monkeypatch.setattr(univariate, "_power_step", lambda y, a: powers.append(y) or step(y, a))
         message = (
             r"^the fit check's support 0\.\.100000000 holds 100000001 cells, "
             r"more than the 100000000 of a tractable grid$"

@@ -72,7 +72,43 @@ def test_dw_fits_reexport_the_dw_law():
         if getattr(univariate, name).__module__ == "bdw.univariate"
     }
     assert set(univariate.__all__) - own == set(weibull.__all__)
-    assert own == {"DWFit", "DWChisqFit", "dw_fit_ml", "dw_fit_minchisq"}
+    assert own == {
+        "DWFit", "DWChisqFit", "dw_fit_ml", "dw_fit_minchisq",
+        "ChiSquareReport", "chisq_upper_tail", "chisq_dw",
+    }
+
+
+# the DW fit check's names, which live beside the DW fits
+_DW_CHECK = ["ChiSquareReport", "chisq_upper_tail", "chisq_dw", "POOL_THRESHOLD", "_pool",
+             "_axis", "_report"]
+
+
+@pytest.mark.parametrize("name", _DW_CHECK)
+def test_fit_check_module_reexports_the_dw_check(name):
+    # the joint check's module still resolves each moved name, as the same object
+    from bdw import gof, univariate
+
+    assert getattr(gof, name) is getattr(univariate, name)
+
+
+@pytest.mark.parametrize(
+    "step, loaded",
+    [
+        ("import bdw.cli", ["bdw.cli", "bdw.weibull"]),
+        ("import bdw.datasets", ["bdw.datasets", "bdw.weibull"]),
+        ("import bdw; bdw.chisq_dw", ["bdw.univariate", "bdw.weibull"]),
+    ],
+    ids=["cli", "datasets", "chisq_dw"],
+)
+def test_dw_layers_load_no_joint_law(step, loaded):
+    # a bare start of the command line, the data layer and the DW fit
+    # check each load the DW layers alone, and no bdw.bivariate
+    script = f"import sys\n{step}\nprint(*sorted(m for m in sys.modules if m.startswith('bdw.')))"
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=_src_env()
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == loaded
 
 
 def test_dw_law_pickle_naming_the_fits_module_loads():

@@ -24,8 +24,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bdw import bivariate
-from bdw.bivariate import BDWParams, MOBWParams, joint_logpmf, joint_pmf, joint_pmf_grid
-from bdw.datasets import BivariateDataset, _cell_log_masses
+from bdw.bivariate import (
+    BDWParams,
+    MOBWParams,
+    _cell_log_masses,
+    joint_logpmf,
+    joint_pmf,
+    joint_pmf_grid,
+)
+from bdw.datasets import BivariateDataset
 from bdw.fit_ml import bdw_loglik, bdw_loglik_derivatives
 
 WIDE = BDWParams(1.2, 0.97, 0.95, 0.96)
