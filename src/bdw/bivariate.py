@@ -473,6 +473,9 @@ def sample(params, rng, size=None):
     With ``size`` given, returns an int64 array of shape (size, 2) for a
     numpy generator and a list of int tuples for the seeded stream;
     otherwise a single tuple.  A lifetime past the int64 range is refused.
+    A count at or past 2**53 is the float lifetime itself, so it follows
+    the platform's ``log1p`` and ``pow`` in its last unit; the DW fits
+    refuse such counts.
     """
     n = 1 if size is None else int(size)
     counts = _floor_counts(_shock_lifetimes(to_mobw(params), rng, n))

@@ -8,11 +8,13 @@ of each cell, summarizes that sample once, and runs Gibbs sweeps over the
 latent failure causes, the three rates, and the shape on the summary; the
 outer loop re-imputes at the current draw averages and the final round's
 draws carry the reported summaries.  The step functions accept a complete
-sample or its summary, and call a step bound to it: the rate step and the
-shape's slice step are closures over the summary's tables, the priors'
-constants and the generator's draw methods, built once for each summary,
-prior and generator and kept on the summary, so a round binds them once
-and each sweep only calls them.
+sample or its summary, and call a step bound to it: closures over the
+summary, the priors' constants and the generator's draw methods, built
+once for each summary, prior and generator and kept on the summary, so a
+round binds them once and each sweep only calls them.  The rate step
+draws the causes with :func:`bdw.mobw.cause_counts` and sums the
+exposures with :func:`bdw.mobw.exposures`, so it reads none of the
+summary's tables; the slice step reads the shape's target.
 
 The sweep runs on ``math``: the summary's powers are libm's ``pow``, the
 exposures and the shape's target are sums rounded once (``math.fsum``),
@@ -35,7 +37,7 @@ from __future__ import annotations
 import math
 import os
 from functools import reduce
-from operator import add, mul
+from operator import add
 from typing import TYPE_CHECKING, Callable, Sequence
 
 from .datasets import BivariateDataset
@@ -168,35 +170,16 @@ def sample_lambdas_conditional(
 
 
 def _rate_step(prior: DGPrior, st: SampleSummary, rng) -> Callable:
-    # sample_lambdas_conditional bound to the summary's tables, the prior's
-    # constants and the generator's draws: the causes as cause_counts(st,
-    # lambdas, rng) draws them, the exposures as exposures(st, alpha) sums
-    # them, read off the tables in place
-    n_below, n_above, n_tie = st.n_below, st.n_above, st.n_tie
-    w0, w1, w2 = st.w0, st.w1, st.w2
-    p0, p1, p2 = st.positions
-    power, powers = st._pair(), st.powers
+    # sample_lambdas_conditional bound to the summary, the prior's constants
+    # and the generator's draws; the causes are cause_counts', the exposures
+    # exposures' (which refuses them past the float range)
     a0, a1, a2, b = prior.a0, prior.a1, prior.a2, prior.b
     excess = prior.a - (a0 + a1 + a2)
-    binomial, gamma, random = rng.binomial, rng.gamma, rng.random
-    fsum, log, inf = math.fsum, math.log, math.inf
+    gamma, random, log = rng.gamma, rng.random, math.log
 
     def step(alpha: float, lambdas: tuple[float, float, float]) -> tuple[float, float, float]:
-        l0, l1, l2 = lambdas
-        k1 = float(binomial(n_above, l1 / (l0 + l1)))
-        k2 = float(binomial(n_below, l2 / (l0 + l2)))
-        n0 = n_tie + (n_below - k2) + (n_above - k1)
-        n1 = n_below + k1
-        n2 = n_above + k2
-        at = (power[1] if alpha == power[0] else powers(alpha)).__getitem__
-        try:
-            t0 = fsum(map(mul, w0, map(at, p0)))
-            t1 = fsum(map(mul, w1, map(at, p1)))
-            t2 = fsum(map(mul, w2, map(at, p2)))
-        except OverflowError:
-            t0 = inf
-        if t0 == inf or t1 == inf or t2 == inf:
-            exposures(st, alpha)  # refuses them by name
+        n0, n1, n2 = cause_counts(st, lambdas, rng)
+        t0, t1, t2 = exposures(st, alpha)
         # near-zero shapes make gamma draws underflow; keep them positive
         # (max(g, 5e-324), written out: the sweep's hottest lines)
         g0 = gamma(a0 + n0, 1.0 / (b + t0))
@@ -207,6 +190,7 @@ def _rate_step(prior: DGPrior, st: SampleSummary, rng) -> Callable:
         g2 = 5e-324 if 5e-324 > g2 else g2
         if excess == 0.0:
             return g0, g1, g2
+        l0, l1, l2 = lambdas
         # each total added left to right: weibull._left_sum's bits on positive rates
         ratio = excess * (log(g0 + g1 + g2) - log(l0 + l1 + l2))
         # rng.uniform() is 0 + 1 * rng.random(): the same bits, called faster

@@ -191,6 +191,16 @@ JOINT_REPORTS = {
     ),
 }
 
+# the cells-wide benchmark's fit-bayes op on its panel (the wide_panel
+# fixture as CSV): 410 and 312 pairs off the diagonal, so the cause draws
+# take the BTPE binomial path, and a summary of 46 values, which the
+# football pins reach neither of; recorded before the rate step called
+# mobw.cause_counts and mobw.exposures
+WIDE_PANEL_GIBBS = (
+    ["fit-bayes", "--input", "panel.csv", "-M", "200", "-N", "2", "--seed", "0"],
+    "b4f1d1d56d0d4f5f47589162e8e66bb46f566cb814e883232ccf8446809784f2",
+)
+
 
 class TestReportBytes:
     @pytest.mark.parametrize("name, argv", [
@@ -208,6 +218,15 @@ class TestReportBytes:
         out = tmp_path / "report"
         assert main([*argv, "--output", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+    def test_wide_panel_gibbs_report_keeps_its_bytes(self, tmp_path, monkeypatch, wide_panel):
+        # run from tmp_path with a relative path: the report holds the input path
+        argv, digest = WIDE_PANEL_GIBBS
+        monkeypatch.chdir(tmp_path)
+        rows = "".join(f"{a},{b}\n" for a, b in wide_panel.pairs)
+        (tmp_path / "panel.csv").write_text("x1,x2\n" + rows)
+        assert main([*argv, "--output", "report.json"]) == 0
+        assert hashlib.sha256((tmp_path / "report.json").read_bytes()).hexdigest() == digest
 
 
 # every report above, parsed, as recorded before the DW fits, their start

@@ -681,6 +681,22 @@ class TestBoundSteps:
         augmented_gibbs(football, M=150, N=3, rng=_Generator(2))
         assert builds == {"_rate_step": 3, "_slice_step": 3}
 
+    def test_rate_step_calls_cause_counts_and_exposures(self, football, monkeypatch):
+        # each sweep draws its causes and sums its exposures through mobw's
+        # one implementation of each, and draws what it draws without spies
+        want = augmented_gibbs(football, M=100, N=2, rng=_Generator(0))
+        calls = {"cause_counts": 0, "exposures": 0}
+        for name in calls:
+
+            def counted(*args, name=name, inner=getattr(fit_bayes, name)):
+                calls[name] += 1
+                return inner(*args)
+
+            monkeypatch.setattr(fit_bayes, name, counted)
+        got = augmented_gibbs(football, M=100, N=2, rng=_Generator(0))
+        assert calls == {"cause_counts": 200, "exposures": 200}
+        assert got.draws.tolist() == want.draws.tolist()
+
     def test_shape_step_binds_only_random_and_exponential(self, rows):
         # the slice step draws through no other method of its generator
         st = summarize(rows)
@@ -693,9 +709,8 @@ class TestBoundSteps:
             alpha = got
 
     def test_rate_step_reads_cause_counts_and_exposures(self, rows):
-        # the bound step reads the causes and the exposures off the summary's
-        # tables: each gamma draw's shape and scale are, bit for bit, those
-        # of cause_counts(st, lambdas, rng) and exposures(st, alpha), with the
+        # each gamma draw's shape and scale are, bit for bit, those of
+        # cause_counts(st, lambdas, rng) and exposures(st, alpha), with the
         # power table fresh, stale and left by the shape step
         st = summarize(rows)
         lams = (0.04, 0.2, 0.1)

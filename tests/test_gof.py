@@ -91,6 +91,10 @@ NON_COUNTS = {
     "empty-2d-array": (np.zeros((0, 2)), "^empty dataset$"),
     "2d-list": ([[0, 1], [2, 3]], _NOT_1D),
     "2d-array": (np.array([[0, 1], [2, 3]]), _NOT_1D),
+    "2d-float-column": (np.array([[0.0], [1.0], [2.0]]), _NOT_1D),
+    "list-holding-list": ([0, [1], 2], _NOT_1D),
+    "floats-holding-tuple": ([0.0, (1.0, 2.0)], _NOT_1D),
+    "list-holding-1d-array": ([0, 1, np.array([1, 2])], _NOT_1D),
     "scalar": (3, _NOT_1D),
     "numpy-scalar": (np.int64(3), _NOT_1D),
     "string": ("0123", _NOT_1D),
@@ -218,8 +222,11 @@ class TestUnivariate:
             lambda xs: array.array("q", xs),
             lambda xs: np.array(xs, dtype=np.int64),
             lambda xs: np.array(xs, dtype=np.float32),
+            lambda xs: tuple(np.array(xs, dtype=np.int64)),
+            lambda xs: [np.array(y) for y in xs],
         ],
-        ids=["tuple", "float-list", "array.array", "int64-array", "float32-array"],
+        ids=["tuple", "float-list", "array.array", "int64-array", "float32-array",
+             "numpy-int-tuple", "0d-array-list"],
     )
     def test_collections_of_counts_read_as_the_list(self, convert):
         xs = [0, 1, 1, 2, 2, 2, 3, 5]
