@@ -110,14 +110,7 @@ def _counts_1d(data) -> list[int]:
     if all(type(y) is int for y in items):
         xs = list(items) if min(items) >= 0 else None
     else:
-        # decided per entry type, since asking a float for its ndim raises and
-        # catches an AttributeError: a list or a tuple is nested, and only an
-        # entry whose type has an ndim (a numpy scalar or array) is asked
-        types = set(map(type, items))
-        shaped = tuple(t for t in types if hasattr(t, "ndim"))
-        nested = any(issubclass(t, (list, tuple)) for t in types) or (
-            bool(shaped) and any(y.ndim for y in items if isinstance(y, shaped))
-        )
+        nested = any(isinstance(y, (list, tuple)) or getattr(y, "ndim", 0) for y in items)
         if getattr(data, "ndim", 1) != 1 or nested:
             raise ValueError("expected a one-dimensional collection of counts")
         xs = _as_counts(items)
