@@ -160,9 +160,10 @@ def sample_lambdas_conditional(
     ``a0+a1+a2`` the gamma product is only a proposal and a Metropolis
     accept step corrects for the ``(bλ)^(a-a0-a1-a2)`` factor; the
     current rates are kept on rejection.  Exposures past the float range
-    are refused by name.
+    are refused by name, as are rates :class:`bdw.mobw.MOBWParams` refuses
+    and a shape that is not positive and finite.
     """
-    st = summarize(sample)
+    st = sample if sample.__class__ is SampleSummary else summarize(sample)
     held = st.__dict__.get("_rate_step")
     if held is None or held[0] is not prior or held[1] is not rng:
         held = _bind(_rate_step, st, prior, rng)
@@ -220,9 +221,10 @@ def sample_alpha_conditional(
     Slice sampling with stepping-out and shrinkage; exact in stationarity
     for the conditional known up to its normalizing constant.  A
     log-target so large at the current shape that the slice level rounds
-    to it is refused by name.
+    to it is refused by name, as are rates :class:`bdw.mobw.MOBWParams`
+    refuses and a zero shared rate where the sample holds a tie.
     """
-    st = summarize(sample)
+    st = sample if sample.__class__ is SampleSummary else summarize(sample)
     held = st.__dict__.get("_slice_step")
     if held is None or held[0] is not alpha_prior or held[1] is not rng:
         held = _bind(_slice_step, st, alpha_prior, rng)

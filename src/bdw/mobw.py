@@ -33,6 +33,7 @@ of libm powers: the module loads no numpy.
 from __future__ import annotations
 
 import math
+from functools import cached_property
 from operator import mul
 from typing import Callable, NamedTuple, Sequence
 
@@ -149,38 +150,41 @@ class SampleSummary(_Record, eq=False):
     (a row's non-zero entries), and ``w0``, ``w1``, ``w2`` their
     multiplicities; ``row_sums`` holds the rows' totals and ``top`` the
     largest value (0 when there is none).  Every table is a tuple, of
-    floats or ints.  The last power table of ``vals`` is kept with its
-    shape, as one per-instance pair ``[shape, table]`` that :meth:`powers`
-    and the shape's target read and write in place, so the exposures and
-    the target at one shape share one power.  That pair, and the Gibbs
-    steps bound to the summary (:mod:`bdw.fit_bayes`), are state, not
-    fields: they are set on first use and stay out of the repr.
+    floats or ints; the multiplicities are floats, since they only weigh
+    powers.  The last power table of ``vals`` is kept with its shape, as
+    one per-instance pair ``[shape, table]`` that :meth:`powers` and the
+    shape's target read and write in place, so the exposures and the
+    target at one shape share one power.  That pair, and the Gibbs steps
+    bound to the summary (:mod:`bdw.fit_bayes`), are state, not fields:
+    they are set on first use and stay out of the repr.
     """
 
     n_below: int
     n_above: int
     n_tie: int
     vals: tuple[float, ...]
-    weights: tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]
+    weights: tuple[tuple[float, ...], tuple[float, ...], tuple[float, ...]]
     positions: tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]
-    w0: tuple[int, ...]
-    w1: tuple[int, ...]
-    w2: tuple[int, ...]
+    w0: tuple[float, ...]
+    w1: tuple[float, ...]
+    w2: tuple[float, ...]
     row_sums: tuple[int, int, int]
     top: float
     event_count: int
     log_y_sum: float
     first_zero: int | None
 
-    def _pair(self) -> list:
-        # the last [shape, power table]: state, not a field, made on first use
-        return self.__dict__.setdefault("_power", [math.nan, None])
+    @cached_property
+    def _power(self) -> list:
+        # the last [shape, power table]: state, not a field, made on first use;
+        # from then on it is read from the instance's dict, with no call
+        return [math.nan, None]
 
     def powers(self, alpha: float) -> list[float]:
         """``vals**alpha``, ``inf`` past the float range, computed only when
         ``alpha`` differs from the last shape asked for; the table is
         shared, so it is not to be written."""
-        power = self._pair()
+        power = self._power
         if alpha != power[0]:
             try:
                 table = [v**alpha for v in self.vals]
@@ -192,14 +196,22 @@ class SampleSummary(_Record, eq=False):
     def exposures(self, alpha: float) -> tuple[float, float, float]:
         """``(T0, T1, T2)``: sums of ``max(y1, y2)**alpha``, ``y1**alpha`` and
         ``y2**alpha``, each rounded once (``inf`` past the float range);
-        zero lifetimes contribute nothing."""
-        at = self.powers(alpha).__getitem__
+        zero lifetimes contribute nothing.  The power table is read once,
+        and computed only when it is not at ``alpha``."""
+        last, table = self._power
+        at = (table if alpha == last else self.powers(alpha)).__getitem__
         p0, p1, p2 = self.positions
-        return (
-            _positive_sum(map(mul, self.w0, map(at, p0))),
-            _positive_sum(map(mul, self.w1, map(at, p1))),
-            _positive_sum(map(mul, self.w2, map(at, p2))),
-        )
+        # fsum raises where a partial sum passes the float range; the sums are
+        # then taken again, one by one, each reading inf past it
+        for add_up in (math.fsum, _positive_sum):
+            try:
+                return (
+                    add_up(map(mul, self.w0, map(at, p0))),
+                    add_up(map(mul, self.w1, map(at, p1))),
+                    add_up(map(mul, self.w2, map(at, p2))),
+                )
+            except OverflowError:
+                continue
 
 
 # what the latent-sample functions take: complete pairs or their summary
@@ -241,10 +253,12 @@ def summarize(sample: Sample) -> SampleSummary:
             log_y += log(y1) if o.kind == "tie" else log(y1) + log(y2)
     vals = sorted({v for tally in tallies for v in tally})
     where = {v: k for k, v in enumerate(vals)}
-    weights = [[0] * len(vals) for _ in tallies]
+    # counts as floats, exact, since they only weigh powers: a float product
+    # takes no conversion per call
+    weights = [[0.0] * len(vals) for _ in tallies]
     for row, tally in zip(weights, tallies):
         for v, count in tally.items():
-            row[where[v]] = count
+            row[where[v]] = float(count)
     positions = tuple(tuple(k for k, count in enumerate(row) if count) for row in weights)
     n_below, n_above, n_tie = kinds["below"], kinds["above"], kinds["tie"]
     return SampleSummary(
@@ -273,10 +287,15 @@ def cause_counts(
     individual shock.  With ``rng``, a numpy ``Generator`` or the
     package's seeded generator (:class:`bdw.generator._Generator`), the
     ambiguous attributions are drawn (two binomials), otherwise their
-    expectations are used.
+    expectations are used.  Rates that :class:`MOBWParams` refuses are
+    refused, by its message.
     """
     l0, l1, l2 = lambdas
-    st = summarize(sample)
+    # MOBWParams' rule on the rates, as one chain of comparisons that NaN
+    # fails; where it fails, MOBWParams refuses them by its message
+    if not (l0 >= 0.0 and l1 > 0.0 and l2 > 0.0 and l0 + l1 + l2 < math.inf):
+        MOBWParams(1.0, l0, l1, l2)
+    st = sample if sample.__class__ is SampleSummary else summarize(sample)
     share1 = l1 / (l0 + l1)
     share2 = l2 / (l0 + l2)
     if rng is None:
@@ -285,17 +304,18 @@ def cause_counts(
     else:
         k1 = float(rng.binomial(st.n_above, share1))
         k2 = float(rng.binomial(st.n_below, share2))
-    n1 = st.n_below + k1
-    n2 = st.n_above + k2
-    n0 = st.n_tie + (st.n_below - k2) + (st.n_above - k1)
-    return n0, n1, n2
+    return st.n_tie + (st.n_below - k2) + (st.n_above - k1), st.n_below + k1, st.n_above + k2
 
 
 def exposures(sample: Sample, alpha: float) -> tuple[float, float, float]:
     """Cause-specific exposure sums ``(T0, T1, T2)`` at a given shape:
     ``T0 = Σ max(y1, y2)^α``, ``T1 = Σ y1^α`` and ``T2 = Σ y2^α``, where zero
-    lifetimes add nothing; an exposure past the float range is refused."""
-    sums = summarize(sample).exposures(alpha)
+    lifetimes add nothing; a shape that is not positive and finite, and an
+    exposure past the float range, are refused."""
+    if not 0.0 < alpha < math.inf:
+        raise ValueError(f"shape must be positive and finite, got {alpha}")
+    st = sample if sample.__class__ is SampleSummary else summarize(sample)
+    sums = st.exposures(alpha)
     if math.inf in sums:
         raise ValueError(
             f"the exposures pass the float range at shape {alpha:.6g}: "
@@ -489,24 +509,29 @@ def _loglik_in_shape(
 
     The summary's half is bound here, once; ``at(lambdas)`` binds the rate
     logarithms, the coefficients and their total, and returns the target,
-    which reads and writes the summary's power pair in place."""
+    which reads and writes the summary's power pair in place.  ``at``
+    refuses the rates :class:`MOBWParams` refuses, and a zero shared rate
+    where the sample holds a tie."""
     n_below, n_above, n_tie = st.n_below, st.n_above, st.n_tie
     log_alpha_coef = c - 1.0 + st.event_count
     log_y_sum = st.log_y_sum
     columns = tuple(zip(*st.weights))
     s0, s1, s2 = st.row_sums
-    vals, top, power = st.vals, st.top, st._pair()
-    log, fpow, fsum, inf, isfinite = math.log, math.pow, math.fsum, math.inf, math.isfinite
+    vals, power = st.vals, st._power
+    log, fsum, inf, isfinite = math.log, math.fsum, math.inf, math.isfinite
 
     def at(lambdas: tuple[float, float, float]) -> Callable[[float], float]:
         l0, l1, l2 = lambdas
-        # each density event's log-rate: two per off-diagonal pair, one per tie
-        rate_logs = 0.0
-        for n, kind in ((n_below, "below"), (n_above, "above")):
-            if n:
-                r1, r2 = _branch_rates(l0, l1, l2, kind)
-                rate_logs += n * (log(r1) + log(r2))
+        # cause_counts' refusal of the rates MOBWParams refuses
+        if not (l0 >= 0.0 and l1 > 0.0 and l2 > 0.0 and l0 + l1 + l2 < inf):
+            MOBWParams(1.0, l0, l1, l2)
+        # each density event's log-rate: two per off-diagonal pair, one per
+        # tie, at _branch_rates' pair of each branch, written out; the rates
+        # are finite and l1, l2 positive, so only a tie's log(l0) can fail
+        rate_logs = n_below * (log(l1) + log(l0 + l2)) + n_above * (log(l0 + l1) + log(l2))
         if n_tie:
+            if l0 == 0.0:
+                raise ValueError("the sample holds a tie but the shared rate is zero")
             rate_logs += n_tie * log(l0)
         # l0*T0 + l1*T1 + l2*T2 is one power of the fused value table, at
         # most the coefficients' total times the largest value's power
@@ -517,16 +542,19 @@ def _loglik_in_shape(
             if not (0 < alpha < inf):
                 return -inf
             # where that bound overflows, so may the sum, and a zero
-            # coefficient times an infinite power would read NaN: refuse it
-            # (math.pow raises OverflowError past the float range, as fsum
-            # does on its way there).  Where the bound is finite, no value's
-            # power overflows, so the table needs no fallback of powers()'s
+            # coefficient times an infinite power would read NaN: refuse it.
+            # The table's last power is the largest value's, the bound's.  A
+            # power past the float range raises OverflowError, as fsum does on
+            # its way there, so a table made here needs no fallback of
+            # powers()'s, and one that powers() made with an inf fails the
+            # bound (or, at a zero total, reads NaN below)
             try:
-                if fpow(top, alpha) * total == inf:
-                    return -inf
                 if alpha != power[0]:
                     power[0], power[1] = alpha, [v**alpha for v in vals]
-                dot = fsum(map(mul, coef, power[1]))
+                table = power[1]
+                if vals and table[-1] * total == inf:
+                    return -inf
+                dot = fsum(map(mul, coef, table))
             except OverflowError:
                 return -inf
             y_term = (alpha - 1.0) * log_y_sum if alpha != 1.0 else 0.0
@@ -547,8 +575,6 @@ def complete_loglik(params: MOBWParams, sample: Sample) -> float:
     silently infinite objective would derail any optimizer built on top."""
     st = summarize(sample)
     a = params.alpha
-    if st.n_tie and params.lambda0 == 0.0:
-        raise ValueError("the sample holds a tie but the shared rate is zero")
     if st.first_zero is not None and a != 1.0:
         zero = f"observation {st.first_zero} holds a zero lifetime"
         raise ValueError(f"{zero}: its log-density is non-finite at shape {a:.6g}")

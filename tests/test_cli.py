@@ -176,6 +176,13 @@ JOINT_REPORTS = {
         ["fit-bayes", "--dataset", "football", "-M", "2000", "-N", "5", "--seed", "0"],
         "2860439cead6292f4cc6857902362125ae8d600c1f425ffb4aa5ac970e06d4bc",
     ),
+    # the conjugate rate step (a = a0 + a1 + a2: no Metropolis draw) under a
+    # proper shape prior
+    "fit-bayes-nasal-conjugate": (
+        ["fit-bayes", "--dataset", "nasal", "-M", "200", "-N", "2", "--seed", "3", "--a", "3",
+         "--b", "1", "--a0", "1", "--a1", "1", "--a2", "1", "--c", "1", "--d", "1"],
+        "198253568c7ea780a317b08c7b9b90bc00bb549ab4eb4c4aaeccb38f334a83c9",
+    ),
     "moments": (
         ["moments", *_LAW],
         "6943a0477693601433790a30a839ebdd1ff26b31d203d3d7908145d202de926f",

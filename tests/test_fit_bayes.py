@@ -156,6 +156,56 @@ class TestCompleteDataReductions:
         assert np.all(np.abs(draws.mean(axis=0) - expect) < 4 * se)
 
 
+# rates that MOBWParams refuses, with the message it refuses them by
+BAD_RATES = [
+    pytest.param((0.0, 0.0, 0.1), "^lambda1 must be positive and finite, got 0.0$", id="zero"),
+    pytest.param((0.4, math.nan, 0.9), "^lambda1 must be positive and finite, got nan$", id="nan"),
+    pytest.param(
+        (math.inf, 0.7, 0.9), "^lambda0 must be non-negative and finite, got inf$", id="inf"
+    ),
+    pytest.param(
+        (1e308, 1e308, 0.9), "^the total rate lambda0 \\+ lambda1 \\+ lambda2 must be finite",
+        id="infinite-total",
+    ),
+]
+
+
+class TestRefusedArguments:
+    @pytest.mark.parametrize("lams, message", BAD_RATES)
+    def test_cause_counts_refuse_rates_by_name(self, lams, message):
+        for rng in (None, np.random.default_rng(0), _Generator(0)):
+            with pytest.raises(ValueError, match=message):
+                cause_counts(MIXED, lams, rng)
+        for prior in (PRIOR_EQ, PRIOR_NE):
+            with pytest.raises(ValueError, match=message):
+                sample_lambdas_conditional(prior, 1.6, MIXED, lams, _Generator(0))
+
+    @pytest.mark.parametrize("alpha", [math.nan, -1.0, 0.0, math.inf])
+    def test_exposures_refuse_a_shape_out_of_range(self, alpha):
+        message = f"^shape must be positive and finite, got {alpha}$"
+        with pytest.raises(ValueError, match=message):
+            exposures(MIXED, alpha)
+        for prior in (PRIOR_EQ, PRIOR_NE):
+            with pytest.raises(ValueError, match=message):
+                sample_lambdas_conditional(prior, alpha, MIXED, (0.4, 0.7, 0.9), _Generator(0))
+
+    @pytest.mark.parametrize("lams, message", BAD_RATES)
+    def test_shape_target_refuses_rates_by_name(self, lams, message):
+        with pytest.raises(ValueError, match=message):
+            sample_alpha_conditional(AlphaPrior(), lams, MIXED, 1.3, _Generator(0))
+
+    def test_shape_target_refuses_a_tie_at_a_zero_shared_rate(self):
+        # complete_loglik's refusal, by its message
+        message = "^the sample holds a tie but the shared rate is zero$"
+        with pytest.raises(ValueError, match=message):
+            sample_alpha_conditional(AlphaPrior(), (0.0, 0.2, 0.1), MIXED, 1.3, _Generator(0))
+        # without a tie, a zero shared rate is a valid law
+        below_above = BELOW + ABOVE
+        assert sample_alpha_conditional(
+            AlphaPrior(), (0.0, 0.2, 0.1), below_above, 1.3, _Generator(0)
+        ) > 0
+
+
 class TestSampleSummary:
     ZERO_EVENT = (
         CompleteObservation(0.5, 1.2, "below"),
