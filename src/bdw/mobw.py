@@ -144,19 +144,17 @@ class SampleSummary(_Record, eq=False):
     observation holding a zero event.  ``vals`` is the one value table:
     the distinct positive values of ``max(y1, y2)``, ``y1`` and ``y2``
     together, increasing.  ``weights`` holds their 3 x K multiplicities,
-    rows in the order of the exposures ``(T0, T1, T2)``, so a rate-weighted
-    sum of the three exposures takes one power of ``vals``.  ``positions``
-    holds, in the same order, where each exposure's values sit in ``vals``
-    (a row's non-zero entries), and ``w0``, ``w1``, ``w2`` their
-    multiplicities; ``row_sums`` holds the rows' totals and ``top`` the
-    largest value (0 when there is none).  Every table is a tuple, of
-    floats or ints; the multiplicities are floats, since they only weigh
-    powers.  The last power table of ``vals`` is kept with its shape, as
-    one per-instance pair ``[shape, table]`` that :meth:`powers` and the
-    shape's target read and write in place, so the exposures and the
-    target at one shape share one power.  That pair, and the Gibbs steps
-    bound to the summary (:mod:`bdw.fit_bayes`), are state, not fields:
-    they are set on first use and stay out of the repr.
+    rows in the order of the exposures ``(T0, T1, T2)``, so an exposure is
+    its row summed against one power of ``vals``, and a rate-weighted sum
+    of the three takes that power once; a row's positive entries are its
+    exposure's values, and ``row_sums`` holds the rows' totals.  Every
+    table is a tuple, of floats or ints; the multiplicities are floats,
+    since they only weigh powers.  The last power table of ``vals`` is
+    kept with its shape, as one per-instance pair ``[shape, table]`` that
+    :meth:`powers` and the shape's target read and write in place, so the
+    exposures and the target at one shape share one power.  That pair, and
+    the Gibbs steps bound to the summary (:mod:`bdw.fit_bayes`), are state,
+    not fields: they are set on first use and stay out of the repr.
     """
 
     n_below: int
@@ -164,12 +162,7 @@ class SampleSummary(_Record, eq=False):
     n_tie: int
     vals: tuple[float, ...]
     weights: tuple[tuple[float, ...], tuple[float, ...], tuple[float, ...]]
-    positions: tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]
-    w0: tuple[float, ...]
-    w1: tuple[float, ...]
-    w2: tuple[float, ...]
     row_sums: tuple[int, int, int]
-    top: float
     event_count: int
     log_y_sum: float
     first_zero: int | None
@@ -199,19 +192,26 @@ class SampleSummary(_Record, eq=False):
         zero lifetimes contribute nothing.  The power table is read once,
         and computed only when it is not at ``alpha``."""
         last, table = self._power
-        at = (table if alpha == last else self.powers(alpha)).__getitem__
-        p0, p1, p2 = self.positions
-        # fsum raises where a partial sum passes the float range; the sums are
-        # then taken again, one by one, each reading inf past it
-        for add_up in (math.fsum, _positive_sum):
+        if alpha != last:
+            table = self.powers(alpha)
+        # at a positive shape the last power, the largest value's, bounds the
+        # rest: while it is finite, a row's zero weights add exact zeros to its
+        # one rounding.  Elsewhere, at an inf power (0 * inf is NaN) and where
+        # fsum finds a sum past the float range, each row's positive entries
+        # are summed instead
+        if alpha > 0.0 and table and table[-1] < math.inf:
+            w0, w1, w2 = self.weights
             try:
                 return (
-                    add_up(map(mul, self.w0, map(at, p0))),
-                    add_up(map(mul, self.w1, map(at, p1))),
-                    add_up(map(mul, self.w2, map(at, p2))),
+                    math.fsum(map(mul, w0, table)),
+                    math.fsum(map(mul, w1, table)),
+                    math.fsum(map(mul, w2, table)),
                 )
             except OverflowError:
-                continue
+                pass
+        return tuple(
+            _positive_sum([w * p for w, p in zip(row, table) if w]) for row in self.weights
+        )
 
 
 # what the latent-sample functions take: complete pairs or their summary
@@ -259,7 +259,6 @@ def summarize(sample: Sample) -> SampleSummary:
     for row, tally in zip(weights, tallies):
         for v, count in tally.items():
             row[where[v]] = float(count)
-    positions = tuple(tuple(k for k, count in enumerate(row) if count) for row in weights)
     n_below, n_above, n_tie = kinds["below"], kinds["above"], kinds["tie"]
     return SampleSummary(
         n_below,
@@ -267,10 +266,7 @@ def summarize(sample: Sample) -> SampleSummary:
         n_tie,
         tuple(vals),
         tuple(map(tuple, weights)),
-        positions,
-        *(tuple(row[k] for k in pos) for row, pos in zip(weights, positions)),
         tuple(sum(tally.values()) for tally in tallies),
-        vals[-1] if vals else 0.0,
         event_count=2 * (n_below + n_above) + n_tie,
         log_y_sum=log_y,
         first_zero=first_zero,
@@ -615,10 +611,7 @@ def inner_em_mobw(sample: Sample, start: MOBWParams, trace: list | None = None) 
             )
     # each exposure's (multiplicity, log-value) pairs, increasing: the last is its top
     logs = [math.log(v) for v in st.vals]
-    tables = [
-        [(w, logs[k]) for w, k in zip(ws, pos)]
-        for ws, pos in zip((st.w0, st.w1, st.w2), st.positions)
-    ]
+    tables = [[(w, lg) for w, lg in zip(row, logs) if w] for row in st.weights]
 
     def m_step(counts, alpha):
         # maximize the attributed-cause objective over shape and rates;

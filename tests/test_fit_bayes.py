@@ -593,33 +593,33 @@ class TestShapeTarget:
             columns = (
                 [max(o.y1, o.y2) for o in sample], [o.y1 for o in sample], [o.y2 for o in sample]
             )
-            multiplicities = (st.w0, st.w1, st.w2)
-            for row, pos, w, column in zip(st.weights, st.positions, multiplicities, columns):
+            for row, column in zip(st.weights, columns):
                 want, counts = np.unique([v for v in column if v > 0], return_counts=True)
-                assert [st.vals[k] for k in pos] == want.tolist()
-                assert list(w) == counts.tolist()
-                assert [row[k] for k in pos] == list(w)
-                assert sum(row) == sum(w)
+                # an exposure's values and multiplicities are its row's positive entries
+                assert [v for v, w in zip(st.vals, row) if w] == want.tolist()
+                assert [w for w in row if w] == counts.tolist()
+                assert sum(row) == sum(counts.tolist())
             # every value belongs to some exposure
             assert all(map(any, zip(*st.weights)))
 
     def test_positions_index_each_table(self, summaries):
         for st in summaries:
-            # the tables are tuples, of increasing positive floats and of ints
+            # the tables are tuples, of increasing positive floats
             assert type(st.vals) is tuple and all(type(v) is float for v in st.vals)
             assert all(a < b for a, b in zip(st.vals, st.vals[1:])) and st.vals[0] > 0
-            for row, pos in zip(st.weights, st.positions):
-                # each exposure's values, in order, are the row's non-zero entries
-                assert type(pos) is tuple and all(type(k) is int for k in pos)
-                assert pos == tuple(k for k, count in enumerate(row) if count)
+            assert type(st.weights) is tuple and len(st.weights) == 3
+            for row in st.weights:
+                # one float multiplicity per value, zero where the exposure lacks it
+                assert type(row) is tuple and len(row) == len(st.vals)
+                assert all(type(w) is float and w >= 0.0 for w in row)
             assert st.row_sums == tuple(map(sum, st.weights))
-            assert st.top == max(st.vals)
 
     def test_exposures_read_the_shared_power_table(self, samples, summaries):
         lams = (0.04, 0.2, 0.1)
         for sample, st in zip(samples, summaries):
             tables = [
-                (w, [st.vals[k] for k in pos]) for w, pos in zip((st.w0, st.w1, st.w2), st.positions)
+                ([w for w in row if w], [v for v, w in zip(st.vals, row) if w])
+                for row in st.weights
             ]
             g = fit_bayes._alpha_logtarget(AlphaPrior(), st)(lams)
             for alpha in np.geomspace(0.05, 50.0, 41).tolist():
@@ -651,6 +651,47 @@ class TestShapeTarget:
         g = fit_bayes._alpha_logtarget(AlphaPrior(), st)((0.4, 0.7, 0.9))
         assert g(330.0) == -math.inf
         assert g(300.0) > -math.inf
+
+    # values of 9 and 8.999 only in y2 and max(y1, y2): at shape 323 each
+    # power, 1.66e308 and 1.60e308, and each weighted term is finite, but
+    # their sum passes the float range
+    TWICE = (
+        CompleteObservation(1.5, 9.0, "below"),
+        CompleteObservation(2.0, 8.999, "below"),
+        CompleteObservation(3.0, 3.0, "tie"),
+        CompleteObservation(2.0, 1.0, "above"),
+    )
+
+    def test_finite_powers_summed_past_the_float_range(self):
+        st = summarize(self.TWICE)
+        powers = st.powers(323.0)
+        assert all(w * p < math.inf for row in st.weights for w, p in zip(row, powers))
+        want = []
+        for row in st.weights:
+            try:
+                want.append(math.fsum(w * v**323.0 for v, w in zip(st.vals, row) if w))
+            except OverflowError:
+                want.append(math.inf)
+        assert st.exposures(323.0) == tuple(want)
+        # y1's row holds a zero weight at 9 and stays finite
+        assert want[0] == want[2] == math.inf and math.isfinite(want[1])
+
+    def test_negative_shape_sums_the_positive_entries(self):
+        # below zero the smallest value's power is the largest, here inf,
+        # where a zero weight would read NaN
+        st = summarize(
+            [CompleteObservation(1e-300, 1.0, "below"), CompleteObservation(2.0, 1.0, "above")]
+        )
+        assert st.exposures(-2.0) == (1.25, math.inf, 2.0)
+
+    def test_empty_value_table(self):
+        # every lifetime zero: no value, and three exact zeros at any shape
+        st = summarize([CompleteObservation(0.0, 0.0, "tie")] * 2)
+        assert st.vals == () and st.weights == ((), (), ())
+        for alpha in (0.5, 1.0, 330.0):
+            for sums in (st.exposures(alpha), exposures(st, alpha)):
+                assert sums == (0.0, 0.0, 0.0)
+                assert [math.copysign(1.0, t) for t in sums] == [1.0] * 3
 
     def test_overflowed_power_gives_minus_inf(self, summaries):
         for st in [summarize(self.OVERFLOW), *summaries]:

@@ -464,6 +464,39 @@ class TestInnerEMOnSummary:
         assert inner_em_mobw(summarize(rows), theta, trace=summary_trace) == fit
         assert summary_trace == rows_trace
 
+    # the inner EM on each first-round summary, whose weight rows hold zero
+    # entries, from init_estimates' start as recorded: the fit and the number
+    # of iterations, bit for bit
+    FIRST_ROUND = {
+        "football": (
+            MOBWParams(
+                2.049035121554143, 0.039429477040091754, 0.23269437776319468, 0.11091248134738774
+            ),
+            MOBWParams(
+                3.170102624828586, 5.7823026553015065e-11, 0.12942805431805515, 0.1022813632194019
+            ),
+            87,
+        ),
+        "wide_panel": (
+            MOBWParams(
+                1.1730658601787614, 0.02813755763021246, 0.05677389046340134, 0.03446731761271356
+            ),
+            MOBWParams(
+                1.2570946711185633, 0.028122023993468956, 0.04345991819494441, 0.03283341721381948
+            ),
+            15,
+        ),
+    }
+
+    @pytest.mark.parametrize("dataset", sorted(FIRST_ROUND))
+    def test_first_round_fit_keeps_its_bits(self, request, dataset):
+        start, want, iters = self.FIRST_ROUND[dataset]
+        st = summarize(impute_dataset(start, request.getfixturevalue(dataset)))
+        assert 0.0 in st.weights[0] + st.weights[1] + st.weights[2]
+        trace = []
+        assert inner_em_mobw(st, start, trace=trace) == want
+        assert len(trace) == iters
+
     def test_zero_lifetime_pins_the_shape_at_one(self):
         trace = []
         fit = inner_em_mobw(ZERO_LIFETIME, REF, trace=trace)
