@@ -398,9 +398,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     if "BDW_LOG" in os.environ:
         import logging
 
+        # a level's name; any other value, a name of logging's that is no
+        # level (BASIC_FORMAT) included, reads as WARNING
+        level = getattr(logging, os.environ["BDW_LOG"].upper(), None)
         logging.basicConfig(
             stream=sys.stderr,
-            level=getattr(logging, os.environ["BDW_LOG"].upper(), logging.WARNING),
+            level=level if isinstance(level, int) else logging.WARNING,
             format="%(levelname)s %(name)s: %(message)s",
         )
     parser = _build_parser()

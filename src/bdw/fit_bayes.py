@@ -57,8 +57,6 @@ __all__ = [
     "AlphaPrior",
     "PosteriorDraws",
     "dg_logpdf",
-    "cause_counts",
-    "exposures",
     "sample_lambdas_conditional",
     "sample_alpha_conditional",
     "augmented_gibbs",

@@ -25,9 +25,10 @@ The density of each of the three branches is written once, in
 form on the summary, which is all the inner EM reads; the Gibbs shape
 step's target is it under the prior's kernel.  The closed form binds in
 two levels, the summary's half once and the rates' half per call, and
-reads the summary's power table in place.  The summary's tables are
-tuples built with a dict and a sort, and the exposures are ``math`` sums
-of libm powers: the module loads no numpy.
+reads and writes the summary's power pair in place, as :func:`exposures`
+does: the summary itself is a plain record.  Its tables are tuples built
+with a dict and a sort, and the exposures are ``math`` sums of libm
+powers, one rounding each: the module loads no numpy.
 """
 
 from __future__ import annotations
@@ -149,12 +150,13 @@ class SampleSummary(_Record, eq=False):
     of the three takes that power once; a row's positive entries are its
     exposure's values, and ``row_sums`` holds the rows' totals.  Every
     table is a tuple, of floats or ints; the multiplicities are floats,
-    since they only weigh powers.  The last power table of ``vals`` is
-    kept with its shape, as one per-instance pair ``[shape, table]`` that
-    :meth:`powers` and the shape's target read and write in place, so the
-    exposures and the target at one shape share one power.  That pair, and
-    the Gibbs steps bound to the summary (:mod:`bdw.fit_bayes`), are state,
-    not fields: they are set on first use and stay out of the repr.
+    since they only weigh powers.  The summary has no methods: the last
+    power table of ``vals`` is kept with its shape, as one per-instance
+    pair ``[shape, table]`` that :func:`exposures` and the shape's target
+    read and write in place, so the two at one shape share one power;
+    neither writes a table that overflowed.  That pair, and the Gibbs
+    steps bound to the summary (:mod:`bdw.fit_bayes`), are state, not
+    fields: they are set on first use and stay out of the repr.
     """
 
     n_below: int
@@ -173,59 +175,9 @@ class SampleSummary(_Record, eq=False):
         # from then on it is read from the instance's dict, with no call
         return [math.nan, None]
 
-    def powers(self, alpha: float) -> list[float]:
-        """``vals**alpha``, ``inf`` past the float range, computed only when
-        ``alpha`` differs from the last shape asked for; the table is
-        shared, so it is not to be written."""
-        power = self._power
-        if alpha != power[0]:
-            try:
-                table = [v**alpha for v in self.vals]
-            except OverflowError:
-                table = [_power(v, alpha) for v in self.vals]
-            power[0], power[1] = alpha, table
-        return power[1]
-
-    def exposures(self, alpha: float) -> tuple[float, float, float]:
-        """``(T0, T1, T2)``: sums of ``max(y1, y2)**alpha``, ``y1**alpha`` and
-        ``y2**alpha``, each rounded once (``inf`` past the float range);
-        zero lifetimes contribute nothing.  The power table is read once,
-        and computed only when it is not at ``alpha``."""
-        last, table = self._power
-        if alpha != last:
-            table = self.powers(alpha)
-        # at a positive shape the last power, the largest value's, bounds the
-        # rest: while it is finite, a row's zero weights add exact zeros to its
-        # one rounding.  Elsewhere, at an inf power (0 * inf is NaN) and where
-        # fsum finds a sum past the float range, each row's positive entries
-        # are summed instead
-        if alpha > 0.0 and table and table[-1] < math.inf:
-            w0, w1, w2 = self.weights
-            try:
-                return (
-                    math.fsum(map(mul, w0, table)),
-                    math.fsum(map(mul, w1, table)),
-                    math.fsum(map(mul, w2, table)),
-                )
-            except OverflowError:
-                pass
-        return tuple(
-            _positive_sum([w * p for w, p in zip(row, table) if w]) for row in self.weights
-        )
-
 
 # what the latent-sample functions take: complete pairs or their summary
 Sample = Sequence[CompleteObservation] | SampleSummary
-
-
-def _positive_sum(terms) -> float:
-    """The sum of non-negative floats, rounded once (``math.fsum``), so it
-    depends on neither their order nor the Python version; ``inf`` past the
-    float range, where fsum raises."""
-    try:
-        return math.fsum(terms)
-    except OverflowError:
-        return math.inf
 
 
 def summarize(sample: Sample) -> SampleSummary:
@@ -311,7 +263,22 @@ def exposures(sample: Sample, alpha: float) -> tuple[float, float, float]:
     if not 0.0 < alpha < math.inf:
         raise ValueError(f"shape must be positive and finite, got {alpha}")
     st = sample if sample.__class__ is SampleSummary else summarize(sample)
-    sums = st.exposures(alpha)
+    # the summary's [shape, table] pair: a power past the float range raises
+    # before the pair is written, so a kept table of finite values is finite
+    # and a row's zero weights add exact zeros to its one rounding
+    power = st._power
+    try:
+        if alpha != power[0]:
+            power[0], power[1] = alpha, [v**alpha for v in st.vals]
+        table = power[1]
+        w0, w1, w2 = st.weights
+        sums = (
+            math.fsum(map(mul, w0, table)),
+            math.fsum(map(mul, w1, table)),
+            math.fsum(map(mul, w2, table)),
+        )
+    except OverflowError:
+        sums = (math.inf,)
     if math.inf in sums:
         raise ValueError(
             f"the exposures pass the float range at shape {alpha:.6g}: "
@@ -541,9 +508,8 @@ def _loglik_in_shape(
             # coefficient times an infinite power would read NaN: refuse it.
             # The table's last power is the largest value's, the bound's.  A
             # power past the float range raises OverflowError, as fsum does on
-            # its way there, so a table made here needs no fallback of
-            # powers()'s, and one that powers() made with an inf fails the
-            # bound (or, at a zero total, reads NaN below)
+            # its way there, so a table made here, or by exposures, needs no
+            # fallback
             try:
                 if alpha != power[0]:
                     power[0], power[1] = alpha, [v**alpha for v in vals]

@@ -496,8 +496,10 @@ class _Stream:
         self._state = ((self._inc + (w[0] << 64 | w[1])) * _PCG_MULT + self._inc) & _MASK128
 
     def random(self, n: int) -> list[float]:
-        """The next ``n`` uniforms on [0, 1); a list too long to allocate is
-        refused at once, by its size."""
+        """The next ``n`` uniforms on [0, 1); a negative ``n`` is refused in
+        numpy's words, and a list too long to allocate at once, by its size."""
+        if n < 0:
+            raise ValueError("negative dimensions are not allowed")
         try:
             out = [0.0] * n
         except (MemoryError, OverflowError):

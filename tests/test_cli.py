@@ -1488,6 +1488,17 @@ class TestLogging:
         assert (tmp_path / "r").stat().st_size > 0
 
 
+    # logging's own names that are no level, a format string and a dict,
+    # read as WARNING like an unknown name: the report as without BDW_LOG
+    @pytest.mark.parametrize("value", ["basic_format", "_styles"])
+    def test_a_name_that_is_no_level_reads_as_warning(self, value):
+        argv = ["moments", "--alpha", "1.5", "--p0", "0.9", "--p1", "0.7", "--p2", "0.75"]
+        quiet = _program(argv)
+        proc = _program(argv, BDW_LOG=value)
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        assert proc.stdout == quiet.stdout and quiet.stdout
+
+
 class TestTracedRun:
     # perfbench/traced.py patches each layer's functions in its module
     # after ``import bdw.cli``; the handlers' own imports must see them

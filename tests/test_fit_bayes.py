@@ -297,7 +297,7 @@ class TestSampleSummary:
         assert st.first_zero == 1
         # zero lifetimes add nothing to the exposures
         want = (1.2**2 + 1.5**2, 0.5**2, 1.2**2 + 1.5**2)
-        assert st.exposures(2.0) == pytest.approx(want, rel=1e-15)
+        assert exposures(st, 2.0) == pytest.approx(want, rel=1e-15)
 
 
 class TestLambdaConditional:
@@ -433,8 +433,9 @@ class TestLambdaConditional:
     def test_exposures_near_the_float_range_are_drawn(self):
         # one lifetime of 9: the sums' bound overflows at 322.9, the sums do not
         st = summarize(self.NINES[:1])
-        with np.errstate(over="raise"):
-            want = st.exposures(322.9)
+        want = tuple(
+            math.fsum(w * v**322.9 for v, w in zip(st.vals, row) if w) for row in st.weights
+        )
         assert math.isfinite(want[0]) and fit_bayes.exposures(st, 322.9) == want
         rng = np.random.default_rng(0)
         lams = sample_lambdas_conditional(PRIOR_EQ, 322.9, st, (0.4, 0.7, 0.9), rng)
@@ -550,7 +551,7 @@ class TestAlphaConditional:
 def _summed_logtarget(prior, lams, st, alpha):
     # the shape's log full conditional from the three exposures, term by term
     l0, l1, l2 = lams
-    t0, t1, t2 = st.exposures(alpha)
+    t0, t1, t2 = exposures(st, alpha)
     rate_logs = (
         st.n_below * (math.log(l1) + math.log(l0 + l2))
         + st.n_above * (math.log(l0 + l1) + math.log(l2))
@@ -629,25 +630,25 @@ class TestShapeTarget:
                     math.fsum(c * v**alpha for c, v in zip(w, vals)) for w, vals in tables
                 )
                 # a fresh summary holds no power table yet
-                assert summarize(sample).exposures(alpha) == want
+                assert exposures(summarize(sample), alpha) == want
                 g(alpha * 1.5)
-                assert st.exposures(alpha) == want
+                assert exposures(st, alpha) == want
                 g(alpha)
                 last, table = st._power
                 assert last == alpha
-                assert st.exposures(alpha) == want
+                assert exposures(st, alpha) == want
                 # the target's table served the exposures: no power computed
                 assert st._power[1] is table
 
-    def test_overflow_keeps_the_finite_exposure(self):
+    def test_overflowed_power_is_refused_by_name(self):
         st = summarize(self.OVERFLOW)
-        t0, t1, t2 = st.exposures(330.0)
         with np.errstate(over="ignore", invalid="ignore"):
             # the fused table as a matrix product turns 0 * inf into nan
             naive = np.array(st.weights, dtype=float) @ np.array(st.vals) ** 330.0
-        assert (t0, t2) == (math.inf, math.inf)
-        assert t1 == pytest.approx(3.0**330, rel=1e-15)
         assert math.isnan(naive[1])
+        # 9**330 passes the float range: refused, not read as inf or nan
+        with pytest.raises(ValueError, match="^the exposures pass the float range at shape 330: "):
+            exposures(st, 330.0)
         g = fit_bayes._alpha_logtarget(AlphaPrior(), st)((0.4, 0.7, 0.9))
         assert g(330.0) == -math.inf
         assert g(300.0) > -math.inf
@@ -664,7 +665,7 @@ class TestShapeTarget:
 
     def test_finite_powers_summed_past_the_float_range(self):
         st = summarize(self.TWICE)
-        powers = st.powers(323.0)
+        powers = [v**323.0 for v in st.vals]
         assert all(w * p < math.inf for row in st.weights for w, p in zip(row, powers))
         want = []
         for row in st.weights:
@@ -672,26 +673,40 @@ class TestShapeTarget:
                 want.append(math.fsum(w * v**323.0 for v, w in zip(st.vals, row) if w))
             except OverflowError:
                 want.append(math.inf)
-        assert st.exposures(323.0) == tuple(want)
-        # y1's row holds a zero weight at 9 and stays finite
+        # y1's row holds a zero weight at 9 and stays finite; the other two
+        # sums pass the float range, and the exposures are refused by name
         assert want[0] == want[2] == math.inf and math.isfinite(want[1])
+        with pytest.raises(ValueError, match="^the exposures pass the float range at shape 323: "):
+            exposures(st, 323.0)
 
-    def test_negative_shape_sums_the_positive_entries(self):
-        # below zero the smallest value's power is the largest, here inf,
-        # where a zero weight would read NaN
-        st = summarize(
-            [CompleteObservation(1e-300, 1.0, "below"), CompleteObservation(2.0, 1.0, "above")]
-        )
-        assert st.exposures(-2.0) == (1.25, math.inf, 2.0)
+    def test_a_kept_power_table_is_finite(self):
+        st = summarize(self.OVERFLOW)
+        exposures(st, 2.0)
+        pair = st._power
+        table = pair[1]
+        # at 330 a power overflows: each refuses, and leaves the pair as it was
+        with pytest.raises(ValueError, match="^the exposures pass the float range at shape 330: "):
+            exposures(st, 330.0)
+        assert st._power is pair and pair[0] == 2.0 and pair[1] is table
+        g = fit_bayes._alpha_logtarget(AlphaPrior(), st)((0.4, 0.7, 0.9))
+        assert g(330.0) == -math.inf
+        assert pair[0] == 2.0 and pair[1] is table
+        # at 323 only the sums overflow: the pair is at 323, its powers finite
+        st = summarize(self.TWICE)
+        with pytest.raises(ValueError, match="^the exposures pass the float range at shape 323: "):
+            exposures(st, 323.0)
+        last, table = st._power
+        assert last == 323.0 and len(table) == len(st.vals)
+        assert all(map(math.isfinite, table))
 
     def test_empty_value_table(self):
         # every lifetime zero: no value, and three exact zeros at any shape
         st = summarize([CompleteObservation(0.0, 0.0, "tie")] * 2)
         assert st.vals == () and st.weights == ((), (), ())
         for alpha in (0.5, 1.0, 330.0):
-            for sums in (st.exposures(alpha), exposures(st, alpha)):
-                assert sums == (0.0, 0.0, 0.0)
-                assert [math.copysign(1.0, t) for t in sums] == [1.0] * 3
+            sums = exposures(st, alpha)
+            assert sums == (0.0, 0.0, 0.0)
+            assert [math.copysign(1.0, t) for t in sums] == [1.0] * 3
 
     def test_overflowed_power_gives_minus_inf(self, summaries):
         for st in [summarize(self.OVERFLOW), *summaries]:

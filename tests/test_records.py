@@ -11,7 +11,7 @@ from bdw.bivariate import BdwMoments, BDWParams, BivariateGeomParams, GridCheckR
 from bdw.fit_bayes import AlphaPrior, DGPrior, PosteriorDraws
 from bdw.fit_ml import AlphaTestReport, BivariateDataset, MLFitReport
 from bdw.gof import ChiSquareReport
-from bdw.mobw import CompleteObservation, MOBWParams, SampleSummary, summarize
+from bdw.mobw import CompleteObservation, MOBWParams, SampleSummary, exposures, summarize
 from bdw.univariate import DWParams, WeibullParams
 
 _SUMMARY = summarize([CompleteObservation(1.0, 2.0, "below"), CompleteObservation(3.0, 3.0, "tie")])
@@ -114,7 +114,7 @@ def test_pinned_reprs():
     assert repr(BivariateDataset.from_pairs([[1, 2]])) == "BivariateDataset(pairs=((1, 2),))"
     # the summary's power table is state, not a field
     st = summarize([CompleteObservation(1.0, 2.0, "below")])
-    st.powers(2.0)
+    exposures(st, 2.0)
     assert "_power" not in repr(st) and "_power" in vars(st)
     assert repr(st).startswith("SampleSummary(n_below=1, n_above=0, n_tie=0, vals=(1.0, 2.0), ")
 

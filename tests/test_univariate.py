@@ -295,6 +295,23 @@ class TestSeededStream:
 
     @pytest.mark.parametrize("sampler, law", [
         (we_sample, WeibullParams(1.5, 2.0)),
+        (dw_sample, DWParams(1.6, 0.75)),
+        (bivariate.mobw_sample, bivariate.MOBWParams(1.5, 0.4, 0.7, 0.9)),
+        (bivariate.sample, WIDE),
+    ], ids=["we", "dw", "mobw", "bdw"])
+    def test_negative_size_is_refused_as_numpy_refuses_it(self, sampler, law):
+        with pytest.raises(ValueError) as theirs:
+            sampler(law, np.random.default_rng(0), size=-3)
+        for rng in (weibull._Stream(0), generator._Generator(0)):
+            with pytest.raises(ValueError, match=f"^{re.escape(str(theirs.value))}$"):
+                sampler(law, rng, size=-3)
+            assert sampler(law, rng, size=0) == []
+        for n in (-1, -3):
+            with pytest.raises(ValueError, match=f"^{re.escape(str(theirs.value))}$"):
+                generator._Generator(0).random(n)
+
+    @pytest.mark.parametrize("sampler, law", [
+        (we_sample, WeibullParams(1.5, 2.0)),
         (we_sample, WeibullParams(0.01, 1.0)),
         (dw_sample, DWParams(1.6, 0.75)),
         (dw_sample, WeibullParams(0.3, 1e-3)),
