@@ -8,13 +8,12 @@ of each cell, summarizes that sample once, and runs Gibbs sweeps over the
 latent failure causes, the three rates, and the shape on the summary; the
 outer loop re-imputes at the current draw averages and the final round's
 draws carry the reported summaries.  The step functions accept a complete
-sample or its summary, and call a step bound to it: closures over the
-summary, the priors' constants and the generator's draw methods, built
-once for each summary, prior and generator and kept on the summary, so a
-round binds them once and each sweep only calls them.  The rate step
-draws the causes with :func:`bdw.mobw.cause_counts` and sums the
-exposures with :func:`bdw.mobw.exposures`, so it reads none of the
-summary's tables; the slice step reads the shape's target.
+sample or its summary and compute each draw directly: they keep nothing
+on the summary but the power pair that :mod:`bdw.mobw` shares between the
+exposures and the shape's target.  The rate step draws the causes with
+:func:`bdw.mobw.cause_counts` and sums the exposures with
+:func:`bdw.mobw.exposures`, so it reads none of the summary's tables; the
+slice step binds the shape's target once per call and reads it.
 
 The sweep runs on ``math``: the summary's powers are libm's ``pow``, the
 exposures and the shape's target are sums rounded once (``math.fsum``),
@@ -38,7 +37,7 @@ import math
 import os
 from functools import reduce
 from operator import add
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .datasets import BivariateDataset
 from .fit_ml import PARAM_NAMES, _identified_start
@@ -138,16 +137,6 @@ def dg_logpdf(
     return out
 
 
-def _bind(build, st: SampleSummary, prior, rng) -> tuple:
-    """``(prior, rng, build(prior, st, rng))``, kept on the summary under the
-    builder's name.  Each public step reads it back from there and reuses
-    the step while its prior and generator are the same objects, so a
-    round's sweeps bind each step once."""
-    held = (prior, rng, build(prior, st, rng))
-    object.__setattr__(st, build.__name__, held)
-    return held
-
-
 def sample_lambdas_conditional(
     prior: DGPrior, alpha: float, sample: Sample, lambdas: tuple[float, float, float], rng
 ) -> tuple[float, float, float]:
@@ -162,53 +151,29 @@ def sample_lambdas_conditional(
     and a shape that is not positive and finite.
     """
     st = sample if sample.__class__ is SampleSummary else summarize(sample)
-    held = st.__dict__.get("_rate_step")
-    if held is None or held[0] is not prior or held[1] is not rng:
-        held = _bind(_rate_step, st, prior, rng)
-    return held[2](alpha, lambdas)
-
-
-def _rate_step(prior: DGPrior, st: SampleSummary, rng) -> Callable:
-    # sample_lambdas_conditional bound to the summary, the prior's constants
-    # and the generator's draws; the causes are cause_counts', the exposures
-    # exposures' (which refuses them past the float range)
-    a0, a1, a2, b = prior.a0, prior.a1, prior.a2, prior.b
+    # the causes are cause_counts', the exposures exposures' (which refuses
+    # them past the float range)
+    n0, n1, n2 = cause_counts(st, lambdas, rng)
+    t0, t1, t2 = exposures(st, alpha)
+    a0, a1, a2, b, gamma = prior.a0, prior.a1, prior.a2, prior.b, rng.gamma
+    # near-zero shapes make gamma draws underflow; keep them positive
+    # (max(g, 5e-324), written out: the sweep's hottest lines)
+    g0 = gamma(a0 + n0, 1.0 / (b + t0))
+    g0 = 5e-324 if 5e-324 > g0 else g0
+    g1 = gamma(a1 + n1, 1.0 / (b + t1))
+    g1 = 5e-324 if 5e-324 > g1 else g1
+    g2 = gamma(a2 + n2, 1.0 / (b + t2))
+    g2 = 5e-324 if 5e-324 > g2 else g2
     excess = prior.a - (a0 + a1 + a2)
-    gamma, random, log = rng.gamma, rng.random, math.log
-
-    def step(alpha: float, lambdas: tuple[float, float, float]) -> tuple[float, float, float]:
-        n0, n1, n2 = cause_counts(st, lambdas, rng)
-        t0, t1, t2 = exposures(st, alpha)
-        # near-zero shapes make gamma draws underflow; keep them positive
-        # (max(g, 5e-324), written out: the sweep's hottest lines)
-        g0 = gamma(a0 + n0, 1.0 / (b + t0))
-        g0 = 5e-324 if 5e-324 > g0 else g0
-        g1 = gamma(a1 + n1, 1.0 / (b + t1))
-        g1 = 5e-324 if 5e-324 > g1 else g1
-        g2 = gamma(a2 + n2, 1.0 / (b + t2))
-        g2 = 5e-324 if 5e-324 > g2 else g2
-        if excess == 0.0:
-            return g0, g1, g2
-        l0, l1, l2 = lambdas
-        # each total added left to right: weibull._left_sum's bits on positive rates
-        ratio = excess * (log(g0 + g1 + g2) - log(l0 + l1 + l2))
-        # rng.uniform() is 0 + 1 * rng.random(): the same bits, called faster
-        if log(random()) < ratio:
-            return g0, g1, g2
-        return lambdas
-
-    return step
-
-
-def _alpha_logtarget(
-    alpha_prior: AlphaPrior, st: SampleSummary
-) -> Callable[[tuple[float, float, float]], Callable[[float], float]]:
-    # lambdas -> the shape's log-target: the complete-data log-likelihood
-    # under the prior's kernel; a zero lifetime puts the conditional at
-    # shape one alone: no slice to draw
-    if st.first_zero is not None:
-        return lambda lambdas: lambda alpha: -math.inf
-    return _loglik_in_shape(alpha_prior.c, alpha_prior.d, st)
+    if excess == 0.0:
+        return g0, g1, g2
+    l0, l1, l2 = lambdas
+    # each total added left to right: weibull._left_sum's bits on positive rates
+    ratio = excess * (math.log(g0 + g1 + g2) - math.log(l0 + l1 + l2))
+    # rng.uniform() is 0 + 1 * rng.random(): the same bits, called faster
+    if math.log(rng.random()) < ratio:
+        return g0, g1, g2
+    return lambdas
 
 
 def sample_alpha_conditional(
@@ -220,60 +185,52 @@ def sample_alpha_conditional(
     for the conditional known up to its normalizing constant.  A
     log-target so large at the current shape that the slice level rounds
     to it is refused by name, as are rates :class:`bdw.mobw.MOBWParams`
-    refuses and a zero shared rate where the sample holds a tie.
+    refuses, a zero shared rate where the sample holds a tie and a current
+    shape that is NaN.  A zero lifetime puts the conditional at shape one
+    alone, with no slice to draw: it is refused before any draw.
     """
     st = sample if sample.__class__ is SampleSummary else summarize(sample)
-    held = st.__dict__.get("_slice_step")
-    if held is None or held[0] is not alpha_prior or held[1] is not rng:
-        held = _bind(_slice_step, st, alpha_prior, rng)
-    return held[2](lambdas, alpha)
-
-
-def _slice_step(alpha_prior: AlphaPrior, st: SampleSummary, rng) -> Callable:
-    # sample_alpha_conditional bound to the summary's half of the target,
-    # the prior's kernel and the generator's two draws
-    target = _alpha_logtarget(alpha_prior, st)
-    lo, hi, width = SLICE_ALPHA_LO, SLICE_ALPHA_HI, SLICE_WIDTH
-    random, exponential, isfinite = rng.random, rng.exponential, math.isfinite
-
-    def step(lambdas: tuple[float, float, float], alpha: float) -> float:
-        g = target(lambdas)
-        # the clamps are min and max, written out
-        x0 = lo if lo > alpha else alpha
-        x0 = hi if hi < x0 else x0
-        gx0 = g(x0)
-        if not isfinite(gx0):
-            raise ValueError("conditional density vanishes at the current shape")
-        level = gx0 - exponential()
-        if not level < gx0:
-            # the slice would not hold x0, and the shrinkage below would
-            # close on x0 without ever accepting
-            raise ValueError(
-                f"the shape's slice cannot be drawn at shape {x0:.6g}: its "
-                f"log-density {gx0:.6g} is so large that the slice level rounds to it"
-            )
-        # lo + (hi - lo) * rng.random() is how numpy computes rng.uniform(lo,
-        # hi), so the draws are the same bits without uniform's call overhead
-        left = x0 - width * random()
-        right = left + width
-        while left > lo and g(left) > level:
-            left -= width
-        while right < hi and g(right) > level:
-            right += width
-        left = lo if lo > left else left
-        right = hi if hi < right else right
-        # the accepted shape is the target's last point, so the summary keeps
-        # its power table for the next sweep's rate step and g(x0)
-        while True:
-            x1 = left + (right - left) * random()
-            if g(x1) > level:
-                return x1
-            if x1 < x0:
-                left = x1
-            else:
-                right = x1
-
-    return step
+    if st.first_zero is not None:
+        raise ValueError("conditional density vanishes at the current shape")
+    # the complete-data log-likelihood under the prior's kernel
+    g = _loglik_in_shape(alpha_prior.c, alpha_prior.d, st, lambdas)
+    lo, hi, width, random = SLICE_ALPHA_LO, SLICE_ALPHA_HI, SLICE_WIDTH, rng.random
+    # the clamps are min and max, written out; NaN passes both
+    x0 = lo if lo > alpha else alpha
+    x0 = hi if hi < x0 else x0
+    gx0 = g(x0)
+    if not math.isfinite(gx0):
+        if x0 != x0:
+            raise ValueError(f"the current shape must be a number, got {alpha}")
+        raise ValueError("conditional density vanishes at the current shape")
+    level = gx0 - rng.exponential()
+    if not level < gx0:
+        # the slice would not hold x0, and the shrinkage below would
+        # close on x0 without ever accepting
+        raise ValueError(
+            f"the shape's slice cannot be drawn at shape {x0:.6g}: its "
+            f"log-density {gx0:.6g} is so large that the slice level rounds to it"
+        )
+    # lo + (hi - lo) * rng.random() is how numpy computes rng.uniform(lo,
+    # hi), so the draws are the same bits without uniform's call overhead
+    left = x0 - width * random()
+    right = left + width
+    while left > lo and g(left) > level:
+        left -= width
+    while right < hi and g(right) > level:
+        right += width
+    left = lo if lo > left else left
+    right = hi if hi < right else right
+    # the accepted shape is the target's last point, so the summary keeps
+    # its power table for the next sweep's rate step and g(x0)
+    while True:
+        x1 = left + (right - left) * random()
+        if g(x1) > level:
+            return x1
+        if x1 < x0:
+            left = x1
+        else:
+            right = x1
 
 
 class PosteriorDraws(_Record, eq=False):

@@ -23,12 +23,12 @@ one past the float range), fits the continuous model to it by an inner EM
 The density of each of the three branches is written once, in
 ``_branch_logpdf``, and the complete-data log-likelihood once, in closed
 form on the summary, which is all the inner EM reads; the Gibbs shape
-step's target is it under the prior's kernel.  The closed form binds in
-two levels, the summary's half once and the rates' half per call, and
-reads and writes the summary's power pair in place, as :func:`exposures`
-does: the summary itself is a plain record.  Its tables are tuples built
-with a dict and a sort, and the exposures are ``math`` sums of libm
-powers, one rounding each: the module loads no numpy.
+step's target is it under the prior's kernel.  One call at the rates
+binds the closed form, which reads and writes the summary's power pair in
+place, as :func:`exposures` does: the summary itself is a plain record.
+Its tables are tuples built with a dict and a sort, and the exposures are
+``math`` sums of libm powers, one rounding each: the module loads no
+numpy.
 """
 
 from __future__ import annotations
@@ -124,6 +124,9 @@ class CompleteObservation(_Record):
     def __post_init__(self) -> None:
         if self.y1 < 0 or self.y2 < 0:
             raise ValueError("lifetimes must be non-negative")
+        for y in (self.y1, self.y2):
+            if not y < math.inf:
+                raise ValueError(f"lifetimes must be finite, got {y}")
         if self.kind == "below":
             ok = self.y1 <= self.y2
         elif self.kind == "above":
@@ -154,9 +157,9 @@ class SampleSummary(_Record, eq=False):
     power table of ``vals`` is kept with its shape, as one per-instance
     pair ``[shape, table]`` that :func:`exposures` and the shape's target
     read and write in place, so the two at one shape share one power;
-    neither writes a table that overflowed.  That pair, and the Gibbs
-    steps bound to the summary (:mod:`bdw.fit_bayes`), are state, not
-    fields: they are set on first use and stay out of the repr.
+    neither writes a table that overflowed.  That pair is the summary's
+    only state: it is no field, is set on first use and stays out of the
+    repr.
     """
 
     n_below: int
@@ -462,70 +465,63 @@ def impute_dataset(theta: MOBWParams, data: BivariateDataset) -> list[CompleteOb
 
 
 def _loglik_in_shape(
-    c: float, d: float, st: SampleSummary
-) -> Callable[[tuple[float, float, float]], Callable[[float], float]]:
-    """``lambdas -> alpha ->`` the complete-data log-likelihood of ``st`` at
-    ``lambdas`` plus the log gamma kernel ``(c - 1) log(alpha) - d alpha``:
+    c: float, d: float, st: SampleSummary, lambdas: tuple[float, float, float]
+) -> Callable[[float], float]:
+    """``alpha ->`` the complete-data log-likelihood of ``st`` at ``lambdas``
+    plus the log gamma kernel ``(c - 1) log(alpha) - d alpha``:
     ``(c - 1 + event_count) log(alpha) - d alpha + rate_logs + (alpha - 1)
     log_y_sum - sum(coef * vals**alpha)``, ``-inf`` where not finite.  A
     zero lifetime's ``(alpha - 1) log y`` is 0 at shape one.
 
-    The summary's half is bound here, once; ``at(lambdas)`` binds the rate
-    logarithms, the coefficients and their total, and returns the target,
-    which reads and writes the summary's power pair in place.  ``at``
-    refuses the rates :class:`MOBWParams` refuses, and a zero shared rate
-    where the sample holds a tie."""
-    n_below, n_above, n_tie = st.n_below, st.n_above, st.n_tie
-    log_alpha_coef = c - 1.0 + st.event_count
-    log_y_sum = st.log_y_sum
-    columns = tuple(zip(*st.weights))
+    One call binds the rate logarithms, the coefficients and their total,
+    and returns the target, which reads and writes the summary's power pair
+    in place.  The call refuses the rates :class:`MOBWParams` refuses, and a
+    zero shared rate where the sample holds a tie."""
+    l0, l1, l2 = lambdas
+    log, inf = math.log, math.inf
+    # cause_counts' refusal of the rates MOBWParams refuses
+    if not (l0 >= 0.0 and l1 > 0.0 and l2 > 0.0 and l0 + l1 + l2 < inf):
+        MOBWParams(1.0, l0, l1, l2)
+    # each density event's log-rate: two per off-diagonal pair, one per
+    # tie, at _branch_rates' pair of each branch, written out; the rates
+    # are finite and l1, l2 positive, so only a tie's log(l0) can fail
+    rate_logs = st.n_below * (log(l1) + log(l0 + l2)) + st.n_above * (log(l0 + l1) + log(l2))
+    if st.n_tie:
+        if l0 == 0.0:
+            raise ValueError("the sample holds a tie but the shared rate is zero")
+        rate_logs += st.n_tie * log(l0)
+    # l0*T0 + l1*T1 + l2*T2 is one power of the fused value table, at
+    # most the coefficients' total times the largest value's power
+    coef = [l0 * n0 + l1 * n1 + l2 * n2 for n0, n1, n2 in zip(*st.weights)]
     s0, s1, s2 = st.row_sums
-    vals, power = st.vals, st._power
-    log, fsum, inf, isfinite = math.log, math.fsum, math.inf, math.isfinite
+    total = l0 * s0 + l1 * s1 + l2 * s2
+    log_alpha_coef = c - 1.0 + st.event_count
+    log_y_sum, vals, power = st.log_y_sum, st.vals, st._power
+    fsum, isfinite = math.fsum, math.isfinite
 
-    def at(lambdas: tuple[float, float, float]) -> Callable[[float], float]:
-        l0, l1, l2 = lambdas
-        # cause_counts' refusal of the rates MOBWParams refuses
-        if not (l0 >= 0.0 and l1 > 0.0 and l2 > 0.0 and l0 + l1 + l2 < inf):
-            MOBWParams(1.0, l0, l1, l2)
-        # each density event's log-rate: two per off-diagonal pair, one per
-        # tie, at _branch_rates' pair of each branch, written out; the rates
-        # are finite and l1, l2 positive, so only a tie's log(l0) can fail
-        rate_logs = n_below * (log(l1) + log(l0 + l2)) + n_above * (log(l0 + l1) + log(l2))
-        if n_tie:
-            if l0 == 0.0:
-                raise ValueError("the sample holds a tie but the shared rate is zero")
-            rate_logs += n_tie * log(l0)
-        # l0*T0 + l1*T1 + l2*T2 is one power of the fused value table, at
-        # most the coefficients' total times the largest value's power
-        coef = [l0 * n0 + l1 * n1 + l2 * n2 for n0, n1, n2 in columns]
-        total = l0 * s0 + l1 * s1 + l2 * s2
-
-        def g(alpha: float) -> float:
-            if not (0 < alpha < inf):
+    def g(alpha: float) -> float:
+        if not (0 < alpha < inf):
+            return -inf
+        # where that bound overflows, so may the sum, and a zero
+        # coefficient times an infinite power would read NaN: refuse it.
+        # The table's last power is the largest value's, the bound's.  A
+        # power past the float range raises OverflowError, as fsum does on
+        # its way there, so a table made here, or by exposures, needs no
+        # fallback
+        try:
+            if alpha != power[0]:
+                power[0], power[1] = alpha, [v**alpha for v in vals]
+            table = power[1]
+            if vals and table[-1] * total == inf:
                 return -inf
-            # where that bound overflows, so may the sum, and a zero
-            # coefficient times an infinite power would read NaN: refuse it.
-            # The table's last power is the largest value's, the bound's.  A
-            # power past the float range raises OverflowError, as fsum does on
-            # its way there, so a table made here, or by exposures, needs no
-            # fallback
-            try:
-                if alpha != power[0]:
-                    power[0], power[1] = alpha, [v**alpha for v in vals]
-                table = power[1]
-                if vals and table[-1] * total == inf:
-                    return -inf
-                dot = fsum(map(mul, coef, table))
-            except OverflowError:
-                return -inf
-            y_term = (alpha - 1.0) * log_y_sum if alpha != 1.0 else 0.0
-            out = log_alpha_coef * log(alpha) - d * alpha + rate_logs + y_term - dot
-            return out if isfinite(out) else -inf
+            dot = fsum(map(mul, coef, table))
+        except OverflowError:
+            return -inf
+        y_term = (alpha - 1.0) * log_y_sum if alpha != 1.0 else 0.0
+        out = log_alpha_coef * log(alpha) - d * alpha + rate_logs + y_term - dot
+        return out if isfinite(out) else -inf
 
-        return g
-
-    return at
+    return g
 
 
 def complete_loglik(params: MOBWParams, sample: Sample) -> float:
@@ -541,7 +537,7 @@ def complete_loglik(params: MOBWParams, sample: Sample) -> float:
         zero = f"observation {st.first_zero} holds a zero lifetime"
         raise ValueError(f"{zero}: its log-density is non-finite at shape {a:.6g}")
     lambdas = params.lambda0, params.lambda1, params.lambda2
-    out = _loglik_in_shape(1.0, 0.0, st)(lambdas)(a)
+    out = _loglik_in_shape(1.0, 0.0, st, lambdas)(a)
     if out == -math.inf:
         raise ValueError(f"the sample has non-finite log-density -inf at {params}")
     return out

@@ -25,6 +25,7 @@ from bdw.mobw import (
     CompleteObservation,
     MOBWParams,
     SampleSummary,
+    _loglik_in_shape,
     complete_loglik,
     mobw_sample,
     summarize,
@@ -547,6 +548,32 @@ class TestAlphaConditional:
                     AlphaPrior(), (0.4, 0.7, 0.9), MIXED, 1e6, rng
                 )
 
+    def test_nan_shape_is_refused_by_name(self):
+        # refused before any uniform draw, by the shape, not as a vanishing density
+        with pytest.raises(ValueError, match="^the current shape must be a number, got nan$"):
+            sample_alpha_conditional(
+                AlphaPrior(), (0.4, 0.7, 0.9), MIXED, math.nan, _BoundedRng(0, limit=0)
+            )
+
+    # MIXED's lifetimes reach 2.2, so its target vanishes at the window's top;
+    # lifetimes below one keep it finite there
+    BELOW_ONE = (CompleteObservation(0.5, 0.9, "below"), CompleteObservation(0.7, 0.2, "above"))
+
+    @pytest.mark.parametrize("sample", [MIXED, BELOW_ONE])
+    def test_shapes_outside_the_window_are_clamped(self, sample):
+        # a finite, zero, negative or infinite shape is clamped to the search
+        # window: it draws, or is refused, as the window's end does
+        def outcome(alpha):
+            try:
+                return sample_alpha_conditional(
+                    AlphaPrior(), (0.4, 0.7, 0.9), sample, alpha, _BoundedRng(4)
+                )
+            except ValueError as err:
+                return str(err)
+
+        for alpha, end in [(0.0, 1e-3), (-2.0, 1e-3), (1e-9, 1e-3), (5e3, 1e3), (math.inf, 1e3)]:
+            assert outcome(alpha) == outcome(end)
+
 
 def _summed_logtarget(prior, lams, st, alpha):
     # the shape's log full conditional from the three exposures, term by term
@@ -622,7 +649,7 @@ class TestShapeTarget:
                 ([w for w in row if w], [v for v, w in zip(st.vals, row) if w])
                 for row in st.weights
             ]
-            g = fit_bayes._alpha_logtarget(AlphaPrior(), st)(lams)
+            g = _loglik_in_shape(AlphaPrior().c, AlphaPrior().d, st, lams)
             for alpha in np.geomspace(0.05, 50.0, 41).tolist():
                 # each exposure's own powers, weighted and summed with one
                 # rounding, bit for bit
@@ -649,7 +676,7 @@ class TestShapeTarget:
         # 9**330 passes the float range: refused, not read as inf or nan
         with pytest.raises(ValueError, match="^the exposures pass the float range at shape 330: "):
             exposures(st, 330.0)
-        g = fit_bayes._alpha_logtarget(AlphaPrior(), st)((0.4, 0.7, 0.9))
+        g = _loglik_in_shape(AlphaPrior().c, AlphaPrior().d, st, (0.4, 0.7, 0.9))
         assert g(330.0) == -math.inf
         assert g(300.0) > -math.inf
 
@@ -688,7 +715,7 @@ class TestShapeTarget:
         with pytest.raises(ValueError, match="^the exposures pass the float range at shape 330: "):
             exposures(st, 330.0)
         assert st._power is pair and pair[0] == 2.0 and pair[1] is table
-        g = fit_bayes._alpha_logtarget(AlphaPrior(), st)((0.4, 0.7, 0.9))
+        g = _loglik_in_shape(AlphaPrior().c, AlphaPrior().d, st, (0.4, 0.7, 0.9))
         assert g(330.0) == -math.inf
         assert pair[0] == 2.0 and pair[1] is table
         # at 323 only the sums overflow: the pair is at 323, its powers finite
@@ -712,7 +739,7 @@ class TestShapeTarget:
         for st in [summarize(self.OVERFLOW), *summaries]:
             top = float(st.vals[-1])
             edge = math.log(np.finfo(float).max) / math.log(top)
-            g = fit_bayes._alpha_logtarget(AlphaPrior(), st)((0.04, 0.2, 0.1))
+            g = _loglik_in_shape(AlphaPrior().c, AlphaPrior().d, st, (0.04, 0.2, 0.1))
             for alpha in (edge * 1.0001, edge * 2.0, 999.0):
                 assert g(alpha) == -math.inf
 
@@ -722,7 +749,7 @@ class TestShapeTarget:
     @pytest.mark.parametrize("prior", [AlphaPrior(), AlphaPrior(c=2.0, d=1.0)])
     def test_matches_the_summed_exposures(self, summaries, lams, prior):
         for st in summaries:
-            g = fit_bayes._alpha_logtarget(prior, st)(lams)
+            g = _loglik_in_shape(prior.c, prior.d, st, lams)
             for alpha in np.geomspace(0.05, 50.0, 41):
                 want = _summed_logtarget(prior, lams, st, float(alpha))
                 assert g(float(alpha)) == pytest.approx(want, rel=1e-13)
@@ -745,7 +772,7 @@ class _Recorder:
         return self.rng.random()
 
 
-class TestBoundSteps:
+class TestSteps:
     @pytest.fixture(params=["football", "panel", "mixed"])
     def rows(self, request):
         if request.param == "mixed":
@@ -753,10 +780,10 @@ class TestBoundSteps:
         data = request.getfixturevalue("wide_panel" if request.param == "panel" else "football")
         return impute_dataset(init_estimates(data), data)
 
-    def test_alternating_bindings_draw_as_fresh_summaries(self, rows):
+    def test_alternating_priors_draw_as_fresh_summaries(self, rows):
         # two priors and two generators, alternated on one summary: each call
-        # draws what the same call draws on a summary of its own, so no
-        # binding outlives the prior or generator it was bound to
+        # draws what the same call draws on a summary of its own, so nothing
+        # outlives the prior or generator it was called with
         st = summarize(rows)
         priors = [(PRIOR_EQ, AlphaPrior()), (PRIOR_NE, AlphaPrior(c=2.0, d=1.0))]
         gens = [_Generator(3), np.random.default_rng(5)]
@@ -773,19 +800,18 @@ class TestBoundSteps:
             assert got == want
             alpha = got
 
-    def test_each_round_binds_each_step_once(self, football, monkeypatch):
-        builds = {"_rate_step": 0, "_slice_step": 0}
-        for name in builds:
-            build = getattr(fit_bayes, name)
-
-            def counted(*args, build=build):
-                builds[build.__name__] += 1
-                return build(*args)
-
-            counted.__name__ = name
-            monkeypatch.setattr(fit_bayes, name, counted)
-        augmented_gibbs(football, M=150, N=3, rng=_Generator(2))
-        assert builds == {"_rate_step": 3, "_slice_step": 3}
+    def test_steps_keep_no_state_on_the_summary(self, rows):
+        # both steps twice with one prior and generator, then with another
+        # pair: the summary holds its fields and its power pair, nothing else
+        st = summarize(rows)
+        lams, alpha = (0.04, 0.2, 0.1), 1.3
+        first = (PRIOR_EQ, AlphaPrior(), _Generator(3))
+        for prior, alpha_prior, rng in [
+            first, first, (PRIOR_NE, AlphaPrior(c=2.0, d=1.0), np.random.default_rng(5))
+        ]:
+            lams = sample_lambdas_conditional(prior, alpha, st, lams, rng)
+            alpha = sample_alpha_conditional(alpha_prior, lams, st, alpha, rng)
+        assert set(st.__dict__) == {*SampleSummary._fields, "_power"}
 
     def test_rate_step_calls_cause_counts_and_exposures(self, football, monkeypatch):
         # each sweep draws its causes and sums its exposures through mobw's

@@ -7,7 +7,6 @@ import pytest
 from scipy import integrate
 
 from bdw.bivariate import BDWParams, from_mobw, joint_pmf
-from bdw import fit_bayes
 from bdw.fit_bayes import AlphaPrior, DGPrior, sample_alpha_conditional, sample_lambdas_conditional
 from bdw.fit_ml import BivariateDataset, impute_dataset, init_estimates
 from bdw.generator import _Generator
@@ -29,6 +28,7 @@ from bdw.mobw import (
     summarize,
 )
 from bdw.univariate import WeibullParams, we_mode, we_pdf
+from test_fit_bayes import _BoundedRng
 
 REF = MOBWParams(1.8, 0.3, 0.5, 0.4)
 
@@ -446,11 +446,16 @@ class TestClosedForm:
             self._agrees_or_refused(MOBWParams(alpha, 0.3, 0.5, 0.4), ZERO_LIFETIME)
         with pytest.raises(ValueError, match="^observation 0 holds a zero lifetime: .* non-finite"):
             complete_loglik(MOBWParams(0.5, 0.3, 0.5, 0.4), ZERO_LIFETIME)
-        # the shape's full conditional has no slice to draw, at shape one too
+        # the shape's full conditional has no slice to draw, at shape one too:
+        # the step refuses before it draws anything
         st = summarize(ZERO_LIFETIME)
         for prior in (AlphaPrior(), AlphaPrior(c=2.0, d=1.0)):
-            g = fit_bayes._alpha_logtarget(prior, st)((0.3, 0.5, 0.4))
-            assert [g(alpha) for alpha in (0.5, 1.0, 1.8)] == [-math.inf] * 3
+            for seed, alpha in enumerate((0.5, 1.0, 1.8)):
+                rng = _BoundedRng(seed, limit=0)
+                with pytest.raises(ValueError, match="vanishes"):
+                    sample_alpha_conditional(prior, (0.3, 0.5, 0.4), st, alpha, rng)
+                fresh = np.random.default_rng(seed).bit_generator.state
+                assert rng.rng.bit_generator.state == fresh
 
 
 class TestInnerEMOnSummary:

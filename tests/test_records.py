@@ -141,6 +141,11 @@ def test_equality_is_within_one_class():
     (lambda: MOBWParams(2.0, 0.0, 1.7e308, 1.7e308),
      r"the total rate lambda0 \+ lambda1 \+ lambda2 must be finite, got inf"),
     (lambda: CompleteObservation(-1.0, 2.0, "below"), "lifetimes must be non-negative"),
+    # a lifetime that is no finite number is refused by its value, not by its pair
+    (lambda: CompleteObservation(float("inf"), float("inf"), "tie"),
+     "lifetimes must be finite, got inf"),
+    (lambda: CompleteObservation(1.0, float("inf"), "below"), "lifetimes must be finite, got inf"),
+    (lambda: CompleteObservation(float("nan"), 1.0, "below"), "lifetimes must be finite, got nan"),
     (lambda: CompleteObservation(1.0, 2.0, "tied"), "kind must be below, above or tie, got 'tied'"),
     (lambda: CompleteObservation(2.0, 1.0, "below"),
      r"pair \(2.0, 1.0\) inconsistent with kind 'below'"),
