@@ -29,20 +29,17 @@ _EXPORTS = {
         "BdwMoments",
         "BivariateGeomParams",
         "MOBWParams",
-        "from_mobw",
         "joint_cdf",
         "joint_logpmf",
         "joint_pmf",
         "joint_pmf_grid",
         "joint_sf",
-        "marginals",
-        "min_distribution",
         "moments",
-        "sample",
         "to_mobw",
     ),
     "cli": (),
     "datasets": ("BivariateDataset", "builtin_dataset"),
+    "fit_commands": (),
     "fit_bayes": (
         "AlphaPrior",
         "DGPrior",
@@ -61,6 +58,8 @@ _EXPORTS = {
     "generator": (),
     "gof": ("chisq_bdw",),
     "mobw": ("CompleteObservation", "LatentPrediction", "ml_predict"),
+    "properties": ("from_mobw", "marginals", "min_distribution"),
+    "sampling": ("dw_sample", "sample"),
     "univariate": (
         "ChiSquareReport", "chisq_dw", "chisq_upper_tail", "dw_fit_minchisq", "dw_fit_ml"
     ),
@@ -69,7 +68,6 @@ _EXPORTS = {
         "SingularDensityError",
         "WeibullParams",
         "dw_pmf",
-        "dw_sample",
         "dw_sf",
     ),
 }

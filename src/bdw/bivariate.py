@@ -18,10 +18,11 @@ the one conversion.
 
 The rates are those of the continuous Marshall–Olkin pair whose floors
 the law is: ``Y1 = min(U1, U0)``, ``Y2 = min(U2, U0)`` with Weibull
-``Ui`` of rate ``lambda_i``.  :func:`mobw_sample` draws that pair by the
-shock construction, and :func:`sample` floors it.  The latent pair's
-densities and the latent-sample code of the fits live in
-:mod:`bdw.mobw`.
+``Ui`` of rate ``lambda_i``.  This module holds what the law commands
+run and the fits read; :mod:`bdw.sampling` draws the pair by the shock
+construction, :mod:`bdw.properties` holds the paper's marginal,
+conditional and dependence results, and :mod:`bdw.mobw` the latent
+pair's densities and the latent-sample code of the fits.
 """
 
 from __future__ import annotations
@@ -32,20 +33,13 @@ from typing import TYPE_CHECKING
 
 from .weibull import (
     _MAX_GRID_BOUND,
-    DWParams,
-    _as_drawn,
     _count,
     _floor,
-    _floor_counts,
-    _lifetimes,
     _log_dw,
     _logpmf_float,
     _power,
     _power_step,
     _Record,
-    _Stream,
-    _to_base,
-    _uniforms,
 )
 
 if TYPE_CHECKING:
@@ -64,19 +58,8 @@ __all__ = [
     "joint_logpmf",
     "joint_cdf",
     "joint_pmf_grid",
-    "marginals",
-    "min_distribution",
-    "closure_min",
-    "cond_pmf",
-    "cond_sf_given_ge",
-    "cond_sf_given_eq",
-    "sample",
-    "mobw_sample",
     "moments",
     "to_mobw",
-    "from_mobw",
-    "is_tp2_on_grid",
-    "pqd_check_on_grid",
 ]
 
 
@@ -356,132 +339,6 @@ def _pmf_rows(params, k1: int, k2: int):
         yield row
 
 
-def marginals(params: BDWParams) -> tuple[DWParams, DWParams]:
-    """Marginal laws: ``X1 ~ DW(alpha, p0*p1)`` and ``X2 ~ DW(alpha, p0*p2)``."""
-    return (
-        DWParams(params.alpha, params.p0 * params.p1),
-        DWParams(params.alpha, params.p0 * params.p2),
-    )
-
-
-def min_distribution(params: BDWParams) -> DWParams:
-    """Law of ``min(X1, X2)``: a DW with survival base ``p0*p1*p2``."""
-    return DWParams(params.alpha, params.p0 * params.p1 * params.p2)
-
-
-def closure_min(components: list[BDWParams]) -> DWParams:
-    """Law of the overall minimum across several independent BDW pairs.
-
-    All entries must share the same shape; the survival bases multiply.
-    """
-    if not components:
-        raise ValueError("need at least one component")
-    alpha = components[0].alpha
-    prod = 1.0
-    for c in components:
-        if c.alpha != alpha:
-            raise ValueError("all components must share the same shape")
-        prod *= c.p0 * c.p1 * c.p2
-    return DWParams(alpha, prod)
-
-
-def _second_mass(rates: tuple, j: int) -> float:
-    # P(X2 = j), the DW mass of the rate lambda0 + lambda2, refused at zero
-    a, lam0, _, lam2 = rates
-    mass = math.exp(_logpmf_float(float(j), a, lam0 + lam2))
-    if mass == 0.0:
-        raise ValueError(f"conditioning event X2 = {j} has zero probability numerically")
-    return mass
-
-
-def cond_pmf(params, x1: int, x2: int) -> float:
-    """Conditional mass ``P(X1 = x1 | X2 = x2)``."""
-    i, j = _check_cell(x1, x2)
-    return joint_pmf(params, i, j) / _second_mass(_rates(params), j)
-
-
-def cond_sf_given_ge(params, x1: int, x2: int) -> float:
-    """Conditional survival ``P(X1 >= x1 | X2 >= x2)``."""
-    i, j = _check_cell(x1, x2)
-    rates = _rates(params)
-    denom = math.exp(_log_sf(rates, 0, j))
-    if denom == 0.0:
-        raise ValueError(f"conditioning event X2 >= {j} has zero probability numerically")
-    return math.exp(_log_sf(rates, i, j)) / denom
-
-
-def cond_sf_given_eq(params, x1: int, x2: int) -> float:
-    """Conditional survival ``P(X1 >= x1 | X2 = x2)``.
-
-    For ``x1 <= x2`` this collapses to the survival of the first
-    coordinate's own component, ``p1**(x1**alpha)``: knowing the second
-    coordinate's exact value pins the shared shock beyond ``x2`` already.
-    """
-    i, j = _check_cell(x1, x2)
-    rates = _rates(params)
-    a, lam0, lam1, lam2 = rates
-    t = _power(float(i), a)
-    if i <= j:
-        return math.exp(-(t * lam1))
-    # U0 and U1 outlive x1 while U2 fails at x2
-    num = math.exp(-(t * (lam0 + lam1)) + _logpmf_float(float(j), a, lam2))
-    return num / _second_mass(rates, j)
-
-
-def _shock_lifetimes(params: MOBWParams, rng, n: int) -> list[float]:
-    """The latent pairs of ``n`` draws of the shared-shock construction,
-    flat in row-major order ``y1, y2, y1, y2, ...``: one ``rng.random(n)``
-    per exposure, lambda1's, lambda2's, then lambda0's where it is
-    positive, through the one lifetime kernel, and each coordinate the
-    minimum of its own lifetime and the shock's."""
-    a = params.alpha
-    y1 = _lifetimes(a, params.lambda1, _uniforms(rng, n))
-    y2 = _lifetimes(a, params.lambda2, _uniforms(rng, n))
-    if params.lambda0 > 0:
-        y0 = _lifetimes(a, params.lambda0, _uniforms(rng, n))
-        y1, y2 = list(map(min, y1, y0)), list(map(min, y2, y0))
-    flat = y1 + y2
-    flat[::2], flat[1::2] = y1, y2
-    return flat
-
-
-def _as_pairs(flat: list, rng, size, dtype: str):
-    # flat row-major pairs in the caller's form (weibull._as_drawn): one
-    # tuple without a size, a list of tuples for the stream, else an array
-    if size is not None and not isinstance(rng, _Stream):
-        return _as_drawn(flat, rng, (len(flat) // 2, 2), dtype)
-    pairs = list(zip(flat[::2], flat[1::2]))
-    return pairs[0] if size is None else pairs
-
-
-def mobw_sample(params: MOBWParams, rng, size=None):
-    """Draw latent pairs through the shared-shock construction.
-
-    With ``size`` given, returns an array of shape (size, 2) for a numpy
-    generator and a list of tuples for the seeded stream; otherwise a
-    single tuple.  Floors of the output follow the discrete pair law with
-    survival bases ``exp(-lambda_i)``.
-    """
-    n = 1 if size is None else int(size)
-    return _as_pairs(_shock_lifetimes(params, rng, n), rng, size, "float64")
-
-
-def sample(params, rng, size=None):
-    """Draw pairs by the shock construction: the floors of the latent pair
-    :func:`mobw_sample` draws at the rates :func:`to_mobw`.
-
-    With ``size`` given, returns an int64 array of shape (size, 2) for a
-    numpy generator and a list of int tuples for the seeded stream;
-    otherwise a single tuple.  A lifetime past the int64 range is refused.
-    A count at or past 2**53 is the float lifetime itself, so it follows
-    the platform's ``log1p`` and ``pow`` in its last unit; the DW fits
-    refuse such counts.
-    """
-    n = 1 if size is None else int(size)
-    counts = _floor_counts(_shock_lifetimes(to_mobw(params), rng, n))
-    return _as_pairs(counts, rng, size, "int64")
-
-
 def _check_grid(k1: int, k2: int) -> None:
     # refuses by name a grid [0, k1] x [0, k2] of more cells than [0, K]^2
     if (k1 + 1) * (k2 + 1) > (_MAX_GRID_BOUND + 1) ** 2:
@@ -586,59 +443,3 @@ def moments(params, epsilon: float = 1e-10) -> BdwMoments:
 def to_mobw(params) -> MOBWParams:
     """Rates of the continuous latent model: ``lambda_i = -ln(p_i)``."""
     return MOBWParams(*_rates(params))
-
-
-def from_mobw(params) -> BDWParams:
-    """Survival bases from latent rates: ``p_i = exp(-lambda_i)``; a
-    positive rate whose base rounds to 1 (at ``lambda0`` it would read as
-    independence) is refused by name, and the law's functions take its
-    rates instead."""
-    names = MOBWParams._fields[1:]
-    return BDWParams(params.alpha, *(_to_base(name, getattr(params, name)) for name in names))
-
-
-def _dependence_report(params, k: int, checked: int) -> GridCheckReport:
-    # every log-ratio of a check on the grid of bound k is lambda0 times a
-    # non-negative difference of powers: the least is 0 and the largest
-    # lambda0 * k**alpha, which is 0 at a zero shared rate even where the
-    # power overflows; a largest ratio past the float range is refused
-    a, lam0 = _rates(params)[:2]
-    best = lam0 * _power(float(k), a) if lam0 > 0.0 else 0.0
-    try:
-        max_ratio = math.exp(best)
-    except OverflowError:
-        max_ratio = math.inf
-    if max_ratio == math.inf:
-        raise ValueError(
-            f"the largest survival ratio on the grid of bound k = {k} is "
-            f"exp({best!r}), past the float range: check a smaller k"
-        )
-    return GridCheckReport(True, 1.0, max_ratio, None, checked)
-
-
-def is_tp2_on_grid(params, k: int = 10) -> GridCheckReport:
-    """Order-2 total positivity of the joint survival on [0, k]^2.
-
-    For every ``x11 <= x12`` and ``x21 <= x22`` in [0, k] the product
-    ``S(x11,x21)*S(x12,x22)`` must dominate ``S(x12,x21)*S(x11,x22)``.  The
-    coordinate-specific factors and the largest of the four maxima cancel,
-    leaving ``p0**(a - min(b, c))`` with ``a = max(x11, x21)**alpha``, ``b =
-    max(x12, x21)**alpha`` and ``c = max(x11, x22)**alpha``.  As ``a <=
-    min(b, c)``, it is at least one for every law, the paper's result.  The
-    report evaluates it over the T**2 rectangles, T = (k+1)(k+2)/2.
-    """
-    k = _count(k, "k", positive=True)
-    pairs = (k + 1) * (k + 2) // 2
-    return _dependence_report(params, k, pairs * pairs)
-
-
-def pqd_check_on_grid(params, k: int = 10) -> GridCheckReport:
-    """Positive quadrant dependence on [0, k]^2: joint survival vs product of marginals.
-
-    The ratio reduces exactly to ``p0**(-min(x1, x2)**alpha)``, at least one
-    for every law, the paper's result: the coordinatewise factors cancel and
-    the shared component does the work.  Equality holds everywhere iff
-    ``p0 = 1``.  The report evaluates it over the (k+1)**2 cells.
-    """
-    k = _count(k, "k", positive=True)
-    return _dependence_report(params, k, (k + 1) ** 2)

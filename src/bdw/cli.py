@@ -7,11 +7,15 @@ controlled by the ``BDW_LOG`` environment variable (standard logging level
 names); only then is ``logging`` imported.
 
 Each command handler imports the layers it runs, so a process starts on
-only those: ``pmf-table``, ``moments`` and ``simulate`` run on the laws
-of ``weibull`` and ``bivariate`` and never load a fitting module, nor the
-data layer, which only the readers of data import; ``fit-dw`` and a
-column's ``gof`` run on ``weibull``, ``datasets`` and ``univariate``
-alone, and never load the joint law of ``bivariate``.  The law
+only those: ``pmf-table`` and ``moments`` run on the laws of ``weibull``
+and ``bivariate`` alone, and ``simulate`` adds the samplers of
+``sampling``; none of them loads a fitting module, the paper's property
+results (``properties``), the data commands' handlers (``fit_commands``)
+or the data layer, which only the readers of data import.  A command
+that reads data runs its handler in ``fit_commands``, which returns the
+report's parts for the one writer here; ``fit-dw`` and a column's
+``gof`` run on ``weibull``, ``datasets`` and ``univariate`` alone, and
+never load the joint law of ``bivariate``.  The law
 layers import numpy only in the functions that build arrays, so
 ``moments``, ``pmf-table``, ``--help`` and every refusal of a law's
 options run without it: ``pmf-table`` writes its grid row by row from
@@ -33,18 +37,15 @@ from __future__ import annotations
 
 import argparse
 import gc
-import math
 import os
 import sys
 from itertools import chain
 from typing import TYPE_CHECKING, Iterable, Iterator, NoReturn, Sequence
 
-from .weibull import _MAX_COUNT, _MAX_GRID_BOUND, _count, _Stream
+from .weibull import _MAX_COUNT, _MAX_GRID_BOUND, _count
 
 if TYPE_CHECKING:
-    from .bivariate import MOBWParams
     from .datasets import BivariateDataset
-    from .univariate import ChiSquareReport
 
 __all__ = ["load_csv", "main", "run"]
 
@@ -135,24 +136,6 @@ def _law(args: argparse.Namespace) -> dict:
     return {name: getattr(args, name) for name in _LAW}
 
 
-def _rates(params: MOBWParams) -> dict:
-    return {name: getattr(params, name) for name in params._fields}
-
-
-def _dw_law(fit) -> dict:
-    # the report's p < 1 refuses by name a rate that rounds its base to 1
-    return {"alpha": fit.law.alpha, "p": fit.params.p}
-
-
-def _chi_dict(rep: ChiSquareReport) -> dict:
-    return {
-        "statistic": rep.statistic,
-        "df": rep.df,
-        "p_value": rep.p_value,
-        "cells": [[label, obs, exp] for label, obs, exp in rep.cells],
-    }
-
-
 def _write(chunks: Iterable[str], output: str | None, what: str) -> None:
     # chunk by chunk as they are produced, so a long output is never held
     # whole; the file opens here, after the command's checks have passed
@@ -164,129 +147,34 @@ def _write(chunks: Iterable[str], output: str | None, what: str) -> None:
         sys.stdout.writelines(chunks)
 
 
-def _emit(
-    args: argparse.Namespace,
-    source: dict,
-    config: dict,
-    results: dict,
-    seed: int | None = None,
-) -> None:
-    # imported here, as load_csv imports csv: pmf-table writes no JSON
+def _emit(args: argparse.Namespace, source: dict, config: dict, results: dict) -> None:
+    # imported here, as load_csv imports csv: pmf-table writes no JSON; the
+    # seed is that of a command that takes one, else None
     import json
 
     report = {
         "schema_version": SCHEMA_VERSION,
         "command": args.command,
         "input": source,
-        "seed": seed,
+        "seed": getattr(args, "seed", None),
         "config": config,
         "results": results,
     }
     _write((json.dumps(report, indent=2, sort_keys=True) + "\n",), args.output, "report")
 
 
-def _cmd_fit_dw(args: argparse.Namespace) -> None:
-    from .univariate import chisq_dw, dw_fit_minchisq, dw_fit_ml
+def _cmd_data(args: argparse.Namespace) -> None:
+    # a command that reads data: its fit handler runs on what it reads
+    from . import fit_commands
 
     data, source = _dataset(args)
-    column = data.column_ints(args.column)
-    ml = dw_fit_ml(column)
-    mc = dw_fit_minchisq(column)
-    fit_check = chisq_dw(column, mc.law, absorb_tail=not args.no_absorb_tail)
-    results = {
-        "ml": {**_dw_law(ml), "loglik": ml.loglik},
-        "min_chisq": {**_dw_law(mc), "chisq": mc.chisq},
-        "gof": _chi_dict(fit_check),
-    }
-    config = {"column": args.column, "absorb_tail": not args.no_absorb_tail}
-    _emit(args, source, config, results)
-
-
-def _cmd_fit_ml(args: argparse.Namespace) -> None:
-    from .fit_ml import alpha_equals_one_test, nested_em
-    from .gof import chisq_bdw
-
-    data, source = _dataset(args)
-    fit = nested_em(data)
-    th = fit.params
-    try:
-        test = alpha_equals_one_test(fit, data)
-        keys = ("reject", "ci_low", "ci_high", "verdict")
-        shape_test = {name: getattr(test, name) for name in keys}
-    except ValueError as exc:
-        shape_test = {"error": str(exc)}
-    estimates = _rates(th)
-    # the survival bases, at most 1: a rate below ~1.1e-16 writes 1.0
-    estimates.update(p0=math.exp(-th.lambda0), p1=math.exp(-th.lambda1), p2=math.exp(-th.lambda2))
-    results = {
-        "estimates": estimates,
-        "ci95_halfwidth": fit.ci95,
-        "loglik": fit.loglik,
-        "shape_one_test": shape_test,
-        "gof": _chi_dict(chisq_bdw(data, th)),
-    }
-    _emit(args, source, {}, results)
-
-
-def _cmd_fit_bayes(args: argparse.Namespace) -> None:
-    from .fit_bayes import AlphaPrior, DGPrior, augmented_gibbs
-    from .generator import _Generator
-
-    data, source = _dataset(args)
-    prior = DGPrior(args.a, args.b, args.a0, args.a1, args.a2)
-    alpha_prior = AlphaPrior(args.c, args.d)
-    # the draws of numpy's default_rng(seed), drawn without numpy
-    rng = _Generator(args.seed)
-    post = augmented_gibbs(
-        data,
-        prior=prior,
-        alpha_prior=alpha_prior,
-        M=args.draws,
-        N=args.rounds,
-        rng=rng,
-        burn_in=args.burn_in,
-    )
-    results = {
-        "means": post.means,
-        "credible95": {k: list(v) for k, v in post.credible.items()},
-        "hpd95": {k: list(v) for k, v in post.hpd.items()},
-        "M": post.M,
-        "N": post.N,
-    }
-    config = {name: getattr(args, name) for name in _PRIOR}
-    config.update(M=args.draws, N=args.rounds, burn_in=args.burn_in)
-    _emit(args, source, config, results, seed=args.seed)
-
-
-def _cmd_gof(args: argparse.Namespace) -> None:
-    from .univariate import chisq_dw, dw_fit_minchisq, dw_fit_ml
-
-    data, source = _dataset(args)
-    if args.column == "joint":
-        from .fit_ml import nested_em
-        from .gof import chisq_bdw
-
-        fit = nested_em(data)
-        rep = chisq_bdw(data, fit.params)
-        fitted = _rates(fit.params)
-        config = {"column": "joint", "estimator": "ml", "absorb_tail": True}
-    else:
-        estimator = args.estimator or "minchisq"
-        column = data.column_ints(args.column)
-        fit = dw_fit_ml(column) if estimator == "ml" else dw_fit_minchisq(column)
-        rep = chisq_dw(column, fit.law, absorb_tail=not args.no_absorb_tail)
-        fitted = _dw_law(fit)
-        config = {
-            "column": args.column,
-            "estimator": estimator,
-            "absorb_tail": not args.no_absorb_tail,
-        }
-    results = {"fitted": fitted, "gof": _chi_dict(rep)}
-    _emit(args, source, config, results)
+    handler = getattr(fit_commands, "_cmd_" + args.command.replace("-", "_"))
+    _emit(args, source, *handler(args, data))
 
 
 def _cmd_simulate(args: argparse.Namespace) -> None:
-    from .bivariate import BDWParams, sample
+    from .bivariate import BDWParams
+    from .sampling import _Stream, sample
 
     config = _law(args)
     params = BDWParams(**config)
@@ -295,7 +183,7 @@ def _cmd_simulate(args: argparse.Namespace) -> None:
     # the uniforms of numpy's default_rng(seed), drawn without numpy
     draws = sample(params, _Stream(args.seed), size=args.n)
     config["n"] = args.n
-    _emit(args, {"generator": "bdw"}, config, {"pairs": draws}, seed=args.seed)
+    _emit(args, {"generator": "bdw"}, config, {"pairs": draws})
 
 
 def _grid_csv(rows: Iterable[list[float]]) -> Iterator[str]:
@@ -324,11 +212,12 @@ def _cmd_moments(args: argparse.Namespace) -> None:
     _emit(args, {"generator": "bdw"}, config, results)
 
 
-def _command(sub, name: str, func, help: str, law: bool = False) -> argparse.ArgumentParser:
-    # a command reads data, or the four law options where it takes a law
+def _command(sub, name: str, help: str, func=None) -> argparse.ArgumentParser:
+    # a law command runs func on the four law options; a command without one
+    # reads data, and its handler in fit_commands runs on it
     p = sub.add_parser(name, help=help)
-    p.set_defaults(func=func)
-    if law:
+    p.set_defaults(func=func or _cmd_data)
+    if func is not None:
         for option in _LAW:
             p.add_argument(f"--{option}", type=float, required=True)
     else:
@@ -354,13 +243,13 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = _command(sub, "fit-dw", _cmd_fit_dw, "fit one-dimensional discrete Weibull")
+    p = _command(sub, "fit-dw", "fit one-dimensional discrete Weibull")
     p.add_argument("--column", choices=("x1", "x2", "min"), required=True)
     p.add_argument("--no-absorb-tail", action="store_true")
 
-    _command(sub, "fit-ml", _cmd_fit_ml, "maximum-likelihood joint fit")
+    _command(sub, "fit-ml", "maximum-likelihood joint fit")
 
-    p = _command(sub, "fit-bayes", _cmd_fit_bayes, "Bayesian joint fit")
+    p = _command(sub, "fit-bayes", "Bayesian joint fit")
     p.add_argument("--draws", "-M", type=int, default=10_000,
                    help="Gibbs draws per round")
     p.add_argument("--rounds", "-N", type=int, default=20,
@@ -370,23 +259,23 @@ def _build_parser() -> argparse.ArgumentParser:
     for option in _PRIOR:
         p.add_argument(f"--{option}", type=float, default=1e-4)
 
-    p = _command(sub, "gof", _cmd_gof, "chi-square goodness of fit")
+    p = _command(sub, "gof", "chi-square goodness of fit")
     p.add_argument("--column", choices=("x1", "x2", "min", "joint"),
                    default="joint")
     p.add_argument("--estimator", choices=("minchisq", "ml"), default=None,
                    help="a column's fit (default minchisq); joint fits by ml")
     p.add_argument("--no-absorb-tail", action="store_true")
 
-    p = _command(sub, "simulate", _cmd_simulate, "draw joint samples", law=True)
+    p = _command(sub, "simulate", "draw joint samples", _cmd_simulate)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--seed", type=_seed_value, default=0)
 
-    p = _command(sub, "pmf-table", _cmd_pmf_table, "joint PMF grid as CSV", law=True)
+    p = _command(sub, "pmf-table", "joint PMF grid as CSV", _cmd_pmf_table)
     p.add_argument("--k", type=int, default=None,
                    help=f"grid bound, at most {_MAX_GRID_BOUND}; "
                         "default leaves < 1e-6 mass outside")
 
-    _command(sub, "moments", _cmd_moments, "means, variances and correlation", law=True)
+    _command(sub, "moments", "means, variances and correlation", _cmd_moments)
 
     # last in every command's usage and help
     for p in sub.choices.values():

@@ -46,7 +46,8 @@ from .mobw import (
     MOBWParams, Sample, SampleSummary, _loglik_in_shape, cause_counts, exposures, impute_dataset,
     summarize,
 )
-from .weibull import _binary_size, _left_sum, _Record
+from .sampling import _binary_size
+from .weibull import _left_sum, _Record
 
 if TYPE_CHECKING:
     import numpy as np
@@ -187,11 +188,15 @@ def sample_alpha_conditional(
     to it is refused by name, as are rates :class:`bdw.mobw.MOBWParams`
     refuses, a zero shared rate where the sample holds a tie and a current
     shape that is NaN.  A zero lifetime puts the conditional at shape one
-    alone, with no slice to draw: it is refused before any draw.
+    alone, with no slice to draw: it is refused by the observation that
+    holds it, before any draw.
     """
     st = sample if sample.__class__ is SampleSummary else summarize(sample)
     if st.first_zero is not None:
-        raise ValueError("conditional density vanishes at the current shape")
+        raise ValueError(
+            f"observation {st.first_zero} holds a zero lifetime: the shape's "
+            "conditional sits at shape one alone, with no slice to draw"
+        )
     # the complete-data log-likelihood under the prior's kernel
     g = _loglik_in_shape(alpha_prior.c, alpha_prior.d, st, lambdas)
     lo, hi, width, random = SLICE_ALPHA_LO, SLICE_ALPHA_HI, SLICE_WIDTH, rng.random

@@ -33,6 +33,7 @@ from typing import Sequence
 from . import bivariate
 from .bivariate import MOBWParams, _cell_log_masses
 from .datasets import BivariateDataset
+from .properties import from_mobw
 from .univariate import _dw_jets, _eigh, _in_logs, _newton_min, _step_jet, dw_fit_minchisq
 from .weibull import _left_sum, _rate, _Record
 
@@ -86,7 +87,7 @@ class MLFitReport(_Record):
     def bdw(self) -> bivariate.BDWParams:
         """The fitted law in survival bases, computed on demand; refused by
         name when a fitted rate rounds its base to 1."""
-        return bivariate.from_mobw(self.params)
+        return from_mobw(self.params)
 
 
 def bdw_loglik(theta: MOBWParams, data: BivariateDataset) -> float:

@@ -1,6 +1,6 @@
 """numpy ``Generator``'s scalar draws on the package's seeded stream.
 
-:class:`_Generator` extends :class:`bdw.weibull._Stream`, the uniforms of
+:class:`_Generator` extends :class:`bdw.sampling._Stream`, the uniforms of
 ``numpy.random.default_rng(seed)`` on ``int`` arithmetic, with the scalar
 draws of the Gibbs sweep (:mod:`bdw.fit_bayes`): ``random()``,
 ``exponential()``, ``gamma(shape, scale)`` and ``binomial(n, p)``.  Each
@@ -31,7 +31,7 @@ from __future__ import annotations
 import math
 import struct
 
-from .weibull import _MASK53, _MASK64, _MASK128, _PCG_MULT, _TWICE, _Stream
+from .sampling import _MASK53, _MASK64, _MASK128, _PCG_MULT, _TWICE, _Stream
 
 __all__: list[str] = []
 

@@ -9,9 +9,12 @@ survival
 
 whose law splits into two absolutely continuous pieces off the diagonal and
 a singular piece on it.  Taking floors of ``(Y1, Y2)`` yields exactly the
-discrete pair.  The law in rates, :class:`MOBWParams`, and the shock
-construction, :func:`mobw_sample`, belong to that discrete law and are
-defined in :mod:`bdw.bivariate`; they are re-exported here.
+discrete pair.  The law in rates, :class:`MOBWParams`, belongs to that
+discrete law and is defined in :mod:`bdw.bivariate`; it is re-exported
+here.  The shock construction, :func:`bdw.sampling.mobw_sample`, draws
+the pair.  The one-dimensional continuous Weibull law's density,
+distribution function and mode (:func:`we_pdf`, :func:`we_cdf`,
+:func:`we_mode`) live here too.
 
 This module holds the latent-sample path of the fits: it imputes the most
 likely latent lifetimes of every row (:func:`impute_dataset`, one
@@ -39,10 +42,18 @@ from operator import mul
 from typing import Callable, NamedTuple, Sequence
 
 from . import bivariate
-from .bivariate import MOBWParams, _cell_log_masses, mobw_sample
+from .bivariate import MOBWParams, _cell_log_masses
 from .datasets import _ALL_TIES, BivariateDataset
 from .univariate import ALPHA_HI, ALPHA_LO, _newton_min
-from .weibull import _count, _left_sum, _logpmf_float, _power, _Record, we_mode
+from .weibull import (
+    SingularDensityError,
+    WeibullParams,
+    _count,
+    _left_sum,
+    _logpmf_float,
+    _power,
+    _Record,
+)
 
 __all__ = [
     "MOBWParams",
@@ -55,7 +66,9 @@ __all__ = [
     "exposures",
     "mobw_sf",
     "mobw_pdf",
-    "mobw_sample",
+    "we_pdf",
+    "we_cdf",
+    "we_mode",
     "cell_probability",
     "ml_predict",
     "impute_dataset",
@@ -296,6 +309,51 @@ def mobw_sf(params: MOBWParams, y1: float, y2: float) -> float:
     if not (y1 >= 0 and y2 >= 0):
         raise ValueError(f"arguments must be non-negative, got ({y1}, {y2})")
     return math.exp(bivariate._log_sf(bivariate._rates(params), y1, y2))
+
+
+def we_pdf(params: WeibullParams, x: float) -> float:
+    """Density of the continuous Weibull law at ``x >= 0``.
+
+    At ``x = 0`` the density is 0 for ``alpha > 1`` and ``lam`` for
+    ``alpha = 1``; for ``alpha < 1`` it diverges and
+    :class:`SingularDensityError` is raised.  Where ``x**alpha`` passes the
+    float range the density is 0.
+    """
+    if not x >= 0:
+        raise ValueError(f"x must be non-negative, got {x}")
+    a, lam = params.alpha, params.lam
+    if x == 0:
+        if a > 1:
+            return 0.0
+        if a == 1:
+            return lam
+        raise SingularDensityError("density diverges at 0 for shape below one")
+    survival = math.exp(-lam * _power(x, a))
+    # a power past the float range leaves no survival, and no density
+    return a * lam * _power(x, a - 1.0) * survival if survival > 0 else 0.0
+
+
+def we_cdf(params: WeibullParams, x: float) -> float:
+    """Distribution function ``1 - exp(-lam*x**alpha)`` at ``x >= 0``; 1 past
+    the float range."""
+    if not x >= 0:
+        raise ValueError(f"x must be non-negative, got {x}")
+    return -math.expm1(-params.lam * _power(x, params.alpha))
+
+
+def we_mode(alpha: float, lam: float) -> float:
+    """Interior mode ``((alpha-1)/(alpha*lam))**(1/alpha)`` of the density.
+
+    Defined only for ``alpha > 1``; below that the density is decreasing and
+    has no interior mode.
+    """
+    if not (alpha > 0 and math.isfinite(alpha)):
+        raise ValueError(f"shape must be positive and finite, got {alpha}")
+    if alpha <= 1:
+        raise ValueError(f"mode requires shape above one, got {alpha}")
+    if not (lam > 0 and math.isfinite(lam)):
+        raise ValueError(f"rate must be positive and finite, got {lam}")
+    return ((alpha - 1.0) / (alpha * lam)) ** (1.0 / alpha)
 
 
 def _log_we_pdf(y: float, alpha: float, lam: float) -> float:

@@ -13,8 +13,9 @@ The DW fit check, :func:`chisq_dw`, and the table path that the joint
 check of :mod:`bdw.gof` shares live here too, so a column's fit and fit
 check load no joint law.
 
-The law's public names are imported here too, so ``bdw.univariate.DWParams``
-and pickles that name this module still resolve.
+The DW law's public names are imported here too, so ``bdw.univariate.DWParams``
+and pickles that name this module still resolve.  The samplers live in
+:mod:`bdw.sampling` and the continuous Weibull density in :mod:`bdw.mobw`.
 """
 
 from __future__ import annotations
@@ -40,14 +41,8 @@ from .weibull import (
     _Record,
     _to_base,
     dw_logpmf,
-    dw_min_of_n,
     dw_pmf,
-    dw_sample,
     dw_sf,
-    we_cdf,
-    we_mode,
-    we_pdf,
-    we_sample,
 )
 
 __all__ = [
@@ -55,15 +50,9 @@ __all__ = [
     "WeibullParams",
     "DWParams",
     "DWFit",
-    "we_pdf",
-    "we_cdf",
-    "we_mode",
-    "we_sample",
     "dw_pmf",
     "dw_logpmf",
     "dw_sf",
-    "dw_sample",
-    "dw_min_of_n",
     "dw_fit_ml",
     "dw_fit_minchisq",
     "DWChisqFit",

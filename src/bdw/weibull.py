@@ -1,4 +1,4 @@
-"""The continuous and discrete Weibull laws.
+"""The discrete Weibull law and the package's lowest-layer helpers.
 
 The discrete Weibull (DW) distribution places mass ``p**(y**alpha) -
 p**((y + 1)**alpha)`` on each non-negative integer ``y``.  It arises as the
@@ -15,14 +15,11 @@ or as the continuous Weibull law whose floor it is
 and refuses one that rounds to 1.  The DW log-mass is written once, on
 ``math``, from one power step (:func:`_power_step`, the only place where
 ``(y+1)**alpha - y**alpha`` is formed) and ``log1mexp`` (:func:`_log_dw`).
-Every sampler draws through one lifetime kernel on ``math``
-(:func:`_lifetimes`), from a numpy ``Generator`` or from
-:class:`_Stream`, which gives the uniforms of
-``numpy.random.default_rng(seed)`` without numpy.
 This module is the package's lowest layer: it holds the records' base
 class, :class:`_Record`, and the one count rule, :func:`_as_counts`, and
-imports numpy only where a sampler hands a numpy caller its array
-(:func:`_as_drawn`).  The DW fits live in :mod:`bdw.univariate`.
+imports no other module of the package, nor numpy.  The samplers and the
+seeded stream live in :mod:`bdw.sampling`, the continuous Weibull
+density in :mod:`bdw.mobw` and the DW fits in :mod:`bdw.univariate`.
 """
 
 from __future__ import annotations
@@ -36,15 +33,9 @@ __all__ = [
     "SingularDensityError",
     "WeibullParams",
     "DWParams",
-    "we_pdf",
-    "we_cdf",
-    "we_mode",
-    "we_sample",
     "dw_pmf",
     "dw_logpmf",
     "dw_sf",
-    "dw_sample",
-    "dw_min_of_n",
 ]
 
 
@@ -191,97 +182,6 @@ def _to_base(name: str, rate: float) -> float:
     return base
 
 
-def we_pdf(params: WeibullParams, x: float) -> float:
-    """Density of the continuous Weibull law at ``x >= 0``.
-
-    At ``x = 0`` the density is 0 for ``alpha > 1`` and ``lam`` for
-    ``alpha = 1``; for ``alpha < 1`` it diverges and
-    :class:`SingularDensityError` is raised.  Where ``x**alpha`` passes the
-    float range the density is 0.
-    """
-    if not x >= 0:
-        raise ValueError(f"x must be non-negative, got {x}")
-    a, lam = params.alpha, params.lam
-    if x == 0:
-        if a > 1:
-            return 0.0
-        if a == 1:
-            return lam
-        raise SingularDensityError("density diverges at 0 for shape below one")
-    survival = math.exp(-lam * _power(x, a))
-    # a power past the float range leaves no survival, and no density
-    return a * lam * _power(x, a - 1.0) * survival if survival > 0 else 0.0
-
-
-def we_cdf(params: WeibullParams, x: float) -> float:
-    """Distribution function ``1 - exp(-lam*x**alpha)`` at ``x >= 0``; 1 past
-    the float range."""
-    if not x >= 0:
-        raise ValueError(f"x must be non-negative, got {x}")
-    return -math.expm1(-params.lam * _power(x, params.alpha))
-
-
-def we_mode(alpha: float, lam: float) -> float:
-    """Interior mode ``((alpha-1)/(alpha*lam))**(1/alpha)`` of the density.
-
-    Defined only for ``alpha > 1``; below that the density is decreasing and
-    has no interior mode.
-    """
-    if not (alpha > 0 and math.isfinite(alpha)):
-        raise ValueError(f"shape must be positive and finite, got {alpha}")
-    if alpha <= 1:
-        raise ValueError(f"mode requires shape above one, got {alpha}")
-    if not (lam > 0 and math.isfinite(lam)):
-        raise ValueError(f"rate must be positive and finite, got {lam}")
-    return ((alpha - 1.0) / (alpha * lam)) ** (1.0 / alpha)
-
-
-def we_sample(params: WeibullParams, rng, size=None):
-    """Draw from the continuous Weibull law by inversion (:func:`_lifetimes`).
-
-    ``rng`` is a numpy ``Generator``, whose caller gets an array of shape
-    ``size``, or the package's seeded stream (:class:`_Stream`), whose
-    caller gets a list; either way ``rng.random`` is read once.  Without a
-    size one float is drawn.
-    """
-    u = _uniforms(rng, size)
-    return _as_drawn(_lifetimes(params.alpha, params.lam, u), rng, size, "float64")
-
-
-def _uniforms(rng, size) -> list[float]:
-    # the draws of rng.random(size) as one flat list: the stream's own list,
-    # or a numpy generator's array converted; without a size, one draw
-    u = rng.random(1 if size is None else size)
-    return u if isinstance(u, list) else u.ravel().tolist()
-
-
-def _as_drawn(values: list, rng, size, dtype: str):
-    """``values`` in the caller's form: the first for no ``size``, the
-    list itself for the stream, and for a numpy generator an array of
-    ``dtype`` and shape ``size``, the only place a sampler imports numpy."""
-    if size is None:
-        return values[0]
-    if isinstance(rng, _Stream):
-        return values
-    import numpy as np
-
-    return np.array(values, dtype).reshape(size)
-
-
-def _lifetimes(alpha: float, lam: float, u: list[float]) -> list[float]:
-    """Weibull lifetimes ``(-log1p(-u) / lam) ** (1/alpha)`` of uniforms
-    on [0, 1), the one lifetime kernel of every sampler, on ``math``.
-    ``-log1p(-u)`` is an exact Exponential(1) inverse transform there, so
-    it is finite and a deviate of 0 maps to the value 0; a very small
-    shape can still power a lifetime past the float range, to inf."""
-    power = 1.0 / alpha
-    log1p = math.log1p
-    try:
-        return [(-log1p(-v) / lam) ** power for v in u]
-    except OverflowError:
-        return [_power(-log1p(-v) / lam, power) for v in u]
-
-
 def _as_counts(values, least: int = 0) -> list[int] | None:
     """``values`` as ints if each is a whole number at least ``least`` (an int,
     an integral float, a numpy integer), else None: a bool, Python's or numpy's
@@ -343,32 +243,6 @@ _MAX_COUNT = 2**63 - 1
 _MAX_GRID_BOUND = 10_000
 
 
-def _floor_counts(lifetimes: list[float]) -> list[int]:
-    """Floors of non-negative lifetimes as counts; the first lifetime at or
-    past 2**63, or infinite, is refused by its value, as no count holds it."""
-    if lifetimes and not max(lifetimes) < 2.0**63:
-        y = next(y for y in lifetimes if not y < 2.0**63)
-        raise ValueError(
-            f"a drawn lifetime of {y:.6g} exceeds the largest "
-            f"count 2**63 - 1: the law's tail is too heavy to sample"
-        )
-    return list(map(int, lifetimes))
-
-
-def dw_sample(params, rng, size=None):
-    """Draw from the DW law as the floor of a continuous Weibull lifetime,
-    in the caller's form (:func:`we_sample`): int64 for numpy, ints for
-    the stream, one int without a size."""
-    counts = _floor_counts(_lifetimes(*_rate(params), _uniforms(rng, size)))
-    return _as_drawn(counts, rng, size, "int64")
-
-
-def dw_min_of_n(params: DWParams, n: int) -> DWParams:
-    """Law of the minimum of ``n`` independent copies: same shape, ``p**n``."""
-    n = _count(n, "n", positive=True)
-    return DWParams(params.alpha, params.p**n)
-
-
 def _floor(y: float) -> float:
     """``floor(y)`` for ``y >= 0``, with ``inf`` kept, where ``math.floor`` raises."""
     return y if y == math.inf else math.floor(y)
@@ -415,103 +289,3 @@ def _log_dw(t: float, d: float, rate: float) -> float:
 def _logpmf_float(y: float, alpha: float, rate: float) -> float:
     """The DW log-mass of the rate ``rate`` at an integer-valued float."""
     return _log_dw(*_power_step(y, alpha), rate)
-
-
-# SeedSequence's hash and mix constants, and the multiplier of PCG64's
-# 128-bit LCG, as numpy writes them
-_HASH_INIT_A, _HASH_MULT_A = 0x43B0D7E5, 0x931E8875
-_HASH_INIT_B, _HASH_MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK32, _MASK53, _MASK64, _MASK128 = 2**32 - 1, 2**53 - 1, 2**64 - 1, 2**128 - 1
-# x * _TWICE is x << 64 | x for a 64-bit x: its rotations are windows of it
-_TWICE = 2**64 + 1
-
-
-def _fold(value: int) -> int:
-    # a 32-bit product with its high half xor-folded into its low half
-    value &= _MASK32
-    return value ^ value >> 16
-
-
-def _seed_words(seed: int) -> list[int]:
-    """The four 64-bit words of ``SeedSequence(seed).generate_state(4,
-    uint64)``: the seed's 32-bit words, least significant first, hashed
-    and mixed into a pool of four, which is then hashed out to eight
-    32-bit words, paired little-endian."""
-    entropy = [seed >> shift & _MASK32 for shift in range(0, max(seed.bit_length(), 1), 32)]
-    const = _HASH_INIT_A
-
-    def hashmix(value: int) -> int:
-        nonlocal const
-        value ^= const
-        const = const * _HASH_MULT_A & _MASK32
-        return _fold(value * const)
-
-    def mix(x: int, y: int) -> int:
-        return _fold(_MIX_MULT_L * x - _MIX_MULT_R * y)
-
-    pool = [hashmix(entropy[i] if i < len(entropy) else 0) for i in range(4)]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for word in entropy[4:]:
-        for dst in range(4):
-            pool[dst] = mix(pool[dst], hashmix(word))
-    const, words = _HASH_INIT_B, []
-    for i in range(8):
-        value = pool[i % 4] ^ const
-        const = const * _HASH_MULT_B & _MASK32
-        words.append(_fold(value * const))
-    return [words[i] | words[i + 1] << 32 for i in range(0, 8, 2)]
-
-
-def _binary_size(size: int) -> str:
-    # a byte count in binary units, as numpy's allocation errors give it
-    k = min(max(size.bit_length() - 1, 0) // 10, 6)
-    return f"{size / 1024**k:.3g} {('bytes', 'KiB', 'MiB', 'GiB', 'TiB', 'PiB', 'EiB')[k]}"
-
-
-class _Stream:
-    """The uniform stream of ``numpy.random.default_rng(seed)`` for an int
-    ``seed >= 0``, on ``int`` arithmetic: ``random(n)`` returns as a list
-    the floats that the generator's ``random(n)`` returns, bit for bit, and
-    successive calls continue one stream, as the generator's do.
-
-    ``default_rng`` is PCG64 (O'Neill 2014) seeded by numpy's
-    ``SeedSequence`` (:func:`_seed_words`): the first two words are the
-    initial state and the last two the stream, whose increment is odd.
-    Each draw steps the 128-bit LCG, takes its XSL-RR output (the halves'
-    xor rotated right by the state's top six bits) and keeps that output's
-    top 53 bits, times 2**-53.
-    """
-
-    __slots__ = ("_state", "_inc")
-
-    def __init__(self, seed: int) -> None:
-        w = _seed_words(seed)
-        self._inc = ((w[2] << 64 | w[3]) << 1 | 1) & _MASK128
-        # numpy's seeding: one step from 0, the initial state added, one more step
-        self._state = ((self._inc + (w[0] << 64 | w[1])) * _PCG_MULT + self._inc) & _MASK128
-
-    def random(self, n: int) -> list[float]:
-        """The next ``n`` uniforms on [0, 1); a negative ``n`` is refused in
-        numpy's words, and a list too long to allocate at once, by its size."""
-        if n < 0:
-            raise ValueError("negative dimensions are not allowed")
-        try:
-            out = [0.0] * n
-        except (MemoryError, OverflowError):
-            raise MemoryError(
-                f"Unable to allocate {_binary_size(8 * n)} for a list of {n} uniform draws"
-            ) from None
-        s, inc, mult, twice, mask128, mask64, mask53 = (
-            self._state, self._inc, _PCG_MULT, _TWICE, _MASK128, _MASK64, _MASK53
-        )
-        for i in range(n):
-            s = (s * mult + inc) & mask128
-            x = s >> 64 ^ s & mask64
-            out[i] = (x * twice >> (s >> 122) + 11 & mask53) * 2.0**-53
-        self._state = s
-        return out

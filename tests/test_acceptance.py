@@ -18,19 +18,7 @@ import numpy as np
 import pytest
 from scipy import optimize
 
-from bdw.bivariate import (
-    BDWParams,
-    closure_min,
-    cond_pmf,
-    is_tp2_on_grid,
-    joint_pmf,
-    joint_pmf_grid,
-    joint_sf,
-    marginals,
-    min_distribution,
-    pqd_check_on_grid,
-    sample,
-)
+from bdw.bivariate import BDWParams, joint_pmf, joint_pmf_grid, joint_sf
 from bdw.cli import main
 from bdw.fit_bayes import DGPrior, augmented_gibbs, cause_counts, exposures, sample_lambdas_conditional
 from bdw.fit_ml import (
@@ -51,8 +39,16 @@ from bdw.mobw import (
     cell_probability,
     ml_predict,
     mobw_pdf,
-    mobw_sample,
 )
+from bdw.properties import (
+    closure_min,
+    cond_pmf,
+    is_tp2_on_grid,
+    marginals,
+    min_distribution,
+    pqd_check_on_grid,
+)
+from bdw.sampling import mobw_sample, sample
 from bdw.univariate import DWParams, dw_fit_minchisq, dw_fit_ml, dw_logpmf, dw_pmf, dw_sf
 
 # benchmark estimates for the bundled datasets: univariate fits per

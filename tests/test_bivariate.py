@@ -9,30 +9,32 @@ from hypothesis import strategies as st
 from mpmath import mp
 from scipy import stats
 
-from bdw import bivariate, weibull
+from bdw import bivariate, sampling
 from bdw.bivariate import (
     BDWParams,
     BivariateGeomParams,
     MOBWParams,
+    joint_cdf,
+    joint_logpmf,
+    joint_pmf,
+    joint_pmf_grid,
+    joint_sf,
+    moments,
+    to_mobw,
+)
+from bdw.properties import (
     closure_min,
     cond_pmf,
     cond_sf_given_eq,
     cond_sf_given_ge,
     from_mobw,
     is_tp2_on_grid,
-    joint_cdf,
-    joint_logpmf,
-    joint_pmf,
-    joint_pmf_grid,
-    joint_sf,
     marginals,
     min_distribution,
-    moments,
     pqd_check_on_grid,
-    sample,
-    to_mobw,
 )
-from bdw.univariate import DWParams, dw_pmf, dw_sample, dw_sf
+from bdw.sampling import dw_sample, sample
+from bdw.univariate import DWParams, dw_pmf, dw_sf
 
 CASES = [
     BDWParams(1.5, 0.9, 0.8, 0.7),
@@ -669,13 +671,13 @@ class TestSampling:
         # the package's stream gives the uniforms of default_rng(seed), and
         # the samplers read them in the same order: lambda1, lambda2, lambda0
         want = sample(law, np.random.default_rng(seed), size=n)
-        got = sample(law, weibull._Stream(seed), size=n)
+        got = sample(law, sampling._Stream(seed), size=n)
         assert want.shape == (n, 2) and want.dtype == np.int64
         assert type(got) is list and got == [tuple(pair) for pair in want.tolist()]
-        latent = bivariate.mobw_sample(to_mobw(law), np.random.default_rng(seed), size=n)
-        got = bivariate.mobw_sample(to_mobw(law), weibull._Stream(seed), size=n)
+        latent = sampling.mobw_sample(to_mobw(law), np.random.default_rng(seed), size=n)
+        got = sampling.mobw_sample(to_mobw(law), sampling._Stream(seed), size=n)
         assert latent.shape == (n, 2) and got == [tuple(pair) for pair in latent.tolist()]
-        one = sample(law, weibull._Stream(seed))
+        one = sample(law, sampling._Stream(seed))
         assert one == sample(law, np.random.default_rng(seed)) and type(one[0]) is int
 
     def test_stream_refuses_a_heavy_tail_as_numpy_does(self):
@@ -683,14 +685,14 @@ class TestSampling:
         with pytest.raises(ValueError, match="too heavy to sample") as want:
             sample(law, np.random.default_rng(0), size=8)
         with pytest.raises(ValueError, match="too heavy to sample") as got:
-            sample(law, weibull._Stream(0), size=8)
+            sample(law, sampling._Stream(0), size=8)
         assert str(got.value) == str(want.value)
 
     def test_refusal_names_the_first_lifetime_in_pair_order(self):
         lifetimes = [1.5, 3.0, 2.0**63, 0.0, math.inf, 2.0**64]
         with pytest.raises(ValueError, match=r"^a drawn lifetime of 9\.22337e\+18 exceeds"):
-            weibull._floor_counts(lifetimes)
-        assert weibull._floor_counts([0.0, 2.5, 2.0**63 - 1024]) == [0, 2, 2**63 - 1024]
+            sampling._floor_counts(lifetimes)
+        assert sampling._floor_counts([0.0, 2.5, 2.0**63 - 1024]) == [0, 2, 2**63 - 1024]
 
     @pytest.mark.parametrize("alpha", [0.05, 0.001])
     def test_lifetime_past_the_count_range_is_refused(self, alpha):

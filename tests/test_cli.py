@@ -1,5 +1,6 @@
 """End-to-end tests for the command-line interface."""
 
+import argparse
 import gc
 import hashlib
 import json
@@ -19,7 +20,7 @@ from hypothesis import strategies as st
 from mpmath import mp
 
 import bdw
-from bdw import bivariate, cli, datasets, fit_bayes, mobw
+from bdw import bivariate, cli, datasets, fit_bayes, mobw, sampling
 from bdw.bivariate import BDWParams, MOBWParams
 from bdw.cli import load_csv, main
 from bdw.datasets import FOOTBALL_PAIRS, NASAL_PAIRS, builtin_dataset
@@ -306,7 +307,7 @@ class TestReportSchema:
     @pytest.mark.filterwarnings("ignore:inconsistent marginal fits")
     def test_fit_ml_shared_rate_at_boundary(self, tmp_path, report_schema):
         law = BDWParams(1.5, 1.0, 0.7, 0.75)
-        draws = bivariate.sample(law, np.random.default_rng(3), size=200)
+        draws = sampling.sample(law, np.random.default_rng(3), size=200)
         path = tmp_path / "noties.csv"
         path.write_text("".join(f"{a},{b}\n" for a, b in draws.tolist() if a != b))
         with pytest.warns(UserWarning, match="at its boundary"):
@@ -671,7 +672,7 @@ OVERSIZE = {
 class TestFailurePaths:
     @pytest.mark.parametrize(
         "command, owner, name",
-        [("simulate", bivariate, "sample"), ("fit-bayes", fit_bayes, "augmented_gibbs")],
+        [("simulate", sampling, "sample"), ("fit-bayes", fit_bayes, "augmented_gibbs")],
         ids=["simulate", "fit-bayes"],
     )
     @pytest.mark.parametrize(
@@ -780,7 +781,7 @@ class TestFailurePaths:
     @pytest.mark.filterwarnings("ignore:inconsistent marginal fits")
     def test_zero_imputed_lifetime_fails_cleanly(self, tmp_path, capsys):
         law = BDWParams(0.8, 0.9, 0.7, 0.75)
-        draws = bivariate.sample(law, np.random.default_rng(0), size=40)
+        draws = sampling.sample(law, np.random.default_rng(0), size=40)
         path = tmp_path / "heavy.csv"
         path.write_text("".join(f"{a},{b}\n" for a, b in draws.tolist()))
         rc = main(["fit-bayes", "--input", str(path), "-M", "100", "-N", "1"])
@@ -1025,11 +1026,11 @@ def _json_loaded(argv) -> bool:
 _LAW_SCRIPT = """
 import json, sys
 import bdw
-from bdw.bivariate import cond_pmf, cond_sf_given_eq, cond_sf_given_ge
+from bdw.properties import cond_pmf, cond_sf_given_eq, cond_sf_given_ge
 from bdw.univariate import dw_logpmf
 for law in (bdw.BDWParams(1.5, 0.9, 0.7, 0.75), bdw.MOBWParams(0.8, 0.0, 0.3, 0.2)):
     bdw.moments(law), bdw.joint_sf(law, 1, 2), bdw.joint_cdf(law, 2, 3)
-    bdw.bivariate.is_tp2_on_grid(law), bdw.bivariate.pqd_check_on_grid(law)
+    bdw.properties.is_tp2_on_grid(law), bdw.properties.pqd_check_on_grid(law)
     for cell in ((1, 2), (3, 1), (2, 2)):
         bdw.joint_pmf(law, *cell), bdw.joint_logpmf(law, *cell), cond_pmf(law, *cell)
         cond_sf_given_ge(law, *cell), cond_sf_given_eq(law, *cell)
@@ -1093,7 +1094,7 @@ JOINT_COMMANDS = [
 _NO_NUMPY_SCRIPT = """
 import array, json
 import bdw
-from bdw import bivariate, weibull
+from bdw import bivariate, sampling
 from bdw.datasets import builtin_dataset
 from bdw.fit_bayes import augmented_gibbs
 from bdw.fit_ml import init_estimates
@@ -1114,7 +1115,7 @@ class Uniforms:  # a caller's own generator, which is not the package's stream
 
 post = augmented_gibbs(football, M=100, N=1, rng=_Generator(1))
 hand_offs = {
-    "_as_drawn": lambda: weibull.we_sample(bdw.WeibullParams(1.5, 0.5), Uniforms(), size=3),
+    "_as_drawn": lambda: sampling.we_sample(bdw.WeibullParams(1.5, 0.5), Uniforms(), size=3),
     "joint_pmf_grid": lambda: bivariate.joint_pmf_grid(bdw.BDWParams(1.5, 0.9, 0.7, 0.75), 2, 2),
     "column": lambda: football.column("x1"),
     "_read_draws": lambda: post.draws,
@@ -1344,29 +1345,37 @@ class TestStartup:
         assert (proc.returncode, proc.stderr, proc.stdout) == (0, b"", out.read_bytes())
 
     # the bdw modules each command loads: the layers it runs, and no other;
-    # the law commands run on the joint law, only a command that reads data
-    # loads the data layer, only a fit loads the DW fits, and a column's fit
-    # and fit check load no joint law
+    # the law commands run on the joint law and simulate on its samplers,
+    # and none loads the paper's property results or the data commands'
+    # handlers; only a command that reads data loads the data layer and its
+    # handler, only a fit loads the DW fits, and a column's fit and fit
+    # check load no joint law
     _START = {"bdw", "bdw.cli", "bdw.weibull"}
     _LAW = _START | {"bdw.bivariate"}
-    _DW = _START | {"bdw.datasets", "bdw.univariate"}
-    _FITS = _DW | {"bdw.bivariate", "bdw.fit_ml", "bdw.gof"}
+    _DW = _START | {"bdw.fit_commands", "bdw.datasets", "bdw.univariate"}
+    _FITS = _DW | {"bdw.bivariate", "bdw.properties", "bdw.fit_ml", "bdw.gof"}
     _LOADED = {
         "pmf-table": _LAW,
         "moments": _LAW,
-        "simulate": _LAW,
+        "simulate": _LAW | {"bdw.sampling"},
         "fit-ml": _FITS,
         "gof": _FITS,
         "gof-x1": _DW,
         "fit-dw": _DW,
         "fit-bayes": _DW | {
-            "bdw.bivariate", "bdw.fit_ml", "bdw.mobw", "bdw.fit_bayes", "bdw.generator"
+            "bdw.bivariate", "bdw.properties", "bdw.fit_ml", "bdw.mobw", "bdw.fit_bayes",
+            "bdw.generator", "bdw.sampling",
         },
     }
 
     def test_dataset_choices_are_the_builtin_names(self):
         # written out in cli, so that the law commands do not load the data layer
         assert cli._DATASETS == tuple(sorted(datasets.BUILTIN))
+
+    def test_prior_options_are_the_priors_fields(self):
+        # written out in cli, so that the parser loads no fitting module; the
+        # fit-bayes handler writes its config from the priors' fields
+        assert cli._PRIOR == (*fit_bayes.DGPrior._fields, *fit_bayes.AlphaPrior._fields)
 
     @pytest.mark.parametrize("argv", ALL_COMMANDS, ids=lambda argv: argv[0])
     def test_command_loads_only_its_layers(self, tmp_path, argv):
@@ -1389,7 +1398,52 @@ runpy.run_module("bdw.cli", run_name="__main__")
 """
 
 
+# a site hook for a child interpreter: at exit, it writes the name that
+# __main__ runs as and the bdw modules loaded to the file named by
+# BDW_TEST_MODULES_OUT
+_SITE_PROBE = """
+import atexit, json, os, sys
+
+
+def _write():
+    spec = getattr(sys.modules["__main__"], "__spec__", None)
+    loaded = sorted(m for m in sys.modules if (m + ".").startswith("bdw."))
+    with open(os.environ["BDW_TEST_MODULES_OUT"], "w") as fh:
+        json.dump({"main": spec and spec.name, "loaded": loaded}, fh)
+
+
+atexit.register(_write)
+"""
+
+
+def _loaded_at_exit(tmp_path, args, module=True):
+    # the bdw modules a fresh ``python -m bdw.cli`` (or ``python -c``) holds at exit
+    site = tmp_path / "site"
+    site.mkdir(exist_ok=True)
+    (site / "sitecustomize.py").write_text(_SITE_PROBE)
+    out = tmp_path / "modules.json"
+    env = _src_env(BDW_TEST_MODULES_OUT=str(out))
+    env["PYTHONPATH"] = os.pathsep.join([str(site), env["PYTHONPATH"]])
+    entry = ["-m", "bdw.cli"] if module else ["-c"]
+    proc = subprocess.run([sys.executable, *entry, *args], capture_output=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(out.read_text())
+
+
 class TestProgramEntry:
+    @pytest.mark.parametrize("argv", ALL_COMMANDS, ids=lambda argv: argv[0])
+    def test_program_compiles_the_command_line_once(self, tmp_path, argv):
+        # python -m runs bdw.cli as __main__; a module that imported bdw.cli
+        # would compile and run it a second time, beside __main__
+        got = _loaded_at_exit(tmp_path, [*argv, "--output", str(tmp_path / "report")])
+        assert got["main"] == "bdw.cli"
+        assert "bdw.cli" not in got["loaded"] and "bdw.weibull" in got["loaded"]
+
+    def test_site_probe_sees_the_command_line_module(self, tmp_path):
+        # the control: an import of bdw.cli does show in the probe
+        got = _loaded_at_exit(tmp_path, ["import bdw.cli"], module=False)
+        assert got["main"] is None and "bdw.cli" in got["loaded"]
+
     @pytest.mark.parametrize("argv", ALL_COMMANDS, ids=lambda argv: argv[0])
     def test_program_report_equals_in_process_report(self, tmp_path, argv):
         out = tmp_path / "report"
@@ -1415,7 +1469,7 @@ class TestProgramEntry:
     def test_program_warnings_equal_in_process_warnings(self, tmp_path):
         # the data of test_fit_ml_shared_rate_at_boundary: lambda0 fits at 0
         law = BDWParams(1.5, 1.0, 0.7, 0.75)
-        draws = bivariate.sample(law, np.random.default_rng(3), size=200)
+        draws = sampling.sample(law, np.random.default_rng(3), size=200)
         path = tmp_path / "noties.csv"
         path.write_text("".join(f"{a},{b}\n" for a, b in draws.tolist() if a != b))
         with warnings.catch_warnings(record=True) as caught:
@@ -1450,6 +1504,108 @@ class TestProgramEntry:
         before = gc.get_freeze_count()
         assert main([*argv, "--output", str(tmp_path / "out")]) == code
         assert gc.get_freeze_count() == before
+
+
+# every action of bdw's parser and of each command's parser, in order:
+# option strings, dest, required, default, choices, type name and help
+_HELP = (("-h", "--help"), "help", False, "==SUPPRESS==", None, None,
+         "show this help message and exit")
+_DATA = [
+    (("--dataset",), "dataset", False, None, ["football", "nasal"], None, "built-in dataset name"),
+    (("--input",), "input", False, None, None, None, "CSV file with two integer columns"),
+]
+_LAW_OPTIONS = [((f"--{name}",), name, True, None, None, "float", None)
+                for name in ("alpha", "p0", "p1", "p2")]
+_OUTPUT = (("--output",), "output", False, None, None, None, None)
+_NO_TAIL = (("--no-absorb-tail",), "no_absorb_tail", False, False, None, None, None)
+_SEED = (("--seed",), "seed", False, 0, None, "_seed_value", None)
+_SURFACE = {
+    "bdw": [
+        _HELP,
+        ((), "command", True, None,
+         ["fit-dw", "fit-ml", "fit-bayes", "gof", "simulate", "pmf-table", "moments"], None, None),
+    ],
+    "fit-dw": [
+        _HELP, *_DATA,
+        (("--column",), "column", True, None, ["x1", "x2", "min"], None, None),
+        _NO_TAIL, _OUTPUT,
+    ],
+    "fit-ml": [_HELP, *_DATA, _OUTPUT],
+    "fit-bayes": [
+        _HELP, *_DATA,
+        (("--draws", "-M"), "draws", False, 10_000, None, "int", "Gibbs draws per round"),
+        (("--rounds", "-N"), "rounds", False, 20, None, "int", "outer imputation rounds"),
+        _SEED,
+        (("--burn-in",), "burn_in", False, 0.1, None, "float", None),
+        *[((f"--{name}",), name, False, 1e-4, None, "float", None)
+          for name in ("a", "b", "a0", "a1", "a2", "c", "d")],
+        _OUTPUT,
+    ],
+    "gof": [
+        _HELP, *_DATA,
+        (("--column",), "column", False, "joint", ["x1", "x2", "min", "joint"], None, None),
+        (("--estimator",), "estimator", False, None, ["minchisq", "ml"], None,
+         "a column's fit (default minchisq); joint fits by ml"),
+        _NO_TAIL, _OUTPUT,
+    ],
+    "simulate": [
+        _HELP, *_LAW_OPTIONS, (("--n",), "n", True, None, None, "int", None), _SEED, _OUTPUT,
+    ],
+    "pmf-table": [
+        _HELP, *_LAW_OPTIONS,
+        (("--k",), "k", False, None, None, "int",
+         "grid bound, at most 10000; default leaves < 1e-6 mass outside"),
+        _OUTPUT,
+    ],
+    "moments": [_HELP, *_LAW_OPTIONS, _OUTPUT],
+}
+# each command's line in ``bdw --help``
+_COMMAND_HELP = {
+    "fit-dw": "fit one-dimensional discrete Weibull",
+    "fit-ml": "maximum-likelihood joint fit",
+    "fit-bayes": "Bayesian joint fit",
+    "gof": "chi-square goodness of fit",
+    "simulate": "draw joint samples",
+    "pmf-table": "joint PMF grid as CSV",
+    "moments": "means, variances and correlation",
+}
+
+
+def _actions(parser: argparse.ArgumentParser) -> list[tuple]:
+    return [
+        (
+            tuple(a.option_strings), a.dest, a.required, a.default,
+            None if a.choices is None else list(a.choices),
+            getattr(a.type, "__name__", None), a.help,
+        )
+        for a in parser._actions
+    ]
+
+
+class TestOptionSurface:
+    # read off the parser's actions, not its help text, so the pins hold on
+    # every Python version whatever argparse's formatting
+    def test_program_options(self):
+        assert _actions(cli._build_parser()) == _SURFACE["bdw"]
+
+    @pytest.mark.parametrize("command", list(_COMMAND_HELP))
+    def test_command_options(self, command):
+        commands = next(
+            a for a in cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+        )
+        parser = commands.choices[command]
+        assert _actions(parser) == _SURFACE[command]
+        # a command that reads data takes exactly one of --dataset and --input
+        groups = [(g.required, [a.dest for a in g._group_actions])
+                  for g in parser._mutually_exclusive_groups]
+        reads_data = _DATA[0] in _SURFACE[command]
+        assert groups == ([(True, ["dataset", "input"])] if reads_data else [])
+
+    def test_command_help_lines(self):
+        commands = next(
+            a for a in cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+        )
+        assert {a.dest: a.help for a in commands._choices_actions} == _COMMAND_HELP
 
 
 # ``main`` called by a fresh interpreter, the in-process entry
@@ -1517,5 +1673,7 @@ class TestTracedRun:
         )
         assert proc.returncode == 0, proc.stderr
         doc = json.loads(spans.read_text())
-        assert doc["absent"] == []
+        # the tracer still looks for the seeded sampler in the joint law's
+        # module; it lives in bdw.sampling
+        assert doc["absent"] == ["bivariate.sample"]
         assert [s[0] for s in doc["spans"]].count(span) == 1

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from bdw import bivariate, fit_bayes
+from bdw import bivariate, fit_bayes, sampling
 from bdw.fit_bayes import (
     AlphaPrior,
     DGPrior,
@@ -27,9 +27,9 @@ from bdw.mobw import (
     SampleSummary,
     _loglik_in_shape,
     complete_loglik,
-    mobw_sample,
     summarize,
 )
+from bdw.sampling import mobw_sample
 
 # handcrafted complete sample covering all three outcome kinds
 TIES = (
@@ -1152,7 +1152,7 @@ class TestAugmentedGibbs:
         # shape one imputes near-zero lifetimes, and the shape draws then
         # collapse below one
         law = bivariate.BDWParams(1.2, 0.97, 0.95, 0.96)
-        pairs = bivariate.sample(law, np.random.default_rng(seed), 1000)
+        pairs = sampling.sample(law, np.random.default_rng(seed), 1000)
         res = augmented_gibbs(
             BivariateDataset.from_pairs(pairs), M=200, N=2, rng=np.random.default_rng(0)
         )
@@ -1198,7 +1198,7 @@ class TestAugmentedGibbs:
         # a start shape below one imputes cell corners, so a zero count
         # becomes a zero lifetime
         law = bivariate.BDWParams(0.8, 0.9, 0.7, 0.75)
-        pairs = bivariate.sample(law, np.random.default_rng(seed), 40)
+        pairs = sampling.sample(law, np.random.default_rng(seed), 40)
         data = BivariateDataset.from_pairs(pairs)
         with pytest.raises(ValueError, match="improper") as err:
             augmented_gibbs(data, M=100, N=1, rng=np.random.default_rng(0))

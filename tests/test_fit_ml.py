@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize
 
-from bdw import bivariate, fit_bayes, fit_ml, mobw, univariate
+from bdw import bivariate, fit_bayes, fit_ml, mobw, properties, sampling, univariate
 from bdw.bivariate import _cell_log_masses
 from bdw.fit_bayes import augmented_gibbs
 from bdw.fit_ml import (
@@ -51,7 +51,7 @@ LARGE_COUNTS = ((100, 120), (130, 90), (110, 110), (95, 140), (120, 100))
 def _tiny_rate_sample(alpha=8.0):
     # 200 floors of a latent pair of rates ~1e-16: counts up to 118 at
     # shape 8, 24 at shape 12 and 6 at shape 20
-    draws = mobw.mobw_sample(
+    draws = sampling.mobw_sample(
         MOBWParams(alpha, 5e-17, 1e-16, 1e-16), np.random.default_rng(1), size=200
     )
     return BivariateDataset.from_pairs(np.floor(draws).astype(int).tolist())
@@ -146,7 +146,7 @@ class TestDataset:
 class TestLoglik:
     def test_matches_cellwise_sum(self, football):
         theta = MOBWParams(2.0, 0.05, 0.2, 0.1)
-        params = bivariate.from_mobw(theta)
+        params = properties.from_mobw(theta)
         direct = sum(
             bivariate.joint_logpmf(params, a, b) for a, b in football.pairs
         )
@@ -313,7 +313,7 @@ WIDE = bivariate.BDWParams(1.2, 0.97, 0.95, 0.96)
 
 @pytest.fixture(scope="module")
 def wide_draw():
-    return BivariateDataset.from_pairs(bivariate.sample(WIDE, np.random.default_rng(0), 1000))
+    return BivariateDataset.from_pairs(sampling.sample(WIDE, np.random.default_rng(0), 1000))
 
 
 def _imputed(theta, data):
@@ -619,7 +619,7 @@ class TestNestedEM:
     def test_synthetic_recovery(self):
         gen = bivariate.BDWParams(1.6, 0.95, 0.80, 0.85)
         rng = np.random.default_rng(11)
-        draws = bivariate.sample(gen, rng, size=1500)
+        draws = sampling.sample(gen, rng, size=1500)
         data = BivariateDataset.from_pairs(draws.tolist())
         fit = nested_em(data)
         truth = bivariate.to_mobw(gen)
@@ -743,7 +743,7 @@ class TestNestedEM:
         # no ties: the shared shock has nothing to explain, so the one-sided
         # score at lambda0 = 0 is negative and the rate sits on its boundary
         gen = bivariate.BDWParams(1.5, 1.0, 0.7, 0.75)
-        draws = bivariate.sample(gen, np.random.default_rng(3), size=200)
+        draws = sampling.sample(gen, np.random.default_rng(3), size=200)
         data = BivariateDataset(tuple((int(a), int(b)) for a, b in draws if a != b))
         with pytest.warns(UserWarning, match="at its boundary"):
             fit = nested_em(data)
@@ -787,7 +787,7 @@ class TestInference:
         # no ties: lambda0 sits at 0, where the full 4x4 information is
         # indefinite; the intervals hold lambda0 there and invert the 3x3 rest
         gen = bivariate.BDWParams(1.5, 1.0, 0.7, 0.75)
-        draws = bivariate.sample(gen, np.random.default_rng(3), size=157)
+        draws = sampling.sample(gen, np.random.default_rng(3), size=157)
         data = BivariateDataset(tuple((int(a), int(b)) for a, b in draws if a != b))
         assert data.n == 112
         with pytest.warns(UserWarning, match="at its boundary"):
@@ -822,7 +822,7 @@ class TestInference:
     def test_geometric_data_not_rejected(self):
         gen = bivariate.BDWParams(1.0, 0.9, 0.75, 0.8)
         rng = np.random.default_rng(5)
-        draws = bivariate.sample(gen, rng, size=600)
+        draws = sampling.sample(gen, rng, size=600)
         data = BivariateDataset.from_pairs(draws.tolist())
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
@@ -843,7 +843,7 @@ def test_no_runtime_warning_escapes_a_fit(name, request):
             if name == "wide"
             else bivariate.BDWParams(0.6, 0.9, 0.7, 0.75)
         )
-        data = BivariateDataset.from_pairs(bivariate.sample(law, np.random.default_rng(0), 300))
+        data = BivariateDataset.from_pairs(sampling.sample(law, np.random.default_rng(0), 300))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for column in ("x1", "x2", "min"):

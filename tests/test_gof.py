@@ -10,9 +10,10 @@ import pytest
 from scipy import stats
 
 from bdw import bivariate, gof, univariate
-from bdw.bivariate import BDWParams, joint_pmf, joint_sf, sample
+from bdw.bivariate import BDWParams, joint_pmf, joint_sf
 from bdw.fit_ml import BivariateDataset, nested_em
 from bdw.gof import POOL_THRESHOLD, _axis, _pool, _report, chisq_bdw, chisq_dw, chisq_upper_tail
+from bdw.sampling import sample
 from bdw.univariate import DWParams, dw_fit_minchisq, dw_fit_ml, dw_pmf, dw_sf
 
 

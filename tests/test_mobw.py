@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from bdw.bivariate import BDWParams, from_mobw, joint_pmf
+from bdw.bivariate import BDWParams, joint_pmf
 from bdw.fit_bayes import AlphaPrior, DGPrior, sample_alpha_conditional, sample_lambdas_conditional
 from bdw.fit_ml import BivariateDataset, impute_dataset, init_estimates
 from bdw.generator import _Generator
@@ -23,11 +23,14 @@ from bdw.mobw import (
     _branch_logpdf,
     ml_predict,
     mobw_pdf,
-    mobw_sample,
     mobw_sf,
     summarize,
+    we_mode,
+    we_pdf,
 )
-from bdw.univariate import WeibullParams, we_mode, we_pdf
+from bdw.properties import from_mobw
+from bdw.sampling import mobw_sample
+from bdw.univariate import WeibullParams
 from test_fit_bayes import _BoundedRng
 
 REF = MOBWParams(1.8, 0.3, 0.5, 0.4)
@@ -452,7 +455,10 @@ class TestClosedForm:
         for prior in (AlphaPrior(), AlphaPrior(c=2.0, d=1.0)):
             for seed, alpha in enumerate((0.5, 1.0, 1.8)):
                 rng = _BoundedRng(seed, limit=0)
-                with pytest.raises(ValueError, match="vanishes"):
+                with pytest.raises(ValueError, match=(
+                    "^observation 0 holds a zero lifetime: the shape's conditional sits "
+                    "at shape one alone, with no slice to draw$"
+                )):
                     sample_alpha_conditional(prior, (0.3, 0.5, 0.4), st, alpha, rng)
                 fresh = np.random.default_rng(seed).bit_generator.state
                 assert rng.rng.bit_generator.state == fresh

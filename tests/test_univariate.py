@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 from scipy import integrate, stats
 
-from bdw import bivariate, generator, gof, mobw, univariate, weibull
+from bdw import bivariate, generator, gof, mobw, properties, sampling, univariate, weibull
+from bdw.mobw import we_cdf, we_mode, we_pdf
+from bdw.sampling import dw_min_of_n, dw_sample, we_sample
 from bdw.univariate import (
     ALPHA_HI,
     ALPHA_LO,
@@ -15,14 +17,8 @@ from bdw.univariate import (
     dw_fit_minchisq,
     dw_fit_ml,
     dw_logpmf,
-    dw_min_of_n,
     dw_pmf,
-    dw_sample,
     dw_sf,
-    we_cdf,
-    we_mode,
-    we_pdf,
-    we_sample,
 )
 
 # a wide-support law with shape 1.2: its marginal fits must leave shape one
@@ -276,12 +272,12 @@ class TestSeededStream:
 
     @pytest.mark.parametrize("seed", STREAM_SEEDS)
     def test_draws_equal_numpy_bit_for_bit(self, seed):
-        got = weibull._Stream(seed).random(500)
+        got = sampling._Stream(seed).random(500)
         assert type(got) is list and got == np.random.default_rng(seed).random(500).tolist()
 
     @pytest.mark.parametrize("seed", [0, 2**32, 2**64 - 1])
     def test_state_carries_across_calls(self, seed):
-        stream, rng = weibull._Stream(seed), np.random.default_rng(seed)
+        stream, rng = sampling._Stream(seed), np.random.default_rng(seed)
         first, second = stream.random(100), stream.random(200)
         assert first == rng.random(100).tolist() and second == rng.random(200).tolist()
         assert first + second == np.random.default_rng(seed).random(300).tolist()
@@ -291,18 +287,18 @@ class TestSeededStream:
         # refused before any memory is asked for: the byte count passes
         # the largest allocation a list can request
         with pytest.raises(MemoryError, match=f"^Unable to allocate {size} for a list of {n} "):
-            weibull._Stream(0).random(n)
+            sampling._Stream(0).random(n)
 
     @pytest.mark.parametrize("sampler, law", [
         (we_sample, WeibullParams(1.5, 2.0)),
         (dw_sample, DWParams(1.6, 0.75)),
-        (bivariate.mobw_sample, bivariate.MOBWParams(1.5, 0.4, 0.7, 0.9)),
-        (bivariate.sample, WIDE),
+        (sampling.mobw_sample, bivariate.MOBWParams(1.5, 0.4, 0.7, 0.9)),
+        (sampling.sample, WIDE),
     ], ids=["we", "dw", "mobw", "bdw"])
     def test_negative_size_is_refused_as_numpy_refuses_it(self, sampler, law):
         with pytest.raises(ValueError) as theirs:
             sampler(law, np.random.default_rng(0), size=-3)
-        for rng in (weibull._Stream(0), generator._Generator(0)):
+        for rng in (sampling._Stream(0), generator._Generator(0)):
             with pytest.raises(ValueError, match=f"^{re.escape(str(theirs.value))}$"):
                 sampler(law, rng, size=-3)
             assert sampler(law, rng, size=0) == []
@@ -320,11 +316,11 @@ class TestSeededStream:
         # one lifetime kernel for both: numpy's caller gets its array back,
         # the stream's caller a list; no size draws one value either way
         want = sampler(law, np.random.default_rng(5), size=300)
-        got = sampler(law, weibull._Stream(5), size=300)
+        got = sampler(law, sampling._Stream(5), size=300)
         assert want.shape == (300,) and want.dtype == ("int64" if sampler is dw_sample else float)
         assert type(got) is list and got == want.tolist()
         one = sampler(law, np.random.default_rng(5))
-        assert one == sampler(law, weibull._Stream(5)) == want[0] and type(one) is type(got[0])
+        assert one == sampler(law, sampling._Stream(5)) == want[0] and type(one) is type(got[0])
 
     def test_numpy_caller_keeps_the_array_shape(self):
         draws = we_sample(WeibullParams(1.5, 2.0), np.random.default_rng(5), size=(3, 4))
@@ -431,7 +427,7 @@ class TestDWFitting:
     @pytest.mark.parametrize("seed", range(3))
     @pytest.mark.parametrize("column", ["x1", "min"])
     def test_min_chisq_moves_the_shape(self, seed, column):
-        pairs = bivariate.sample(WIDE, np.random.default_rng(seed), 1000)
+        pairs = sampling.sample(WIDE, np.random.default_rng(seed), 1000)
         xs = pairs[:, 0] if column == "x1" else pairs.min(axis=1)
         fit = dw_fit_minchisq(xs)
         assert abs(fit.params.alpha - 1.0) > 0.05
@@ -659,14 +655,14 @@ _DW = DWParams(1.5, 0.7)
 COUNT_ARGS = {
     "joint_pmf": (lambda v: bivariate.joint_pmf(_LAW, v, 0), "x1"),
     "joint_cdf": (lambda v: bivariate.joint_cdf(_LAW, 0, v), "x2"),
-    "cond_pmf": (lambda v: bivariate.cond_pmf(_LAW, v, 1), "x1"),
+    "cond_pmf": (lambda v: properties.cond_pmf(_LAW, v, 1), "x1"),
     "ml_predict": (lambda v: mobw.ml_predict(_LATENT, v, 0), "i"),
     "dw_pmf": (lambda v: dw_pmf(_DW, v), "y"),
     "dw_logpmf": (lambda v: dw_logpmf(_DW, v), "y"),
     "dw_min_of_n": (lambda v: dw_min_of_n(_DW, v), "n"),
     "joint_pmf_grid": (lambda v: bivariate.joint_pmf_grid(_LAW, v, 3), "k1"),
-    "is_tp2_on_grid": (lambda v: bivariate.is_tp2_on_grid(_LAW, v), "k"),
-    "pqd_check_on_grid": (lambda v: bivariate.pqd_check_on_grid(_LAW, v), "k"),
+    "is_tp2_on_grid": (lambda v: properties.is_tp2_on_grid(_LAW, v), "k"),
+    "pqd_check_on_grid": (lambda v: properties.pqd_check_on_grid(_LAW, v), "k"),
     "chisq_upper_tail-df": (lambda v: gof.chisq_upper_tail(1.0, v), "degrees of freedom"),
 }
 # a real argument, with the function's limit at infinity, or None where
@@ -716,7 +712,7 @@ class TestArgumentContract:
         call, _ = COUNT_ARGS[entry]
         assert math.isfinite(call(2**63 - 1))
 
-    @pytest.mark.parametrize("check", [bivariate.is_tp2_on_grid, bivariate.pqd_check_on_grid])
+    @pytest.mark.parametrize("check", [properties.is_tp2_on_grid, properties.pqd_check_on_grid])
     def test_largest_count_is_a_grid_bound(self, check):
         # the law's largest ratio there is past the float range, refused by
         # name; at p0 = 1 every ratio is one
