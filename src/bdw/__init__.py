@@ -29,6 +29,7 @@ _EXPORTS = {
         "BdwMoments",
         "BivariateGeomParams",
         "MOBWParams",
+        "from_mobw",
         "joint_cdf",
         "joint_logpmf",
         "joint_pmf",
@@ -58,7 +59,7 @@ _EXPORTS = {
     "generator": (),
     "gof": ("chisq_bdw",),
     "mobw": ("CompleteObservation", "LatentPrediction", "ml_predict"),
-    "properties": ("from_mobw", "marginals", "min_distribution"),
+    "properties": ("marginals", "min_distribution"),
     "sampling": ("dw_sample", "sample"),
     "univariate": (
         "ChiSquareReport", "chisq_dw", "chisq_upper_tail", "dw_fit_minchisq", "dw_fit_ml"

@@ -14,7 +14,8 @@ and all probability computations below are exact rearrangements of its
 rectangle differences, evaluated in log space.  They read the law's rates
 ``lambda_i = -ln(p_i)``, so each takes the law as survival bases
 (:class:`BDWParams`) or as rates (:class:`MOBWParams`); :func:`_rates` is
-the one conversion.
+the one conversion they read, and :func:`to_mobw` and :func:`from_mobw`
+convert a law's parameters between the two.
 
 The rates are those of the continuous Marshall–Olkin pair whose floors
 the law is: ``Y1 = min(U1, U0)``, ``Y2 = min(U2, U0)`` with Weibull
@@ -40,6 +41,7 @@ from .weibull import (
     _power,
     _power_step,
     _Record,
+    _to_base,
 )
 
 if TYPE_CHECKING:
@@ -60,6 +62,7 @@ __all__ = [
     "joint_pmf_grid",
     "moments",
     "to_mobw",
+    "from_mobw",
 ]
 
 
@@ -443,3 +446,12 @@ def moments(params, epsilon: float = 1e-10) -> BdwMoments:
 def to_mobw(params) -> MOBWParams:
     """Rates of the continuous latent model: ``lambda_i = -ln(p_i)``."""
     return MOBWParams(*_rates(params))
+
+
+def from_mobw(params) -> BDWParams:
+    """Survival bases from latent rates: ``p_i = exp(-lambda_i)``; a
+    positive rate whose base rounds to 1 (at ``lambda0`` it would read as
+    independence) is refused by name, and the law's functions take its
+    rates instead."""
+    names = MOBWParams._fields[1:]
+    return BDWParams(params.alpha, *(_to_base(name, getattr(params, name)) for name in names))

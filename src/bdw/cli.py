@@ -9,9 +9,10 @@ names); only then is ``logging`` imported.
 Each command handler imports the layers it runs, so a process starts on
 only those: ``pmf-table`` and ``moments`` run on the laws of ``weibull``
 and ``bivariate`` alone, and ``simulate`` adds the samplers of
-``sampling``; none of them loads a fitting module, the paper's property
-results (``properties``), the data commands' handlers (``fit_commands``)
-or the data layer, which only the readers of data import.  A command
+``sampling``; none of them loads a fitting module, the data commands'
+handlers (``fit_commands``) or the data layer, which only the readers of
+data import, and no command loads the paper's property results
+(``properties``).  A command
 that reads data runs its handler in ``fit_commands``, which returns the
 report's parts for the one writer here; ``fit-dw`` and a column's
 ``gof`` run on ``weibull``, ``datasets`` and ``univariate`` alone, and
@@ -230,7 +231,10 @@ def _command(sub, name: str, help: str, func=None) -> argparse.ArgumentParser:
 
 
 def _seed_value(text: str) -> int:
-    value = int(text)
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"seed must be an integer, got {text!r}") from None
     if not 0 <= value < 2**64:
         raise argparse.ArgumentTypeError("seed must fit in 64 unsigned bits")
     return value

@@ -47,7 +47,13 @@ class BivariateDataset(_Record):
     pairs: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
-        if not self.pairs:
+        # an array's truth is ambiguous, so a sequence is tested by its
+        # length, and anything else (an iterator, None) by its truth
+        try:
+            empty = len(self.pairs) == 0
+        except TypeError:
+            empty = not self.pairs
+        if empty:
             raise ValueError("dataset is empty")
         clean = []
         for row, pair in enumerate(self.pairs):

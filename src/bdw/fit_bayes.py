@@ -46,7 +46,7 @@ from .mobw import (
     MOBWParams, Sample, SampleSummary, _loglik_in_shape, cause_counts, exposures, impute_dataset,
     summarize,
 )
-from .sampling import _binary_size
+from .sampling import _at_least, _binary_size
 from .weibull import _left_sum, _Record
 
 if TYPE_CHECKING:
@@ -104,6 +104,8 @@ class AlphaPrior(_Record):
             raise ValueError("rate d must be positive")
 
     def logpdf(self, alpha: float) -> float:
+        if alpha != alpha:
+            raise ValueError(f"alpha must be a number, got {alpha}")
         if alpha <= 0:
             return -math.inf
         return (
@@ -119,6 +121,9 @@ def dg_logpdf(
 ) -> float:
     """Log density of the Dirichlet-Gamma prior at a rate triple."""
     lams = (lambda0, lambda1, lambda2)
+    for name, l in zip(("lambda0", "lambda1", "lambda2"), lams):
+        if l != l:
+            raise ValueError(f"{name} must be a number, got {l}")
     if any(l <= 0 for l in lams):
         raise ValueError("rates must be strictly positive")
     total = _left_sum(lams)
@@ -356,10 +361,8 @@ def augmented_gibbs(
     ``mean()`` does.  The draws are held before the first sweep, and a
     number too large to hold is refused by its size.
     """
-    if M < 100:
-        raise ValueError("M must be at least 100")
-    if N < 1:
-        raise ValueError("N must be at least 1")
+    M = _at_least(M, "M", 100, "M must be at least 100")
+    N = _at_least(N, "N", 1, "N must be at least 1")
     if not 0 <= burn_in < 1:
         raise ValueError("burn_in must lie in [0, 1)")
     prior = DGPrior() if prior is None else prior

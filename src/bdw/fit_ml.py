@@ -31,9 +31,8 @@ import warnings
 from typing import Sequence
 
 from . import bivariate
-from .bivariate import MOBWParams, _cell_log_masses
+from .bivariate import MOBWParams, _cell_log_masses, from_mobw
 from .datasets import BivariateDataset
-from .properties import from_mobw
 from .univariate import _dw_jets, _eigh, _in_logs, _newton_min, _step_jet, dw_fit_minchisq
 from .weibull import _left_sum, _rate, _Record
 

@@ -7,8 +7,7 @@ conditionals (:func:`cond_pmf`, :func:`cond_sf_given_ge`,
 :func:`cond_sf_given_eq`) read the joint law's rates and survival of
 :mod:`bdw.bivariate`; the dependence checks (:func:`is_tp2_on_grid`,
 :func:`pqd_check_on_grid`) evaluate the paper's closed forms over a
-grid.  :func:`from_mobw` gives a law in rates as survival bases.  No
-command runs these, so the law commands compile none of them.
+grid.  No command runs these, so no command loads this module.
 """
 
 from __future__ import annotations
@@ -18,13 +17,12 @@ import math
 from .bivariate import (
     BDWParams,
     GridCheckReport,
-    MOBWParams,
     _check_cell,
     _log_sf,
     _rates,
     joint_pmf,
 )
-from .weibull import DWParams, _count, _logpmf_float, _power, _to_base
+from .weibull import DWParams, _count, _logpmf_float, _power
 
 __all__ = [
     "marginals",
@@ -33,7 +31,6 @@ __all__ = [
     "cond_pmf",
     "cond_sf_given_ge",
     "cond_sf_given_eq",
-    "from_mobw",
     "is_tp2_on_grid",
     "pqd_check_on_grid",
 ]
@@ -109,15 +106,6 @@ def cond_sf_given_eq(params, x1: int, x2: int) -> float:
     # U0 and U1 outlive x1 while U2 fails at x2
     num = math.exp(-(t * (lam0 + lam1)) + _logpmf_float(float(j), a, lam2))
     return num / _second_mass(rates, j)
-
-
-def from_mobw(params) -> BDWParams:
-    """Survival bases from latent rates: ``p_i = exp(-lambda_i)``; a
-    positive rate whose base rounds to 1 (at ``lambda0`` it would read as
-    independence) is refused by name, and the law's functions take its
-    rates instead."""
-    names = MOBWParams._fields[1:]
-    return BDWParams(params.alpha, *(_to_base(name, getattr(params, name)) for name in names))
 
 
 def _dependence_report(params, k: int, checked: int) -> GridCheckReport:

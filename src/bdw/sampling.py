@@ -19,6 +19,7 @@ and ``pmf-table`` compile none of it.
 from __future__ import annotations
 
 import math
+from operator import index
 
 from .bivariate import MOBWParams, to_mobw
 from .weibull import DWParams, WeibullParams, _count, _power, _rate
@@ -81,6 +82,25 @@ def _binary_size(size: int) -> str:
     return f"{size / 1024**k:.3g} {('bytes', 'KiB', 'MiB', 'GiB', 'TiB', 'PiB', 'EiB')[k]}"
 
 
+def _at_least(value, name: str, least: int, small: str) -> int:
+    """``value`` as a count of at least ``least``: a number below it is
+    refused with the message ``small``, an int is taken as it is (one too
+    large to hold is refused by its size where it is held), and any other
+    value by :func:`bdw.weibull._count`."""
+    try:
+        below = bool(value < least)
+    except (TypeError, ValueError):
+        below = False
+    if below:
+        raise ValueError(small)
+    return value if type(value) is int else _count(value, name, positive=least > 0)
+
+
+def _size(size) -> int:
+    # a count of draws; a negative one is refused in numpy's words
+    return _at_least(size, "size", 0, "negative dimensions are not allowed")
+
+
 class _Stream:
     """The uniform stream of ``numpy.random.default_rng(seed)`` for an int
     ``seed >= 0``, on ``int`` arithmetic: ``random(n)`` returns as a list
@@ -98,16 +118,22 @@ class _Stream:
     __slots__ = ("_state", "_inc")
 
     def __init__(self, seed: int) -> None:
-        w = _seed_words(seed)
+        # numpy's seeds: a Python or numpy integer >= 0, of any size
+        try:
+            value = index(seed)
+        except TypeError:
+            value = -1
+        if value < 0 or type(seed) is bool:
+            raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+        w = _seed_words(value)
         self._inc = ((w[2] << 64 | w[3]) << 1 | 1) & _MASK128
         # numpy's seeding: one step from 0, the initial state added, one more step
         self._state = ((self._inc + (w[0] << 64 | w[1])) * _PCG_MULT + self._inc) & _MASK128
 
     def random(self, n: int) -> list[float]:
-        """The next ``n`` uniforms on [0, 1); a negative ``n`` is refused in
-        numpy's words, and a list too long to allocate at once, by its size."""
-        if n < 0:
-            raise ValueError("negative dimensions are not allowed")
+        """The next ``n`` uniforms on [0, 1); ``n`` is read by :func:`_size`,
+        and a list too long to allocate at once is refused by its size."""
+        n = _size(n)
         try:
             out = [0.0] * n
         except (MemoryError, OverflowError):
@@ -231,7 +257,7 @@ def mobw_sample(params: MOBWParams, rng, size=None):
     single tuple.  Floors of the output follow the discrete pair law with
     survival bases ``exp(-lambda_i)``.
     """
-    n = 1 if size is None else int(size)
+    n = 1 if size is None else _size(size)
     return _as_pairs(_shock_lifetimes(params, rng, n), rng, size, "float64")
 
 
@@ -246,6 +272,6 @@ def sample(params, rng, size=None):
     the platform's ``log1p`` and ``pow`` in its last unit; the DW fits
     refuse such counts.
     """
-    n = 1 if size is None else int(size)
+    n = 1 if size is None else _size(size)
     counts = _floor_counts(_shock_lifetimes(to_mobw(params), rng, n))
     return _as_pairs(counts, rng, size, "int64")

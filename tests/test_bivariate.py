@@ -19,6 +19,7 @@ from bdw.bivariate import (
     joint_pmf,
     joint_pmf_grid,
     joint_sf,
+    from_mobw,
     moments,
     to_mobw,
 )
@@ -27,7 +28,6 @@ from bdw.properties import (
     cond_pmf,
     cond_sf_given_eq,
     cond_sf_given_ge,
-    from_mobw,
     is_tp2_on_grid,
     marginals,
     min_distribution,

@@ -892,6 +892,15 @@ class TestFailurePaths:
                 ]
             )
 
+    @pytest.mark.parametrize("seed", ["abc", "1e3", "2.5"])
+    def test_seed_that_is_no_integer_is_refused_by_name(self, capsys, seed):
+        argv = ["simulate", "--alpha", "1.5", "--p0", "0.9", "--p1", "0.7", "--p2", "0.75"]
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--n", "5", "--seed", seed])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err.splitlines()[-1]
+        assert err == f"bdw simulate: error: argument --seed: seed must be an integer, got {seed!r}"
+
     @pytest.mark.parametrize("option", [
         ["--no-absorb-tail"],
         ["--estimator", "minchisq"],
@@ -1353,7 +1362,7 @@ class TestStartup:
     _START = {"bdw", "bdw.cli", "bdw.weibull"}
     _LAW = _START | {"bdw.bivariate"}
     _DW = _START | {"bdw.fit_commands", "bdw.datasets", "bdw.univariate"}
-    _FITS = _DW | {"bdw.bivariate", "bdw.properties", "bdw.fit_ml", "bdw.gof"}
+    _FITS = _DW | {"bdw.bivariate", "bdw.fit_ml", "bdw.gof"}
     _LOADED = {
         "pmf-table": _LAW,
         "moments": _LAW,
@@ -1363,7 +1372,7 @@ class TestStartup:
         "gof-x1": _DW,
         "fit-dw": _DW,
         "fit-bayes": _DW | {
-            "bdw.bivariate", "bdw.properties", "bdw.fit_ml", "bdw.mobw", "bdw.fit_bayes",
+            "bdw.bivariate", "bdw.fit_ml", "bdw.mobw", "bdw.fit_bayes",
             "bdw.generator", "bdw.sampling",
         },
     }

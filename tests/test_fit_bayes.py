@@ -1,6 +1,7 @@
 """Tests for the data-augmentation posterior sampler."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -116,6 +117,16 @@ class TestPriors:
             dg_logpdf(PRIOR_EQ, 0.0, 1.0, 1.0)
         with pytest.raises(ValueError, match="strictly positive"):
             dg_logpdf(PRIOR_EQ, 1.0, 1.0, -0.5)
+
+    def test_priors_refuse_nan_by_name(self):
+        # each density was NaN there, no number at all
+        with pytest.raises(ValueError, match="^alpha must be a number, got nan$"):
+            AlphaPrior().logpdf(math.nan)
+        for i, name in enumerate(("lambda0", "lambda1", "lambda2")):
+            lams = [1.0, 1.0, 1.0]
+            lams[i] = math.nan
+            with pytest.raises(ValueError, match=f"^{name} must be a number, got nan$"):
+                dg_logpdf(DGPrior(), *lams)
 
 
 class TestCompleteDataReductions:
@@ -1120,6 +1131,32 @@ class TestAugmentedGibbs:
         # refused before the first sweep, and before any memory is asked for
         with pytest.raises(MemoryError, match=f"^Unable to allocate {size} for {M} draws of "):
             augmented_gibbs(football, M=M, N=1, rng=_Generator(0))
+
+    @pytest.mark.parametrize("counts, message", [
+        ({"M": 100.5}, "M must be a positive integer, got 100.5"),
+        ({"M": math.nan}, "M must be a positive integer, got nan"),
+        ({"M": "300"}, "M must be a positive integer, got '300'"),
+        ({"N": 2.5}, "N must be a positive integer, got 2.5"),
+        ({"N": math.inf}, "N must be a positive integer, got inf"),
+        ({"N": True}, "N must be a positive integer, got True"),
+        # a number below the least keeps its own refusal
+        ({"M": 99}, "M must be at least 100"),
+        ({"M": -5}, "M must be at least 100"),
+        ({"M": np.int64(50)}, "M must be at least 100"),
+        ({"N": 0}, "N must be at least 1"),
+    ])
+    def test_counts_that_are_not_whole_numbers_are_refused_by_name(
+        self, football, counts, message
+    ):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            augmented_gibbs(football, **{"M": 100, "N": 1, **counts}, rng=_Generator(0))
+
+    def test_whole_number_counts_of_any_type_run_as_ints(self, football):
+        want = augmented_gibbs(football, M=100, N=1, rng=_Generator(0))
+        for m, n in ((100.0, 1.0), (np.int64(100), np.int64(1))):
+            got = augmented_gibbs(football, M=m, N=n, rng=_Generator(0))
+            assert (type(got.M), type(got.N)) == (int, int)
+            assert (got.M, got.N, got.means) == (want.M, want.N, want.means)
 
     def test_draws_are_an_array_on_first_read(self, football):
         res = augmented_gibbs(football, M=100, N=1, rng=_Generator(0))

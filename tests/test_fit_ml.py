@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize
 
-from bdw import bivariate, fit_bayes, fit_ml, mobw, properties, sampling, univariate
+from bdw import bivariate, fit_bayes, fit_ml, mobw, sampling, univariate
 from bdw.bivariate import _cell_log_masses
 from bdw.fit_bayes import augmented_gibbs
 from bdw.fit_ml import (
@@ -146,7 +146,7 @@ class TestDataset:
 class TestLoglik:
     def test_matches_cellwise_sum(self, football):
         theta = MOBWParams(2.0, 0.05, 0.2, 0.1)
-        params = properties.from_mobw(theta)
+        params = bivariate.from_mobw(theta)
         direct = sum(
             bivariate.joint_logpmf(params, a, b) for a, b in football.pairs
         )

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from bdw.bivariate import BDWParams, joint_pmf
+from bdw.bivariate import BDWParams, from_mobw, joint_pmf
 from bdw.fit_bayes import AlphaPrior, DGPrior, sample_alpha_conditional, sample_lambdas_conditional
 from bdw.fit_ml import BivariateDataset, impute_dataset, init_estimates
 from bdw.generator import _Generator
@@ -28,7 +28,6 @@ from bdw.mobw import (
     we_mode,
     we_pdf,
 )
-from bdw.properties import from_mobw
 from bdw.sampling import mobw_sample
 from bdw.univariate import WeibullParams
 from test_fit_bayes import _BoundedRng

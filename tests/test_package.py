@@ -260,3 +260,12 @@ def test_names_resolve_on_first_use():
     assert out["star"] == sorted(bdw.__all__)
     assert out["same"]
     assert out["submodules"] == [f"bdw.{m}" for m in SUBMODULES]
+
+
+def test_conversions_between_bases_and_rates_live_with_the_law():
+    # both directions are the joint law's; the paper's property results,
+    # which no command loads, hold neither
+    from bdw import bivariate, properties
+
+    assert bdw.from_mobw is bivariate.from_mobw and bdw.to_mobw is bivariate.to_mobw
+    assert not hasattr(properties, "from_mobw")

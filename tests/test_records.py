@@ -150,6 +150,7 @@ def test_equality_is_within_one_class():
     (lambda: CompleteObservation(2.0, 1.0, "below"),
      r"pair \(2.0, 1.0\) inconsistent with kind 'below'"),
     (lambda: BivariateDataset(()), "dataset is empty"),
+    (lambda: BivariateDataset(np.zeros((0, 2), dtype=np.int64)), "dataset is empty"),
     (lambda: BivariateDataset(((1, 2), (0, -1))),
      r"row 1: entries must be non-negative integers, got \(0, -1\)"),
     (lambda: DGPrior(a1=0.0), "hyper-parameter a1 must be positive"),
@@ -164,6 +165,16 @@ def test_validation_messages(build, message):
 def test_post_init_may_set_a_field():
     data = BivariateDataset(((1.0, 2.0), (np.int64(0), 1)))
     assert data.pairs == ((1, 2), (0, 1))
+    assert all(type(v) is int for row in data.pairs for v in row)
+
+
+def test_dataset_reads_an_array_of_pairs():
+    # a sampler's output, as it comes, is the dataset of its rows
+    from bdw.sampling import sample
+
+    draws = sample(BDWParams(1.5, 0.9, 0.7, 0.75), np.random.default_rng(0), size=100)
+    data = BivariateDataset(draws)
+    assert data == BivariateDataset.from_pairs(draws.tolist()) == BivariateDataset.from_pairs(draws)
     assert all(type(v) is int for row in data.pairs for v in row)
 
 

@@ -234,6 +234,10 @@ DRAWS = {
 }
 
 
+def _not_a_size(size) -> str:
+    return f"^size must be a non-negative integer, got {re.escape(repr(size))}$"
+
+
 class TestSeededStream:
     @pytest.mark.parametrize("kind", sorted(DRAWS))
     def test_generator_draws_equal_numpy_bit_for_bit(self, kind):
@@ -305,6 +309,53 @@ class TestSeededStream:
         for n in (-1, -3):
             with pytest.raises(ValueError, match=f"^{re.escape(str(theirs.value))}$"):
                 generator._Generator(0).random(n)
+
+    @pytest.mark.parametrize("sampler, law", [
+        (sampling.mobw_sample, bivariate.MOBWParams(1.5, 0.4, 0.7, 0.9)),
+        (sampling.sample, WIDE),
+    ], ids=["mobw", "bdw"])
+    def test_joint_samplers_read_size_as_a_count(self, sampler, law):
+        # a whole number of any type draws as its int; anything else is
+        # refused by name, where int() drew 2 pairs for 2.5 and 3 for "3"
+        for make in (np.random.default_rng, sampling._Stream):
+            want = sampler(law, make(4), size=3)
+            for size in (3.0, np.int64(3)):
+                got = sampler(law, make(4), size=size)
+                assert type(got) is type(want) and np.array_equal(got, want)
+            for size in (2.5, "3", math.nan, True):
+                with pytest.raises(ValueError, match=_not_a_size(size)):
+                    sampler(law, make(4), size=size)
+
+    @pytest.mark.parametrize("sampler, law", [
+        (we_sample, WeibullParams(1.5, 2.0)),
+        (dw_sample, DWParams(1.6, 0.75)),
+    ], ids=["we", "dw"])
+    def test_dw_samplers_on_the_stream_read_size_as_a_count(self, sampler, law):
+        # the stream takes the joint samplers' rule, where it raised a bare
+        # TypeError even for 3.0; numpy's generator keeps numpy's own rules
+        want = sampler(law, sampling._Stream(4), size=3)
+        for size in (3.0, np.int64(3)):
+            assert sampler(law, sampling._Stream(4), size=size) == want
+            assert sampler(law, np.random.default_rng(4), size=int(size)).tolist() == want
+        for size in (2.5, "3"):
+            with pytest.raises(ValueError, match=_not_a_size(size)):
+                sampler(law, sampling._Stream(4), size=size)
+            with pytest.raises(TypeError):
+                sampler(law, np.random.default_rng(4), size=size)
+        assert sampler(law, np.random.default_rng(4), size=(1, 3)).tolist() == [want]
+
+    @pytest.mark.parametrize("seed", [np.int64(3), np.uint64(2**64 - 1), 2**200])
+    def test_any_integer_seed_gives_numpy_draws(self, seed):
+        want = np.random.default_rng(seed).random(50).tolist()
+        assert sampling._Stream(seed).random(50) == want
+        assert generator._Generator(seed).random(50) == want
+
+    @pytest.mark.parametrize("seed", [-1, np.int64(-1), 2.5, 3.0, "3", True, None])
+    def test_seed_that_is_no_non_negative_integer_is_refused_by_name(self, seed):
+        message = f"^seed must be a non-negative integer, got {re.escape(repr(seed))}$"
+        for stream in (sampling._Stream, generator._Generator):
+            with pytest.raises(ValueError, match=message):
+                stream(seed)
 
     @pytest.mark.parametrize("sampler, law", [
         (we_sample, WeibullParams(1.5, 2.0)),

@@ -23,7 +23,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bdw import bivariate, properties, sampling
+from bdw import bivariate, sampling
 from bdw.bivariate import (
     BDWParams,
     MOBWParams,
@@ -279,7 +279,7 @@ def _laws(draw):
     alpha = math.exp(draw(st.floats(math.log(0.2), math.log(20.0))))
     lam0 = 0.0 if draw(st.integers(0, 4)) == 0 else _rate(draw)
     law = MOBWParams(alpha, lam0, _rate(draw), _rate(draw))
-    return properties.from_mobw(law) if draw(st.booleans()) else law
+    return bivariate.from_mobw(law) if draw(st.booleans()) else law
 
 
 _SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
