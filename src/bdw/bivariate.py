@@ -38,6 +38,7 @@ from .weibull import (
     _floor,
     _log_dw,
     _logpmf_float,
+    _number,
     _power,
     _power_step,
     _Record,
@@ -401,7 +402,7 @@ def moments(params, epsilon: float = 1e-10) -> BdwMoments:
     ``Pi = P(Xi <= K)``: read in closed form, it is never a difference of
     two nearly equal sums.  A coordinate of zero variance is refused by name.
     """
-    if not 0 < epsilon <= 1e-4:
+    if not 0 < _number(epsilon, "epsilon") <= 1e-4:
         raise ValueError(f"epsilon must lie in (0, 1e-4], got {epsilon}")
     k = _truncation_bound(params, epsilon)
     if k > _MAX_GRID_BOUND:

@@ -47,7 +47,7 @@ from .mobw import (
     summarize,
 )
 from .sampling import _at_least, _binary_size
-from .weibull import _left_sum, _Record
+from .weibull import _left_sum, _number, _Record
 
 if TYPE_CHECKING:
     import numpy as np
@@ -106,7 +106,7 @@ class AlphaPrior(_Record):
     def logpdf(self, alpha: float) -> float:
         if alpha != alpha:
             raise ValueError(f"alpha must be a number, got {alpha}")
-        if alpha <= 0:
+        if not 0 < alpha < math.inf:  # the density's limit at infinity too
             return -math.inf
         return (
             self.c * math.log(self.d)
@@ -126,6 +126,8 @@ def dg_logpdf(
             raise ValueError(f"{name} must be a number, got {l}")
     if any(l <= 0 for l in lams):
         raise ValueError("rates must be strictly positive")
+    if math.inf in lams:  # the density's limit
+        return -math.inf
     total = _left_sum(lams)
     splits = (prior.a0, prior.a1, prior.a2)
     out = (
@@ -291,7 +293,7 @@ def credible_interval(
 def _sorted_draws(draws: Sequence[float], beta: float) -> list[float]:
     # the draws in order for an interval of mass 1 - beta; an infinite or
     # NaN draw has no place in an interval and is refused by its index
-    if not 0 < beta < 1:
+    if not 0 < _number(beta, "beta") < 1:
         raise ValueError("beta must lie in (0, 1)")
     g = list(map(float, draws))
     if not all(map(math.isfinite, g)):
@@ -363,7 +365,7 @@ def augmented_gibbs(
     """
     M = _at_least(M, "M", 100, "M must be at least 100")
     N = _at_least(N, "N", 1, "N must be at least 1")
-    if not 0 <= burn_in < 1:
+    if not 0 <= _number(burn_in, "burn_in") < 1:
         raise ValueError("burn_in must lie in [0, 1)")
     prior = DGPrior() if prior is None else prior
     alpha_prior = AlphaPrior() if alpha_prior is None else alpha_prior

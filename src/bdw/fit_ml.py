@@ -34,7 +34,7 @@ from . import bivariate
 from .bivariate import MOBWParams, _cell_log_masses, from_mobw
 from .datasets import BivariateDataset
 from .univariate import _dw_jets, _eigh, _in_logs, _newton_min, _step_jet, dw_fit_minchisq
-from .weibull import _left_sum, _rate, _Record
+from .weibull import _left_sum, _number, _rate, _Record
 
 __all__ = [
     "BivariateDataset",
@@ -327,7 +327,7 @@ def observed_info_ci(
     the quadratic approximation is then untrustworthy and profile
     likelihood is the honest fallback.
     """
-    if not 0 < level < 1:
+    if not 0 < _number(level, "level") < 1:
         raise ValueError(f"level must lie in (0, 1), got {level}")
     x0 = [theta.alpha, theta.lambda0, theta.lambda1, theta.lambda2]
     _, _, hess = bdw_loglik_derivatives(x0, data)
@@ -361,6 +361,7 @@ def alpha_equals_one_test(
     ``lambda0`` on its boundary (which reports no intervals), recompute it
     and need the dataset.
     """
+    _number(level, "level")
     if level == 0.05 and fit.ci95 is not None:
         hw = fit.ci95["alpha"]
         lo, hi = fit.params.alpha - hw, fit.params.alpha + hw

@@ -312,25 +312,20 @@ def mobw_sf(params: MOBWParams, y1: float, y2: float) -> float:
 
 
 def we_pdf(params: WeibullParams, x: float) -> float:
-    """Density of the continuous Weibull law at ``x >= 0``.
-
-    At ``x = 0`` the density is 0 for ``alpha > 1`` and ``lam`` for
+    """Density of the continuous Weibull law at ``x >= 0``, the exponential
+    of its log-density: ``inf`` past the float range, 0 where ``lam*x**alpha``
+    passes it.  At ``x = 0`` it is 0 for ``alpha > 1`` and ``lam`` for
     ``alpha = 1``; for ``alpha < 1`` it diverges and
-    :class:`SingularDensityError` is raised.  Where ``x**alpha`` passes the
-    float range the density is 0.
+    :class:`SingularDensityError` is raised.
     """
     if not x >= 0:
         raise ValueError(f"x must be non-negative, got {x}")
     a, lam = params.alpha, params.lam
-    if x == 0:
-        if a > 1:
-            return 0.0
+    if x == 0 and a <= 1:
         if a == 1:
             return lam
         raise SingularDensityError("density diverges at 0 for shape below one")
-    survival = math.exp(-lam * _power(x, a))
-    # a power past the float range leaves no survival, and no density
-    return a * lam * _power(x, a - 1.0) * survival if survival > 0 else 0.0
+    return _weight(_log_we_pdf(x, a, lam))
 
 
 def we_cdf(params: WeibullParams, x: float) -> float:
@@ -358,16 +353,19 @@ def we_mode(alpha: float, lam: float) -> float:
 
 def _log_we_pdf(y: float, alpha: float, lam: float) -> float:
     # log of alpha*lam*y**(alpha-1)*exp(-lam*y**alpha), with the boundary
-    # y = 0 resolved by shape: -inf above one, log(lam) at one, +inf below
-    if y < 0:
-        return -math.inf
+    # y = 0 resolved by shape: -inf above one, log(lam) at one, +inf below;
+    # -inf where lam*y**alpha passes the float range, at y = inf too.  Where
+    # alpha*lam is no normal float, its log is the sum of the two logs
     if y == 0.0:
-        if alpha > 1:
-            return -math.inf
-        if alpha == 1:
-            return math.log(lam)
-        return math.inf
-    return math.log(alpha * lam) + (alpha - 1.0) * math.log(y) - lam * _power(y, alpha)
+        return math.log(lam) if alpha == 1 else math.inf if alpha < 1 else -math.inf
+    decay, scale = lam * _power(y, alpha), alpha * lam
+    if decay == math.inf:
+        return -math.inf
+    if 2.2250738585072014e-308 <= scale <= 1.7976931348623157e308:
+        log_scale = math.log(scale)
+    else:
+        log_scale = math.log(alpha) + math.log(lam)
+    return log_scale + (alpha - 1.0) * math.log(y) - decay
 
 
 def _branch_rates(l0: float, l1: float, l2: float, kind: str) -> tuple[float, float]:
@@ -390,7 +388,9 @@ def _branch_logpdf(params: MOBWParams, y1: float, y2: float, kind: str) -> float
             return -math.inf
         return math.log(share) + _log_we_pdf(y1, a, total)
     r1, r2 = _branch_rates(params.lambda0, params.lambda1, params.lambda2, kind)
-    return _log_we_pdf(y1, a, r1) + _log_we_pdf(y2, a, r2)
+    out = _log_we_pdf(y1, a, r1) + _log_we_pdf(y2, a, r2)
+    # a pole at a zero lifetime outweighs a factor past the float range
+    return math.inf if out != out else out
 
 
 def mobw_pdf(params: MOBWParams, y1: float, y2: float) -> MobwDensity:
@@ -398,14 +398,14 @@ def mobw_pdf(params: MOBWParams, y1: float, y2: float) -> MobwDensity:
 
     Off the diagonal this is a genuine two-dimensional density; on the
     diagonal it is the singular part's density along the line, carrying
-    total mass ``lambda0 / total``.  The value can be infinite on the
-    axes when the shape is below one; it is 0 at an infinite argument.
+    total mass ``lambda0 / total``.  The value is ``inf`` on the axes below
+    shape one and past the float range, and 0 at an infinite argument.
     """
     if not (y1 >= 0 and y2 >= 0):
         raise ValueError(f"arguments must be non-negative, got ({y1}, {y2})")
     kind = "below" if y1 < y2 else "above" if y1 > y2 else "tie"
     # no lifetime is infinite: the density is 0 there, beside a pole at 0 too
-    value = 0.0 if math.inf in (y1, y2) else math.exp(_branch_logpdf(params, y1, y2, kind))
+    value = 0.0 if math.inf in (y1, y2) else _weight(_branch_logpdf(params, y1, y2, kind))
     return MobwDensity(value, "diagonal" if kind == "tie" else kind)
 
 

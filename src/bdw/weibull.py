@@ -16,10 +16,11 @@ and refuses one that rounds to 1.  The DW log-mass is written once, on
 ``math``, from one power step (:func:`_power_step`, the only place where
 ``(y+1)**alpha - y**alpha`` is formed) and ``log1mexp`` (:func:`_log_dw`).
 This module is the package's lowest layer: it holds the records' base
-class, :class:`_Record`, and the one count rule, :func:`_as_counts`, and
-imports no other module of the package, nor numpy.  The samplers and the
-seeded stream live in :mod:`bdw.sampling`, the continuous Weibull
-density in :mod:`bdw.mobw` and the DW fits in :mod:`bdw.univariate`.
+class, :class:`_Record`, the one count rule, :func:`_as_counts`, and the
+one reader of a fraction argument, :func:`_number`, and imports no other
+module of the package, nor numpy.  The samplers and the seeded stream live
+in :mod:`bdw.sampling`, the continuous Weibull density in :mod:`bdw.mobw`
+and the DW fits in :mod:`bdw.univariate`.
 """
 
 from __future__ import annotations
@@ -208,6 +209,17 @@ def _count(value, name: str, positive: bool = False) -> int:
     if value > _MAX_COUNT:
         raise ValueError(f"{name} must not exceed the largest count 2**63 - 1, got {value!r}")
     return int(value)
+
+
+def _number(value, name: str):
+    """``value`` if it compares with a float, as a number does; anything else,
+    a string or ``None`` among them, is refused by ``name``.  The caller
+    checks the range."""
+    try:
+        value < 0.0
+    except TypeError:
+        raise ValueError(f"{name} must be a number, got {value!r}") from None
+    return value
 
 
 def dw_logpmf(params, y: int) -> float:

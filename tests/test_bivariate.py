@@ -453,6 +453,15 @@ class TestMomentsAndDependence:
         with pytest.raises(ValueError, match=rf"^X{i} has variance 0 in the float range: "):
             moments(law)
 
+    def test_epsilon_that_is_no_number_is_refused_by_name(self):
+        # the range check compared a string with 0 and raised a bare TypeError
+        law = BDWParams(1.5, 0.9, 0.7, 0.75)
+        with pytest.raises(ValueError, match="^epsilon must be a number, got '1e-10'$"):
+            moments(law, epsilon="1e-10")
+        with pytest.raises(ValueError, match=r"^epsilon must lie in \(0, 1e-4\], got 0.5$"):
+            moments(law, epsilon=0.5)
+        assert moments(law, epsilon=np.float64(1e-10)) == moments(law)
+
     def test_heavy_tail_is_refused_before_the_grid(self, monkeypatch):
         # K = 62872299 would need a (K + 1)^2 grid of 28 PiB
         def no_grid(*args):

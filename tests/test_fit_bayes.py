@@ -128,6 +128,20 @@ class TestPriors:
             with pytest.raises(ValueError, match=f"^{name} must be a number, got nan$"):
                 dg_logpdf(DGPrior(), *lams)
 
+    @pytest.mark.parametrize("density", [
+        pytest.param(lambda: AlphaPrior(2.0, 1.0).logpdf(math.inf), id="alpha-c-above-one"),
+        pytest.param(lambda: AlphaPrior(1.0, 1.0).logpdf(math.inf), id="alpha-c-one"),
+        pytest.param(lambda: dg_logpdf(DGPrior(a=2.0), math.inf, 1.0, 1.0), id="dg-a"),
+        pytest.param(lambda: dg_logpdf(DGPrior(a0=2.0), math.inf, 1.0, 1.0), id="dg-a0"),
+        pytest.param(lambda: dg_logpdf(DGPrior(a2=2.0), 1.0, 1.0, math.inf), id="dg-a2"),
+        # the default priors read -inf there already
+        pytest.param(lambda: AlphaPrior().logpdf(math.inf), id="alpha-default"),
+        pytest.param(lambda: dg_logpdf(DGPrior(), 1.0, math.inf, 1.0), id="dg-default"),
+    ])
+    def test_priors_vanish_at_an_infinite_argument(self, density):
+        # (c - 1) log(inf) - d inf read NaN where the exponent was one or more
+        assert density() == -math.inf
+
 
 class TestCompleteDataReductions:
     def test_exposures_match_hand_sums(self):
@@ -894,6 +908,16 @@ class TestIntervals:
             credible_interval([], beta=0.05)
 
     @pytest.mark.parametrize("interval", [credible_interval, hpd_interval])
+    def test_beta_that_is_no_number_is_refused_by_name(self, interval):
+        # the range check compared a string with 0 and raised a bare TypeError
+        with pytest.raises(ValueError, match="^beta must be a number, got '0.05'$"):
+            interval([1.0, 2.0], beta="0.05")
+        with pytest.raises(ValueError, match=r"^beta must lie in \(0, 1\)$"):
+            interval([1.0, 2.0], beta=1.5)
+        draws = [float(v) for v in range(100)]
+        assert interval(draws, beta=np.float64(0.1)) == interval(draws, beta=0.1)
+
+    @pytest.mark.parametrize("interval", [credible_interval, hpd_interval])
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
     def test_non_finite_draw_is_refused_by_its_index(self, interval, bad):
         # a sorted infinite draw read (1.0, nan) at an end, as did a NaN
@@ -996,8 +1020,11 @@ class TestAugmentedGibbs:
             augmented_gibbs(football, M=100, N=0, rng=rng)
         with pytest.raises(ValueError, match="burn_in"):
             augmented_gibbs(football, M=100, N=1, burn_in=1.0, rng=rng)
-        with pytest.raises(ValueError, match="burn_in"):
+        with pytest.raises(ValueError, match=r"^burn_in must lie in \[0, 1\)$"):
             augmented_gibbs(football, M=100, N=1, burn_in=-0.1, rng=rng)
+        # the range check compared a string with 0 and raised a bare TypeError
+        with pytest.raises(ValueError, match="^burn_in must be a number, got '0.1'$"):
+            augmented_gibbs(football, M=100, N=1, burn_in="0.1", rng=rng)
 
     @pytest.mark.parametrize("start", [None, MOBWParams(1.5, 0.3, 0.5, 0.4)])
     def test_all_tie_sample_rejected(self, start):

@@ -810,6 +810,20 @@ class TestInference:
         assert (test.ci_low, test.ci_high) == ci["alpha"]
         assert test.reject
 
+    @pytest.mark.parametrize("call, value", [
+        pytest.param(lambda fit, data, v: observed_info_ci(fit.params, data, level=v), "0.9",
+                     id="observed_info_ci"),
+        # 1 - level raised a bare TypeError before any check
+        pytest.param(lambda fit, data, v: alpha_equals_one_test(fit, data, level=v), "0.1",
+                     id="alpha_equals_one_test"),
+    ])
+    def test_level_that_is_no_number_is_refused_by_name(self, football, call, value):
+        fit = nested_em(football)
+        with pytest.raises(ValueError, match=f"^level must be a number, got '{value}'$"):
+            call(fit, football, value)
+        with pytest.raises(ValueError, match=r"^level must lie in \(0, 1\), got "):
+            call(fit, football, 1.5)
+
     def test_geometric_null_rejected_on_both_datasets(self, football, nasal):
         for data in (football, nasal):
             fit = nested_em(data)

@@ -1,5 +1,6 @@
 import math
 import re
+from itertools import product
 
 import numpy as np
 import pytest
@@ -737,6 +738,11 @@ ODD_COUNTS = pytest.mark.parametrize(
     "value", [math.inf, math.nan, 2.5, -1, True, np.True_],
     ids=["inf", "nan", "fraction", "negative", "bool", "numpy-bool"],
 )
+# the latent densities' sweep: shapes far below one to well above, rates
+# from the least subnormal to 1e300, lifetimes from 0 to inf
+_SHAPES = (1e-3, 0.05, 0.5, 1.0, 2.0, 8.0)
+_RATES = (5e-324, 1e-300, 1e-8, 1.0, 1e300)
+_LIFETIMES = (0.0, 5e-324, 1e-10, 1.0, 1e300, math.inf)
 # whole numbers past the int64 range, and past the float range
 PAST_INT64 = pytest.mark.parametrize("value", [2**63, 10**400], ids=["2**63", "10**400"])
 
@@ -807,3 +813,43 @@ class TestArgumentContract:
         assert mobw.mobw_pdf(law, 2.5, 0.0).value == math.inf
         assert mobw.mobw_pdf(law, math.inf, 0.0) == (0.0, "above")
         assert mobw.mobw_pdf(law, 0.0, math.inf) == (0.0, "below")
+
+    @pytest.mark.parametrize("alpha", _SHAPES)
+    def test_we_pdf_is_a_density_or_its_pole(self, alpha):
+        for lam, x in product(_RATES, _LIFETIMES):
+            try:
+                got = we_pdf(WeibullParams(alpha, lam), x)
+            except SingularDensityError:
+                assert alpha < 1.0 and x == 0.0, (lam, x)
+                continue
+            assert type(got) is float and 0.0 <= got <= math.inf, (lam, x, got)
+
+    @pytest.mark.parametrize("alpha", _SHAPES)
+    def test_mobw_pdf_is_a_density(self, alpha):
+        # a zero shared rate is valid too
+        for rates in product((0.0, *_RATES), _RATES, _RATES):
+            law = mobw.MOBWParams(alpha, *rates)
+            for y1, y2 in product(_LIFETIMES, repeat=2):
+                got = mobw.mobw_pdf(law, y1, y2).value
+                assert 0.0 <= got <= math.inf, (rates, y1, y2, got)
+
+    @pytest.mark.parametrize("rates, y1, y2, want", [
+        # the exponential of a log-density past the float range raised
+        # OverflowError
+        pytest.param((0.0, 1e-8, 1.0), 1e-10, 5e-324, math.inf, id="overflow"),
+        # alpha * lam underflowed to 0, whose log raised "math domain error"
+        pytest.param((5e-324, 5e-324, 5e-324), 1e300, 1e-10, 0.0, id="scale-underflow"),
+    ])
+    def test_mobw_pdf_at_a_tiny_shape(self, rates, y1, y2, want):
+        assert mobw.mobw_pdf(mobw.MOBWParams(0.001, *rates), y1, y2).value == want
+
+    def test_pole_outweighs_a_factor_past_the_float_range(self):
+        # the pole at y1 = 0 plus the second factor's -inf read NaN
+        law = mobw.MOBWParams(0.05, 5e-324, 30.0, 1e300)
+        assert mobw.mobw_pdf(law, 0.0, 1e300) == (math.inf, "below")
+
+    def test_we_pdf_where_the_scale_underflows(self):
+        # alpha * lam underflows to 0 and the power overflows: 0 * inf read
+        # NaN.  The value is mpmath's at 50 digits
+        got = we_pdf(WeibullParams(0.001, 5e-324), 5e-324)
+        assert got == pytest.approx(4.7500019143744300542e-4, rel=1e-12)
