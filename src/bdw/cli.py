@@ -30,22 +30,32 @@ the reports of ``simulate`` and ``fit-bayes`` follow libm, not numpy's
 SIMD kernels.  Only the JSON writer imports ``json``, so ``pmf-table``
 and ``--help`` load no ``json`` either.
 
+Each command's options are declared once, in one table (``_COMMANDS``).
+A well-formed line (see ``_read``) is read off the table directly into the
+namespace argparse would give, so ``import bdw.cli`` and every such
+command load no ``argparse``, nor the ``gettext`` and ``locale`` that it
+imports.  Every other line, ``--help`` included, goes to the parser that
+``_build_parser`` builds from the same table: argparse alone writes
+usage, help and refusals.
+
 ``run`` is the program entry (``bdw`` and ``python -m bdw.cli``); ``main``
 serves in-process callers.
 """
 
 from __future__ import annotations
 
-import argparse
 import gc
 import os
 import sys
 from itertools import chain
+from types import SimpleNamespace
 from typing import TYPE_CHECKING, Iterable, Iterator, NoReturn, Sequence
 
 from .weibull import _MAX_COUNT, _MAX_GRID_BOUND, _count
 
 if TYPE_CHECKING:
+    import argparse
+
     from .datasets import BivariateDataset
 
 __all__ = ["load_csv", "main", "run"]
@@ -213,78 +223,151 @@ def _cmd_moments(args: argparse.Namespace) -> None:
     _emit(args, {"generator": "bdw"}, config, results)
 
 
-def _command(sub, name: str, help: str, func=None) -> argparse.ArgumentParser:
-    # a law command runs func on the four law options; a command without one
-    # reads data, and its handler in fit_commands runs on it
-    p = sub.add_parser(name, help=help)
-    p.set_defaults(func=func or _cmd_data)
-    if func is not None:
-        for option in _LAW:
-            p.add_argument(f"--{option}", type=float, required=True)
-    else:
-        group = p.add_mutually_exclusive_group(required=True)
-        group.add_argument(
-            "--dataset", choices=_DATASETS, help="built-in dataset name"
-        )
-        group.add_argument("--input", help="CSV file with two integer columns")
-    return p
-
-
 def _seed_value(text: str) -> int:
     try:
         value = int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"seed must be an integer, got {text!r}") from None
-    if not 0 <= value < 2**64:
-        raise argparse.ArgumentTypeError("seed must fit in 64 unsigned bits")
-    return value
+        problem = f"seed must be an integer, got {text!r}"
+    else:
+        if 0 <= value < 2**64:
+            return value
+        problem = "seed must fit in 64 unsigned bits"
+    import argparse  # only to refuse a seed, as argparse reports it
+
+    raise argparse.ArgumentTypeError(problem)
+
+
+# Every command's options, declared once, each as its option strings and
+# argparse's keywords: _build_parser builds argparse's tree from them, and
+# _read reads a well-formed line directly.  A command run by _cmd_data
+# reads data and takes exactly one of the data options; any other command
+# takes the four law options; every command takes its own options, then
+# --output, last in its usage and help.
+_DATA_OPTIONS = (
+    (("--dataset",), {"choices": _DATASETS, "help": "built-in dataset name"}),
+    (("--input",), {"help": "CSV file with two integer columns"}),
+)
+_LAW_OPTIONS = tuple(((f"--{name}",), {"type": float, "required": True}) for name in _LAW)
+_NO_TAIL = (("--no-absorb-tail",), {"action": "store_true", "default": False})
+_SEED = (("--seed",), {"type": _seed_value, "default": 0})
+_OUTPUT = (("--output",), {})
+# name: (help line, handler, own options)
+_COMMANDS = {
+    "fit-dw": ("fit one-dimensional discrete Weibull", _cmd_data, (
+        (("--column",), {"choices": ("x1", "x2", "min"), "required": True}),
+        _NO_TAIL,
+    )),
+    "fit-ml": ("maximum-likelihood joint fit", _cmd_data, ()),
+    "fit-bayes": ("Bayesian joint fit", _cmd_data, (
+        (("--draws", "-M"), {"type": int, "default": 10_000, "help": "Gibbs draws per round"}),
+        (("--rounds", "-N"), {"type": int, "default": 20, "help": "outer imputation rounds"}),
+        _SEED,
+        (("--burn-in",), {"type": float, "default": 0.1}),
+        *(((f"--{name}",), {"type": float, "default": 1e-4}) for name in _PRIOR),
+    )),
+    "gof": ("chi-square goodness of fit", _cmd_data, (
+        (("--column",), {"choices": ("x1", "x2", "min", "joint"), "default": "joint"}),
+        (("--estimator",), {"choices": ("minchisq", "ml"), "default": None,
+                            "help": "a column's fit (default minchisq); joint fits by ml"}),
+        _NO_TAIL,
+    )),
+    "simulate": ("draw joint samples", _cmd_simulate, (
+        (("--n",), {"type": int, "required": True}),
+        _SEED,
+    )),
+    "pmf-table": ("joint PMF grid as CSV", _cmd_pmf_table, (
+        (("--k",), {"type": int, "default": None,
+                    "help": f"grid bound, at most {_MAX_GRID_BOUND}; "
+                            "default leaves < 1e-6 mass outside"}),
+    )),
+    "moments": ("means, variances and correlation", _cmd_moments, ()),
+}
+
+
+def _options(name: str) -> tuple[tuple, tuple]:
+    # a command's data or law options, then the rest of its options
+    _, func, own = _COMMANDS[name]
+    return _DATA_OPTIONS if func is _cmd_data else _LAW_OPTIONS, (*own, _OUTPUT)
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="bdw",
         description="Bivariate discrete Weibull fitting and simulation",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = _command(sub, "fit-dw", "fit one-dimensional discrete Weibull")
-    p.add_argument("--column", choices=("x1", "x2", "min"), required=True)
-    p.add_argument("--no-absorb-tail", action="store_true")
-
-    _command(sub, "fit-ml", "maximum-likelihood joint fit")
-
-    p = _command(sub, "fit-bayes", "Bayesian joint fit")
-    p.add_argument("--draws", "-M", type=int, default=10_000,
-                   help="Gibbs draws per round")
-    p.add_argument("--rounds", "-N", type=int, default=20,
-                   help="outer imputation rounds")
-    p.add_argument("--seed", type=_seed_value, default=0)
-    p.add_argument("--burn-in", type=float, default=0.1)
-    for option in _PRIOR:
-        p.add_argument(f"--{option}", type=float, default=1e-4)
-
-    p = _command(sub, "gof", "chi-square goodness of fit")
-    p.add_argument("--column", choices=("x1", "x2", "min", "joint"),
-                   default="joint")
-    p.add_argument("--estimator", choices=("minchisq", "ml"), default=None,
-                   help="a column's fit (default minchisq); joint fits by ml")
-    p.add_argument("--no-absorb-tail", action="store_true")
-
-    p = _command(sub, "simulate", "draw joint samples", _cmd_simulate)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--seed", type=_seed_value, default=0)
-
-    p = _command(sub, "pmf-table", "joint PMF grid as CSV", _cmd_pmf_table)
-    p.add_argument("--k", type=int, default=None,
-                   help=f"grid bound, at most {_MAX_GRID_BOUND}; "
-                        "default leaves < 1e-6 mass outside")
-
-    _command(sub, "moments", "means, variances and correlation", _cmd_moments)
-
-    # last in every command's usage and help
-    for p in sub.choices.values():
-        p.add_argument("--output")
+    for name, (help, func, _) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(func=func)
+        lead, rest = _options(name)
+        group = p.add_mutually_exclusive_group(required=True) if lead is _DATA_OPTIONS else p
+        for strings, keywords in lead:
+            group.add_argument(*strings, **keywords)
+        for strings, keywords in rest:
+            p.add_argument(*strings, **keywords)
     return parser
+
+
+def _joint_conflict(args: argparse.Namespace) -> bool:
+    # gof --column joint fits by ml and absorbs the tail
+    return args.command == "gof" and args.column == "joint" and (
+        args.no_absorb_tail or args.estimator == "minchisq"
+    )
+
+
+def _read(argv: list) -> SimpleNamespace | None:
+    """The namespace argparse would give a well-formed line, else None.
+
+    A line is well-formed when its first token is a command and each later
+    token is one of that command's option strings, written in full, with no
+    destination given twice; when each value does not start with ``-``,
+    converts by its option's type and lies in its choices; and when every
+    required option is there, exactly one of ``--dataset`` and ``--input``
+    for a command that reads data, and gof's options do not conflict.
+    Every other line, help included, is argparse's to read or refuse.
+    """
+    if not argv or not all(isinstance(token, str) for token in argv) or argv[0] not in _COMMANDS:
+        return None
+    lead, rest = _options(argv[0])
+    options = [(strings[0][2:].replace("-", "_"), strings, keywords)
+               for strings, keywords in (*lead, *rest)]
+    declared = {string: (dest, keywords) for dest, strings, keywords in options
+                for string in strings}
+    given = {}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token not in declared:
+            return None
+        dest, keywords = declared[token]
+        if dest in given:
+            return None
+        if keywords.get("action") == "store_true":
+            given[dest] = True
+            continue
+        text = next(tokens, "-")
+        if text.startswith("-"):
+            return None
+        try:
+            value = keywords.get("type", str)(text)
+        except Exception:  # argparse converts it again, and reports the error
+            return None
+        if "choices" in keywords and value not in keywords["choices"]:
+            return None
+        given[dest] = value
+    if lead is _DATA_OPTIONS and ("dataset" in given) == ("input" in given):
+        return None
+    values = {"command": argv[0], "func": _COMMANDS[argv[0]][1]}
+    for dest, _, keywords in options:
+        if dest in given:
+            values[dest] = given[dest]
+        elif keywords.get("required"):
+            return None
+        else:
+            values[dest] = keywords.get("default")
+    args = SimpleNamespace(**values)
+    return None if _joint_conflict(args) else args
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -299,15 +382,17 @@ def main(argv: Sequence[str] | None = None) -> int:
             level=level if isinstance(level, int) else logging.WARNING,
             format="%(levelname)s %(name)s: %(message)s",
         )
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "gof" and args.column == "joint" and (
-        args.no_absorb_tail or args.estimator == "minchisq"
-    ):
-        parser.error(
-            "gof --column joint fits by ml and always absorbs the tail: "
-            "--estimator minchisq and --no-absorb-tail apply to a single column"
-        )
+    argv = list(sys.argv[1:] if argv is None else argv)
+    args = _read(argv)
+    if args is None:
+        # argparse writes every usage, help and refusal
+        parser = _build_parser()
+        args = parser.parse_args(argv)
+        if _joint_conflict(args):
+            parser.error(
+                "gof --column joint fits by ml and always absorbs the tail: "
+                "--estimator minchisq and --no-absorb-tail apply to a single column"
+            )
     try:
         args.func(args)
     except (ValueError, OSError, MemoryError) as exc:

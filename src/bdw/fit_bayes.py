@@ -284,14 +284,15 @@ def credible_interval(
     draws: Sequence[float], beta: float = 0.05
 ) -> tuple[float, float]:
     """Equal-tailed credible interval covering mass ``1 - beta``."""
-    g = _sorted_draws(draws, beta)
+    g, beta = _sorted_draws(draws, beta)
     if not g:
         raise ValueError("draws must be non-empty")
     return _linear_quantile(g, beta / 2.0), _linear_quantile(g, 1.0 - beta / 2.0)
 
 
-def _sorted_draws(draws: Sequence[float], beta: float) -> list[float]:
-    # the draws in order for an interval of mass 1 - beta; an infinite or
+def _sorted_draws(draws: Sequence[float], beta: float) -> tuple[list[float], float]:
+    # the draws in order for an interval of mass 1 - beta, and beta as a
+    # float (a Decimal does not mix with float arithmetic); an infinite or
     # NaN draw has no place in an interval and is refused by its index
     if not 0 < _number(beta, "beta") < 1:
         raise ValueError("beta must lie in (0, 1)")
@@ -300,7 +301,7 @@ def _sorted_draws(draws: Sequence[float], beta: float) -> list[float]:
         i = next(i for i, v in enumerate(g) if not math.isfinite(v))
         raise ValueError(f"draws must be finite, got {g[i]!r} at index {i}")
     g.sort()
-    return g
+    return g, float(beta)
 
 
 def _linear_quantile(g: list[float], q: float) -> float:
@@ -321,7 +322,7 @@ def hpd_interval(
     Scans windows ``[g_(i), g_(i+k)]`` with ``k = ceil((1-β) M)`` over
     the sorted draws and keeps the shortest, leftmost on ties.
     """
-    g = _sorted_draws(draws, beta)
+    g, beta = _sorted_draws(draws, beta)
     m = len(g)
     if m * (1.0 - beta) < 2:
         raise ValueError("too few draws for the requested mass")

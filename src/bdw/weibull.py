@@ -55,7 +55,9 @@ class _Record:
     A subclass's fields are its own annotated names, in order; a
     class-level value is that field's default.  Construction takes the
     fields by position or keyword and then calls ``__post_init__``, which
-    validates and may set a field with ``object.__setattr__``.  Assignment
+    validates and may set a field with ``object.__setattr__``; when its
+    checks meet a field annotated ``float`` that holds no number, the
+    ``TypeError`` becomes a ``ValueError`` that names the field.  Assignment
     and deletion raise ``AttributeError``.  Equality and hashing go by the
     fields, between instances of the same class, unless the class
     statement passes ``eq=False``, which keeps identity.  The repr is
@@ -66,11 +68,14 @@ class _Record:
     """
 
     _fields: tuple[str, ...]
+    _floats: tuple[str, ...]
     _defaults: dict[str, object]
 
     def __init_subclass__(cls, eq: bool = True, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
-        cls._fields = tuple(cls.__dict__.get("__annotations__", ()))
+        annotations = cls.__dict__.get("__annotations__", {})
+        cls._fields = tuple(annotations)
+        cls._floats = tuple(name for name, kind in annotations.items() if kind == "float")
         cls._defaults = {name: cls.__dict__[name] for name in cls._fields if name in cls.__dict__}
         if not eq:
             cls.__eq__ = object.__eq__
@@ -95,7 +100,13 @@ class _Record:
             problem = "multiple values for" if key in fields else "an unexpected keyword"
             raise TypeError(f"{name}() got {problem} argument {key!r}")
         self.__dict__.update(values)
-        self.__post_init__()
+        try:
+            self.__post_init__()
+        except TypeError:
+            # a check compared a field that is no number: name the first
+            for field in self._floats:
+                _number(values[field], field)
+            raise
 
     def __post_init__(self) -> None:
         pass

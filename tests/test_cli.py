@@ -1,8 +1,10 @@
 """End-to-end tests for the command-line interface."""
 
 import argparse
+import contextlib
 import gc
 import hashlib
+import io
 import json
 import math
 import os
@@ -1010,21 +1012,23 @@ print(json.dumps(sorted(m for m in sys.modules if (m + ".").startswith(package +
 """
 
 # runs one command in-process, as _STARTUP_PROBE does but without importing
-# json itself, and prints on its last line whether json was loaded
-_JSON_PROBE = """
+# json itself, help and refusals included, and prints on its last line
+# whether the module named first was loaded
+_LOADED_PROBE = """
 import sys
 import bdw.cli
 try:
-    bdw.cli.main(sys.argv[1:])
+    bdw.cli.main(sys.argv[2:])
 except SystemExit:
     pass
-print("json" in sys.modules)
+print(sys.argv[1] in sys.modules)
 """
 
 
-def _json_loaded(argv) -> bool:
+def _loads(module, argv) -> bool:
     proc = subprocess.run(
-        [sys.executable, "-c", _JSON_PROBE, *argv], capture_output=True, text=True, env=_src_env()
+        [sys.executable, "-c", _LOADED_PROBE, module, *argv], capture_output=True, text=True,
+        env=_src_env(),
     )
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.splitlines()[-1] == "True"
@@ -1210,10 +1214,29 @@ class TestStartup:
         # pmf-table writes CSV and --help its usage: neither loads json
         command = {argv[0]: argv for argv in ALL_COMMANDS}
         out = ["--output", str(tmp_path / "out")]
-        assert not _json_loaded(["--help"])
-        assert not _json_loaded([*command["pmf-table"], *out])
+        assert not _loads("json", ["--help"])
+        assert not _loads("json", [*command["pmf-table"], *out])
         # the control: the probe does see json where a command writes a report
-        assert _json_loaded([*command["moments"], *out])
+        assert _loads("json", [*command["moments"], *out])
+
+    @pytest.mark.parametrize("package", ["argparse", "gettext", "locale"])
+    def test_commands_do_not_load_argparse(self, tmp_path, package):
+        # a well-formed line is read off the option table: argparse, and the
+        # gettext and locale that it imports, load for help and refusals alone;
+        # with no command, the probe is a bare ``import bdw.cli``
+        assert _modules_after(tmp_path, ALL_COMMANDS, package=package) == set()
+        assert _modules_after(tmp_path, [], package=package) == set()
+
+    @pytest.mark.parametrize("argv", [
+        ["--help"],
+        ["moments", "--help"],
+        ["bogus"],
+        ["gof", "--dataset", "football", "--no-absorb-tail"],
+        ["simulate", "--alpha", "1.5", "--p0", "0.9", "--p1", "0.7", "--p2", "0.75", "--n", "-1"],
+    ], ids=["help", "command-help", "unknown-command", "joint-conflict", "negative-value"])
+    def test_help_and_refusals_load_argparse(self, argv):
+        # the control: argparse writes the help and every refusal
+        assert _loads("argparse", argv)
 
     def test_no_command_loads_numpy(self, tmp_path):
         # simulate and fit-bayes draw numpy's values from the package's own
@@ -1615,6 +1638,148 @@ class TestOptionSurface:
             a for a in cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction)
         )
         assert {a.dest: a.help for a in commands._choices_actions} == _COMMAND_HELP
+
+
+def _value(keywords: dict, valid: bool):
+    # text for an option's value: one that the option takes, or (valid
+    # False) also any text, negative numbers and the out-of-range among it
+    if "choices" in keywords:
+        good = st.sampled_from(keywords["choices"])
+    elif keywords.get("type") is float:
+        good = st.floats(min_value=0.0).map(repr) | st.sampled_from(["nan", "inf", " 2.5", "1_0"])
+    elif keywords.get("type") is int:
+        good = st.integers(0, 10**6).map(str)
+    elif keywords.get("type") is cli._seed_value:
+        good = st.integers(0, 2**64 - 1).map(str)
+    else:
+        good = st.text(max_size=8).filter(lambda text: not text.startswith("-"))
+    if valid:
+        return good
+    return good | st.text(max_size=6) | st.integers(-(2**65), 2**65).map(str) | st.floats().map(repr)
+
+
+@st.composite
+def _command_lines(draw, perturbed: bool):
+    # a line of one command's own options, each given once: every required
+    # option and exactly one data option.  Perturbed, it may also drop or add
+    # an option, draw invalid values and turn options into forms that
+    # argparse alone reads (help, abbreviations, --opt=value, -M200,
+    # repeats, "--" and values that start with "-")
+    name = draw(st.sampled_from(list(cli._COMMANDS)))
+    lead, rest = cli._options(name)
+    data = draw(st.sampled_from(["--dataset", "--input"]))
+    groups = []
+    for strings, keywords in (*lead, *rest):
+        if lead is cli._DATA_OPTIONS and strings[0] in ("--dataset", "--input"):
+            wanted = strings[0] == data
+        else:
+            wanted = keywords.get("required") or draw(st.booleans())
+        if perturbed and draw(st.integers(0, 7)) == 0:
+            wanted = not wanted
+        if not wanted:
+            continue
+        string = draw(st.sampled_from(strings))
+        if keywords.get("action") == "store_true":
+            groups.append([string])
+        else:
+            valid = not perturbed or draw(st.integers(0, 3)) > 0
+            groups.append([string, draw(_value(keywords, valid))])
+    groups = draw(st.permutations(groups))
+    if perturbed and groups:
+        for _ in range(draw(st.integers(0, 2))):
+            i = draw(st.integers(0, len(groups) - 1))
+            option, *value = groups[i]
+            form = draw(st.sampled_from(
+                ["help", "abbrev", "equals", "joined", "repeat", "dash", "double-dash"]
+            ))
+            if form == "help":
+                groups.insert(i, [draw(st.sampled_from(["-h", "--help"]))])
+            elif form == "abbrev" and option.startswith("--") and len(option) > 3:
+                groups[i] = [option[:draw(st.integers(3, len(option) - 1))], *value]
+            elif form == "equals" and value:
+                groups[i] = [f"{option}={value[0]}"]
+            elif form == "joined" and value and not option.startswith("--"):
+                groups[i] = [option + value[0]]
+            elif form == "repeat":
+                groups.insert(i, list(groups[i]))
+            elif form == "dash" and value:
+                groups[i] = [option, draw(st.sampled_from(["-1", "-0.5", "-inf", "-x", "-", "--"]))]
+            elif form == "double-dash":
+                groups.insert(i, ["--"])
+    return [name, *(token for group in groups for token in group)]
+
+
+_PARSER = cli._build_parser()
+
+
+def _parsed(argv) -> dict:
+    # argparse's namespace for a line that it must take, as a dict
+    stderr = io.StringIO()
+    try:
+        with contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(io.StringIO()):
+            return vars(_PARSER.parse_args(argv))
+    except SystemExit:
+        pytest.fail(f"argparse refused {argv}: {stderr.getvalue()}")
+
+
+def _same(read, parsed: dict) -> bool:
+    # the reader's namespace equals argparse's, with NaN equal to NaN
+    got = vars(read)
+    return got.keys() == parsed.keys() and all(
+        got[k] == parsed[k] or (got[k] != got[k] and parsed[k] != parsed[k]) for k in got
+    )
+
+
+class TestCommandLineReader:
+    # cli._read reads a well-formed line off the option table, without
+    # argparse; every other line is argparse's
+    @pytest.mark.parametrize("argv", [*ALL_COMMANDS, *DW_COMMANDS, *JOINT_COMMANDS],
+                             ids=lambda argv: " ".join(argv))
+    def test_reader_takes_each_command(self, argv):
+        read = cli._read([*argv, "--output", "report"])
+        assert read is not None and _same(read, _parsed([*argv, "--output", "report"]))
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(argv=_command_lines(perturbed=False))
+    def test_reader_takes_a_well_formed_line(self, argv):
+        parsed = _parsed(argv)
+        if cli._joint_conflict(argparse.Namespace(**parsed)):
+            assert cli._read(argv) is None
+        else:
+            read = cli._read(argv)
+            assert read is not None and _same(read, parsed)
+
+    @settings(max_examples=600, deadline=None, derandomize=True, database=None)
+    @given(argv=_command_lines(perturbed=True))
+    def test_reader_agrees_with_argparse(self, argv):
+        read = cli._read(argv)
+        if read is not None:
+            assert _same(read, _parsed(argv))
+            assert not cli._joint_conflict(read)
+
+    @pytest.mark.parametrize("argv", [
+        ["fit-ml", "--dataset", "football", "--input", "pairs.csv"],
+        ["fit-ml"],
+        ["moments", "--alpha", "1.5", "--p0", "0.9", "--p1", "0.7"],
+        ["fit-bayes", "--dataset", "football", "-M", "100", "--draws", "200"],
+        ["fit-bayes", "--dataset", "football", "-M200"],
+        ["fit-ml", "--dataset=football"],
+        ["fit-ml", "--data", "football"],
+        ["fit-ml", "--dataset", "football", "--"],
+        ["fit-ml", "--dataset", "football", "extra"],
+        ["simulate", "--alpha", "1.5", "--p0", "0.9", "--p1", "0.7", "--p2", "0.75", "--n", "-1"],
+        ["simulate", "--alpha", "1.5", "--p0", "0.9", "--p1", "0.7", "--p2", "0.75", "--n", "2.5"],
+        ["simulate", "--alpha", "1.5", "--p0", "0.9", "--p1", "0.7", "--p2", "0.75", "--n", "3",
+         "--seed", str(2**64)],
+        ["fit-dw", "--dataset", "nasal", "--column", "joint"],
+        ["gof", "--dataset", "football", "--estimator", "minchisq"],
+        ["gof", "--dataset", "football", "--column", "joint", "--no-absorb-tail"],
+        ["moments", "-h"],
+        ["--help"],
+        [],
+    ])
+    def test_reader_leaves_other_lines_to_argparse(self, argv):
+        assert cli._read(argv) is None
 
 
 # ``main`` called by a fresh interpreter, the in-process entry

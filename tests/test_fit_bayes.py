@@ -2,6 +2,8 @@
 
 import math
 import re
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -916,6 +918,13 @@ class TestIntervals:
             interval([1.0, 2.0], beta=1.5)
         draws = [float(v) for v in range(100)]
         assert interval(draws, beta=np.float64(0.1)) == interval(draws, beta=0.1)
+
+    @pytest.mark.parametrize("interval", [credible_interval, hpd_interval])
+    def test_decimal_beta_reads_as_its_float(self, interval):
+        # a Decimal passed the number check, then met float arithmetic
+        draws = [float(v) for v in range(100)]
+        assert interval(draws, beta=Decimal("0.1")) == interval(draws, beta=0.1)
+        assert interval(draws, beta=Fraction(1, 20)) == interval(draws, beta=0.05)
 
     @pytest.mark.parametrize("interval", [credible_interval, hpd_interval])
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])

@@ -162,6 +162,37 @@ def test_validation_messages(build, message):
         build()
 
 
+@pytest.mark.parametrize("build, field, value", [
+    (lambda: WeibullParams("1.5", 1.0), "alpha", "'1.5'"),
+    (lambda: DWParams(1.5, "0.5"), "p", "'0.5'"),
+    (lambda: MOBWParams(1.5, "0.1", 0.3, 0.2), "lambda0", "'0.1'"),
+    (lambda: BDWParams(1.5, "0.9", 0.7, 0.75), "p0", "'0.9'"),
+    (lambda: BDWParams(1.5, 0.9, None, 0.75), "p1", "None"),
+    (lambda: CompleteObservation("1", 2.0, "below"), "y1", "'1'"),
+    (lambda: CompleteObservation(1.0, [2.0], "below"), "y2", r"\[2.0\]"),
+    (lambda: AlphaPrior("1", 1.0), "c", "'1'"),
+    (lambda: DGPrior("1"), "a", "'1'"),
+    (lambda: DGPrior(a2="1"), "a2", "'1'"),
+])
+def test_a_field_that_is_no_number_is_named(build, field, value):
+    # a range check that compared it raised a bare TypeError
+    with pytest.raises(ValueError, match=f"^{field} must be a number, got {value}$"):
+        build()
+
+
+class _Compares:  # compares with a float, but is no real number
+    def __gt__(self, other):
+        return True
+
+    __lt__ = __gt__
+
+
+def test_a_type_error_with_number_fields_is_raised_as_it_is():
+    # only a field that is no number turns a check's TypeError into a ValueError
+    with pytest.raises(TypeError, match="must be real number"):
+        WeibullParams(_Compares(), 1.0)
+
+
 def test_post_init_may_set_a_field():
     data = BivariateDataset(((1.0, 2.0), (np.int64(0), 1)))
     assert data.pairs == ((1, 2), (0, 1))
