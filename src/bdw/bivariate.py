@@ -134,11 +134,15 @@ class MOBWParams(_Record):
 
 
 class BivariateGeomParams(_Record):
-    """Bivariate geometric law: the shape-one special case of :class:`BDWParams`."""
+    """Bivariate geometric law: the shape-one special case of :class:`BDWParams`,
+    whose rule and messages its bases keep."""
 
     p0: float
     p1: float
     p2: float
+
+    def __post_init__(self) -> None:
+        self.as_bdw()
 
     def as_bdw(self) -> BDWParams:
         return BDWParams(1.0, self.p0, self.p1, self.p2)

@@ -378,16 +378,15 @@ def _branch_rates(l0: float, l1: float, l2: float, kind: str) -> tuple[float, fl
 
 def _branch_logpdf(params: MOBWParams, y1: float, y2: float, kind: str) -> float:
     # log-density of a latent pair on one branch of the law: two Weibull
-    # factors off the diagonal, the singular factor on it; a tie is
-    # impossible (-inf) when the shared rate's share of the total is zero
-    a = params.alpha
+    # factors off the diagonal; on it, the closed form's tie term, the
+    # shared shock's Weibull factor times both coordinates' survival, which
+    # is -inf only at a zero shared rate
+    a, l0 = params.alpha, params.lambda0
     if kind == "tie":
-        total = params.total
-        share = params.lambda0 / total
-        if share == 0.0:
+        if l0 == 0.0:
             return -math.inf
-        return math.log(share) + _log_we_pdf(y1, a, total)
-    r1, r2 = _branch_rates(params.lambda0, params.lambda1, params.lambda2, kind)
+        return _log_we_pdf(y1, a, l0) - (params.lambda1 + params.lambda2) * _power(y1, a)
+    r1, r2 = _branch_rates(l0, params.lambda1, params.lambda2, kind)
     out = _log_we_pdf(y1, a, r1) + _log_we_pdf(y2, a, r2)
     # a pole at a zero lifetime outweighs a factor past the float range
     return math.inf if out != out else out
@@ -442,18 +441,18 @@ def ml_predict(params: MOBWParams, i: int, j: int) -> LatentPrediction:
     strictly-below / strictly-above points, weighted by their densities
     over the cell probability.  A below/above candidate exists when the
     shape exceeds one and its two modes are ordered the right way around.
-    When the diagonal's weight is zero — the shared rate is zero, or its
-    share of the total underflows — a branch without such a candidate
-    competes at its clamped point instead (the cell corner for shapes at
-    most one), provided that point lies on the branch, so a diagonal with
-    no mass never wins.  Exact weight ties resolve in favour of the
+    When the diagonal's weight is zero, as it is exactly when the shared
+    rate is zero, a branch without such a candidate competes at its
+    clamped point instead (the cell corner for shapes at most one),
+    provided that point lies on the branch, so a diagonal with no mass
+    never wins.  Exact weight ties resolve in favour of the
     diagonal, then the below candidate.  Weights are compared as logs, so
     a cell whose mass underflows but whose log-mass is finite is predicted;
     only a cell of log-mass ``-inf`` is refused.
     """
     i, j = _count(i, "i"), _count(j, "j")
-    log_mass = bivariate.joint_logpmf(params, i, j)
-    return _predict_in_cell(params, i, j, log_mass)
+    log_w, y1, y2, _, tag = _predict_in_cell(params, i, j, bivariate.joint_logpmf(params, i, j))
+    return LatentPrediction(y1, y2, tag, _weight(log_w))
 
 
 def _weight(log_w: float) -> float:
@@ -466,10 +465,11 @@ def _weight(log_w: float) -> float:
 
 def _predict_in_cell(
     params: MOBWParams, i: int, j: int, log_mass: float
-) -> LatentPrediction:
-    # ml_predict in the valid cell (i, j), whose log-mass is log_mass; the
-    # weights are compared as logs, so a cell whose mass underflows while
-    # its log-mass stays finite is still predicted
+) -> tuple:
+    # ml_predict in the valid cell (i, j), whose log-mass is log_mass, as the
+    # winner's (log weight, y1, y2, branch, case tag); the weights are
+    # compared as logs, so a cell whose mass underflows while its log-mass
+    # stays finite is still predicted
     if log_mass == -math.inf:
         raise ValueError(f"cell ({i}, {j}) has zero probability")
     a = params.alpha
@@ -480,19 +480,16 @@ def _predict_in_cell(
         r1, r2 = _branch_rates(*lambdas, kind)
         y1 = _clamped_mode(a, r1, i)
         y2 = _clamped_mode(a, r2, j)
-        log_w = _branch_logpdf(params, y1, y2, kind) - log_mass
-        return LatentPrediction(y1, y2, f"{kind}-diagonal", _weight(log_w))
+        return _branch_logpdf(params, y1, y2, kind) - log_mass, y1, y2, kind, f"{kind}-diagonal"
 
     # Diagonal cell: the three-way contest.  The diagonal's numerator is
-    # the singular component's density, shared-shock mass factor included
-    # — without it a vanishing shared rate could still win the contest for
-    # a component that carries no mass.  Its denominator is the mass of
-    # the minimum, a DW law with the total rate, at i.
+    # the closed form's tie density, which carries the shared rate itself,
+    # so a diagonal without mass never wins.  Its denominator is the mass
+    # of the minimum, a DW law with the total rate, at i.
     w = _clamped_mode(a, params.total, i)
     log_pmin = _logpmf_float(float(i), a, params.total)
-    best_log_w = _branch_logpdf(params, w, w, "tie") - log_pmin
-    massless = best_log_w == -math.inf
-    best = LatentPrediction(w, w, "tie-diagonal", _weight(best_log_w))
+    best = (_branch_logpdf(params, w, w, "tie") - log_pmin, w, w, "tie", "tie-diagonal")
+    massless = best[0] == -math.inf
     for kind in ("below", "above"):
         r1, r2 = _branch_rates(*lambdas, kind)
         # the rate of the coordinate that fails first, then the other's
@@ -502,9 +499,8 @@ def _predict_in_cell(
         on_branch = (u1 <= u2) if kind == "below" else (u1 >= u2)
         if ordered or (massless and on_branch):
             log_w = _branch_logpdf(params, u1, u2, kind) - log_mass
-            if log_w > best_log_w:
-                best_log_w = log_w
-                best = LatentPrediction(u1, u2, f"tie-{kind}", _weight(log_w))
+            if log_w > best[0]:
+                best = (log_w, u1, u2, kind, f"tie-{kind}")
     return best
 
 
@@ -517,8 +513,8 @@ def impute_dataset(theta: MOBWParams, data: BivariateDataset) -> list[CompleteOb
     """
     cache: dict[tuple[int, int], CompleteObservation] = {}
     for (cell, _, _), lp in zip(data.cells, _cell_log_masses(theta, data)):
-        pred = _predict_in_cell(theta, *cell, lp)
-        cache[cell] = CompleteObservation(pred.y1hat, pred.y2hat, pred.kind)
+        # the winner's pair and branch
+        cache[cell] = CompleteObservation(*_predict_in_cell(theta, *cell, lp)[1:4])
     return [cache[cell] for cell in data.pairs]
 
 

@@ -313,7 +313,9 @@ def chisq_upper_tail(x: float, df: int) -> float:
         it is ``exp(-h) * sum(h**j / j!, j < m)`` for even ``df``, and
         ``erfc(sqrt(h)) + exp(-h) * sum(h**(j + 1/2) / Gamma(j + 3/2), j < m)``
         for odd ``df``.  The terms are summed in log space, so the result
-        keeps its relative accuracy far into the tail.
+        keeps its relative accuracy far into the tail.  Only the terms
+        within 760 e-folds of the largest are formed, so the cost grows as
+        ``sqrt(df)``: each other term's ratio to it is an exact 0.0.
     """
     df = _count(df, "degrees of freedom", positive=True)
     if not x >= 0:
@@ -327,10 +329,25 @@ def chisq_upper_tail(x: float, df: int) -> float:
     lead = math.erfc(math.sqrt(h)) if odd else 0.0
     if m == 0:
         return lead
-    logs = [
-        (j + 0.5 * odd) * math.log(h) - h - math.lgamma(j + 1.0 + 0.5 * odd)
-        for j in range(m)
-    ]
+    log_h = math.log(h)
+
+    def log_term(j: int) -> float:
+        return (j + 0.5 * odd) * log_h - h - math.lgamma(j + 1.0 + 0.5 * odd)
+
+    # the log-terms are concave in j, largest at the peak below: walk out
+    # from it on each side to the first term past 760 e-folds, since
+    # exp(-760) is 0.0 and so is every term beyond.  A peak below -800
+    # leaves exp(top) and the whole series 0.0
+    peak = min(max(math.ceil(h - 1.0 - 0.5 * odd), 0), m - 1)
+    logs = [log_term(peak)]
+    if logs[0] < -800.0:
+        return lead
+    cutoff = logs[0] - 760.0
+    for step in (-1, 1):
+        j = peak + step
+        while 0 <= j < m and (v := log_term(j)) >= cutoff:
+            logs.append(v)
+            j += step
     top = max(logs)
     tail = math.exp(top) * math.fsum(math.exp(v - top) for v in logs)
     return min(1.0, lead + tail)

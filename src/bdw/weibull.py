@@ -57,7 +57,8 @@ class _Record:
     fields by position or keyword and then calls ``__post_init__``, which
     validates and may set a field with ``object.__setattr__``; when its
     checks meet a field annotated ``float`` that holds no number, the
-    ``TypeError`` becomes a ``ValueError`` that names the field.  Assignment
+    ``TypeError`` (or, for a NaN ``Decimal``, the ``ArithmeticError``)
+    becomes a ``ValueError`` that names the field.  Assignment
     and deletion raise ``AttributeError``.  Equality and hashing go by the
     fields, between instances of the same class, unless the class
     statement passes ``eq=False``, which keeps identity.  The repr is
@@ -102,8 +103,9 @@ class _Record:
         self.__dict__.update(values)
         try:
             self.__post_init__()
-        except TypeError:
-            # a check compared a field that is no number: name the first
+        except (TypeError, ArithmeticError):
+            # a check compared a field that is no number (a NaN Decimal
+            # signals): name the first
             for field in self._floats:
                 _number(values[field], field)
             raise
@@ -224,11 +226,11 @@ def _count(value, name: str, positive: bool = False) -> int:
 
 def _number(value, name: str):
     """``value`` if it compares with a float, as a number does; anything else,
-    a string or ``None`` among them, is refused by ``name``.  The caller
-    checks the range."""
+    a string, ``None`` or a NaN ``Decimal`` (whose comparison signals) among
+    them, is refused by ``name``.  The caller checks the range."""
     try:
         value < 0.0
-    except TypeError:
+    except (TypeError, ArithmeticError):
         raise ValueError(f"{name} must be a number, got {value!r}") from None
     return value
 

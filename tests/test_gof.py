@@ -40,6 +40,42 @@ class TestUpperTail:
                 want = mp.gammainc(mp.mpf(df) / 2, mp.mpf(x) / 2, mp.inf, regularized=True)
                 assert chisq_upper_tail(x, df) == pytest.approx(float(want), rel=1e-10), x
 
+    @staticmethod
+    def _full_series(x, df):
+        # the closed form with every one of its df // 2 terms formed
+        h = x / 2.0
+        m, odd = divmod(df, 2)
+        lead = math.erfc(math.sqrt(h)) if odd else 0.0
+        if m == 0:
+            return lead
+        logs = [
+            (j + 0.5 * odd) * math.log(h) - h - math.lgamma(j + 1.0 + 0.5 * odd)
+            for j in range(m)
+        ]
+        top = max(logs)
+        return min(1.0, lead + math.exp(top) * math.fsum(math.exp(v - top) for v in logs))
+
+    def test_terms_past_760_e_folds_are_no_part_of_the_sum(self):
+        # the walk from the peak drops only terms whose ratio to the largest
+        # is an exact 0.0: every tail keeps its bits
+        rng = np.random.default_rng(51)
+        for df in (1, 2, 3, 4, 7, 10, 33, 101, 1000, 4001, 20000, 100001):
+            xs = [1e-300, 1e-6, 0.3, 1562.6, 1e4, 1e6, 1e300]
+            xs += [df * r for r in (0.25, 0.5, 1.0, 2.0, 4.0)]
+            xs += [df - 1.0, df + math.sqrt(df), 4.0 * df + 40.0]
+            xs += list(df * np.exp(rng.uniform(-4.0, 2.0, size=6)))
+            for x in xs:
+                assert chisq_upper_tail(float(x), df) == self._full_series(float(x), df), (x, df)
+
+    def test_cost_grows_as_the_root_of_df(self, monkeypatch):
+        # 5 000 000 terms at df = 10**7; at x = df about 87 000 lie within
+        # 760 e-folds of the largest, the last
+        calls = []
+        lgamma = math.lgamma
+        monkeypatch.setattr(math, "lgamma", lambda v: calls.append(v) or lgamma(v))
+        assert chisq_upper_tail(1e7, 10**7) == pytest.approx(0.4999405291960622, rel=1e-8)
+        assert len(calls) < 200_000
+
     def test_boundaries_and_monotonicity(self):
         assert chisq_upper_tail(0.0, 4) == 1.0
         xs = np.linspace(0, 30, 100)

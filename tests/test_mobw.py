@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from bdw.bivariate import BDWParams, from_mobw, joint_pmf
+from bdw.bivariate import BDWParams, from_mobw, joint_logpmf, joint_pmf
 from bdw.fit_bayes import AlphaPrior, DGPrior, sample_alpha_conditional, sample_lambdas_conditional
 from bdw.fit_ml import BivariateDataset, impute_dataset, init_estimates
 from bdw.generator import _Generator
@@ -21,6 +21,7 @@ from bdw.mobw import (
     exposures,
     inner_em_mobw,
     _branch_logpdf,
+    _predict_in_cell,
     ml_predict,
     mobw_pdf,
     mobw_sf,
@@ -29,7 +30,7 @@ from bdw.mobw import (
     we_pdf,
 )
 from bdw.sampling import mobw_sample
-from bdw.univariate import WeibullParams
+from bdw.univariate import WeibullParams, dw_logpmf
 from test_fit_bayes import _BoundedRng
 
 REF = MOBWParams(1.8, 0.3, 0.5, 0.4)
@@ -228,12 +229,21 @@ class TestPrediction:
         assert pred[:3] == (1000.0, 2000.0, "below-diagonal")
 
     def test_vanishing_shared_share_is_no_domain_error(self):
-        # lambda0 / total underflows to zero: the diagonal then has no
-        # density, as at lambda0 = 0, and nothing takes log(0)
+        # lambda0 / total underflows to zero, lambda0 does not: the diagonal
+        # keeps the closed form's finite weight, the tie density over the
+        # minimum's mass, and at shape one, with no off-diagonal candidate,
+        # it wins, as it does at lambda0 = 1e-300; nothing takes log(0)
+        for lambda0 in (5e-324, 1e-300):
+            params = MOBWParams(1.0, lambda0, 5.8, 0.02)
+            pred = ml_predict(params, 6, 6)
+            assert pred[:3] == (6.0, 6.0, "tie-diagonal")
+            assert 0.0 < pred.density_value < math.inf
+            tie = complete_loglik(params, [CompleteObservation(6.0, 6.0, "tie")])
+            want = tie - dw_logpmf(WeibullParams(1.0, params.total), 6)
+            got = _predict_in_cell(params, 6, 6, joint_logpmf(params, 6, 6))[0]
+            assert got == pytest.approx(want, rel=1e-12)
+        # the density reads the same term, 5e-324 * exp(-5.82), which underflows
         params = MOBWParams(1.0, 5e-324, 5.8, 0.02)
-        pred = ml_predict(params, 6, 6)
-        assert (pred.y1hat, pred.y2hat, pred.kind) == (6.0, 6.0, "below")
-        assert 0.0 < pred.density_value < math.inf
         assert mobw_pdf(params, 1.0, 1.0) == (0.0, "diagonal")
         # the complete-data likelihood reads log(lambda0) itself, finite here
         got = complete_loglik(params, [CompleteObservation(1.0, 1.0, "tie")])
@@ -255,6 +265,39 @@ class TestPrediction:
             ml_predict(REF, -1, 0)
         with pytest.raises(ValueError):
             ml_predict(REF, 0.5, 0)
+
+
+class TestOneTieDensity:
+    """The latent tie density is the closed form's tie term, in the
+    imputation's contest too, and ``impute_dataset`` is ``ml_predict`` per
+    row."""
+
+    def test_tie_branch_is_the_closed_form_tie(self):
+        # subnormal and underflowing shares lambda0 / total included: the
+        # branch is -inf only at a zero shared rate
+        for alpha, lambda0, y, (l1, l2) in itertools.product(
+            (0.3, 0.8, 1.0, 1.7, 4.0, 11.8, 25.0),
+            (5e-324, 1e-300, 1e-8, 0.1, 2.0),
+            (1e-3, 0.03, 0.5, 1.0, 2.0, 6.0, 17.0, 40.0),
+            ((0.7, 1.3), (5.8, 0.02), (0.01, 0.02)),
+        ):
+            params = MOBWParams(alpha, lambda0, l1, l2)
+            want = complete_loglik(params, [CompleteObservation(y, y, "tie")])
+            assert _branch_logpdf(params, y, y, "tie") == pytest.approx(want, rel=1e-12)
+        assert _branch_logpdf(MOBWParams(1.7, 0.0, 0.7, 1.3), 2.0, 2.0, "tie") == -math.inf
+
+    @pytest.mark.parametrize("dataset", ["football", "nasal", "wide_panel"])
+    def test_imputation_is_ml_predict_per_row(self, request, dataset):
+        data = request.getfixturevalue(dataset)
+        theta = init_estimates(data)
+        rates = (theta.lambda0, theta.lambda1, theta.lambda2)
+        laws = [theta, MOBWParams(theta.alpha, 5e-324, *rates[1:])]
+        laws += [MOBWParams(alpha, *rates) for alpha in (0.5, 1.0, 2.5, 12.0)]
+        for law in laws:
+            sample = impute_dataset(law, data)
+            for obs, cell in zip(sample, data.pairs):
+                pred = ml_predict(law, *cell)
+                assert (obs.y1, obs.y2, obs.kind) == (pred.y1hat, pred.y2hat, pred.kind)
 
 
 class TestCompleteData:

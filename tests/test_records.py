@@ -2,13 +2,14 @@
 
 import functools
 import pathlib
+from decimal import Decimal
 
 import numpy as np
 import pytest
 
 import bdw
-from bdw.bivariate import BdwMoments, BDWParams, BivariateGeomParams, GridCheckReport
-from bdw.fit_bayes import AlphaPrior, DGPrior, PosteriorDraws
+from bdw.bivariate import BdwMoments, BDWParams, BivariateGeomParams, GridCheckReport, moments
+from bdw.fit_bayes import AlphaPrior, DGPrior, PosteriorDraws, credible_interval
 from bdw.fit_ml import AlphaTestReport, BivariateDataset, MLFitReport
 from bdw.gof import ChiSquareReport
 from bdw.mobw import CompleteObservation, MOBWParams, SampleSummary, exposures, summarize
@@ -153,6 +154,10 @@ def test_equality_is_within_one_class():
     (lambda: BivariateDataset(np.zeros((0, 2), dtype=np.int64)), "dataset is empty"),
     (lambda: BivariateDataset(((1, 2), (0, -1))),
      r"row 1: entries must be non-negative integers, got \(0, -1\)"),
+    # the geometric law's bases keep BDWParams' rule, where they are made
+    (lambda: BivariateGeomParams(2.0, -1.0, 7.0), r"p0 must lie in \(0, 1\], got 2.0"),
+    (lambda: BivariateGeomParams(1.0, 0.5, 1.0), r"p2 must lie in \(0, 1\), got 1.0"),
+    (lambda: BivariateGeomParams(0.5, None, 0.3), "p1 must be a number, got None"),
     (lambda: DGPrior(a1=0.0), "hyper-parameter a1 must be positive"),
     (lambda: AlphaPrior(c=-1.0), "shape c must be positive"),
     (lambda: AlphaPrior(d=float("nan")), "rate d must be positive"),
@@ -185,6 +190,17 @@ class _Compares:  # compares with a float, but is no real number
         return True
 
     __lt__ = __gt__
+
+
+@pytest.mark.parametrize("build, field", [
+    (lambda: credible_interval([1.0, 2.0, 3.0], beta=Decimal("NaN")), "beta"),
+    (lambda: moments(BDWParams(1.5, 0.9, 0.7, 0.75), epsilon=Decimal("NaN")), "epsilon"),
+    (lambda: MOBWParams(Decimal("NaN"), 0.1, 0.3, 0.2), "alpha"),
+])
+def test_a_nan_decimal_is_named(build, field):
+    # its comparison with a float signals decimal.InvalidOperation
+    with pytest.raises(ValueError, match=rf"^{field} must be a number, got Decimal\('NaN'\)$"):
+        build()
 
 
 def test_a_type_error_with_number_fields_is_raised_as_it_is():
