@@ -298,16 +298,29 @@ def joint_pmf(params, x1: int, x2: int) -> float:
 def joint_cdf(params, x1: int, x2: int) -> float:
     """Joint distribution function ``P(X1 <= x1, X2 <= x2)``.
 
-    Computed through the survival inclusion-exclusion identity: with weak-
-    inequality survival functions, ``P(X1 > x1, X2 > x2)`` is the joint
-    survival at ``(x1+1, x2+1)``, and a marginal's is the joint survival
-    with the other coordinate at 0.
+    It is the latent pair's ``P(Y1 < x1 + 1, Y2 < x2 + 1)``, split on the
+    shared shock's time: with ``a <= b`` the powers of the nearer and the
+    farther box edge, ``U0`` fails before ``a``; or in ``[a, b)``, and the
+    nearer coordinate's own shock before ``a``; or it outlives ``b``, and
+    both own shocks fail before their edges.  Each term is a product of
+    ``exp`` and ``-expm1`` factors, so nothing cancels: the value is never
+    negative, and never below the mass of its corner cell.  A power past
+    the float range fails its shock surely, and a zero shared rate never
+    fails.
     """
     i, j = _check_cell(x1, x2)
-    rates = _rates(params)
-    f1 = 1.0 - math.exp(_log_sf(rates, i + 1, 0))
-    f2 = 1.0 - math.exp(_log_sf(rates, 0, j + 1))
-    return f1 + f2 - 1.0 + math.exp(_log_sf(rates, i + 1, j + 1))
+    alpha, lam0, lam1, lam2 = _rates(params)
+    if i > j:
+        i, j, lam1, lam2 = j, i, lam2, lam1
+    a, b = _power(float(i + 1), alpha), _power(float(j + 1), alpha)
+    near, far = -math.expm1(-lam1 * a), -math.expm1(-lam2 * b)
+    if lam0 == 0.0:
+        return near * far
+    # U0 survives a; where it surely fails there, the gap b - a is moot
+    shock = math.exp(-lam0 * a)
+    gap = shock * -math.expm1(-lam0 * (b - a)) if shock > 0.0 else 0.0
+    cdf = -math.expm1(-lam0 * a) + gap * near + math.exp(-lam0 * b) * near * far
+    return min(cdf, 1.0)
 
 
 def joint_pmf_grid(params, k1: int, k2: int) -> np.ndarray:

@@ -350,11 +350,13 @@ def augmented_gibbs(
     ``M`` sweeps of (causes, rates, shape), and moves the point to the
     draw averages (first ``burn_in`` fraction discarded).  After ``N``
     rounds the last round's draws are returned; their means are the point
-    estimates.  Each round's imputation is summarized once, before its
-    sweeps; an imputed zero lifetime, which the shape's full conditional
-    cannot accommodate, is reported with its data row.  A sample that does
-    not identify every rate is refused as :func:`bdw.fit_ml.nested_em`
-    refuses it.
+    estimates.  The burn-in is dropped only from each round's point: the
+    reported means and both intervals summarize all ``M`` draws of the last
+    round, burn-in included.  Each round's imputation is summarized once,
+    before its sweeps; an imputed zero lifetime, which the shape's full
+    conditional cannot accommodate, is reported with its data row.  A
+    sample that does not identify every rate is refused as
+    :func:`bdw.fit_ml.nested_em` refuses it.
 
     ``rng`` is a numpy ``Generator`` or the package's seeded generator
     (:class:`bdw.generator._Generator`), which draws the same values for

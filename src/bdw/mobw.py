@@ -156,17 +156,17 @@ class SampleSummary(_Record, eq=False):
     """What the latent-sample updates read from a sequence of complete pairs.
 
     Events are the recorded lifetimes: two per off-diagonal pair, one per
-    tie.  ``log_y_sum`` sums their logarithms and is ``-inf`` when one of
-    them is zero; ``first_zero`` is then the index of the first
-    observation holding a zero event.  ``vals`` is the one value table:
-    the distinct positive values of ``max(y1, y2)``, ``y1`` and ``y2``
-    together, increasing.  ``weights`` holds their 3 x K multiplicities,
-    rows in the order of the exposures ``(T0, T1, T2)``, so an exposure is
-    its row summed against one power of ``vals``, and a rate-weighted sum
-    of the three takes that power once; a row's positive entries are its
-    exposure's values, and ``row_sums`` holds the rows' totals.  Every
-    table is a tuple, of floats or ints; the multiplicities are floats,
-    since they only weigh powers.  The summary has no methods: the last
+    tie, so ``2 * (n_below + n_above) + n_tie`` of them.  ``log_y_sum``
+    sums their logarithms and is ``-inf`` when one of them is zero;
+    ``first_zero`` is then the index of the first observation holding a
+    zero event.  ``vals`` is the one value table: the distinct positive
+    values of ``max(y1, y2)``, ``y1`` and ``y2`` together, increasing.
+    ``weights`` holds their 3 x K multiplicities, rows in the order of the
+    exposures ``(T0, T1, T2)``, so an exposure is its row summed against
+    one power of ``vals``, and a rate-weighted sum of the three takes that
+    power once; a row's positive entries are its exposure's values.  Every
+    table is a tuple of floats; the multiplicities are floats, since they
+    only weigh powers.  The summary has no methods: the last
     power table of ``vals`` is kept with its shape, as one per-instance
     pair ``[shape, table]`` that :func:`exposures` and the shape's target
     read and write in place, so the two at one shape share one power;
@@ -180,8 +180,6 @@ class SampleSummary(_Record, eq=False):
     n_tie: int
     vals: tuple[float, ...]
     weights: tuple[tuple[float, ...], tuple[float, ...], tuple[float, ...]]
-    row_sums: tuple[int, int, int]
-    event_count: int
     log_y_sum: float
     first_zero: int | None
 
@@ -227,15 +225,12 @@ def summarize(sample: Sample) -> SampleSummary:
     for row, tally in zip(weights, tallies):
         for v, count in tally.items():
             row[where[v]] = float(count)
-    n_below, n_above, n_tie = kinds["below"], kinds["above"], kinds["tie"]
     return SampleSummary(
-        n_below,
-        n_above,
-        n_tie,
+        kinds["below"],
+        kinds["above"],
+        kinds["tie"],
         tuple(vals),
         tuple(map(tuple, weights)),
-        tuple(sum(tally.values()) for tally in tallies),
-        event_count=2 * (n_below + n_above) + n_tie,
         log_y_sum=log_y,
         first_zero=first_zero,
     )
@@ -440,7 +435,8 @@ def ml_predict(params: MOBWParams, i: int, j: int) -> LatentPrediction:
     the probability that the minimum falls in the cell, and the best
     strictly-below / strictly-above points, weighted by their densities
     over the cell probability.  A below/above candidate exists when the
-    shape exceeds one and its two modes are ordered the right way around.
+    shape exceeds one and the coordinate that fails first on its branch has
+    the larger rate, so the smaller mode.
     When the diagonal's weight is zero, as it is exactly when the shared
     rate is zero, a branch without such a candidate competes at its
     clamped point instead (the cell corner for shapes at most one),
@@ -492,10 +488,10 @@ def _predict_in_cell(
     massless = best[0] == -math.inf
     for kind in ("below", "above"):
         r1, r2 = _branch_rates(*lambdas, kind)
-        # the rate of the coordinate that fails first, then the other's
-        first, later = (r1, r2) if kind == "below" else (r2, r1)
         u1, u2 = _clamped_mode(a, r1, i), _clamped_mode(a, r2, i)
-        ordered = a > 1 and we_mode(a, first) < we_mode(a, later)
+        # the mode falls as the rate grows: the coordinate that fails first
+        # has the larger rate
+        ordered = a > 1 and (r1 > r2 if kind == "below" else r2 > r1)
         on_branch = (u1 <= u2) if kind == "below" else (u1 >= u2)
         if ordered or (massless and on_branch):
             log_w = _branch_logpdf(params, u1, u2, kind) - log_mass
@@ -523,14 +519,15 @@ def _loglik_in_shape(
 ) -> Callable[[float], float]:
     """``alpha ->`` the complete-data log-likelihood of ``st`` at ``lambdas``
     plus the log gamma kernel ``(c - 1) log(alpha) - d alpha``:
-    ``(c - 1 + event_count) log(alpha) - d alpha + rate_logs + (alpha - 1)
-    log_y_sum - sum(coef * vals**alpha)``, ``-inf`` where not finite.  A
-    zero lifetime's ``(alpha - 1) log y`` is 0 at shape one.
+    ``(c - 1 + events) log(alpha) - d alpha + rate_logs + (alpha - 1)
+    log_y_sum - sum(coef * vals**alpha)``, with ``events = 2 * (n_below +
+    n_above) + n_tie``, ``-inf`` where not finite.  A zero lifetime's
+    ``(alpha - 1) log y`` is 0 at shape one.
 
-    One call binds the rate logarithms, the coefficients and their total,
-    and returns the target, which reads and writes the summary's power pair
-    in place.  The call refuses the rates :class:`MOBWParams` refuses, and a
-    zero shared rate where the sample holds a tie."""
+    One call binds the rate logarithms and the coefficients, and returns
+    the target, which reads and writes the summary's power pair in place.
+    The call refuses the rates :class:`MOBWParams` refuses, and a zero
+    shared rate where the sample holds a tie."""
     l0, l1, l2 = lambdas
     log, inf = math.log, math.inf
     # cause_counts' refusal of the rates MOBWParams refuses
@@ -544,31 +541,22 @@ def _loglik_in_shape(
         if l0 == 0.0:
             raise ValueError("the sample holds a tie but the shared rate is zero")
         rate_logs += st.n_tie * log(l0)
-    # l0*T0 + l1*T1 + l2*T2 is one power of the fused value table, at
-    # most the coefficients' total times the largest value's power
+    # l0*T0 + l1*T1 + l2*T2 is one power of the fused value table
     coef = [l0 * n0 + l1 * n1 + l2 * n2 for n0, n1, n2 in zip(*st.weights)]
-    s0, s1, s2 = st.row_sums
-    total = l0 * s0 + l1 * s1 + l2 * s2
-    log_alpha_coef = c - 1.0 + st.event_count
+    log_alpha_coef = c - 1.0 + 2 * (st.n_below + st.n_above) + st.n_tie
     log_y_sum, vals, power = st.log_y_sum, st.vals, st._power
     fsum, isfinite = math.fsum, math.isfinite
 
     def g(alpha: float) -> float:
         if not (0 < alpha < inf):
             return -inf
-        # where that bound overflows, so may the sum, and a zero
-        # coefficient times an infinite power would read NaN: refuse it.
-        # The table's last power is the largest value's, the bound's.  A
-        # power past the float range raises OverflowError, as fsum does on
-        # its way there, so a table made here, or by exposures, needs no
-        # fallback
+        # a power past the float range raises OverflowError, as fsum does on
+        # its way there: either reads -inf, so every kept table is finite,
+        # and any other non-finite value is refused below
         try:
             if alpha != power[0]:
                 power[0], power[1] = alpha, [v**alpha for v in vals]
-            table = power[1]
-            if vals and table[-1] * total == inf:
-                return -inf
-            dot = fsum(map(mul, coef, table))
+            dot = fsum(map(mul, coef, power[1]))
         except OverflowError:
             return -inf
         y_term = (alpha - 1.0) * log_y_sum if alpha != 1.0 else 0.0
@@ -620,11 +608,12 @@ def inner_em_mobw(sample: Sample, start: MOBWParams, trace: list | None = None) 
     st = summarize(sample)
     if st.n_below + st.n_above == 0:
         raise ValueError(_ALL_TIES)
-    for name, total in (("first", st.row_sums[1]), ("second", st.row_sums[2])):
-        if total == 0.0:
+    for name, row in (("first", st.weights[1]), ("second", st.weights[2])):
+        if not any(row):
             raise ValueError(
                 f"{name} coordinate is identically zero: its rate is not identifiable"
             )
+    events = 2 * (st.n_below + st.n_above) + st.n_tie
     # each exposure's (multiplicity, log-value) pairs, increasing: the last is its top
     logs = [math.log(v) for v in st.vals]
     tables = [[(w, lg) for w, lg in zip(row, logs) if w] for row in st.weights]
@@ -636,8 +625,8 @@ def inner_em_mobw(sample: Sample, start: MOBWParams, trace: list | None = None) 
 
         def neg_profiled(z):
             a = math.exp(z[0])
-            val = st.event_count * z[0] + (a - 1.0) * st.log_y_sum
-            d1 = st.event_count + a * st.log_y_sum
+            val = events * z[0] + (a - 1.0) * st.log_y_sum
+            d1 = events + a * st.log_y_sum
             d2 = a * st.log_y_sum
             for c, table in zip(counts, tables):
                 if c > 0.0:

@@ -244,6 +244,54 @@ class TestJointLaw:
             want = mp.log(sf(x, x) - sf(x + 1, x) - sf(x, x + 1) + sf(x + 1, x + 1))
         assert joint_logpmf(law, x, x) == pytest.approx(float(want), rel=1e-12)
 
+    @staticmethod
+    def _random_cells(seed, n, low_rate):
+        # laws with rates over many decades, some with no shared shock, and
+        # cells in [0, 40]^2
+        rng = np.random.default_rng(seed)
+        for _ in range(n):
+            alpha, lam0, lam1, lam2 = 10 ** rng.uniform([-1, low_rate, low_rate, low_rate], 1)
+            if rng.random() < 0.5:
+                lam0 = 0.0
+            i, j = rng.integers(0, 41, size=2)
+            yield MOBWParams(*map(float, (alpha, lam0, lam1, lam2))), int(i), int(j)
+
+    def test_cdf_matches_mpmath(self):
+        # the box mass by inclusion-exclusion at 400 digits, where the float
+        # form's terms nearly cancel: the two laws' boxes hold 1.7e-17 and
+        # 1e-28, and the sweep's masses reach down to 1e-300
+        cases = [
+            (MOBWParams(0.5, 1e-17, 1e-17, 1e-17), 3, 2),
+            (MOBWParams(1.5, 0.0, 1e-14, 1e-14), 0, 0),
+            *self._random_cells(11, 300, -150),
+        ]
+        checked = 0
+        with mp.workdps(400):
+            for law, i, j in cases:
+                a, l0, l1, l2 = (mp.mpf(v) for v in bivariate._rates(law))
+
+                def sf(x, y):
+                    x, y = mp.mpf(x), mp.mpf(y)
+                    return mp.exp(-l1 * x**a - l2 * y**a - l0 * max(x, y) ** a)
+
+                want = 1 - sf(i + 1, 0) - sf(0, j + 1) + sf(i + 1, j + 1)
+                if want < mp.mpf("1e-300"):
+                    continue
+                checked += 1
+                assert joint_cdf(law, i, j) == pytest.approx(float(want), rel=1e-14, abs=0.0), (law, i, j)
+        assert checked > 250
+
+    def test_cdf_holds_its_corner_cell_and_stays_a_probability(self):
+        # the box holds its corner cell, so the cdf is at least that cell's
+        # mass.  At the cell (0, 0) the two are equal, and the pmf, the exp of
+        # a log-mass, carries that log's rounding: ~eps * |log-mass| relative
+        eps = sys.float_info.epsilon
+        for law, i, j in self._random_cells(12, 6000, -20):
+            cdf = joint_cdf(law, i, j)
+            assert 0.0 <= cdf <= 1.0, (law, i, j)
+            slack = 4 * eps * (1.0 - joint_logpmf(law, i, j))
+            assert joint_pmf(law, i, j) <= cdf * (1.0 + slack), (law, i, j)
+
     @pytest.mark.parametrize(
         "law, limit",
         [

@@ -286,7 +286,10 @@ class TestSampleSummary:
         assert (st.n_below, st.n_above, st.n_tie) == tuple(
             kinds.count(k) for k in ("below", "above", "tie")
         )
-        assert st.event_count == sum(1 if k == "tie" else 2 for k in kinds)
+        # the events the shape step counts: two per off-diagonal pair, one per tie
+        assert 2 * (st.n_below + st.n_above) + st.n_tie == sum(
+            1 if k == "tie" else 2 for k in kinds
+        )
         # the events' logarithms, added row by row: the bits the shape step reads
         want_log, first_zero = 0.0, None
         for idx, o in enumerate(sample):
@@ -614,7 +617,7 @@ def _summed_logtarget(prior, lams, st, alpha):
     return (
         (prior.c - 1.0) * math.log(alpha)
         - prior.d * alpha
-        + st.event_count * math.log(alpha)
+        + (2 * (st.n_below + st.n_above) + st.n_tie) * math.log(alpha)
         + rate_logs
         + (alpha - 1.0) * st.log_y_sum
         - l1 * t1
@@ -667,7 +670,12 @@ class TestShapeTarget:
                 # one float multiplicity per value, zero where the exposure lacks it
                 assert type(row) is tuple and len(row) == len(st.vals)
                 assert all(type(w) is float and w >= 0.0 for w in row)
-            assert st.row_sums == tuple(map(sum, st.weights))
+            # each row holds one multiplicity per positive lifetime of its
+            # exposure, so one per pair where no lifetime is zero
+            pairs = st.n_below + st.n_above + st.n_tie
+            assert all(sum(row) <= pairs for row in st.weights)
+            if st.first_zero is None:
+                assert [sum(row) for row in st.weights] == [pairs] * 3
 
     def test_exposures_read_the_shared_power_table(self, samples, summaries):
         lams = (0.04, 0.2, 0.1)

@@ -21,6 +21,7 @@ from bdw.mobw import (
     exposures,
     inner_em_mobw,
     _branch_logpdf,
+    _loglik_in_shape,
     _predict_in_cell,
     ml_predict,
     mobw_pdf,
@@ -255,6 +256,18 @@ class TestPrediction:
         assert pred.case_tag == "tie-diagonal"
         assert math.isfinite(pred.density_value)
 
+    def test_candidate_order_is_read_off_the_rates(self):
+        # lambda1 one ulp above lambda0 + lambda2: y1 fails first on the below
+        # branch, with the larger rate, though the two modes round equal
+        lambda0, lambda2 = 0.3, 0.05
+        lambda1 = math.nextafter(lambda0 + lambda2, math.inf)
+        assert we_mode(2.0, lambda1) == we_mode(2.0, lambda0 + lambda2)
+        params = MOBWParams(2.0, lambda0, lambda1, lambda2)
+        for i in range(3):
+            pred = ml_predict(params, i, i)
+            assert pred.case_tag == "tie-below"
+            assert pred.y1hat == pred.y2hat
+
     def test_decreasing_density_shape_predicts_cell_corner(self):
         params = MOBWParams(0.9, 0.3, 0.5, 0.4)
         pred = ml_predict(params, 2, 4)
@@ -403,7 +416,7 @@ class TestRuntimeWarningContract:
         if isinstance(out, MOBWParams):
             out = (out.alpha, out.lambda0, out.lambda1, out.lambda2)
         elif isinstance(out, SampleSummary):
-            out = (out.log_y_sum, *out.row_sums, *out.vals)
+            out = (out.log_y_sum, *map(sum, out.weights), *out.vals)
         assert np.isfinite(out).all(), out
 
     @pytest.mark.parametrize("name", sorted(CONTRACT_SAMPLES))
@@ -479,6 +492,38 @@ class TestClosedForm:
         laws += [MOBWParams(alpha, *rates) for alpha in CONTRACT_SHAPES]
         for law in laws:
             self._agrees_or_refused(law, sample)
+
+    @staticmethod
+    def _top_in_y2(top):
+        # eleven pairs below the diagonal whose largest value, top, is only a
+        # y2 and a max(y1, y2): only the tiny rates of T2 and T0 weigh its power
+        return [_pair(0.5 + 0.05 * i, 1.0 + 0.35 * i) for i in range(10)] + [_pair(0.9, top)]
+
+    def test_largest_value_in_a_tiny_rate_exposure(self):
+        # the largest power times the rates' total passes the float range while
+        # every weighted power, and the sum, stays finite: it is no refusal
+        law = MOBWParams(305.0, 0.0, 1e3, 1e-300)
+        sample = self._top_in_y2(10.0)
+        want = math.fsum(_branch_logpdf(law, o.y1, o.y2, o.kind) for o in sample)
+        assert math.isfinite(want)
+        assert complete_loglik(law, sample) == pytest.approx(want, rel=1e-12)
+        checked = 0
+        for top in (4.0, 7.5, 10.0, 12.0, 30.0, 1e3):
+            sample = self._top_in_y2(top)
+            st = summarize(sample)
+            for alpha in range(250, 321, 5):
+                for lams in ((0.0, 1e3, 1e-300), (1e-300, 1e3, 1e-300), (0.0, 1.0, 1e-200)):
+                    law = MOBWParams(float(alpha), *lams)
+                    want = math.fsum(_branch_logpdf(law, o.y1, o.y2, o.kind) for o in sample)
+                    if not math.isfinite(want):
+                        with pytest.raises(ValueError, match="non-finite log-density"):
+                            complete_loglik(law, sample)
+                        continue
+                    checked += 1
+                    assert complete_loglik(law, sample) == pytest.approx(want, rel=1e-12)
+                    g = _loglik_in_shape(1.0, 0.0, st, lams)
+                    assert g(float(alpha)) == pytest.approx(want, rel=1e-12)
+        assert checked == 150
 
     def test_zero_lifetime_counts_only_at_shape_one(self):
         # at shape one a zero lifetime's density is its rate
