@@ -12,10 +12,10 @@ The joint survival function, with weak inequalities on both coordinates, is
 
 and all probability computations below are exact rearrangements of its
 rectangle differences, evaluated in log space.  They read the law's rates
-``lambda_i = -ln(p_i)``, so each takes the law as survival bases
-(:class:`BDWParams`) or as rates (:class:`MOBWParams`); :func:`_rates` is
-the one conversion they read, and :func:`to_mobw` and :func:`from_mobw`
-convert a law's parameters between the two.
+``lambda_i = -ln(p_i)`` from survival bases (:class:`BDWParams`) or rates
+(:class:`MOBWParams`) through :func:`_rates`, the package's one reader of
+a joint law argument, which refuses anything else by name; :func:`to_mobw`
+and :func:`from_mobw` convert a law's parameters between the two.
 
 The rates are those of the continuous Marshall–Olkin pair whose floors
 the law is: ``Y1 = min(U1, U0)``, ``Y2 = min(U2, U0)`` with Weibull
@@ -176,12 +176,14 @@ def _check_cell(x1, x2) -> tuple[int, int]:
 
 
 def _rates(params) -> tuple[float, float, float, float]:
-    """``(alpha, lambda0, lambda1, lambda2)`` of a law given as survival
-    bases (:class:`BDWParams`, ``lambda_i = -ln(p_i)``) or as rates."""
+    """``(alpha, lambda0, lambda1, lambda2)`` of a law in survival bases (:class:`BDWParams`,
+    ``lambda_i = -ln(p_i)``) or in rates; anything else is refused by name."""
     if isinstance(params, BDWParams):
         lam0 = 0.0 if params.p0 == 1.0 else -math.log(params.p0)
         return params.alpha, lam0, -math.log(params.p1), -math.log(params.p2)
-    return params.alpha, params.lambda0, params.lambda1, params.lambda2
+    if isinstance(params, MOBWParams):
+        return params.alpha, params.lambda0, params.lambda1, params.lambda2
+    raise ValueError(f"a joint law must be BDWParams or MOBWParams, got {type(params).__name__}")
 
 
 def _log_sf(rates: tuple, x1: float, x2: float) -> float:
@@ -471,5 +473,5 @@ def from_mobw(params) -> BDWParams:
     positive rate whose base rounds to 1 (at ``lambda0`` it would read as
     independence) is refused by name, and the law's functions take its
     rates instead."""
-    names = MOBWParams._fields[1:]
-    return BDWParams(params.alpha, *(_to_base(name, getattr(params, name)) for name in names))
+    alpha, *rates = _rates(params)
+    return BDWParams(alpha, *map(_to_base, MOBWParams._fields[1:], rates))

@@ -39,12 +39,12 @@ from functools import reduce
 from operator import add
 from typing import TYPE_CHECKING, Sequence
 
+from .bivariate import MOBWParams, _rates
 from .datasets import BivariateDataset
 from .fit_ml import PARAM_NAMES, _identified_start
 from .generator import _Generator
 from .mobw import (
-    MOBWParams, Sample, SampleSummary, _loglik_in_shape, cause_counts, exposures, impute_dataset,
-    summarize,
+    Sample, SampleSummary, _loglik_in_shape, cause_counts, exposures, impute_dataset, summarize,
 )
 from .sampling import _at_least, _binary_size
 from .weibull import _left_sum, _number, _Record
@@ -155,7 +155,7 @@ def sample_lambdas_conditional(
     ``a0+a1+a2`` the gamma product is only a proposal and a Metropolis
     accept step corrects for the ``(bλ)^(a-a0-a1-a2)`` factor; the
     current rates are kept on rejection.  Exposures past the float range
-    are refused by name, as are rates :class:`bdw.mobw.MOBWParams` refuses
+    are refused by name, as are rates :class:`bdw.bivariate.MOBWParams` refuses
     and a shape that is not positive and finite.
     """
     st = sample if sample.__class__ is SampleSummary else summarize(sample)
@@ -192,7 +192,7 @@ def sample_alpha_conditional(
     Slice sampling with stepping-out and shrinkage; exact in stationarity
     for the conditional known up to its normalizing constant.  A
     log-target so large at the current shape that the slice level rounds
-    to it is refused by name, as are rates :class:`bdw.mobw.MOBWParams`
+    to it is refused by name, as are rates :class:`bdw.bivariate.MOBWParams`
     refuses, a zero shared rate where the sample holds a tie and a current
     shape that is NaN.  A zero lifetime puts the conditional at shape one
     alone, with no slice to draw: it is refused by the observation that
@@ -384,16 +384,16 @@ def augmented_gibbs(
         ) from None
     alphas, rates0, rates1, rates2 = columns
     for _ in range(N):
+        rates = _rates(theta)
+        alpha, lams = rates[0], rates[1:]
         sample = summarize(impute_dataset(theta, data))
         if sample.first_zero is not None:
             row = sample.first_zero
             raise ValueError(
                 f"data row {row} (cell {data.pairs[row]}) imputes a zero "
-                f"lifetime at shape {theta.alpha:.6g}: the shape's full "
+                f"lifetime at shape {alpha:.6g}: the shape's full "
                 f"conditional is improper there"
             )
-        alpha = theta.alpha
-        lams = (theta.lambda0, theta.lambda1, theta.lambda2)
         for i in range(M):
             lams = sample_lambdas_conditional(prior, alpha, sample, lams, rng)
             alpha = sample_alpha_conditional(

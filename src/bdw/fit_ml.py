@@ -31,7 +31,7 @@ import warnings
 from typing import Sequence
 
 from . import bivariate
-from .bivariate import MOBWParams, _cell_log_masses, from_mobw
+from .bivariate import MOBWParams, _cell_log_masses, _rates, from_mobw
 from .datasets import BivariateDataset
 from .univariate import _dw_jets, _eigh, _in_logs, _newton_min, _step_jet, dw_fit_minchisq
 from .weibull import _left_sum, _number, _rate, _Record
@@ -286,8 +286,8 @@ def nested_em(data: BivariateDataset, start: MOBWParams | None = None) -> MLFitR
     theta = _identified_start(data, start)
     # names the row whose cell has zero probability at a bad start
     bdw_loglik(theta, data)
-    lam0 = max(theta.lambda0, 1e-8)
-    z0 = [math.log(v) for v in (theta.alpha, lam0, theta.lambda1, theta.lambda2)]
+    alpha, lam0, lam1, lam2 = _rates(theta)
+    z0 = [math.log(v) for v in (alpha, max(lam0, 1e-8), lam1, lam2)]
     z, neg_loglik = _newton_min(lambda z: _neg_loglik_in_logs(z, data), z0)
     theta = [math.exp(v) for v in z]
     at_zero = [theta[0], 0.0, *theta[2:]]
@@ -329,9 +329,9 @@ def observed_info_ci(
     """
     if not 0 < _number(level, "level") < 1:
         raise ValueError(f"level must lie in (0, 1), got {level}")
-    x0 = [theta.alpha, theta.lambda0, theta.lambda1, theta.lambda2]
+    x0 = _rates(theta)
     _, _, hess = bdw_loglik_derivatives(x0, data)
-    free = [0, 2, 3] if theta.lambda0 == 0.0 else [0, 1, 2, 3]
+    free = [0, 2, 3] if x0[1] == 0.0 else [0, 1, 2, 3]
     w, vecs = _eigh([[-hess[i][j] for j in free] for i in free])
     if not all(0.0 < wj < math.inf for wj in w):  # a NaN one too
         raise ValueError(
@@ -358,8 +358,9 @@ def alpha_equals_one_test(
     Rejects when 1 falls outside the two-sided confidence interval for the
     shape at the complementary confidence level.  The default 5% level
     reads the interval off the fit report; other levels, and a fit with
-    ``lambda0`` on its boundary (which reports no intervals), recompute it
-    and need the dataset.
+    ``lambda0`` on its boundary, recompute it and need the dataset.  There
+    the report's ``ci95_halfwidth`` is null, while this interval comes from
+    the information over the other three parameters, ``lambda0`` held at 0.
     """
     _number(level, "level")
     if level == 0.05 and fit.ci95 is not None:

@@ -9,12 +9,12 @@ survival
 
 whose law splits into two absolutely continuous pieces off the diagonal and
 a singular piece on it.  Taking floors of ``(Y1, Y2)`` yields exactly the
-discrete pair.  The law in rates, :class:`MOBWParams`, belongs to that
-discrete law and is defined in :mod:`bdw.bivariate`; it is re-exported
-here.  The shock construction, :func:`bdw.sampling.mobw_sample`, draws
-the pair.  The one-dimensional continuous Weibull law's density,
-distribution function and mode (:func:`we_pdf`, :func:`we_cdf`,
-:func:`we_mode`) live here too.
+discrete pair.  The law in rates, :class:`MOBWParams`, is defined in
+:mod:`bdw.bivariate` and re-exported here; a law in either form is read
+once, by ``_rates`` (``_rate`` for a DW law), and the kernels take its
+tuple.  :func:`bdw.sampling.mobw_sample` draws the pair.  The continuous
+Weibull law's density, distribution function and mode (:func:`we_pdf`,
+:func:`we_cdf`, :func:`we_mode`) live here too.
 
 This module holds the latent-sample path of the fits: it imputes the most
 likely latent lifetimes of every row (:func:`impute_dataset`, one
@@ -42,9 +42,9 @@ from operator import mul
 from typing import Callable, NamedTuple, Sequence
 
 from . import bivariate
-from .bivariate import MOBWParams, _cell_log_masses
+from .bivariate import MOBWParams, _cell_log_masses, _rates
 from .datasets import _ALL_TIES, BivariateDataset
-from .univariate import ALPHA_HI, ALPHA_LO, _newton_min
+from .univariate import _newton_min
 from .weibull import (
     SingularDensityError,
     WeibullParams,
@@ -52,6 +52,7 @@ from .weibull import (
     _left_sum,
     _logpmf_float,
     _power,
+    _rate,
     _Record,
 )
 
@@ -79,6 +80,9 @@ __all__ = [
 # the inner EM stops once its log-likelihood moves less than this
 _INNER_EM_TOL = 1e-9
 _INNER_EM_MAX_ITER = 1000
+# the box of the shape in the inner EM's profile, which real count data never touches
+ALPHA_LO = 1e-2
+ALPHA_HI = 1e2
 
 
 class MobwDensity(NamedTuple):
@@ -303,7 +307,7 @@ def mobw_sf(params: MOBWParams, y1: float, y2: float) -> float:
     discrete pair's :func:`bivariate.joint_sf` is this at the floors."""
     if not (y1 >= 0 and y2 >= 0):
         raise ValueError(f"arguments must be non-negative, got ({y1}, {y2})")
-    return math.exp(bivariate._log_sf(bivariate._rates(params), y1, y2))
+    return math.exp(bivariate._log_sf(_rates(params), y1, y2))
 
 
 def we_pdf(params: WeibullParams, x: float) -> float:
@@ -313,9 +317,9 @@ def we_pdf(params: WeibullParams, x: float) -> float:
     ``alpha = 1``; for ``alpha < 1`` it diverges and
     :class:`SingularDensityError` is raised.
     """
+    a, lam = _rate(params)
     if not x >= 0:
         raise ValueError(f"x must be non-negative, got {x}")
-    a, lam = params.alpha, params.lam
     if x == 0 and a <= 1:
         if a == 1:
             return lam
@@ -326,9 +330,10 @@ def we_pdf(params: WeibullParams, x: float) -> float:
 def we_cdf(params: WeibullParams, x: float) -> float:
     """Distribution function ``1 - exp(-lam*x**alpha)`` at ``x >= 0``; 1 past
     the float range."""
+    a, lam = _rate(params)
     if not x >= 0:
         raise ValueError(f"x must be non-negative, got {x}")
-    return -math.expm1(-params.lam * _power(x, params.alpha))
+    return -math.expm1(-lam * _power(x, a))
 
 
 def we_mode(alpha: float, lam: float) -> float:
@@ -371,17 +376,17 @@ def _branch_rates(l0: float, l1: float, l2: float, kind: str) -> tuple[float, fl
     return l0 + l1, l2
 
 
-def _branch_logpdf(params: MOBWParams, y1: float, y2: float, kind: str) -> float:
-    # log-density of a latent pair on one branch of the law: two Weibull
-    # factors off the diagonal; on it, the closed form's tie term, the
-    # shared shock's Weibull factor times both coordinates' survival, which
-    # is -inf only at a zero shared rate
-    a, l0 = params.alpha, params.lambda0
+def _branch_logpdf(rates: tuple, y1: float, y2: float, kind: str) -> float:
+    # log-density of a latent pair on one branch of the law at rates
+    # (bivariate._rates): two Weibull factors off the diagonal; on it, the
+    # closed form's tie term, the shock's Weibull factor times both
+    # coordinates' survival, -inf only at a zero shared rate
+    a, l0, l1, l2 = rates
     if kind == "tie":
         if l0 == 0.0:
             return -math.inf
-        return _log_we_pdf(y1, a, l0) - (params.lambda1 + params.lambda2) * _power(y1, a)
-    r1, r2 = _branch_rates(l0, params.lambda1, params.lambda2, kind)
+        return _log_we_pdf(y1, a, l0) - (l1 + l2) * _power(y1, a)
+    r1, r2 = _branch_rates(l0, l1, l2, kind)
     out = _log_we_pdf(y1, a, r1) + _log_we_pdf(y2, a, r2)
     # a pole at a zero lifetime outweighs a factor past the float range
     return math.inf if out != out else out
@@ -395,11 +400,12 @@ def mobw_pdf(params: MOBWParams, y1: float, y2: float) -> MobwDensity:
     total mass ``lambda0 / total``.  The value is ``inf`` on the axes below
     shape one and past the float range, and 0 at an infinite argument.
     """
+    rates = _rates(params)
     if not (y1 >= 0 and y2 >= 0):
         raise ValueError(f"arguments must be non-negative, got ({y1}, {y2})")
     kind = "below" if y1 < y2 else "above" if y1 > y2 else "tie"
     # no lifetime is infinite: the density is 0 there, beside a pole at 0 too
-    value = 0.0 if math.inf in (y1, y2) else _weight(_branch_logpdf(params, y1, y2, kind))
+    value = 0.0 if math.inf in (y1, y2) else _weight(_branch_logpdf(rates, y1, y2, kind))
     return MobwDensity(value, "diagonal" if kind == "tie" else kind)
 
 
@@ -446,8 +452,9 @@ def ml_predict(params: MOBWParams, i: int, j: int) -> LatentPrediction:
     a cell whose mass underflows but whose log-mass is finite is predicted;
     only a cell of log-mass ``-inf`` is refused.
     """
+    rates = _rates(params)
     i, j = _count(i, "i"), _count(j, "j")
-    log_w, y1, y2, _, tag = _predict_in_cell(params, i, j, bivariate.joint_logpmf(params, i, j))
+    log_w, y1, y2, _, tag = _predict_in_cell(rates, i, j, bivariate.joint_logpmf(params, i, j))
     return LatentPrediction(y1, y2, tag, _weight(log_w))
 
 
@@ -459,42 +466,40 @@ def _weight(log_w: float) -> float:
         return math.inf
 
 
-def _predict_in_cell(
-    params: MOBWParams, i: int, j: int, log_mass: float
-) -> tuple:
-    # ml_predict in the valid cell (i, j), whose log-mass is log_mass, as the
-    # winner's (log weight, y1, y2, branch, case tag); the weights are
-    # compared as logs, so a cell whose mass underflows while its log-mass
-    # stays finite is still predicted
+def _predict_in_cell(rates: tuple, i: int, j: int, log_mass: float) -> tuple:
+    # ml_predict of the law of the rates (bivariate._rates) in the valid
+    # cell (i, j), whose log-mass is log_mass, as the winner's (log weight,
+    # y1, y2, branch, case tag); the weights are compared as logs, so a cell
+    # whose mass underflows while its log-mass stays finite is still predicted
     if log_mass == -math.inf:
         raise ValueError(f"cell ({i}, {j}) has zero probability")
-    a = params.alpha
-    lambdas = params.lambda0, params.lambda1, params.lambda2
+    a, l0, l1, l2 = rates
 
     if i != j:
         kind = "below" if i < j else "above"
-        r1, r2 = _branch_rates(*lambdas, kind)
+        r1, r2 = _branch_rates(l0, l1, l2, kind)
         y1 = _clamped_mode(a, r1, i)
         y2 = _clamped_mode(a, r2, j)
-        return _branch_logpdf(params, y1, y2, kind) - log_mass, y1, y2, kind, f"{kind}-diagonal"
+        return _branch_logpdf(rates, y1, y2, kind) - log_mass, y1, y2, kind, f"{kind}-diagonal"
 
     # Diagonal cell: the three-way contest.  The diagonal's numerator is
     # the closed form's tie density, which carries the shared rate itself,
     # so a diagonal without mass never wins.  Its denominator is the mass
     # of the minimum, a DW law with the total rate, at i.
-    w = _clamped_mode(a, params.total, i)
-    log_pmin = _logpmf_float(float(i), a, params.total)
-    best = (_branch_logpdf(params, w, w, "tie") - log_pmin, w, w, "tie", "tie-diagonal")
+    total = l0 + l1 + l2
+    w = _clamped_mode(a, total, i)
+    log_pmin = _logpmf_float(float(i), a, total)
+    best = (_branch_logpdf(rates, w, w, "tie") - log_pmin, w, w, "tie", "tie-diagonal")
     massless = best[0] == -math.inf
     for kind in ("below", "above"):
-        r1, r2 = _branch_rates(*lambdas, kind)
+        r1, r2 = _branch_rates(l0, l1, l2, kind)
         u1, u2 = _clamped_mode(a, r1, i), _clamped_mode(a, r2, i)
         # the mode falls as the rate grows: the coordinate that fails first
         # has the larger rate
         ordered = a > 1 and (r1 > r2 if kind == "below" else r2 > r1)
         on_branch = (u1 <= u2) if kind == "below" else (u1 >= u2)
         if ordered or (massless and on_branch):
-            log_w = _branch_logpdf(params, u1, u2, kind) - log_mass
+            log_w = _branch_logpdf(rates, u1, u2, kind) - log_mass
             if log_w > best[0]:
                 best = (log_w, u1, u2, kind, f"tie-{kind}")
     return best
@@ -507,10 +512,11 @@ def impute_dataset(theta: MOBWParams, data: BivariateDataset) -> list[CompleteOb
     distinct cell and the result is replicated, so permuted datasets impute
     identical multisets.
     """
+    rates = _rates(theta)
     cache: dict[tuple[int, int], CompleteObservation] = {}
     for (cell, _, _), lp in zip(data.cells, _cell_log_masses(theta, data)):
         # the winner's pair and branch
-        cache[cell] = CompleteObservation(*_predict_in_cell(theta, *cell, lp)[1:4])
+        cache[cell] = CompleteObservation(*_predict_in_cell(rates, *cell, lp)[1:4])
     return [cache[cell] for cell in data.pairs]
 
 
@@ -573,13 +579,12 @@ def complete_loglik(params: MOBWParams, sample: Sample) -> float:
     non-finite value (a tie at a zero shared rate, a zero lifetime away
     from shape one, a power past the float range) is refused, because a
     silently infinite objective would derail any optimizer built on top."""
-    st = summarize(sample)
-    a = params.alpha
+    rates = _rates(params)
+    a, st = rates[0], summarize(sample)
     if st.first_zero is not None and a != 1.0:
         zero = f"observation {st.first_zero} holds a zero lifetime"
         raise ValueError(f"{zero}: its log-density is non-finite at shape {a:.6g}")
-    lambdas = params.lambda0, params.lambda1, params.lambda2
-    out = _loglik_in_shape(1.0, 0.0, st, lambdas)(a)
+    out = _loglik_in_shape(1.0, 0.0, st, rates[1:])(a)
     if out == -math.inf:
         raise ValueError(f"the sample has non-finite log-density -inf at {params}")
     return out
@@ -669,8 +674,8 @@ def inner_em_mobw(sample: Sample, start: MOBWParams, trace: list | None = None) 
     prev = None
     for _ in range(_INNER_EM_MAX_ITER):
         # E-step: expected cause counts given the current rates
-        counts = cause_counts(st, (theta.lambda0, theta.lambda1, theta.lambda2))
-        theta = m_step(counts, theta.alpha)
+        rates = _rates(theta)
+        theta = m_step(cause_counts(st, rates[1:]), rates[0])
         cur = complete_loglik(theta, st)
         if trace is not None:
             trace.append(cur)

@@ -22,7 +22,7 @@ from .bivariate import (
     _rates,
     joint_pmf,
 )
-from .weibull import DWParams, _count, _logpmf_float, _power
+from .weibull import DWParams, _count, _in_bases, _logpmf_float, _power
 
 __all__ = [
     "marginals",
@@ -38,6 +38,7 @@ __all__ = [
 
 def marginals(params: BDWParams) -> tuple[DWParams, DWParams]:
     """Marginal laws: ``X1 ~ DW(alpha, p0*p1)`` and ``X2 ~ DW(alpha, p0*p2)``."""
+    _in_bases(params, BDWParams, _rates, "from_mobw")
     return (
         DWParams(params.alpha, params.p0 * params.p1),
         DWParams(params.alpha, params.p0 * params.p2),
@@ -46,6 +47,7 @@ def marginals(params: BDWParams) -> tuple[DWParams, DWParams]:
 
 def min_distribution(params: BDWParams) -> DWParams:
     """Law of ``min(X1, X2)``: a DW with survival base ``p0*p1*p2``."""
+    _in_bases(params, BDWParams, _rates, "from_mobw")
     return DWParams(params.alpha, params.p0 * params.p1 * params.p2)
 
 
@@ -56,13 +58,13 @@ def closure_min(components: list[BDWParams]) -> DWParams:
     """
     if not components:
         raise ValueError("need at least one component")
-    alpha = components[0].alpha
     prod = 1.0
     for c in components:
-        if c.alpha != alpha:
+        _in_bases(c, BDWParams, _rates, "from_mobw")
+        if c.alpha != components[0].alpha:
             raise ValueError("all components must share the same shape")
         prod *= c.p0 * c.p1 * c.p2
-    return DWParams(alpha, prod)
+    return DWParams(components[0].alpha, prod)
 
 
 def _second_mass(rates: tuple, j: int) -> float:

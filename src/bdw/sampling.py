@@ -4,12 +4,12 @@ Every sampler draws through one lifetime kernel on ``math``
 (:func:`_lifetimes`): ``(-log1p(-u) / lambda) ** (1/alpha)`` of one
 ``rng.random(n)`` per exposure.  ``rng`` is a numpy ``Generator``, whose
 caller gets an array (:func:`_as_drawn`, the samplers' one numpy import),
-or :class:`_Stream`, which gives the uniforms of
-``numpy.random.default_rng(seed)`` without numpy, and whose caller gets
-lists.  :func:`we_sample` and :func:`dw_sample` draw the continuous and
-discrete Weibull laws of :mod:`bdw.weibull`; :func:`mobw_sample` draws
-the latent pair of the joint law of :mod:`bdw.bivariate` by the shock
-construction, and :func:`sample` floors it.
+or :class:`_Stream`, which gives the uniforms of ``default_rng(seed)``
+without numpy, and whose caller gets lists.  :func:`we_sample` and
+:func:`dw_sample` draw the DW laws of :mod:`bdw.weibull`, read by ``_rate``;
+:func:`mobw_sample` draws the latent pair of the joint law, read by
+``_rates``, by the shock construction, and :func:`sample` floors it.  Each
+takes its law in either form; :func:`dw_min_of_n` takes bases alone.
 
 Of the commands, only ``simulate`` and ``fit-bayes``, whose generator
 (:mod:`bdw.generator`) extends the stream, load this module: ``moments``
@@ -21,8 +21,8 @@ from __future__ import annotations
 import math
 from operator import index
 
-from .bivariate import MOBWParams, to_mobw
-from .weibull import DWParams, WeibullParams, _count, _power, _rate
+from .bivariate import _rates
+from .weibull import DWParams, _count, _in_bases, _power, _rate
 
 __all__ = ["we_sample", "dw_sample", "dw_min_of_n", "mobw_sample", "sample"]
 
@@ -197,7 +197,7 @@ def _floor_counts(lifetimes: list[float]) -> list[int]:
     return list(map(int, lifetimes))
 
 
-def we_sample(params: WeibullParams, rng, size=None):
+def we_sample(params, rng, size=None):
     """Draw from the continuous Weibull law by inversion (:func:`_lifetimes`).
 
     ``rng`` is a numpy ``Generator``, whose caller gets an array of shape
@@ -205,8 +205,8 @@ def we_sample(params: WeibullParams, rng, size=None):
     caller gets a list; either way ``rng.random`` is read once.  Without a
     size one float is drawn.
     """
-    u = _uniforms(rng, size)
-    return _as_drawn(_lifetimes(params.alpha, params.lam, u), rng, size, "float64")
+    alpha, lam = _rate(params)
+    return _as_drawn(_lifetimes(alpha, lam, _uniforms(rng, size)), rng, size, "float64")
 
 
 def dw_sample(params, rng, size=None):
@@ -219,21 +219,21 @@ def dw_sample(params, rng, size=None):
 
 def dw_min_of_n(params: DWParams, n: int) -> DWParams:
     """Law of the minimum of ``n`` independent copies: same shape, ``p**n``."""
+    _in_bases(params, DWParams, _rate, "DWParams(alpha, exp(-lam))")
     n = _count(n, "n", positive=True)
     return DWParams(params.alpha, params.p**n)
 
 
-def _shock_lifetimes(params: MOBWParams, rng, n: int) -> list[float]:
-    """The latent pairs of ``n`` draws of the shared-shock construction,
-    flat in row-major order ``y1, y2, y1, y2, ...``: one ``rng.random(n)``
-    per exposure, lambda1's, lambda2's, then lambda0's where it is
-    positive, through the one lifetime kernel, and each coordinate the
-    minimum of its own lifetime and the shock's."""
-    a = params.alpha
-    y1 = _lifetimes(a, params.lambda1, _uniforms(rng, n))
-    y2 = _lifetimes(a, params.lambda2, _uniforms(rng, n))
-    if params.lambda0 > 0:
-        y0 = _lifetimes(a, params.lambda0, _uniforms(rng, n))
+def _shock_lifetimes(rates: tuple, rng, n: int) -> list[float]:
+    """``n`` draws of the shared-shock construction's latent pair at ``rates``
+    (:func:`bdw.bivariate._rates`), flat ``y1, y2, y1, ...``: one ``rng.random(n)``
+    per exposure, lambda1's, lambda2's, then lambda0's where positive, through
+    the lifetime kernel, each coordinate the minimum of its own and the shock's."""
+    a, l0, l1, l2 = rates
+    y1 = _lifetimes(a, l1, _uniforms(rng, n))
+    y2 = _lifetimes(a, l2, _uniforms(rng, n))
+    if l0 > 0:
+        y0 = _lifetimes(a, l0, _uniforms(rng, n))
         y1, y2 = list(map(min, y1, y0)), list(map(min, y2, y0))
     flat = y1 + y2
     flat[::2], flat[1::2] = y1, y2
@@ -249,7 +249,7 @@ def _as_pairs(flat: list, rng, size, dtype: str):
     return pairs[0] if size is None else pairs
 
 
-def mobw_sample(params: MOBWParams, rng, size=None):
+def mobw_sample(params, rng, size=None):
     """Draw latent pairs through the shared-shock construction.
 
     With ``size`` given, returns an array of shape (size, 2) for a numpy
@@ -258,12 +258,12 @@ def mobw_sample(params: MOBWParams, rng, size=None):
     survival bases ``exp(-lambda_i)``.
     """
     n = 1 if size is None else _size(size)
-    return _as_pairs(_shock_lifetimes(params, rng, n), rng, size, "float64")
+    return _as_pairs(_shock_lifetimes(_rates(params), rng, n), rng, size, "float64")
 
 
 def sample(params, rng, size=None):
     """Draw pairs by the shock construction: the floors of the latent pair
-    :func:`mobw_sample` draws at the rates :func:`to_mobw`.
+    :func:`mobw_sample` draws at the law's rates, read in either form.
 
     With ``size`` given, returns an int64 array of shape (size, 2) for a
     numpy generator and a list of int tuples for the seeded stream;
@@ -273,5 +273,5 @@ def sample(params, rng, size=None):
     refuse such counts.
     """
     n = 1 if size is None else _size(size)
-    counts = _floor_counts(_shock_lifetimes(to_mobw(params), rng, n))
+    counts = _floor_counts(_shock_lifetimes(_rates(params), rng, n))
     return _as_pairs(counts, rng, size, "int64")

@@ -61,11 +61,6 @@ __all__ = [
     "chisq_dw",
 ]
 
-# Box for the shape in the inner EM's profile (bdw.mobw); wide enough
-# that real count data never touches it.
-ALPHA_LO = 1e-2
-ALPHA_HI = 1e2
-
 
 class DWFit(NamedTuple):
     """Maximum-likelihood fit of a DW law together with its attained

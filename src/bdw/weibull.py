@@ -9,11 +9,11 @@ With ``alpha = 1`` the law reduces to the geometric distribution with
 success probability ``1 - p``.
 
 Every function of the DW law reads its rate through one conversion,
-:func:`_rate`, and takes the law as its survival base (:class:`DWParams`)
-or as the continuous Weibull law whose floor it is
-(:class:`WeibullParams`); :func:`_to_base` gives a rate's survival base
-and refuses one that rounds to 1.  The DW log-mass is written once, on
-``math``, from one power step (:func:`_power_step`, the only place where
+:func:`_rate`, from the survival base (:class:`DWParams`) or the Weibull
+law whose floor it is (:class:`WeibullParams`), and refuses anything else
+by name; :func:`_in_bases` refuses rates where only bases serve, and
+:func:`_to_base` a base that rounds to 1.  The DW log-mass is written once,
+on ``math``, from one power step (:func:`_power_step`, the only place where
 ``(y+1)**alpha - y**alpha`` is formed) and ``log1mexp`` (:func:`_log_dw`).
 This module is the package's lowest layer: it holds the records' base
 class, :class:`_Record`, the one count rule, :func:`_as_counts`, and the
@@ -176,11 +176,24 @@ class DWParams(_Record):
 
 
 def _rate(params) -> tuple[float, float]:
-    """``(alpha, lambda)`` of a DW law given as its survival base
-    (:class:`DWParams`, ``lambda = -ln(p)``) or as its latent Weibull law."""
+    """``(alpha, lambda)`` of a DW law given as its survival base (:class:`DWParams`,
+    ``lambda = -ln(p)``) or as its latent Weibull law; anything else is refused by name."""
     if isinstance(params, DWParams):
         return params.alpha, -math.log(params.p)
-    return params.alpha, params.lam
+    if isinstance(params, WeibullParams):
+        return params.alpha, params.lam
+    raise ValueError(f"a DW law must be DWParams or WeibullParams, got {type(params).__name__}")
+
+
+def _in_bases(params, record: type, read, convert: str) -> None:
+    """Refuses ``params`` unless it is a law in survival bases, a ``record``: a
+    non-law by its reader ``read``, and a law in rates by name, with the call to convert it."""
+    if not isinstance(params, record):
+        read(params)
+        raise ValueError(
+            f"the result is defined on survival bases and takes {record.__name__}, "
+            f"got {type(params).__name__}: convert a law in rates with {convert}"
+        )
 
 
 def _to_base(name: str, rate: float) -> float:

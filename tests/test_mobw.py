@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from bdw.bivariate import BDWParams, from_mobw, joint_logpmf, joint_pmf
+from bdw.bivariate import BDWParams, _rates, from_mobw, joint_logpmf, joint_pmf
 from bdw.fit_bayes import AlphaPrior, DGPrior, sample_alpha_conditional, sample_lambdas_conditional
 from bdw.fit_ml import BivariateDataset, impute_dataset, init_estimates
 from bdw.generator import _Generator
@@ -241,7 +241,7 @@ class TestPrediction:
             assert 0.0 < pred.density_value < math.inf
             tie = complete_loglik(params, [CompleteObservation(6.0, 6.0, "tie")])
             want = tie - dw_logpmf(WeibullParams(1.0, params.total), 6)
-            got = _predict_in_cell(params, 6, 6, joint_logpmf(params, 6, 6))[0]
+            got = _predict_in_cell(_rates(params), 6, 6, joint_logpmf(params, 6, 6))[0]
             assert got == pytest.approx(want, rel=1e-12)
         # the density reads the same term, 5e-324 * exp(-5.82), which underflows
         params = MOBWParams(1.0, 5e-324, 5.8, 0.02)
@@ -296,8 +296,8 @@ class TestOneTieDensity:
         ):
             params = MOBWParams(alpha, lambda0, l1, l2)
             want = complete_loglik(params, [CompleteObservation(y, y, "tie")])
-            assert _branch_logpdf(params, y, y, "tie") == pytest.approx(want, rel=1e-12)
-        assert _branch_logpdf(MOBWParams(1.7, 0.0, 0.7, 1.3), 2.0, 2.0, "tie") == -math.inf
+            assert _branch_logpdf(_rates(params), y, y, "tie") == pytest.approx(want, rel=1e-12)
+        assert _branch_logpdf(_rates(MOBWParams(1.7, 0.0, 0.7, 1.3)), 2.0, 2.0, "tie") == -math.inf
 
     @pytest.mark.parametrize("dataset", ["football", "nasal", "wide_panel"])
     def test_imputation_is_ml_predict_per_row(self, request, dataset):
@@ -446,7 +446,7 @@ class TestRuntimeWarningContract:
 
 def _rowwise_loglik(params, sample):
     # the complete-data log-likelihood row by row: each pair's branch density
-    return sum(_branch_logpdf(params, o.y1, o.y2, o.kind) for o in sample)
+    return sum(_branch_logpdf(_rates(params), o.y1, o.y2, o.kind) for o in sample)
 
 
 # a zero lifetime in each coordinate and in a tie, beside positive ones
@@ -504,7 +504,7 @@ class TestClosedForm:
         # every weighted power, and the sum, stays finite: it is no refusal
         law = MOBWParams(305.0, 0.0, 1e3, 1e-300)
         sample = self._top_in_y2(10.0)
-        want = math.fsum(_branch_logpdf(law, o.y1, o.y2, o.kind) for o in sample)
+        want = math.fsum(_branch_logpdf(_rates(law), o.y1, o.y2, o.kind) for o in sample)
         assert math.isfinite(want)
         assert complete_loglik(law, sample) == pytest.approx(want, rel=1e-12)
         checked = 0
@@ -514,7 +514,7 @@ class TestClosedForm:
             for alpha in range(250, 321, 5):
                 for lams in ((0.0, 1e3, 1e-300), (1e-300, 1e3, 1e-300), (0.0, 1.0, 1e-200)):
                     law = MOBWParams(float(alpha), *lams)
-                    want = math.fsum(_branch_logpdf(law, o.y1, o.y2, o.kind) for o in sample)
+                    want = math.fsum(_branch_logpdf(_rates(law), o.y1, o.y2, o.kind) for o in sample)
                     if not math.isfinite(want):
                         with pytest.raises(ValueError, match="non-finite log-density"):
                             complete_loglik(law, sample)

@@ -6,12 +6,12 @@ import numpy as np
 import pytest
 from scipy import integrate, stats
 
-from bdw import bivariate, generator, gof, mobw, properties, sampling, univariate, weibull
-from bdw.mobw import we_cdf, we_mode, we_pdf
+from bdw import (
+    bivariate, fit_bayes, fit_ml, generator, gof, mobw, properties, sampling, univariate, weibull,
+)
+from bdw.mobw import ALPHA_HI, ALPHA_LO, we_cdf, we_mode, we_pdf
 from bdw.sampling import dw_min_of_n, dw_sample, we_sample
 from bdw.univariate import (
-    ALPHA_HI,
-    ALPHA_LO,
     DWParams,
     SingularDensityError,
     WeibullParams,
@@ -853,3 +853,92 @@ class TestArgumentContract:
         # NaN.  The value is mpmath's at 50 digits
         got = we_pdf(WeibullParams(0.001, 5e-324), 5e-324)
         assert got == pytest.approx(4.7500019143744300542e-4, rel=1e-12)
+
+
+# every public function that takes a law, as a call on the law and the
+# football data, with the law's form: "joint" and "dw" take either form,
+# the "-bases" entries, which multiply or raise survival bases, only bases
+_STREAM = sampling._Stream
+_COMPLETE = [mobw.CompleteObservation(0.5, 1.5, "below"), mobw.CompleteObservation(2.0, 1.0, "above"),
+             mobw.CompleteObservation(1.2, 1.2, "tie")]
+
+
+def _posterior(law, data):
+    # a short seeded chain from the start law: its summaries and draws
+    post = fit_bayes.augmented_gibbs(data, start=law, M=100, N=1, rng=generator._Generator(3))
+    return post.means, post.credible, post.hpd, post.draws.tolist()
+
+
+LAW_ENTRIES = {
+    "joint_sf": ("joint", lambda law, d: bivariate.joint_sf(law, 2, 3)),
+    "joint_pmf": ("joint", lambda law, d: bivariate.joint_pmf(law, 2, 2)),
+    "joint_logpmf": ("joint", lambda law, d: bivariate.joint_logpmf(law, 1, 3)),
+    "joint_cdf": ("joint", lambda law, d: bivariate.joint_cdf(law, 3, 2)),
+    "joint_pmf_grid": ("joint", lambda law, d: bivariate.joint_pmf_grid(law, 3, 4).tolist()),
+    "moments": ("joint", lambda law, d: bivariate.moments(law)),
+    "to_mobw": ("joint", lambda law, d: bivariate.to_mobw(law)),
+    "from_mobw": ("joint", lambda law, d: bivariate.from_mobw(law)),
+    "cond_pmf": ("joint", lambda law, d: properties.cond_pmf(law, 1, 2)),
+    "cond_sf_given_ge": ("joint", lambda law, d: properties.cond_sf_given_ge(law, 2, 1)),
+    "cond_sf_given_eq": ("joint", lambda law, d: properties.cond_sf_given_eq(law, 3, 1)),
+    "is_tp2_on_grid": ("joint", lambda law, d: properties.is_tp2_on_grid(law, 4)),
+    "pqd_check_on_grid": ("joint", lambda law, d: properties.pqd_check_on_grid(law, 4)),
+    "mobw_sf": ("joint", lambda law, d: mobw.mobw_sf(law, 0.5, 1.5)),
+    "mobw_pdf": ("joint", lambda law, d: (mobw.mobw_pdf(law, 0.5, 1.5), mobw.mobw_pdf(law, 1.2, 1.2))),
+    "cell_probability": ("joint", lambda law, d: mobw.cell_probability(law, 2, 2)),
+    "ml_predict": ("joint", lambda law, d: (mobw.ml_predict(law, 2, 2), mobw.ml_predict(law, 1, 3))),
+    "impute_dataset": ("joint", lambda law, d: mobw.impute_dataset(law, d)),
+    "complete_loglik": ("joint", lambda law, d: mobw.complete_loglik(law, _COMPLETE)),
+    "inner_em_mobw": ("joint", lambda law, d: mobw.inner_em_mobw(mobw.impute_dataset(law, d), law)),
+    "mobw_sample": ("joint", lambda law, d: sampling.mobw_sample(law, _STREAM(7), 5)),
+    "sample": ("joint", lambda law, d: sampling.sample(law, _STREAM(7), 5)),
+    "bdw_loglik": ("joint", lambda law, d: fit_ml.bdw_loglik(law, d)),
+    "nested_em": ("joint", lambda law, d: fit_ml.nested_em(d, start=law)),
+    "observed_info_ci": ("joint", lambda law, d: fit_ml.observed_info_ci(law, d)),
+    "augmented_gibbs": ("joint", _posterior),
+    "chisq_bdw": ("joint", lambda law, d: gof.chisq_bdw(d, law)),
+    "dw_pmf": ("dw", lambda law, d: dw_pmf(law, 3)),
+    "dw_logpmf": ("dw", lambda law, d: dw_logpmf(law, 3)),
+    "dw_sf": ("dw", lambda law, d: dw_sf(law, 2.5)),
+    "we_pdf": ("dw", lambda law, d: we_pdf(law, 1.3)),
+    "we_cdf": ("dw", lambda law, d: we_cdf(law, 1.3)),
+    "we_sample": ("dw", lambda law, d: we_sample(law, _STREAM(7), 5)),
+    "dw_sample": ("dw", lambda law, d: dw_sample(law, _STREAM(7), 5)),
+    "chisq_dw": ("dw", lambda law, d: gof.chisq_dw(d.column_ints("x1"), law)),
+    "initial_params_from_marginals": (
+        "dw", lambda law, d: fit_ml.initial_params_from_marginals(law, DWParams(1.4, 0.8),
+                                                                  DWParams(1.6, 0.6))),
+    "marginals": ("joint-bases", lambda law, d: properties.marginals(law)),
+    "min_distribution": ("joint-bases", lambda law, d: properties.min_distribution(law)),
+    "closure_min": ("joint-bases", lambda law, d: properties.closure_min([law, law])),
+    "dw_min_of_n": ("dw-bases", lambda law, d: dw_min_of_n(law, 3)),
+}
+
+
+class TestLawFormContract:
+    @pytest.mark.parametrize("entry", sorted(LAW_ENTRIES))
+    def test_law_in_either_form_or_refused_by_name(self, entry, football):
+        form, call = LAW_ENTRIES[entry]
+        joint = form.startswith("joint")
+        if joint:
+            # the football start in survival bases, and the same law in rates
+            bases = bivariate.from_mobw(fit_ml.init_estimates(football))
+            rates = bivariate.to_mobw(bases)
+            refusal = "^a joint law must be BDWParams or MOBWParams, got tuple$"
+        else:
+            bases = DWParams(1.5, 0.7)
+            rates = WeibullParams(*weibull._rate(bases))
+            refusal = "^a DW law must be DWParams or WeibullParams, got tuple$"
+        if form.endswith("bases"):
+            assert call(bases, football) is not None
+            convert = "from_mobw" if joint else re.escape("DWParams(alpha, exp(-lam))")
+            message = (rf"^the result is defined on survival bases and takes "
+                       rf"{type(bases).__name__}, got {type(rates).__name__}: "
+                       rf"convert a law in rates with {convert}$")
+            with pytest.raises(ValueError, match=message):
+                call(rates, football)
+        else:
+            # bit for bit: repr writes each float's shortest round trip
+            assert repr(call(bases, football)) == repr(call(rates, football))
+        with pytest.raises(ValueError, match=refusal):
+            call((1.5, 0.1, 0.2, 0.3) if joint else (1.5, 0.3), football)
