@@ -471,7 +471,7 @@ def to_mobw(params) -> MOBWParams:
 def from_mobw(params) -> BDWParams:
     """Survival bases from latent rates: ``p_i = exp(-lambda_i)``; a
     positive rate whose base rounds to 1 (at ``lambda0`` it would read as
-    independence) is refused by name, and the law's functions take its
-    rates instead."""
+    independence) or to 0 is refused by name, and the law's functions take
+    its rates instead."""
     alpha, *rates = _rates(params)
     return BDWParams(alpha, *map(_to_base, MOBWParams._fields[1:], rates))

@@ -26,7 +26,7 @@ if TYPE_CHECKING:
 __all__: list[str] = []
 
 
-def _rates(params: MOBWParams) -> dict:
+def _fields(params: MOBWParams) -> dict:
     return {name: getattr(params, name) for name in params._fields}
 
 
@@ -71,7 +71,7 @@ def _cmd_fit_ml(args: argparse.Namespace, data: BivariateDataset) -> tuple[dict,
         shape_test = {name: getattr(test, name) for name in keys}
     except ValueError as exc:
         shape_test = {"error": str(exc)}
-    estimates = _rates(th)
+    estimates = _fields(th)
     # the survival bases, at most 1: a rate below ~1.1e-16 writes 1.0
     estimates.update(p0=math.exp(-th.lambda0), p1=math.exp(-th.lambda1), p2=math.exp(-th.lambda2))
     results = {
@@ -120,7 +120,7 @@ def _cmd_gof(args: argparse.Namespace, data: BivariateDataset) -> tuple[dict, di
 
         fit = nested_em(data)
         rep = chisq_bdw(data, fit.params)
-        fitted = _rates(fit.params)
+        fitted = _fields(fit.params)
         config = {"column": "joint", "estimator": "ml", "absorb_tail": True}
     else:
         from .univariate import chisq_dw, dw_fit_minchisq, dw_fit_ml

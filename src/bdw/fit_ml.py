@@ -33,8 +33,16 @@ from typing import Sequence
 from . import bivariate
 from .bivariate import MOBWParams, _cell_log_masses, _rates, from_mobw
 from .datasets import BivariateDataset
-from .univariate import _dw_jets, _eigh, _in_logs, _newton_min, _step_jet, dw_fit_minchisq
-from .weibull import _left_sum, _number, _rate, _Record
+from .univariate import (
+    _dw_jets,
+    _eigh,
+    _in_logs,
+    _newton_min,
+    _StepCapError,
+    _step_jet,
+    dw_fit_minchisq,
+)
+from .weibull import _geometric, _left_sum, _number, _rate, _Record
 
 __all__ = [
     "BivariateDataset",
@@ -221,14 +229,19 @@ def init_estimates(data: BivariateDataset) -> MOBWParams:
     Each of the three univariate views is fitted by minimum chi-square on
     its observed support — the criterion whose per-column fits the full
     pipeline is benchmarked against — and the three fits are inverted
-    through :func:`initial_params_from_marginals`.  A column that cannot
-    be fitted, such as a constant one, is named in the error.
+    through :func:`initial_params_from_marginals`.  A column that no DW law
+    fits best, as on two adjacent values, starts from the DW fits' own
+    start, the geometric law of its mean (the joint likelihood can still
+    have its maximum); any other column that cannot be fitted, such as a
+    constant one, is named in the error.
     """
     fits = []
     for name in ("x1", "x2", "min"):
         col = data.column_ints(name)
         try:
             fits.append(dw_fit_minchisq(col).law)
+        except _StepCapError:
+            fits.append(_geometric(math.fsum(col) / len(col)))
         except ValueError as exc:
             what = f"column {name}"
             if min(col) == max(col):

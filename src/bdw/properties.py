@@ -1,28 +1,22 @@
 """The paper's results on the joint law: marginals, minima, conditionals
 and dependence.
 
-The marginals and the law of the minimum are DW laws in survival bases
-(:func:`marginals`, :func:`min_distribution`, :func:`closure_min`); the
+The marginals and the law of the minimum (:func:`marginals`,
+:func:`min_distribution`, :func:`closure_min`) add the joint law's rates
+(:func:`bdw.bivariate._rates`) and return DW laws in bases; the
 conditionals (:func:`cond_pmf`, :func:`cond_sf_given_ge`,
-:func:`cond_sf_given_eq`) read the joint law's rates and survival of
-:mod:`bdw.bivariate`; the dependence checks (:func:`is_tp2_on_grid`,
-:func:`pqd_check_on_grid`) evaluate the paper's closed forms over a
-grid.  No command runs these, so no command loads this module.
+:func:`cond_sf_given_eq`) read its survival; the dependence checks
+(:func:`is_tp2_on_grid`, :func:`pqd_check_on_grid`) evaluate the paper's
+closed forms over a grid.  No command runs these, so no command loads
+this module.
 """
 
 from __future__ import annotations
 
 import math
 
-from .bivariate import (
-    BDWParams,
-    GridCheckReport,
-    _check_cell,
-    _log_sf,
-    _rates,
-    joint_pmf,
-)
-from .weibull import DWParams, _count, _in_bases, _logpmf_float, _power
+from .bivariate import GridCheckReport, _check_cell, _log_sf, _rates, joint_pmf
+from .weibull import DWParams, _count, _left_sum, _logpmf_float, _power, _to_base
 
 __all__ = [
     "marginals",
@@ -36,35 +30,35 @@ __all__ = [
 ]
 
 
-def marginals(params: BDWParams) -> tuple[DWParams, DWParams]:
-    """Marginal laws: ``X1 ~ DW(alpha, p0*p1)`` and ``X2 ~ DW(alpha, p0*p2)``."""
-    _in_bases(params, BDWParams, _rates, "from_mobw")
+def marginals(params) -> tuple[DWParams, DWParams]:
+    """Marginal laws: ``X1`` and ``X2`` are DW with rates ``lambda0 + lambda1``
+    and ``lambda0 + lambda2``, the survival bases ``p0*p1`` and ``p0*p2``."""
+    a, lam0, lam1, lam2 = _rates(params)
     return (
-        DWParams(params.alpha, params.p0 * params.p1),
-        DWParams(params.alpha, params.p0 * params.p2),
+        DWParams(a, _to_base("lambda0 + lambda1", lam0 + lam1)),
+        DWParams(a, _to_base("lambda0 + lambda2", lam0 + lam2)),
     )
 
 
-def min_distribution(params: BDWParams) -> DWParams:
-    """Law of ``min(X1, X2)``: a DW with survival base ``p0*p1*p2``."""
-    _in_bases(params, BDWParams, _rates, "from_mobw")
-    return DWParams(params.alpha, params.p0 * params.p1 * params.p2)
+def min_distribution(params) -> DWParams:
+    """Law of ``min(X1, X2)``: a DW with rate ``lambda0 + lambda1 + lambda2``,
+    the survival base ``p0*p1*p2``."""
+    a, lam0, lam1, lam2 = _rates(params)
+    return DWParams(a, _to_base("lambda0 + lambda1 + lambda2", lam0 + lam1 + lam2))
 
 
-def closure_min(components: list[BDWParams]) -> DWParams:
-    """Law of the overall minimum across several independent BDW pairs.
+def closure_min(components: list) -> DWParams:
+    """Law of the overall minimum across several independent pairs.
 
-    All entries must share the same shape; the survival bases multiply.
+    All entries must share the same shape; their total rates add.
     """
     if not components:
         raise ValueError("need at least one component")
-    prod = 1.0
-    for c in components:
-        _in_bases(c, BDWParams, _rates, "from_mobw")
-        if c.alpha != components[0].alpha:
-            raise ValueError("all components must share the same shape")
-        prod *= c.p0 * c.p1 * c.p2
-    return DWParams(components[0].alpha, prod)
+    rates = [_rates(c) for c in components]
+    if any(r[0] != rates[0][0] for r in rates):
+        raise ValueError("all components must share the same shape")
+    total = _left_sum(lam0 + lam1 + lam2 for _, lam0, lam1, lam2 in rates)
+    return DWParams(rates[0][0], _to_base("sum(lambda0 + lambda1 + lambda2)", total))
 
 
 def _second_mass(rates: tuple, j: int) -> float:

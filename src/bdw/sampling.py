@@ -9,7 +9,8 @@ without numpy, and whose caller gets lists.  :func:`we_sample` and
 :func:`dw_sample` draw the DW laws of :mod:`bdw.weibull`, read by ``_rate``;
 :func:`mobw_sample` draws the latent pair of the joint law, read by
 ``_rates``, by the shock construction, and :func:`sample` floors it.  Each
-takes its law in either form; :func:`dw_min_of_n` takes bases alone.
+takes its law in either form, as does :func:`dw_min_of_n`, the DW law of
+the minimum of ``n`` copies, which returns in its base.
 
 Of the commands, only ``simulate`` and ``fit-bayes``, whose generator
 (:mod:`bdw.generator`) extends the stream, load this module: ``moments``
@@ -22,7 +23,7 @@ import math
 from operator import index
 
 from .bivariate import _rates
-from .weibull import DWParams, _count, _in_bases, _power, _rate
+from .weibull import DWParams, _count, _power, _rate, _to_base
 
 __all__ = ["we_sample", "dw_sample", "dw_min_of_n", "mobw_sample", "sample"]
 
@@ -217,11 +218,12 @@ def dw_sample(params, rng, size=None):
     return _as_drawn(counts, rng, size, "int64")
 
 
-def dw_min_of_n(params: DWParams, n: int) -> DWParams:
-    """Law of the minimum of ``n`` independent copies: same shape, ``p**n``."""
-    _in_bases(params, DWParams, _rate, "DWParams(alpha, exp(-lam))")
+def dw_min_of_n(params, n: int) -> DWParams:
+    """Law of the minimum of ``n`` independent copies: same shape, rate
+    ``n * lambda``, the survival base ``p**n``."""
+    alpha, lam = _rate(params)
     n = _count(n, "n", positive=True)
-    return DWParams(params.alpha, params.p**n)
+    return DWParams(alpha, _to_base("n * lambda", n * lam))
 
 
 def _shock_lifetimes(rates: tuple, rng, n: int) -> list[float]:

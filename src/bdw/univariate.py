@@ -34,6 +34,7 @@ from .weibull import (
     WeibullParams,
     _as_counts,
     _count,
+    _geometric,
     _left_sum,
     _log_dw,
     _power_step,
@@ -175,7 +176,8 @@ _EPS = sys.float_info.epsilon
 
 class _StepCapError(ValueError):
     """:func:`_newton_min` found no minimum: it took ``_MAX_ITER`` steps
-    without converging, or its Newton step was too long to represent."""
+    without converging, or its Newton step was too long to represent.  The
+    DW fits raise it as the sample's refusal, which a joint fit's start reads."""
 
 
 def _eigh(a) -> tuple[list[float], list[list[float]]]:
@@ -577,12 +579,12 @@ def _distinct_values(data) -> tuple[list[float], list[float], int]:
 
 def _solve_fit(fun, values, counts, n) -> tuple[WeibullParams, float]:
     """Minimize a DW fit's objective ``fun`` of ``z = (log alpha, log(-log p))``
-    from the geometric law of the sample's mean (shape 1, rate
-    ``log1p(1/mean)``); return the law at the minimum, in its rate, and the
-    minimum value."""
+    from the geometric law of the sample's mean (:func:`~bdw.weibull._geometric`);
+    return the law at the minimum, in its rate, and the minimum value.  No
+    minimum is refused as :class:`_StepCapError`."""
     mean = math.fsum(c * y for y, c in zip(values, counts)) / n
     try:
-        z, value = _newton_min(fun, [0.0, math.log(math.log1p(1.0 / mean))])
+        z, value = _newton_min(fun, [0.0, math.log(_geometric(mean).lam)])
     except _StepCapError as exc:
-        raise ValueError(f"no DW law fits this sample best: {exc}") from None
+        raise _StepCapError(f"no DW law fits this sample best: {exc}") from None
     return WeibullParams(math.exp(z[0]), math.exp(z[1])), value

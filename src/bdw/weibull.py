@@ -11,12 +11,13 @@ success probability ``1 - p``.
 Every function of the DW law reads its rate through one conversion,
 :func:`_rate`, from the survival base (:class:`DWParams`) or the Weibull
 law whose floor it is (:class:`WeibullParams`), and refuses anything else
-by name; :func:`_in_bases` refuses rates where only bases serve, and
-:func:`_to_base` a base that rounds to 1.  The DW log-mass is written once,
+by name; :func:`_to_base`, the one way back from a rate to its base,
+refuses a base that rounds to 1 or to 0.  The DW log-mass is written once,
 on ``math``, from one power step (:func:`_power_step`, the only place where
 ``(y+1)**alpha - y**alpha`` is formed) and ``log1mexp`` (:func:`_log_dw`).
 This module is the package's lowest layer: it holds the records' base
-class, :class:`_Record`, the one count rule, :func:`_as_counts`, and the
+class, :class:`_Record`, the one count rule, :func:`_as_counts`, the
+geometric law of a mean, :func:`_geometric`, where the fits start, and the
 one reader of a fraction argument, :func:`_number`, and imports no other
 module of the package, nor numpy.  The samplers and the seeded stream live
 in :mod:`bdw.sampling`, the continuous Weibull density in :mod:`bdw.mobw`
@@ -185,28 +186,26 @@ def _rate(params) -> tuple[float, float]:
     raise ValueError(f"a DW law must be DWParams or WeibullParams, got {type(params).__name__}")
 
 
-def _in_bases(params, record: type, read, convert: str) -> None:
-    """Refuses ``params`` unless it is a law in survival bases, a ``record``: a
-    non-law by its reader ``read``, and a law in rates by name, with the call to convert it."""
-    if not isinstance(params, record):
-        read(params)
-        raise ValueError(
-            f"the result is defined on survival bases and takes {record.__name__}, "
-            f"got {type(params).__name__}: convert a law in rates with {convert}"
-        )
-
-
 def _to_base(name: str, rate: float) -> float:
-    """The survival base ``exp(-rate)`` of the rate called ``name``; a
-    positive rate below ~1.1e-16 rounds it to 1, and is refused by name."""
+    """The survival base ``exp(-rate)`` of the rate called ``name``, the one
+    conversion from rates to bases: a positive rate below ~1.1e-16 rounds
+    it to 1 and one past ~745 to 0, and either is refused by name."""
     base = math.exp(-rate)
-    if base == 1.0 and rate > 0.0:
+    if base == 0.0 or (base == 1.0 and rate > 0.0):
+        arg = f"({name})" if " " in name else name
         raise ValueError(
             f"the rate {name} = {rate:.3g} rounds its survival base "
-            f"exp(-{name}) to 1: survival bases cannot hold this law, "
+            f"exp(-{arg}) to {base:g}: survival bases cannot hold this law, "
             f"its rates can"
         )
     return base
+
+
+def _geometric(mean: float) -> WeibullParams:
+    """The geometric law, the DW law of shape 1, of mean ``mean``: rate
+    ``log1p(1/mean)``.  The DW fits start there, and so does a joint fit's
+    column that no DW law fits best."""
+    return WeibullParams(1.0, math.log1p(1.0 / mean))
 
 
 def _as_counts(values, least: int = 0) -> list[int] | None:

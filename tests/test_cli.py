@@ -662,6 +662,27 @@ class TestRoundTrip:
             assert abs(est[name] - want) < 3 * se, name
 
 
+# 30 draws of a law whose x2 column lies on the adjacent values 1 and 2:
+# no DW law fits that column best, while the joint likelihood has its maximum
+ADJACENT_COLUMN_CSV = (
+    "0,2\n" + "1,1\n" * 10 + "1,2\n" + "2,1\n" * 10 + "2,2\n" * 2 + "3,1\n" * 2 + "3,2\n" * 4
+)
+
+
+class TestStartFit:
+    @pytest.mark.filterwarnings("ignore:inconsistent marginal fits")
+    def test_a_column_with_no_best_fit_is_fitted_jointly(self, tmp_path):
+        # the column's start is the geometric law of its mean
+        path = tmp_path / "d.csv"
+        path.write_text(ADJACENT_COLUMN_CSV)
+        fit = run_cli(tmp_path, ["fit-ml", "--input", str(path)])
+        assert fit["results"]["loglik"] == pytest.approx(-55.39214326923662, abs=1e-10)
+        assert set(fit["results"]["ci95_halfwidth"]) == set(MOBWParams._fields)
+        args = ["fit-bayes", "--input", str(path), "-M", "200", "-N", "2", "--seed", "1"]
+        post = run_cli(tmp_path, args, name="bayes.json")
+        assert (post["results"]["M"], post["results"]["N"]) == (200, 2)
+
+
 # draws too large to allocate: 10**12 simulated pairs (7.28 TiB of
 # lifetimes) and 10**12 Gibbs draws of four parameters (29.1 TiB)
 OVERSIZE = {

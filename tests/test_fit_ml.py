@@ -732,11 +732,23 @@ class TestNestedEM:
         with pytest.raises(ValueError, match=r"^the rate lambda0 = \S+ rounds its survival base"):
             fit.bdw
 
-    def test_unfittable_column_is_named(self):
-        # the x1 column is [1, 1, 2, 2, 2], which no DW law fits best
+    @pytest.mark.filterwarnings("ignore:inconsistent marginal fits", "ignore:shared-shock rate")
+    def test_column_with_no_best_fit_starts_from_its_mean(self):
+        # the x1 column is [1, 1, 2, 2, 2], which no DW law fits best: its
+        # start is the geometric law of its mean, 1.6, the DW fits' own
+        # start, and the joint likelihood has its maximum, with lambda0 on
+        # its boundary, reached from another start too
         data = BivariateDataset(((1, 0), (1, 3), (2, 1), (2, 4), (2, 2)))
-        with pytest.raises(ValueError, match="^column x1: no DW law fits this sample best"):
-            nested_em(data)
+        with pytest.raises(ValueError, match="^no DW law fits this sample best"):
+            dw_fit_minchisq(data.column_ints("x1"))
+        fits = [dw_fit_minchisq(data.column_ints(name)).law for name in ("x2", "min")]
+        geometric = univariate.WeibullParams(1.0, math.log1p(1.0 / 1.6))
+        assert init_estimates(data) == initial_params_from_marginals(geometric, *fits)
+        for start in (None, MOBWParams(2.0, 0.1, 0.1, 0.1)):
+            fit = nested_em(data, start=start)
+            assert fit.params.alpha == pytest.approx(2.75030, abs=5e-6)
+            assert fit.params.lambda0 == 0.0
+            assert fit.loglik == pytest.approx(-13.9702266004, abs=1e-9)
 
     @pytest.mark.filterwarnings("ignore:inconsistent marginal fits")
     def test_shared_rate_at_boundary(self):

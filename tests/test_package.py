@@ -4,6 +4,7 @@ import ast
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -269,3 +270,34 @@ def test_conversions_between_bases_and_rates_live_with_the_law():
 
     assert bdw.from_mobw is bivariate.from_mobw and bdw.to_mobw is bivariate.to_mobw
     assert not hasattr(properties, "from_mobw")
+
+
+def _shown(value, digits: str) -> bool:
+    # value printed to as many decimals as the shown digits carry
+    return f"{value:.{len(digits.partition('.')[2])}f}" == digits
+
+
+def test_readme_quick_start_shows_what_the_code_gives():
+    # the first two python blocks of README.md, run line by line: a number
+    # that a comment shows is the line's value (or its field ``name=``),
+    # to its printed digits
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    blocks = re.findall(r"```python\n(.*?)```", readme.read_text(), re.S)[:2]
+    namespace, checked = {}, []
+    for line in "".join(blocks).splitlines():
+        code, _, comment = line.partition("#")
+        statement = ast.parse(code.strip()).body
+        if statement and isinstance(statement[0], ast.Expr):
+            value = eval(code.strip(), namespace)
+        else:
+            exec(code.strip(), namespace)
+            if statement and isinstance(statement[0], ast.Assign):
+                value = namespace[statement[0].targets[0].id]
+        for name, digits in re.findall(r"(\w+)=(-?\d+\.\d+)", comment):
+            assert _shown(getattr(value, name), digits), line
+            checked.append(digits)
+        bare = re.fullmatch(r"\s*(-?\d+\.\d+)\s*", comment)
+        if bare:
+            assert _shown(value, bare[1]), line
+            checked.append(bare[1])
+    assert checked == ["0.066827", "0.1601", "2.1528", "0.0717", "-65.2196"]

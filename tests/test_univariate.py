@@ -856,8 +856,7 @@ class TestArgumentContract:
 
 
 # every public function that takes a law, as a call on the law and the
-# football data, with the law's form: "joint" and "dw" take either form,
-# the "-bases" entries, which multiply or raise survival bases, only bases
+# football data, with the law's kind, "joint" or "dw": each takes either form
 _STREAM = sampling._Stream
 _COMPLETE = [mobw.CompleteObservation(0.5, 1.5, "below"), mobw.CompleteObservation(2.0, 1.0, "above"),
              mobw.CompleteObservation(1.2, 1.2, "tie")]
@@ -908,10 +907,10 @@ LAW_ENTRIES = {
     "initial_params_from_marginals": (
         "dw", lambda law, d: fit_ml.initial_params_from_marginals(law, DWParams(1.4, 0.8),
                                                                   DWParams(1.6, 0.6))),
-    "marginals": ("joint-bases", lambda law, d: properties.marginals(law)),
-    "min_distribution": ("joint-bases", lambda law, d: properties.min_distribution(law)),
-    "closure_min": ("joint-bases", lambda law, d: properties.closure_min([law, law])),
-    "dw_min_of_n": ("dw-bases", lambda law, d: dw_min_of_n(law, 3)),
+    "marginals": ("joint", lambda law, d: properties.marginals(law)),
+    "min_distribution": ("joint", lambda law, d: properties.min_distribution(law)),
+    "closure_min": ("joint", lambda law, d: properties.closure_min([law, law])),
+    "dw_min_of_n": ("dw", lambda law, d: dw_min_of_n(law, 3)),
 }
 
 
@@ -919,7 +918,7 @@ class TestLawFormContract:
     @pytest.mark.parametrize("entry", sorted(LAW_ENTRIES))
     def test_law_in_either_form_or_refused_by_name(self, entry, football):
         form, call = LAW_ENTRIES[entry]
-        joint = form.startswith("joint")
+        joint = form == "joint"
         if joint:
             # the football start in survival bases, and the same law in rates
             bases = bivariate.from_mobw(fit_ml.init_estimates(football))
@@ -929,16 +928,33 @@ class TestLawFormContract:
             bases = DWParams(1.5, 0.7)
             rates = WeibullParams(*weibull._rate(bases))
             refusal = "^a DW law must be DWParams or WeibullParams, got tuple$"
-        if form.endswith("bases"):
-            assert call(bases, football) is not None
-            convert = "from_mobw" if joint else re.escape("DWParams(alpha, exp(-lam))")
-            message = (rf"^the result is defined on survival bases and takes "
-                       rf"{type(bases).__name__}, got {type(rates).__name__}: "
-                       rf"convert a law in rates with {convert}$")
-            with pytest.raises(ValueError, match=message):
-                call(rates, football)
-        else:
-            # bit for bit: repr writes each float's shortest round trip
-            assert repr(call(bases, football)) == repr(call(rates, football))
+        # bit for bit: repr writes each float's shortest round trip
+        assert repr(call(bases, football)) == repr(call(rates, football))
         with pytest.raises(ValueError, match=refusal):
             call((1.5, 0.1, 0.2, 0.3) if joint else (1.5, 0.3), football)
+
+    @pytest.mark.parametrize("call, name, rate, edge", [
+        # the marginal and minimum bases of a valid law underflow to 0
+        (lambda: properties.marginals(bivariate.BDWParams(1.0, 1e-200, 1e-200, 0.5)),
+         "lambda0 + lambda1", "921", 0),
+        (lambda: properties.min_distribution(bivariate.BDWParams(1.0, 1e-200, 1e-200, 0.5)),
+         "lambda0 + lambda1 + lambda2", "922", 0),
+        (lambda: properties.closure_min([bivariate.BDWParams(1.0, 1e-200, 0.5, 0.5)] * 2),
+         "sum(lambda0 + lambda1 + lambda2)", "924", 0),
+        (lambda: dw_min_of_n(DWParams(1.0, 1e-200), 2), "n * lambda", "921", 0),
+        # a law in rates whose marginal base rounds to 1
+        (lambda: properties.marginals(bivariate.MOBWParams(1.0, 0.0, 1e-17, 0.5)),
+         "lambda0 + lambda1", "1e-17", 1),
+        (lambda: dw_min_of_n(WeibullParams(1.0, 1e-17), 3), "n * lambda", "3e-17", 1),
+    ], ids=["marginals", "min_distribution", "closure_min", "dw_min_of_n",
+            "marginals-to-1", "dw_min_of_n-to-1"])
+    def test_a_base_that_rounds_to_0_or_1_is_refused_by_its_rate(self, call, name, rate, edge):
+        message = (f"the rate {name} = {rate} rounds its survival base exp(-({name})) "
+                   f"to {edge}: survival bases cannot hold this law, its rates can")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call()
+
+    def test_closure_min_takes_components_in_either_form(self):
+        parts = [bivariate.BDWParams(1.6, 0.95, 0.9, 0.85), bivariate.BDWParams(1.6, 0.9, 0.8, 0.9)]
+        mixed = [parts[0], bivariate.to_mobw(parts[1])]
+        assert repr(properties.closure_min(mixed)) == repr(properties.closure_min(parts))
